@@ -13,7 +13,7 @@ from .algebra import (
     m_phi_kernel_dim,
     normal_form_at_zero,
 )
-from .special import bessel_k0, bessel_k1, bessel_j0, bessel_j0_first_zero
+from .special import bessel_k0, bessel_k1
 from .painleve import (
     PsiProfile,
     EtaProfile,

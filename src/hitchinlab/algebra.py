@@ -48,12 +48,6 @@ class TracelessMatrix:
             raise ValueError(f"matrix is not trace-free (tr = {tr})")
         return cls(m[0, 0], m[0, 1], m[1, 0], role)
 
-    def conj_transpose(self) -> "TracelessMatrix":
-        return TracelessMatrix(np.conj(self.a), np.conj(self.c), np.conj(self.b), self.role)
-
-    def frobenius(self) -> float:
-        return frobenius_norm(self.matrix)
-
 
 @dataclass(frozen=True)
 class HermitianDecomposition:

@@ -165,9 +165,8 @@ def cmd_spectrum(config: RunConfig) -> int:
     profile = _solve_profile(config)
 
     def one(t):
-        fam = fiducial.build_family(t, profile)
         n = min(config.grid, 800)  # eigen sweeps do not need the fine grid
-        return linearized.green_norms(t, config.lmax, fam, n=n).to_dict()
+        return linearized.green_norms(t, config.lmax, profile, n=n).to_dict()
 
     reports = _parallel_map(one, config.t, config.jobs)
     write_json(out / "spectrum.json", {"config": config.to_dict(), "reports": reports})

@@ -29,6 +29,16 @@ def _rho_of(t: float, r: np.ndarray) -> np.ndarray:
     return (8.0 / 3.0) * t * r ** 1.5
 
 
+def radial_data(t: float, profile: PsiProfile, r: np.ndarray):
+    """(h_t, r d_r h_t, (r d_r)^2 h_t) at radii r, by the profile's chain rule.
+
+    h_t(r) = psi(rho) with rho = (8/3) t r^(3/2), so r d_r = (3/2) rho d_rho.
+    No range check: callers that need one make it themselves.
+    """
+    psi, psi_x, psi_xx = psi_log_derivatives(profile, _rho_of(t, r))
+    return psi, 1.5 * psi_x, 2.25 * psi_xx
+
+
 @dataclass(eq=False)
 class FiducialFamily:
     """Radial data of the pair at parameter t on a grid in (0, 1].
@@ -67,15 +77,12 @@ def build_family(t: float, profile: PsiProfile, grid: np.ndarray | None = None) 
     r = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if np.any(r <= 0) or np.any(np.diff(r) <= 0) or r[-1] > 1.0 + 1e-12:
         raise ValueError("grid must be strictly increasing in (0, 1]")
-    rho = _rho_of(t, r)
-    if rho[-1] > 2.0 * profile.rho_max:
+    rho_edge = _rho_of(t, r[-1])
+    if rho_edge > 2.0 * profile.rho_max:
         raise ValueError(
-            f"rho={rho[-1]:.3g} beyond profile range; choose grid and t consistently"
+            f"rho={rho_edge:.3g} beyond profile range; choose grid and t consistently"
         )
-    psi, psi_x, psi_xx = psi_log_derivatives(profile, rho)
-    h = psi
-    r_dh = 1.5 * psi_x          # r d_r = (3/2) rho d_rho
-    r_d2h = 2.25 * psi_xx
+    h, r_dh, r_d2h = radial_data(t, profile, r)
     f = 0.125 + 0.25 * r_dh
     df = r_d2h / (4.0 * r)
     return FiducialFamily(t=t, r=r, h=h, r_dh=r_dh, f=f, df=df, r_d2h=r_d2h, profile=profile)
@@ -198,10 +205,6 @@ def verify_f_bounds(family: FiducialFamily) -> dict:
 def phi_sup_bound(family: FiducialFamily) -> float:
     """sup over the grid of the Frobenius norm of the field coefficient."""
     return float(np.sqrt(2.0 * family.r * np.cosh(2.0 * family.h)).max())
-
-
-def phi_sup_sweep(profile: PsiProfile, t_list, grid: np.ndarray | None = None) -> dict:
-    return {float(t): phi_sup_bound(build_family(t, profile, grid)) for t in t_list}
 
 
 def convergence_rate(profile: PsiProfile, t_list, r0: float,

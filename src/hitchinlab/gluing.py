@@ -24,9 +24,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import NumericalError
-from .fiducial import FiducialFamily, build_family
+from .fiducial import FiducialFamily, build_family, radial_data
 from .linearized import RadialGrid, assemble_vertical_block, assemble_scalar, smallest_eigenvalue
-from .painleve import PsiProfile, psi_log_derivatives
+from .painleve import PsiProfile
 
 
 def _bump(x):
@@ -113,9 +113,7 @@ class GluedState:
 
 
 def _glued_fields(t: float, profile: PsiProfile, cutoff: CutoffProfile, r: np.ndarray):
-    rho = (8.0 / 3.0) * t * r ** 1.5
-    psi, psi_x, psi_xx = psi_log_derivatives(profile, rho)
-    h, r_dh, r_d2h = psi, 1.5 * psi_x, 2.25 * psi_xx
+    h, r_dh, r_d2h = radial_data(t, profile, r)
     chi, dchi, d2chi = cutoff.sample(r)
     h_chi = chi * h
     r_dh_chi = r * dchi * h + chi * r_dh

@@ -20,8 +20,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, splu
 
 from .errors import NumericalError
-from .fiducial import FiducialFamily
-from .painleve import PsiProfile, psi_log_derivatives
+from .fiducial import radial_data
+from .painleve import PsiProfile
 
 DEFAULT_N = 2000
 DEFAULT_R_MIN = 1e-6
@@ -122,14 +122,7 @@ def _scalar_blocks(grid: RadialGrid, potential: np.ndarray, nu_in: float,
     return a_main, a_off, weights, r
 
 
-def _family_data(profile: PsiProfile, t: float, r: np.ndarray):
-    psi, psi_x, _ = psi_log_derivatives(profile, (8.0 / 3.0) * t * r ** 1.5)
-    h = psi
-    f = 0.125 + 0.375 * psi_x
-    return h, f
-
-
-def assemble_block(ell: int, t: float, family: FiducialFamily, n: int = DEFAULT_N,
+def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N,
                    r_min: float = DEFAULT_R_MIN, connection: bool = True,
                    higgs: bool = True, neumann_outer: bool = False) -> RadialOperator:
     """Coupled 2x2 block of the linearized operator at mode ell.
@@ -141,9 +134,8 @@ def assemble_block(ell: int, t: float, family: FiducialFamily, n: int = DEFAULT_
     """
     grid = RadialGrid(n, r_min)
     r = grid.r if not neumann_outer else np.append(grid.r, 1.0)
-    h, f = _family_data(family.profile, t, r)
-    if not connection:
-        f = np.zeros_like(f)
+    h, r_dh, _ = radial_data(t, profile, r)
+    f = 0.125 + 0.25 * r_dh if connection else np.zeros_like(r)
     v_minus = (ell - 4.0 * f) ** 2 / r ** 2
     v_plus = (ell - 1 + 4.0 * f) ** 2 / r ** 2
     if higgs:
@@ -316,7 +308,7 @@ class SpectralReport:
         }
 
 
-def green_norms(t: float, ell_max: int, family: FiducialFamily, n: int = 600,
+def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600,
                 r_min: float = DEFAULT_R_MIN) -> SpectralReport:
     """Per-mode smallest eigenvalues and Green-operator norm estimates.
 
@@ -330,15 +322,15 @@ def green_norms(t: float, ell_max: int, family: FiducialFamily, n: int = 600,
     if ell_max < 8:
         raise ValueError("ell_max must be at least 8")
     grid = RadialGrid(n, r_min)
-    h, _ = _family_data(family.profile, t, grid.r)
+    h, _, _ = radial_data(t, profile, grid.r)
     lam = []
     lam_vert = []
     surrogate = 0.0
     kappa = np.inf
     ells = list(range(ell_max + 1))
     for ell in ells:
-        op = assemble_block(ell, t, family, n=n, r_min=r_min)
-        flat = assemble_block(ell, t, family, n=n, r_min=r_min,
+        op = assemble_block(ell, t, profile, n=n, r_min=r_min)
+        flat = assemble_block(ell, t, profile, n=n, r_min=r_min,
                               connection=False, higgs=False)
         lam.append(smallest_eigenvalue(op))
         vert = assemble_vertical_block(ell, t, h, grid)

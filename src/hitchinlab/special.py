@@ -1,107 +1,29 @@
-"""Bessel functions needed by the profile solver, implemented from scratch.
+"""Bessel functions for the profile tail, via ``scipy.special``.
 
-K0 and K1 use the ascending series for x <= 2 and a trapezoidal rule on the
-integral representation int_0^inf exp(-x cosh s) (cosh s)^m ds for x > 2; the
-integrand is even and analytic in a strip, so the trapezoid converges
-geometrically in 1/h.  J0 and its first positive zero back the independent
-eigenvalue oracle.
+The profile decays like lambda * K0(rho); K1 = -K0' gives the derivative of
+that tail.  Both wrappers keep the domain check (positive arguments only) and
+return a float for scalar input.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-EULER_GAMMA = 0.5772156649015328606
-
-
-def _k_series(x: float, order: int) -> float:
-    # ascending series, A&S 9.6.10-11 style; safe of cancellation for x <= 2
-    t = 0.25 * x * x
-    if order == 0:
-        term, i0, acc, hk = 1.0, 1.0, 0.0, 0.0
-        for k in range(1, 60):
-            term *= t / (k * k)
-            i0 += term
-            hk += 1.0 / k
-            acc += term * hk
-            if term < 1e-19 * i0:
-                break
-        return -(math.log(0.5 * x) + EULER_GAMMA) * i0 + acc
-    # order == 1
-    term = 0.5 * x
-    i1 = term
-    psum = 1.0  # psi(1) + psi(2) = -2 gamma + 1, tracked incrementally below
-    pk1, pk2 = -EULER_GAMMA, 1.0 - EULER_GAMMA
-    sterm = 1.0
-    acc = pk1 + pk2
-    for k in range(1, 60):
-        term *= t / (k * (k + 1))
-        i1 += term
-        sterm *= t / (k * (k + 1))
-        pk1 += 1.0 / k
-        pk2 += 1.0 / (k + 1)
-        acc += (pk1 + pk2) * sterm
-        if sterm < 1e-19:
-            break
-    return math.log(0.5 * x) * i1 + 1.0 / x - 0.25 * x * acc
+import scipy.special
 
 
-def _k_quad(x: float, order: int) -> float:
-    # peak width ~ 1/sqrt(x); keep several nodes across it
-    h = min(0.125, 0.35 / math.sqrt(x))
-    smax = math.acosh(780.0 / x) if x < 780.0 else 1.0
-    s = h * np.arange(0, int(smax / h) + 2)
-    w = np.exp(-x * np.cosh(s))
-    if order == 1:
-        w = w * np.cosh(s)
-    return h * (0.5 * w[0] + w[1:].sum())
-
-
-def _bessel_k(x, order: int):
+def _bessel_k(fn, x):
     xs = np.asarray(x, dtype=float)
     if np.any(xs <= 0):
         raise ValueError("argument must be positive")
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    out = np.empty_like(xs)
-    for i, v in enumerate(xs):
-        out[i] = _k_series(v, order) if v <= 2.0 else _k_quad(v, order)
-    return float(out[0]) if scalar else out
+    out = fn(xs)
+    return float(out) if xs.ndim == 0 else out
 
 
 def bessel_k0(x):
-    """Macdonald function K0; scalar or array, relative accuracy ~1e-14."""
-    return _bessel_k(x, 0)
+    """Macdonald function K0; scalar or array."""
+    return _bessel_k(scipy.special.k0, x)
 
 
 def bessel_k1(x):
     """K1 = -d/dx K0, used for the derivative of the exponential tail."""
-    return _bessel_k(x, 1)
-
-
-def bessel_j0(x: float) -> float:
-    """J0 by its ascending series (adequate on the range of its first zero)."""
-    t = 0.25 * x * x
-    term, acc = 1.0, 1.0
-    for k in range(1, 80):
-        term *= -t / (k * k)
-        acc += term
-        if abs(term) < 1e-19:
-            break
-    return acc
-
-
-def bessel_j0_first_zero() -> float:
-    """First positive zero of J0 by bisection; independent of any matrix code."""
-    lo, hi = 2.0, 3.0
-    flo = bessel_j0(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = bessel_j0(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return _bessel_k(scipy.special.k1, x)

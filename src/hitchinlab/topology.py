@@ -4,41 +4,15 @@ The punctured genus-g surface deformation retracts onto a wedge of
 2g + k - 1 circles.  A rank-1 real local system assigns a sign to each loop;
 the deformation count needs the system that is -1 around every puncture.  The
 spine is subdivided (one midpoint vertex per loop) so that the twisted
-cochain complex is an honest signed incidence matrix, and ranks are computed
-over the rationals with Fraction arithmetic, so the dimensions are exact
-integers by construction.
+cochain complex is the incidence matrix of a connected signed graph.  Over
+the rationals that matrix has rank V - 1 when the graph is balanced (every
+cycle has sign +1) and rank V otherwise (Zaslavsky, Signed graphs, 1982), so
+the dimensions are exact integers by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-
-
-
-def _rank_exact(rows: list) -> int:
-    """Row rank by fraction-free Gaussian elimination over Q."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(row, n_rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col]
-        for i in range(row + 1, n_rows):
-            if m[i][col] != 0:
-                factor = m[i][col] / inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
 
 
 @dataclass(eq=False)
@@ -136,14 +110,16 @@ def build_complex(gamma: int, k: int, handle_monodromy: int = 1) -> TwistedSurfa
 
 
 def twisted_cohomology_dims(cx: TwistedSurfaceComplex) -> tuple[int, int]:
-    """(h0, h1) of the local system; exact integer linear algebra.
+    """(h0, h1) of the local system from the signed-graph rank of ``coboundary``.
 
-    h0 vanishes as soon as one loop carries monodromy -1; h1 equals the edge
-    count minus the rank of the twisted coboundary (there are no 2-cells on
-    the spine).
+    The spine is connected and its cycles are generated by the loops, so it
+    is balanced exactly when every loop carries monodromy +1; the coboundary
+    then has rank V - 1, and rank V otherwise.  h0 vanishes as soon as one
+    loop carries monodromy -1; h1 equals the edge count minus the rank (there
+    are no 2-cells on the spine).
     """
-    d = cx.coboundary()
-    rank = _rank_exact(d)
+    balanced = all(s == 1 for s in cx.monodromy.values())
+    rank = cx.vertices - balanced
     h0 = cx.vertices - rank
     h1 = cx.edges - rank
     return h0, h1

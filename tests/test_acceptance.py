@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import jn_zeros
 
 from hitchinlab import fiducial as fd
 from hitchinlab import gauge as gg
@@ -25,7 +26,6 @@ from hitchinlab.algebra import (
     m_phi_kernel_dim,
 )
 from hitchinlab.painleve import solve_connection
-from hitchinlab.special import bessel_j0_first_zero
 
 
 def _line(number: int, ok: bool, detail: str) -> None:
@@ -109,7 +109,7 @@ def test_criterion_05_indicial_roots():
 
 
 def test_criterion_06_spectral_oracle():
-    target = bessel_j0_first_zero() ** 2
+    target = jn_zeros(0, 1)[0] ** 2
     lams = [lin.smallest_eigenvalue(lin.assemble_scalar(0, n=n)) for n in (500, 1000, 2000)]
     rel = abs(lams[2] - target) / target
     ratio = (lams[0] - lams[1]) / (lams[1] - lams[2])
@@ -119,8 +119,8 @@ def test_criterion_06_spectral_oracle():
 
 
 @pytest.fixture(scope="module")
-def spectral_reports(families):
-    return {t: lin.green_norms(t, 32, families[t], n=600) for t in (1.0, 2.0, 4.0, 8.0)}
+def spectral_reports(profile):
+    return {t: lin.green_norms(t, 32, profile, n=600) for t in (1.0, 2.0, 4.0, 8.0)}
 
 
 def test_criterion_07_green_norm_uniformity(spectral_reports):

@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import jn_zeros
 
 from hitchinlab import linearized as lin
-from hitchinlab.special import bessel_j0_first_zero
 
 
 @pytest.fixture(scope="module")
 def bessel_target():
-    return bessel_j0_first_zero() ** 2
+    return jn_zeros(0, 1)[0] ** 2
 
 
 def test_bessel_oracle_at_n2000(families, bessel_target):
@@ -26,56 +26,54 @@ def test_second_order_convergence(bessel_target):
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_block_zero_potential_reduces_to_bessel(families, bessel_target):
-    op = lin.assemble_block(0, 1.0, families[1.0], n=2000, connection=False, higgs=False)
+def test_block_zero_potential_reduces_to_bessel(profile, bessel_target):
+    op = lin.assemble_block(0, 1.0, profile, n=2000, connection=False, higgs=False)
     lam = lin.smallest_eigenvalue(op)
     assert abs(lam - bessel_target) / bessel_target < 1e-3
 
 
-def test_symmetry_after_similarity(families):
+def test_symmetry_after_similarity(profile):
     for op in (
-        lin.assemble_block(3, 2.0, families[2.0], n=150),
+        lin.assemble_block(3, 2.0, profile, n=150),
         lin.assemble_scalar(1, n=150),
-        lin.assemble_block(0, 1.0, families[1.0], n=150, neumann_outer=True),
+        lin.assemble_block(0, 1.0, profile, n=150, neumann_outer=True),
     ):
         s = op.symmetrized()
         assert abs(s - s.T).max() < 1e-12
 
 
-def test_potentials_nonnegative_with_floor(families):
-    op = lin.assemble_block(1, 1.0, families[1.0], n=400)
+def test_potentials_nonnegative_with_floor(profile):
+    op = lin.assemble_block(1, 1.0, profile, n=400)
     floor = lin.potential_floor(op)
     assert floor > 0.0
     for pot in op.potentials:
         assert (pot >= 0.0).all()
 
 
-def test_grid_size_validation(families):
+def test_grid_size_validation(profile):
     with pytest.raises(ValueError):
-        lin.assemble_block(0, 1.0, families[1.0], n=8)
+        lin.assemble_block(0, 1.0, profile, n=8)
 
 
-def test_potential_monotonicity_minmax(families):
-    fam = families[2.0]
-    with_w = lin.smallest_eigenvalue(lin.assemble_block(1, 2.0, fam, n=400))
-    without_w = lin.smallest_eigenvalue(lin.assemble_block(1, 2.0, fam, n=400, higgs=False))
+def test_potential_monotonicity_minmax(profile):
+    with_w = lin.smallest_eigenvalue(lin.assemble_block(1, 2.0, profile, n=400))
+    without_w = lin.smallest_eigenvalue(lin.assemble_block(1, 2.0, profile, n=400, higgs=False))
     assert with_w >= without_w - 1e-10
     without_all = lin.smallest_eigenvalue(
-        lin.assemble_block(1, 2.0, fam, n=400, higgs=False, connection=False)
+        lin.assemble_block(1, 2.0, profile, n=400, higgs=False, connection=False)
     )
     assert without_w >= without_all - 1e-8
 
 
-def test_high_mode_lower_bound(families):
-    fam = families[1.0]
-    op = lin.assemble_block(5, 1.0, fam, n=400)
+def test_high_mode_lower_bound(profile):
+    op = lin.assemble_block(5, 1.0, profile, n=400)
     lam = lin.smallest_eigenvalue(op)
     kappa = lin.potential_floor(op) / 25.0
     assert lam >= kappa * 25.0
 
 
-def test_green_norms_uniformity(families):
-    reports = {t: lin.green_norms(t, 8, families[t], n=300) for t in (1.0, 2.0, 4.0, 8.0)}
+def test_green_norms_uniformity(profile):
+    reports = {t: lin.green_norms(t, 8, profile, n=300) for t in (1.0, 2.0, 4.0, 8.0)}
     g = [rep.g_norm_l2 for rep in reports.values()]
     assert max(g) / min(g) < 2.0
     for rep in reports.values():
@@ -87,9 +85,9 @@ def test_green_norms_uniformity(families):
                 assert 1.0 / lam <= 1.0 / (rep.kappa_hat * ell ** 2) + 1e-12
 
 
-def test_green_norms_requires_lmax(families):
+def test_green_norms_requires_lmax(profile):
     with pytest.raises(ValueError):
-        lin.green_norms(1.0, 4, families[1.0], n=300)
+        lin.green_norms(1.0, 4, profile, n=300)
 
 
 def test_indicial_roots_per_mode():

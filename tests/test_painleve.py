@@ -82,6 +82,13 @@ def test_eta_power_boundedness(profile):
     assert ratio23.max() < 10.0 * max(ratio23[0], ratio23[-1])
 
 
+def test_connection_constants_closed_form(profile):
+    # McCoy, Tracy & Wu (1977): a0 = Gamma(1/3) / (2 Gamma(2/3)), lambda = 1/pi
+    a0 = math.gamma(1.0 / 3.0) / (2.0 * math.gamma(2.0 / 3.0))
+    assert math.isclose(profile.a0, a0, rel_tol=1e-11)
+    assert math.isclose(profile.lam, 1.0 / math.pi, rel_tol=1e-11)
+
+
 def test_connection_constants_stable_under_refinement(profile):
     alt = solve_connection(ode_tol=1e-10)
     assert abs(alt.a0 - profile.a0) < 1e-8

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hitchinlab import topology as tp
@@ -75,3 +76,32 @@ def test_rejections():
 def test_dimension_table():
     rows = tp.dimension_table(range(2, 5))
     assert rows == [(2, 4, 0, 6, 6), (3, 8, 0, 12, 12), (4, 12, 0, 18, 18)]
+
+
+def test_rank_formula_matches_exact_coboundary_rank():
+    sympy = pytest.importorskip("sympy")
+
+    def exact_dims(cx):
+        rank = sympy.Matrix(cx.coboundary()).rank()
+        return cx.vertices - rank, cx.edges - rank
+
+    complexes = []
+    for gamma, k in ((2, 2), (2, 4), (3, 4)):
+        for sign in (1, -1):
+            complexes.append(tp.build_complex(gamma, k, handle_monodromy=sign))
+        balanced = tp.build_complex(gamma, k)
+        balanced.monodromy = dict.fromkeys(balanced.generators, 1)
+        complexes.append(balanced)
+        for gen in balanced.generators:
+            one_twisted = tp.build_complex(gamma, k)
+            one_twisted.monodromy = dict.fromkeys(one_twisted.generators, 1)
+            one_twisted.monodromy[gen] = -1
+            complexes.append(one_twisted)
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        cx = tp.build_complex(int(rng.integers(2, 5)), 2 * int(rng.integers(1, 4)))
+        signs = rng.choice((1, -1), size=len(cx.generators))
+        cx.monodromy = {g: int(s) for g, s in zip(cx.generators, signs)}
+        complexes.append(cx)
+    for cx in complexes:
+        assert tp.twisted_cohomology_dims(cx) == exact_dims(cx), cx.monodromy
