@@ -215,7 +215,9 @@ def smallest_eigenvalue(op: RadialOperator) -> float:
 
     The shift starts at zero; a semi-definite operator (Neumann with a
     constant kernel) makes that factorization singular, in which case a
-    small negative shift is used instead.
+    small negative shift is used instead.  Only a ``RuntimeError`` (singular
+    factorization, ARPACK failure) moves on to the next shift; any other
+    error, such as a malformed operator, propagates unchanged.
     """
     b = sp.diags(op.weights)
     v0 = np.ones(op.matrix.shape[0])
@@ -225,7 +227,7 @@ def smallest_eigenvalue(op: RadialOperator) -> float:
             w = eigsh(op.matrix, k=1, M=b, sigma=sigma, which="LM", v0=v0,
                       return_eigenvectors=False, tol=0)
             return float(w[0])
-        except Exception as exc:  # factorization failure, non-convergence
+        except RuntimeError as exc:  # singular factorization, ARPACK failure
             last_exc = exc
     raise NumericalError(f"eigenvalue solve failed: {last_exc}") from last_exc
 

@@ -4,7 +4,10 @@ The profile solves (rho d_rho)^2 psi = (1/2) rho^2 sinh(2 psi), decays like a
 multiple of K0(rho) as rho -> infinity, and behaves like
 -log(rho^(1/3) sum_j a_j rho^(4j/3)) as rho -> 0.  The unique interpolating
 solution is found by two-sided shooting in x = log(rho) with a Newton
-iteration on (a_0, lambda), where lambda is the tail amplitude.
+iteration on (a_0, lambda), where lambda is the tail amplitude.  The left
+shot depends only on a_0 and the right shot only on lambda, so each
+finite-difference Jacobian column re-shoots one side; Newton shots build no
+dense output, and one final dense pair samples the profile grid.
 
 Everything downstream (the fiducial family, the linearized blocks, the glued
 approximate solutions) evaluates psi and its first two log-derivatives through
@@ -176,33 +179,37 @@ def _blowup(x, y):
 _blowup.terminal = True
 
 
-def _shoot(a0, lam, x_min, x_mid, x_max, rho_max, ode_tol, coeffs3=None):
-    """Left and right shots meeting at x_mid; returns mismatch and solutions."""
-    if coeffs3 is None:
-        coeffs3 = series_coefficients(a0, 3)
-    rho_min = np.exp(x_min)
-    p, px, _ = _series_eval(coeffs3, rho_min)
+def _shoot_left(a0, x_min, x_mid, ode_tol, dense_output=False):
+    """Shot from the small-rho series at x_min to x_mid; None when it blows up."""
+    p, px, _ = _series_eval(series_coefficients(a0, 3), np.exp(x_min))
     left = solve_ivp(
-        _rhs, (x_min, x_mid), (float(p), float(px)),
-        method="DOP853", rtol=ode_tol, atol=ode_tol, dense_output=True, events=_blowup,
+        _rhs, (x_min, x_mid), (float(p), float(px)), method="DOP853",
+        rtol=ode_tol, atol=ode_tol, dense_output=dense_output, events=_blowup,
     )
-    # pure relative control on the right: the state passes through ~1e-19
+    return left if left.success and left.t[-1] == x_mid else None
+
+
+def _shoot_right(lam, x_mid, x_max, rho_max, ode_tol, dense_output=False):
+    """Shot from the lambda*K0 tail at x_max back to x_mid; None on failure."""
+    # pure relative control: the state passes through ~1e-19
     right = solve_ivp(
         _rhs, (x_max, x_mid),
         (lam * bessel_k0(rho_max), -lam * rho_max * bessel_k1(rho_max)),
-        method="DOP853", rtol=max(ode_tol, 3e-14), atol=1e-300, dense_output=True,
+        method="DOP853", rtol=max(ode_tol, 3e-14), atol=1e-300, dense_output=dense_output,
     )
-    if not (left.success and right.success) or left.t[-1] != x_mid:
-        return None, left, right
-    return left.y[:, -1] - right.y[:, -1], left, right
+    return right if right.success else None
 
 
-def _initial_sweep(x_min, x_mid, x_max, rho_max, ode_tol):
-    """Coarse bracketing sweep used when Newton from (1, 1) stalls."""
+def _initial_sweep(x_min, x_mid):
+    """Coarse bracketing sweep used when Newton from (1, 1) stalls.
+
+    Only left shots are needed: each candidate a0 is scored by how well the
+    lambda*K0 tail fitted to its value at rho_mid also matches its slope.
+    """
     best = None
     for a0 in np.geomspace(0.2, 5.0, 25):
-        m, left, _ = _shoot(a0, 1.0, x_min, x_mid, x_max, rho_max, 1e-10)
-        if m is None:
+        left = _shoot_left(a0, x_min, x_mid, 1e-10)
+        if left is None:
             continue
         psi_mid, dpsi_mid = left.y[0, -1], left.y[1, -1]
         if psi_mid <= 0:
@@ -229,10 +236,16 @@ def solve_connection(
 ) -> PsiProfile:
     """Two-sided shooting solve of the connection problem.
 
-    Newton iterates on (log a0, log lambda) with a finite-difference Jacobian
-    (relative step 1e-6) until the value/derivative mismatch at rho_mid drops
-    below ``tol``.  Falls back to a coarse bracketing sweep for the seed when
-    the iteration from (1, 1) stalls.
+    Newton iterates on p = (log a0, log lambda) with a finite-difference
+    Jacobian (relative step 1e-6) until the value/derivative mismatch at
+    rho_mid drops below ``tol``.  The left end state depends only on a0 and
+    the right one only on lambda, so each Jacobian column re-shoots one side
+    and reuses the other side's stored end state.  Falls back to a coarse
+    bracketing sweep for the seed when the iteration from (1, 1) stalls.
+
+    Newton shots keep no dense output.  After convergence one more shot per
+    side, with dense output, samples the grid; DOP853 takes the same steps
+    with or without dense output, so this pair ends at the accepted states.
     """
     if not (0 < rho_min < rho_mid < rho_max):
         raise ValueError("need 0 < rho_min < rho_mid < rho_max")
@@ -240,20 +253,32 @@ def solve_connection(
         raise ValueError("tol must be positive")
     x_min, x_mid, x_max = np.log(rho_min), np.log(rho_mid), np.log(rho_max)
 
-    def mismatch(p):
-        m, left, right = _shoot(np.exp(p[0]), np.exp(p[1]), x_min, x_mid, x_max, rho_max, ode_tol)
-        if m is None:
-            return None, None, None
-        return m, left, right
+    def left_end(log_a0):
+        left = _shoot_left(np.exp(log_a0), x_min, x_mid, ode_tol)
+        return None if left is None else left.y[:, -1]
+
+    def right_end(log_lam):
+        right = _shoot_right(np.exp(log_lam), x_mid, x_max, rho_max, ode_tol)
+        return None if right is None else right.y[:, -1]
+
+    def shoot(p):
+        """[left, right] end states at x_mid, or None when either shot fails."""
+        left = left_end(p[0])
+        right = None if left is None else right_end(p[1])
+        return None if right is None else [left, right]
+
+    def reseed():
+        p = np.log(_initial_sweep(x_min, x_mid))
+        ends = shoot(p)
+        if ends is None:
+            raise NumericalError("shooting fails from swept initial guess")
+        return p, ends
 
     p = np.zeros(2)  # (log a0, log lambda) = (0, 0)
-    m, left, right = mismatch(p)
-    if m is None:
-        a0_seed, lam_seed = _initial_sweep(x_min, x_mid, x_max, rho_max, ode_tol)
-        p = np.log([a0_seed, lam_seed])
-        m, left, right = mismatch(p)
-        if m is None:
-            raise NumericalError("shooting fails from swept initial guess")
+    ends = shoot(p)
+    if ends is None:
+        p, ends = reseed()
+    m = ends[0] - ends[1]
 
     swept = False
     last = np.max(np.abs(m))
@@ -261,35 +286,36 @@ def solve_connection(
         if last < tol:
             break
         jac = np.empty((2, 2))
-        for j in range(2):
-            dp = p.copy()
+        for j, end_of in enumerate((left_end, right_end)):
             step = 1e-6 * max(1.0, abs(p[j]))
-            dp[j] += step
-            m2, _, _ = mismatch(dp)
-            if m2 is None:
+            moved = list(ends)
+            moved[j] = end_of(p[j] + step)
+            if moved[j] is None:
                 m2 = m + 10.0 * np.abs(m)  # penalize directions that blow up
+            else:
+                m2 = moved[0] - moved[1]
             jac[:, j] = (m2 - m) / step
         try:
             delta = np.linalg.solve(jac, -m)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular shooting Jacobian: {exc}") from exc
         p_new = p + np.clip(delta, -1.0, 1.0)
-        m_new, left_new, right_new = mismatch(p_new)
-        if m_new is None or np.max(np.abs(m_new)) > 10.0 * max(last, tol):
+        ends_new = shoot(p_new)
+        if ends_new is None or np.max(np.abs(ends_new[0] - ends_new[1])) > 10.0 * max(last, tol):
             if swept:
                 raise NumericalError(f"Newton diverged; last mismatch {last:.3e}")
-            a0_seed, lam_seed = _initial_sweep(x_min, x_mid, x_max, rho_max, ode_tol)
-            p = np.log([a0_seed, lam_seed])
-            m, left, right = mismatch(p)
+            p, ends = reseed()
             swept = True
-            last = np.max(np.abs(m))
-            continue
-        p, m, left, right = p_new, m_new, left_new, right_new
+        else:
+            p, ends = p_new, ends_new
+        m = ends[0] - ends[1]
         last = np.max(np.abs(m))
     if last >= tol:
         raise NumericalError(f"Newton did not reach tol={tol}; last mismatch {last:.3e}")
 
     a0, lam = float(np.exp(p[0])), float(np.exp(p[1]))
+    left = _shoot_left(a0, x_min, x_mid, ode_tol, dense_output=True)
+    right = _shoot_right(lam, x_mid, x_max, rho_max, ode_tol, dense_output=True)
     x = np.linspace(x_min, x_max, n_grid)
     on_left = x <= x_mid
     psi = np.empty(n_grid)

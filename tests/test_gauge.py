@@ -61,6 +61,26 @@ def test_gauge_right_action(families, rng):
     assert gg.pair_discrepancy(two_steps, one_step) < 1e-9
 
 
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((40, 16, 2, 2), (40, 16, 2, 2)),
+    ((40, 16, 2, 2), (2, 2)),
+    ((40, 1, 2, 2), (1, 16, 2, 2)),
+])
+def test_batched_2x2_helpers_match_numpy(shape_a, shape_b):
+    rng = np.random.default_rng(2024)
+
+    def stack(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, b = stack(shape_a), stack(shape_b)
+    np.testing.assert_allclose(gg._mul2(a, b), a @ b, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(gg._inv2(a), np.linalg.inv(a), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(gg._inv2(b), np.linalg.inv(b), rtol=1e-13, atol=0)
+    a[3, 0] = [[1.0, 2.0], [2.0, 4.0]]
+    with pytest.raises(np.linalg.LinAlgError):
+        gg._inv2(a)
+
+
 def test_near_singular_gauge_rejected(families):
     fam = families[1.0]
     huge = gg.DiagonalGauge(12.0 * np.ones_like(fam.r), np.zeros_like(fam.r))

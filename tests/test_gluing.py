@@ -199,3 +199,27 @@ def test_newton_divergence_reports(families):
     state = gl.build_glued(2.0, families[2.0], n=200)
     with pytest.raises(NumericalError):
         gl.newton_correct(state, tol=1e-30, max_iter=3)
+
+
+def test_solver_calls_go_through_module_attributes(families, monkeypatch):
+    # the benchmark counts ODE solves and Newton steps by replacing these
+    # module attributes, so the code must look them up there at call time
+    from hitchinlab import painleve
+
+    calls = {"solve_ivp": 0, "solve_banded": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(painleve, "solve_ivp")
+    count(gl, "solve_banded")
+    painleve.solve_connection(ode_tol=1e-10)
+    result = gl.newton_correct(gl.build_glued(4.0, families[4.0], n=400), tol=1e-8)
+    assert calls["solve_ivp"] > 0
+    assert calls["solve_banded"] == result.iterations > 0

@@ -114,6 +114,21 @@ def test_h2_surrogate_nonconvergence_raises(profile, monkeypatch):
         lin.h2_surrogate_norm(op, flat)
 
 
+def test_smallest_eigenvalue_shift_ladder():
+    import dataclasses
+
+    from hitchinlab.errors import NumericalError
+
+    # constant kernel: the zero shift is singular, the -1e-6 shift finds 0
+    kernel = lin.assemble_scalar(0, n=200, neumann_outer=True)
+    assert abs(lin.smallest_eigenvalue(kernel)) < 1e-10
+    # a malformed operator is a programming error, not a numerical failure
+    bad = dataclasses.replace(kernel, weights=kernel.weights[:-1])
+    with pytest.raises(ValueError) as info:
+        lin.smallest_eigenvalue(bad)
+    assert not isinstance(info.value, NumericalError)
+
+
 def test_green_norms_requires_lmax(profile):
     with pytest.raises(ValueError):
         lin.green_norms(1.0, 4, profile, n=300)

@@ -188,3 +188,42 @@ def test_export_csv_roundtrip(profile, tmp_path):
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == profile.rho[0]
     assert first[1] == profile.psi[0]
+
+
+def _counting_solve_ivp(monkeypatch, fail_from=None):
+    """Wrap painleve.solve_ivp; record dense_output per call and optionally fail calls."""
+    from hitchinlab import painleve
+
+    real = painleve.solve_ivp
+    dense = []
+
+    def counted(*args, **kwargs):
+        dense.append(kwargs.get("dense_output", False))
+        sol = real(*args, **kwargs)
+        if fail_from is not None and len(dense) >= fail_from:
+            sol.success = False
+        return sol
+
+    monkeypatch.setattr(painleve, "solve_ivp", counted)
+    return dense
+
+
+def test_solve_connection_shot_budget(monkeypatch):
+    # Jacobian columns re-shoot one side each, Newton shots build no dense
+    # output, and one dense pair after convergence samples the grid
+    dense = _counting_solve_ivp(monkeypatch)
+    solve_connection()
+    assert len(dense) == 28
+    assert dense == [False] * 26 + [True] * 2
+
+
+def test_swept_seed_shot_failure_raises(monkeypatch):
+    from hitchinlab import painleve
+    from hitchinlab.errors import NumericalError
+
+    # the initial pair and both Jacobian columns succeed; the trial step and
+    # every later shot fail, so Newton re-seeds and the seed's shot fails too
+    _counting_solve_ivp(monkeypatch, fail_from=5)
+    monkeypatch.setattr(painleve, "_initial_sweep", lambda *args: (1.0, 1.0))
+    with pytest.raises(NumericalError, match="swept initial guess"):
+        solve_connection()
