@@ -165,7 +165,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     profile = _solve_profile(config)
 
     def one(t):
-        n = min(config.grid, 800)  # eigen sweeps do not need the fine grid
+        n = min(config.grid, 800)  # eigen sweeps do not need the fine grid; reports record n
         return linearized.green_norms(t, config.lmax, profile, n=n).to_dict()
 
     reports = _parallel_map(one, config.t, config.jobs)

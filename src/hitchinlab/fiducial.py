@@ -29,6 +29,20 @@ def _rho_of(t: float, r: np.ndarray) -> np.ndarray:
     return (8.0 / 3.0) * t * r ** 1.5
 
 
+def check_rho_range(t: float, profile: PsiProfile, r_edge: float = 1.0) -> None:
+    """Raise ValueError when rho = (8/3) t r_edge^(3/2) exceeds 2 rho_max.
+
+    This is the one validity range in t for every solve that reads the
+    profile on the disk: with the default rho_max = 40 it admits t <= 30 at
+    r_edge = 1.
+    """
+    rho_edge = _rho_of(t, r_edge)
+    if rho_edge > 2.0 * profile.rho_max:
+        raise ValueError(
+            f"t={t:g}: rho={rho_edge:.3g} beyond profile range; choose grid and t consistently"
+        )
+
+
 def radial_data(t: float, profile: PsiProfile, r: np.ndarray):
     """(h_t, r d_r h_t, (r d_r)^2 h_t) at radii r, by the profile's chain rule.
 
@@ -77,11 +91,7 @@ def build_family(t: float, profile: PsiProfile, grid: np.ndarray | None = None) 
     r = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if np.any(r <= 0) or np.any(np.diff(r) <= 0) or r[-1] > 1.0 + 1e-12:
         raise ValueError("grid must be strictly increasing in (0, 1]")
-    rho_edge = _rho_of(t, r[-1])
-    if rho_edge > 2.0 * profile.rho_max:
-        raise ValueError(
-            f"rho={rho_edge:.3g} beyond profile range; choose grid and t consistently"
-        )
+    check_rho_range(t, profile, r[-1])
     h, r_dh, r_d2h = radial_data(t, profile, r)
     f = 0.125 + 0.25 * r_dh
     df = r_d2h / (4.0 * r)

@@ -204,7 +204,7 @@ def newton_correct(state: GluedState, tol: float = 1e-10, max_iter: int = 30) ->
                                 iterations=iteration, sup_u=float(np.abs(u).max()))
         if iteration >= 2 and sup > 0.5 * history[-2] and sup > 100.0 * tol:
             raise NumericalError(
-                f"Newton stalled at residual {sup:.3e}; history {history}"
+                f"t={t:g}: Newton stalled at residual {sup:.3e}; history {history}"
             )
         scale = 1.0 / (4.0 * r * r)
         main = scale * (-2.0 / dx ** 2 - 16.0 * t * t * r ** 3 * np.cosh(2.0 * (state.h_chi + u)))
@@ -218,10 +218,11 @@ def newton_correct(state: GluedState, tol: float = 1e-10, max_iter: int = 30) ->
         try:
             du = solve_banded((1, 1), ab, -res)
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular Newton linearization: {exc}") from exc
+            raise NumericalError(f"t={t:g}: singular Newton linearization: {exc}") from exc
         u = u + du
     raise NumericalError(
-        f"Newton did not converge below {tol} in {max_iter} iterations; history {history}"
+        f"t={t:g}: Newton did not converge below {tol} in {max_iter} iterations; "
+        f"history {history}"
     )
 
 

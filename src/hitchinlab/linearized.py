@@ -5,22 +5,25 @@ log-uniform grid: with x = log r the second derivative (r d_r)^2 becomes
 exactly d_x^2, the geometric grading toward r = 0 comes for free, and the
 standard three-point stencil stays second order.  Regularity at r = 0 is
 imposed by ghost-node elimination with the indicial exponent of each block
-component, Dirichlet (or a half-cell Neumann) at r = 1.  Eigenvalues are
-extracted by shift-invert Lanczos, which is immune to the r^-2 entry spread
-of the symmetrized matrices.
+component, Dirichlet (or a half-cell Neumann) at r = 1.  Each block is
+factored once (``RadialOperator.lu``), and every eigen solve is a standard
+symmetric Lanczos run on an operator built from that factorization: the
+smallest eigenvalue is read off the largest one of S A^-1 S with S = sqrt(B),
+which is immune to the r^-2 entry spread of the symmetrized matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import NumericalError
-from .fiducial import radial_data
+from .fiducial import check_rho_range, radial_data
 from .painleve import PsiProfile
 
 DEFAULT_N = 2000
@@ -95,6 +98,12 @@ class RadialOperator:
                 offsets.append(-k)
         return sp.diags(bands, offsets, format="csc")
 
+    @cached_property
+    def lu(self):
+        """Sparse LU of ``matrix``, made on first use and shared by every solve
+        on this block; a singular matrix raises ``RuntimeError``."""
+        return splu(self.matrix.tocsc())
+
 
 def _stiffness_rows(grid: RadialGrid, nu_in: float, neumann_outer: bool):
     """Main/off diagonals of -d_x^2 with ghost elimination, plus cell sizes."""
@@ -130,11 +139,13 @@ def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N,
     The two components carry potentials (ell -+ 4 f_t)^2 / r^2 (with f_t
     dropped when ``connection`` is False) and the coupling
     8 t^2 r [[cosh 2h_t, 1], [1, cosh 2h_t]] (dropped when ``higgs`` is
-    False).  Inner regularity exponents are |ell| and |ell - 1|.
+    False).  Inner regularity exponents are |ell| and |ell - 1|.  The flat
+    block (both dropped) reads nothing from the profile.
     """
     grid = RadialGrid(n, r_min)
     r = grid.r if not neumann_outer else np.append(grid.r, 1.0)
-    h, r_dh, _ = radial_data(t, profile, r)
+    if connection or higgs:
+        h, r_dh, _ = radial_data(t, profile, r)
     f = 0.125 + 0.25 * r_dh if connection else np.zeros_like(r)
     v_minus = (ell - 4.0 * f) ** 2 / r ** 2
     v_plus = (ell - 1 + 4.0 * f) ** 2 / r ** 2
@@ -211,22 +222,34 @@ def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
 
 
 def smallest_eigenvalue(op: RadialOperator) -> float:
-    """Smallest eigenvalue by shift-invert Lanczos.
+    """Smallest eigenvalue of A u = lambda B u by standard-mode Lanczos.
 
+    For a shift sigma below the spectrum, S (A - sigma B)^-1 S with S = sqrt(B)
+    is symmetric positive definite, and its largest eigenvalue mu gives
+    lambda_min = sigma + 1/mu.  ARPACK finds mu as a standard symmetric
+    problem (``which="LA"``, ``tol=0``) from a fixed start vector; at
+    sigma = 0 the solves reuse the block's own factorization ``op.lu``.
     The shift starts at zero; a semi-definite operator (Neumann with a
     constant kernel) makes that factorization singular, in which case a
     small negative shift is used instead.  Only a ``RuntimeError`` (singular
     factorization, ARPACK failure) moves on to the next shift; any other
     error, such as a malformed operator, propagates unchanged.
     """
-    b = sp.diags(op.weights)
-    v0 = np.ones(op.matrix.shape[0])
+    s = np.sqrt(op.weights)
+    size = op.matrix.shape[0]
+    v0 = np.ones(size)
     last_exc = None
     for sigma in (0.0, -1e-6, -1.0):
         try:
-            w = eigsh(op.matrix, k=1, M=b, sigma=sigma, which="LM", v0=v0,
-                      return_eigenvectors=False, tol=0)
-            return float(w[0])
+            if sigma == 0.0:
+                lu = op.lu
+            else:
+                lu = splu((op.matrix - sigma * sp.diags(op.weights)).tocsc())
+            inverse = LinearOperator((size, size), dtype=float,
+                                     matvec=lambda x, lu=lu: s * lu.solve(s * x))
+            mu = eigsh(inverse, k=1, which="LA", v0=v0, tol=0,
+                       return_eigenvectors=False)
+            return sigma + 1.0 / float(mu[0])
         except RuntimeError as exc:  # singular factorization, ARPACK failure
             last_exc = exc
     raise NumericalError(f"eigenvalue solve failed: {last_exc}") from last_exc
@@ -244,16 +267,18 @@ def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator,
     sigma_max of M = S^-1 P A^-1 S, where A, P are the assembled matrices of
     the full and flat blocks and S = sqrt(B), taken as the square root of the
     largest eigenvalue of M^T M by implicitly restarted Lanczos (ARPACK) from
-    a deterministic fixed start vector.  ``tol`` is the relative accuracy
-    asked of that eigenvalue and ``max_iter`` the cap on Lanczos restarts; a
-    solve that does not converge within it raises NumericalError.
+    a deterministic fixed start vector.  The A^-1 solves reuse the block's
+    factorization ``op_l.lu``, so a block whose smallest eigenvalue was
+    already computed is not factored again; the flat block is never factored.
+    ``tol`` is the relative accuracy asked of that eigenvalue and
+    ``max_iter`` the cap on Lanczos restarts; a solve that does not converge
+    within it raises NumericalError.
     """
-    a = op_l.matrix.tocsc()
     p = op_flat.matrix.tocsc()
     pt = p.T.tocsc()
     sw = np.sqrt(op_l.weights)
-    lu = splu(a)
-    size = a.shape[0]
+    lu = op_l.lu
+    size = p.shape[0]
     v0 = np.sin(np.linspace(0.3, 7.0, size)) + 1.0
 
     def mtm_apply(vec):
@@ -289,6 +314,7 @@ def potential_floor(op: RadialOperator) -> float:
 @dataclass(eq=False)
 class SpectralReport:
     t: float
+    n: int
     ells: list
     lambda_min: list
     lambda_min_vertical: list
@@ -300,6 +326,7 @@ class SpectralReport:
     def to_dict(self) -> dict:
         return {
             "t": self.t,
+            "n": self.n,
             "l": list(self.ells),
             "lambda_min": list(self.lambda_min),
             "lambda_min_vertical": list(self.lambda_min_vertical),
@@ -319,10 +346,12 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600,
     swap symmetry of the block) together with the diagonal-subbundle blocks.
     The H2 surrogate composes the discrete flat Laplacian with each block
     inverse.  ``kappa_hat`` is the empirical potential floor divided by ell^2,
-    minimized over ell >= 2.
+    minimized over ell >= 2.  A t outside the profile's validity range on
+    the unit disk raises ValueError, as ``build_family`` does.
     """
     if ell_max < 8:
         raise ValueError("ell_max must be at least 8")
+    check_rho_range(t, profile)
     grid = RadialGrid(n, r_min)
     h, _, _ = radial_data(t, profile, grid.r)
     lam = []
@@ -335,15 +364,14 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600,
         flat = assemble_block(ell, t, profile, n=n, r_min=r_min,
                               connection=False, higgs=False)
         lam.append(smallest_eigenvalue(op))
-        vert = assemble_vertical_block(ell, t, h, grid)
-        lam_vert.append(smallest_eigenvalue(vert))
+        lam_vert.append(smallest_eigenvalue(assemble_vertical_block(ell, t, h, grid)))
         surrogate = max(surrogate, h2_surrogate_norm(op, flat))
         if ell >= 2:
             kappa = min(kappa, potential_floor(op) / ell ** 2)
     g_l2 = max(1.0 / np.array(lam + lam_vert))
     roots = indicial_roots(range(-ell_max, ell_max + 1))["aggregate"]
     return SpectralReport(
-        t=t, ells=ells, lambda_min=lam, lambda_min_vertical=lam_vert,
+        t=t, n=n, ells=ells, lambda_min=lam, lambda_min_vertical=lam_vert,
         g_norm_l2=float(g_l2), g_norm_h2_surrogate=float(surrogate),
         kappa_hat=float(kappa), indicial=roots,
     )

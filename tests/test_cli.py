@@ -55,6 +55,27 @@ def test_spectrum_lmax_zero_is_usage_error(tmp_path):
     assert run(["spectrum", "--lmax", "0", "--out", str(tmp_path)]) == 2
 
 
+def test_spectrum_reports_grid_used(tmp_path):
+    out = tmp_path / "run"
+    assert run(["spectrum", "--t", "1", "--grid", "2000", "--lmax", "8", "--out", str(out)]) == 0
+    payload = json.loads((out / "spectrum.json").read_text())
+    assert payload["config"]["grid"] == 2000
+    assert [rep["n"] for rep in payload["reports"]] == [800]
+
+
+def test_spectrum_and_fiducial_share_t_range(tmp_path, capsys):
+    assert run(["spectrum", "--t", "40", "--lmax", "8", "--out", str(tmp_path)]) == 2
+    assert "beyond profile range" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.json").exists()
+    assert run(["fiducial", "--t", "40", "--out", str(tmp_path)]) == 2
+
+
+def test_glue_failure_names_t(tmp_path, capsys):
+    # the t = 1 Newton stall is a known open failure; the message must say where
+    assert run(["glue", "--t", "1", "--out", str(tmp_path)]) == 1
+    assert "t=1" in capsys.readouterr().err
+
+
 def test_reports_are_byte_identical(tmp_path):
     out = tmp_path / "a"
     snapshots = []

@@ -129,6 +129,72 @@ def test_smallest_eigenvalue_shift_ladder():
     assert not isinstance(info.value, NumericalError)
 
 
+def _dense_smallest(op, sigma=0.0):
+    """sigma + 1 / max eig of S (A - sigma B)^-1 S, with a dense solve."""
+    s = np.sqrt(op.weights)
+    shifted = op.matrix.toarray() - sigma * np.diag(op.weights)
+    return sigma + 1.0 / np.linalg.eigvalsh(s[:, None] * np.linalg.solve(shifted, np.diag(s)))[-1]
+
+
+@pytest.mark.parametrize("t", [1.0, 8.0])
+@pytest.mark.parametrize("ell", [0, 5, 32])
+def test_smallest_eigenvalue_matches_dense_reference(profile, ell, t):
+    op = lin.assemble_block(ell, t, profile, n=150)
+    assert lin.smallest_eigenvalue(op) == pytest.approx(_dense_smallest(op), rel=1e-12)
+
+
+def test_smallest_eigenvalue_vertical_matches_dense_reference(profile):
+    grid = lin.RadialGrid(150, lin.DEFAULT_R_MIN)
+    h, _, _ = lin.radial_data(8.0, profile, grid.r)
+    op = lin.assemble_vertical_block(3, 8.0, h, grid)
+    assert lin.smallest_eigenvalue(op) == pytest.approx(_dense_smallest(op), rel=1e-12)
+
+
+def test_smallest_eigenvalue_shifted_kernel_matches_dense_reference():
+    # the eigenvalue is zero, so its error is measured against the first
+    # nonzero eigenvalue of the pencil
+    kernel = lin.assemble_scalar(0, n=150, neumann_outer=True)
+    s = 1.0 / np.sqrt(kernel.weights)
+    gap = np.linalg.eigvalsh(s[:, None] * kernel.matrix.toarray() * s[None, :])[1]
+    lam = lin.smallest_eigenvalue(kernel)
+    assert abs(lam - _dense_smallest(kernel, -1e-6)) <= 1e-12 * gap
+
+
+def test_one_factorization_per_block(profile, monkeypatch):
+    factored, eigsh_kwargs = [], []
+    real_splu, real_eigsh = lin.splu, lin.eigsh
+
+    def spy_splu(matrix, *args, **kwargs):
+        factored.append(matrix)
+        return real_splu(matrix, *args, **kwargs)
+
+    def spy_eigsh(*args, **kwargs):
+        eigsh_kwargs.append(kwargs)
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(lin, "splu", spy_splu)
+    monkeypatch.setattr(lin, "eigsh", spy_eigsh)
+    op, flat = _surrogate_pair(profile, 3, 2.0, 100)
+    lin.smallest_eigenvalue(op)
+    lin.h2_surrogate_norm(op, flat)
+    assert len(factored) == 1
+    assert abs(factored[0] - op.matrix).max() == 0.0
+    assert len(eigsh_kwargs) == 2
+    assert all("M" not in kw and "sigma" not in kw for kw in eigsh_kwargs)
+
+
+def test_flat_block_reads_no_profile(profile, monkeypatch):
+    def no_profile(*args, **kwargs):
+        raise AssertionError("flat block evaluated the profile")
+
+    monkeypatch.setattr(lin, "radial_data", no_profile)
+    flat = lin.assemble_block(4, 2.0, profile, n=100, connection=False, higgs=False)
+    r = flat.grid.r
+    assert np.array_equal(flat.potentials[0], 16.0 / r ** 2)
+    assert np.array_equal(flat.potentials[1], 9.0 / r ** 2)
+    assert not flat.coupling.any()
+
+
 def test_green_norms_requires_lmax(profile):
     with pytest.raises(ValueError):
         lin.green_norms(1.0, 4, profile, n=300)
