@@ -47,7 +47,8 @@ def radial_data(t: float, profile: PsiProfile, r: np.ndarray):
     """(h_t, r d_r h_t, (r d_r)^2 h_t) at radii r, by the profile's chain rule.
 
     h_t(r) = psi(rho) with rho = (8/3) t r^(3/2), so r d_r = (3/2) rho d_rho.
-    No range check: callers that need one make it themselves.
+    Raises ValueError beyond the profile's range; ``check_rho_range`` gives
+    the same verdict up front with a message that names t.
     """
     psi, psi_x, psi_xx = psi_log_derivatives(profile, _rho_of(t, r))
     return psi, 1.5 * psi_x, 2.25 * psi_xx

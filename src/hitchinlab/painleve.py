@@ -4,10 +4,13 @@ The profile solves (rho d_rho)^2 psi = (1/2) rho^2 sinh(2 psi), decays like a
 multiple of K0(rho) as rho -> infinity, and behaves like
 -log(rho^(1/3) sum_j a_j rho^(4j/3)) as rho -> 0.  The unique interpolating
 solution is found by two-sided shooting in x = log(rho) with a Newton
-iteration on (a_0, lambda), where lambda is the tail amplitude.  The left
-shot depends only on a_0 and the right shot only on lambda, so each
-finite-difference Jacobian column re-shoots one side; Newton shots build no
-dense output, and one final dense pair samples the profile grid.
+iteration on (log a_0, log lambda), where lambda is the tail amplitude.  Each
+shot integrates the variational equation d'' = e^(2x) cosh(2 psi) d alongside
+psi, so it returns its end state together with the exact derivative of that
+state in its own parameter: the left shot depends only on a_0 and the right
+shot only on lambda.  Newton thus takes one shot per side per iteration; its
+shots build no dense output, and one final dense pair samples the profile
+grid.
 
 Everything downstream (the fiducial family, the linearized blocks, the glued
 approximate solutions) evaluates psi and its first two log-derivatives through
@@ -106,7 +109,10 @@ class PsiProfile:
     strictly decreasing, ``dpsi`` = psi'(rho) negative.  ``a0`` and ``lam``
     are the fitted small-rho coefficient and tail amplitude; ``residual_max``
     is the interior max of |psi_xx - (1/2) rho^2 sinh(2 psi)| with psi_xx
-    from fourth-order differences of the psi_x data.
+    from fourth-order differences of the psi_x data.  ``newton_history`` is
+    the max-norm matching mismatch of each accepted Newton iterate, starting
+    with the initial shot; ``reseeded`` says whether the coarse sweep had to
+    supply the seed.
     """
 
     rho: np.ndarray
@@ -123,6 +129,8 @@ class PsiProfile:
     psi_xx: np.ndarray = field(repr=False, default=None)
     series: np.ndarray = field(repr=False, default=None)
     series_cut: float = 0.1
+    newton_history: tuple = ()
+    reseeded: bool = False
 
     @property
     def x(self) -> np.ndarray:
@@ -169,7 +177,9 @@ def _fd4_derivative(y: np.ndarray, h: float) -> np.ndarray:
 
 
 def _rhs(x, y):
-    return (y[1], 0.5 * np.exp(2.0 * x) * np.sinh(2.0 * y[0]))
+    """psi and its variational equation d'' = e^(2x) cosh(2 psi) d, as one system."""
+    e2x = np.exp(2.0 * x)
+    return (y[1], 0.5 * e2x * np.sinh(2.0 * y[0]), y[3], e2x * np.cosh(2.0 * y[0]) * y[2])
 
 
 def _blowup(x, y):
@@ -180,21 +190,35 @@ _blowup.terminal = True
 
 
 def _shoot_left(a0, x_min, x_mid, ode_tol, dense_output=False):
-    """Shot from the small-rho series at x_min to x_mid; None when it blows up."""
-    p, px, _ = _series_eval(series_coefficients(a0, 3), np.exp(x_min))
+    """Shot from the small-rho series at x_min to x_mid; None when it blows up.
+
+    The tangent starts at the exact log-a0 derivative of the 3-term series:
+    a0 d/da0 maps (a0, c1, c2) to (a0, -c1, 3 c2), since c1 = -9/(64 a0) and
+    c2 = 9 a0^3/256.
+    """
+    c = series_coefficients(a0, 3)
+    rho = np.exp(x_min)
+    s = rho ** (4.0 / 3.0)
+    v, vp = c[0] + c[1] * s + c[2] * s * s, c[1] + 2.0 * c[2] * s
+    dv, dvp = c[0] - c[1] * s + 3.0 * c[2] * s * s, -c[1] + 6.0 * c[2] * s
+    p, px, _ = _series_eval(c, rho)
+    y0 = (float(p), float(px), -dv / v, -(4.0 / 3.0) * s * (dvp * v - vp * dv) / (v * v))
     left = solve_ivp(
-        _rhs, (x_min, x_mid), (float(p), float(px)), method="DOP853",
+        _rhs, (x_min, x_mid), y0, method="DOP853",
         rtol=ode_tol, atol=ode_tol, dense_output=dense_output, events=_blowup,
     )
     return left if left.success and left.t[-1] == x_mid else None
 
 
 def _shoot_right(lam, x_mid, x_max, rho_max, ode_tol, dense_output=False):
-    """Shot from the lambda*K0 tail at x_max back to x_mid; None on failure."""
+    """Shot from the lambda*K0 tail at x_max back to x_mid; None on failure.
+
+    The tail state is linear in lambda, so it is its own log-lambda tangent.
+    """
+    tail = (lam * bessel_k0(rho_max), -lam * rho_max * bessel_k1(rho_max))
     # pure relative control: the state passes through ~1e-19
     right = solve_ivp(
-        _rhs, (x_max, x_mid),
-        (lam * bessel_k0(rho_max), -lam * rho_max * bessel_k1(rho_max)),
+        _rhs, (x_max, x_mid), tail + tail,
         method="DOP853", rtol=max(ode_tol, 3e-14), atol=1e-300, dense_output=dense_output,
     )
     return right if right.success else None
@@ -236,16 +260,17 @@ def solve_connection(
 ) -> PsiProfile:
     """Two-sided shooting solve of the connection problem.
 
-    Newton iterates on p = (log a0, log lambda) with a finite-difference
-    Jacobian (relative step 1e-6) until the value/derivative mismatch at
-    rho_mid drops below ``tol``.  The left end state depends only on a0 and
-    the right one only on lambda, so each Jacobian column re-shoots one side
-    and reuses the other side's stored end state.  Falls back to a coarse
-    bracketing sweep for the seed when the iteration from (1, 1) stalls.
+    Newton iterates on p = (log a0, log lambda) until the value/derivative
+    mismatch at rho_mid drops below ``tol``.  Each shot carries the
+    variational equation, so its end state comes with the exact derivative
+    in its own parameter, and the Jacobian costs no extra shot: one shot per
+    side per iteration.  Falls back to a coarse bracketing sweep for the
+    seed when the first shot fails or the iteration from (1, 1) diverges.
 
     Newton shots keep no dense output.  After convergence one more shot per
-    side, with dense output, samples the grid; DOP853 takes the same steps
-    with or without dense output, so this pair ends at the accepted states.
+    side, with dense output, samples the grid; it integrates the same
+    four-component system, and DOP853 takes the same steps with or without
+    dense output, so this pair ends at the accepted states.
     """
     if not (0 < rho_min < rho_mid < rho_max):
         raise ValueError("need 0 < rho_min < rho_mid < rho_max")
@@ -253,63 +278,45 @@ def solve_connection(
         raise ValueError("tol must be positive")
     x_min, x_mid, x_max = np.log(rho_min), np.log(rho_mid), np.log(rho_max)
 
-    def left_end(log_a0):
-        left = _shoot_left(np.exp(log_a0), x_min, x_mid, ode_tol)
-        return None if left is None else left.y[:, -1]
-
-    def right_end(log_lam):
-        right = _shoot_right(np.exp(log_lam), x_mid, x_max, rho_max, ode_tol)
-        return None if right is None else right.y[:, -1]
-
     def shoot(p):
-        """[left, right] end states at x_mid, or None when either shot fails."""
-        left = left_end(p[0])
-        right = None if left is None else right_end(p[1])
-        return None if right is None else [left, right]
+        """(mismatch, Jacobian) at p, or None when either shot fails."""
+        left = _shoot_left(np.exp(p[0]), x_min, x_mid, ode_tol)
+        right = None if left is None else _shoot_right(np.exp(p[1]), x_mid, x_max, rho_max, ode_tol)
+        if right is None:
+            return None
+        lft, rgt = left.y[:, -1], right.y[:, -1]
+        return lft[:2] - rgt[:2], np.column_stack((lft[2:], -rgt[2:]))
 
     def reseed():
         p = np.log(_initial_sweep(x_min, x_mid))
-        ends = shoot(p)
-        if ends is None:
+        shot = shoot(p)
+        if shot is None:
             raise NumericalError("shooting fails from swept initial guess")
-        return p, ends
+        return p, shot
 
+    reseeded = False
     p = np.zeros(2)  # (log a0, log lambda) = (0, 0)
-    ends = shoot(p)
-    if ends is None:
-        p, ends = reseed()
-    m = ends[0] - ends[1]
-
-    swept = False
-    last = np.max(np.abs(m))
-    for _ in range(max_newton):
-        if last < tol:
-            break
-        jac = np.empty((2, 2))
-        for j, end_of in enumerate((left_end, right_end)):
-            step = 1e-6 * max(1.0, abs(p[j]))
-            moved = list(ends)
-            moved[j] = end_of(p[j] + step)
-            if moved[j] is None:
-                m2 = m + 10.0 * np.abs(m)  # penalize directions that blow up
-            else:
-                m2 = moved[0] - moved[1]
-            jac[:, j] = (m2 - m) / step
+    shot = shoot(p)
+    if shot is None:
+        (p, shot), reseeded = reseed(), True
+    history = [float(np.max(np.abs(shot[0])))]
+    while history[-1] >= tol and len(history) <= max_newton:
+        last = history[-1]
+        m, jac = shot
         try:
             delta = np.linalg.solve(jac, -m)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular shooting Jacobian: {exc}") from exc
         p_new = p + np.clip(delta, -1.0, 1.0)
-        ends_new = shoot(p_new)
-        if ends_new is None or np.max(np.abs(ends_new[0] - ends_new[1])) > 10.0 * max(last, tol):
-            if swept:
+        shot_new = shoot(p_new)
+        if shot_new is None or np.max(np.abs(shot_new[0])) > 10.0 * max(last, tol):
+            if reseeded:
                 raise NumericalError(f"Newton diverged; last mismatch {last:.3e}")
-            p, ends = reseed()
-            swept = True
+            (p, shot), reseeded = reseed(), True
         else:
-            p, ends = p_new, ends_new
-        m = ends[0] - ends[1]
-        last = np.max(np.abs(m))
+            p, shot = p_new, shot_new
+        history.append(float(np.max(np.abs(shot[0]))))
+    last = history[-1]
     if last >= tol:
         raise NumericalError(f"Newton did not reach tol={tol}; last mismatch {last:.3e}")
 
@@ -320,8 +327,8 @@ def solve_connection(
     on_left = x <= x_mid
     psi = np.empty(n_grid)
     psi_x = np.empty(n_grid)
-    psi[on_left], psi_x[on_left] = left.sol(x[on_left])
-    psi[~on_left], psi_x[~on_left] = right.sol(x[~on_left])
+    psi[on_left], psi_x[on_left] = left.sol(x[on_left])[:2]
+    psi[~on_left], psi_x[~on_left] = right.sol(x[~on_left])[:2]
     rho = np.exp(x)
 
     if not ((psi > 0).all() and (psi_x < 0).all()):
@@ -346,7 +353,17 @@ def solve_connection(
         psi_xx=psi_xx,
         series=series_coefficients(a0, n_series),
         series_cut=series_cut,
+        newton_history=tuple(history),
+        reseeded=reseeded,
     )
+
+
+def _in_range(profile: PsiProfile, rho) -> np.ndarray:
+    """rho as a 1-d float array; raises outside the extended range (0, 2 rho_max]."""
+    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
+    if np.any(rho_arr <= 0) or np.any(rho_arr > 2.0 * profile.rho_max):
+        raise ValueError("rho outside the profile's extended range")
+    return rho_arr
 
 
 def psi_eval(profile: PsiProfile, rho):
@@ -356,11 +373,8 @@ def psi_eval(profile: PsiProfile, rho):
     grid uses the small-rho series (uniformly valid toward 0), rho above uses
     the lambda*K0 tail up to 2*rho_max.
     """
-    rho_arr = np.asarray(rho, dtype=float)
-    scalar = rho_arr.ndim == 0
-    rho_arr = np.atleast_1d(rho_arr).astype(float)
-    if np.any(rho_arr <= 0) or np.any(rho_arr > 2.0 * profile.rho_max):
-        raise ValueError("rho outside the profile's extended range")
+    scalar = np.ndim(rho) == 0
+    rho_arr = _in_range(profile, rho)
     psi = np.empty_like(rho_arr)
     dpsi = np.empty_like(rho_arr)
     lo = rho_arr < profile.rho_min
@@ -387,11 +401,10 @@ def psi_log_derivatives(profile: PsiProfile, rho):
     The series branch keeps residual-grade quantities division-safe: below the
     cut every returned value carries only series truncation error, so
     combinations like psi_xx - (1/2) rho^2 sinh(2 psi) vanish to ~1e-15 even
-    after amplification by 1/r^2 in radial coordinates.
+    after amplification by 1/r^2 in radial coordinates.  Like ``psi_eval``,
+    it raises ValueError for rho outside (0, 2 rho_max].
     """
-    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if np.any(rho_arr <= 0):
-        raise ValueError("rho must be positive")
+    rho_arr = _in_range(profile, rho)
     psi = np.empty_like(rho_arr)
     psi_x = np.empty_like(rho_arr)
     psi_xx = np.empty_like(rho_arr)

@@ -113,10 +113,13 @@ def test_psi_eval_tail_is_k0(profile):
 
 
 def test_psi_eval_domain(profile):
-    with pytest.raises(ValueError):
-        psi_eval(profile, 0.0)
-    with pytest.raises(ValueError):
-        psi_eval(profile, 2.0 * profile.rho_max + 1.0)
+    # both evaluators accept exactly (0, 2 rho_max]
+    for evaluate in (psi_eval, psi_log_derivatives):
+        for rho in (0.0, 2.0 * profile.rho_max + 1.0):
+            with pytest.raises(ValueError, match="extended range"):
+                evaluate(profile, rho)
+    psi, _, _ = psi_log_derivatives(profile, 2.0 * profile.rho_max)
+    assert psi[0] == profile.lam * bessel_k0(2.0 * profile.rho_max)
     # below rho_min the series extension applies
     psi, _ = psi_eval(profile, profile.rho_min / 4.0)
     assert psi > 0
@@ -190,40 +193,92 @@ def test_export_csv_roundtrip(profile, tmp_path):
     assert first[1] == profile.psi[0]
 
 
-def _counting_solve_ivp(monkeypatch, fail_from=None):
-    """Wrap painleve.solve_ivp; record dense_output per call and optionally fail calls."""
+def test_shot_tangents_match_finite_differences():
+    # each shot's tangent end state is the derivative of its plain end state
+    # in log a0 (left) or log lambda (right), at the closed-form connection
+    # constants; central differences, step 1e-4
+    from hitchinlab import painleve
+
+    rho_max = painleve.DEFAULT_RHO_MAX
+    x_min, x_mid, x_max = np.log([painleve.DEFAULT_RHO_MIN, painleve.DEFAULT_RHO_MID, rho_max])
+    a0 = math.gamma(1.0 / 3.0) / (2.0 * math.gamma(2.0 / 3.0))
+    shots = (
+        (lambda q: painleve._shoot_left(q, x_min, x_mid, 1e-13), a0),
+        (lambda q: painleve._shoot_right(q, x_mid, x_max, rho_max, 1e-13), 1.0 / math.pi),
+    )
+    h = 1e-4
+    for shoot, q in shots:
+        end = shoot(q).y[:, -1]
+        fd = (shoot(q * np.exp(h)).y[:2, -1] - shoot(q * np.exp(-h)).y[:2, -1]) / (2.0 * h)
+        assert np.allclose(end[2:], fd, rtol=1e-6, atol=0.0)
+
+
+def test_newton_history_converges_quadratically(profile):
+    history = profile.newton_history
+    assert not profile.reseeded
+    assert history[-1] == profile.match_mismatch < 1e-12
+    assert len(history) >= 3
+    for m, m_next in zip(history, history[1:]):
+        if m >= 1e-8:
+            assert m_next <= 10.0 * m * m
+
+
+def _counting_solve_ivp(monkeypatch, fails=lambda call: False):
+    """Wrap painleve.solve_ivp; record (dense_output, solution) per call.
+
+    Calls are numbered from 1; those for which ``fails`` is true are marked
+    unsuccessful after they ran.
+    """
     from hitchinlab import painleve
 
     real = painleve.solve_ivp
-    dense = []
+    calls = []
 
     def counted(*args, **kwargs):
-        dense.append(kwargs.get("dense_output", False))
         sol = real(*args, **kwargs)
-        if fail_from is not None and len(dense) >= fail_from:
+        calls.append((kwargs.get("dense_output", False), sol))
+        if fails(len(calls)):
             sol.success = False
         return sol
 
     monkeypatch.setattr(painleve, "solve_ivp", counted)
-    return dense
+    return calls
 
 
 def test_solve_connection_shot_budget(monkeypatch):
-    # Jacobian columns re-shoot one side each, Newton shots build no dense
-    # output, and one dense pair after convergence samples the grid
-    dense = _counting_solve_ivp(monkeypatch)
+    # the exact Jacobian comes with each shot, so Newton takes one shot per
+    # side per iteration with no dense output; one dense pair after
+    # convergence samples the grid and ends where the last Newton pair did
+    calls = _counting_solve_ivp(monkeypatch)
     solve_connection()
-    assert len(dense) == 28
-    assert dense == [False] * 26 + [True] * 2
+    dense = [d for d, _ in calls]
+    assert len(dense) == 16
+    assert dense == [False] * 14 + [True] * 2
+    for newton, final in zip(calls[-4:-2], calls[-2:]):
+        assert np.array_equal(newton[1].y[:, -1], final[1].y[:, -1])
 
 
 def test_swept_seed_shot_failure_raises(monkeypatch):
     from hitchinlab import painleve
     from hitchinlab.errors import NumericalError
 
-    # the initial pair and both Jacobian columns succeed; the trial step and
-    # every later shot fail, so Newton re-seeds and the seed's shot fails too
-    _counting_solve_ivp(monkeypatch, fail_from=5)
+    # calls 1-2 are the initial pair and 3-4 the first Newton step's trial
+    # pair; the second trial's left shot (call 5) and every later shot fail,
+    # so Newton re-seeds and the seed's shot fails too
+    _counting_solve_ivp(monkeypatch, fails=lambda call: call >= 5)
     monkeypatch.setattr(painleve, "_initial_sweep", lambda *args: (1.0, 1.0))
     with pytest.raises(NumericalError, match="swept initial guess"):
         solve_connection()
+
+
+def test_failed_trial_shot_reseeds_from_sweep(monkeypatch):
+    # the first trial shot (call 3) fails once; the real sweep supplies a new
+    # seed and Newton from there still meets the closed forms
+    calls = _counting_solve_ivp(monkeypatch, fails=lambda call: call == 3)
+    profile = solve_connection()
+    assert profile.reseeded
+    assert not calls[2][1].success
+    a0 = math.gamma(1.0 / 3.0) / (2.0 * math.gamma(2.0 / 3.0))
+    assert math.isclose(profile.a0, a0, rel_tol=1e-11)
+    assert math.isclose(profile.lam, 1.0 / math.pi, rel_tol=1e-11)
+    assert profile.match_mismatch < 1e-12
