@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,13 +40,13 @@ class RunConfig:
     tol: float = 1e-8
     out: str = "."
     jobs: int = 1
-    fmt: str = "json"
+    format: str = "json"
     gamma: int = 2
 
     def validate(self) -> None:
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise UsageError("tolerance must be positive")
-        if any(t <= 0 for t in self.t):
+        if not all(t > 0 for t in self.t):
             raise UsageError("all t values must be positive")
         if self.grid < 16:
             raise UsageError("grid size must be at least 16")
@@ -54,17 +54,23 @@ class RunConfig:
             raise UsageError("jobs must be at least 1")
         if self.lmax < 1:
             raise UsageError("lmax must be at least 1")
-        if self.fmt not in ("json", "csv"):
+        if self.format not in ("json", "csv"):
             raise UsageError("format must be json or csv")
         if self.gamma < 2:
             raise UsageError("gamma must be at least 2")
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command, "t": list(self.t), "grid": self.grid,
-            "lmax": self.lmax, "tol": self.tol, "out": self.out,
-            "jobs": self.jobs, "format": self.fmt, "gamma": self.gamma,
-        }
+        return asdict(self)
+
+
+# one flag per field but the command, with the conversion it applies to its
+# text: float for each t, else the type of the field's default
+FLAG_TYPES = {f.name: float if f.name == "t" else type(f.default)
+              for f in fields(RunConfig) if f.name != "command"}
+FLAG_EXTRAS = {
+    "t": {"action": "append", "help": "parameter value; repeatable"},
+    "format": {"choices": ("json", "csv")},
+}
 
 
 def _format_value(v):
@@ -186,7 +192,7 @@ def cmd_indicial(config: RunConfig) -> int:
             for ell, pairs in roots["per_ell"].items()
         },
     }
-    if config.fmt == "csv":
+    if config.format == "csv":
         write_csv(out / "indicial.csv", ["root"], [(v,) for v in payload["aggregate"]])
     write_json(out / "indicial.json", payload)
     return EXIT_OK
@@ -223,7 +229,7 @@ def cmd_glue(config: RunConfig) -> int:
 def cmd_torus(config: RunConfig) -> int:
     out = _outdir(config)
     rows = topology.dimension_table(range(2, config.gamma + 1))
-    if config.fmt == "csv":
+    if config.format == "csv":
         write_csv(out / "torus.csv", ["gamma", "k", "h0", "h1", "expected"], rows)
     gamma = config.gamma
     write_json(out / "torus.json", {
@@ -253,18 +259,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--t", action="append", type=float, default=None,
-                       help="parameter value; repeatable")
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--lmax", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
-        p.add_argument("--gamma", type=int, default=None)
+        for name, kind in FLAG_TYPES.items():
+            p.add_argument(f"--{name}", type=kind, default=None, **FLAG_EXTRAS.get(name, {}))
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with defaults; explicit flags win")
     return parser
+
+
+def _config_value(name: str, value):
+    """A config-file value through its flag's conversion, applied to its text;
+    t takes a list.  A value no flag could carry raises UsageError."""
+    items = value if name == "t" else [value]
+    if isinstance(items, list) and all(type(v) in (str, int, float) for v in items):
+        try:
+            converted = [FLAG_TYPES[name](str(v)) for v in items]
+            return converted if name == "t" else converted[0]
+        except ValueError:
+            pass
+    raise UsageError(f"config key {name!r}: invalid value {value!r}")
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -274,16 +286,16 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise UsageError(f"config file {path} not found")
         data = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
         for key, value in data.items():
-            attr = "fmt" if key == "format" else key
-            if not hasattr(config, attr) or attr == "command":
+            if key not in FLAG_TYPES:
                 raise UsageError(f"unknown config key {key!r}")
-            setattr(config, attr, value)
-    for attr in ("t", "grid", "lmax", "tol", "out", "jobs", "fmt", "gamma"):
-        value = getattr(args, attr)
+            setattr(config, key, _config_value(key, value))
+    for name in FLAG_TYPES:
+        value = getattr(args, name)
         if value is not None:
-            setattr(config, attr, value)
-    config.t = [float(v) for v in config.t]
+            setattr(config, name, value)
     config.validate()
     return config
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
 from .painleve import PsiProfile, psi_log_derivatives
 
 DEFAULT_GRID_N = 400
@@ -30,14 +31,14 @@ def _rho_of(t: float, r: np.ndarray) -> np.ndarray:
 
 
 def check_rho_range(t: float, profile: PsiProfile, r_edge: float = 1.0) -> None:
-    """Raise ValueError when rho = (8/3) t r_edge^(3/2) exceeds 2 rho_max.
+    """Raise ValueError unless rho = (8/3) t r_edge^(3/2) is at most 2 rho_max.
 
     This is the one validity range in t for every solve that reads the
     profile on the disk: with the default rho_max = 40 it admits t <= 30 at
     r_edge = 1.
     """
     rho_edge = _rho_of(t, r_edge)
-    if rho_edge > 2.0 * profile.rho_max:
+    if not rho_edge <= 2.0 * profile.rho_max:
         raise ValueError(
             f"t={t:g}: rho={rho_edge:.3g} beyond profile range; choose grid and t consistently"
         )
@@ -87,7 +88,7 @@ def build_family(t: float, profile: PsiProfile, grid: np.ndarray | None = None) 
     Raises ValueError when the rho range required by (t, grid) leaves the
     profile's validity range on the large-rho side.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     r = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if np.any(r <= 0) or np.any(np.diff(r) <= 0) or r[-1] > 1.0 + 1e-12:
@@ -233,12 +234,24 @@ def convergence_rate(profile: PsiProfile, t_list, r0: float,
         fam = build_family(t, profile, grid)
         sel = fam.r >= r0
         norms.append(float((np.abs(fam.f[sel] - 0.125) + np.abs(fam.h[sel])).max()))
+    delta, intercept, r2 = decay_fit(t_list, norms)
+    return delta, r2, intercept
+
+
+def decay_fit(t_list, norms):
+    """Least-squares fit log norms = intercept - delta t.
+
+    Returns (delta, intercept, r_squared); norms that do not vary leave R^2
+    undefined and raise NumericalError.
+    """
     y = np.log(norms)
     slope, intercept = np.polyfit(t_list, y, 1)
     fitted = np.polyval([slope, intercept], t_list)
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    return -float(slope), 1.0 - ss_res / ss_tot, float(intercept)
+    if ss_tot == 0:
+        raise NumericalError("degenerate decay fit: norms do not vary")
+    return -float(slope), float(intercept), 1.0 - ss_res / ss_tot
 
 
 def family_summary(family: FiducialFamily) -> dict:

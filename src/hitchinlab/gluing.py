@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import NumericalError
-from .fiducial import FiducialFamily, build_family, radial_data
+from .fiducial import FiducialFamily, build_family, decay_fit, radial_data
 from .linearized import RadialGrid, assemble_vertical_block, assemble_scalar, smallest_eigenvalue
 from .painleve import PsiProfile
 
@@ -150,14 +150,8 @@ def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None
     for t in t_list:
         fam = build_family(t, profile)
         norms.append(build_glued(t, fam, cutoff, n=n, r_min=r_min).l2_residual())
-    y = np.log(norms)
-    slope, intercept = np.polyfit(t_list, y, 1)
-    fitted = np.polyval([slope, intercept], t_list)
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot == 0:
-        raise NumericalError("degenerate decay fit: residuals do not vary")
-    return -float(slope), float(np.exp(intercept)), 1.0 - ss_res / ss_tot
+    delta, intercept, r2 = decay_fit(t_list, norms)
+    return delta, float(np.exp(intercept)), r2
 
 
 @dataclass(eq=False)

@@ -1,15 +1,17 @@
 """Fourier-block reduction of the linearized operator at the radial pair.
 
-All radial operators act on (0, 1) with the measure r dr, discretized on a
-log-uniform grid: with x = log r the second derivative (r d_r)^2 becomes
-exactly d_x^2, the geometric grading toward r = 0 comes for free, and the
-standard three-point stencil stays second order.  Regularity at r = 0 is
-imposed by ghost-node elimination with the indicial exponent of each block
-component, Dirichlet (or a half-cell Neumann) at r = 1.  Each block is
-factored once (``RadialOperator.lu``), and every eigen solve is a standard
-symmetric Lanczos run on an operator built from that factorization: the
-smallest eigenvalue is read off the largest one of S A^-1 S with S = sqrt(B),
-which is immune to the r^-2 entry spread of the symmetrized matrices.
+Every radial operator here (coupled and vertical blocks, the Bessel oracle,
+the conic Poisson solve) is one stencil for -(r d_r)^2 + r^2 V, with V
+holding the nu^2 / r^2 term and the measure r dr on (0, 1), made by one
+assembler, ``_assemble``.  On the log-uniform grid x = log r, (r d_r)^2 is
+exactly d_x^2, the grading toward r = 0 comes for free and the three-point
+stencil stays second order.
+Regularity at r = 0 comes from ghost-node elimination with each component's
+indicial exponent; r = 1 is Dirichlet or a half-cell Neumann end.  Each
+block is factored once (``RadialOperator.lu``), and every eigen solve is a
+standard symmetric Lanczos run on that factorization: the smallest
+eigenvalue is read off the largest one of S A^-1 S with S = sqrt(B), which
+is immune to the r^-2 entry spread of A.
 """
 
 from __future__ import annotations
@@ -76,27 +78,6 @@ class RadialOperator:
     weights: np.ndarray = field(repr=False)
     potentials: list = field(repr=False)
     coupling: np.ndarray | None = field(repr=False, default=None)
-    nu_inner: tuple = ()
-    dirichlet_outer: bool = True
-
-    def symmetrized(self) -> sp.spmatrix:
-        """B^-1/2 A B^-1/2, assembled band by band so the +k and -k bands
-        share one scaled array and symmetry is exact in floating point."""
-        s = 1.0 / np.sqrt(self.weights)
-        size = self.matrix.shape[0]
-        bands, offsets = [], []
-        width = 2 * self.block_size - 1
-        for k in range(width + 1):
-            band = self.matrix.diagonal(k)
-            if not np.any(band):
-                continue
-            scaled = band * (s[: size - k] * s[k:])
-            bands.append(scaled)
-            offsets.append(k)
-            if k > 0:
-                bands.append(scaled)
-                offsets.append(-k)
-        return sp.diags(bands, offsets, format="csc")
 
     @cached_property
     def lu(self):
@@ -105,30 +86,57 @@ class RadialOperator:
         return splu(self.matrix.tocsc())
 
 
-def _stiffness_rows(grid: RadialGrid, nu_in: float, neumann_outer: bool):
-    """Main/off diagonals of -d_x^2 with ghost elimination, plus cell sizes."""
-    n = grid.n + (1 if neumann_outer else 0)
-    dx = grid.dx
-    main = np.full(n, 2.0)
-    main[0] = 2.0 - np.exp(-nu_in * dx)
-    cells = np.full(n, 1.0)
-    if neumann_outer:
-        main[-1] = 1.0
+def _nodes(grid: RadialGrid, neumann_outer: bool) -> np.ndarray:
+    """The grid's nodes, with the half-cell node r = 1 appended for Neumann."""
+    return np.append(grid.r, 1.0) if neumann_outer else grid.r
+
+
+def _assemble(ell, t, grid: RadialGrid, r: np.ndarray, potentials, nus,
+              coupling=None) -> RadialOperator:
+    """Matrix and masses of -(r d_r)^2 + r^2 V on the nodes ``r``.
+
+    ``potentials`` holds the samples of V per component, ``nus`` their inner
+    ghost exponents: the ghost u_{-1} = e^{-nu dx} u_0 follows the regular
+    branch r^nu.  Two components are interleaved node by node and
+    ``coupling`` is their off-diagonal potential.  One node more than the grid has is the
+    Neumann end r = 1, a half cell: it halves mass and potential but not the
+    flux difference, so the matrix stays symmetric and positive.
+    """
+    size, k = len(r), len(potentials)
+    dx2 = grid.dx ** 2
+    stiff = np.full(size, 2.0)
+    cells = np.ones(size)
+    if size > grid.n:
+        stiff[-1] = 1.0
         cells[-1] = 0.5
-    off = np.full(n - 1, -1.0)
-    return main / dx ** 2, off / dx ** 2, cells
+    mass = cells * r ** 2
+    diag = np.empty(k * size)
+    for j, (pot, nu) in enumerate(zip(potentials, nus)):
+        stiff[0] = 2.0 - np.exp(-nu * grid.dx)
+        diag[j::k] = stiff / dx2 + mass * pot
+    off = np.full(k * (size - 1), -1.0 / dx2)
+    bands, offsets = [diag], [0]
+    if coupling is not None:
+        cross = np.zeros(2 * size - 1)
+        cross[0::2] = mass * coupling
+        bands, offsets = [cross, diag, cross], [-1, 0, 1]
+    matrix = sp.diags([off, *bands, off], [-k, *offsets, k], format="csc")
+    return RadialOperator(ell=ell, t=t, block_size=k, grid=grid, matrix=matrix,
+                          weights=np.repeat(mass, k), potentials=list(potentials),
+                          coupling=coupling)
 
 
-def _scalar_blocks(grid: RadialGrid, potential: np.ndarray, nu_in: float,
-                   neumann_outer: bool):
-    # the half cell at a Neumann boundary scales mass and potential, not the
-    # flux difference, keeping the matrix symmetric and positive
-    main, off, cells = _stiffness_rows(grid, nu_in, neumann_outer)
-    r = grid.r if not neumann_outer else np.append(grid.r, 1.0)
-    a_main = main + cells * r ** 2 * potential
-    a_off = off
-    weights = cells * r ** 2
-    return a_main, a_off, weights, r
+def _coupled_block(ell, t, grid: RadialGrid, r: np.ndarray, r_dh=None,
+                   h=None) -> RadialOperator:
+    """The 2x2 block from profile samples on ``r``: r d_r h_t gives the
+    connection terms and h_t the Higgs coupling; None drops a term."""
+    f = 0.125 + 0.25 * r_dh if r_dh is not None else np.zeros_like(r)
+    v_minus = (ell - 4.0 * f) ** 2 / r ** 2
+    v_plus = (ell - 1 + 4.0 * f) ** 2 / r ** 2
+    w_off = 8.0 * t * t * r if h is not None else np.zeros_like(r)
+    w_diag = w_off * np.cosh(2.0 * h) if h is not None else w_off
+    return _assemble(ell, t, grid, r, [v_minus + w_diag, v_plus + w_diag],
+                     (abs(ell), abs(ell - 1)), w_off)
 
 
 def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N,
@@ -143,40 +151,10 @@ def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N,
     block (both dropped) reads nothing from the profile.
     """
     grid = RadialGrid(n, r_min)
-    r = grid.r if not neumann_outer else np.append(grid.r, 1.0)
-    if connection or higgs:
-        h, r_dh, _ = radial_data(t, profile, r)
-    f = 0.125 + 0.25 * r_dh if connection else np.zeros_like(r)
-    v_minus = (ell - 4.0 * f) ** 2 / r ** 2
-    v_plus = (ell - 1 + 4.0 * f) ** 2 / r ** 2
-    if higgs:
-        w_diag = 8.0 * t * t * r * np.cosh(2.0 * h)
-        w_off = 8.0 * t * t * r
-    else:
-        w_diag = np.zeros_like(r)
-        w_off = np.zeros_like(r)
-
-    m1, off1, w_1, _ = _scalar_blocks(grid, v_minus + w_diag, abs(ell), neumann_outer)
-    m2, off2, w_2, _ = _scalar_blocks(grid, v_plus + w_diag, abs(ell - 1), neumann_outer)
-    cells = w_1 / r ** 2
-    size = len(r)
-    diag = np.empty(2 * size)
-    diag[0::2] = m1
-    diag[1::2] = m2
-    cross = np.zeros(2 * size - 1)
-    cross[0::2] = cells * r ** 2 * w_off
-    d2 = np.zeros(2 * size - 2)
-    d2[0::2] = off1
-    d2[1::2] = off2
-    a = sp.diags([d2, cross, diag, cross, d2], [-2, -1, 0, 1, 2], format="csc")
-    weights = np.empty(2 * size)
-    weights[0::2] = w_1
-    weights[1::2] = w_2
-    return RadialOperator(
-        ell=ell, t=t, block_size=2, grid=grid, matrix=a, weights=weights,
-        potentials=[v_minus + w_diag, v_plus + w_diag], coupling=w_off,
-        nu_inner=(abs(ell), abs(ell - 1)), dirichlet_outer=not neumann_outer,
-    )
+    r = _nodes(grid, neumann_outer)
+    h, r_dh, _ = radial_data(t, profile, r) if connection or higgs else (None,) * 3
+    return _coupled_block(ell, t, grid, r, r_dh if connection else None,
+                          h if higgs else None)
 
 
 def assemble_scalar(ell: int, n: int = DEFAULT_N, r_min: float = DEFAULT_R_MIN,
@@ -185,20 +163,16 @@ def assemble_scalar(ell: int, n: int = DEFAULT_N, r_min: float = DEFAULT_R_MIN,
     """Scalar radial operator -(1/r^2)(r d_r)^2 + ell^2/r^2 + potential(r).
 
     With ``potential`` None this is the mode-ell flat Laplacian whose zero
-    mode is the Bessel operator used as spectral oracle.
+    mode is the Bessel operator used as spectral oracle.  The inner ghost
+    exponent is ``nu_in``, by default |ell|.
     """
     grid = RadialGrid(n, r_min)
-    r = grid.r if not neumann_outer else np.append(grid.r, 1.0)
+    r = _nodes(grid, neumann_outer)
     pot = ell ** 2 / r ** 2
     if potential is not None:
         pot = pot + potential(r)
     nu = abs(ell) if nu_in is None else nu_in
-    a_main, a_off, weights, _ = _scalar_blocks(grid, pot, nu, neumann_outer)
-    a = sp.diags([a_off, a_main, a_off], [-1, 0, 1], format="csc")
-    return RadialOperator(
-        ell=ell, t=t, block_size=1, grid=grid, matrix=a, weights=weights,
-        potentials=[pot], nu_inner=(nu,), dirichlet_outer=not neumann_outer,
-    )
+    return _assemble(ell, t, grid, r, [pot], (nu,))
 
 
 def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
@@ -209,16 +183,11 @@ def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
     Neumann assemblies).  The ell = 0 instance is the linearization of the
     radial scalar reduction used by the Newton correction.
     """
-    r = grid.r if not neumann_outer else np.append(grid.r, 1.0)
+    r = _nodes(grid, neumann_outer)
     if len(h_values) != len(r):
         raise ValueError("h samples do not match the grid")
     pot = ell ** 2 / r ** 2 + 16.0 * t * t * r * np.cosh(2.0 * h_values)
-    a_main, a_off, weights, _ = _scalar_blocks(grid, pot, abs(ell), neumann_outer)
-    a = sp.diags([a_off, a_main, a_off], [-1, 0, 1], format="csc")
-    return RadialOperator(
-        ell=ell, t=t, block_size=1, grid=grid, matrix=a, weights=weights,
-        potentials=[pot], nu_inner=(abs(ell),), dirichlet_outer=not neumann_outer,
-    )
+    return _assemble(ell, t, grid, r, [pot], (abs(ell),))
 
 
 def smallest_eigenvalue(op: RadialOperator) -> float:
@@ -353,16 +322,16 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600,
         raise ValueError("ell_max must be at least 8")
     check_rho_range(t, profile)
     grid = RadialGrid(n, r_min)
-    h, _, _ = radial_data(t, profile, grid.r)
+    r = grid.r
+    h, r_dh, _ = radial_data(t, profile, r)
     lam = []
     lam_vert = []
     surrogate = 0.0
     kappa = np.inf
     ells = list(range(ell_max + 1))
     for ell in ells:
-        op = assemble_block(ell, t, profile, n=n, r_min=r_min)
-        flat = assemble_block(ell, t, profile, n=n, r_min=r_min,
-                              connection=False, higgs=False)
+        op = _coupled_block(ell, t, grid, r, r_dh, h)
+        flat = _coupled_block(ell, t, grid, r)
         lam.append(smallest_eigenvalue(op))
         lam_vert.append(smallest_eigenvalue(assemble_vertical_block(ell, t, h, grid)))
         surrogate = max(surrogate, h2_surrogate_norm(op, flat))
@@ -430,28 +399,19 @@ def conic_poisson_solve(nu: float, rhs, delta: float, n: int = 6000,
 
     ``delta`` selects the weighted space and must lie in the isomorphism
     window (1/2, 3/2); outside it the solve is rejected.  ``rhs`` is a
-    callable of r or an array of samples on the solver grid.  Dirichlet at
-    r = 1, ghost exponent |nu| at the inner end, so the homogeneous inner
-    behavior is r^|nu|.
+    callable of r or an array of samples on the solver grid.  The matrix is
+    ``assemble_scalar(nu)``: Dirichlet at r = 1, ghost exponent |nu| at the
+    inner end, so the homogeneous inner behavior is r^|nu|; it is solved
+    against r^2 rhs with the block's own factorization.
     """
     if not 0.5 < delta < 1.5:
         raise ValueError(f"delta={delta} outside the isomorphism window (1/2, 3/2)")
-    grid = RadialGrid(n, r_min)
-    r = grid.r
+    op = assemble_scalar(nu, n=n, r_min=r_min)
+    r = op.grid.r
     b = rhs(r) if callable(rhs) else np.asarray(rhs, dtype=float)
     if b.shape != r.shape:
         raise ValueError("rhs samples do not match the solver grid")
-    dx = grid.dx
-    main = np.full(n, 2.0) / dx ** 2 + nu * nu
-    main[0] = (2.0 - np.exp(-abs(nu) * dx)) / dx ** 2 + nu * nu
-    off = np.full(n - 1, -1.0) / dx ** 2
-    from scipy.linalg import solve_banded
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1] = main
-    ab[2, :-1] = off
-    u = solve_banded((1, 1), ab, r * r * b)
+    u = op.lu.solve(r * r * b)
     return ConicSolution(nu=nu, delta=delta, r=r, u=u)
 
 

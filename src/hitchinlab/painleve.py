@@ -274,7 +274,7 @@ def solve_connection(
     """
     if not (0 < rho_min < rho_mid < rho_max):
         raise ValueError("need 0 < rho_min < rho_mid < rho_max")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     x_min, x_mid, x_max = np.log(rho_min), np.log(rho_mid), np.log(rho_max)
 
@@ -361,7 +361,7 @@ def solve_connection(
 def _in_range(profile: PsiProfile, rho) -> np.ndarray:
     """rho as a 1-d float array; raises outside the extended range (0, 2 rho_max]."""
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if np.any(rho_arr <= 0) or np.any(rho_arr > 2.0 * profile.rho_max):
+    if not np.all((rho_arr > 0) & (rho_arr <= 2.0 * profile.rho_max)):
         raise ValueError("rho outside the profile's extended range")
     return rho_arr
 

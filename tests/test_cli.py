@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hitchinlab.cli import main
 
 
@@ -124,6 +126,36 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     assert run(["torus", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-psi", "--tol", "nan"],
+    ["fiducial", "--t", "nan"],
+    ["spectrum", "--t", "nan", "--lmax", "8"],
+])
+def test_nan_flags_are_usage_errors(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("payload", [{"grid": "abc"}, {"t": 2}, [1, 2], {"lmax": True},
+                                     {"gamma": 2.5}])
+def test_malformed_config_is_usage_error(tmp_path, capsys, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert run(["torus", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_take_flag_conversions(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t": [2, 4], "gamma": "3", "tol": 1e-9}))
+    out = tmp_path / "out"
+    assert run(["torus", "--config", str(cfg), "--out", str(out)]) == 0
+    config = json.loads((out / "torus.json").read_text())["config"]
+    assert config["t"] == [2.0, 4.0] and config["gamma"] == 3 and config["tol"] == 1e-9
 
 
 def test_solve_psi_determinism(tmp_path):

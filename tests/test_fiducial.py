@@ -127,6 +127,25 @@ def test_convergence_rate(profile):
         fd.convergence_rate(profile, [1, 2], 0.5)
 
 
+def test_decay_fit_exact_and_degenerate():
+    from hitchinlab.errors import NumericalError
+
+    ts = [1.0, 2.0, 3.0, 5.0]
+    delta, intercept, r2 = fd.decay_fit(ts, [3.0 * math.exp(-0.7 * t) for t in ts])
+    assert delta == pytest.approx(0.7, rel=1e-12)
+    assert intercept == pytest.approx(math.log(3.0), rel=1e-12)
+    assert r2 == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NumericalError, match="degenerate"):
+        fd.decay_fit(ts, [0.5] * 4)
+
+
+def test_nan_t_is_out_of_range(profile):
+    with pytest.raises(ValueError):
+        fd.build_family(float("nan"), profile)
+    with pytest.raises(ValueError, match="beyond profile range"):
+        fd.check_rho_range(float("nan"), profile)
+
+
 def test_build_family_domain_checks(profile):
     with pytest.raises(ValueError):
         fd.build_family(-1.0, profile)

@@ -32,14 +32,17 @@ def test_block_zero_potential_reduces_to_bessel(profile, bessel_target):
     assert abs(lam - bessel_target) / bessel_target < 1e-3
 
 
-def test_symmetry_after_similarity(profile):
+def test_assembled_matrices_exactly_symmetric(profile):
+    grid = lin.RadialGrid(150, lin.DEFAULT_R_MIN)
+    h, _, _ = lin.radial_data(2.0, profile, grid.r)
     for op in (
         lin.assemble_block(3, 2.0, profile, n=150),
         lin.assemble_scalar(1, n=150),
         lin.assemble_block(0, 1.0, profile, n=150, neumann_outer=True),
+        lin.assemble_vertical_block(2, 2.0, h, grid),
     ):
-        s = op.symmetrized()
-        assert abs(s - s.T).max() < 1e-12
+        assert (op.matrix != op.matrix.T).nnz == 0
+        assert (op.weights > 0).all()
 
 
 def test_potentials_nonnegative_with_floor(profile):
@@ -195,6 +198,24 @@ def test_flat_block_reads_no_profile(profile, monkeypatch):
     assert not flat.coupling.any()
 
 
+def test_green_norms_evaluates_profile_once(profile, monkeypatch):
+    calls = []
+    real_radial_data = lin.radial_data
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real_radial_data(*args, **kwargs)
+
+    monkeypatch.setattr(lin, "radial_data", spy)
+    lin.green_norms(2.0, 8, profile, n=100)
+    assert calls == [2.0]
+
+
+def test_green_norms_rejects_nan_t(profile):
+    with pytest.raises(ValueError):
+        lin.green_norms(float("nan"), 8, profile, n=100)
+
+
 def test_green_norms_requires_lmax(profile):
     with pytest.raises(ValueError):
         lin.green_norms(1.0, 4, profile, n=300)
@@ -242,6 +263,14 @@ def test_conic_manufactured_roundtrip():
     rhs = lin.apply_conic_operator(0.5, lambda r: np.sqrt(r) * (1.0 - r), grid)
     sol = lin.conic_poisson_solve(0.5, rhs, 1.0, n=6000)
     assert np.abs(sol.u - np.sqrt(sol.r) * (1.0 - sol.r)).max() < 1e-6
+
+
+@pytest.mark.parametrize("nu", [0.5, -0.7, 2.0])
+def test_conic_solve_uses_scalar_operator(nu):
+    sol = lin.conic_poisson_solve(nu, lambda r: np.sin(5.0 * r), 1.0, n=800)
+    a = lin.assemble_scalar(nu, n=800).matrix
+    rhs = sol.r ** 2 * np.sin(5.0 * sol.r)
+    assert np.abs(a @ sol.u - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 def test_conic_window_rejection():

@@ -182,6 +182,14 @@ def test_solver_input_validation():
         solve_connection(tol=0.0)
 
 
+def test_nan_inputs_rejected(profile):
+    with pytest.raises(ValueError, match="tol"):
+        solve_connection(tol=float("nan"))
+    for evaluate in (psi_eval, psi_log_derivatives):
+        with pytest.raises(ValueError, match="extended range"):
+            evaluate(profile, np.array([1.0, np.nan]))
+
+
 def test_export_csv_roundtrip(profile, tmp_path):
     path = tmp_path / "psi.csv"
     export_profile_csv(profile, path)
