@@ -48,9 +48,10 @@ def radial_data(t: float, profile: PsiProfile, r: np.ndarray):
     """(h_t, r d_r h_t, (r d_r)^2 h_t) at radii r, by the profile's chain rule.
 
     h_t(r) = psi(rho) with rho = (8/3) t r^(3/2), so r d_r = (3/2) rho d_rho.
-    Raises ValueError beyond the profile's range; ``check_rho_range`` gives
-    the same verdict up front with a message that names t.
+    Raises ValueError beyond the profile's range, with the message of
+    ``check_rho_range`` at the largest radius, which names t.
     """
+    check_rho_range(t, profile, np.max(r))
     psi, psi_x, psi_xx = psi_log_derivatives(profile, _rho_of(t, r))
     return psi, 1.5 * psi_x, 2.25 * psi_xx
 
@@ -93,7 +94,6 @@ def build_family(t: float, profile: PsiProfile, grid: np.ndarray | None = None) 
     r = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if np.any(r <= 0) or np.any(np.diff(r) <= 0) or r[-1] > 1.0 + 1e-12:
         raise ValueError("grid must be strictly increasing in (0, 1]")
-    check_rho_range(t, profile, r[-1])
     h, r_dh, r_d2h = radial_data(t, profile, r)
     f = 0.125 + 0.25 * r_dh
     df = r_d2h / (4.0 * r)

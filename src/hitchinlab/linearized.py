@@ -8,10 +8,12 @@ exactly d_x^2, the grading toward r = 0 comes for free and the three-point
 stencil stays second order.
 Regularity at r = 0 comes from ghost-node elimination with each component's
 indicial exponent; r = 1 is Dirichlet or a half-cell Neumann end.  Each
-block is factored once (``RadialOperator.lu``), and every eigen solve is a
-standard symmetric Lanczos run on that factorization: the smallest
-eigenvalue is read off the largest one of S A^-1 S with S = sqrt(B), which
-is immune to the r^-2 entry spread of A.
+operator is held as its symmetric band in LAPACK upper storage
+(``RadialOperator.band``) and factored once by banded Cholesky
+(``RadialOperator.solve``), which also certifies that it is positive
+definite.  Every eigen solve is a standard symmetric Lanczos run on that
+factorization: the smallest eigenvalue is read off the largest one of
+S A^-1 S with S = sqrt(B), which is immune to the r^-2 entry spread of A.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NumericalError
 from .fiducial import check_rho_range, radial_data
@@ -64,26 +67,49 @@ class RadialGrid:
 class RadialOperator:
     """Discretized block operator A u = lambda B u in nodal values.
 
-    ``matrix`` is the symmetric stiffness-plus-potential matrix, ``weights``
-    the diagonal of B (cell mass r^2 per unit x).  ``potentials`` records the
-    diagonal potential samples per component and ``coupling`` the off-diagonal
-    potential, both before multiplication by r^2.
+    ``band`` is the symmetric stiffness-plus-potential matrix A in LAPACK
+    upper band storage: row ``block_size`` is the diagonal and row
+    ``block_size - d`` holds A[j - d, j] in column j.  ``weights`` is the
+    diagonal of B (cell mass r^2 per unit x).  ``potentials`` records the
+    diagonal potential samples per component and ``coupling`` the
+    off-diagonal potential, both before multiplication by r^2.
     """
 
     ell: int
     t: float
     block_size: int
     grid: RadialGrid
-    matrix: sp.spmatrix = field(repr=False)
+    band: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     potentials: list = field(repr=False)
     coupling: np.ndarray | None = field(repr=False, default=None)
 
     @cached_property
-    def lu(self):
-        """Sparse LU of ``matrix``, made on first use and shared by every solve
-        on this block; a singular matrix raises ``RuntimeError``."""
-        return splu(self.matrix.tocsc())
+    def matrix(self) -> sp.dia_array:
+        """A as a sparse matrix, read straight off the band: the lower
+        diagonals are the upper ones shifted by their offset."""
+        k, size = self.block_size, self.band.shape[1]
+        lower = [np.roll(self.band[k - d], -d) for d in range(1, k + 1)]
+        return sp.dia_array((np.vstack([self.band, *lower]), np.arange(k, -k - 1, -1)),
+                            shape=(size, size))
+
+    @cached_property
+    def solve(self):
+        """b -> A^-1 b by banded Cholesky, factored on first use and shared
+        by every solve on this block; ``RuntimeError`` unless A is positive
+        definite."""
+        return _band_solver(self.band)
+
+
+def _band_solver(band: np.ndarray):
+    """Solver for the symmetric band ``band`` (LAPACK upper storage) by its
+    Cholesky factor; ``RuntimeError`` when a pivot is not positive.  A NaN
+    pivot counts as not positive, as in reference LAPACK; optimized builds
+    may pass it through, so the factor's diagonal is checked as well."""
+    factor, info = dpbtrf(band)
+    if info > 0 or not np.isfinite(factor[-1]).all():
+        raise RuntimeError("band is not positive definite")
+    return lambda b: dpbtrs(factor, b)[0]
 
 
 def _nodes(grid: RadialGrid, neumann_outer: bool) -> np.ndarray:
@@ -93,7 +119,7 @@ def _nodes(grid: RadialGrid, neumann_outer: bool) -> np.ndarray:
 
 def _assemble(ell, t, grid: RadialGrid, r: np.ndarray, potentials, nus,
               coupling=None) -> RadialOperator:
-    """Matrix and masses of -(r d_r)^2 + r^2 V on the nodes ``r``.
+    """Band and masses of -(r d_r)^2 + r^2 V on the nodes ``r``.
 
     ``potentials`` holds the samples of V per component, ``nus`` their inner
     ghost exponents: the ghost u_{-1} = e^{-nu dx} u_0 follows the regular
@@ -110,18 +136,14 @@ def _assemble(ell, t, grid: RadialGrid, r: np.ndarray, potentials, nus,
         stiff[-1] = 1.0
         cells[-1] = 0.5
     mass = cells * r ** 2
-    diag = np.empty(k * size)
+    band = np.zeros((k + 1, k * size))
     for j, (pot, nu) in enumerate(zip(potentials, nus)):
         stiff[0] = 2.0 - np.exp(-nu * grid.dx)
-        diag[j::k] = stiff / dx2 + mass * pot
-    off = np.full(k * (size - 1), -1.0 / dx2)
-    bands, offsets = [diag], [0]
+        band[k, j::k] = stiff / dx2 + mass * pot
+    band[0, k:] = -1.0 / dx2
     if coupling is not None:
-        cross = np.zeros(2 * size - 1)
-        cross[0::2] = mass * coupling
-        bands, offsets = [cross, diag, cross], [-1, 0, 1]
-    matrix = sp.diags([off, *bands, off], [-k, *offsets, k], format="csc")
-    return RadialOperator(ell=ell, t=t, block_size=k, grid=grid, matrix=matrix,
+        band[1, 1::2] = mass * coupling
+    return RadialOperator(ell=ell, t=t, block_size=k, grid=grid, band=band,
                           weights=np.repeat(mass, k), potentials=list(potentials),
                           coupling=coupling)
 
@@ -197,29 +219,35 @@ def smallest_eigenvalue(op: RadialOperator) -> float:
     is symmetric positive definite, and its largest eigenvalue mu gives
     lambda_min = sigma + 1/mu.  ARPACK finds mu as a standard symmetric
     problem (``which="LA"``, ``tol=0``) from a fixed start vector; at
-    sigma = 0 the solves reuse the block's own factorization ``op.lu``.
-    The shift starts at zero; a semi-definite operator (Neumann with a
-    constant kernel) makes that factorization singular, in which case a
-    small negative shift is used instead.  Only a ``RuntimeError`` (singular
-    factorization, ARPACK failure) moves on to the next shift; any other
-    error, such as a malformed operator, propagates unchanged.
+    sigma = 0 the solves reuse the block's own factorization ``op.solve``.
+    A shift is accepted only when the banded Cholesky factorization of
+    A - sigma B succeeds, that is when A - sigma B is positive definite, so
+    sigma is certified to lie below the spectrum.  The ladder tries
+    sigma = 0, -1e-6, -1: a semi-definite operator (Neumann with a constant
+    kernel) that rounding leaves indefinite moves on to the small negative
+    shift, and an operator whose smallest eigenvalue lies below -1 raises
+    NumericalError.  Only a ``RuntimeError`` (factorization not positive
+    definite, ARPACK failure) moves on to the next shift; any other error,
+    such as a malformed operator, propagates unchanged.
     """
     s = np.sqrt(op.weights)
-    size = op.matrix.shape[0]
+    size = op.band.shape[1]
     v0 = np.ones(size)
     last_exc = None
     for sigma in (0.0, -1e-6, -1.0):
         try:
             if sigma == 0.0:
-                lu = op.lu
+                solve = op.solve
             else:
-                lu = splu((op.matrix - sigma * sp.diags(op.weights)).tocsc())
+                shifted = op.band.copy()
+                shifted[-1] -= sigma * op.weights
+                solve = _band_solver(shifted)
             inverse = LinearOperator((size, size), dtype=float,
-                                     matvec=lambda x, lu=lu: s * lu.solve(s * x))
+                                     matvec=lambda x, solve=solve: s * solve(s * x))
             mu = eigsh(inverse, k=1, which="LA", v0=v0, tol=0,
                        return_eigenvectors=False)
             return sigma + 1.0 / float(mu[0])
-        except RuntimeError as exc:  # singular factorization, ARPACK failure
+        except RuntimeError as exc:  # not positive definite, ARPACK failure
             last_exc = exc
     raise NumericalError(f"eigenvalue solve failed: {last_exc}") from last_exc
 
@@ -235,24 +263,24 @@ def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator,
 
     sigma_max of M = S^-1 P A^-1 S, where A, P are the assembled matrices of
     the full and flat blocks and S = sqrt(B), taken as the square root of the
-    largest eigenvalue of M^T M by implicitly restarted Lanczos (ARPACK) from
-    a deterministic fixed start vector.  The A^-1 solves reuse the block's
-    factorization ``op_l.lu``, so a block whose smallest eigenvalue was
+    largest eigenvalue of M^T M = S A^-1 P B^-1 P A^-1 S (P is exactly
+    symmetric) by implicitly restarted Lanczos (ARPACK) from a deterministic
+    fixed start vector.  The A^-1 solves reuse the block's Cholesky
+    factorization ``op_l.solve``, so a block whose smallest eigenvalue was
     already computed is not factored again; the flat block is never factored.
     ``tol`` is the relative accuracy asked of that eigenvalue and
     ``max_iter`` the cap on Lanczos restarts; a solve that does not converge
     within it raises NumericalError.
     """
-    p = op_flat.matrix.tocsc()
-    pt = p.T.tocsc()
+    p = op_flat.matrix
     sw = np.sqrt(op_l.weights)
-    lu = op_l.lu
+    solve = op_l.solve
     size = p.shape[0]
     v0 = np.sin(np.linspace(0.3, 7.0, size)) + 1.0
 
     def mtm_apply(vec):
-        m_vec = (p @ lu.solve(sw * vec)) / sw
-        return sw * lu.solve(pt @ (m_vec / sw))
+        m_vec = (p @ solve(sw * vec)) / sw
+        return sw * solve(p @ (m_vec / sw))
 
     mtm = LinearOperator((size, size), matvec=mtm_apply, dtype=float)
     try:
@@ -402,7 +430,7 @@ def conic_poisson_solve(nu: float, rhs, delta: float, n: int = 6000,
     callable of r or an array of samples on the solver grid.  The matrix is
     ``assemble_scalar(nu)``: Dirichlet at r = 1, ghost exponent |nu| at the
     inner end, so the homogeneous inner behavior is r^|nu|; it is solved
-    against r^2 rhs with the block's own factorization.
+    against r^2 rhs with the operator's banded Cholesky factorization.
     """
     if not 0.5 < delta < 1.5:
         raise ValueError(f"delta={delta} outside the isomorphism window (1/2, 3/2)")
@@ -411,7 +439,7 @@ def conic_poisson_solve(nu: float, rhs, delta: float, n: int = 6000,
     b = rhs(r) if callable(rhs) else np.asarray(rhs, dtype=float)
     if b.shape != r.shape:
         raise ValueError("rhs samples do not match the solver grid")
-    u = op.lu.solve(r * r * b)
+    u = op.solve(r * r * b)
     return ConicSolution(nu=nu, delta=delta, r=r, u=u)
 
 

@@ -122,7 +122,9 @@ def test_smallest_eigenvalue_shift_ladder():
 
     from hitchinlab.errors import NumericalError
 
-    # constant kernel: the zero shift is singular, the -1e-6 shift finds 0
+    # constant kernel: rounding leaves the zero shift's last Cholesky pivot
+    # at about 1e-7, so sigma = 0 factors and Lanczos returns about 1e-15;
+    # were that pivot not positive, the -1e-6 shift would find 0
     kernel = lin.assemble_scalar(0, n=200, neumann_outer=True)
     assert abs(lin.smallest_eigenvalue(kernel)) < 1e-10
     # a malformed operator is a programming error, not a numerical failure
@@ -130,6 +132,64 @@ def test_smallest_eigenvalue_shift_ladder():
     with pytest.raises(ValueError) as info:
         lin.smallest_eigenvalue(bad)
     assert not isinstance(info.value, NumericalError)
+
+
+def test_smallest_eigenvalue_indefinite_operator():
+    from scipy.linalg import eigh
+
+    from hitchinlab.errors import NumericalError
+
+    # lambda_min = -0.2197: A and A + 1e-6 B are not positive definite, so
+    # their factorizations fail and the ladder answers from sigma = -1
+    op = lin.assemble_scalar(0, n=200, potential=lambda r: -6.0 * np.ones_like(r))
+    a, b = op.matrix.toarray(), np.diag(op.weights)
+    dense = eigh(a + b, b, eigvals_only=True)[0] - 1.0
+    assert dense == pytest.approx(-0.2197, abs=1e-4)
+    with pytest.raises(RuntimeError):
+        op.solve
+    assert lin.smallest_eigenvalue(op) == pytest.approx(dense, rel=1e-12)
+    # lambda_min = -24.2 lies below every shift of the ladder
+    deep = lin.assemble_scalar(0, n=200, potential=lambda r: -30.0 * np.ones_like(r))
+    with pytest.raises(NumericalError, match="not positive definite"):
+        lin.smallest_eigenvalue(deep)
+    # a NaN pivot is not positive either, whatever the LAPACK build reports
+    nan = lin.assemble_scalar(0, n=200, potential=lambda r: np.where(r < 0.5, 0.0, np.nan))
+    with pytest.raises(NumericalError, match="not positive definite"):
+        lin.smallest_eigenvalue(nan)
+
+
+def _dense_from_band(op):
+    """The symmetric matrix whose upper band storage is ``op.band``."""
+    k, size = op.block_size, op.band.shape[1]
+    dense = np.zeros((size, size))
+    for row in range(k + 1):
+        d = k - row
+        cols = np.arange(d, size)
+        dense[cols - d, cols] = op.band[row, d:]
+        dense[cols, cols - d] = op.band[row, d:]
+    return dense
+
+
+def test_band_layout_and_cholesky_solve(profile):
+    grid = lin.RadialGrid(120, lin.DEFAULT_R_MIN)
+    h, _, _ = lin.radial_data(4.0, profile, grid.r)
+    ops = {
+        "coupled": lin.assemble_block(2, 4.0, profile, n=120),
+        "flat": lin.assemble_block(2, 4.0, profile, n=120, connection=False, higgs=False),
+        "scalar": lin.assemble_scalar(3, n=120),
+        "neumann scalar": lin.assemble_scalar(1, n=120, neumann_outer=True),
+        "neumann coupled": lin.assemble_block(1, 4.0, profile, n=120, neumann_outer=True),
+        "vertical": lin.assemble_vertical_block(2, 4.0, h, grid),
+    }
+    rng = np.random.default_rng(0)
+    for name, op in ops.items():
+        dense = _dense_from_band(op)
+        assert op.band.shape == (op.block_size + 1, len(op.weights)), name
+        assert np.array_equal(op.matrix.toarray(), dense), name
+        rhs = rng.standard_normal(len(op.weights))
+        expected = np.linalg.solve(dense, rhs)
+        got = op.solve(rhs)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), name
 
 
 def _dense_smallest(op, sigma=0.0):
@@ -165,23 +225,23 @@ def test_smallest_eigenvalue_shifted_kernel_matches_dense_reference():
 
 def test_one_factorization_per_block(profile, monkeypatch):
     factored, eigsh_kwargs = [], []
-    real_splu, real_eigsh = lin.splu, lin.eigsh
+    real_dpbtrf, real_eigsh = lin.dpbtrf, lin.eigsh
 
-    def spy_splu(matrix, *args, **kwargs):
-        factored.append(matrix)
-        return real_splu(matrix, *args, **kwargs)
+    def spy_dpbtrf(band, *args, **kwargs):
+        factored.append(band.copy())
+        return real_dpbtrf(band, *args, **kwargs)
 
     def spy_eigsh(*args, **kwargs):
         eigsh_kwargs.append(kwargs)
         return real_eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(lin, "splu", spy_splu)
+    monkeypatch.setattr(lin, "dpbtrf", spy_dpbtrf)
     monkeypatch.setattr(lin, "eigsh", spy_eigsh)
     op, flat = _surrogate_pair(profile, 3, 2.0, 100)
     lin.smallest_eigenvalue(op)
     lin.h2_surrogate_norm(op, flat)
     assert len(factored) == 1
-    assert abs(factored[0] - op.matrix).max() == 0.0
+    assert np.array_equal(factored[0], op.band)
     assert len(eigsh_kwargs) == 2
     assert all("M" not in kw and "sigma" not in kw for kw in eigsh_kwargs)
 
@@ -209,6 +269,11 @@ def test_green_norms_evaluates_profile_once(profile, monkeypatch):
     monkeypatch.setattr(lin, "radial_data", spy)
     lin.green_norms(2.0, 8, profile, n=100)
     assert calls == [2.0]
+
+
+def test_out_of_range_t_is_named(profile):
+    with pytest.raises(ValueError, match=r"^t=40: "):
+        lin.assemble_block(0, 40.0, profile, n=100)
 
 
 def test_green_norms_rejects_nan_t(profile):
