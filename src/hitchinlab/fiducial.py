@@ -44,6 +44,13 @@ def check_rho_range(t: float, profile: PsiProfile, r_edge: float = 1.0) -> None:
         )
 
 
+def curvature_residual(t: float, r: np.ndarray, h: np.ndarray, r_d2h: np.ndarray) -> np.ndarray:
+    """((r d_r)^2 h - 8 t^2 r^3 sinh(2h)) / (4 r^2), the curvature equation
+    (1/r) d_r f - 2 t^2 r sinh(2h) with f = 1/8 + (1/4) r d_r h, from samples
+    of h and of (r d_r)^2 h."""
+    return (r_d2h - 8.0 * t * t * r ** 3 * np.sinh(2.0 * h)) / (4.0 * r * r)
+
+
 def radial_data(t: float, profile: PsiProfile, r: np.ndarray):
     """(h_t, r d_r h_t, (r d_r)^2 h_t) at radii r, by the profile's chain rule.
 
@@ -79,8 +86,7 @@ class FiducialFamily:
 
     def residual(self) -> np.ndarray:
         """|(1/r) d_r f - 2 t^2 r sinh(2h)| pointwise on the grid."""
-        t = self.t
-        return np.abs(self.df / self.r - 2.0 * t * t * self.r * np.sinh(2.0 * self.h))
+        return np.abs(curvature_residual(self.t, self.r, self.h, self.r_d2h))
 
 
 def build_family(t: float, profile: PsiProfile, grid: np.ndarray | None = None) -> FiducialFamily:

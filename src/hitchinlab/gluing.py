@@ -7,10 +7,15 @@ exponentially in t.  The correction solves the scalar radial equation
 
     (r d_r)^2 (h_chi + u) = 8 t^2 r^3 sinh(2 (h_chi + u)),   u(1) = 0,
 
-by Newton iteration; only the correction u is differenced on the grid, the
-glued background enters through chain-rule derivatives, so the reported
-residual of the corrected pair is meaningful down to ~1e-12 even after the
-division by 4 r^2 that turns the radial form into the curvature equation.
+by Newton iteration on the package's shared radial operators: each step
+solves the ell = 0 vertical block of ``linearized`` and the residual takes
+(r d_r)^2 u from the flat ell = 0 stencil, ``assemble_scalar(0)``.  Only the
+correction is differenced on the grid, the glued background enters through
+chain-rule derivatives, and the correction is held as a constant c plus a
+remainder w, so the stencil acts on w, which is small where 1/(4 r^2) is
+large.  The reported residual of the corrected pair,
+``fiducial.curvature_residual``, is then meaningful down to ~1e-12 even after
+the division by 4 r^2 that turns the radial form into the curvature equation.
 Residuals of discrete solutions are always measured with the scheme's own
 difference operators.
 """
@@ -24,7 +29,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import NumericalError
-from .fiducial import FiducialFamily, build_family, decay_fit, radial_data
+from .fiducial import FiducialFamily, build_family, curvature_residual, decay_fit, radial_data
 from .linearized import RadialGrid, assemble_vertical_block, assemble_scalar, smallest_eigenvalue
 from .painleve import PsiProfile
 
@@ -131,7 +136,7 @@ def build_glued(t: float, family: FiducialFamily, cutoff: CutoffProfile | None =
     h_chi, r_dh_chi, r_d2h_chi = _glued_fields(t, family.profile, cutoff, r)
     f_chi = 0.125 + 0.25 * r_dh_chi
     df_chi = r_d2h_chi / (4.0 * r)
-    residual = df_chi / r - 2.0 * t * t * r * np.sinh(2.0 * h_chi)
+    residual = curvature_residual(t, r, h_chi, r_d2h_chi)
     return GluedState(t=t, grid=grid, h_chi=h_chi, r_dh_chi=r_dh_chi,
                       r_d2h_chi=r_d2h_chi, f_chi=f_chi, df_chi=df_chi,
                       residual=residual, cutoff=cutoff, family=family)
@@ -156,64 +161,64 @@ def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None
 
 @dataclass(eq=False)
 class NewtonResult:
-    u: np.ndarray
+    """The correction u = c + w: c is its value at the innermost node and w
+    the remainder, kept apart so that w carries no rounding of size eps |c|."""
+
+    c: float
+    w: np.ndarray
     residual_history: list
     hitchin_residual: float
     iterations: int
     sup_u: float
 
-
-def _hitchin_form_residual(state: GluedState, u: np.ndarray, d2u: np.ndarray) -> np.ndarray:
-    t, r = state.t, state.r
-    h_tot = state.h_chi + u
-    return (state.r_d2h_chi + d2u - 8.0 * t * t * r ** 3 * np.sinh(2.0 * h_tot)) / (4.0 * r * r)
+    @property
+    def u(self) -> np.ndarray:
+        return self.c + self.w
 
 
-def _second_difference(u: np.ndarray, dx: float) -> np.ndarray:
-    padded = np.concatenate([[u[0]], u, [0.0]])  # Neumann ghost inside, Dirichlet at 1
-    return (padded[:-2] - 2.0 * padded[1:-1] + padded[2:]) / dx ** 2
+def _corrected_residual(state: GluedState, c: float, w: np.ndarray) -> np.ndarray:
+    """Curvature residual of h_chi + c + w.  The flat ell = 0 stencil acts on
+    w only, whose outer ghost is -c since u(1) = 0."""
+    grid = state.grid
+    d2u = -(assemble_scalar(0, n=grid.n, r_min=grid.r_min).matrix @ w)
+    d2u[-1] -= c / grid.dx ** 2
+    return curvature_residual(state.t, state.r, state.h_chi + (c + w), state.r_d2h_chi + d2u)
 
 
 def newton_correct(state: GluedState, tol: float = 1e-10, max_iter: int = 30) -> NewtonResult:
-    """Newton iteration for the bounded correction u with u(1) = 0.
+    """Newton iteration for the bounded correction u = c + w with u(1) = 0.
 
-    The linearization is -(1/r^2)(r d_r)^2 + 16 t^2 r cosh(2 (h_chi + u)),
-    positive by inspection, discretized on the state's grid with a regularity
-    ghost at the inner end.  Convergence is measured on the curvature-form
-    residual (the radial identity divided by 4 r^2); the history is returned
-    for quadratic-convergence diagnostics.
+    The Jacobian of the curvature residual is -1/(4 r^2) times the operator
+    -(r d_r)^2 + 16 t^2 r^3 cosh(2 (h_chi + u)), that is the band of
+    ``newton_operator_matrix``, so each step solves that band against
+    4 r^2 times the residual.  The step du updates c by du[0] and w by
+    du - du[0].  Convergence is measured on the curvature residual; the
+    history is returned for quadratic-convergence diagnostics.  A residual
+    that stops halving above 100 tol, or that is still above tol after
+    ``max_iter`` steps, raises NumericalError naming t.
     """
     t = state.t
-    grid = state.grid
-    r, dx, n = grid.r, grid.dx, grid.n
-    u = np.zeros(n)
+    c, w = 0.0, np.zeros(state.grid.n)
     history = []
     for iteration in range(max_iter):
-        d2u = _second_difference(u, dx)
-        res = _hitchin_form_residual(state, u, d2u)
+        res = _corrected_residual(state, c, w)
         sup = float(np.abs(res).max())
         history.append(sup)
         if sup < tol:
-            return NewtonResult(u=u, residual_history=history, hitchin_residual=sup,
-                                iterations=iteration, sup_u=float(np.abs(u).max()))
+            return NewtonResult(c=c, w=w, residual_history=history, hitchin_residual=sup,
+                                iterations=iteration, sup_u=float(np.abs(c + w).max()))
         if iteration >= 2 and sup > 0.5 * history[-2] and sup > 100.0 * tol:
             raise NumericalError(
                 f"t={t:g}: Newton stalled at residual {sup:.3e}; history {history}"
             )
-        scale = 1.0 / (4.0 * r * r)
-        main = scale * (-2.0 / dx ** 2 - 16.0 * t * t * r ** 3 * np.cosh(2.0 * (state.h_chi + u)))
-        main[0] += scale[0] / dx ** 2  # inner ghost (bounded branch)
-        upper = scale[:-1] / dx ** 2
-        lower = scale[1:] / dx ** 2
-        ab = np.zeros((3, n))
-        ab[0, 1:] = upper
-        ab[1] = main
-        ab[2, :-1] = lower
+        # DIA offsets (1, 0, -1) are solve_banded's (1, 1) layout
+        ab = newton_operator_matrix(state, c + w).matrix.data
         try:
-            du = solve_banded((1, 1), ab, -res)
+            du = solve_banded((1, 1), ab, 4.0 * state.r ** 2 * res)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"t={t:g}: singular Newton linearization: {exc}") from exc
-        u = u + du
+        c += du[0]
+        w += du - du[0]
     raise NumericalError(
         f"t={t:g}: Newton did not converge below {tol} in {max_iter} iterations; "
         f"history {history}"
@@ -223,14 +228,13 @@ def newton_correct(state: GluedState, tol: float = 1e-10, max_iter: int = 30) ->
 def corrected_solution_check(state: GluedState, result: NewtonResult) -> dict:
     """Reconstruct the corrected radial pair data and re-measure its residual.
 
-    The corrected exponent h = h_chi + u rebuilds f = 1/8 + (1/4) r d_r h
-    with the scheme's difference operator acting on u; the returned
-    ``residual_post`` is the curvature-form residual of that reconstruction
-    on the grid (identical to the Newton convergence measure).
+    ``residual_post`` is the curvature residual of h_chi + c + w rebuilt from
+    the result's c and w with the flat stencil, the Newton convergence
+    measure itself.  f = 1/8 + (1/4) r d_r (h_chi + u) takes the central
+    difference of the summed u, which is not divided by 4 r^2.
     """
     grid = state.grid
-    d2u = _second_difference(result.u, grid.dx)
-    res = _hitchin_form_residual(state, result.u, d2u)
+    res = _corrected_residual(state, result.c, result.w)
     h = state.h_chi + result.u
     f = state.f_chi + 0.25 * _first_difference(result.u, grid.dx)
     r = state.r
@@ -300,10 +304,8 @@ def neumann_zero_mode_eigenvalue(state: GluedState, n: int = 1000,
 
 
 def newton_operator_matrix(state: GluedState, u: np.ndarray | None = None):
-    """The scalar Newton linearization as a RadialOperator for cross-checks.
-
-    At u = 0 this coincides with the diagonal-subbundle zero-mode block of
-    the linearized reduction evaluated with the glued exponent.
-    """
+    """The Newton operator -(r d_r)^2 + 16 t^2 r^3 cosh(2 (h_chi + u)) of
+    ``newton_correct`` as a RadialOperator: the ell = 0 vertical block of
+    the linearized reduction evaluated with the glued exponent plus u."""
     h = state.h_chi if u is None else state.h_chi + u
     return assemble_vertical_block(0, state.t, h, state.grid)

@@ -73,9 +73,18 @@ def test_spectrum_and_fiducial_share_t_range(tmp_path, capsys):
 
 
 def test_glue_failure_names_t(tmp_path, capsys):
-    # the t = 1 Newton stall is a known open failure; the message must say where
-    assert run(["glue", "--t", "1", "--out", str(tmp_path)]) == 1
+    # a tolerance below the float64 residual floor (~1e-12) makes Newton fail;
+    # the message must say where
+    assert run(["glue", "--t", "1", "--tol", "1e-13", "--out", str(tmp_path)]) == 1
     assert "t=1" in capsys.readouterr().err
+
+
+def test_glue_default_t_exits_zero(tmp_path):
+    # the default t list starts at t = 1
+    assert run(["glue", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "glue.json").read_text())
+    assert [row["t"] for row in payload["corrections"]] == [1, 2, 4, 8]
+    assert all(row["residual_post"] < 1e-9 for row in payload["corrections"])
 
 
 def test_reports_are_byte_identical(tmp_path):
