@@ -23,9 +23,9 @@ for rho in (1e-4, 1e-2, 0.1, 1.0, 5.0, 20.0, 40.0):
     psi, dpsi = psi_eval(profile, rho)
     print(f"  rho={rho:8.4g}  psi={psi:12.6e}  psi'={dpsi:12.5e}  eta={profile.eta(rho):.8f}")
 
-eta = profile.eta_profile()
-print("\neta is nondecreasing:", bool((np.diff(eta.eta) >= -1e-12).all()))
-print("eta(rho_max) - 1/8 =", float(eta.eta[-1] - 0.125))
+eta = profile.eta(profile.rho)
+print("\neta is nondecreasing:", bool((np.diff(eta) >= -1e-12).all()))
+print("eta(rho_max) - 1/8 =", float(eta[-1] - 0.125))
 
 export_profile_csv(profile, "psi.csv")
 print("\nwrote psi.csv (columns rho, psi, dpsi, eta)")

@@ -16,7 +16,6 @@ from .algebra import (
 from .special import bessel_k0, bessel_k1
 from .painleve import (
     PsiProfile,
-    EtaProfile,
     series_coefficients,
     small_rho_series,
     solve_connection,

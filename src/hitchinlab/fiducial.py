@@ -2,14 +2,14 @@
 
 For parameter t > 0 the pair is determined by two radial functions built from
 the profile psi: the exponent h_t(r) = psi((8/3) t r^(3/2)) and the connection
-coefficient f_t(r) = 1/8 + (1/4) r h_t'(r).  The singular limit replaces them
-by h = 0 and f = 1/8 away from the origin.  All radial derivatives come from
-the profile's chain rule, never from differencing h samples.
+coefficient f_t(r) = 1/8 + (1/4) r h_t'(r).  The singular limit is the same
+ansatz with h = 0, so f = 1/8 away from the origin.  All radial derivatives
+come from the profile's chain rule, never from differencing h samples.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,34 +51,31 @@ def curvature_residual(t: float, r: np.ndarray, h: np.ndarray, r_d2h: np.ndarray
     return (r_d2h - 8.0 * t * t * r ** 3 * np.sinh(2.0 * h)) / (4.0 * r * r)
 
 
-def radial_data(t: float, profile: PsiProfile, r: np.ndarray):
-    """(h_t, r d_r h_t, (r d_r)^2 h_t) at radii r, by the profile's chain rule.
-
-    h_t(r) = psi(rho) with rho = (8/3) t r^(3/2), so r d_r = (3/2) rho d_rho.
-    Raises ValueError beyond the profile's range, with the message of
-    ``check_rho_range`` at the largest radius, which names t.
-    """
-    check_rho_range(t, profile, np.max(r))
-    psi, psi_x, psi_xx = psi_log_derivatives(profile, _rho_of(t, r))
-    return psi, 1.5 * psi_x, 2.25 * psi_xx
-
-
 @dataclass(eq=False)
 class FiducialFamily:
-    """Radial data of the pair at parameter t on a grid in (0, 1].
+    """Radial data of a pair of the radial ansatz on a grid in (0, 1].
 
-    ``r_dh`` is r d_r h, ``r_d2h`` is (r d_r)^2 h, ``df`` is d_r f computed as
-    (r d_r)^2 h / (4 r); everything traces back to the profile evaluations.
+    ``r_dh`` is r d_r h and ``r_d2h`` is (r d_r)^2 h; the connection
+    coefficient ``f`` = 1/8 + (1/4) r d_r h and its derivative ``df`` =
+    (r d_r)^2 h / (4 r) are derived from them here and nowhere else.  The
+    family at t carries the profile's chain-rule samples, the glued state
+    the cut exponent, and the limit (t = inf) h = 0.
     """
 
     t: float
     r: np.ndarray
     h: np.ndarray
     r_dh: np.ndarray
-    f: np.ndarray
-    df: np.ndarray
-    r_d2h: np.ndarray = field(repr=False, default=None)
-    profile: PsiProfile = field(repr=False, default=None)
+    r_d2h: np.ndarray = field(repr=False)
+    profile: PsiProfile | None = field(repr=False, default=None)
+
+    @property
+    def f(self) -> np.ndarray:
+        return 0.125 + 0.25 * self.r_dh
+
+    @property
+    def df(self) -> np.ndarray:
+        return self.r_d2h / (4.0 * self.r)
 
     def dh(self) -> np.ndarray:
         """d_r h on the grid."""
@@ -90,28 +87,28 @@ class FiducialFamily:
 
 
 def build_family(t: float, profile: PsiProfile, grid: np.ndarray | None = None) -> FiducialFamily:
-    """Populate h, f and their radial derivatives at parameter t.
+    """h_t, r d_r h_t and (r d_r)^2 h_t at parameter t, by the profile's chain rule.
 
+    h_t(r) = psi(rho) with rho = (8/3) t r^(3/2), so r d_r = (3/2) rho d_rho.
     Raises ValueError when the rho range required by (t, grid) leaves the
-    profile's validity range on the large-rho side.
+    profile's validity range on the large-rho side, with the message of
+    ``check_rho_range`` at the largest radius, which names t.
     """
     if not t > 0:
         raise ValueError("t must be positive")
     r = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if np.any(r <= 0) or np.any(np.diff(r) <= 0) or r[-1] > 1.0 + 1e-12:
         raise ValueError("grid must be strictly increasing in (0, 1]")
-    h, r_dh, r_d2h = radial_data(t, profile, r)
-    f = 0.125 + 0.25 * r_dh
-    df = r_d2h / (4.0 * r)
-    return FiducialFamily(t=t, r=r, h=h, r_dh=r_dh, f=f, df=df, r_d2h=r_d2h, profile=profile)
+    check_rho_range(t, profile, r[-1])
+    psi, psi_x, psi_xx = psi_log_derivatives(profile, _rho_of(t, r))
+    return FiducialFamily(t=t, r=r, h=psi, r_dh=1.5 * psi_x, r_d2h=2.25 * psi_xx,
+                          profile=profile)
 
 
 @dataclass(eq=False)
 class DiskPair:
     """Sampled pair on a polar grid.
 
-    ``a`` is the radial scalar multiplying diag(1,-1) (dz/z - dzbar/zbar) in
-    the connection (f_t(r) for finite t, the constant 1/8 for the limit);
     ``phi`` holds the 2x2 coefficient of the field against dz at each
     (r, theta) sample.  ``alpha`` is the dzbar-coefficient matrix of the
     (0,1)-part of the connection, kept alongside so gauge transformations can
@@ -123,7 +120,6 @@ class DiskPair:
     phi: np.ndarray
     alpha: np.ndarray
     kind: str
-    a: np.ndarray | None = None
     family: FiducialFamily | None = field(repr=False, default=None)
 
 
@@ -137,7 +133,9 @@ def _alpha_from_scalar(a: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.nd
 
 
 def make_disk_pair(family: FiducialFamily, n_theta: int = 256) -> DiskPair:
-    """Finite-t pair sampled from the family on its radial grid."""
+    """The pair sampled from the family on its radial grid: connection
+    f diag(1,-1) (dz/z - dzbar/zbar), field [[0, r^(1/2) e^h], [r^(1/2)
+    e^-h e^(i theta), 0]].  A family at t = inf gives the limiting pair."""
     r, theta = family.r, np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     eh = np.exp(family.h)
     phi = np.zeros((len(r), n_theta, 2, 2), dtype=complex)
@@ -146,20 +144,16 @@ def make_disk_pair(family: FiducialFamily, n_theta: int = 256) -> DiskPair:
     return DiskPair(
         r=r, theta=theta, phi=phi,
         alpha=_alpha_from_scalar(family.f, r, theta),
-        kind="finite-t", a=family.f.copy(), family=family,
+        kind="limiting" if math.isinf(family.t) else "finite-t", family=family,
     )
 
 
 def limiting_pair(r: np.ndarray | None = None, n_theta: int = 256) -> DiskPair:
-    """The singular limit: flat diagonal connection with constant 1/8, normal field."""
+    """The singular limit: the pair of the h = 0 family, so f = 1/8."""
     r = default_grid() if r is None else np.asarray(r, dtype=float)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    phi = np.zeros((len(r), n_theta, 2, 2), dtype=complex)
-    phi[..., 0, 1] = np.sqrt(r)[:, None]
-    phi[..., 1, 0] = np.sqrt(r)[:, None] * np.exp(1j * theta)[None, :]
-    a = np.full(len(r), 0.125)
-    return DiskPair(r=r, theta=theta, phi=phi, alpha=_alpha_from_scalar(a, r, theta),
-                    kind="limiting", a=a)
+    zero = np.zeros_like(r)
+    return make_disk_pair(FiducialFamily(t=math.inf, r=r, h=zero, r_dh=zero, r_d2h=zero),
+                          n_theta)
 
 
 def hitchin_residual(pair: DiskPair, t: float | None = None) -> float:
@@ -278,9 +272,3 @@ def export_family_csv(family: FiducialFamily, path) -> None:
         fh.write("r,h,f,df,residual\n")
         for row in zip(family.r, family.h, family.f, family.df, res):
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-
-def export_family_summary_json(family: FiducialFamily, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(family_summary(family), fh, indent=2, sort_keys=True)
-        fh.write("\n")

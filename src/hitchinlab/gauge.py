@@ -184,7 +184,7 @@ def apply_complex_gauge(pair: DiskPair, gauge) -> DiskPair:
     dbar_g = dbar_of(g.values, pair.r, pair.theta, g.dr)
     alpha_new = _mul2(ginv, _mul2(pair.alpha, g.values) + dbar_g)
     return DiskPair(r=pair.r, theta=pair.theta, phi=phi_new, alpha=alpha_new,
-                    kind="gauged", a=None, family=pair.family)
+                    kind="gauged", family=pair.family)
 
 
 def zero_pair(r: np.ndarray, n_theta: int = 256) -> DiskPair:

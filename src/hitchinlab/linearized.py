@@ -28,12 +28,14 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NumericalError
-from .fiducial import check_rho_range, radial_data
+from .fiducial import build_family, check_rho_range
 from .painleve import PsiProfile
 
 DEFAULT_N = 2000
 DEFAULT_R_MIN = 1e-6
 MIN_GRID = 16
+SURROGATE_MAX_ITER = 400
+SURROGATE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,11 @@ def _assemble(ell, t, grid: RadialGrid, r: np.ndarray, potentials, nus,
                           coupling=coupling)
 
 
-def _coupled_block(ell, t, grid: RadialGrid, r: np.ndarray, r_dh=None,
+def _coupled_block(ell, t, grid: RadialGrid, r: np.ndarray, f=None,
                    h=None) -> RadialOperator:
-    """The 2x2 block from profile samples on ``r``: r d_r h_t gives the
-    connection terms and h_t the Higgs coupling; None drops a term."""
-    f = 0.125 + 0.25 * r_dh if r_dh is not None else np.zeros_like(r)
+    """The 2x2 block from family samples on ``r``: f_t gives the connection
+    terms and h_t the Higgs coupling; None drops a term."""
+    f = np.zeros_like(r) if f is None else f
     v_minus = (ell - 4.0 * f) ** 2 / r ** 2
     v_plus = (ell - 1 + 4.0 * f) ** 2 / r ** 2
     w_off = 8.0 * t * t * r if h is not None else np.zeros_like(r)
@@ -174,27 +176,27 @@ def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N,
     """
     grid = RadialGrid(n, r_min)
     r = _nodes(grid, neumann_outer)
-    h, r_dh, _ = radial_data(t, profile, r) if connection or higgs else (None,) * 3
-    return _coupled_block(ell, t, grid, r, r_dh if connection else None,
-                          h if higgs else None)
+    if not (connection or higgs):
+        return _coupled_block(ell, t, grid, r)
+    fam = build_family(t, profile, r)
+    return _coupled_block(ell, t, grid, r, fam.f if connection else None,
+                          fam.h if higgs else None)
 
 
 def assemble_scalar(ell: int, n: int = DEFAULT_N, r_min: float = DEFAULT_R_MIN,
-                    potential=None, nu_in: float | None = None, t: float = 0.0,
-                    neumann_outer: bool = False) -> RadialOperator:
+                    potential=None, neumann_outer: bool = False) -> RadialOperator:
     """Scalar radial operator -(1/r^2)(r d_r)^2 + ell^2/r^2 + potential(r).
 
     With ``potential`` None this is the mode-ell flat Laplacian whose zero
     mode is the Bessel operator used as spectral oracle.  The inner ghost
-    exponent is ``nu_in``, by default |ell|.
+    exponent is |ell|.
     """
     grid = RadialGrid(n, r_min)
     r = _nodes(grid, neumann_outer)
     pot = ell ** 2 / r ** 2
     if potential is not None:
         pot = pot + potential(r)
-    nu = abs(ell) if nu_in is None else nu_in
-    return _assemble(ell, t, grid, r, [pot], (nu,))
+    return _assemble(ell, 0.0, grid, r, [pot], (abs(ell),))
 
 
 def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
@@ -257,8 +259,7 @@ def apply_operator(op: RadialOperator, u: np.ndarray) -> np.ndarray:
     return (op.matrix @ u) / op.weights
 
 
-def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator,
-                      max_iter: int = 400, tol: float = 1e-10) -> float:
+def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator) -> float:
     """Largest singular value of Delta G in the weighted norm.
 
     sigma_max of M = S^-1 P A^-1 S, where A, P are the assembled matrices of
@@ -268,9 +269,9 @@ def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator,
     fixed start vector.  The A^-1 solves reuse the block's Cholesky
     factorization ``op_l.solve``, so a block whose smallest eigenvalue was
     already computed is not factored again; the flat block is never factored.
-    ``tol`` is the relative accuracy asked of that eigenvalue and
-    ``max_iter`` the cap on Lanczos restarts; a solve that does not converge
-    within it raises NumericalError.
+    ``SURROGATE_TOL`` is the relative accuracy asked of that eigenvalue and
+    ``SURROGATE_MAX_ITER`` the cap on Lanczos restarts; a solve that does
+    not converge within it raises NumericalError.
     """
     p = op_flat.matrix
     sw = np.sqrt(op_l.weights)
@@ -284,12 +285,12 @@ def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator,
 
     mtm = LinearOperator((size, size), matvec=mtm_apply, dtype=float)
     try:
-        w = eigsh(mtm, k=1, which="LA", v0=v0, tol=tol, maxiter=max_iter,
-                  return_eigenvectors=False)
+        w = eigsh(mtm, k=1, which="LA", v0=v0, tol=SURROGATE_TOL,
+                  maxiter=SURROGATE_MAX_ITER, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise NumericalError(
             f"H2 surrogate (ell={op_l.ell}, t={op_l.t:g}) did not converge to "
-            f"tol={tol} in {max_iter} Lanczos restarts") from exc
+            f"tol={SURROGATE_TOL} in {SURROGATE_MAX_ITER} Lanczos restarts") from exc
     return float(np.sqrt(w[0]))
 
 
@@ -350,15 +351,15 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600,
         raise ValueError("ell_max must be at least 8")
     check_rho_range(t, profile)
     grid = RadialGrid(n, r_min)
-    r = grid.r
-    h, r_dh, _ = radial_data(t, profile, r)
+    fam = build_family(t, profile, grid.r)
+    r, f, h = fam.r, fam.f, fam.h
     lam = []
     lam_vert = []
     surrogate = 0.0
     kappa = np.inf
     ells = list(range(ell_max + 1))
     for ell in ells:
-        op = _coupled_block(ell, t, grid, r, r_dh, h)
+        op = _coupled_block(ell, t, grid, r, f, h)
         flat = _coupled_block(ell, t, grid, r)
         lam.append(smallest_eigenvalue(op))
         lam_vert.append(smallest_eigenvalue(assemble_vertical_block(ell, t, h, grid)))

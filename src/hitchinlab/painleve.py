@@ -153,17 +153,6 @@ class PsiProfile:
         psi, dpsi = psi_eval(self, rho)
         return 0.125 + 0.375 * np.asarray(rho) * dpsi
 
-    def eta_profile(self) -> "EtaProfile":
-        return EtaProfile(rho=self.rho, eta=0.125 + 0.375 * self.psi_x)
-
-
-@dataclass(frozen=True)
-class EtaProfile:
-    """eta on the profile grid; values in [0, 1/8], nondecreasing, -> 1/8."""
-
-    rho: np.ndarray
-    eta: np.ndarray
-
 
 def _fd4_derivative(y: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order first derivative on a uniform grid, one-sided at the ends."""

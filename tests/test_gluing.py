@@ -47,17 +47,18 @@ def test_cutoff_validation():
         gl.CutoffProfile(inner=0.6, outer=0.5)
 
 
-def test_glued_residual_regions(families):
+def test_glued_residual_regions(families, profile):
     state = gl.build_glued(4.0, families[4.0])
     r = state.r
-    inner = np.abs(state.residual[r <= 0.5])
+    inner = state.residual()[r <= 0.5]
     assert inner.max() < 1e-6  # family tolerance: the pair is fiducial there
-    outer = np.abs(state.residual[r >= state.cutoff.outer])
+    outer = state.residual()[r >= state.cutoff.outer]
     assert outer.max() == 0.0  # closed forms are exact where chi = 0
-    assert (state.h_chi[r >= state.cutoff.outer] == 0.0).all()
-    near_half = np.abs(state.h_chi[r <= 0.5] - families[4.0].profile.lam * 0.0
-                       - state.h_chi[r <= 0.5]).max()
-    assert near_half == 0.0
+    assert (state.h[r >= state.cutoff.outer] == 0.0).all()
+    # where chi = 1 the glued data are the family's own samples, bit for bit
+    fam = fd.build_family(4.0, profile, r)
+    for name in ("h", "r_dh", "r_d2h"):
+        assert np.array_equal(getattr(state, name)[r <= 0.5], getattr(fam, name)[r <= 0.5])
 
 
 def test_glued_residual_decays_monotonically(profile):
@@ -164,7 +165,7 @@ def test_newton_linearization_matches_vertical_block(families, rng):
     lhs = lin.apply_operator(op, v)
     padded = np.concatenate([[v[0]], v, [0.0]])  # Neumann ghost inside, Dirichlet at 1
     d2v = (padded[:-2] - 2.0 * padded[1:-1] + padded[2:]) / state.grid.dx ** 2
-    rhs = -d2v / state.r ** 2 + 16.0 * state.t ** 2 * state.r * np.cosh(2.0 * state.h_chi) * v
+    rhs = -d2v / state.r ** 2 + 16.0 * state.t ** 2 * state.r * np.cosh(2.0 * state.h) * v
     assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
 
 

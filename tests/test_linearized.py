@@ -35,7 +35,7 @@ def test_block_zero_potential_reduces_to_bessel(profile, bessel_target):
 
 def test_assembled_matrices_exactly_symmetric(profile):
     grid = lin.RadialGrid(150, lin.DEFAULT_R_MIN)
-    h, _, _ = lin.radial_data(2.0, profile, grid.r)
+    h = lin.build_family(2.0, profile, grid.r).h
     for op in (
         lin.assemble_block(3, 2.0, profile, n=150),
         lin.assemble_scalar(1, n=150),
@@ -173,7 +173,7 @@ def _dense_from_band(op):
 
 def test_band_layout_and_cholesky_solve(profile):
     grid = lin.RadialGrid(120, lin.DEFAULT_R_MIN)
-    h, _, _ = lin.radial_data(4.0, profile, grid.r)
+    h = lin.build_family(4.0, profile, grid.r).h
     ops = {
         "coupled": lin.assemble_block(2, 4.0, profile, n=120),
         "flat": lin.assemble_block(2, 4.0, profile, n=120, connection=False, higgs=False),
@@ -210,7 +210,7 @@ def test_smallest_eigenvalue_matches_dense_reference(profile, ell, t):
 
 def test_smallest_eigenvalue_vertical_matches_dense_reference(profile):
     grid = lin.RadialGrid(150, lin.DEFAULT_R_MIN)
-    h, _, _ = lin.radial_data(8.0, profile, grid.r)
+    h = lin.build_family(8.0, profile, grid.r).h
     op = lin.assemble_vertical_block(3, 8.0, h, grid)
     assert lin.smallest_eigenvalue(op) == pytest.approx(_dense_smallest(op), rel=1e-12)
 
@@ -252,7 +252,7 @@ def test_flat_block_reads_no_profile(profile, monkeypatch):
     def no_profile(*args, **kwargs):
         raise AssertionError("flat block evaluated the profile")
 
-    monkeypatch.setattr(lin, "radial_data", no_profile)
+    monkeypatch.setattr(lin, "build_family", no_profile)
     flat = lin.assemble_block(4, 2.0, profile, n=100, connection=False, higgs=False)
     r = flat.grid.r
     assert np.array_equal(flat.potentials[0], 16.0 / r ** 2)
@@ -262,13 +262,13 @@ def test_flat_block_reads_no_profile(profile, monkeypatch):
 
 def test_green_norms_evaluates_profile_once(profile, monkeypatch):
     calls = []
-    real_radial_data = lin.radial_data
+    real_build_family = lin.build_family
 
     def spy(*args, **kwargs):
         calls.append(args[0])
-        return real_radial_data(*args, **kwargs)
+        return real_build_family(*args, **kwargs)
 
-    monkeypatch.setattr(lin, "radial_data", spy)
+    monkeypatch.setattr(lin, "build_family", spy)
     lin.green_norms(2.0, 8, profile, n=100)
     assert calls == [2.0]
 
