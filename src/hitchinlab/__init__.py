@@ -29,7 +29,6 @@ from .fiducial import (
     fitted_log_offset,
     make_disk_pair,
     limiting_pair,
-    hitchin_residual,
     verify_f_bounds,
     phi_sup_bound,
     convergence_rate,

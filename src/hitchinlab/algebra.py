@@ -20,33 +20,25 @@ TAU3 = np.array([[0, 1j], [1j, 0]])
 #: squared Frobenius norm 2 under <A,B> = tr(A B*).
 HERMITIAN_BASIS = (1j * TAU1, 1j * TAU2, 1j * TAU3)
 
-ROLES = ("higgs-coefficient", "gauge-algebra", "gauge-group-log")
-
-
 @dataclass(frozen=True)
 class TracelessMatrix:
-    """Complex 2x2 trace-free matrix [[a, b], [c, -a]] with a semantic role tag."""
+    """Complex 2x2 trace-free matrix [[a, b], [c, -a]]."""
 
     a: complex
     b: complex
     c: complex
-    role: str = "gauge-algebra"
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
 
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, -self.a]])
 
     @classmethod
-    def from_matrix(cls, m, role: str = "gauge-algebra") -> "TracelessMatrix":
+    def from_matrix(cls, m) -> "TracelessMatrix":
         m = np.asarray(m, dtype=complex)
         tr = m[0, 0] + m[1, 1]
         if abs(tr) > 1e-12 * max(1.0, frobenius_norm(m)):
             raise ValueError(f"matrix is not trace-free (tr = {tr})")
-        return cls(m[0, 0], m[0, 1], m[1, 0], role)
+        return cls(m[0, 0], m[0, 1], m[1, 0])
 
 
 @dataclass(frozen=True)
@@ -77,7 +69,7 @@ def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def commutator(x: TracelessMatrix, y: TracelessMatrix) -> TracelessMatrix:
     """[x, y] = xy - yx; trace-free for any inputs."""
-    return TracelessMatrix.from_matrix(_comm(x.matrix, y.matrix), role=x.role)
+    return TracelessMatrix.from_matrix(_comm(x.matrix, y.matrix))
 
 
 def m_phi_apply(phi: TracelessMatrix, gamma: TracelessMatrix) -> TracelessMatrix:
@@ -90,7 +82,7 @@ def m_phi_apply(phi: TracelessMatrix, gamma: TracelessMatrix) -> TracelessMatrix
     ps = np.conj(p).T
     g = gamma.matrix
     out = 2.0 * (_comm(ps, _comm(p, g)) + _comm(p, _comm(ps, g)))
-    return TracelessMatrix.from_matrix(out, role=gamma.role)
+    return TracelessMatrix.from_matrix(out)
 
 
 def hermitian_decompose(gamma: TracelessMatrix) -> HermitianDecomposition:

@@ -82,7 +82,12 @@ class FiducialFamily:
         return self.r_dh / self.r
 
     def residual(self) -> np.ndarray:
-        """|(1/r) d_r f - 2 t^2 r sinh(2h)| pointwise on the grid."""
+        """|(1/r) d_r f - 2 t^2 r sinh(2h)| pointwise on the grid, the one
+        residual of a pair of the ansatz.  The limit has none: at t = inf the
+        curvature equation splits, and its pair is checked through its orbit
+        (``gauge.verify_orbit_limiting``)."""
+        if math.isinf(self.t):
+            raise ValueError("t=inf: the limiting family has no curvature residual")
         return np.abs(curvature_residual(self.t, self.r, self.h, self.r_d2h))
 
 
@@ -119,8 +124,6 @@ class DiskPair:
     theta: np.ndarray
     phi: np.ndarray
     alpha: np.ndarray
-    kind: str
-    family: FiducialFamily | None = field(repr=False, default=None)
 
 
 def _alpha_from_scalar(a: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -141,54 +144,19 @@ def make_disk_pair(family: FiducialFamily, n_theta: int = 256) -> DiskPair:
     phi = np.zeros((len(r), n_theta, 2, 2), dtype=complex)
     phi[..., 0, 1] = (np.sqrt(r) * eh)[:, None]
     phi[..., 1, 0] = (np.sqrt(r) / eh)[:, None] * np.exp(1j * theta)[None, :]
-    return DiskPair(
-        r=r, theta=theta, phi=phi,
-        alpha=_alpha_from_scalar(family.f, r, theta),
-        kind="limiting" if math.isinf(family.t) else "finite-t", family=family,
-    )
+    return DiskPair(r=r, theta=theta, phi=phi, alpha=_alpha_from_scalar(family.f, r, theta))
+
+
+def limiting_family(r: np.ndarray | None = None) -> FiducialFamily:
+    """The singular limit as the family at t = inf: h = 0, so f = 1/8."""
+    r = default_grid() if r is None else np.asarray(r, dtype=float)
+    zero = np.zeros_like(r)
+    return FiducialFamily(t=math.inf, r=r, h=zero, r_dh=zero, r_d2h=zero)
 
 
 def limiting_pair(r: np.ndarray | None = None, n_theta: int = 256) -> DiskPair:
-    """The singular limit: the pair of the h = 0 family, so f = 1/8."""
-    r = default_grid() if r is None else np.asarray(r, dtype=float)
-    zero = np.zeros_like(r)
-    return make_disk_pair(FiducialFamily(t=math.inf, r=r, h=zero, r_dh=zero, r_d2h=zero),
-                          n_theta)
-
-
-def hitchin_residual(pair: DiskPair, t: float | None = None) -> float:
-    """Max-norm residual of the reduced equations for a sampled pair.
-
-    Finite-t pairs report max |(1/r) d_r f - 2 t^2 r sinh(2h)| plus the
-    holomorphicity component, which vanishes identically for the radial
-    ansatz since f = 1/8 + (1/4) r d_r h by construction.  Limiting pairs
-    report the three decoupled residuals (flatness, normality,
-    holomorphicity), each of which is a closed form.
-    """
-    if pair.kind == "limiting":
-        # curvature of the constant-coefficient diagonal connection is zero;
-        # normality and holomorphicity are checked numerically on samples
-        r, theta = pair.r, pair.theta
-        phi = pair.phi
-        phis = np.conj(np.swapaxes(phi, -1, -2))
-        normality = np.abs(phi @ phis - phis @ phi).max()
-        # dbar phi + [alpha, phi] with dbar(sqrt r) = e^{i th}/(4 sqrt r) etc.
-        e = np.exp(1j * theta)[None, :]
-        sr = np.sqrt(r)[:, None]
-        # [alpha, phi]_{12} = 2 alpha_11 phi_12 and [alpha, phi]_{21} = -2 alpha_11 phi_21
-        d12 = 0.25 * e / sr + 2.0 * pair.alpha[..., 0, 0] * phi[..., 0, 1]
-        d21 = -0.25 * e * e / sr - 2.0 * pair.alpha[..., 0, 0] * phi[..., 1, 0]
-        holo = max(np.abs(d12).max(), np.abs(d21).max())
-        return float(max(normality, holo, 0.0))
-    fam = pair.family
-    if fam is None:
-        raise ValueError("finite-t pair carries no family data")
-    t = fam.t if t is None else t
-    curvature_part = fam.residual().max()
-    # dbar component: e^h r^{-1/2} (1/4 + (1/2) r d_r h - 2 f) and its mirror
-    gap = 0.25 + 0.5 * fam.r_dh - 2.0 * fam.f
-    holo = np.abs(gap) * np.exp(np.abs(fam.h)) / np.sqrt(fam.r)
-    return float(max(curvature_part, holo.max()))
+    """The pair of the limiting family."""
+    return make_disk_pair(limiting_family(r), n_theta)
 
 
 def fitted_log_offset(family: FiducialFamily, n_points: int = 8) -> float:

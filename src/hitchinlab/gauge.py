@@ -11,11 +11,12 @@ available and finite differences otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fiducial import DiskPair, FiducialFamily, limiting_pair, make_disk_pair
+from .fiducial import DiskPair, FiducialFamily, limiting_family, make_disk_pair
 
 COND_LIMIT = 1e8
 
@@ -183,8 +184,7 @@ def apply_complex_gauge(pair: DiskPair, gauge) -> DiskPair:
     phi_new = _mul2(_mul2(ginv, pair.phi), g.values)
     dbar_g = dbar_of(g.values, pair.r, pair.theta, g.dr)
     alpha_new = _mul2(ginv, _mul2(pair.alpha, g.values) + dbar_g)
-    return DiskPair(r=pair.r, theta=pair.theta, phi=phi_new, alpha=alpha_new,
-                    kind="gauged", family=pair.family)
+    return DiskPair(r=pair.r, theta=pair.theta, phi=phi_new, alpha=alpha_new)
 
 
 def zero_pair(r: np.ndarray, n_theta: int = 256) -> DiskPair:
@@ -194,7 +194,7 @@ def zero_pair(r: np.ndarray, n_theta: int = 256) -> DiskPair:
     phi[..., 0, 1] = 1.0
     phi[..., 1, 0] = r[:, None] * np.exp(1j * theta)[None, :]
     alpha = np.zeros_like(phi)
-    return DiskPair(r=r, theta=theta, phi=phi, alpha=alpha, kind="reference")
+    return DiskPair(r=r, theta=theta, phi=phi, alpha=alpha)
 
 
 def pair_discrepancy(p1: DiskPair, p2: DiskPair, r_window=(0.0, np.inf)) -> float:
@@ -205,7 +205,8 @@ def pair_discrepancy(p1: DiskPair, p2: DiskPair, r_window=(0.0, np.inf)) -> floa
 
 
 def orbit_gauge(family: FiducialFamily) -> DiagonalGauge:
-    """diag(e^u, e^-u) with u = -(1/4) log r - (1/2) h_t and exact derivative."""
+    """diag(e^u, e^-u) with u = -(1/4) log r - (1/2) h_t and exact derivative;
+    for the limiting family (h = 0) the singular gauge diag(|z|^-1/4, |z|^1/4)."""
     u = -0.25 * np.log(family.r) - 0.5 * family.h
     du = -0.25 / family.r - 0.5 * family.dh()
     return DiagonalGauge(u, du)
@@ -213,7 +214,12 @@ def orbit_gauge(family: FiducialFamily) -> DiagonalGauge:
 
 def verify_orbit_finite_t(t: float, family: FiducialFamily, n_theta: int = 128,
                           r_window=(0.05, 1.0)) -> float:
-    """Max discrepancy between the gauged reference pair and the t-pair."""
+    """Max discrepancy between the gauged reference pair and the t-pair.
+
+    ``t`` must be the family's own parameter; a mismatch raises ValueError.
+    """
+    if t != family.t:
+        raise ValueError(f"t={t:g} does not match the family's t={family.t:g}")
     base = zero_pair(family.r, n_theta)
     moved = apply_complex_gauge(base, orbit_gauge(family))
     target = make_disk_pair(family, n_theta)
@@ -222,12 +228,9 @@ def verify_orbit_finite_t(t: float, family: FiducialFamily, n_theta: int = 128,
 
 def verify_orbit_limiting(r: np.ndarray, n_theta: int = 128,
                           r_window=(0.1, 1.0)) -> float:
-    """Same check for the singular gauge diag(|z|^-1/4, |z|^1/4)."""
-    base = zero_pair(r, n_theta)
-    sing = DiagonalGauge(-0.25 * np.log(r), -0.25 / r)
-    moved = apply_complex_gauge(base, sing)
-    target = limiting_pair(r, n_theta)
-    return pair_discrepancy(moved, target, r_window)
+    """The same check for the limiting family, whose orbit gauge is the
+    singular gauge diag(|z|^-1/4, |z|^1/4)."""
+    return verify_orbit_finite_t(math.inf, limiting_family(r), n_theta, r_window)
 
 
 def curvature_rtheta(pair: DiskPair) -> np.ndarray:

@@ -22,7 +22,6 @@ difference operators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +49,12 @@ class CutoffProfile:
     """Smooth cutoff with chi = 1 on r <= inner and chi = 0 on r >= outer.
 
     Built from the exp(-1/x) glue, so all derivatives vanish at both ends of
-    the transition window; ``smooth_order`` records that the profile is
-    C-infinity.  Derivative samples are produced analytically on demand.
+    the transition window and the profile is C-infinity.  Derivative samples
+    are produced analytically on demand.
     """
 
     inner: float = 0.5
     outer: float = 0.7
-    smooth_order: float = math.inf
 
     def __post_init__(self):
         if not 0.5 <= self.inner < self.outer < 1.0:
@@ -118,12 +116,19 @@ def _glued(t: float, profile: PsiProfile, cutoff: CutoffProfile, r: np.ndarray,
         profile=profile, grid=grid, cutoff=cutoff)
 
 
-def build_glued(t: float, family: FiducialFamily, cutoff: CutoffProfile | None = None,
-                n: int = 2000, r_min: float = 1e-3) -> GluedState:
-    """Glued state at parameter t on a log-uniform grid over [r_min, 1]."""
+def _glued_on_grid(t: float, profile: PsiProfile, cutoff: CutoffProfile | None,
+                   n: int, r_min: float) -> GluedState:
+    """The glued state on a log-uniform grid over [r_min, 1]."""
     grid = RadialGrid(n, r_min)
     cutoff = CutoffProfile() if cutoff is None else cutoff
-    return _glued(t, family.profile, cutoff, grid.r, grid)
+    return _glued(t, profile, cutoff, grid.r, grid)
+
+
+def build_glued(t: float, family: FiducialFamily, cutoff: CutoffProfile | None = None,
+                n: int = 2000, r_min: float = 1e-3) -> GluedState:
+    """Glued state at parameter t on a log-uniform grid over [r_min, 1],
+    from the profile the family was built from."""
+    return _glued_on_grid(t, family.profile, cutoff, n, r_min)
 
 
 def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None = None,
@@ -137,8 +142,7 @@ def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None
         raise ValueError("need at least 4 values of t")
     norms = []
     for t in t_list:
-        fam = build_family(t, profile)
-        norms.append(build_glued(t, fam, cutoff, n=n, r_min=r_min).l2_residual())
+        norms.append(_glued_on_grid(t, profile, cutoff, n, r_min).l2_residual())
     delta, intercept, r2 = decay_fit(t_list, norms)
     return delta, float(np.exp(intercept)), r2
 
@@ -244,8 +248,7 @@ def correction_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None =
     """Newton-corrected states across t; one report row per t."""
     rows = []
     for t in t_list:
-        fam = build_family(float(t), profile)
-        state = build_glued(float(t), fam, cutoff, n=n, r_min=r_min)
+        state = _glued_on_grid(float(t), profile, cutoff, n, r_min)
         result = newton_correct(state, tol=tol)
         row = corrected_solution_check(state, result)
         row["residual_history"] = result.residual_history

@@ -14,7 +14,7 @@ grid.
 
 Everything downstream (the fiducial family, the linearized blocks, the glued
 approximate solutions) evaluates psi and its first two log-derivatives through
-the PsiProfile returned here.  Below ``series_cut`` those evaluations use the
+the PsiProfile returned here.  Below ``SERIES_CUT`` those evaluations use the
 small-rho series directly, which keeps the residual of derived quantities at
 truncation level even after division by r^2.
 """
@@ -34,6 +34,10 @@ from .special import bessel_k0, bessel_k1
 DEFAULT_RHO_MIN = 1e-4
 DEFAULT_RHO_MID = 1.0
 DEFAULT_RHO_MAX = 40.0
+N_GRID = 8192        # profile samples, uniform in x = log rho
+N_SERIES = 8         # small-rho series terms kept with the profile
+SERIES_CUT = 0.1     # psi_log_derivatives uses the series for rho <= this
+MAX_NEWTON = 30      # Newton iterations on (log a0, log lambda)
 
 
 def series_coefficients(a0: float, n_terms: int) -> np.ndarray:
@@ -128,7 +132,6 @@ class PsiProfile:
     psi_x: np.ndarray = field(repr=False, default=None)
     psi_xx: np.ndarray = field(repr=False, default=None)
     series: np.ndarray = field(repr=False, default=None)
-    series_cut: float = 0.1
     newton_history: tuple = ()
     reseeded: bool = False
 
@@ -241,11 +244,7 @@ def solve_connection(
     rho_mid: float = DEFAULT_RHO_MID,
     rho_max: float = DEFAULT_RHO_MAX,
     tol: float = 1e-12,
-    n_grid: int = 8192,
-    n_series: int = 8,
-    series_cut: float = 0.1,
     ode_tol: float = 1e-13,
-    max_newton: int = 30,
 ) -> PsiProfile:
     """Two-sided shooting solve of the connection problem.
 
@@ -254,7 +253,8 @@ def solve_connection(
     variational equation, so its end state comes with the exact derivative
     in its own parameter, and the Jacobian costs no extra shot: one shot per
     side per iteration.  Falls back to a coarse bracketing sweep for the
-    seed when the first shot fails or the iteration from (1, 1) diverges.
+    seed when the first shot fails or the iteration from (1, 1) diverges,
+    and raises NumericalError after ``MAX_NEWTON`` iterations above ``tol``.
 
     Newton shots keep no dense output.  After convergence one more shot per
     side, with dense output, samples the grid; it integrates the same
@@ -289,7 +289,7 @@ def solve_connection(
     if shot is None:
         (p, shot), reseeded = reseed(), True
     history = [float(np.max(np.abs(shot[0])))]
-    while history[-1] >= tol and len(history) <= max_newton:
+    while history[-1] >= tol and len(history) <= MAX_NEWTON:
         last = history[-1]
         m, jac = shot
         try:
@@ -312,10 +312,10 @@ def solve_connection(
     a0, lam = float(np.exp(p[0])), float(np.exp(p[1]))
     left = _shoot_left(a0, x_min, x_mid, ode_tol, dense_output=True)
     right = _shoot_right(lam, x_mid, x_max, rho_max, ode_tol, dense_output=True)
-    x = np.linspace(x_min, x_max, n_grid)
+    x = np.linspace(x_min, x_max, N_GRID)
     on_left = x <= x_mid
-    psi = np.empty(n_grid)
-    psi_x = np.empty(n_grid)
+    psi = np.empty(N_GRID)
+    psi_x = np.empty(N_GRID)
     psi[on_left], psi_x[on_left] = left.sol(x[on_left])[:2]
     psi[~on_left], psi_x[~on_left] = right.sol(x[~on_left])[:2]
     rho = np.exp(x)
@@ -340,8 +340,7 @@ def solve_connection(
         rho_max=rho_max,
         psi_x=psi_x,
         psi_xx=psi_xx,
-        series=series_coefficients(a0, n_series),
-        series_cut=series_cut,
+        series=series_coefficients(a0, N_SERIES),
         newton_history=tuple(history),
         reseeded=reseeded,
     )
@@ -385,7 +384,7 @@ def psi_eval(profile: PsiProfile, rho):
 
 
 def psi_log_derivatives(profile: PsiProfile, rho):
-    """(psi, psi_x, psi_xx) at full accuracy; series below ``series_cut``.
+    """(psi, psi_x, psi_xx) at full accuracy; series up to ``SERIES_CUT``.
 
     The series branch keeps residual-grade quantities division-safe: below the
     cut every returned value carries only series truncation error, so
@@ -397,7 +396,7 @@ def psi_log_derivatives(profile: PsiProfile, rho):
     psi = np.empty_like(rho_arr)
     psi_x = np.empty_like(rho_arr)
     psi_xx = np.empty_like(rho_arr)
-    lo = rho_arr <= profile.series_cut
+    lo = rho_arr <= SERIES_CUT
     hi = rho_arr > profile.rho_max
     mid = ~(lo | hi)
     if lo.any():

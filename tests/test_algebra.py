@@ -39,7 +39,7 @@ def test_commutator_antisymmetry_and_trace():
 
 
 def test_m_phi_zero_field():
-    zero = TracelessMatrix(0, 0, 0, role="higgs-coefficient")
+    zero = TracelessMatrix(0, 0, 0)
     gamma = T(HERMITIAN_BASIS[1])
     assert frobenius_norm(m_phi_apply(zero, gamma).matrix) == 0.0
 
@@ -48,7 +48,7 @@ def test_m_phi_hand_expanded_nilpotent():
     # phi = E12, gamma = i tau_1: expanding the two nested brackets by hand
     # gives [phi*, [phi, gamma]] = [phi, [phi*, gamma]] = 2 diag(-1, 1),
     # so the image is 8 diag(-1, 1) = 8 gamma.
-    phi = TracelessMatrix(0, 1, 0, role="higgs-coefficient")
+    phi = TracelessMatrix(0, 1, 0)
     gamma = T(HERMITIAN_BASIS[0])
     out = m_phi_apply(phi, gamma)
     assert np.allclose(out.matrix, np.array([[-8, 0], [0, 8]], dtype=complex))

@@ -53,10 +53,9 @@ def test_h_exponential_tail_bound(families):
         assert (np.abs(fam.h[sel]) <= bound).all()
 
 
-def test_hitchin_residual_finite_t(families):
+def test_family_residual_finite_t(families):
     for t in (1.0, 2.0, 4.0, 8.0):
-        pair = fd.make_disk_pair(families[t], n_theta=32)
-        assert fd.hitchin_residual(pair) < 1e-7
+        assert families[t].residual().max() < 1e-7
 
 
 def test_hitchin_residual_perturbed_negative_control(families, profile):
@@ -70,7 +69,24 @@ def test_hitchin_residual_perturbed_negative_control(families, profile):
 
 def test_limiting_pair_residuals():
     pair = fd.limiting_pair(n_theta=32)
-    assert fd.hitchin_residual(pair) < 1e-12
+    phi, alpha = pair.phi, pair.alpha
+    # Phi is normal: [Phi, Phi*] = 0
+    phis = np.conj(np.swapaxes(phi, -1, -2))
+    assert np.abs(phi @ phis - phis @ phi).max() < 1e-12
+    # dbar_A Phi = dbar Phi + [alpha, Phi] = 0 by the closed forms
+    # dbar r^(1/2) = e^(i theta) / (4 r^(1/2)) and
+    # dbar(r^(1/2) e^(i theta)) = -e^(2 i theta) / (4 r^(1/2)); the commutator
+    # has entries 2 alpha_11 Phi_12 and -2 alpha_11 Phi_21
+    e = np.exp(1j * pair.theta)[None, :]
+    sr = np.sqrt(pair.r)[:, None]
+    d12 = 0.25 * e / sr + 2.0 * alpha[..., 0, 0] * phi[..., 0, 1]
+    d21 = -0.25 * e * e / sr - 2.0 * alpha[..., 0, 0] * phi[..., 1, 0]
+    assert max(np.abs(d12).max(), np.abs(d21).max()) < 1e-12
+
+
+def test_limiting_family_has_no_curvature_residual():
+    with pytest.raises(ValueError, match="t=inf"):
+        fd.limiting_family().residual()
 
 
 def test_det_phi_product(families):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -47,6 +49,26 @@ def test_orbit_finite_t_wrong_sign_control(families):
 
 def test_orbit_limiting():
     assert gg.verify_orbit_limiting(fd.default_grid(), n_theta=64) < 1e-8
+
+
+@pytest.mark.parametrize("n_theta", [64, 128])
+def test_orbit_limiting_is_the_singular_gauge_check(n_theta):
+    # the orbit gauge of the h = 0 family is exactly diag(|z|^-1/4, |z|^1/4),
+    # so the limiting check equals the explicit singular-gauge check bit for bit
+    r = fd.default_grid()
+    lim = fd.limiting_family(r)
+    g = gg.orbit_gauge(lim)
+    assert np.array_equal(g.u, -0.25 * np.log(r)) and np.array_equal(g.du, -0.25 / r)
+    sing = gg.DiagonalGauge(-0.25 * np.log(r), -0.25 / r)
+    moved = gg.apply_complex_gauge(gg.zero_pair(r, n_theta), sing)
+    explicit = gg.pair_discrepancy(moved, fd.limiting_pair(r, n_theta), (0.1, 1.0))
+    assert gg.verify_orbit_limiting(r, n_theta) == explicit
+    assert gg.verify_orbit_finite_t(math.inf, lim, n_theta, (0.1, 1.0)) == explicit
+
+
+def test_orbit_finite_t_rejects_mismatched_t(families):
+    with pytest.raises(ValueError, match="t=2 does not match"):
+        gg.verify_orbit_finite_t(2.0, families[1.0], n_theta=16)
 
 
 def test_gauge_right_action(families, rng):

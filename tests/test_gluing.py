@@ -26,7 +26,6 @@ def test_cutoff_shape_and_support():
     assert (chi[r <= 0.5] == 1.0).all()
     assert (chi[r >= cut.outer] == 0.0).all()
     assert (dchi[(r <= 0.5) | (r >= cut.outer)] == 0.0).all()
-    assert np.isinf(cut.smooth_order)
 
 
 def test_cutoff_derivatives_match_differences():

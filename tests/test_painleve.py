@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hitchinlab.painleve import (
+    SERIES_CUT,
     export_profile_csv,
     psi_eval,
     psi_log_derivatives,
@@ -138,7 +139,7 @@ def test_psi_eval_seam_continuity(profile):
                - profile.psi_x[-1]) < 1e-9
     # the residual-grade pipeline agrees with the interpolation pipeline
     # on both sides of the series cut
-    for rho in (profile.series_cut * 0.999, profile.series_cut * 1.001):
+    for rho in (SERIES_CUT * 0.999, SERIES_CUT * 1.001):
         psi_a, psi_x_a, _ = psi_log_derivatives(profile, rho)
         psi_b, dpsi_b = psi_eval(profile, rho)
         assert abs(psi_a[0] - psi_b) < 1e-9
