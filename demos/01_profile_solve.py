@@ -8,7 +8,8 @@ small-rho amplitude a0 and the tail amplitude lambda simultaneously.
 
 import numpy as np
 
-from hitchinlab import solve_connection, psi_eval, export_profile_csv
+from hitchinlab import solve_connection, export_profile_csv
+from hitchinlab.painleve import psi_log_derivatives
 
 profile = solve_connection()
 
@@ -18,12 +19,12 @@ print(f"  lambda  = {profile.lam:.12f}   (tail amplitude on K0)")
 print(f"  ODE residual (max over grid) = {profile.residual_max:.3e}")
 print(f"  matching mismatch at rho_mid = {profile.match_mismatch:.3e}")
 
-print("\nprofile samples")
-for rho in (1e-4, 1e-2, 0.1, 1.0, 5.0, 20.0, 40.0):
-    psi, dpsi = psi_eval(profile, rho)
-    print(f"  rho={rho:8.4g}  psi={psi:12.6e}  psi'={dpsi:12.5e}  eta={profile.eta(rho):.8f}")
+print("\nprofile samples (psi_x = rho psi', psi_xx = (rho d_rho)^2 psi)")
+rho = np.array([1e-4, 1e-2, 0.1, 1.0, 5.0, 20.0, 40.0])
+for r, psi, psi_x, psi_xx in zip(rho, *psi_log_derivatives(profile, rho)):
+    print(f"  rho={r:8.4g}  psi={psi:12.6e}  psi_x={psi_x:12.5e}  psi_xx={psi_xx:12.5e}")
 
-eta = profile.eta(profile.rho)
+eta = profile.eta
 print("\neta is nondecreasing:", bool((np.diff(eta) >= -1e-12).all()))
 print("eta(rho_max) - 1/8 =", float(eta[-1] - 0.125))
 

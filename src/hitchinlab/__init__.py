@@ -17,9 +17,7 @@ from .special import bessel_k0, bessel_k1
 from .painleve import (
     PsiProfile,
     series_coefficients,
-    small_rho_series,
     solve_connection,
-    psi_eval,
     export_profile_csv,
 )
 from .fiducial import (

@@ -146,7 +146,7 @@ def cmd_solve_psi(config: RunConfig) -> int:
         "lambda": profile.lam,
         "residual_max": profile.residual_max,
         "match_mismatch": profile.match_mismatch,
-        "eta_at_rho_max": float(profile.eta(profile.rho_max)),
+        "eta_at_rho_max": profile.eta[-1],
     })
     return EXIT_OK
 

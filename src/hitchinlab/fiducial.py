@@ -30,17 +30,17 @@ def _rho_of(t: float, r: np.ndarray) -> np.ndarray:
     return (8.0 / 3.0) * t * r ** 1.5
 
 
-def check_rho_range(t: float, profile: PsiProfile, r_edge: float = 1.0) -> None:
-    """Raise ValueError unless rho = (8/3) t r_edge^(3/2) is at most 2 rho_max.
+def check_rho_range(t: float, profile: PsiProfile) -> None:
+    """Raise ValueError unless rho = (8/3) t at the disk edge r = 1 is at
+    most 2 rho_max.
 
     This is the one validity range in t for every solve that reads the
-    profile on the disk: with the default rho_max = 40 it admits t <= 30 at
-    r_edge = 1.
+    profile on the disk: with the default rho_max = 40 it admits t <= 30.
     """
-    rho_edge = _rho_of(t, r_edge)
+    rho_edge = _rho_of(t, 1.0)
     if not rho_edge <= 2.0 * profile.rho_max:
         raise ValueError(
-            f"t={t:g}: rho={rho_edge:.3g} beyond profile range; choose grid and t consistently"
+            f"t={t:g}: rho={rho_edge:.3g} at r=1 beyond profile range"
         )
 
 
@@ -95,16 +95,16 @@ def build_family(t: float, profile: PsiProfile, grid: np.ndarray | None = None) 
     """h_t, r d_r h_t and (r d_r)^2 h_t at parameter t, by the profile's chain rule.
 
     h_t(r) = psi(rho) with rho = (8/3) t r^(3/2), so r d_r = (3/2) rho d_rho.
-    Raises ValueError when the rho range required by (t, grid) leaves the
-    profile's validity range on the large-rho side, with the message of
-    ``check_rho_range`` at the largest radius, which names t.
+    Raises ValueError, with the message of ``check_rho_range``, which names
+    t, when t is outside the validity range on the unit disk, whatever the
+    grid.
     """
     if not t > 0:
         raise ValueError("t must be positive")
     r = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if np.any(r <= 0) or np.any(np.diff(r) <= 0) or r[-1] > 1.0 + 1e-12:
         raise ValueError("grid must be strictly increasing in (0, 1]")
-    check_rho_range(t, profile, r[-1])
+    check_rho_range(t, profile)
     psi, psi_x, psi_xx = psi_log_derivatives(profile, _rho_of(t, r))
     return FiducialFamily(t=t, r=r, h=psi, r_dh=1.5 * psi_x, r_d2h=2.25 * psi_xx,
                           profile=profile)

@@ -82,10 +82,11 @@ class MatrixGauge:
 
 @dataclass(eq=False)
 class DiagonalGauge:
-    """g = diag(e^u, e^-u) for a real radial exponent sampled on the r grid."""
+    """g = diag(e^u, e^-u) for a real radial exponent u and its derivative
+    du = d_r u, both sampled on the r grid."""
 
     u: np.ndarray
-    du: np.ndarray | None = None
+    du: np.ndarray
 
     def as_matrix_gauge(self, r: np.ndarray, theta: np.ndarray) -> MatrixGauge:
         n_r, n_t = len(r), len(theta)
@@ -95,10 +96,9 @@ class DiagonalGauge:
         eu = np.exp(self.u)
         vals[..., 0, 0] = eu[:, None]
         vals[..., 1, 1] = (1.0 / eu)[:, None]
-        du = self.du if self.du is not None else np.gradient(self.u, r, edge_order=2)
         dr = np.zeros_like(vals)
-        dr[..., 0, 0] = (du * eu)[:, None]
-        dr[..., 1, 1] = (-du / eu)[:, None]
+        dr[..., 0, 0] = (self.du * eu)[:, None]
+        dr[..., 1, 1] = (-self.du / eu)[:, None]
         return MatrixGauge(vals, dr)
 
 

@@ -127,7 +127,10 @@ def _glued_on_grid(t: float, profile: PsiProfile, cutoff: CutoffProfile | None,
 def build_glued(t: float, family: FiducialFamily, cutoff: CutoffProfile | None = None,
                 n: int = 2000, r_min: float = 1e-3) -> GluedState:
     """Glued state at parameter t on a log-uniform grid over [r_min, 1],
-    from the profile the family was built from."""
+    from the profile the family was built from.  ``t`` must be the family's
+    own parameter; a mismatch raises ValueError."""
+    if t != family.t:
+        raise ValueError(f"t={t:g} does not match the family's t={family.t:g}")
     return _glued_on_grid(t, family.profile, cutoff, n, r_min)
 
 
@@ -155,7 +158,6 @@ class NewtonResult:
     c: float
     w: np.ndarray
     residual_history: list
-    hitchin_residual: float
     iterations: int
     sup_u: float
 
@@ -193,8 +195,8 @@ def newton_correct(state: GluedState, tol: float = 1e-10, max_iter: int = 30) ->
         sup = float(np.abs(res).max())
         history.append(sup)
         if sup < tol:
-            return NewtonResult(c=c, w=w, residual_history=history, hitchin_residual=sup,
-                                iterations=iteration, sup_u=float(np.abs(c + w).max()))
+            return NewtonResult(c=c, w=w, residual_history=history, iterations=iteration,
+                                sup_u=float(np.abs(c + w).max()))
         if iteration >= 2 and sup > 0.5 * history[-2]:
             raise NumericalError(
                 f"t={t:g}: Newton stalled at residual {sup:.3e}; history {history}"

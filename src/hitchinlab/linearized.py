@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NumericalError
-from .fiducial import build_family, check_rho_range
+from .fiducial import build_family
 from .painleve import PsiProfile
 
 DEFAULT_N = 2000
@@ -200,14 +200,14 @@ def assemble_scalar(ell: int, n: int = DEFAULT_N, r_min: float = DEFAULT_R_MIN,
 
 
 def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
-                            grid: RadialGrid, neumann_outer: bool = False) -> RadialOperator:
+                            grid: RadialGrid) -> RadialOperator:
     """Scalar block on the diagonal subbundle: potential 16 t^2 r cosh(2h).
 
-    ``h_values`` must be sampled on ``grid`` (plus the boundary node for
-    Neumann assemblies).  The ell = 0 instance is the linearization of the
-    radial scalar reduction used by the Newton correction.
+    ``h_values`` must be sampled on ``grid``.  The ell = 0 instance is the
+    linearization of the radial scalar reduction used by the Newton
+    correction.
     """
-    r = _nodes(grid, neumann_outer)
+    r = grid.r
     if len(h_values) != len(r):
         raise ValueError("h samples do not match the grid")
     pot = ell ** 2 / r ** 2 + 16.0 * t * t * r * np.cosh(2.0 * h_values)
@@ -345,11 +345,10 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600,
     The H2 surrogate composes the discrete flat Laplacian with each block
     inverse.  ``kappa_hat`` is the empirical potential floor divided by ell^2,
     minimized over ell >= 2.  A t outside the profile's validity range on
-    the unit disk raises ValueError, as ``build_family`` does.
+    the unit disk raises ValueError from ``build_family``.
     """
     if ell_max < 8:
         raise ValueError("ell_max must be at least 8")
-    check_rho_range(t, profile)
     grid = RadialGrid(n, r_min)
     fam = build_family(t, profile, grid.r)
     r, f, h = fam.r, fam.f, fam.h

@@ -13,10 +13,12 @@ shots build no dense output, and one final dense pair samples the profile
 grid.
 
 Everything downstream (the fiducial family, the linearized blocks, the glued
-approximate solutions) evaluates psi and its first two log-derivatives through
-the PsiProfile returned here.  Below ``SERIES_CUT`` those evaluations use the
-small-rho series directly, which keeps the residual of derived quantities at
-truncation level even after division by r^2.
+approximate solutions) reads psi and its first two log-derivatives through
+one evaluator, ``psi_log_derivatives``, on the PsiProfile returned here.  It
+uses the small-rho series at and below ``SERIES_CUT`` and everywhere below
+the grid, which keeps the residual of derived quantities at truncation level
+even after division by r^2; interpolation of the ODE samples on the grid; and
+the lambda*K0 tail up to 2 rho_max.
 """
 
 from __future__ import annotations
@@ -87,57 +89,48 @@ def _series_eval(coeffs: np.ndarray, rho):
     return psi, psi_x, psi_xx
 
 
-def small_rho_series(a0: float, n_terms: int, rho: float, trunc_tol: float = 1e-10):
-    """(psi, psi') from the truncated small-rho expansion.
-
-    Refuses when the last retained term exceeds ``trunc_tol`` relative to the
-    series sum; the caller must then shrink rho (or raise n_terms).
-    """
-    coeffs = series_coefficients(a0, n_terms)
-    s = float(rho) ** (4.0 / 3.0)
-    v = np.polynomial.polynomial.polyval(s, coeffs)
-    last = abs(coeffs[-1]) * s ** (n_terms - 1)
-    if last > trunc_tol * abs(v):
-        raise ValueError(
-            f"series truncation estimate {last / abs(v):.2e} above tolerance at rho={rho}"
-        )
-    psi, psi_x, _ = _series_eval(coeffs, rho)
-    return float(psi), float(psi_x) / float(rho)
-
-
 @dataclass(eq=False)
 class PsiProfile:
     """Solved profile on a log-spaced grid with endpoint expansion data.
 
-    ``rho`` is strictly increasing (uniform in log), ``psi`` positive and
-    strictly decreasing, ``dpsi`` = psi'(rho) negative.  ``a0`` and ``lam``
-    are the fitted small-rho coefficient and tail amplitude; ``residual_max``
-    is the interior max of |psi_xx - (1/2) rho^2 sinh(2 psi)| with psi_xx
-    from fourth-order differences of the psi_x data.  ``newton_history`` is
-    the max-norm matching mismatch of each accepted Newton iterate, starting
-    with the initial shot; ``reseeded`` says whether the coarse sweep had to
-    supply the seed.
+    ``rho`` is strictly increasing (uniform in x = log rho), ``psi`` positive
+    and strictly decreasing, ``psi_x`` = rho psi'(rho) negative, and
+    ``psi_xx`` its fourth-order x-difference.  ``series`` holds the small-rho
+    coefficients of ``series_coefficients(a0, N_SERIES)``.  ``a0`` and
+    ``lam`` are the fitted small-rho coefficient and tail amplitude;
+    ``residual_max`` is the max of |psi_xx - (1/2) rho^2 sinh(2 psi)| over
+    the grid.  ``newton_history`` is the max-norm matching mismatch of each
+    accepted Newton iterate, starting with the initial shot; ``reseeded``
+    says whether the coarse sweep had to supply the seed.
     """
 
     rho: np.ndarray
     psi: np.ndarray
-    dpsi: np.ndarray
     a0: float
     lam: float
     residual_max: float
     match_mismatch: float
-    rho_min: float
-    rho_mid: float
     rho_max: float
-    psi_x: np.ndarray = field(repr=False, default=None)
-    psi_xx: np.ndarray = field(repr=False, default=None)
-    series: np.ndarray = field(repr=False, default=None)
+    psi_x: np.ndarray = field(repr=False)
+    psi_xx: np.ndarray = field(repr=False)
+    series: np.ndarray = field(repr=False)
     newton_history: tuple = ()
     reseeded: bool = False
 
     @property
     def x(self) -> np.ndarray:
         return np.log(self.rho)
+
+    @property
+    def dpsi(self) -> np.ndarray:
+        """psi'(rho) on the grid."""
+        return self.psi_x / self.rho
+
+    @property
+    def eta(self) -> np.ndarray:
+        """eta = 1/8 + (3/8) rho psi'(rho) on the grid; in [0, 1/8],
+        nondecreasing."""
+        return 0.125 + 0.375 * self.psi_x
 
     @cached_property
     def _interp_psi(self):
@@ -150,11 +143,6 @@ class PsiProfile:
     @cached_property
     def _interp_psi_xx(self):
         return CubicSpline(self.x, self.psi_xx)
-
-    def eta(self, rho) -> np.ndarray:
-        """eta(rho) = 1/8 + (3/8) rho psi'(rho); in [0, 1/8], nondecreasing."""
-        psi, dpsi = psi_eval(self, rho)
-        return 0.125 + 0.375 * np.asarray(rho) * dpsi
 
 
 def _fd4_derivative(y: np.ndarray, h: float) -> np.ndarray:
@@ -330,13 +318,10 @@ def solve_connection(
     return PsiProfile(
         rho=rho,
         psi=psi,
-        dpsi=psi_x / rho,
         a0=a0,
         lam=lam,
         residual_max=float(residual.max()),
         match_mismatch=float(last),
-        rho_min=rho_min,
-        rho_mid=rho_mid,
         rho_max=rho_max,
         psi_x=psi_x,
         psi_xx=psi_xx,
@@ -346,57 +331,25 @@ def solve_connection(
     )
 
 
-def _in_range(profile: PsiProfile, rho) -> np.ndarray:
-    """rho as a 1-d float array; raises outside the extended range (0, 2 rho_max]."""
+def psi_log_derivatives(profile: PsiProfile, rho):
+    """(psi, psi_x, psi_xx) at rho, x = log rho: the one evaluator of psi.
+
+    Up to ``SERIES_CUT``, and at every rho below the grid, the small-rho
+    series; on the grid, interpolation of the ODE samples, which reproduces
+    the nodes above the cut exactly; above rho_max, the lambda*K0 tail.  The
+    series branch keeps residual-grade quantities division-safe: there every
+    returned value carries only series truncation error, so combinations
+    like psi_xx - (1/2) rho^2 sinh(2 psi) vanish to ~1e-15 even after
+    amplification by 1/r^2 in radial coordinates.  Raises ValueError for
+    rho outside (0, 2 rho_max].
+    """
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
     if not np.all((rho_arr > 0) & (rho_arr <= 2.0 * profile.rho_max)):
         raise ValueError("rho outside the profile's extended range")
-    return rho_arr
-
-
-def psi_eval(profile: PsiProfile, rho):
-    """(psi, psi') at rho; grid interpolation inside, expansions outside.
-
-    Monotone cubic interpolation reproduces grid nodes exactly; rho below the
-    grid uses the small-rho series (uniformly valid toward 0), rho above uses
-    the lambda*K0 tail up to 2*rho_max.
-    """
-    scalar = np.ndim(rho) == 0
-    rho_arr = _in_range(profile, rho)
-    psi = np.empty_like(rho_arr)
-    dpsi = np.empty_like(rho_arr)
-    lo = rho_arr < profile.rho_min
-    hi = rho_arr > profile.rho_max
-    mid = ~(lo | hi)
-    if lo.any():
-        p, px, _ = _series_eval(profile.series, rho_arr[lo])
-        psi[lo], dpsi[lo] = p, px / rho_arr[lo]
-    if mid.any():
-        xm = np.log(rho_arr[mid])
-        psi[mid] = profile._interp_psi(xm)
-        dpsi[mid] = profile._interp_psi_x(xm) / rho_arr[mid]
-    if hi.any():
-        psi[hi] = profile.lam * bessel_k0(rho_arr[hi])
-        dpsi[hi] = -profile.lam * bessel_k1(rho_arr[hi])
-    if scalar:
-        return float(psi[0]), float(dpsi[0])
-    return psi, dpsi
-
-
-def psi_log_derivatives(profile: PsiProfile, rho):
-    """(psi, psi_x, psi_xx) at full accuracy; series up to ``SERIES_CUT``.
-
-    The series branch keeps residual-grade quantities division-safe: below the
-    cut every returned value carries only series truncation error, so
-    combinations like psi_xx - (1/2) rho^2 sinh(2 psi) vanish to ~1e-15 even
-    after amplification by 1/r^2 in radial coordinates.  Like ``psi_eval``,
-    it raises ValueError for rho outside (0, 2 rho_max].
-    """
-    rho_arr = _in_range(profile, rho)
     psi = np.empty_like(rho_arr)
     psi_x = np.empty_like(rho_arr)
     psi_xx = np.empty_like(rho_arr)
-    lo = rho_arr <= SERIES_CUT
+    lo = (rho_arr <= SERIES_CUT) | (rho_arr < profile.rho[0])
     hi = rho_arr > profile.rho_max
     mid = ~(lo | hi)
     if lo.any():
@@ -417,8 +370,7 @@ def psi_log_derivatives(profile: PsiProfile, rho):
 
 def export_profile_csv(profile: PsiProfile, path) -> None:
     """Write rho, psi, dpsi, eta columns with 17 significant digits."""
-    eta = 0.125 + 0.375 * profile.psi_x
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("rho,psi,dpsi,eta\n")
-        for row in zip(profile.rho, profile.psi, profile.dpsi, eta):
+        for row in zip(profile.rho, profile.psi, profile.dpsi, profile.eta):
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")

@@ -72,6 +72,17 @@ def test_spectrum_and_fiducial_share_t_range(tmp_path, capsys):
     assert run(["fiducial", "--t", "40", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["fiducial", "glue", "spectrum"])
+def test_t_range_ends_at_30(tmp_path, capsys, command):
+    # rho = (8/3) t at the disk edge r = 1 may reach 2 rho_max = 80: t <= 30
+    assert run([command, "--t", "30.1", "--lmax", "8", "--out", str(tmp_path)]) == 2
+    assert "t=30.1" in capsys.readouterr().err
+
+
+def test_glue_at_t_30_exits_zero(tmp_path):
+    assert run(["glue", "--t", "30", "--out", str(tmp_path)]) == 0
+
+
 def test_glue_failure_names_t(tmp_path, capsys):
     # a tolerance below the float64 residual floor (~1e-12) makes Newton fail;
     # the message must say where

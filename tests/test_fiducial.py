@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from hitchinlab import fiducial as fd
-from hitchinlab.painleve import psi_eval
+from hitchinlab.painleve import psi_log_derivatives
 
 
 def test_family_matches_profile_pointwise(profile, families):
     fam = families[2.0]
     rho = (8.0 / 3.0) * 2.0 * fam.r ** 1.5
-    psi, dpsi = psi_eval(profile, rho)
+    psi, psi_x, _ = psi_log_derivatives(profile, rho)
+    dpsi = psi_x / rho
     assert np.abs(fam.h - psi).max() < 1e-9
     assert np.abs(fam.f - (0.125 + 0.25 * fam.r * dpsi * (8.0 / 3.0) * 2.0 * 1.5 * np.sqrt(fam.r))).max() < 1e-9
 
@@ -166,6 +167,9 @@ def test_build_family_domain_checks(profile):
         fd.build_family(-1.0, profile)
     with pytest.raises(ValueError):
         fd.build_family(40.0, profile)  # rho(1) = 106 > 2 rho_max
+    # the range is checked at the disk edge, not at the grid's last node
+    with pytest.raises(ValueError, match="t=30.1"):
+        fd.build_family(30.1, profile, np.geomspace(1e-3, 0.5, 50))
 
 
 def test_exports(families, tmp_path):

@@ -6,11 +6,10 @@ from scipy.integrate import solve_ivp
 
 from hitchinlab.painleve import (
     SERIES_CUT,
+    _series_eval,
     export_profile_csv,
-    psi_eval,
     psi_log_derivatives,
     series_coefficients,
-    small_rho_series,
     solve_connection,
 )
 from hitchinlab.special import bessel_k0, bessel_k1
@@ -49,17 +48,13 @@ def test_series_recursion_against_symbolic_substitution():
 def test_small_rho_series_leading_order():
     a0 = 1.3
     rho = 1e-5
-    psi, dpsi = small_rho_series(a0, 3, rho)
+    psi, psi_x, _ = _series_eval(series_coefficients(a0, 3), rho)
     lead = -math.log(rho) / 3.0 - math.log(a0)
     assert abs(psi - lead) < 1e-5
+    assert abs(psi_x + 1.0 / 3.0) < 1e-5
     # a0 scaling shifts psi by -d log a0 at leading order
-    psi2, _ = small_rho_series(2.0 * a0, 3, rho)
+    psi2, _, _ = _series_eval(series_coefficients(2.0 * a0, 3), rho)
     assert abs((psi2 - psi) + math.log(2.0)) < 1e-5
-
-
-def test_small_rho_series_refuses_large_rho():
-    with pytest.raises(ValueError):
-        small_rho_series(1.0, 3, 5.0, trunc_tol=1e-10)
 
 
 def test_profile_invariants(profile):
@@ -67,14 +62,14 @@ def test_profile_invariants(profile):
     assert (profile.psi > 0).all()
     assert (np.diff(profile.psi) < 0).all()
     assert (profile.dpsi < 0).all()
-    eta = 0.125 + 0.375 * profile.psi_x
+    eta = profile.eta
     assert (eta >= -1e-15).all() and (eta <= 0.125 + 1e-15).all()
     assert (np.diff(eta) >= -1e-12).all()
-    assert abs(profile.eta(profile.rho_max) - 0.125) < 1e-6
+    assert abs(eta[-1] - 0.125) < 1e-6
 
 
 def test_eta_power_boundedness(profile):
-    eta = 0.125 + 0.375 * profile.psi_x
+    eta = profile.eta
     # eta/rho^(4/3) tends to a positive constant at 0 and decays at infinity
     ratio43 = eta / profile.rho ** (4.0 / 3.0)
     assert ratio43.max() < 10.0 * ratio43[0]
@@ -100,50 +95,72 @@ def test_connection_constants_stable_under_refinement(profile):
 
 
 def test_psi_eval_reproduces_grid_nodes(profile):
-    idx = [0, 1000, 4096, 8000]
-    psi, dpsi = psi_eval(profile, profile.rho[idx])
-    assert np.array_equal(psi, profile.psi[idx])
-    assert np.array_equal(dpsi, profile.dpsi[idx])
+    # above the series cut the evaluator interpolates the ODE samples and
+    # returns every node's stored psi, psi_x and psi_xx bit for bit
+    above = profile.rho > SERIES_CUT
+    got = psi_log_derivatives(profile, profile.rho[above])
+    stored = (profile.psi, profile.psi_x, profile.psi_xx)
+    for value, samples in zip(got, stored):
+        assert np.array_equal(value, samples[above])
+
+
+def test_series_branch_matches_grid_nodes(profile):
+    # at and below the cut the series, not the samples, is returned; it agrees
+    # with every stored ODE sample there
+    below = profile.rho <= SERIES_CUT
+    got = psi_log_derivatives(profile, profile.rho[below])
+    stored = (profile.psi, profile.psi_x, profile.psi_xx)
+    for value, samples in zip(got, stored):
+        assert np.abs(value - samples[below]).max() < 1e-9
+
+
+def test_series_branch_below_grid(profile):
+    # a grid that starts above the cut leaves (0, rho_min) to the series, not
+    # to extrapolated interpolants; the series there meets the default
+    # profile's ODE samples
+    coarse = solve_connection(rho_min=0.3)
+    for rho in (0.12, 0.2):
+        got = psi_log_derivatives(coarse, rho)
+        for value, series in zip(got, _series_eval(coarse.series, rho)):
+            assert value[0] == series
+        i = int(np.argmin(np.abs(profile.rho - rho)))
+        _, psi_x, _ = psi_log_derivatives(coarse, profile.rho[i])
+        assert abs(psi_x[0] - profile.psi_x[i]) < 1e-4
 
 
 def test_psi_eval_tail_is_k0(profile):
     rho = 55.0
-    psi, dpsi = psi_eval(profile, rho)
-    assert psi == profile.lam * bessel_k0(rho)
-    assert dpsi == -profile.lam * bessel_k1(rho)
+    psi, psi_x, _ = psi_log_derivatives(profile, rho)
+    assert psi[0] == profile.lam * bessel_k0(rho)
+    assert psi_x[0] == -profile.lam * rho * bessel_k1(rho)
 
 
 def test_psi_eval_domain(profile):
-    # both evaluators accept exactly (0, 2 rho_max]
-    for evaluate in (psi_eval, psi_log_derivatives):
-        for rho in (0.0, 2.0 * profile.rho_max + 1.0):
-            with pytest.raises(ValueError, match="extended range"):
-                evaluate(profile, rho)
+    # the evaluator accepts exactly (0, 2 rho_max]
+    for rho in (0.0, 2.0 * profile.rho_max + 1.0):
+        with pytest.raises(ValueError, match="extended range"):
+            psi_log_derivatives(profile, rho)
     psi, _, _ = psi_log_derivatives(profile, 2.0 * profile.rho_max)
     assert psi[0] == profile.lam * bessel_k0(2.0 * profile.rho_max)
-    # below rho_min the series extension applies
-    psi, _ = psi_eval(profile, profile.rho_min / 4.0)
-    assert psi > 0
+    # below the grid the series extension applies
+    psi, _, _ = psi_log_derivatives(profile, profile.rho[0] / 4.0)
+    assert psi[0] > 0
 
 
 def test_psi_eval_seam_continuity(profile):
-    from hitchinlab.painleve import _series_eval
-
-    # series representation against the stored node at the inner seam
-    psi_s, psi_x_s, _ = _series_eval(profile.series, profile.rho_min)
+    # series representation against the stored node at the inner end
+    psi_s, psi_x_s, _ = _series_eval(profile.series, profile.rho[0])
     assert abs(psi_s - profile.psi[0]) < 1e-9
     assert abs(psi_x_s - profile.psi_x[0]) < 1e-9
     # tail representation against the stored node at the outer seam
     assert abs(profile.lam * bessel_k0(profile.rho_max) - profile.psi[-1]) < 1e-9
     assert abs(-profile.lam * profile.rho_max * bessel_k1(profile.rho_max)
                - profile.psi_x[-1]) < 1e-9
-    # the residual-grade pipeline agrees with the interpolation pipeline
-    # on both sides of the series cut
-    for rho in (SERIES_CUT * 0.999, SERIES_CUT * 1.001):
-        psi_a, psi_x_a, _ = psi_log_derivatives(profile, rho)
-        psi_b, dpsi_b = psi_eval(profile, rho)
-        assert abs(psi_a[0] - psi_b) < 1e-9
-        assert abs(psi_x_a[0] - dpsi_b * rho) < 1e-9
+    # the series branch at the cut meets the interpolation branch just above it
+    at_cut = psi_log_derivatives(profile, SERIES_CUT)
+    above = psi_log_derivatives(profile, np.nextafter(SERIES_CUT, 1.0))
+    for a, b in zip(at_cut, above):
+        assert abs(a[0] - b[0]) < 1e-9
 
 
 def test_psi_eval_matches_local_reintegration(profile):
@@ -156,18 +173,18 @@ def test_psi_eval_matches_local_reintegration(profile):
         (x0, xm), (profile.psi[i], profile.psi_x[i]),
         method="DOP853", rtol=1e-12, atol=1e-14,
     )
-    psi_mid, dpsi_mid = psi_eval(profile, np.exp(xm))
-    assert abs(sol.y[0, -1] - psi_mid) < 1e-8
-    assert abs(sol.y[1, -1] - dpsi_mid * np.exp(xm)) < 1e-8
+    psi_mid, psi_x_mid, _ = psi_log_derivatives(profile, np.exp(xm))
+    assert abs(sol.y[0, -1] - psi_mid[0]) < 1e-8
+    assert abs(sol.y[1, -1] - psi_x_mid[0]) < 1e-8
 
 
 def test_equation_odd_symmetry(profile):
     # integrating from flipped data produces the flipped solution
     x0, x1 = 0.0, 0.5
-    y0 = psi_eval(profile, 1.0)
+    y0 = [v[0] for v in psi_log_derivatives(profile, 1.0)]
     base = solve_ivp(
         lambda x, y: (y[1], 0.5 * np.exp(2 * x) * np.sinh(2 * y[0])),
-        (x0, x1), (y0[0], y0[1] * 1.0), method="DOP853", rtol=1e-12, atol=1e-14,
+        (x0, x1), (y0[0], y0[1]), method="DOP853", rtol=1e-12, atol=1e-14,
     )
     flipped = solve_ivp(
         lambda x, y: (y[1], 0.5 * np.exp(2 * x) * np.sinh(2 * y[0])),
@@ -186,9 +203,8 @@ def test_solver_input_validation():
 def test_nan_inputs_rejected(profile):
     with pytest.raises(ValueError, match="tol"):
         solve_connection(tol=float("nan"))
-    for evaluate in (psi_eval, psi_log_derivatives):
-        with pytest.raises(ValueError, match="extended range"):
-            evaluate(profile, np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="extended range"):
+        psi_log_derivatives(profile, np.array([1.0, np.nan]))
 
 
 def test_export_csv_roundtrip(profile, tmp_path):
