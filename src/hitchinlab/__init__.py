@@ -32,9 +32,9 @@ from .fiducial import (
     convergence_rate,
 )
 from .gauge import (
-    DiagonalGauge,
-    StabilizerGauge,
     MatrixGauge,
+    diagonal_gauge,
+    stabilizer_gauge,
     apply_complex_gauge,
     verify_orbit_finite_t,
     verify_orbit_limiting,

@@ -107,18 +107,19 @@ def m_phi_matrix(phi: TracelessMatrix) -> np.ndarray:
     return np.array(cols).T
 
 
-def m_phi_kernel_dim(phi: TracelessMatrix, tol: float = 1e-9) -> int:
-    """Kernel dimension of the 3x3 operator matrix.
+def m_phi_kernel_dim(phi: TracelessMatrix) -> int:
+    """Kernel dimension of the 3x3 operator matrix, counting eigenvalues
+    below 1e-9 relative to the largest.
 
     Equals 0 when [phi, phi*] != 0, 1 for nonzero normal phi, 3 for phi = 0.
     """
     m = m_phi_matrix(phi)
     w = np.linalg.eigvalsh(0.5 * (m + m.T))
     scale = max(1.0, float(np.max(np.abs(w))))
-    return int(np.sum(np.abs(w) < tol * scale))
+    return int(np.sum(np.abs(w) < 1e-9 * scale))
 
 
-def normal_form_at_zero(phi_fn, b_tol: float = 1e-12):
+def normal_form_at_zero(phi_fn):
     """Gauge function for off-diagonalizing near a simple determinant zero.
 
     ``phi_fn`` maps a complex coordinate z to a 2x2 trace-free matrix
@@ -126,12 +127,13 @@ def normal_form_at_zero(phi_fn, b_tol: float = 1e-12):
     the unimodular gauge g(z) = (1/sqrt(b)) [[b, 0], [-a, 1]]; conjugation
     g(z)^-1 phi(z) g(z) yields [[0, 1], [q(z), 0]] with q = -det(phi).
 
-    Raises ValueError when b(0) vanishes: the zero is not in the assumed
-    position and the caller must first apply a constant conjugation.
+    Raises ValueError when b(0) vanishes (|b(0)| at most 1e-12 relative to
+    phi(0)): the zero is not in the assumed position and the caller must
+    first apply a constant conjugation.
     """
     m0 = np.asarray(phi_fn(0.0), dtype=complex)
     scale = max(1.0, frobenius_norm(m0))
-    if abs(m0[0, 1]) <= b_tol * scale:
+    if abs(m0[0, 1]) <= 1e-12 * scale:
         raise ValueError("b(0) = 0 after normalization; apply a constant conjugation first")
 
     def gauge(z):

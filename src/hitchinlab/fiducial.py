@@ -21,9 +21,9 @@ DEFAULT_GRID_N = 400
 DEFAULT_R_MIN = 1e-3
 
 
-def default_grid(n: int = DEFAULT_GRID_N, r_min: float = DEFAULT_R_MIN) -> np.ndarray:
-    """Geometric radial grid on [r_min, 1]."""
-    return np.geomspace(r_min, 1.0, n)
+def default_grid() -> np.ndarray:
+    """Geometric radial grid of DEFAULT_GRID_N nodes on [DEFAULT_R_MIN, 1]."""
+    return np.geomspace(DEFAULT_R_MIN, 1.0, DEFAULT_GRID_N)
 
 
 def _rho_of(t: float, r: np.ndarray) -> np.ndarray:
@@ -35,7 +35,7 @@ def check_rho_range(t: float, profile: PsiProfile) -> None:
     most 2 rho_max.
 
     This is the one validity range in t for every solve that reads the
-    profile on the disk: with the default rho_max = 40 it admits t <= 30.
+    profile on the disk: with rho_max = 40 it admits t <= 30.
     """
     rho_edge = _rho_of(t, 1.0)
     if not rho_edge <= 2.0 * profile.rho_max:
@@ -159,12 +159,12 @@ def limiting_pair(r: np.ndarray | None = None, n_theta: int = 256) -> DiskPair:
     return make_disk_pair(limiting_family(r), n_theta)
 
 
-def fitted_log_offset(family: FiducialFamily, n_points: int = 8) -> float:
+def fitted_log_offset(family: FiducialFamily) -> float:
     """Numerical constant b0 in h ~ -(1/2) log r + b0 near the origin.
 
-    Fitted from the innermost grid points; no closed form is asserted.
+    Fitted from the 8 innermost grid points; no closed form is asserted.
     """
-    probe = family.h[:n_points] + 0.5 * np.log(family.r[:n_points])
+    probe = family.h[:8] + 0.5 * np.log(family.r[:8])
     return float(np.mean(probe))
 
 
@@ -187,9 +187,8 @@ def phi_sup_bound(family: FiducialFamily) -> float:
     return float(np.sqrt(2.0 * family.r * np.cosh(2.0 * family.h)).max())
 
 
-def convergence_rate(profile: PsiProfile, t_list, r0: float,
-                     grid: np.ndarray | None = None):
-    """Fit log sup_{r >= r0} (|f - 1/8| + |h|) against t.
+def convergence_rate(profile: PsiProfile, t_list, r0: float):
+    """Fit log sup_{r >= r0} (|f - 1/8| + |h|) against t on the default grid.
 
     Returns (delta_hat, r_squared, intercept) where the fitted slope is
     -delta_hat.  Requires at least three t values.
@@ -199,7 +198,7 @@ def convergence_rate(profile: PsiProfile, t_list, r0: float,
         raise ValueError("need at least 3 values of t for the decay fit")
     norms = []
     for t in t_list:
-        fam = build_family(t, profile, grid)
+        fam = build_family(t, profile)
         sel = fam.r >= r0
         norms.append(float((np.abs(fam.f[sel] - 0.125) + np.abs(fam.h[sel])).max()))
     delta, intercept, r2 = decay_fit(t_list, norms)

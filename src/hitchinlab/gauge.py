@@ -3,10 +3,14 @@
 Connections are carried by the dzbar-coefficient matrix alpha of their
 (0,1)-part; the unitary connection attached to a transformed Dolbeault
 operator is recovered from the fixed Hermitian metric, so the action on pairs
-is alpha -> g^-1 alpha g + g^-1 dbar(g), phi -> g^-1 phi g.  Angular
-derivatives are spectral (entries of every gauge used here are trigonometric
-polynomials in theta); radial derivatives use caller-provided exact data when
-available and finite differences otherwise.
+is alpha -> g^-1 alpha g + g^-1 dbar(g), phi -> g^-1 phi g.  Every gauge is a
+``MatrixGauge`` that always carries its exact radial derivative;
+``diagonal_gauge`` and ``stabilizer_gauge`` build them from radial data.
+Angular derivatives are spectral (entries of every gauge used here are
+trigonometric polynomials in theta).  Finite differences in r remain only for
+fields without an exact derivative: the connection in ``curvature_rtheta``
+and the metric g g* in ``curvature_formula_rtheta``.  The one complex
+derivative is ``dbar_of``; d_z X = conj(dbar conj X).
 """
 
 from __future__ import annotations
@@ -67,78 +71,51 @@ def radial_derivative(values: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class MatrixGauge:
-    """Gauge sampled on a polar grid, optionally with exact radial derivative."""
+    """Gauge sampled on a polar grid, with its exact radial derivative."""
 
     values: np.ndarray          # (n_r, n_theta, 2, 2)
-    dr: np.ndarray | None = field(default=None, repr=False)
+    dr: np.ndarray = field(repr=False)
 
     def compose(self, other: "MatrixGauge") -> "MatrixGauge":
-        vals = _mul2(self.values, other.values)
-        dr = None
-        if self.dr is not None and other.dr is not None:
-            dr = _mul2(self.dr, other.values) + _mul2(self.values, other.dr)
-        return MatrixGauge(vals, dr)
+        return MatrixGauge(_mul2(self.values, other.values),
+                           _mul2(self.dr, other.values) + _mul2(self.values, other.dr))
 
 
-@dataclass(eq=False)
-class DiagonalGauge:
+def diagonal_gauge(u: np.ndarray, du: np.ndarray, theta: np.ndarray) -> MatrixGauge:
     """g = diag(e^u, e^-u) for a real radial exponent u and its derivative
     du = d_r u, both sampled on the r grid."""
-
-    u: np.ndarray
-    du: np.ndarray
-
-    def as_matrix_gauge(self, r: np.ndarray, theta: np.ndarray) -> MatrixGauge:
-        n_r, n_t = len(r), len(theta)
-        if len(self.u) != n_r:
-            raise ValueError("exponent samples do not match the radial grid")
-        vals = np.zeros((n_r, n_t, 2, 2), dtype=complex)
-        eu = np.exp(self.u)
-        vals[..., 0, 0] = eu[:, None]
-        vals[..., 1, 1] = (1.0 / eu)[:, None]
-        dr = np.zeros_like(vals)
-        dr[..., 0, 0] = (self.du * eu)[:, None]
-        dr[..., 1, 1] = (-self.du / eu)[:, None]
-        return MatrixGauge(vals, dr)
+    vals = np.zeros((len(u), len(theta), 2, 2), dtype=complex)
+    eu = np.exp(u)
+    vals[..., 0, 0] = eu[:, None]
+    vals[..., 1, 1] = (1.0 / eu)[:, None]
+    dr = np.zeros_like(vals)
+    dr[..., 0, 0] = (du * eu)[:, None]
+    dr[..., 1, 1] = (-du / eu)[:, None]
+    return MatrixGauge(vals, dr)
 
 
-@dataclass(eq=False)
-class StabilizerGauge:
+def stabilizer_gauge(mu: np.ndarray, dmu: np.ndarray, theta: np.ndarray) -> MatrixGauge:
     """Gauge exp(gamma_mu) in the stabilizer of the limiting field.
 
-    ``mu`` is sampled on the (r, theta) grid.  Writing w = e^{i theta/2} mu,
-    the matrix is [[cosh w, e^{-i theta/2} sinh w], [e^{i theta/2} sinh w,
-    cosh w]]; both entries are single-valued (only integer theta-modes occur).
-    The gauge is unitary exactly when e^{i theta} mu + conj(mu) = 0.
+    ``mu`` and ``dmu = d_r mu`` are sampled on the (r, theta) grid.  Writing
+    w = e^{i theta/2} mu, the matrix is [[cosh w, e^{-i theta/2} sinh w],
+    [e^{i theta/2} sinh w, cosh w]]; both entries are single-valued (only
+    integer theta-modes occur).  The gauge is unitary exactly when
+    e^{i theta} mu + conj(mu) = 0.
     """
-
-    mu: np.ndarray              # (n_r, n_theta)
-    dmu: np.ndarray | None = field(default=None, repr=False)
-    unitary: bool = True
-
-    def as_matrix_gauge(self, r: np.ndarray, theta: np.ndarray) -> MatrixGauge:
-        half = np.exp(0.5j * theta)[None, :]
-        w = half * self.mu
-        vals = np.zeros((*self.mu.shape, 2, 2), dtype=complex)
-        vals[..., 0, 0] = np.cosh(w)
-        vals[..., 1, 1] = np.cosh(w)
-        vals[..., 0, 1] = np.sinh(w) / half
-        vals[..., 1, 0] = np.sinh(w) * half
-        dr = None
-        if self.dmu is not None:
-            dw = half * self.dmu
-            dr = np.zeros_like(vals)
-            dr[..., 0, 0] = np.sinh(w) * dw
-            dr[..., 1, 1] = dr[..., 0, 0]
-            dr[..., 0, 1] = np.cosh(w) * dw / half
-            dr[..., 1, 0] = np.cosh(w) * dw * half
-        return MatrixGauge(vals, dr)
-
-
-def _as_matrix_gauge(gauge, pair: DiskPair) -> MatrixGauge:
-    if isinstance(gauge, MatrixGauge):
-        return gauge
-    return gauge.as_matrix_gauge(pair.r, pair.theta)
+    half = np.exp(0.5j * theta)[None, :]
+    w, dw = half * mu, half * dmu
+    vals = np.zeros((*mu.shape, 2, 2), dtype=complex)
+    vals[..., 0, 0] = np.cosh(w)
+    vals[..., 1, 1] = np.cosh(w)
+    vals[..., 0, 1] = np.sinh(w) / half
+    vals[..., 1, 0] = np.sinh(w) * half
+    dr = np.zeros_like(vals)
+    dr[..., 0, 0] = np.sinh(w) * dw
+    dr[..., 1, 1] = dr[..., 0, 0]
+    dr[..., 0, 1] = np.cosh(w) * dw / half
+    dr[..., 1, 0] = np.cosh(w) * dw * half
+    return MatrixGauge(vals, dr)
 
 
 def _condition_numbers(g: np.ndarray) -> np.ndarray:
@@ -160,23 +137,14 @@ def dbar_of(values: np.ndarray, r: np.ndarray, theta: np.ndarray,
     return phase * (dr + 1j / r[:, None, None, None] * dth)
 
 
-def d_of(values: np.ndarray, r: np.ndarray, theta: np.ndarray,
-         dr: np.ndarray | None = None) -> np.ndarray:
-    """dz-derivative (1/2) e^{-i theta} (d_r - (i/r) d_theta) of samples."""
-    if dr is None:
-        dr = radial_derivative(values, r)
-    dth = spectral_dtheta(values, axis=1)
-    phase = 0.5 * np.exp(-1j * theta)[None, :, None, None]
-    return phase * (dr - 1j / r[:, None, None, None] * dth)
-
-
-def apply_complex_gauge(pair: DiskPair, gauge) -> DiskPair:
+def apply_complex_gauge(pair: DiskPair, g: MatrixGauge) -> DiskPair:
     """Transformed pair (A^g, Phi^g) on the same sample grid.
 
-    Raises ValueError when the gauge is numerically near singular (pointwise
-    condition number above 1e8).
+    Raises ValueError when the gauge is sampled on another grid, or is
+    numerically near singular (pointwise condition number above 1e8).
     """
-    g = _as_matrix_gauge(gauge, pair)
+    if g.values.shape != pair.phi.shape:
+        raise ValueError("gauge samples do not match the pair's grid")
     cond = _condition_numbers(g.values)
     if np.max(cond) > COND_LIMIT:
         raise ValueError(f"gauge near singular: condition number {np.max(cond):.3e}")
@@ -204,12 +172,12 @@ def pair_discrepancy(p1: DiskPair, p2: DiskPair, r_window=(0.0, np.inf)) -> floa
     return float(max(d_phi, d_alpha))
 
 
-def orbit_gauge(family: FiducialFamily) -> DiagonalGauge:
+def orbit_gauge(family: FiducialFamily, theta: np.ndarray) -> MatrixGauge:
     """diag(e^u, e^-u) with u = -(1/4) log r - (1/2) h_t and exact derivative;
     for the limiting family (h = 0) the singular gauge diag(|z|^-1/4, |z|^1/4)."""
     u = -0.25 * np.log(family.r) - 0.5 * family.h
     du = -0.25 / family.r - 0.5 * family.dh()
-    return DiagonalGauge(u, du)
+    return diagonal_gauge(u, du, theta)
 
 
 def verify_orbit_finite_t(t: float, family: FiducialFamily, n_theta: int = 128,
@@ -221,16 +189,15 @@ def verify_orbit_finite_t(t: float, family: FiducialFamily, n_theta: int = 128,
     if t != family.t:
         raise ValueError(f"t={t:g} does not match the family's t={family.t:g}")
     base = zero_pair(family.r, n_theta)
-    moved = apply_complex_gauge(base, orbit_gauge(family))
+    moved = apply_complex_gauge(base, orbit_gauge(family, base.theta))
     target = make_disk_pair(family, n_theta)
     return pair_discrepancy(moved, target, r_window)
 
 
-def verify_orbit_limiting(r: np.ndarray, n_theta: int = 128,
-                          r_window=(0.1, 1.0)) -> float:
-    """The same check for the limiting family, whose orbit gauge is the
-    singular gauge diag(|z|^-1/4, |z|^1/4)."""
-    return verify_orbit_finite_t(math.inf, limiting_family(r), n_theta, r_window)
+def verify_orbit_limiting(r: np.ndarray, n_theta: int = 128) -> float:
+    """The same check for the limiting family on r in [0.1, 1]; its orbit
+    gauge is the singular gauge diag(|z|^-1/4, |z|^1/4)."""
+    return verify_orbit_finite_t(math.inf, limiting_family(r), n_theta, (0.1, 1.0))
 
 
 def curvature_rtheta(pair: DiskPair) -> np.ndarray:
@@ -245,28 +212,18 @@ def curvature_rtheta(pair: DiskPair) -> np.ndarray:
     return d_r_ath - d_th_ar + _mul2(a_r, a_th) - _mul2(a_th, a_r)
 
 
-def curvature_perp(pair: DiskPair) -> np.ndarray:
-    f = curvature_rtheta(pair)
-    tr = f[..., 0, 0] + f[..., 1, 1]
-    out = f.copy()
-    out[..., 0, 0] -= 0.5 * tr
-    out[..., 1, 1] -= 0.5 * tr
-    return out
-
-
-def curvature_formula_rtheta(pair: DiskPair, gauge) -> np.ndarray:
+def curvature_formula_rtheta(pair: DiskPair, g: MatrixGauge) -> np.ndarray:
     """g^-1 (F_A + dbar_A(G d_A G^-1)) g in dr^dtheta components, G = g g*.
 
     Conjugation-rule counterpart of computing the curvature of the
     transformed pair directly; agreement is at discretization order.
     """
-    g = _as_matrix_gauge(gauge, pair)
     r, theta = pair.r, pair.theta
     big_g = _mul2(g.values, np.conj(np.swapaxes(g.values, -1, -2)))
     big_g_inv = _inv2(big_g)
     astar = np.conj(np.swapaxes(pair.alpha, -1, -2))
-    # d_A X = dX - [alpha*, X] against dz
-    dx = d_of(big_g_inv, r, theta)
+    # d_A X = dX - [alpha*, X] against dz, with d_z X = conj(dbar conj X)
+    dx = np.conj(dbar_of(np.conj(big_g_inv), r, theta))
     y = _mul2(big_g, dx - _mul2(astar, big_g_inv) + _mul2(big_g_inv, astar))
     # dbar_A Y = dbar Y + [alpha, Y] against dzbar^dz = 2 i r dr^dtheta
     z2 = dbar_of(y, r, theta) + _mul2(pair.alpha, y) - _mul2(y, pair.alpha)
@@ -289,10 +246,10 @@ def stabilizer_normalize(v_modes: np.ndarray, w_modes: np.ndarray, r: np.ndarray
     (n_r, n_modes) with mode indices ``ells``.  The two scalar equations
     d_r mu = -w and P mu = i v are compatible exactly when the flatness
     relation d_r v = i (l + 1/2) w holds; inputs violating it beyond ``tol``
-    are rejected.  Returns (StabilizerGauge, report).  The returned gauge is
-    flagged unitary only when e^{i theta} mu + conj(mu) = 0 holds, which the
-    construction guarantees for inputs satisfying the skew-Hermitian
-    condition on (v, w).
+    are rejected.  Returns (MatrixGauge, report): the ``stabilizer_gauge`` of
+    mu on a theta grid that resolves every mode.  The report flags it unitary
+    only when e^{i theta} mu + conj(mu) = 0 holds, which the construction
+    guarantees for inputs satisfying the skew-Hermitian condition on (v, w).
     """
     v_modes = np.asarray(v_modes, dtype=complex)
     w_modes = np.asarray(w_modes, dtype=complex)
@@ -301,7 +258,7 @@ def stabilizer_normalize(v_modes: np.ndarray, w_modes: np.ndarray, r: np.ndarray
         raise ValueError("mode data shapes do not match")
     p_mult, _ = stabilizer_multipliers(ells)
 
-    dv = np.gradient(v_modes, r, axis=0, edge_order=2)
+    dv = radial_derivative(v_modes, r)
     compat = np.abs(dv - 1j * p_mult[None, :] * w_modes)
     scale = max(1.0, float(np.abs(v_modes).max()), float(np.abs(w_modes).max()))
     compat_res = float(compat.max()) / scale
@@ -312,7 +269,7 @@ def stabilizer_normalize(v_modes: np.ndarray, w_modes: np.ndarray, r: np.ndarray
 
     mu_modes = 1j * v_modes / p_mult[None, :]
     p_res = float(np.abs(p_mult[None, :] * mu_modes - 1j * v_modes).max())
-    dmu = np.gradient(mu_modes, r, axis=0, edge_order=2)
+    dmu = radial_derivative(mu_modes, r)
     dr_res = float(np.abs(dmu + w_modes).max()) / scale
 
     # unitarity in Fourier: mu_{l-1} + conj(mu_{-l}) = 0 for all l
@@ -329,9 +286,7 @@ def stabilizer_normalize(v_modes: np.ndarray, w_modes: np.ndarray, r: np.ndarray
     n_theta = max(2 * (int(np.abs(ells).max()) + 1), 16)
     theta = theta_grid(n_theta)
     phases = np.exp(1j * np.outer(ells, theta))
-    mu = mu_modes @ phases
-    dmu_grid = dmu @ phases
-    gauge = StabilizerGauge(mu=mu, dmu=dmu_grid, unitary=unitary)
+    gauge = stabilizer_gauge(mu_modes @ phases, dmu @ phases, theta)
     report = {
         "compatibility_residual": compat_res,
         "p_equation_residual": p_res,

@@ -134,9 +134,9 @@ def build_glued(t: float, family: FiducialFamily, cutoff: CutoffProfile | None =
     return _glued_on_grid(t, family.profile, cutoff, n, r_min)
 
 
-def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None = None,
-                       n: int = 2000, r_min: float = 1e-3):
-    """Least-squares fit of log ||residual||_{L2(r dr)} against t.
+def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None = None):
+    """Least-squares fit of log ||residual||_{L2(r dr)} against t, with the
+    glued states on 2000 nodes over [1e-3, 1].
 
     Returns (delta_hat, c_hat, r_squared); requires at least four t values.
     """
@@ -145,7 +145,7 @@ def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None
         raise ValueError("need at least 4 values of t")
     norms = []
     for t in t_list:
-        norms.append(_glued_on_grid(t, profile, cutoff, n, r_min).l2_residual())
+        norms.append(_glued_on_grid(t, profile, cutoff, 2000, 1e-3).l2_residual())
     delta, intercept, r2 = decay_fit(t_list, norms)
     return delta, float(np.exp(intercept)), r2
 
@@ -246,11 +246,12 @@ def _first_difference(u: np.ndarray, dx: float) -> np.ndarray:
 
 
 def correction_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None = None,
-                     n: int = 2000, r_min: float = 1e-3, tol: float = 1e-10) -> list:
-    """Newton-corrected states across t; one report row per t."""
+                     n: int = 2000, tol: float = 1e-10) -> list:
+    """Newton-corrected states across t on n nodes over [1e-3, 1]; one report
+    row per t."""
     rows = []
     for t in t_list:
-        state = _glued_on_grid(float(t), profile, cutoff, n, r_min)
+        state = _glued_on_grid(float(t), profile, cutoff, n, 1e-3)
         result = newton_correct(state, tol=tol)
         row = corrected_solution_check(state, result)
         row["residual_history"] = result.residual_history
@@ -275,16 +276,16 @@ def growth_norm_check(state: GluedState) -> dict:
     }
 
 
-def neumann_zero_mode_eigenvalue(state: GluedState, n: int = 1000,
-                                 r_min: float = 1e-4) -> float:
-    """Smallest eigenvalue of -(1/r^2)(r d_r)^2 + 16 f^2 / r^2, f that of the
-    glued pair, with a Neumann condition at r = 1; strict positivity is the
-    glued counterpart of the zero-mode positivity argument."""
+def neumann_zero_mode_eigenvalue(state: GluedState, n: int = 1000) -> float:
+    """Smallest eigenvalue of -(1/r^2)(r d_r)^2 + 16 f^2 / r^2 on [1e-4, 1],
+    f that of the glued pair, with a Neumann condition at r = 1; strict
+    positivity is the glued counterpart of the zero-mode positivity
+    argument."""
 
     def potential(r):
         return 16.0 * _glued(state.t, state.profile, state.cutoff, r).f ** 2 / r ** 2
 
-    op = assemble_scalar(0, n=n, r_min=r_min, potential=potential, neumann_outer=True)
+    op = assemble_scalar(0, n=n, r_min=1e-4, potential=potential, neumann_outer=True)
     return smallest_eigenvalue(op)
 
 

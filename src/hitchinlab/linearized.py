@@ -164,8 +164,8 @@ def _coupled_block(ell, t, grid: RadialGrid, r: np.ndarray, f=None,
 
 
 def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N,
-                   r_min: float = DEFAULT_R_MIN, connection: bool = True,
-                   higgs: bool = True, neumann_outer: bool = False) -> RadialOperator:
+                   connection: bool = True, higgs: bool = True,
+                   neumann_outer: bool = False) -> RadialOperator:
     """Coupled 2x2 block of the linearized operator at mode ell.
 
     The two components carry potentials (ell -+ 4 f_t)^2 / r^2 (with f_t
@@ -174,7 +174,7 @@ def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N,
     False).  Inner regularity exponents are |ell| and |ell - 1|.  The flat
     block (both dropped) reads nothing from the profile.
     """
-    grid = RadialGrid(n, r_min)
+    grid = RadialGrid(n, DEFAULT_R_MIN)
     r = _nodes(grid, neumann_outer)
     if not (connection or higgs):
         return _coupled_block(ell, t, grid, r)
@@ -335,8 +335,7 @@ class SpectralReport:
         }
 
 
-def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600,
-                r_min: float = DEFAULT_R_MIN) -> SpectralReport:
+def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> SpectralReport:
     """Per-mode smallest eigenvalues and Green-operator norm estimates.
 
     The L2 -> L2 norm is the max of 1/lambda_min over the coupled blocks for
@@ -349,7 +348,7 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600,
     """
     if ell_max < 8:
         raise ValueError("ell_max must be at least 8")
-    grid = RadialGrid(n, r_min)
+    grid = RadialGrid(n, DEFAULT_R_MIN)
     fam = build_family(t, profile, grid.r)
     r, f, h = fam.r, fam.f, fam.h
     lam = []
@@ -421,8 +420,7 @@ class ConicSolution:
     u: np.ndarray
 
 
-def conic_poisson_solve(nu: float, rhs, delta: float, n: int = 6000,
-                        r_min: float = DEFAULT_R_MIN) -> ConicSolution:
+def conic_poisson_solve(nu: float, rhs, delta: float, n: int = 6000) -> ConicSolution:
     """Solve -(u'' + u'/r - nu^2 u / r^2) = rhs with the decaying inner branch.
 
     ``delta`` selects the weighted space and must lie in the isomorphism
@@ -434,7 +432,7 @@ def conic_poisson_solve(nu: float, rhs, delta: float, n: int = 6000,
     """
     if not 0.5 < delta < 1.5:
         raise ValueError(f"delta={delta} outside the isomorphism window (1/2, 3/2)")
-    op = assemble_scalar(nu, n=n, r_min=r_min)
+    op = assemble_scalar(nu, n=n)
     r = op.grid.r
     b = rhs(r) if callable(rhs) else np.asarray(rhs, dtype=float)
     if b.shape != r.shape:
@@ -459,9 +457,9 @@ def apply_conic_operator(nu: float, u_fn, grid: RadialGrid) -> np.ndarray:
     return (-d2 + nu * nu * u) / r ** 2
 
 
-def inner_decay_exponent(sol: ConicSolution, window=(1e-3, 1e-2)) -> float:
-    """Log-log slope of |u| over the given radial window."""
-    sel = (sol.r >= window[0]) & (sol.r <= window[1]) & (np.abs(sol.u) > 0)
+def inner_decay_exponent(sol: ConicSolution) -> float:
+    """Log-log slope of |u| over the radial window [1e-3, 1e-2]."""
+    sel = (sol.r >= 1e-3) & (sol.r <= 1e-2) & (np.abs(sol.u) > 0)
     if sel.sum() < 8:
         raise ValueError("window contains too few grid points")
     slope, _ = np.polyfit(np.log(sol.r[sel]), np.log(np.abs(sol.u[sel])), 1)

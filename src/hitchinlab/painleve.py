@@ -45,6 +45,9 @@ MAX_NEWTON = 30      # Newton iterations on (log a0, log lambda)
 def series_coefficients(a0: float, n_terms: int) -> np.ndarray:
     """Coefficients a_0..a_{n-1} of v(s) = sum a_j s^j, s = rho^(4/3).
 
+    ``a0`` may be complex, so that a complex step in a0 carries the exact
+    a0-derivative of every coefficient.
+
     Substituting psi = -log(rho^(1/3) v) into the profile equation and
     matching powers of s gives, at order s^m,
 
@@ -54,9 +57,9 @@ def series_coefficients(a0: float, n_terms: int) -> np.ndarray:
     which determines a_{m+1} from a_0..a_m since the left side contains
     a_{m+1} with coefficient -(16/9) (m+1)^2 a_0.
     """
-    if a0 <= 0:
+    if not np.real(a0) > 0:
         raise ValueError("a0 must be positive")
-    a = [float(a0)]
+    a = [a0]
     for m in range(n_terms - 1):
         # known parts of the order-s^m identity (a_{m+1} terms excluded)
         vpv = sum((i + 1) * a[i + 1] * a[m - i] for i in range(m))
@@ -172,17 +175,14 @@ _blowup.terminal = True
 def _shoot_left(a0, x_min, x_mid, ode_tol, dense_output=False):
     """Shot from the small-rho series at x_min to x_mid; None when it blows up.
 
-    The tangent starts at the exact log-a0 derivative of the 3-term series:
-    a0 d/da0 maps (a0, c1, c2) to (a0, -c1, 3 c2), since c1 = -9/(64 a0) and
-    c2 = 9 a0^3/256.
+    It starts from the ``N_SERIES``-term series that ``psi_log_derivatives``
+    reads.  The tangent starts at its exact log-a0 derivative, taken by a
+    complex step: with a0 -> a0 e^(i h), the imaginary parts of psi and psi_x
+    are h times their log-a0 derivatives, free of cancellation.
     """
-    c = series_coefficients(a0, 3)
-    rho = np.exp(x_min)
-    s = rho ** (4.0 / 3.0)
-    v, vp = c[0] + c[1] * s + c[2] * s * s, c[1] + 2.0 * c[2] * s
-    dv, dvp = c[0] - c[1] * s + 3.0 * c[2] * s * s, -c[1] + 6.0 * c[2] * s
-    p, px, _ = _series_eval(c, rho)
-    y0 = (float(p), float(px), -dv / v, -(4.0 / 3.0) * s * (dvp * v - vp * dv) / (v * v))
+    h = 1e-30
+    psi, psi_x, _ = _series_eval(series_coefficients(a0 * np.exp(1j * h), N_SERIES), np.exp(x_min))
+    y0 = (float(psi.real), float(psi_x.real), float(psi.imag) / h, float(psi_x.imag) / h)
     left = solve_ivp(
         _rhs, (x_min, x_mid), y0, method="DOP853",
         rtol=ode_tol, atol=ode_tol, dense_output=dense_output, events=_blowup,
@@ -230,11 +230,11 @@ def _initial_sweep(x_min, x_mid):
 def solve_connection(
     rho_min: float = DEFAULT_RHO_MIN,
     rho_mid: float = DEFAULT_RHO_MID,
-    rho_max: float = DEFAULT_RHO_MAX,
     tol: float = 1e-12,
     ode_tol: float = 1e-13,
 ) -> PsiProfile:
-    """Two-sided shooting solve of the connection problem.
+    """Two-sided shooting solve of the connection problem on
+    [rho_min, DEFAULT_RHO_MAX].
 
     Newton iterates on p = (log a0, log lambda) until the value/derivative
     mismatch at rho_mid drops below ``tol``.  Each shot carries the
@@ -249,6 +249,7 @@ def solve_connection(
     four-component system, and DOP853 takes the same steps with or without
     dense output, so this pair ends at the accepted states.
     """
+    rho_max = DEFAULT_RHO_MAX
     if not (0 < rho_min < rho_mid < rho_max):
         raise ValueError("need 0 < rho_min < rho_mid < rho_max")
     if not tol > 0:

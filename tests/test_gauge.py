@@ -40,9 +40,11 @@ def test_orbit_finite_t(families):
 
 def test_orbit_finite_t_wrong_sign_control(families):
     fam = families[1.0]
-    g = gg.orbit_gauge(fam)
-    wrong = gg.DiagonalGauge(-g.u, -g.du)
-    moved = gg.apply_complex_gauge(gg.zero_pair(fam.r, 64), wrong)
+    base = gg.zero_pair(fam.r, 64)
+    u = -0.25 * np.log(fam.r) - 0.5 * fam.h
+    du = -0.25 / fam.r - 0.5 * fam.dh()
+    wrong = gg.diagonal_gauge(-u, -du, base.theta)
+    moved = gg.apply_complex_gauge(base, wrong)
     target = fd.make_disk_pair(fam, 64)
     assert gg.pair_discrepancy(moved, target, (0.05, 1.0)) > 1e-2
 
@@ -57,10 +59,11 @@ def test_orbit_limiting_is_the_singular_gauge_check(n_theta):
     # so the limiting check equals the explicit singular-gauge check bit for bit
     r = fd.default_grid()
     lim = fd.limiting_family(r)
-    g = gg.orbit_gauge(lim)
-    assert np.array_equal(g.u, -0.25 * np.log(r)) and np.array_equal(g.du, -0.25 / r)
-    sing = gg.DiagonalGauge(-0.25 * np.log(r), -0.25 / r)
-    moved = gg.apply_complex_gauge(gg.zero_pair(r, n_theta), sing)
+    base = gg.zero_pair(r, n_theta)
+    g = gg.orbit_gauge(lim, base.theta)
+    sing = gg.diagonal_gauge(-0.25 * np.log(r), -0.25 / r, base.theta)
+    assert np.array_equal(g.values, sing.values) and np.array_equal(g.dr, sing.dr)
+    moved = gg.apply_complex_gauge(base, sing)
     explicit = gg.pair_discrepancy(moved, fd.limiting_pair(r, n_theta), (0.1, 1.0))
     assert gg.verify_orbit_limiting(r, n_theta) == explicit
     assert gg.verify_orbit_finite_t(math.inf, lim, n_theta, (0.1, 1.0)) == explicit
@@ -76,7 +79,7 @@ def test_gauge_right_action(families, rng):
     r = pair.r
     u = 0.2 * np.sin(2 * np.pi * r)
     du = 0.4 * np.pi * np.cos(2 * np.pi * r)
-    g1 = gg.DiagonalGauge(u, du).as_matrix_gauge(r, pair.theta)
+    g1 = gg.diagonal_gauge(u, du, pair.theta)
     g2 = _constant_unitary(rng, pair.phi.shape)
     two_steps = gg.apply_complex_gauge(gg.apply_complex_gauge(pair, g1), g2)
     one_step = gg.apply_complex_gauge(pair, g1.compose(g2))
@@ -105,9 +108,17 @@ def test_batched_2x2_helpers_match_numpy(shape_a, shape_b):
 
 def test_near_singular_gauge_rejected(families):
     fam = families[1.0]
-    huge = gg.DiagonalGauge(12.0 * np.ones_like(fam.r), np.zeros_like(fam.r))
-    with pytest.raises(ValueError):
-        gg.apply_complex_gauge(fd.make_disk_pair(fam, 16), huge)
+    pair = fd.make_disk_pair(fam, 16)
+    huge = gg.diagonal_gauge(12.0 * np.ones_like(fam.r), np.zeros_like(fam.r), pair.theta)
+    with pytest.raises(ValueError, match="near singular"):
+        gg.apply_complex_gauge(pair, huge)
+
+
+def test_gauge_on_another_grid_rejected(families):
+    pair = fd.make_disk_pair(families[1.0], 16)
+    other = gg.diagonal_gauge(pair.r[1:], np.zeros(len(pair.r) - 1), pair.theta)
+    with pytest.raises(ValueError, match="do not match"):
+        gg.apply_complex_gauge(pair, other)
 
 
 def test_curvature_transformation_consistency(profile):
@@ -119,16 +130,52 @@ def test_curvature_transformation_consistency(profile):
         fam = fd.build_family(1.0, profile, r)
         pair = fd.make_disk_pair(fam, 64)
         mu = 0.02 * np.exp(1j * pair.theta)[None, :] * np.exp(-((r[:, None] - 0.5) ** 2) / 0.05)
-        gauge = gg.StabilizerGauge(mu=np.broadcast_to(mu, (n_r, 64)).copy(), unitary=False)
-        gm = gauge.as_matrix_gauge(r, pair.theta)
-        direct = gg.curvature_perp(gg.apply_complex_gauge(pair, gm))
+        dmu = mu * (-2.0 * (r[:, None] - 0.5) / 0.05)
+        gm = gg.stabilizer_gauge(mu, dmu, pair.theta)
+        direct = gg.curvature_rtheta(gg.apply_complex_gauge(pair, gm))
         formula = gg.curvature_formula_rtheta(pair, gm)
-        tr = formula[..., 0, 0] + formula[..., 1, 1]
-        formula[..., 0, 0] -= 0.5 * tr
-        formula[..., 1, 1] -= 0.5 * tr
         errs.append(np.abs(direct - formula)[2:-2].max())
     assert errs[0] < 5e-3
     assert errs[1] < errs[0] / 3.0
+
+
+def test_dbar_is_the_one_complex_derivative():
+    # d_z X = conj(dbar conj X); both on holomorphic and antiholomorphic data
+    r = np.geomspace(0.1, 1.0, 60)
+    theta = gg.theta_grid(32)
+    z = (r[:, None] * np.exp(1j * theta)[None, :])[..., None, None]
+
+    def d_z(x):
+        return np.conj(gg.dbar_of(np.conj(x), r, theta))
+
+    for value, expected_dz, expected_dbar in ((z ** 2, 2.0 * z, 0.0), (np.conj(z), 0.0, 1.0)):
+        assert np.abs(d_z(value) - expected_dz).max() < 1e-13
+        assert np.abs(gg.dbar_of(value, r, theta) - expected_dbar).max() < 1e-13
+
+
+def _diagonal_on(r, theta):
+    return gg.diagonal_gauge(0.3 * np.sin(2.0 * r), 0.6 * np.cos(2.0 * r), theta)
+
+
+def _stabilizer_on(r, theta):
+    mu = 0.2 * np.exp(1j * theta)[None, :] * np.sin(3.0 * r)[:, None]
+    dmu = 0.6 * np.exp(1j * theta)[None, :] * np.cos(3.0 * r)[:, None]
+    return gg.stabilizer_gauge(mu, dmu, theta)
+
+
+@pytest.mark.parametrize("build", [_diagonal_on, _stabilizer_on])
+def test_gauge_dr_is_the_exact_radial_derivative(build):
+    # the carried derivative is what second-order differences of the values
+    # converge to, at order 2
+    theta = gg.theta_grid(16)
+    errs = []
+    for n_r in (100, 200, 400):
+        r = np.linspace(0.2, 1.0, n_r)
+        g = build(r, theta)
+        errs.append(np.abs(g.dr - gg.radial_derivative(g.values, r)).max())
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert errs[-1] < 1e-4
+    assert np.all((orders >= 1.8) & (orders <= 2.2)), orders
 
 
 def test_stabilizer_multiplier_floor():
@@ -141,7 +188,8 @@ def test_stabilizer_zero_data():
     r = np.linspace(0.2, 1.0, 40)
     v = np.zeros((40, 5), dtype=complex)
     gauge, report = gg.stabilizer_normalize(v, v.copy(), r, range(-2, 3))
-    assert np.abs(gauge.mu).max() == 0.0
+    assert np.array_equal(gauge.values, np.broadcast_to(np.eye(2), gauge.values.shape))
+    assert not gauge.dr.any()
     assert report["unitary"]
 
 
@@ -155,9 +203,10 @@ def test_stabilizer_single_mode():
     v[:, ells.index(ell)] = eps * bump
     w[:, ells.index(ell)] = np.gradient(eps * bump, r, edge_order=2) / (1j * (ell + 0.5))
     gauge, report = gg.stabilizer_normalize(v, w, r, ells, tol=1e-6)
-    theta = gg.theta_grid(gauge.mu.shape[1])
+    theta = gg.theta_grid(gauge.values.shape[1])
     expected = (1j * eps / (ell + 0.5)) * bump[:, None] * np.exp(1j * ell * theta)[None, :]
-    assert np.abs(gauge.mu - expected).max() < 1e-12
+    built = gg.stabilizer_gauge(expected, np.zeros_like(expected), theta)
+    assert np.abs(gauge.values - built.values).max() < 1e-12
     assert report["p_equation_residual"] < 1e-12
     assert report["dr_equation_residual"] < 1e-6
     # a lone mode cannot satisfy the skew-Hermitian pairing; flagged non-unitary
@@ -179,8 +228,7 @@ def test_stabilizer_unitary_pairing():
     gauge, report = gg.stabilizer_normalize(v, w, r, ells, tol=1e-6)
     assert report["unitary"]
     # the matrices are special unitary pointwise
-    gm = gauge.as_matrix_gauge(r, gg.theta_grid(gauge.mu.shape[1]))
-    prod = gm.values @ np.conj(np.swapaxes(gm.values, -1, -2))
+    prod = gauge.values @ np.conj(np.swapaxes(gauge.values, -1, -2))
     assert np.abs(prod - np.eye(2)).max() < 1e-8
 
 

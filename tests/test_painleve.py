@@ -128,6 +128,17 @@ def test_series_branch_below_grid(profile):
         assert abs(psi_x[0] - profile.psi_x[i]) < 1e-4
 
 
+@pytest.mark.parametrize("rho_min", [1e-3, 1e-2, 0.1])
+def test_connection_constants_independent_of_rho_min(rho_min):
+    # the left shot starts from the full series that psi_log_derivatives
+    # reads, so a shorter shot does not trade the start's truncation error
+    # for an error in the constants
+    profile = solve_connection(rho_min=rho_min)
+    a0 = math.gamma(1.0 / 3.0) / (2.0 * math.gamma(2.0 / 3.0))
+    assert math.isclose(profile.a0, a0, rel_tol=1e-11)
+    assert math.isclose(profile.lam, 1.0 / math.pi, rel_tol=1e-11)
+
+
 def test_psi_eval_tail_is_k0(profile):
     rho = 55.0
     psi, psi_x, _ = psi_log_derivatives(profile, rho)
