@@ -341,6 +341,8 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     The L2 -> L2 norm is the max of 1/lambda_min over the coupled blocks for
     0 <= ell <= ell_max (negative modes coincide with ell -> 1 - ell by the
     swap symmetry of the block) together with the diagonal-subbundle blocks.
+    By the same symmetry ell = 1 is the ell = 0 block, so it reuses ell = 0's
+    lambda_min and surrogate.
     The H2 surrogate composes the discrete flat Laplacian with each block
     inverse.  ``kappa_hat`` is the empirical potential floor divided by ell^2,
     minimized over ell >= 2.  A t outside the profile's validity range on
@@ -357,10 +359,15 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     kappa = np.inf
     ells = list(range(ell_max + 1))
     for ell in ells:
+        lam_vert.append(smallest_eigenvalue(assemble_vertical_block(ell, t, h, grid)))
+        if ell == 1:
+            # the ell = 0 pair with its components swapped: same lambda_min
+            # and surrogate
+            lam.append(lam[0])
+            continue
         op = _coupled_block(ell, t, grid, r, f, h)
         flat = _coupled_block(ell, t, grid, r)
         lam.append(smallest_eigenvalue(op))
-        lam_vert.append(smallest_eigenvalue(assemble_vertical_block(ell, t, h, grid)))
         surrogate = max(surrogate, h2_surrogate_norm(op, flat))
         if ell >= 2:
             kappa = min(kappa, potential_floor(op) / ell ** 2)

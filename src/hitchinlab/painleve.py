@@ -10,15 +10,20 @@ psi, so it returns its end state together with the exact derivative of that
 state in its own parameter: the left shot depends only on a_0 and the right
 shot only on lambda.  Newton thus takes one shot per side per iteration; its
 shots build no dense output, and one final dense pair samples the profile
-grid.
+grid.  Newton starts from a_0 = 1 and the tail fitted to that first left
+shot's value at rho_mid.
+
+The right shot starts at ``RHO_TAIL``, not at the grid's end: above it
+lambda*K0 <= 6e-9 for lambda <= 10, where (1/2) sinh(2 psi) rounds to psi,
+so the linear tail is the float64 solution and integrating it adds nothing.
 
 Everything downstream (the fiducial family, the linearized blocks, the glued
 approximate solutions) reads psi and its first two log-derivatives through
 one evaluator, ``psi_log_derivatives``, on the PsiProfile returned here.  It
-uses the small-rho series at and below ``SERIES_CUT`` and everywhere below
-the grid, which keeps the residual of derived quantities at truncation level
-even after division by r^2; interpolation of the ODE samples on the grid; and
-the lambda*K0 tail up to 2 rho_max.
+uses the small-rho series at and below ``SERIES_CUT``, which keeps the
+residual of derived quantities at truncation level even after division by
+r^2; interpolation of the ODE samples up to ``RHO_TAIL``; and the lambda*K0
+tail above it, up to 2 rho_max.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .special import bessel_k0, bessel_k1
 DEFAULT_RHO_MIN = 1e-4
 DEFAULT_RHO_MID = 1.0
 DEFAULT_RHO_MAX = 40.0
+RHO_TAIL = 20.0      # above this the lambda*K0 tail is the profile in float64
 N_GRID = 8192        # profile samples, uniform in x = log rho
 N_SERIES = 8         # small-rho series terms kept with the profile
 SERIES_CUT = 0.1     # psi_log_derivatives uses the series for rho <= this
@@ -98,7 +104,8 @@ class PsiProfile:
 
     ``rho`` is strictly increasing (uniform in x = log rho), ``psi`` positive
     and strictly decreasing, ``psi_x`` = rho psi'(rho) negative, and
-    ``psi_xx`` its fourth-order x-difference.  ``series`` holds the small-rho
+    ``psi_xx`` its fourth-order x-difference; at the nodes above ``RHO_TAIL``
+    all three are the lambda*K0 tail's.  ``series`` holds the small-rho
     coefficients of ``series_coefficients(a0, N_SERIES)``.  ``a0`` and
     ``lam`` are the fitted small-rho coefficient and tail amplitude;
     ``residual_max`` is the max of |psi_xx - (1/2) rho^2 sinh(2 psi)| over
@@ -190,38 +197,52 @@ def _shoot_left(a0, x_min, x_mid, ode_tol, dense_output=False):
     return left if left.success and left.t[-1] == x_mid else None
 
 
-def _shoot_right(lam, x_mid, x_max, rho_max, ode_tol, dense_output=False):
-    """Shot from the lambda*K0 tail at x_max back to x_mid; None on failure.
+def _tail_eval(lam, rho):
+    """psi, psi_x, psi_xx of the lambda*K0 tail at rho.
+
+    psi_xx is (1/2) rho^2 sinh(2 psi), the profile equation itself; it
+    equals rho^2 psi, the tail's own second log-derivative, wherever
+    (1/2) sinh(2 psi) rounds to psi, as it does above ``RHO_TAIL``.
+    """
+    psi = lam * bessel_k0(rho)
+    return psi, -lam * rho * bessel_k1(rho), 0.5 * rho * rho * np.sinh(2.0 * psi)
+
+
+def _shoot_right(lam, x_mid, ode_tol, dense_output=False):
+    """Shot from the lambda*K0 tail at RHO_TAIL back to x_mid; None on failure.
 
     The tail state is linear in lambda, so it is its own log-lambda tangent.
     """
-    tail = (lam * bessel_k0(rho_max), -lam * rho_max * bessel_k1(rho_max))
-    # pure relative control: the state passes through ~1e-19
+    tail = _tail_eval(lam, RHO_TAIL)[:2]
+    # pure relative control: the state starts at ~2e-10
     right = solve_ivp(
-        _rhs, (x_max, x_mid), tail + tail,
+        _rhs, (np.log(RHO_TAIL), x_mid), tail + tail,
         method="DOP853", rtol=max(ode_tol, 3e-14), atol=1e-300, dense_output=dense_output,
     )
     return right if right.success else None
 
 
+def _tail_fit(left, x_mid):
+    """(lambda, slope mismatch) of the lambda*K0 tail fitted to a left shot's
+    psi at rho_mid; None when the shot failed or that psi is not positive."""
+    if left is None or left.y[0, -1] <= 0:
+        return None
+    rho_mid = np.exp(x_mid)
+    lam = left.y[0, -1] / bessel_k0(rho_mid)
+    return lam, abs(left.y[1, -1] + lam * rho_mid * bessel_k1(rho_mid))
+
+
 def _initial_sweep(x_min, x_mid):
-    """Coarse bracketing sweep used when Newton from (1, 1) stalls.
+    """Coarse bracketing sweep used when Newton from the fitted seed stalls.
 
     Only left shots are needed: each candidate a0 is scored by how well the
     lambda*K0 tail fitted to its value at rho_mid also matches its slope.
     """
     best = None
     for a0 in np.geomspace(0.2, 5.0, 25):
-        left = _shoot_left(a0, x_min, x_mid, 1e-10)
-        if left is None:
-            continue
-        psi_mid, dpsi_mid = left.y[0, -1], left.y[1, -1]
-        if psi_mid <= 0:
-            continue
-        lam_guess = psi_mid / bessel_k0(np.exp(x_mid))
-        score = abs(dpsi_mid + lam_guess * np.exp(x_mid) * bessel_k1(np.exp(x_mid)))
-        if best is None or score < best[0]:
-            best = (score, a0, lam_guess)
+        fit = _tail_fit(_shoot_left(a0, x_min, x_mid, 1e-10), x_mid)
+        if fit is not None and (best is None or fit[1] < best[0]):
+            best = (fit[1], a0, fit[0])
     if best is None:
         raise NumericalError("no admissible shooting bracket found")
     return best[1], best[2]
@@ -240,26 +261,35 @@ def solve_connection(
     mismatch at rho_mid drops below ``tol``.  Each shot carries the
     variational equation, so its end state comes with the exact derivative
     in its own parameter, and the Jacobian costs no extra shot: one shot per
-    side per iteration.  Falls back to a coarse bracketing sweep for the
-    seed when the first shot fails or the iteration from (1, 1) diverges,
-    and raises NumericalError after ``MAX_NEWTON`` iterations above ``tol``.
+    side per iteration.  The seed is a0 = 1 with the lambda*K0 tail fitted
+    to that left shot's psi at rho_mid, and that shot is the first pair's
+    left half.  Falls back to a coarse bracketing sweep for the seed when
+    the first shot fails, its psi at rho_mid is not positive, or the
+    iteration diverges, and raises NumericalError after ``MAX_NEWTON``
+    iterations above ``tol``.  ``rho_min`` must lie within the series'
+    range, (0, SERIES_CUT], and ``rho_mid`` between it and ``RHO_TAIL``.
 
     Newton shots keep no dense output.  After convergence one more shot per
-    side, with dense output, samples the grid; it integrates the same
-    four-component system, and DOP853 takes the same steps with or without
-    dense output, so this pair ends at the accepted states.
+    side, with dense output, samples the grid up to ``RHO_TAIL``; it
+    integrates the same four-component system, and DOP853 takes the same
+    steps with or without dense output, so this pair ends at the accepted
+    states.  The grid nodes above ``RHO_TAIL`` take the tail itself.
     """
     rho_max = DEFAULT_RHO_MAX
-    if not (0 < rho_min < rho_mid < rho_max):
-        raise ValueError("need 0 < rho_min < rho_mid < rho_max")
+    if not 0 < rho_min <= SERIES_CUT:
+        raise ValueError(f"need 0 < rho_min <= SERIES_CUT = {SERIES_CUT}, the series' range")
+    if not rho_min < rho_mid < RHO_TAIL:
+        raise ValueError("need rho_min < rho_mid < RHO_TAIL")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    x_min, x_mid, x_max = np.log(rho_min), np.log(rho_mid), np.log(rho_max)
+    x_min, x_mid = np.log(rho_min), np.log(rho_mid)
 
-    def shoot(p):
-        """(mismatch, Jacobian) at p, or None when either shot fails."""
-        left = _shoot_left(np.exp(p[0]), x_min, x_mid, ode_tol)
-        right = None if left is None else _shoot_right(np.exp(p[1]), x_mid, x_max, rho_max, ode_tol)
+    def shoot(p, left=None):
+        """(mismatch, Jacobian) at p, or None when either shot fails;
+        ``left`` is a left shot already taken at a0 = exp(p[0])."""
+        if left is None:
+            left = _shoot_left(np.exp(p[0]), x_min, x_mid, ode_tol)
+        right = None if left is None else _shoot_right(np.exp(p[1]), x_mid, ode_tol)
         if right is None:
             return None
         lft, rgt = left.y[:, -1], right.y[:, -1]
@@ -273,9 +303,12 @@ def solve_connection(
         return p, shot
 
     reseeded = False
-    p = np.zeros(2)  # (log a0, log lambda) = (0, 0)
-    shot = shoot(p)
-    if shot is None:
+    left = _shoot_left(1.0, x_min, x_mid, ode_tol)
+    fit = _tail_fit(left, x_mid)
+    if fit is not None:
+        p = np.array([0.0, np.log(fit[0])])  # (log a0, log lambda)
+        shot = shoot(p, left)
+    if fit is None or shot is None:
         (p, shot), reseeded = reseed(), True
     history = [float(np.max(np.abs(shot[0])))]
     while history[-1] >= tol and len(history) <= MAX_NEWTON:
@@ -300,20 +333,23 @@ def solve_connection(
 
     a0, lam = float(np.exp(p[0])), float(np.exp(p[1]))
     left = _shoot_left(a0, x_min, x_mid, ode_tol, dense_output=True)
-    right = _shoot_right(lam, x_mid, x_max, rho_max, ode_tol, dense_output=True)
-    x = np.linspace(x_min, x_max, N_GRID)
+    right = _shoot_right(lam, x_mid, ode_tol, dense_output=True)
+    x = np.linspace(x_min, np.log(rho_max), N_GRID)
+    rho = np.exp(x)
     on_left = x <= x_mid
+    tail = rho > RHO_TAIL
+    on_right = ~(on_left | tail)
     psi = np.empty(N_GRID)
     psi_x = np.empty(N_GRID)
     psi[on_left], psi_x[on_left] = left.sol(x[on_left])[:2]
-    psi[~on_left], psi_x[~on_left] = right.sol(x[~on_left])[:2]
-    rho = np.exp(x)
+    psi[on_right], psi_x[on_right] = right.sol(x[on_right])[:2]
+    psi[tail], psi_x[tail], tail_xx = _tail_eval(lam, rho[tail])
 
     if not ((psi > 0).all() and (psi_x < 0).all()):
         raise NumericalError("invalid bracketing: profile not positive decreasing")
 
-    h = x[1] - x[0]
-    psi_xx = _fd4_derivative(psi_x, h)
+    psi_xx = _fd4_derivative(psi_x, x[1] - x[0])
+    psi_xx[tail] = tail_xx
     residual = np.abs(psi_xx - 0.5 * rho * rho * np.sinh(2.0 * psi))
 
     return PsiProfile(
@@ -335,9 +371,10 @@ def solve_connection(
 def psi_log_derivatives(profile: PsiProfile, rho):
     """(psi, psi_x, psi_xx) at rho, x = log rho: the one evaluator of psi.
 
-    Up to ``SERIES_CUT``, and at every rho below the grid, the small-rho
-    series; on the grid, interpolation of the ODE samples, which reproduces
-    the nodes above the cut exactly; above rho_max, the lambda*K0 tail.  The
+    Up to ``SERIES_CUT``, which covers every rho below the grid, the small-rho
+    series; up to ``RHO_TAIL``, interpolation of the ODE samples, which
+    reproduces the nodes above the cut exactly; above it, the lambda*K0
+    tail, which is what the nodes there store.  The
     series branch keeps residual-grade quantities division-safe: there every
     returned value carries only series truncation error, so combinations
     like psi_xx - (1/2) rho^2 sinh(2 psi) vanish to ~1e-15 even after
@@ -350,8 +387,8 @@ def psi_log_derivatives(profile: PsiProfile, rho):
     psi = np.empty_like(rho_arr)
     psi_x = np.empty_like(rho_arr)
     psi_xx = np.empty_like(rho_arr)
-    lo = (rho_arr <= SERIES_CUT) | (rho_arr < profile.rho[0])
-    hi = rho_arr > profile.rho_max
+    lo = rho_arr <= SERIES_CUT
+    hi = rho_arr > RHO_TAIL
     mid = ~(lo | hi)
     if lo.any():
         psi[lo], psi_x[lo], psi_xx[lo] = _series_eval(profile.series, rho_arr[lo])
@@ -361,11 +398,7 @@ def psi_log_derivatives(profile: PsiProfile, rho):
         psi_x[mid] = profile._interp_psi_x(xm)
         psi_xx[mid] = profile._interp_psi_xx(xm)
     if hi.any():
-        r = rho_arr[hi]
-        psi[hi] = profile.lam * bessel_k0(r)
-        psi_x[hi] = -profile.lam * r * bessel_k1(r)
-        # tail region: the linearized equation is exact to ~1e-36 here
-        psi_xx[hi] = 0.5 * r * r * np.sinh(2.0 * psi[hi])
+        psi[hi], psi_x[hi], psi_xx[hi] = _tail_eval(profile.lam, rho_arr[hi])
     return psi, psi_x, psi_xx
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,20 @@ def test_green_norms_uniformity(profile):
         for ell, lam in zip(rep.ells, rep.lambda_min):
             if ell >= 2:
                 assert 1.0 / lam <= 1.0 / (rep.kappa_hat * ell ** 2) + 1e-12
+
+
+def test_green_norms_reuses_swapped_mode(profile):
+    # the ell = 1 block is the ell = 0 block with its components swapped, so
+    # green_norms reports ell = 0's lambda_min for it; solving it directly
+    # agrees to Lanczos round-off, and so does its surrogate
+    rep = lin.green_norms(2.0, 8, profile, n=300)
+    assert rep.lambda_min[0] == rep.lambda_min[1]
+    pairs = [_surrogate_pair(profile, ell, 2.0, 300) for ell in (0, 1)]
+    lam = [lin.smallest_eigenvalue(op) for op, _ in pairs]
+    surrogate = [lin.h2_surrogate_norm(op, flat) for op, flat in pairs]
+    assert lam[0] == rep.lambda_min[0]
+    assert math.isclose(lam[1], lam[0], rel_tol=1e-12)
+    assert math.isclose(surrogate[1], surrogate[0], rel_tol=1e-9)
 
 
 def _surrogate_pair(profile, ell, t, n):

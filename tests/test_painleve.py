@@ -5,8 +5,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hitchinlab.painleve import (
+    DEFAULT_RHO_MAX,
+    DEFAULT_RHO_MID,
+    RHO_TAIL,
     SERIES_CUT,
     _series_eval,
+    _tail_eval,
     export_profile_csv,
     psi_log_derivatives,
     series_coefficients,
@@ -95,8 +99,9 @@ def test_connection_constants_stable_under_refinement(profile):
 
 
 def test_psi_eval_reproduces_grid_nodes(profile):
-    # above the series cut the evaluator interpolates the ODE samples and
-    # returns every node's stored psi, psi_x and psi_xx bit for bit
+    # above the series cut the evaluator returns every node's stored psi,
+    # psi_x and psi_xx bit for bit: interpolated ODE samples up to RHO_TAIL,
+    # and above it the tail that the nodes store
     above = profile.rho > SERIES_CUT
     got = psi_log_derivatives(profile, profile.rho[above])
     stored = (profile.psi, profile.psi_x, profile.psi_xx)
@@ -114,18 +119,12 @@ def test_series_branch_matches_grid_nodes(profile):
         assert np.abs(value - samples[below]).max() < 1e-9
 
 
-def test_series_branch_below_grid(profile):
-    # a grid that starts above the cut leaves (0, rho_min) to the series, not
-    # to extrapolated interpolants; the series there meets the default
-    # profile's ODE samples
-    coarse = solve_connection(rho_min=0.3)
-    for rho in (0.12, 0.2):
-        got = psi_log_derivatives(coarse, rho)
-        for value, series in zip(got, _series_eval(coarse.series, rho)):
-            assert value[0] == series
-        i = int(np.argmin(np.abs(profile.rho - rho)))
-        _, psi_x, _ = psi_log_derivatives(coarse, profile.rho[i])
-        assert abs(psi_x[0] - profile.psi_x[i]) < 1e-4
+@pytest.mark.parametrize("rho_min", [0.3, 0.5, 0.8])
+def test_rho_min_above_series_range_rejected(rho_min):
+    # a left shot started above SERIES_CUT would carry the series' truncation
+    # error into a0 and lambda (3.3e-8 and -1.2e-7 relative at 0.5) unseen
+    with pytest.raises(ValueError, match="SERIES_CUT"):
+        solve_connection(rho_min=rho_min)
 
 
 @pytest.mark.parametrize("rho_min", [1e-3, 1e-2, 0.1])
@@ -163,10 +162,18 @@ def test_psi_eval_seam_continuity(profile):
     psi_s, psi_x_s, _ = _series_eval(profile.series, profile.rho[0])
     assert abs(psi_s - profile.psi[0]) < 1e-9
     assert abs(psi_x_s - profile.psi_x[0]) < 1e-9
-    # tail representation against the stored node at the outer seam
-    assert abs(profile.lam * bessel_k0(profile.rho_max) - profile.psi[-1]) < 1e-9
-    assert abs(-profile.lam * profile.rho_max * bessel_k1(profile.rho_max)
-               - profile.psi_x[-1]) < 1e-9
+    # tail representation against the last ODE sample below RHO_TAIL, where
+    # the right shot starts from it
+    i = np.flatnonzero(profile.rho <= RHO_TAIL)[-1]
+    tail_psi, tail_psi_x, _ = _tail_eval(profile.lam, profile.rho[i])
+    assert math.isclose(profile.psi[i], tail_psi, rel_tol=1e-12)
+    assert math.isclose(profile.psi_x[i], tail_psi_x, rel_tol=1e-12)
+    # the interpolation branch at RHO_TAIL meets the tail branch just above
+    # it to the interpolant's accuracy there (2.5e-7 relative)
+    psi, psi_x, _ = psi_log_derivatives(profile, np.nextafter(RHO_TAIL, np.inf))
+    at_seam = psi_log_derivatives(profile, RHO_TAIL)
+    assert math.isclose(at_seam[0][0], psi[0], rel_tol=1e-6)
+    assert math.isclose(at_seam[1][0], psi_x[0], rel_tol=1e-6)
     # the series branch at the cut meets the interpolation branch just above it
     at_cut = psi_log_derivatives(profile, SERIES_CUT)
     above = psi_log_derivatives(profile, np.nextafter(SERIES_CUT, 1.0))
@@ -235,12 +242,11 @@ def test_shot_tangents_match_finite_differences():
     # constants; central differences, step 1e-4
     from hitchinlab import painleve
 
-    rho_max = painleve.DEFAULT_RHO_MAX
-    x_min, x_mid, x_max = np.log([painleve.DEFAULT_RHO_MIN, painleve.DEFAULT_RHO_MID, rho_max])
+    x_min, x_mid = np.log([painleve.DEFAULT_RHO_MIN, DEFAULT_RHO_MID])
     a0 = math.gamma(1.0 / 3.0) / (2.0 * math.gamma(2.0 / 3.0))
     shots = (
         (lambda q: painleve._shoot_left(q, x_min, x_mid, 1e-13), a0),
-        (lambda q: painleve._shoot_right(q, x_mid, x_max, rho_max, 1e-13), 1.0 / math.pi),
+        (lambda q: painleve._shoot_right(q, x_mid, 1e-13), 1.0 / math.pi),
     )
     h = 1e-4
     for shoot, q in shots:
@@ -249,11 +255,38 @@ def test_shot_tangents_match_finite_differences():
         assert np.allclose(end[2:], fd, rtol=1e-6, atol=0.0)
 
 
+@pytest.mark.parametrize("lam", [0.1, 1.0 / math.pi, 1.0, 10.0])
+def test_tail_is_the_float64_solution_above_rho_tail(lam):
+    # at RHO_TAIL the tail value is small enough that (1/2) sinh(2 psi)
+    # rounds to psi, so lambda*K0 solves the profile equation exactly in
+    # float64 there and beyond
+    psi = lam * bessel_k0(RHO_TAIL)
+    assert 0.5 * np.sinh(2.0 * psi) == psi
+
+
+def test_right_shot_from_rho_tail_matches_shot_from_rho_max():
+    # starting at RHO_TAIL instead of the grid's end drops no digit: a shot
+    # from the tail state at DEFAULT_RHO_MAX reaches the same state at rho_mid
+    from hitchinlab import painleve
+
+    lam, x_mid = 1.0 / math.pi, math.log(DEFAULT_RHO_MID)
+    y0 = (lam * bessel_k0(DEFAULT_RHO_MAX), -lam * DEFAULT_RHO_MAX * bessel_k1(DEFAULT_RHO_MAX))
+    long_shot = solve_ivp(
+        lambda x, y: (y[1], 0.5 * np.exp(2 * x) * np.sinh(2 * y[0])),
+        (math.log(DEFAULT_RHO_MAX), x_mid), y0,
+        method="DOP853", rtol=3e-14, atol=1e-300,
+    )
+    short = painleve._shoot_right(lam, x_mid, 1e-13).y[:2, -1]
+    assert np.allclose(short, long_shot.y[:, -1], rtol=1e-12, atol=0.0)
+
+
 def test_newton_history_converges_quadratically(profile):
+    # a0 = 1 with lambda fitted to that left shot's psi(rho_mid) needs no
+    # sweep, and Newton converges in at most 4 steps
     history = profile.newton_history
     assert not profile.reseeded
     assert history[-1] == profile.match_mismatch < 1e-12
-    assert len(history) >= 3
+    assert 3 <= len(history) <= 5
     for m, m_next in zip(history, history[1:]):
         if m >= 1e-8:
             assert m_next <= 10.0 * m * m
@@ -288,8 +321,8 @@ def test_solve_connection_shot_budget(monkeypatch):
     calls = _counting_solve_ivp(monkeypatch)
     solve_connection()
     dense = [d for d, _ in calls]
-    assert len(dense) == 16
-    assert dense == [False] * 14 + [True] * 2
+    assert len(dense) == 12
+    assert dense == [False] * 10 + [True] * 2
     for newton, final in zip(calls[-4:-2], calls[-2:]):
         assert np.array_equal(newton[1].y[:, -1], final[1].y[:, -1])
 
