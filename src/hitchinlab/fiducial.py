@@ -126,10 +126,28 @@ class DiskPair:
     alpha: np.ndarray
 
 
+def theta_grid(n: int = 256) -> np.ndarray:
+    """n equispaced angles on [0, 2 pi), the one angular grid of every pair."""
+    return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+
+
+def _stack2x2(lead: tuple, zeroed: bool = False, dtype=complex) -> np.ndarray:
+    """A (*lead, 2, 2) stack of 2x2 matrices stored entry-major.
+
+    It is a view of a C-contiguous (2, 2, *lead) array, so each matrix entry
+    is one contiguous plane and the entry-by-entry arithmetic of the gauge
+    layer runs on unit strides.  Elementwise ufuncs allocate in order K, so
+    their results keep this layout.  Every stack of pairs and gauges is
+    allocated here.
+    """
+    alloc = np.zeros if zeroed else np.empty
+    return np.moveaxis(alloc((2, 2, *lead), dtype=dtype), (0, 1), (-2, -1))
+
+
 def _alpha_from_scalar(a: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """dzbar-coefficient of a diag(1,-1) (dz/z - dzbar/zbar) with scalar a(r)."""
     coeff = -a[:, None] * np.exp(1j * theta)[None, :] / r[:, None]
-    alpha = np.zeros((len(r), len(theta), 2, 2), dtype=complex)
+    alpha = _stack2x2((len(r), len(theta)), zeroed=True)
     alpha[..., 0, 0] = coeff
     alpha[..., 1, 1] = -coeff
     return alpha
@@ -139,9 +157,9 @@ def make_disk_pair(family: FiducialFamily, n_theta: int = 256) -> DiskPair:
     """The pair sampled from the family on its radial grid: connection
     f diag(1,-1) (dz/z - dzbar/zbar), field [[0, r^(1/2) e^h], [r^(1/2)
     e^-h e^(i theta), 0]].  A family at t = inf gives the limiting pair."""
-    r, theta = family.r, np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    r, theta = family.r, theta_grid(n_theta)
     eh = np.exp(family.h)
-    phi = np.zeros((len(r), n_theta, 2, 2), dtype=complex)
+    phi = _stack2x2((len(r), n_theta), zeroed=True)
     phi[..., 0, 1] = (np.sqrt(r) * eh)[:, None]
     phi[..., 1, 0] = (np.sqrt(r) / eh)[:, None] * np.exp(1j * theta)[None, :]
     return DiskPair(r=r, theta=theta, phi=phi, alpha=_alpha_from_scalar(family.f, r, theta))

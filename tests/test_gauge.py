@@ -53,20 +53,43 @@ def test_orbit_limiting():
     assert gg.verify_orbit_limiting(fd.default_grid(), n_theta=64) < 1e-8
 
 
+@pytest.mark.parametrize("grid", ["default", "geom1000"])
+@pytest.mark.parametrize("t", [1.0, 8.0, math.inf])
 @pytest.mark.parametrize("n_theta", [64, 128])
-def test_orbit_limiting_is_the_singular_gauge_check(n_theta):
-    # the orbit gauge of the h = 0 family is exactly diag(|z|^-1/4, |z|^1/4),
-    # so the limiting check equals the explicit singular-gauge check bit for bit
-    r = fd.default_grid()
-    lim = fd.limiting_family(r)
+def test_orbit_limiting_is_the_singular_gauge_check(profile, grid, t, n_theta):
+    # the check runs on the window's radii only; it must equal, bit for bit,
+    # the explicit check computed on the whole grid and compared on the window.
+    # The orbit gauge of the h = 0 family is exactly diag(|z|^-1/4, |z|^1/4),
+    # so the limiting check is the explicit singular-gauge check.
+    r = fd.default_grid() if grid == "default" else np.geomspace(1e-4, 1.0, 1000)
+    if math.isinf(t):
+        fam, window = fd.limiting_family(r), (0.1, 1.0)
+        target = fd.limiting_pair(r, n_theta)
+    else:
+        fam, window = fd.build_family(t, profile, r), (0.05, 1.0)
+        target = fd.make_disk_pair(fam, n_theta)
     base = gg.zero_pair(r, n_theta)
-    g = gg.orbit_gauge(lim, base.theta)
-    sing = gg.diagonal_gauge(-0.25 * np.log(r), -0.25 / r, base.theta)
-    assert np.array_equal(g.values, sing.values) and np.array_equal(g.dr, sing.dr)
-    moved = gg.apply_complex_gauge(base, sing)
-    explicit = gg.pair_discrepancy(moved, fd.limiting_pair(r, n_theta), (0.1, 1.0))
-    assert gg.verify_orbit_limiting(r, n_theta) == explicit
-    assert gg.verify_orbit_finite_t(math.inf, lim, n_theta, (0.1, 1.0)) == explicit
+    g = gg.orbit_gauge(fam, base.theta)
+    if math.isinf(t):
+        sing = gg.diagonal_gauge(-0.25 * np.log(r), -0.25 / r, base.theta)
+        assert np.array_equal(g.values, sing.values) and np.array_equal(g.dr, sing.dr)
+    moved = gg.apply_complex_gauge(base, g)
+    explicit = gg.pair_discrepancy(moved, target, window)
+    assert gg.verify_orbit_finite_t(t, fam, n_theta, window) == explicit
+    if math.isinf(t):
+        assert gg.verify_orbit_limiting(r, n_theta) == explicit
+
+
+@pytest.mark.parametrize("check", [
+    lambda fams: gg.verify_orbit_finite_t(2.0, fams[2.0], 32, (2.0, 3.0)),
+    lambda fams: gg.verify_orbit_finite_t(2.0, fams[2.0], 32, (1.0, 0.05)),
+    lambda fams: gg.verify_orbit_limiting(fd.default_grid()[:50]),
+    lambda fams: gg.pair_discrepancy(fd.make_disk_pair(fams[2.0], 16),
+                                     fd.make_disk_pair(fams[2.0], 16), (2.0, 3.0)),
+], ids=["beyond-grid", "reversed", "limit-grid-below-window", "pair-discrepancy"])
+def test_empty_window_rejected(families, check):
+    with pytest.raises(ValueError, match=r"r_window .* holds no radius of the grid on \[0\.001, "):
+        check(families)
 
 
 def test_orbit_finite_t_rejects_mismatched_t(families):
@@ -104,6 +127,32 @@ def test_batched_2x2_helpers_match_numpy(shape_a, shape_b):
     a[3, 0] = [[1.0, 2.0], [2.0, 4.0]]
     with pytest.raises(np.linalg.LinAlgError):
         gg._inv2(a)
+
+
+def test_stacks_are_entry_major(families):
+    # each 2x2 entry of every stack the layer creates is one contiguous plane;
+    # a new allocation site that loses the layout fails here
+    fam = families[2.0]
+    base = gg.zero_pair(fam.r, 16)
+    pair = fd.make_disk_pair(fam, 16)
+    diag = gg.orbit_gauge(fam, base.theta)
+    stab = _stabilizer_on(fam.r, base.theta)
+    c_ordered = np.ones((len(fam.r), 16, 2, 2), dtype=complex) + np.eye(2)
+    moved = gg.apply_complex_gauge(base, diag)
+    composed = diag.compose(stab)
+    stacks = {
+        "zero_pair": (base.phi, base.alpha),
+        "make_disk_pair": (pair.phi, pair.alpha),
+        "diagonal_gauge": (diag.values, diag.dr),
+        "stabilizer_gauge": (stab.values, stab.dr),
+        "_mul2": (gg._mul2(c_ordered, c_ordered), gg._mul2(c_ordered, np.eye(2))),
+        "_inv2": (gg._inv2(c_ordered),),
+        "compose": (composed.values, composed.dr),
+        "spectral_dtheta": (gg.spectral_dtheta(c_ordered), gg.spectral_dtheta(pair.phi)),
+        "apply_complex_gauge": (moved.phi, moved.alpha),
+    }
+    for name, arrays in stacks.items():
+        assert all(np.moveaxis(x, (-2, -1), (0, 1)).flags.c_contiguous for x in arrays), name
 
 
 def test_near_singular_gauge_rejected(families):
