@@ -76,19 +76,23 @@ def radial_derivative(values: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class MatrixGauge:
-    """Gauge sampled on a polar grid, with its exact radial derivative."""
+    """Gauge sampled on a polar grid with radii ``r``, with its exact radial
+    derivative."""
 
     values: np.ndarray          # (n_r, n_theta, 2, 2)
     dr: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False)
 
     def compose(self, other: "MatrixGauge") -> "MatrixGauge":
         return MatrixGauge(_mul2(self.values, other.values),
-                           _mul2(self.dr, other.values) + _mul2(self.values, other.dr))
+                           _mul2(self.dr, other.values) + _mul2(self.values, other.dr),
+                           self.r)
 
 
-def diagonal_gauge(u: np.ndarray, du: np.ndarray, theta: np.ndarray) -> MatrixGauge:
+def diagonal_gauge(u: np.ndarray, du: np.ndarray, r: np.ndarray,
+                   theta: np.ndarray) -> MatrixGauge:
     """g = diag(e^u, e^-u) for a real radial exponent u and its derivative
-    du = d_r u, both sampled on the r grid."""
+    du = d_r u, both sampled on the radii ``r``."""
     vals = _stack2x2((len(u), len(theta)), zeroed=True)
     eu = np.exp(u)
     vals[..., 0, 0] = eu[:, None]
@@ -96,10 +100,11 @@ def diagonal_gauge(u: np.ndarray, du: np.ndarray, theta: np.ndarray) -> MatrixGa
     dr = _stack2x2((len(u), len(theta)), zeroed=True)
     dr[..., 0, 0] = (du * eu)[:, None]
     dr[..., 1, 1] = (-du / eu)[:, None]
-    return MatrixGauge(vals, dr)
+    return MatrixGauge(vals, dr, r)
 
 
-def stabilizer_gauge(mu: np.ndarray, dmu: np.ndarray, theta: np.ndarray) -> MatrixGauge:
+def stabilizer_gauge(mu: np.ndarray, dmu: np.ndarray, r: np.ndarray,
+                     theta: np.ndarray) -> MatrixGauge:
     """Gauge exp(gamma_mu) in the stabilizer of the limiting field.
 
     ``mu`` and ``dmu = d_r mu`` are sampled on the (r, theta) grid.  Writing
@@ -120,7 +125,7 @@ def stabilizer_gauge(mu: np.ndarray, dmu: np.ndarray, theta: np.ndarray) -> Matr
     dr[..., 1, 1] = dr[..., 0, 0]
     dr[..., 0, 1] = np.cosh(w) * dw / half
     dr[..., 1, 0] = np.cosh(w) * dw * half
-    return MatrixGauge(vals, dr)
+    return MatrixGauge(vals, dr, r)
 
 
 def _condition_numbers(g: np.ndarray) -> np.ndarray:
@@ -145,10 +150,11 @@ def dbar_of(values: np.ndarray, r: np.ndarray, theta: np.ndarray,
 def apply_complex_gauge(pair: DiskPair, g: MatrixGauge) -> DiskPair:
     """Transformed pair (A^g, Phi^g) on the same sample grid.
 
-    Raises ValueError when the gauge is sampled on another grid, or is
-    numerically near singular (pointwise condition number above 1e8).
+    Raises ValueError when the gauge is sampled on another grid (other radii
+    or another shape), or is numerically near singular (pointwise condition
+    number above 1e8).
     """
-    if g.values.shape != pair.phi.shape:
+    if g.values.shape != pair.phi.shape or not np.array_equal(g.r, pair.r):
         raise ValueError("gauge samples do not match the pair's grid")
     cond = _condition_numbers(g.values)
     if np.max(cond) > COND_LIMIT:
@@ -182,9 +188,13 @@ def _window_mask(r: np.ndarray, r_window) -> np.ndarray:
 def pair_discrepancy(p1: DiskPair, p2: DiskPair, r_window=(0.0, np.inf)) -> float:
     """Max entrywise distance of phi and alpha over the radii in ``r_window``.
 
-    Each stack is reduced over its 2x2 entries before the radii are
-    selected, so no stack is copied.
+    The pairs must share their grid (equal ``r`` and ``theta``), since
+    samples are compared by index; ValueError otherwise.  Each stack is
+    reduced over its 2x2 entries before the radii are selected, so no stack
+    is copied.
     """
+    if not (np.array_equal(p1.r, p2.r) and np.array_equal(p1.theta, p2.theta)):
+        raise ValueError("the pairs are sampled on different grids")
     sel = _window_mask(p1.r, r_window)
     d_phi = np.abs(p1.phi - p2.phi).max(axis=(-2, -1))[sel].max()
     d_alpha = np.abs(p1.alpha - p2.alpha).max(axis=(-2, -1))[sel].max()
@@ -196,7 +206,7 @@ def orbit_gauge(family: FiducialFamily, theta: np.ndarray) -> MatrixGauge:
     for the limiting family (h = 0) the singular gauge diag(|z|^-1/4, |z|^1/4)."""
     u = -0.25 * np.log(family.r) - 0.5 * family.h
     du = -0.25 / family.r - 0.5 * family.dh()
-    return diagonal_gauge(u, du, theta)
+    return diagonal_gauge(u, du, family.r, theta)
 
 
 def verify_orbit_finite_t(t: float, family: FiducialFamily, n_theta: int = 128,
@@ -319,7 +329,7 @@ def stabilizer_normalize(v_modes: np.ndarray, w_modes: np.ndarray, r: np.ndarray
     n_theta = max(2 * (int(np.abs(ells).max()) + 1), 16)
     theta = theta_grid(n_theta)
     phases = np.exp(1j * np.outer(ells, theta))
-    gauge = stabilizer_gauge(mu_modes @ phases, dmu @ phases, theta)
+    gauge = stabilizer_gauge(mu_modes @ phases, dmu @ phases, r, theta)
     report = {
         "compatibility_residual": compat_res,
         "p_equation_residual": p_res,

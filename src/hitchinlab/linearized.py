@@ -36,6 +36,7 @@ DEFAULT_R_MIN = 1e-6
 MIN_GRID = 16
 SURROGATE_MAX_ITER = 400
 SURROGATE_TOL = 1e-10
+SURROGATE_PRUNE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -103,15 +104,44 @@ class RadialOperator:
         return _band_solver(self.band)
 
 
-def _band_solver(band: np.ndarray):
-    """Solver for the symmetric band ``band`` (LAPACK upper storage) by its
-    Cholesky factor; ``RuntimeError`` when a pivot is not positive.  A NaN
-    pivot counts as not positive, as in reference LAPACK; optimized builds
-    may pass it through, so the factor's diagonal is checked as well."""
+def _cholesky(band: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor of the symmetric band ``band`` (LAPACK upper storage),
+    or None when a pivot is not positive.  A NaN pivot counts as not
+    positive, as in reference LAPACK; optimized builds may pass it through,
+    so the factor's diagonal is checked as well."""
     factor, info = dpbtrf(band)
     if info > 0 or not np.isfinite(factor[-1]).all():
+        return None
+    return factor
+
+
+def _band_solver(band: np.ndarray):
+    """Solver for the symmetric band ``band`` by its Cholesky factor;
+    ``RuntimeError`` unless ``band`` is positive definite."""
+    factor = _cholesky(band)
+    if factor is None:
         raise RuntimeError("band is not positive definite")
     return lambda b: dpbtrs(factor, b)[0]
+
+
+def _band_square(band: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A diag(w) A for the symmetric band A (upper storage, kd = k), in upper
+    storage with kd = 2k, summed term by term over A's diagonals."""
+    k, size = band.shape[0] - 1, band.shape[1]
+    # diags[k + p, k + i] = A[i, i + p], zero off the matrix and in the k-column pads
+    diags = np.zeros((2 * k + 1, size + 2 * k))
+    for d in range(k + 1):
+        diags[k + d, k:k + size - d] = band[k - d, d:]
+        diags[k - d, k + d:k + size] = band[k - d, d:]
+    w = np.pad(w, k)
+    out = np.zeros((2 * k + 1, size))
+    for d in range(2 * k + 1):
+        m = size - d
+        for p in range(d - k, k + 1):
+            # A[i, i + p] w[i + p] A[i + p, i + d]
+            out[2 * k - d, d:] += (diags[k + p, k:k + m] * w[k + p:k + p + m]
+                                   * diags[k + d - p, k + p:k + p + m])
+    return out
 
 
 def _nodes(grid: RadialGrid, neumann_outer: bool) -> np.ndarray:
@@ -271,7 +301,9 @@ def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator) -> float:
     already computed is not factored again; the flat block is never factored.
     ``SURROGATE_TOL`` is the relative accuracy asked of that eigenvalue and
     ``SURROGATE_MAX_ITER`` the cap on Lanczos restarts; a solve that does
-    not converge within it raises NumericalError.
+    not converge within it raises NumericalError.  This is the per-mode
+    value; ``green_norms`` calls it only on the modes that
+    ``_surrogate_certified_below`` cannot rule out.
     """
     p = op_flat.matrix
     sw = np.sqrt(op_l.weights)
@@ -292,6 +324,24 @@ def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator) -> float:
             f"H2 surrogate (ell={op_l.ell}, t={op_l.t:g}) did not converge to "
             f"tol={SURROGATE_TOL} in {SURROGATE_MAX_ITER} Lanczos restarts") from exc
     return float(np.sqrt(w[0]))
+
+
+def _surrogate_certified_below(op_l: RadialOperator, op_flat: RadialOperator,
+                               s: float) -> bool:
+    """True when sigma_max(S^-1 P A^-1 S) < s is certified by inertia.
+
+    Writing v = S^-1 A w, |S^-1 P A^-1 S v| < s |v| for all v != 0 reads
+    |S^-1 P w| < s |S^-1 A w| for all w != 0, that is
+    Z = s^2 A B^-1 A - P B^-1 P is positive definite.  Z is a symmetric
+    band (kd = 4 for the interleaved 2x2 blocks), and by Sylvester's law of
+    inertia its banded Cholesky factorization succeeds exactly when it is.
+    Forming Z squares A's condition number: at
+    ell = 0 and 1, whose indicial exponent is 0, the verdict near sigma_max
+    can be wrong, so ``green_norms`` never asks it there.
+    """
+    w = 1.0 / op_l.weights
+    z = s * s * _band_square(op_l.band, w) - _band_square(op_flat.band, w)
+    return _cholesky(z) is not None
 
 
 def potential_floor(op: RadialOperator) -> float:
@@ -320,6 +370,7 @@ class SpectralReport:
     g_norm_h2_surrogate: float
     kappa_hat: float
     indicial: list
+    surrogate_solved: list  # the ells on which h2_surrogate_norm ran; not reported
 
     def to_dict(self) -> dict:
         return {
@@ -344,7 +395,15 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     By the same symmetry ell = 1 is the ell = 0 block, so it reuses ell = 0's
     lambda_min and surrogate.
     The H2 surrogate composes the discrete flat Laplacian with each block
-    inverse.  ``kappa_hat`` is the empirical potential floor divided by ell^2,
+    inverse; the report keeps its maximum over modes.  Lanczos
+    (``h2_surrogate_norm``) always runs at ell = 0.  Each ell >= 2 is first
+    tested by ``_surrogate_certified_below`` at (1 - SURROGATE_PRUNE_MARGIN)
+    times the running maximum, and runs Lanczos only when that test fails.
+    A certified mode cannot raise the maximum, and the test never supplies
+    a value, so the maximum is the one solving every mode gives.  ell = 0
+    and 1 are never tested, since the test is unreliable at indicial
+    exponent 0.  ``surrogate_solved`` lists the modes that ran Lanczos.
+    ``kappa_hat`` is the empirical potential floor divided by ell^2,
     minimized over ell >= 2.  A t outside the profile's validity range on
     the unit disk raises ValueError from ``build_family``.
     """
@@ -356,6 +415,7 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     lam = []
     lam_vert = []
     surrogate = 0.0
+    solved = []
     kappa = np.inf
     ells = list(range(ell_max + 1))
     for ell in ells:
@@ -368,7 +428,10 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
         op = _coupled_block(ell, t, grid, r, f, h)
         flat = _coupled_block(ell, t, grid, r)
         lam.append(smallest_eigenvalue(op))
-        surrogate = max(surrogate, h2_surrogate_norm(op, flat))
+        if ell == 0 or not _surrogate_certified_below(
+                op, flat, (1.0 - SURROGATE_PRUNE_MARGIN) * surrogate):
+            surrogate = max(surrogate, h2_surrogate_norm(op, flat))
+            solved.append(ell)
         if ell >= 2:
             kappa = min(kappa, potential_floor(op) / ell ** 2)
     g_l2 = max(1.0 / np.array(lam + lam_vert))
@@ -376,7 +439,7 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     return SpectralReport(
         t=t, n=n, ells=ells, lambda_min=lam, lambda_min_vertical=lam_vert,
         g_norm_l2=float(g_l2), g_norm_h2_surrogate=float(surrogate),
-        kappa_hat=float(kappa), indicial=roots,
+        kappa_hat=float(kappa), indicial=roots, surrogate_solved=solved,
     )
 
 

@@ -13,21 +13,24 @@ def test_identity_gauge_fixes_pair(families):
     ident = gg.MatrixGauge(
         np.broadcast_to(np.eye(2, dtype=complex), pair.phi.shape).copy(),
         np.zeros_like(pair.phi),
+        pair.r,
     )
     moved = gg.apply_complex_gauge(pair, ident)
     assert gg.pair_discrepancy(moved, pair) < 1e-13
 
 
-def _constant_unitary(rng, shape):
+def _constant_unitary(rng, pair):
     th = rng.standard_normal(3) * 0.4
     u = expm(np.array([[1j * th[0], th[1] + 1j * th[2]],
                        [-th[1] + 1j * th[2], -1j * th[0]]]))
-    return gg.MatrixGauge(np.broadcast_to(u, shape).copy(), np.zeros(shape, dtype=complex))
+    shape = pair.phi.shape
+    return gg.MatrixGauge(np.broadcast_to(u, shape).copy(), np.zeros(shape, dtype=complex),
+                          pair.r)
 
 
 def test_unitary_gauge_preserves_phi_norm(families, rng):
     pair = fd.make_disk_pair(families[1.0], n_theta=32)
-    moved = gg.apply_complex_gauge(pair, _constant_unitary(rng, pair.phi.shape))
+    moved = gg.apply_complex_gauge(pair, _constant_unitary(rng, pair))
     before = np.linalg.norm(pair.phi, axis=(2, 3))
     after = np.linalg.norm(moved.phi, axis=(2, 3))
     assert np.abs(before - after).max() < 1e-12
@@ -43,7 +46,7 @@ def test_orbit_finite_t_wrong_sign_control(families):
     base = gg.zero_pair(fam.r, 64)
     u = -0.25 * np.log(fam.r) - 0.5 * fam.h
     du = -0.25 / fam.r - 0.5 * fam.dh()
-    wrong = gg.diagonal_gauge(-u, -du, base.theta)
+    wrong = gg.diagonal_gauge(-u, -du, fam.r, base.theta)
     moved = gg.apply_complex_gauge(base, wrong)
     target = fd.make_disk_pair(fam, 64)
     assert gg.pair_discrepancy(moved, target, (0.05, 1.0)) > 1e-2
@@ -71,7 +74,7 @@ def test_orbit_limiting_is_the_singular_gauge_check(profile, grid, t, n_theta):
     base = gg.zero_pair(r, n_theta)
     g = gg.orbit_gauge(fam, base.theta)
     if math.isinf(t):
-        sing = gg.diagonal_gauge(-0.25 * np.log(r), -0.25 / r, base.theta)
+        sing = gg.diagonal_gauge(-0.25 * np.log(r), -0.25 / r, r, base.theta)
         assert np.array_equal(g.values, sing.values) and np.array_equal(g.dr, sing.dr)
     moved = gg.apply_complex_gauge(base, g)
     explicit = gg.pair_discrepancy(moved, target, window)
@@ -102,8 +105,8 @@ def test_gauge_right_action(families, rng):
     r = pair.r
     u = 0.2 * np.sin(2 * np.pi * r)
     du = 0.4 * np.pi * np.cos(2 * np.pi * r)
-    g1 = gg.diagonal_gauge(u, du, pair.theta)
-    g2 = _constant_unitary(rng, pair.phi.shape)
+    g1 = gg.diagonal_gauge(u, du, r, pair.theta)
+    g2 = _constant_unitary(rng, pair)
     two_steps = gg.apply_complex_gauge(gg.apply_complex_gauge(pair, g1), g2)
     one_step = gg.apply_complex_gauge(pair, g1.compose(g2))
     assert gg.pair_discrepancy(two_steps, one_step) < 1e-9
@@ -158,16 +161,35 @@ def test_stacks_are_entry_major(families):
 def test_near_singular_gauge_rejected(families):
     fam = families[1.0]
     pair = fd.make_disk_pair(fam, 16)
-    huge = gg.diagonal_gauge(12.0 * np.ones_like(fam.r), np.zeros_like(fam.r), pair.theta)
+    huge = gg.diagonal_gauge(12.0 * np.ones_like(fam.r), np.zeros_like(fam.r), fam.r,
+                             pair.theta)
     with pytest.raises(ValueError, match="near singular"):
         gg.apply_complex_gauge(pair, huge)
 
 
 def test_gauge_on_another_grid_rejected(families):
     pair = fd.make_disk_pair(families[1.0], 16)
-    other = gg.diagonal_gauge(pair.r[1:], np.zeros(len(pair.r) - 1), pair.theta)
+    other = gg.diagonal_gauge(pair.r[1:], np.zeros(len(pair.r) - 1), pair.r[1:], pair.theta)
     with pytest.raises(ValueError, match="do not match"):
         gg.apply_complex_gauge(pair, other)
+
+
+def test_gauge_on_other_radii_rejected(families):
+    # same shape, other radii: the samples would be combined by index
+    pair = fd.make_disk_pair(families[1.0], 16)
+    other = gg.diagonal_gauge(np.zeros_like(pair.r), np.zeros_like(pair.r), 2.0 * pair.r,
+                              pair.theta)
+    with pytest.raises(ValueError, match="do not match"):
+        gg.apply_complex_gauge(pair, other)
+
+
+def test_pair_discrepancy_rejects_another_grid(profile):
+    geom = fd.make_disk_pair(fd.build_family(1.0, profile, np.geomspace(1e-3, 1.0, 400)), 16)
+    lin = fd.make_disk_pair(fd.build_family(1.0, profile, np.linspace(0.01, 1.0, 400)), 16)
+    turned = fd.DiskPair(r=geom.r, theta=geom.theta + 0.1, phi=geom.phi, alpha=geom.alpha)
+    for other in (lin, turned):
+        with pytest.raises(ValueError, match="different grids"):
+            gg.pair_discrepancy(geom, other, (0.05, 1.0))
 
 
 def test_curvature_transformation_consistency(profile):
@@ -180,7 +202,7 @@ def test_curvature_transformation_consistency(profile):
         pair = fd.make_disk_pair(fam, 64)
         mu = 0.02 * np.exp(1j * pair.theta)[None, :] * np.exp(-((r[:, None] - 0.5) ** 2) / 0.05)
         dmu = mu * (-2.0 * (r[:, None] - 0.5) / 0.05)
-        gm = gg.stabilizer_gauge(mu, dmu, pair.theta)
+        gm = gg.stabilizer_gauge(mu, dmu, r, pair.theta)
         direct = gg.curvature_rtheta(gg.apply_complex_gauge(pair, gm))
         formula = gg.curvature_formula_rtheta(pair, gm)
         errs.append(np.abs(direct - formula)[2:-2].max())
@@ -203,13 +225,13 @@ def test_dbar_is_the_one_complex_derivative():
 
 
 def _diagonal_on(r, theta):
-    return gg.diagonal_gauge(0.3 * np.sin(2.0 * r), 0.6 * np.cos(2.0 * r), theta)
+    return gg.diagonal_gauge(0.3 * np.sin(2.0 * r), 0.6 * np.cos(2.0 * r), r, theta)
 
 
 def _stabilizer_on(r, theta):
     mu = 0.2 * np.exp(1j * theta)[None, :] * np.sin(3.0 * r)[:, None]
     dmu = 0.6 * np.exp(1j * theta)[None, :] * np.cos(3.0 * r)[:, None]
-    return gg.stabilizer_gauge(mu, dmu, theta)
+    return gg.stabilizer_gauge(mu, dmu, r, theta)
 
 
 @pytest.mark.parametrize("build", [_diagonal_on, _stabilizer_on])
@@ -254,7 +276,7 @@ def test_stabilizer_single_mode():
     gauge, report = gg.stabilizer_normalize(v, w, r, ells, tol=1e-6)
     theta = gg.theta_grid(gauge.values.shape[1])
     expected = (1j * eps / (ell + 0.5)) * bump[:, None] * np.exp(1j * ell * theta)[None, :]
-    built = gg.stabilizer_gauge(expected, np.zeros_like(expected), theta)
+    built = gg.stabilizer_gauge(expected, np.zeros_like(expected), r, theta)
     assert np.abs(gauge.values - built.values).max() < 1e-12
     assert report["p_equation_residual"] < 1e-12
     assert report["dr_equation_residual"] < 1e-6

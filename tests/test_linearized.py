@@ -77,8 +77,13 @@ def test_high_mode_lower_bound(profile):
     assert lam >= kappa * 25.0
 
 
-def test_green_norms_uniformity(profile):
-    reports = {t: lin.green_norms(t, 8, profile, n=300) for t in (1.0, 2.0, 4.0, 8.0)}
+@pytest.fixture(scope="module")
+def sweep(profile):
+    return {t: lin.green_norms(t, 8, profile, n=300) for t in (1.0, 2.0, 4.0, 8.0)}
+
+
+def test_green_norms_uniformity(sweep):
+    reports = sweep
     g = [rep.g_norm_l2 for rep in reports.values()]
     assert max(g) / min(g) < 2.0
     for rep in reports.values():
@@ -104,19 +109,102 @@ def test_green_norms_reuses_swapped_mode(profile):
     assert math.isclose(surrogate[1], surrogate[0], rel_tol=1e-9)
 
 
+def test_green_norms_solves_surrogate_at_ell_zero_only(sweep):
+    # every higher mode is certified below ell = 0's surrogate, which holds
+    # the maximum; surrogate_solved stays out of the report
+    for rep in sweep.values():
+        assert rep.surrogate_solved == [0]
+        assert "surrogate_solved" not in rep.to_dict()
+
+
+def _spy_surrogate(monkeypatch, override=None):
+    """Record (ell, value) of every h2_surrogate_norm call; ``override`` maps
+    an ell to the value returned in place of the solved one."""
+    calls, override = [], override or {}
+    real = lin.h2_surrogate_norm
+
+    def spy(op, flat):
+        value = override[op.ell] if op.ell in override else real(op, flat)
+        calls.append((op.ell, value))
+        return value
+
+    monkeypatch.setattr(lin, "h2_surrogate_norm", spy)
+    return calls
+
+
+def test_green_norms_solves_a_mode_that_can_win(profile, monkeypatch):
+    # with ell = 0 forced small, ell = 2 can raise the maximum and must run
+    # Lanczos; ell >= 3 lie below ell = 2 and are certified
+    calls = _spy_surrogate(monkeypatch, {0: 0.5})
+    rep = lin.green_norms(8.0, 8, profile, n=100)
+    assert rep.surrogate_solved == [0, 2] == [ell for ell, _ in calls]
+    assert rep.g_norm_h2_surrogate == calls[1][1] > 1.0
+
+
+def test_green_norms_nan_certificate_falls_back_to_lanczos(profile, monkeypatch):
+    # a certificate factor with a NaN pivot and info = 0, as an optimized
+    # LAPACK may return, certifies nothing: every mode runs Lanczos
+    expected = lin.green_norms(8.0, 8, profile, n=100).g_norm_h2_surrogate
+    real_dpbtrf = lin.dpbtrf
+
+    def nan_dpbtrf(band, *args, **kwargs):
+        factor, info = real_dpbtrf(band, *args, **kwargs)
+        if band.shape[0] == 5:  # kd = 4: the certificate's band
+            factor[-1, len(band[0]) // 2] = np.nan
+            info = 0
+        return factor, info
+
+    monkeypatch.setattr(lin, "dpbtrf", nan_dpbtrf)
+    calls = _spy_surrogate(monkeypatch)
+    rep = lin.green_norms(8.0, 8, profile, n=100)
+    assert rep.surrogate_solved == [0, *range(2, 9)] == [ell for ell, _ in calls]
+    assert rep.g_norm_h2_surrogate == expected
+
+
 def _surrogate_pair(profile, ell, t, n):
     op = lin.assemble_block(ell, t, profile, n=n)
     flat = lin.assemble_block(ell, t, profile, n=n, connection=False, higgs=False)
     return op, flat
 
 
+def _dense_surrogate(op, flat):
+    """sigma_max of S^-1 P A^-1 S by a dense SVD."""
+    s = np.sqrt(op.weights)
+    m = flat.matrix.toarray() @ np.linalg.solve(op.matrix.toarray(), np.diag(s)) / s[:, None]
+    return np.linalg.svd(m, compute_uv=False)[0]
+
+
 @pytest.mark.parametrize("ell", [0, 32])
 def test_h2_surrogate_matches_dense_svd(profile, ell):
     op, flat = _surrogate_pair(profile, ell, 1.0, 64)
-    s = np.sqrt(op.weights)
-    m = flat.matrix.toarray() @ np.linalg.solve(op.matrix.toarray(), np.diag(s)) / s[:, None]
-    sigma_max = np.linalg.svd(m, compute_uv=False)[0]
+    sigma_max = _dense_surrogate(op, flat)
     assert lin.h2_surrogate_norm(op, flat) == pytest.approx(sigma_max, rel=1e-9)
+
+
+def test_band_square_matches_dense(profile):
+    op, _ = _surrogate_pair(profile, 3, 2.0, 40)
+    a = op.matrix.toarray()
+    w = 1.0 / op.weights
+    expected = a @ (w[:, None] * a)
+    band = lin._band_square(op.band, w)
+    got = np.zeros_like(expected)
+    for d in range(5):
+        idx = np.arange(d, len(w))
+        got[idx - d, idx] = got[idx, idx - d] = band[4 - d, d:]
+    assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("t", [1.0, 8.0])
+@pytest.mark.parametrize("n, ells", [(64, range(2, 33)), (300, (2, 16, 32))],
+                         ids=["n64", "n300"])
+def test_surrogate_certificate_verdicts(profile, t, n, ells):
+    # the inertia test decides sigma_ell < s at a relative margin of 1e-6 on
+    # both sides of the dense SVD value, for every mode green_norms asks it
+    for ell in ells:
+        op, flat = _surrogate_pair(profile, ell, t, n)
+        sigma = _dense_surrogate(op, flat)
+        assert lin._surrogate_certified_below(op, flat, (1.0 + 1e-6) * sigma), ell
+        assert not lin._surrogate_certified_below(op, flat, (1.0 - 1e-6) * sigma), ell
 
 
 def test_h2_surrogate_nonconvergence_raises(profile, monkeypatch):
