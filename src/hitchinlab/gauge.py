@@ -84,6 +84,10 @@ class MatrixGauge:
     r: np.ndarray = field(repr=False)
 
     def compose(self, other: "MatrixGauge") -> "MatrixGauge":
+        """The product self * other; ``ValueError`` unless both gauges are
+        sampled on the same radii."""
+        if not np.array_equal(self.r, other.r):
+            raise ValueError("gauges are sampled on different radii")
         return MatrixGauge(_mul2(self.values, other.values),
                            _mul2(self.dr, other.values) + _mul2(self.values, other.dr),
                            self.r)

@@ -12,8 +12,9 @@ operator is held as its symmetric band in LAPACK upper storage
 (``RadialOperator.band``) and factored once by banded Cholesky
 (``RadialOperator.solve``), which also certifies that it is positive
 definite.  Every eigen solve is a standard symmetric Lanczos run on that
-factorization: the smallest eigenvalue is read off the largest one of
-S A^-1 S with S = sqrt(B), which is immune to the r^-2 entry spread of A.
+factorization, or on one of A - sigma B for a certified shift sigma: the
+smallest eigenvalue is read off the largest one of S (A - sigma B)^-1 S with
+S = sqrt(B), which is immune to the r^-2 entry spread of A.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ MIN_GRID = 16
 SURROGATE_MAX_ITER = 400
 SURROGATE_TOL = 1e-10
 SURROGATE_PRUNE_MARGIN = 1e-6
+LANCZOS_NCV = 6
 
 
 @dataclass(frozen=True)
@@ -244,29 +246,33 @@ def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
     return _assemble(ell, t, grid, r, [pot], (abs(ell),))
 
 
-def smallest_eigenvalue(op: RadialOperator) -> float:
+def smallest_eigenvalue(op: RadialOperator, below: float = 0.0) -> float:
     """Smallest eigenvalue of A u = lambda B u by standard-mode Lanczos.
 
     For a shift sigma below the spectrum, S (A - sigma B)^-1 S with S = sqrt(B)
     is symmetric positive definite, and its largest eigenvalue mu gives
     lambda_min = sigma + 1/mu.  ARPACK finds mu as a standard symmetric
-    problem (``which="LA"``, ``tol=0``) from a fixed start vector; at
-    sigma = 0 the solves reuse the block's own factorization ``op.solve``.
-    A shift is accepted only when the banded Cholesky factorization of
-    A - sigma B succeeds, that is when A - sigma B is positive definite, so
-    sigma is certified to lie below the spectrum.  The ladder tries
-    sigma = 0, -1e-6, -1: a semi-definite operator (Neumann with a constant
-    kernel) that rounding leaves indefinite moves on to the small negative
-    shift, and an operator whose smallest eigenvalue lies below -1 raises
-    NumericalError.  Only a ``RuntimeError`` (factorization not positive
-    definite, ARPACK failure) moves on to the next shift; any other error,
-    such as a malformed operator, propagates unchanged.
+    problem (``which="LA"``, ``tol=0``) on a basis of ``LANCZOS_NCV``
+    vectors from a fixed start vector; at sigma = 0 the solves reuse the
+    block's own factorization ``op.solve``.  A shift is accepted only when
+    the banded Cholesky factorization of A - sigma B succeeds, that is when
+    A - sigma B is positive definite, so sigma is certified to lie below the
+    spectrum.  The ladder tries sigma = ``below``, 0, -1e-6, -1 (duplicates
+    dropped).  ``below`` is a guess at a lower bound, such as the previous
+    mode's lambda_min: the closer it lies under lambda_min, the fewer
+    Lanczos steps; one that is not below the spectrum, or NaN, fails to
+    factor and the ladder goes on at 0.  A semi-definite operator (Neumann
+    with a constant kernel) that rounding leaves indefinite moves on to the
+    small negative shift, and an operator whose smallest eigenvalue lies
+    below -1 raises NumericalError.  Only a ``RuntimeError`` (factorization
+    not positive definite, ARPACK failure) moves on to the next shift; any
+    other error, such as a malformed operator, propagates unchanged.
     """
     s = np.sqrt(op.weights)
     size = op.band.shape[1]
     v0 = np.ones(size)
     last_exc = None
-    for sigma in (0.0, -1e-6, -1.0):
+    for sigma in dict.fromkeys((below, 0.0, -1e-6, -1.0)):
         try:
             if sigma == 0.0:
                 solve = op.solve
@@ -276,8 +282,8 @@ def smallest_eigenvalue(op: RadialOperator) -> float:
                 solve = _band_solver(shifted)
             inverse = LinearOperator((size, size), dtype=float,
                                      matvec=lambda x, solve=solve: s * solve(s * x))
-            mu = eigsh(inverse, k=1, which="LA", v0=v0, tol=0,
-                       return_eigenvectors=False)
+            mu = eigsh(inverse, k=1, which="LA", v0=v0, ncv=min(LANCZOS_NCV, size),
+                       tol=0, return_eigenvectors=False)
             return sigma + 1.0 / float(mu[0])
         except RuntimeError as exc:  # not positive definite, ARPACK failure
             last_exc = exc
@@ -298,7 +304,8 @@ def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator) -> float:
     symmetric) by implicitly restarted Lanczos (ARPACK) from a deterministic
     fixed start vector.  The A^-1 solves reuse the block's Cholesky
     factorization ``op_l.solve``, so a block whose smallest eigenvalue was
-    already computed is not factored again; the flat block is never factored.
+    already computed at sigma = 0 is not factored again; the flat block is
+    never factored.
     ``SURROGATE_TOL`` is the relative accuracy asked of that eigenvalue and
     ``SURROGATE_MAX_ITER`` the cap on Lanczos restarts; a solve that does
     not converge within it raises NumericalError.  This is the per-mode
@@ -394,6 +401,18 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     swap symmetry of the block) together with the diagonal-subbundle blocks.
     By the same symmetry ell = 1 is the ell = 0 block, so it reuses ell = 0's
     lambda_min and surrogate.
+    Each chain's solve at ell >= 1 is shifted by that chain's lambda_min at
+    ell - 1 (``smallest_eigenvalue``'s ``below``), which lies below the
+    spectrum by min-max: in a vertical block the potential ell^2 / r^2 and
+    the ghost exponent |ell| both grow with ell; in a coupled block with
+    ell >= 2 and f in [0, 1/8] the diagonal terms (ell - 4f)^2 and
+    (ell - 1 + 4f)^2 and the exponents (|ell|, |ell - 1|) all grow while
+    the coupling stays fixed, and ell = 2 compares with ell = 1, the ell = 0
+    block with its components swapped, the same way.  Should rounding put
+    a shift above the spectrum, it fails to factor and the ladder falls
+    back to sigma = 0.  ell = 0 keeps sigma = 0, so its cached
+    factorization ``op.solve`` serves the surrogate too; a block with
+    ell >= 2 whose certificate fails factors A once more for the surrogate.
     The H2 surrogate composes the discrete flat Laplacian with each block
     inverse; the report keeps its maximum over modes.  Lanczos
     (``h2_surrogate_norm``) always runs at ell = 0.  Each ell >= 2 is first
@@ -419,7 +438,8 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     kappa = np.inf
     ells = list(range(ell_max + 1))
     for ell in ells:
-        lam_vert.append(smallest_eigenvalue(assemble_vertical_block(ell, t, h, grid)))
+        lam_vert.append(smallest_eigenvalue(assemble_vertical_block(ell, t, h, grid),
+                                            lam_vert[-1] if ell else 0.0))
         if ell == 1:
             # the ell = 0 pair with its components swapped: same lambda_min
             # and surrogate
@@ -427,7 +447,7 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
             continue
         op = _coupled_block(ell, t, grid, r, f, h)
         flat = _coupled_block(ell, t, grid, r)
-        lam.append(smallest_eigenvalue(op))
+        lam.append(smallest_eigenvalue(op, lam[-1] if ell else 0.0))
         if ell == 0 or not _surrogate_certified_below(
                 op, flat, (1.0 - SURROGATE_PRUNE_MARGIN) * surrogate):
             surrogate = max(surrogate, h2_surrogate_norm(op, flat))

@@ -172,6 +172,12 @@ def _rhs(x, y):
     return (y[1], 0.5 * e2x * np.sinh(2.0 * y[0]), y[3], e2x * np.cosh(2.0 * y[0]) * y[2])
 
 
+def _psi_rhs(x, y):
+    """psi alone, psi'' = (1/2) e^(2x) sinh(2 psi), for shots whose tangent
+    nothing reads."""
+    return (y[1], 0.5 * np.exp(2.0 * x) * np.sinh(2.0 * y[0]))
+
+
 def _blowup(x, y):
     return abs(y[0]) - 30.0
 
@@ -179,19 +185,21 @@ def _blowup(x, y):
 _blowup.terminal = True
 
 
-def _shoot_left(a0, x_min, x_mid, ode_tol, dense_output=False):
+def _shoot_left(a0, x_min, x_mid, ode_tol, dense_output=False, tangent=True):
     """Shot from the small-rho series at x_min to x_mid; None when it blows up.
 
     It starts from the ``N_SERIES``-term series that ``psi_log_derivatives``
     reads.  The tangent starts at its exact log-a0 derivative, taken by a
     complex step: with a0 -> a0 e^(i h), the imaginary parts of psi and psi_x
-    are h times their log-a0 derivatives, free of cancellation.
+    are h times their log-a0 derivatives, free of cancellation.  With
+    ``tangent`` False the shot integrates psi and psi_x only.
     """
     h = 1e-30
     psi, psi_x, _ = _series_eval(series_coefficients(a0 * np.exp(1j * h), N_SERIES), np.exp(x_min))
     y0 = (float(psi.real), float(psi_x.real), float(psi.imag) / h, float(psi_x.imag) / h)
+    rhs, y0 = (_rhs, y0) if tangent else (_psi_rhs, y0[:2])
     left = solve_ivp(
-        _rhs, (x_min, x_mid), y0, method="DOP853",
+        rhs, (x_min, x_mid), y0, method="DOP853",
         rtol=ode_tol, atol=ode_tol, dense_output=dense_output, events=_blowup,
     )
     return left if left.success and left.t[-1] == x_mid else None
@@ -237,10 +245,11 @@ def _initial_sweep(x_min, x_mid):
 
     Only left shots are needed: each candidate a0 is scored by how well the
     lambda*K0 tail fitted to its value at rho_mid also matches its slope.
+    The score reads no tangent, so the shots integrate psi alone.
     """
     best = None
     for a0 in np.geomspace(0.2, 5.0, 25):
-        fit = _tail_fit(_shoot_left(a0, x_min, x_mid, 1e-10), x_mid)
+        fit = _tail_fit(_shoot_left(a0, x_min, x_mid, 1e-10, tangent=False), x_mid)
         if fit is not None and (best is None or fit[1] < best[0]):
             best = (fit[1], a0, fit[0])
     if best is None:

@@ -183,6 +183,18 @@ def test_gauge_on_other_radii_rejected(families):
         gg.apply_complex_gauge(pair, other)
 
 
+def test_compose_on_other_radii_rejected():
+    # same shape, other radii: the product would pair samples by index
+    theta = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    r = np.geomspace(1e-3, 1.0, 16)
+    zero = np.zeros_like(r)
+    g = gg.diagonal_gauge(zero, zero, r, theta)
+    other = gg.diagonal_gauge(zero, zero, np.linspace(1e-3, 1.0, 16), theta)
+    with pytest.raises(ValueError, match="different radii"):
+        g.compose(other)
+    assert np.array_equal(g.compose(g).values, g.values)
+
+
 def test_pair_discrepancy_rejects_another_grid(profile):
     geom = fd.make_disk_pair(fd.build_family(1.0, profile, np.geomspace(1e-3, 1.0, 400)), 16)
     lin = fd.make_disk_pair(fd.build_family(1.0, profile, np.linspace(0.01, 1.0, 400)), 16)

@@ -95,6 +95,33 @@ def test_green_norms_uniformity(sweep):
                 assert 1.0 / lam <= 1.0 / (rep.kappa_hat * ell ** 2) + 1e-12
 
 
+def test_green_norms_modes_increase(sweep):
+    # what makes each chain's previous value a valid shift
+    for rep in sweep.values():
+        # lambda_min[1] is the ell = 0 value again
+        assert np.all(np.diff(rep.lambda_min[1:]) > 0)
+        assert np.all(np.diff(rep.lambda_min_vertical) > 0)
+
+
+def test_green_norms_shifts_by_previous_mode(profile, monkeypatch):
+    calls, real = [], lin.smallest_eigenvalue
+
+    def spy(op, below=0.0):
+        value = real(op, below)
+        calls.append((op.block_size, op.ell, below, value))
+        return value
+
+    monkeypatch.setattr(lin, "smallest_eigenvalue", spy)
+    rep = lin.green_norms(2.0, 8, profile, n=100)
+    vertical = [c for c in calls if c[0] == 1]
+    coupled = [c for c in calls if c[0] == 2]
+    assert [c[1] for c in vertical] == list(range(9))
+    assert [c[1] for c in coupled] == [0, *range(2, 9)]
+    assert [c[3] for c in vertical] == rep.lambda_min_vertical
+    assert [c[2] for c in vertical] == [0.0, *rep.lambda_min_vertical[:-1]]
+    assert [c[2] for c in coupled] == [0.0, *rep.lambda_min[1:-1]]
+
+
 def test_green_norms_reuses_swapped_mode(profile):
     # the ell = 1 block is the ell = 0 block with its components swapped, so
     # green_norms reports ell = 0's lambda_min for it; solving it directly
@@ -318,6 +345,61 @@ def test_smallest_eigenvalue_vertical_matches_dense_reference(profile):
     assert lin.smallest_eigenvalue(op) == pytest.approx(_dense_smallest(op), rel=1e-12)
 
 
+def _spy_dpbtrf(monkeypatch):
+    """Record (band, factor, info) of every dpbtrf call."""
+    calls, real = [], lin.dpbtrf
+
+    def spy(band, *args, **kwargs):
+        factor, info = real(band, *args, **kwargs)
+        calls.append((band.copy(), factor, info))
+        return factor, info
+
+    monkeypatch.setattr(lin, "dpbtrf", spy)
+    return calls
+
+
+def _shift_pair(profile, kind, ell, t, n):
+    """The ``kind`` block at ell and its lambda_min at ell - 1."""
+    if kind == "coupled":
+        prev, op = (lin.assemble_block(m, t, profile, n=n) for m in (ell - 1, ell))
+    else:
+        grid = lin.RadialGrid(n, lin.DEFAULT_R_MIN)
+        h = lin.build_family(t, profile, grid.r).h
+        prev, op = (lin.assemble_vertical_block(m, t, h, grid) for m in (ell - 1, ell))
+    return op, lin.smallest_eigenvalue(prev)
+
+
+@pytest.mark.parametrize("t", [1.0, 8.0])
+@pytest.mark.parametrize("kind, ell", [("coupled", 2), ("coupled", 5), ("coupled", 32),
+                                       ("vertical", 3)])
+def test_shifted_smallest_eigenvalue_matches_dense_reference(profile, monkeypatch,
+                                                             kind, ell, t):
+    # the ell - 1 value lies below the spectrum: its shift factors at once
+    op, below = _shift_pair(profile, kind, ell, t, 150)
+    factored = _spy_dpbtrf(monkeypatch)
+    lam = lin.smallest_eigenvalue(op, below)
+    assert lam == pytest.approx(_dense_smallest(op), rel=1e-12)
+    assert below < lam
+    [(band, _, info)] = factored
+    assert info == 0
+    assert np.array_equal(band[-1], op.band[-1] - below * op.weights)
+
+
+@pytest.mark.parametrize("kind", ["above", "nan"])
+def test_refused_shift_falls_back_to_zero(profile, monkeypatch, kind):
+    # a shift above the spectrum, or NaN, does not factor; the ladder goes on
+    # at sigma = 0 and returns exactly the unshifted value
+    lam = lin.smallest_eigenvalue(lin.assemble_block(5, 2.0, profile, n=150))
+    op = lin.assemble_block(5, 2.0, profile, n=150)  # not yet factored
+    factored = _spy_dpbtrf(monkeypatch)
+    below = 1.5 * lam if kind == "above" else float("nan")
+    assert lin.smallest_eigenvalue(op, below) == lam
+    (refused, factor, info), (band, _, accepted) = factored
+    assert info > 0 or not np.isfinite(factor[-1]).all()
+    assert not np.array_equal(refused, op.band)
+    assert accepted == 0 and np.array_equal(band, op.band)
+
+
 def test_smallest_eigenvalue_shifted_kernel_matches_dense_reference():
     # the eigenvalue is zero, so its error is measured against the first
     # nonzero eigenvalue of the pencil
@@ -329,26 +411,22 @@ def test_smallest_eigenvalue_shifted_kernel_matches_dense_reference():
 
 
 def test_one_factorization_per_block(profile, monkeypatch):
-    factored, eigsh_kwargs = [], []
-    real_dpbtrf, real_eigsh = lin.dpbtrf, lin.eigsh
-
-    def spy_dpbtrf(band, *args, **kwargs):
-        factored.append(band.copy())
-        return real_dpbtrf(band, *args, **kwargs)
+    eigsh_kwargs, real_eigsh = [], lin.eigsh
 
     def spy_eigsh(*args, **kwargs):
         eigsh_kwargs.append(kwargs)
         return real_eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(lin, "dpbtrf", spy_dpbtrf)
+    factored = _spy_dpbtrf(monkeypatch)
     monkeypatch.setattr(lin, "eigsh", spy_eigsh)
     op, flat = _surrogate_pair(profile, 3, 2.0, 100)
     lin.smallest_eigenvalue(op)
     lin.h2_surrogate_norm(op, flat)
     assert len(factored) == 1
-    assert np.array_equal(factored[0], op.band)
+    assert np.array_equal(factored[0][0], op.band)
     assert len(eigsh_kwargs) == 2
     assert all("M" not in kw and "sigma" not in kw for kw in eigsh_kwargs)
+    assert eigsh_kwargs[0]["ncv"] == lin.LANCZOS_NCV
 
 
 def test_flat_block_reads_no_profile(profile, monkeypatch):

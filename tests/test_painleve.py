@@ -342,11 +342,14 @@ def test_swept_seed_shot_failure_raises(monkeypatch):
 
 def test_failed_trial_shot_reseeds_from_sweep(monkeypatch):
     # the first trial shot (call 3) fails once; the real sweep supplies a new
-    # seed and Newton from there still meets the closed forms
+    # seed and Newton from there still meets the closed forms.  The sweep's
+    # 25 shots (calls 4-28) integrate psi alone: nothing reads their tangent
     calls = _counting_solve_ivp(monkeypatch, fails=lambda call: call == 3)
     profile = solve_connection()
     assert profile.reseeded
     assert not calls[2][1].success
+    assert len(calls) == 40
+    assert [len(sol.y) for _, sol in calls] == [4] * 3 + [2] * 25 + [4] * 12
     a0 = math.gamma(1.0 / 3.0) / (2.0 * math.gamma(2.0 / 3.0))
     assert math.isclose(profile.a0, a0, rel_tol=1e-11)
     assert math.isclose(profile.lam, 1.0 / math.pi, rel_tol=1e-11)
