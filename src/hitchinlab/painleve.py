@@ -8,10 +8,16 @@ iteration on (log a_0, log lambda), where lambda is the tail amplitude.  Each
 shot integrates the variational equation d'' = e^(2x) cosh(2 psi) d alongside
 psi, so it returns its end state together with the exact derivative of that
 state in its own parameter: the left shot depends only on a_0 and the right
-shot only on lambda.  Newton thus takes one shot per side per iteration; its
-shots build no dense output, and one final dense pair samples the profile
-grid.  Newton starts from a_0 = 1 and the tail fitted to that first left
-shot's value at rho_mid.
+shot only on lambda.  Newton thus takes one shot per side per iteration.
+Newton starts from a_0 = 1 and the tail fitted to that first left shot's
+value at rho_mid.  Its shots are inexact Newton steps (Dembo, Eisenstat and
+Steihaug, SIAM J. Numer. Anal. 19, 1982): each integrates only as accurately
+as the step taken from it can use, and the accepted pair, at the full
+tolerance, also samples the profile grid.
+
+The profile is one parameter-free function, so ``solve_connection`` solves
+it once per process and argument set and hands every caller the same
+read-only ``PsiProfile``.
 
 The right shot starts at ``RHO_TAIL``, not at the grid's end: above it
 lambda*K0 <= 6e-9 for lambda <= 10, where (1/2) sinh(2 psi) rounds to psi,
@@ -46,6 +52,10 @@ N_GRID = 8192        # profile samples, uniform in x = log rho
 N_SERIES = 8         # small-rho series terms kept with the profile
 SERIES_CUT = 0.1     # psi_log_derivatives uses the series for rho <= this
 MAX_NEWTON = 30      # Newton iterations on (log a0, log lambda)
+SHOT_TOL_MAX = 1e-6  # rtol of the seed shots, the loosest any Newton shot takes
+
+# solved profiles by (rho_min, rho_mid, tol, ode_tol); see solve_connection
+_SOLVED: dict = {}
 
 
 def series_coefficients(a0: float, n_terms: int) -> np.ndarray:
@@ -98,7 +108,7 @@ def _series_eval(coeffs: np.ndarray, rho):
     return psi, psi_x, psi_xx
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PsiProfile:
     """Solved profile on a log-spaced grid with endpoint expansion data.
 
@@ -112,6 +122,9 @@ class PsiProfile:
     the grid.  ``newton_history`` is the max-norm matching mismatch of each
     accepted Newton iterate, starting with the initial shot; ``reseeded``
     says whether the coarse sweep had to supply the seed.
+
+    A profile is shared by every caller of ``solve_connection`` with the
+    same arguments, so it is frozen and its arrays are read-only.
     """
 
     rho: np.ndarray
@@ -126,6 +139,10 @@ class PsiProfile:
     series: np.ndarray = field(repr=False)
     newton_history: tuple = ()
     reseeded: bool = False
+
+    def __post_init__(self):
+        for samples in (self.rho, self.psi, self.psi_x, self.psi_xx, self.series):
+            samples.flags.writeable = False
 
     @property
     def x(self) -> np.ndarray:
@@ -264,7 +281,7 @@ def solve_connection(
     ode_tol: float = 1e-13,
 ) -> PsiProfile:
     """Two-sided shooting solve of the connection problem on
-    [rho_min, DEFAULT_RHO_MAX].
+    [rho_min, DEFAULT_RHO_MAX], once per process and argument set.
 
     Newton iterates on p = (log a0, log lambda) until the value/derivative
     mismatch at rho_mid drops below ``tol``.  Each shot carries the
@@ -278,12 +295,26 @@ def solve_connection(
     iterations above ``tol``.  ``rho_min`` must lie within the series'
     range, (0, SERIES_CUT], and ``rho_mid`` between it and ``RHO_TAIL``.
 
-    Newton shots keep no dense output.  After convergence one more shot per
-    side, with dense output, samples the grid up to ``RHO_TAIL``; it
-    integrates the same four-component system, and DOP853 takes the same
-    steps with or without dense output, so this pair ends at the accepted
-    states.  The grid nodes above ``RHO_TAIL`` take the tail itself.
+    The seed pair is shot at rtol ``SHOT_TOL_MAX``, and a pair taken after a
+    step from accepted mismatch m at max(min(m^4, SHOT_TOL_MAX), ode_tol):
+    the error of the shot at p_k sets the error of the step from p_k, and
+    that must stay below the next mismatch, about C m_k^2 ~ C^3 m_(k-1)^4.
+    Only a pair shot at ``ode_tol`` is accepted below ``tol``.  Such pairs
+    keep dense output, and the accepted one samples the grid up to
+    ``RHO_TAIL``; the grid nodes above it take the tail itself.
+
+    The result is kept in ``_SOLVED`` under the arguments as floats, so the
+    default call and ``tol=1e-12`` share one profile, which is why it is
+    read-only.  A solve that raises stores nothing.
     """
+    key = (float(rho_min), float(rho_mid), float(tol), float(ode_tol))
+    if key not in _SOLVED:
+        _SOLVED[key] = _solve_connection(*key)
+    return _SOLVED[key]
+
+
+def _solve_connection(rho_min: float, rho_mid: float, tol: float, ode_tol: float) -> PsiProfile:
+    """``solve_connection`` without the memo."""
     rho_max = DEFAULT_RHO_MAX
     if not 0 < rho_min <= SERIES_CUT:
         raise ValueError(f"need 0 < rho_min <= SERIES_CUT = {SERIES_CUT}, the series' range")
@@ -291,44 +322,49 @@ def solve_connection(
         raise ValueError("need rho_min < rho_mid < RHO_TAIL")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if not ode_tol > 0:
+        raise ValueError("ode_tol must be positive")
     x_min, x_mid = np.log(rho_min), np.log(rho_mid)
+    seed_tol = max(SHOT_TOL_MAX, ode_tol)
 
-    def shoot(p, left=None):
-        """(mismatch, Jacobian) at p, or None when either shot fails;
-        ``left`` is a left shot already taken at a0 = exp(p[0])."""
+    def shoot(p, eps, left=None):
+        """(mismatch, Jacobian, eps, left, right) of the pair at p shot at
+        rtol eps, or None when either shot fails; ``left`` is a left shot
+        already taken at a0 = exp(p[0]) and rtol eps."""
+        dense = eps == ode_tol
         if left is None:
-            left = _shoot_left(np.exp(p[0]), x_min, x_mid, ode_tol)
-        right = None if left is None else _shoot_right(np.exp(p[1]), x_mid, ode_tol)
+            left = _shoot_left(np.exp(p[0]), x_min, x_mid, eps, dense_output=dense)
+        right = None if left is None else _shoot_right(np.exp(p[1]), x_mid, eps, dense)
         if right is None:
             return None
         lft, rgt = left.y[:, -1], right.y[:, -1]
-        return lft[:2] - rgt[:2], np.column_stack((lft[2:], -rgt[2:]))
+        return lft[:2] - rgt[:2], np.column_stack((lft[2:], -rgt[2:])), eps, left, right
 
     def reseed():
         p = np.log(_initial_sweep(x_min, x_mid))
-        shot = shoot(p)
+        shot = shoot(p, seed_tol)
         if shot is None:
             raise NumericalError("shooting fails from swept initial guess")
         return p, shot
 
     reseeded = False
-    left = _shoot_left(1.0, x_min, x_mid, ode_tol)
+    left = _shoot_left(1.0, x_min, x_mid, seed_tol, dense_output=seed_tol == ode_tol)
     fit = _tail_fit(left, x_mid)
     if fit is not None:
         p = np.array([0.0, np.log(fit[0])])  # (log a0, log lambda)
-        shot = shoot(p, left)
+        shot = shoot(p, seed_tol, left)
     if fit is None or shot is None:
         (p, shot), reseeded = reseed(), True
     history = [float(np.max(np.abs(shot[0])))]
-    while history[-1] >= tol and len(history) <= MAX_NEWTON:
+    while (history[-1] >= tol or shot[2] > ode_tol) and len(history) <= MAX_NEWTON:
         last = history[-1]
-        m, jac = shot
+        m, jac = shot[:2]
         try:
             delta = np.linalg.solve(jac, -m)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular shooting Jacobian: {exc}") from exc
         p_new = p + np.clip(delta, -1.0, 1.0)
-        shot_new = shoot(p_new)
+        shot_new = shoot(p_new, max(min(last ** 4, SHOT_TOL_MAX), ode_tol))
         if shot_new is None or np.max(np.abs(shot_new[0])) > 10.0 * max(last, tol):
             if reseeded:
                 raise NumericalError(f"Newton diverged; last mismatch {last:.3e}")
@@ -337,12 +373,11 @@ def solve_connection(
             p, shot = p_new, shot_new
         history.append(float(np.max(np.abs(shot[0]))))
     last = history[-1]
-    if last >= tol:
+    if last >= tol or shot[2] > ode_tol:
         raise NumericalError(f"Newton did not reach tol={tol}; last mismatch {last:.3e}")
 
     a0, lam = float(np.exp(p[0])), float(np.exp(p[1]))
-    left = _shoot_left(a0, x_min, x_mid, ode_tol, dense_output=True)
-    right = _shoot_right(lam, x_mid, ode_tol, dense_output=True)
+    left, right = shot[3:]
     x = np.linspace(x_min, np.log(rho_max), N_GRID)
     rho = np.exp(x)
     on_left = x <= x_mid

@@ -208,6 +208,25 @@ def test_neumann_variant_positive(families):
     assert lam > 0.0
 
 
+def test_second_difference_is_the_flat_stencil(rng):
+    # the Newton residual differences w by hand; it must be the scheme's own
+    # ell = 0 stencil, outer ghost included
+    grid = lin.RadialGrid(300, 1e-3)
+    v = rng.standard_normal(grid.n)
+    d2 = -(lin.assemble_scalar(0, n=grid.n, r_min=grid.r_min).matrix @ v)
+    d2[-1] += 0.7 / grid.dx ** 2
+    got = gl._second_difference(v, 0.7, grid.dx)
+    assert np.abs(got - d2).max() <= 1e-14 * np.abs(d2).max()
+
+
+def test_newton_parts_sum_to_u(families):
+    # w_lo holds only the rounding of w_hi, and sup_u is that of the sum
+    state = gl.build_glued(2.0, families[2.0], n=400)
+    result = gl.newton_correct(state, tol=1e-10)
+    assert 0 < np.abs(result.w_lo).max() <= 1e-15 * np.abs(result.w_hi).max()
+    assert result.sup_u == np.abs(result.u).max()
+
+
 def test_newton_divergence_reports(families):
     state = gl.build_glued(2.0, families[2.0], n=200)
     with pytest.raises(NumericalError, match=r"^t=2:"):
@@ -232,6 +251,7 @@ def test_solver_calls_go_through_module_attributes(families, monkeypatch):
 
     count(painleve, "solve_ivp")
     count(gl, "solve_banded")
+    monkeypatch.setattr(painleve, "_SOLVED", {})  # a memoized profile makes no call
     painleve.solve_connection(ode_tol=1e-10)
     result = gl.newton_correct(gl.build_glued(4.0, families[4.0], n=400), tol=1e-8)
     assert calls["solve_ivp"] > 0
@@ -240,11 +260,7 @@ def test_solver_calls_go_through_module_attributes(families, monkeypatch):
 
 COARSE_MESH = (2000, 1e-3)
 REFINED_MESHES = ((8000, 1e-3), (2000, 1e-4))
-_FLOOR = pytest.mark.xfail(
-    strict=True, raises=NumericalError,
-    reason="float64 floor: at n=16000 the residual stalls at 5.8e-10, the rounding "
-           "of w (|w| ~ 0.34 near r = 0.64) entering its second difference as "
-           "~eps |w| / dx^2, above tol 1e-10; n=8000 sits at 9.6e-11, just under it")
+FINE_MESH = (16000, 1e-3)
 
 
 def _residual_post(profile, t, n, r_min):
@@ -255,7 +271,9 @@ def _residual_post(profile, t, n, r_min):
 @pytest.mark.parametrize("t, n, r_min", [
     *((t, n, r_min) for t in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 24.0)
       for n, r_min in REFINED_MESHES),
-    pytest.param(0.25, 16000, 1e-3, marks=_FLOOR),
+    # the small-t cases whose stored w rounded to a residual floor above
+    # tol (5.8e-10 at t = 0.25) before w became a double-word sum
+    *((t, *FINE_MESH) for t in (0.25, 0.5, 1.0)),
 ])
 def test_newton_refinement_keeps_pass(profile, t, n, r_min):
     # refining the mesh must not turn a pass on the coarse mesh into a failure

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 from hitchinlab.painleve import (
     DEFAULT_RHO_MAX,
+    DEFAULT_RHO_MIN,
     DEFAULT_RHO_MID,
     RHO_TAIL,
     SERIES_CUT,
@@ -216,6 +218,8 @@ def test_solver_input_validation():
         solve_connection(rho_min=1.0, rho_mid=0.5)
     with pytest.raises(ValueError):
         solve_connection(tol=0.0)
+    with pytest.raises(ValueError, match="ode_tol"):
+        solve_connection(ode_tol=0.0)
 
 
 def test_nan_inputs_rejected(profile):
@@ -293,10 +297,11 @@ def test_newton_history_converges_quadratically(profile):
 
 
 def _counting_solve_ivp(monkeypatch, fails=lambda call: False):
-    """Wrap painleve.solve_ivp; record (dense_output, solution) per call.
+    """Wrap painleve.solve_ivp; record (dense_output, rtol, solution) per call.
 
     Calls are numbered from 1; those for which ``fails`` is true are marked
-    unsuccessful after they ran.
+    unsuccessful after they ran.  The memo is emptied for the test, so the
+    solve it watches runs whatever ran before.
     """
     from hitchinlab import painleve
 
@@ -305,26 +310,38 @@ def _counting_solve_ivp(monkeypatch, fails=lambda call: False):
 
     def counted(*args, **kwargs):
         sol = real(*args, **kwargs)
-        calls.append((kwargs.get("dense_output", False), sol))
+        calls.append((kwargs.get("dense_output", False), kwargs["rtol"], sol))
         if fails(len(calls)):
             sol.success = False
         return sol
 
     monkeypatch.setattr(painleve, "solve_ivp", counted)
+    monkeypatch.setattr(painleve, "_SOLVED", {})
     return calls
 
 
 def test_solve_connection_shot_budget(monkeypatch):
     # the exact Jacobian comes with each shot, so Newton takes one shot per
-    # side per iteration with no dense output; one dense pair after
-    # convergence samples the grid and ends where the last Newton pair did
+    # side per iteration: the seed pair at SHOT_TOL_MAX, two pairs tightened
+    # by the schedule and two at the full ode_tol, the only ones with dense
+    # output.  The grid is sampled from the last pair, with no extra shot
+    from hitchinlab import painleve
+
     calls = _counting_solve_ivp(monkeypatch)
-    solve_connection()
-    dense = [d for d, _ in calls]
-    assert len(dense) == 12
-    assert dense == [False] * 10 + [True] * 2
-    for newton, final in zip(calls[-4:-2], calls[-2:]):
-        assert np.array_equal(newton[1].y[:, -1], final[1].y[:, -1])
+    profile = solve_connection()
+    rtols = [rtol for _, rtol, _ in calls]
+    assert len(calls) == 10
+    assert rtols[:2] == [painleve.SHOT_TOL_MAX] * 2
+    assert rtols == sorted(rtols, reverse=True)
+    assert [dense for dense, _, _ in calls] == [rtol == 1e-13 for rtol in rtols]
+    assert rtols[-4:] == [1e-13] * 4
+    left, right = calls[-2][2], calls[-1][2]
+    x = np.linspace(math.log(DEFAULT_RHO_MIN), math.log(DEFAULT_RHO_MAX), len(profile.rho))
+    assert np.array_equal(np.exp(x), profile.rho)
+    on_left = x <= math.log(DEFAULT_RHO_MID)
+    on_right = ~on_left & (profile.rho <= RHO_TAIL)
+    assert np.array_equal(profile.psi[on_left], left.sol(x[on_left])[0])
+    assert np.array_equal(profile.psi[on_right], right.sol(x[on_right])[0])
 
 
 def test_swept_seed_shot_failure_raises(monkeypatch):
@@ -343,14 +360,55 @@ def test_swept_seed_shot_failure_raises(monkeypatch):
 def test_failed_trial_shot_reseeds_from_sweep(monkeypatch):
     # the first trial shot (call 3) fails once; the real sweep supplies a new
     # seed and Newton from there still meets the closed forms.  The sweep's
-    # 25 shots (calls 4-28) integrate psi alone: nothing reads their tangent
+    # 25 shots (calls 4-28) integrate psi alone: nothing reads their tangent.
+    # Newton from the swept seed then takes five pairs (calls 29-38), and its
+    # accepted pair samples the grid: no separate dense pair follows
     calls = _counting_solve_ivp(monkeypatch, fails=lambda call: call == 3)
     profile = solve_connection()
     assert profile.reseeded
-    assert not calls[2][1].success
-    assert len(calls) == 40
-    assert [len(sol.y) for _, sol in calls] == [4] * 3 + [2] * 25 + [4] * 12
+    assert not calls[2][2].success
+    assert len(calls) == 38
+    assert [len(sol.y) for _, _, sol in calls] == [4] * 3 + [2] * 25 + [4] * 10
+    assert calls[-1][0] and calls[-1][1] == 1e-13
     a0 = math.gamma(1.0 / 3.0) / (2.0 * math.gamma(2.0 / 3.0))
     assert math.isclose(profile.a0, a0, rel_tol=1e-11)
     assert math.isclose(profile.lam, 1.0 / math.pi, rel_tol=1e-11)
     assert profile.match_mismatch < 1e-12
+
+
+def test_solve_connection_is_memoized():
+    # one solve per argument set: the CLI's tol=1e-12 is the default's entry
+    profile = solve_connection()
+    assert solve_connection(tol=1e-12) is profile
+    assert solve_connection(DEFAULT_RHO_MIN, DEFAULT_RHO_MID, 1e-12, 1e-13) is profile
+    assert solve_connection(rho_mid=2.0) is not profile
+    assert solve_connection(ode_tol=1e-10) is not profile
+    # bad input raises on every call; nothing is stored for it
+    for _ in range(2):
+        with pytest.raises(ValueError, match="rho_mid"):
+            solve_connection(rho_mid=float("nan"))
+
+
+def test_profile_is_read_only(profile):
+    # every caller shares the memoized profile, so nobody may change it
+    with pytest.raises(ValueError, match="read-only"):
+        profile.psi[0] = 0.0
+    for samples in (profile.rho, profile.psi_x, profile.psi_xx, profile.series):
+        assert not samples.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        profile.a0 = 1.0
+
+
+def test_failed_solve_is_not_memoized(monkeypatch):
+    from hitchinlab import painleve
+    from hitchinlab.errors import NumericalError
+
+    max_newton = painleve.MAX_NEWTON
+    monkeypatch.setattr(painleve, "_SOLVED", {})
+    monkeypatch.setattr(painleve, "MAX_NEWTON", 0)
+    with pytest.raises(NumericalError, match="did not reach"):
+        solve_connection()
+    assert painleve._SOLVED == {}
+    monkeypatch.setattr(painleve, "MAX_NEWTON", max_newton)
+    profile = solve_connection()
+    assert list(painleve._SOLVED.values()) == [profile]
