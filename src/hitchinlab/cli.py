@@ -200,7 +200,8 @@ def cmd_indicial(config: RunConfig) -> int:
 
 def cmd_glue(config: RunConfig) -> int:
     out = _outdir(config)
-    profile = _solve_profile(config)
+    # --tol is the gluing Newton's tolerance; the profile keeps its own
+    profile = painleve.solve_connection()
     cutoff = gluing.CutoffProfile()
 
     def one(t):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .painleve import PsiProfile, psi_log_derivatives
+from .painleve import PsiProfile, psi_log_derivatives, write_columns_csv
 
 DEFAULT_GRID_N = 400
 DEFAULT_R_MIN = 1e-3
@@ -252,8 +252,5 @@ def family_summary(family: FiducialFamily) -> dict:
 
 def export_family_csv(family: FiducialFamily, path) -> None:
     """Columns r, h, f, df, residual with 17 significant digits."""
-    res = family.residual()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("r,h,f,df,residual\n")
-        for row in zip(family.r, family.h, family.f, family.df, res):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_columns_csv(path, "r,h,f,df,residual",
+                      [family.r, family.h, family.f, family.df, family.residual()])

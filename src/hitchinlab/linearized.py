@@ -39,6 +39,14 @@ SURROGATE_MAX_ITER = 400
 SURROGATE_TOL = 1e-10
 SURROGATE_PRUNE_MARGIN = 1e-6
 LANCZOS_NCV = 6
+# green_norms shifts each mode's eigen solve this far from the previous mode's
+# lambda_min toward the quadratic extrapolation through the chain's last three
+# values.  Over green_norms(t, 32, n) at n in {100, 300, 600, 800} x t in
+# {0.5, 1, 2, 4, 8, 16, 30} (1652 extrapolated shifts), reach 0 (the previous
+# value) took 27194 Lanczos products, 0.9 took 19139 and 0.99 14882 with no
+# shift refused; 0.999 had 167 shifts refused (16796 products) and 1.0 had
+# 932 (36374), each refusal costing a solve from sigma = 0.
+SHIFT_REACH = 0.99
 
 
 @dataclass(frozen=True)
@@ -393,6 +401,19 @@ class SpectralReport:
         }
 
 
+def _next_shift(chain: list) -> float:
+    """Shift for the next mode's eigen solve from its chain's lambda_min so far.
+
+    With three values or more this is ``SHIFT_REACH`` of the way from the last
+    value to the quadratic extrapolation p = 3 l[-1] - 3 l[-2] + l[-3];
+    with fewer it is the last value, and 0 for an empty chain.
+    """
+    if len(chain) < 3:
+        return chain[-1] if chain else 0.0
+    a, b, c = chain[-3:]
+    return c + SHIFT_REACH * ((3.0 * c - 3.0 * b + a) - c)
+
+
 def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> SpectralReport:
     """Per-mode smallest eigenvalues and Green-operator norm estimates.
 
@@ -401,16 +422,22 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     swap symmetry of the block) together with the diagonal-subbundle blocks.
     By the same symmetry ell = 1 is the ell = 0 block, so it reuses ell = 0's
     lambda_min and surrogate.
-    Each chain's solve at ell >= 1 is shifted by that chain's lambda_min at
-    ell - 1 (``smallest_eigenvalue``'s ``below``), which lies below the
-    spectrum by min-max: in a vertical block the potential ell^2 / r^2 and
-    the ghost exponent |ell| both grow with ell; in a coupled block with
-    ell >= 2 and f in [0, 1/8] the diagonal terms (ell - 4f)^2 and
-    (ell - 1 + 4f)^2 and the exponents (|ell|, |ell - 1|) all grow while
-    the coupling stays fixed, and ell = 2 compares with ell = 1, the ell = 0
-    block with its components swapped, the same way.  Should rounding put
-    a shift above the spectrum, it fails to factor and the ladder falls
-    back to sigma = 0.  ell = 0 keeps sigma = 0, so its cached
+    Each chain's solve at ell >= 1 is shifted (``smallest_eigenvalue``'s
+    ``below``) by ``_next_shift``: from the fourth value of a chain on, just
+    under the quadratic extrapolation through its last three values, before
+    that the chain's lambda_min at ell - 1.  The coupled ell = 3 keeps
+    ell = 2's value too, since its window would hold ell = 1's copy of
+    ell = 0, and there the extrapolation overshoots.  Only the value at
+    ell - 1 lies below the spectrum by min-max: in a vertical block the
+    potential ell^2 / r^2 and the ghost exponent |ell| both grow with ell;
+    in a coupled block with ell >= 2 and f in [0, 1/8] the diagonal terms
+    (ell - 4f)^2 and (ell - 1 + 4f)^2 and the exponents (|ell|, |ell - 1|)
+    all grow while the coupling stays fixed, and ell = 2 compares with
+    ell = 1, the ell = 0 block with its components swapped, the same way.
+    The extrapolated shift is certified by the Cholesky factorization
+    alone: one above the spectrum (or any shift that rounding puts there)
+    fails to factor and the ladder falls back to sigma = 0, so the value
+    never depends on the guess.  ell = 0 keeps sigma = 0, so its cached
     factorization ``op.solve`` serves the surrogate too; a block with
     ell >= 2 whose certificate fails factors A once more for the surrogate.
     The H2 surrogate composes the discrete flat Laplacian with each block
@@ -439,7 +466,7 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     ells = list(range(ell_max + 1))
     for ell in ells:
         lam_vert.append(smallest_eigenvalue(assemble_vertical_block(ell, t, h, grid),
-                                            lam_vert[-1] if ell else 0.0))
+                                            _next_shift(lam_vert)))
         if ell == 1:
             # the ell = 0 pair with its components swapped: same lambda_min
             # and surrogate
@@ -447,7 +474,9 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
             continue
         op = _coupled_block(ell, t, grid, r, f, h)
         flat = _coupled_block(ell, t, grid, r)
-        lam.append(smallest_eigenvalue(op, lam[-1] if ell else 0.0))
+        # at ell = 3 the window would hold ell = 1's copy of ell = 0, and
+        # there the extrapolation overshoots
+        lam.append(smallest_eigenvalue(op, lam[-1] if ell == 3 else _next_shift(lam)))
         if ell == 0 or not _surrogate_certified_below(
                 op, flat, (1.0 - SURROGATE_PRUNE_MARGIN) * surrogate):
             surrogate = max(surrogate, h2_surrogate_norm(op, flat))

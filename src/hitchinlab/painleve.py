@@ -53,6 +53,9 @@ N_SERIES = 8         # small-rho series terms kept with the profile
 SERIES_CUT = 0.1     # psi_log_derivatives uses the series for rho <= this
 MAX_NEWTON = 30      # Newton iterations on (log a0, log lambda)
 SHOT_TOL_MAX = 1e-6  # rtol of the seed shots, the loosest any Newton shot takes
+# rows per formatted string in CSV exports: as fast as one string for the
+# whole file, without the 2.4 MB transient that one string costs for psi.csv
+CSV_BLOCK_ROWS = 256
 
 # solved profiles by (rho_min, rho_mid, tol, ode_tol); see solve_connection
 _SOLVED: dict = {}
@@ -446,9 +449,19 @@ def psi_log_derivatives(profile: PsiProfile, rho):
     return psi, psi_x, psi_xx
 
 
+def write_columns_csv(path, header: str, columns) -> None:
+    """Write ``header`` and one row per sample of the equal-length float
+    ``columns``, each value as ``%.17g``, in one ``writelines`` call that
+    formats ``CSV_BLOCK_ROWS`` rows per string."""
+    rows = np.column_stack(columns)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    blocks = np.split(rows, range(CSV_BLOCK_ROWS, len(rows), CSV_BLOCK_ROWS))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines((line * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
+
+
 def export_profile_csv(profile: PsiProfile, path) -> None:
     """Write rho, psi, dpsi, eta columns with 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rho,psi,dpsi,eta\n")
-        for row in zip(profile.rho, profile.psi, profile.dpsi, profile.eta):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_columns_csv(path, "rho,psi,dpsi,eta",
+                      [profile.rho, profile.psi, profile.dpsi, profile.eta])

@@ -90,6 +90,21 @@ def test_glue_failure_names_t(tmp_path, capsys):
     assert "t=1" in capsys.readouterr().err
 
 
+def test_glue_tol_is_the_gluing_tolerance_only(tmp_path, capsys, monkeypatch):
+    # --tol drives the gluing Newton alone: a tolerance below what any profile
+    # solve reaches fails in gluing, naming t, and every --tol shares the
+    # profile solved at solve_connection's own tolerance
+    from hitchinlab import painleve
+
+    monkeypatch.setattr(painleve, "_SOLVED", {})
+    assert run(["glue", "--t", "1", "--tol", "1e-17", "--out", str(tmp_path)]) == 1
+    assert "t=1" in capsys.readouterr().err
+    for tol in (["--tol", "1e-13"], ["--tol", "1e-14"], []):
+        assert run(["glue", "--t", "1", *tol, "--out", str(tmp_path)]) == 0
+    assert list(painleve._SOLVED) == [(painleve.DEFAULT_RHO_MIN, painleve.DEFAULT_RHO_MID,
+                                       1e-12, 1e-13)]
+
+
 def test_glue_default_t_exits_zero(tmp_path):
     # the default t list starts at t = 1
     assert run(["glue", "--out", str(tmp_path)]) == 0

@@ -178,3 +178,7 @@ def test_exports(families, tmp_path):
     lines = (tmp_path / "fam.csv").read_text().splitlines()
     assert lines[0] == "r,h,f,df,residual"
     assert len(lines) == len(fam.r) + 1
+    # the block writer keeps every byte of the per-value format(v, ".17g") join
+    columns = (fam.r, fam.h, fam.f, fam.df, fam.residual())
+    rows = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in zip(*columns))
+    assert (tmp_path / "fam.csv").read_bytes() == ("r,h,f,df,residual\n" + rows).encode()

@@ -8,6 +8,8 @@ from scipy.special import jn_zeros
 
 from hitchinlab import linearized as lin
 
+_real_smallest_eigenvalue = lin.smallest_eigenvalue
+
 
 @pytest.fixture(scope="module")
 def bessel_target():
@@ -103,23 +105,98 @@ def test_green_norms_modes_increase(sweep):
         assert np.all(np.diff(rep.lambda_min_vertical) > 0)
 
 
-def test_green_norms_shifts_by_previous_mode(profile, monkeypatch):
+def _expected_shifts(chain, skip=()):
+    """The shift rule along a chain of lambda_min: 0, then the previous value
+    for the first two modes and at the modes in ``skip``, then SHIFT_REACH of
+    the way to the quadratic extrapolation through the last three values."""
+    shifts = []
+    for i in range(len(chain)):
+        if i == 0:
+            shifts.append(0.0)
+        elif i < 3 or i in skip:
+            shifts.append(chain[i - 1])
+        else:
+            a, b, c = chain[i - 3:i]
+            shifts.append(c + lin.SHIFT_REACH * ((3.0 * c - 3.0 * b + a) - c))
+    return shifts
+
+
+def _spy_eigen_solves(monkeypatch):
+    """Record (op, below, value, dpbtrf calls made by it) of every
+    smallest_eigenvalue call."""
     calls, real = [], lin.smallest_eigenvalue
+    factored = _spy_dpbtrf(monkeypatch)
 
     def spy(op, below=0.0):
+        first = len(factored)
         value = real(op, below)
-        calls.append((op.block_size, op.ell, below, value))
+        calls.append((op, below, value, factored[first:]))
         return value
 
     monkeypatch.setattr(lin, "smallest_eigenvalue", spy)
-    rep = lin.green_norms(2.0, 8, profile, n=100)
-    vertical = [c for c in calls if c[0] == 1]
-    coupled = [c for c in calls if c[0] == 2]
-    assert [c[1] for c in vertical] == list(range(9))
-    assert [c[1] for c in coupled] == [0, *range(2, 9)]
-    assert [c[3] for c in vertical] == rep.lambda_min_vertical
-    assert [c[2] for c in vertical] == [0.0, *rep.lambda_min_vertical[:-1]]
-    assert [c[2] for c in coupled] == [0.0, *rep.lambda_min[1:-1]]
+    return calls
+
+
+@pytest.mark.parametrize("t", [2.0, 16.0])
+def test_green_norms_shifts_by_extrapolation(profile, monkeypatch, t):
+    calls = _spy_eigen_solves(monkeypatch)
+    rep = lin.green_norms(t, 16, profile, n=100)
+    vertical = [c for c in calls if c[0].block_size == 1]
+    coupled = [c for c in calls if c[0].block_size == 2]
+    assert [c[0].ell for c in vertical] == list(range(17))
+    assert [c[0].ell for c in coupled] == [0, *range(2, 17)]
+    assert [c[2] for c in vertical] == rep.lambda_min_vertical
+    assert [c[2] for c in coupled] == [rep.lambda_min[0], *rep.lambda_min[2:]]
+    # ell = 3 keeps ell = 2's value: its window would hold ell = 1's copy of ell = 0
+    assert [c[1] for c in vertical] == _expected_shifts(rep.lambda_min_vertical)
+    shifts = _expected_shifts(rep.lambda_min, skip=(3,))
+    assert [c[1] for c in coupled] == [shifts[0], *shifts[2:]]
+    for op, below, value, factored in calls:
+        assert below < value
+        # each shift is accepted at once: one factorization, no refusal
+        assert [info for _, _, info in factored] == [0]
+        assert value == pytest.approx(_real_smallest_eigenvalue(op, 0.0), rel=1e-12, abs=0)
+
+
+def test_refused_extrapolated_shift_falls_back_to_zero(profile, monkeypatch):
+    # a reach of 3 puts each extrapolated shift above the spectrum: it fails to
+    # factor, and the ladder returns exactly the sigma = 0 value
+    monkeypatch.setattr(lin, "SHIFT_REACH", 3.0)
+    calls = _spy_eigen_solves(monkeypatch)
+    lin.green_norms(2.0, 8, profile, n=100)
+    extrapolated = [c for c in calls if c[0].ell >= 3 + (c[0].block_size == 2)]
+    assert len(extrapolated) == 6 + 5
+    for op, below, value, factored in extrapolated:
+        (refused, factor, info), (band, _, accepted) = factored
+        assert info > 0 or not np.isfinite(factor[-1]).all()
+        assert np.array_equal(refused[-1], op.band[-1] - below * op.weights)
+        assert accepted == 0 and np.array_equal(band, op.band)
+        assert value == _real_smallest_eigenvalue(op, 0.0)
+
+
+def test_green_norms_lanczos_products(profile, monkeypatch):
+    # a host-independent guard on the shift rule: 941 products with each
+    # chain shifted by its previous value, 500 with the extrapolated shift
+    products, real_eigsh, real = [0], lin.eigsh, lin.smallest_eigenvalue
+    active = [False]
+
+    def spy_eigsh(a, **kwargs):
+        def matvec(x):
+            products[0] += active[0]
+            return a.matvec(x)
+        return real_eigsh(lin.LinearOperator(a.shape, matvec=matvec, dtype=float), **kwargs)
+
+    def spy(op, below=0.0):
+        active[0] = True
+        try:
+            return real(op, below)
+        finally:
+            active[0] = False
+
+    monkeypatch.setattr(lin, "eigsh", spy_eigsh)
+    monkeypatch.setattr(lin, "smallest_eigenvalue", spy)
+    lin.green_norms(1.0, 32, profile, n=600)
+    assert 0 < products[0] <= 560
 
 
 def test_green_norms_reuses_swapped_mode(profile):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -238,6 +239,23 @@ def test_export_csv_roundtrip(profile, tmp_path):
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == profile.rho[0]
     assert first[1] == profile.psi[0]
+
+
+def _per_value_csv(header, columns):
+    """The CSV text as written one value at a time with format(v, ".17g")."""
+    rows = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in zip(*columns))
+    return header + "\n" + rows
+
+
+def test_export_csv_bytes_match_per_value_format(profile, tmp_path):
+    # the block writer keeps every byte of the per-value join, edge values too
+    edge = np.array([0.0, -0.0, 5e-324, -1e-300, 1.0 / 3.0, 2.0 ** 60, np.inf, np.nan])
+    odd = SimpleNamespace(rho=edge, psi=-edge, dpsi=edge[::-1], eta=np.arange(8.0))
+    for prof in (profile, odd):
+        path = tmp_path / "psi.csv"
+        export_profile_csv(prof, path)
+        columns = (prof.rho, prof.psi, prof.dpsi, prof.eta)
+        assert path.read_bytes() == _per_value_csv("rho,psi,dpsi,eta", columns).encode()
 
 
 def test_shot_tangents_match_finite_differences():
