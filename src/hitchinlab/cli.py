@@ -46,8 +46,8 @@ class RunConfig:
     def validate(self) -> None:
         if not self.tol > 0:
             raise UsageError("tolerance must be positive")
-        if not all(t > 0 for t in self.t):
-            raise UsageError("all t values must be positive")
+        for t in self.t:
+            fiducial.check_t(t)
         if self.grid < 16:
             raise UsageError("grid size must be at least 16")
         if self.jobs < 1:
@@ -107,13 +107,6 @@ def _emit_json(obj, indent=0):
 
 def write_json(path: Path, payload: dict) -> None:
     path.write_text(_emit_json(payload) + "\n", encoding="utf-8")
-
-
-def write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(v).strip('"') for v in row) + "\n")
 
 
 def _outdir(config: RunConfig) -> Path:
@@ -193,7 +186,7 @@ def cmd_indicial(config: RunConfig) -> int:
         },
     }
     if config.format == "csv":
-        write_csv(out / "indicial.csv", ["root"], [(v,) for v in payload["aggregate"]])
+        painleve.write_columns_csv(out / "indicial.csv", "root", [payload["aggregate"]])
     write_json(out / "indicial.json", payload)
     return EXIT_OK
 
@@ -210,11 +203,12 @@ def cmd_glue(config: RunConfig) -> int:
 
     rows = _parallel_map(one, config.t, config.jobs)
     for row in rows:
-        write_csv(out / f"newton_t{row['t']:g}.csv", ["iteration", "residual"],
-                  list(enumerate(row["residual_history"])))
+        history = row["residual_history"]
+        painleve.write_columns_csv(out / f"newton_t{row['t']:g}.csv", "iteration,residual",
+                                   [np.arange(len(history)), history])
     fit = None
     if len(config.t) >= 4:
-        delta, c, r2 = gluing.approx_error_sweep(config.t, profile, cutoff)
+        delta, c, r2 = gluing.approx_error_sweep(config.t, profile, cutoff, config.grid)
         fit = {"delta_hat": delta, "c_hat": c, "r_squared": r2}
     payload = {
         "config": config.to_dict(),
@@ -231,7 +225,7 @@ def cmd_torus(config: RunConfig) -> int:
     out = _outdir(config)
     rows = topology.dimension_table(range(2, config.gamma + 1))
     if config.format == "csv":
-        write_csv(out / "torus.csv", ["gamma", "k", "h0", "h1", "expected"], rows)
+        painleve.write_columns_csv(out / "torus.csv", "gamma,k,h0,h1,expected", np.array(rows).T)
     gamma = config.gamma
     write_json(out / "torus.json", {
         "config": config.to_dict(),

@@ -36,6 +36,8 @@ from .fiducial import FiducialFamily, build_family, curvature_residual, decay_fi
 from .linearized import RadialGrid, assemble_vertical_block, assemble_scalar, smallest_eigenvalue
 from .painleve import PsiProfile
 
+GLUE_R_MIN = 1e-3  # inner end of every glued state's grid
+
 
 def _bump(x):
     """exp(-1/x) continued by 0, with first and second derivatives."""
@@ -129,7 +131,7 @@ def _glued_on_grid(t: float, profile: PsiProfile, cutoff: CutoffProfile | None,
 
 
 def build_glued(t: float, family: FiducialFamily, cutoff: CutoffProfile | None = None,
-                n: int = 2000, r_min: float = 1e-3) -> GluedState:
+                n: int = 2000, r_min: float = GLUE_R_MIN) -> GluedState:
     """Glued state at parameter t on a log-uniform grid over [r_min, 1],
     from the profile the family was built from.  ``t`` must be the family's
     own parameter; a mismatch raises ValueError."""
@@ -138,9 +140,10 @@ def build_glued(t: float, family: FiducialFamily, cutoff: CutoffProfile | None =
     return _glued_on_grid(t, family.profile, cutoff, n, r_min)
 
 
-def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None = None):
+def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None = None,
+                       n: int = 2000):
     """Least-squares fit of log ||residual||_{L2(r dr)} against t, with the
-    glued states on 2000 nodes over [1e-3, 1].
+    glued states on n nodes over [GLUE_R_MIN, 1].
 
     Returns (delta_hat, c_hat, r_squared); requires at least four t values.
     """
@@ -149,7 +152,7 @@ def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None
         raise ValueError("need at least 4 values of t")
     norms = []
     for t in t_list:
-        norms.append(_glued_on_grid(t, profile, cutoff, 2000, 1e-3).l2_residual())
+        norms.append(_glued_on_grid(t, profile, cutoff, n, GLUE_R_MIN).l2_residual())
     delta, intercept, r2 = decay_fit(t_list, norms)
     return delta, float(np.exp(intercept)), r2
 
@@ -276,11 +279,11 @@ def _first_difference(u: np.ndarray, dx: float) -> np.ndarray:
 
 def correction_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None = None,
                      n: int = 2000, tol: float = 1e-10) -> list:
-    """Newton-corrected states across t on n nodes over [1e-3, 1]; one report
-    row per t."""
+    """Newton-corrected states across t on n nodes over [GLUE_R_MIN, 1];
+    one report row per t."""
     rows = []
     for t in t_list:
-        state = _glued_on_grid(float(t), profile, cutoff, n, 1e-3)
+        state = _glued_on_grid(float(t), profile, cutoff, n, GLUE_R_MIN)
         result = newton_correct(state, tol=tol)
         row = corrected_solution_check(state, result)
         row["residual_history"] = result.residual_history

@@ -450,8 +450,8 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     and 1 are never tested, since the test is unreliable at indicial
     exponent 0.  ``surrogate_solved`` lists the modes that ran Lanczos.
     ``kappa_hat`` is the empirical potential floor divided by ell^2,
-    minimized over ell >= 2.  A t outside the profile's validity range on
-    the unit disk raises ValueError from ``build_family``.
+    minimized over ell >= 2.  A t outside 0 < t <= ``fiducial.T_MAX`` raises
+    ValueError from ``build_family``.
     """
     if ell_max < 8:
         raise ValueError("ell_max must be at least 8")

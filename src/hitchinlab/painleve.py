@@ -28,8 +28,9 @@ approximate solutions) reads psi and its first two log-derivatives through
 one evaluator, ``psi_log_derivatives``, on the PsiProfile returned here.  It
 uses the small-rho series at and below ``SERIES_CUT``, which keeps the
 residual of derived quantities at truncation level even after division by
-r^2; interpolation of the ODE samples up to ``RHO_TAIL``; and the lambda*K0
-tail above it, up to 2 rho_max.
+r^2; cubic Hermite interpolation of the ODE samples and their stored
+log-derivatives up to ``RHO_TAIL``; and the lambda*K0 tail above it, for
+every finite rho (it underflows to 0 past rho ~ 700).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import NumericalError
 from .special import bessel_k0, bessel_k1
@@ -136,7 +137,6 @@ class PsiProfile:
     lam: float
     residual_max: float
     match_mismatch: float
-    rho_max: float
     psi_x: np.ndarray = field(repr=False)
     psi_xx: np.ndarray = field(repr=False)
     series: np.ndarray = field(repr=False)
@@ -164,11 +164,11 @@ class PsiProfile:
 
     @cached_property
     def _interp_psi(self):
-        return PchipInterpolator(self.x, self.psi)
+        return CubicHermiteSpline(self.x, self.psi, self.psi_x)
 
     @cached_property
     def _interp_psi_x(self):
-        return PchipInterpolator(self.x, self.psi_x)
+        return CubicHermiteSpline(self.x, self.psi_x, self.psi_xx)
 
     @cached_property
     def _interp_psi_xx(self):
@@ -318,7 +318,6 @@ def solve_connection(
 
 def _solve_connection(rho_min: float, rho_mid: float, tol: float, ode_tol: float) -> PsiProfile:
     """``solve_connection`` without the memo."""
-    rho_max = DEFAULT_RHO_MAX
     if not 0 < rho_min <= SERIES_CUT:
         raise ValueError(f"need 0 < rho_min <= SERIES_CUT = {SERIES_CUT}, the series' range")
     if not rho_min < rho_mid < RHO_TAIL:
@@ -381,7 +380,7 @@ def _solve_connection(rho_min: float, rho_mid: float, tol: float, ode_tol: float
 
     a0, lam = float(np.exp(p[0])), float(np.exp(p[1]))
     left, right = shot[3:]
-    x = np.linspace(x_min, np.log(rho_max), N_GRID)
+    x = np.linspace(x_min, np.log(DEFAULT_RHO_MAX), N_GRID)
     rho = np.exp(x)
     on_left = x <= x_mid
     tail = rho > RHO_TAIL
@@ -406,7 +405,6 @@ def _solve_connection(rho_min: float, rho_mid: float, tol: float, ode_tol: float
         lam=lam,
         residual_max=float(residual.max()),
         match_mismatch=float(last),
-        rho_max=rho_max,
         psi_x=psi_x,
         psi_xx=psi_xx,
         series=series_coefficients(a0, N_SERIES),
@@ -419,18 +417,19 @@ def psi_log_derivatives(profile: PsiProfile, rho):
     """(psi, psi_x, psi_xx) at rho, x = log rho: the one evaluator of psi.
 
     Up to ``SERIES_CUT``, which covers every rho below the grid, the small-rho
-    series; up to ``RHO_TAIL``, interpolation of the ODE samples, which
-    reproduces the nodes above the cut exactly; above it, the lambda*K0
-    tail, which is what the nodes there store.  The
+    series; up to ``RHO_TAIL``, cubic Hermite interpolation of the ODE
+    samples with their stored x-derivatives (psi_x for psi, psi_xx for
+    psi_x), which reproduces the nodes above the cut exactly; above it, the
+    lambda*K0 tail, which is what the nodes there store.  The
     series branch keeps residual-grade quantities division-safe: there every
     returned value carries only series truncation error, so combinations
     like psi_xx - (1/2) rho^2 sinh(2 psi) vanish to ~1e-15 even after
     amplification by 1/r^2 in radial coordinates.  Raises ValueError for
-    rho outside (0, 2 rho_max].
+    rho that is not finite and positive.
     """
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if not np.all((rho_arr > 0) & (rho_arr <= 2.0 * profile.rho_max)):
-        raise ValueError("rho outside the profile's extended range")
+    if not np.all((rho_arr > 0) & np.isfinite(rho_arr)):
+        raise ValueError("rho must be finite and positive")
     psi = np.empty_like(rho_arr)
     psi_x = np.empty_like(rho_arr)
     psi_xx = np.empty_like(rho_arr)

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from hitchinlab import gluing
 from hitchinlab.cli import main
+from hitchinlab.fiducial import T_MAX
 
 
 def run(args):
@@ -66,21 +69,25 @@ def test_spectrum_reports_grid_used(tmp_path):
 
 
 def test_spectrum_and_fiducial_share_t_range(tmp_path, capsys):
-    assert run(["spectrum", "--t", "40", "--lmax", "8", "--out", str(tmp_path)]) == 2
-    assert "beyond profile range" in capsys.readouterr().err
+    assert run(["spectrum", "--t", "2000", "--lmax", "8", "--out", str(tmp_path)]) == 2
+    assert "outside the validity range" in capsys.readouterr().err
     assert not (tmp_path / "spectrum.json").exists()
-    assert run(["fiducial", "--t", "40", "--out", str(tmp_path)]) == 2
+    assert run(["fiducial", "--t", "2000", "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("command", ["fiducial", "glue", "spectrum"])
-def test_t_range_ends_at_30(tmp_path, capsys, command):
-    # rho = (8/3) t at the disk edge r = 1 may reach 2 rho_max = 80: t <= 30
-    assert run([command, "--t", "30.1", "--lmax", "8", "--out", str(tmp_path)]) == 2
-    assert "t=30.1" in capsys.readouterr().err
+def test_t_max_exits_zero(tmp_path, command):
+    assert run([command, "--t", repr(T_MAX), "--lmax", "8", "--out", str(tmp_path)]) == 0
 
 
-def test_glue_at_t_30_exits_zero(tmp_path):
-    assert run(["glue", "--t", "30", "--out", str(tmp_path)]) == 0
+@pytest.mark.parametrize("t", [np.nextafter(T_MAX, np.inf), np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("command", ["fiducial", "glue", "spectrum"])
+def test_t_outside_range_exits_2_before_output(tmp_path, capsys, command, t):
+    # rejected by the config check, before the output directory or the profile
+    out = tmp_path / "run"
+    assert run([command, f"--t={float(t)!r}", "--lmax", "8", "--out", str(out)]) == 2
+    assert f"t={float(t)!r} outside the validity range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_glue_failure_names_t(tmp_path, capsys):
@@ -133,6 +140,15 @@ def test_glue_writes_newton_logs(tmp_path):
     log = (tmp_path / "newton_t2.csv").read_text().splitlines()
     assert log[0] == "iteration,residual"
     assert len(log) > 2
+
+
+def test_glue_grid_sets_the_decay_fit_grid(tmp_path, profile):
+    ts = [2.0, 4.0, 6.0, 8.0]
+    argv = [arg for t in ts for arg in ("--t", repr(t))]
+    assert run(["glue", *argv, "--grid", "400", "--out", str(tmp_path)]) == 0
+    fit = json.loads((tmp_path / "glue.json").read_text())["delta_fit"]
+    delta, c, r2 = gluing.approx_error_sweep(ts, profile, gluing.CutoffProfile(), 400)
+    assert (fit["delta_hat"], fit["c_hat"], fit["r_squared"]) == (delta, c, r2)
 
 
 def test_fiducial_parallel_jobs_match_serial(tmp_path):

@@ -158,18 +158,26 @@ def test_decay_fit_exact_and_degenerate():
 def test_nan_t_is_out_of_range(profile):
     with pytest.raises(ValueError):
         fd.build_family(float("nan"), profile)
-    with pytest.raises(ValueError, match="beyond profile range"):
-        fd.check_rho_range(float("nan"), profile)
+    with pytest.raises(ValueError, match="outside the validity range"):
+        fd.check_t(float("nan"))
 
 
 def test_build_family_domain_checks(profile):
     with pytest.raises(ValueError):
         fd.build_family(-1.0, profile)
-    with pytest.raises(ValueError):
-        fd.build_family(40.0, profile)  # rho(1) = 106 > 2 rho_max
-    # the range is checked at the disk edge, not at the grid's last node
-    with pytest.raises(ValueError, match="t=30.1"):
-        fd.build_family(30.1, profile, np.geomspace(1e-3, 0.5, 50))
+    above = np.nextafter(fd.T_MAX, np.inf)
+    with pytest.raises(ValueError, match="t=1000.0000000000001"):
+        fd.build_family(above, profile)
+    # the range is one rule in t, whatever the grid
+    with pytest.raises(ValueError, match="t=1000.0000000000001"):
+        fd.build_family(above, profile, np.geomspace(1e-3, 0.5, 50))
+
+
+@pytest.mark.parametrize("refine", [1, 4])
+def test_residual_at_t_max(profile, refine):
+    # criterion 02's bound is 1e-6; T_MAX keeps the residual 10x under it
+    r = np.geomspace(fd.DEFAULT_R_MIN, 1.0, refine * (fd.DEFAULT_GRID_N - 1) + 1)
+    assert fd.build_family(fd.T_MAX, profile, r).residual().max() <= 1e-7
 
 
 def test_exports(families, tmp_path):

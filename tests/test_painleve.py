@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -149,12 +150,17 @@ def test_psi_eval_tail_is_k0(profile):
 
 
 def test_psi_eval_domain(profile):
-    # the evaluator accepts exactly (0, 2 rho_max]
-    for rho in (0.0, 2.0 * profile.rho_max + 1.0):
-        with pytest.raises(ValueError, match="extended range"):
+    # the evaluator accepts exactly the finite rho > 0
+    for rho in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
             psi_log_derivatives(profile, rho)
-    psi, _, _ = psi_log_derivatives(profile, 2.0 * profile.rho_max)
-    assert psi[0] == profile.lam * bessel_k0(2.0 * profile.rho_max)
+    psi, _, _ = psi_log_derivatives(profile, 2.0 * DEFAULT_RHO_MAX)
+    assert psi[0] == profile.lam * bessel_k0(2.0 * DEFAULT_RHO_MAX)
+    # far out the tail underflows to 0 quietly, as at t = T_MAX's disk edge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = psi_log_derivatives(profile, np.array([800.0, 2666.0, 1e4]))
+    assert all(np.array_equal(v, np.zeros(3)) for v in far)
     # below the grid the series extension applies
     psi, _, _ = psi_log_derivatives(profile, profile.rho[0] / 4.0)
     assert psi[0] > 0
@@ -172,16 +178,25 @@ def test_psi_eval_seam_continuity(profile):
     assert math.isclose(profile.psi[i], tail_psi, rel_tol=1e-12)
     assert math.isclose(profile.psi_x[i], tail_psi_x, rel_tol=1e-12)
     # the interpolation branch at RHO_TAIL meets the tail branch just above
-    # it to the interpolant's accuracy there (2.5e-7 relative)
+    # it to the interpolant's accuracy there (5.3e-10 relative)
     psi, psi_x, _ = psi_log_derivatives(profile, np.nextafter(RHO_TAIL, np.inf))
     at_seam = psi_log_derivatives(profile, RHO_TAIL)
-    assert math.isclose(at_seam[0][0], psi[0], rel_tol=1e-6)
-    assert math.isclose(at_seam[1][0], psi_x[0], rel_tol=1e-6)
+    assert math.isclose(at_seam[0][0], psi[0], rel_tol=1e-9)
+    assert math.isclose(at_seam[1][0], psi_x[0], rel_tol=1e-9)
     # the series branch at the cut meets the interpolation branch just above it
     at_cut = psi_log_derivatives(profile, SERIES_CUT)
     above = psi_log_derivatives(profile, np.nextafter(SERIES_CUT, 1.0))
     for a, b in zip(at_cut, above):
         assert abs(a[0] - b[0]) < 1e-9
+
+
+def test_psi_eval_residual_between_nodes(profile):
+    # the interpolants carry the stored derivatives, so between the nodes
+    # the profile equation holds to its node floor (2.6e-12), not to a
+    # slope limiter's guess (1.7e-10)
+    rho = np.geomspace(SERIES_CUT, RHO_TAIL, 200001)[1:-1]
+    psi, _, psi_xx = psi_log_derivatives(profile, rho)
+    assert np.abs(psi_xx - 0.5 * rho * rho * np.sinh(2.0 * psi)).max() <= 1e-11
 
 
 def test_psi_eval_matches_local_reintegration(profile):
@@ -226,7 +241,7 @@ def test_solver_input_validation():
 def test_nan_inputs_rejected(profile):
     with pytest.raises(ValueError, match="tol"):
         solve_connection(tol=float("nan"))
-    with pytest.raises(ValueError, match="extended range"):
+    with pytest.raises(ValueError, match="finite and positive"):
         psi_log_derivatives(profile, np.array([1.0, np.nan]))
 
 
