@@ -2,8 +2,9 @@
 """Solve the radial profile connection problem and inspect its shape.
 
 The profile interpolates between a logarithmic ramp at small rho and an
-exponentially decaying Bessel tail; the two-sided shooting determines the
-small-rho amplitude a0 and the tail amplitude lambda simultaneously.
+exponentially decaying Bessel tail; one global Newton solve determines the
+small-rho amplitude a0 and the tail amplitude lambda together with the
+profile between them.
 """
 
 import numpy as np
@@ -17,7 +18,8 @@ print("fitted constants")
 print(f"  a0      = {profile.a0:.12f}   (small-rho amplitude)")
 print(f"  lambda  = {profile.lam:.12f}   (tail amplitude on K0)")
 print(f"  ODE residual (max over grid) = {profile.residual_max:.3e}")
-print(f"  matching mismatch at rho_mid = {profile.match_mismatch:.3e}")
+print(f"  last Newton update = {profile.match_mismatch:.3e}"
+      f"   ({len(profile.newton_history)} steps)")
 
 print("\nprofile samples (psi_x = rho psi', psi_xx = (rho d_rho)^2 psi)")
 rho = np.array([1e-4, 1e-2, 0.1, 1.0, 5.0, 20.0, 40.0])

@@ -118,10 +118,6 @@ def _outdir(config: RunConfig) -> Path:
     return out
 
 
-def _solve_profile(config: RunConfig):
-    return painleve.solve_connection(tol=min(config.tol, 1e-12))
-
-
 def _parallel_map(fn, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -131,7 +127,7 @@ def _parallel_map(fn, items, jobs: int):
 
 def cmd_solve_psi(config: RunConfig) -> int:
     out = _outdir(config)
-    profile = _solve_profile(config)
+    profile = painleve.solve_connection()
     painleve.export_profile_csv(profile, out / "psi.csv")
     write_json(out / "summary.json", {
         "config": config.to_dict(),
@@ -146,7 +142,7 @@ def cmd_solve_psi(config: RunConfig) -> int:
 
 def cmd_fiducial(config: RunConfig) -> int:
     out = _outdir(config)
-    profile = _solve_profile(config)
+    profile = painleve.solve_connection()
 
     def one(t):
         fam = fiducial.build_family(t, profile)
@@ -161,7 +157,7 @@ def cmd_fiducial(config: RunConfig) -> int:
 
 def cmd_spectrum(config: RunConfig) -> int:
     out = _outdir(config)
-    profile = _solve_profile(config)
+    profile = painleve.solve_connection()
 
     def one(t):
         n = min(config.grid, 800)  # eigen sweeps do not need the fine grid; reports record n
@@ -193,7 +189,6 @@ def cmd_indicial(config: RunConfig) -> int:
 
 def cmd_glue(config: RunConfig) -> int:
     out = _outdir(config)
-    # --tol is the gluing Newton's tolerance; the profile keeps its own
     profile = painleve.solve_connection()
     cutoff = gluing.CutoffProfile()
 

@@ -21,11 +21,11 @@ DEFAULT_GRID_N = 400
 DEFAULT_R_MIN = 1e-3
 # largest t any solve accepts.  The profile holds for every rho (above
 # RHO_TAIL the lambda*K0 tail is its float64 value), so the bound is set by
-# accuracy: at t = 1000 the family residual max is 5.4e-8 on default_grid()
-# and 5.9e-8 and 6.4e-8 on 4x and 16x refined grids, over 10x under
-# criterion 02's 1e-6.  It grows like t^(4/3), since at fixed rho it is the
-# profile's own residual times 2.25 / (4 r^2) with r^2 ~ (rho / t)^(4/3);
-# the max sits at rho ~ 0.11, just above SERIES_CUT.
+# accuracy: at t = 1000 the family residual max is 4.0e-8 on default_grid()
+# and 3.8e-8 and 3.9e-8 on 4x and 16x refined grids, 25x under criterion
+# 02's 1e-6.  It grows like t^(4/3), since at fixed rho it is the profile's
+# own residual times 2.25 / (4 r^2) with r^2 ~ (rho / t)^(4/3); the max
+# sits at rho ~ 0.17, just above SERIES_CUT.
 T_MAX = 1000.0
 
 

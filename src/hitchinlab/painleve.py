@@ -1,36 +1,41 @@
 """Connection problem for the radial profile psi on (0, infinity).
 
 The profile solves (rho d_rho)^2 psi = (1/2) rho^2 sinh(2 psi), decays like a
-multiple of K0(rho) as rho -> infinity, and behaves like
--log(rho^(1/3) sum_j a_j rho^(4j/3)) as rho -> 0.  The unique interpolating
-solution is found by two-sided shooting in x = log(rho) with a Newton
-iteration on (log a_0, log lambda), where lambda is the tail amplitude.  Each
-shot integrates the variational equation d'' = e^(2x) cosh(2 psi) d alongside
-psi, so it returns its end state together with the exact derivative of that
-state in its own parameter: the left shot depends only on a_0 and the right
-shot only on lambda.  Newton thus takes one shot per side per iteration.
-Newton starts from a_0 = 1 and the tail fitted to that first left shot's
-value at rho_mid.  Its shots are inexact Newton steps (Dembo, Eisenstat and
-Steihaug, SIAM J. Numer. Anal. 19, 1982): each integrates only as accurately
-as the step taken from it can use, and the accepted pair, at the full
-tolerance, also samples the profile grid.
+multiple lambda K0(rho) as rho -> infinity, and behaves like
+-log(rho^(1/3) sum_j a_j rho^(4j/3)) as rho -> 0.  It is found by one global
+Newton iteration on a fourth-order Numerov discretization of the whole
+interval [rho_min, RHO_TAIL], with a_0 and lambda as two bordering unknowns.
+
+The grid is uniform in xi = log rho + rho, so rho = W(e^xi) (Lambert W): it
+is uniform in log rho near 0 and uniform in rho near the tail, whose relative
+accuracy sets lambda.  (Uniform in log rho, the same scheme gets lambda only
+to 7e-7 at 2000 nodes.)  In Liouville form, psi = u / sqrt(1 + rho), the
+equation has no first-derivative term,
+
+    u_xixi = (1/2) rho^2 (1 + rho)^(-3/2) sinh(2 u / sqrt(1 + rho))
+             + (1/2) rho (1 - rho/2) (1 + rho)^(-4) u,
+
+so Numerov applies.  The first two nodes take the N_SERIES-term small-rho
+series at a_0 and the last two the tail lambda K0; above RHO_TAIL,
+lambda K0 <= 6e-9 for lambda <= 10, where (1/2) sinh(2 psi) rounds to psi, so
+the linear tail is the float64 solution there.  Newton starts from
+psi = K0(rho)/3, a_0 = 1, lambda = 1/3, solves its tridiagonal block by
+banded LU and the two border unknowns by Schur complement, and stops when
+its update reaches the roundoff floor of the discrete problem (4 steps at
+the default n).  The lambda error falls like n^-4.
 
 The profile is one parameter-free function, so ``solve_connection`` solves
 it once per process and argument set and hands every caller the same
 read-only ``PsiProfile``.
-
-The right shot starts at ``RHO_TAIL``, not at the grid's end: above it
-lambda*K0 <= 6e-9 for lambda <= 10, where (1/2) sinh(2 psi) rounds to psi,
-so the linear tail is the float64 solution and integrating it adds nothing.
 
 Everything downstream (the fiducial family, the linearized blocks, the glued
 approximate solutions) reads psi and its first two log-derivatives through
 one evaluator, ``psi_log_derivatives``, on the PsiProfile returned here.  It
 uses the small-rho series at and below ``SERIES_CUT``, which keeps the
 residual of derived quantities at truncation level even after division by
-r^2; cubic Hermite interpolation of the ODE samples and their stored
-log-derivatives up to ``RHO_TAIL``; and the lambda*K0 tail above it, for
-every finite rho (it underflows to 0 past rho ~ 700).
+r^2; quintic Hermite interpolation, on the Numerov nodes, of psi and of
+psi_x up to ``RHO_TAIL``; and the lambda*K0 tail above it, for every finite
+rho (it underflows to 0 past rho ~ 700).
 """
 
 from __future__ import annotations
@@ -39,26 +44,31 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.linalg import solve_banded
+from scipy.special import lambertw
 
 from .errors import NumericalError
 from .special import bessel_k0, bessel_k1
 
 DEFAULT_RHO_MIN = 1e-4
-DEFAULT_RHO_MID = 1.0
 DEFAULT_RHO_MAX = 40.0
 RHO_TAIL = 20.0      # above this the lambda*K0 tail is the profile in float64
-N_GRID = 8192        # profile samples, uniform in x = log rho
+N_GRID = 8192        # report samples, uniform in x = log rho
+N_SOLVE = 8000       # Numerov cells, uniform in xi = log rho + rho
 N_SERIES = 8         # small-rho series terms kept with the profile
 SERIES_CUT = 0.1     # psi_log_derivatives uses the series for rho <= this
-MAX_NEWTON = 30      # Newton iterations on (log a0, log lambda)
-SHOT_TOL_MAX = 1e-6  # rtol of the seed shots, the loosest any Newton shot takes
+NEWTON_CAP = 12      # Newton steps before the solve raises; a default solve takes 4
+NEWTON_FLOOR = 2.0   # Newton stops at an update of NEWTON_FLOOR * n * eps * max|u|
 # rows per formatted string in CSV exports: as fast as one string for the
 # whole file, without the 2.4 MB transient that one string costs for psi.csv
 CSV_BLOCK_ROWS = 256
 
-# solved profiles by (rho_min, rho_mid, tol, ode_tol); see solve_connection
+# No ODE is integrated any more, but the benchmark's tracer still counts ODE
+# solves by wrapping this name (ROADMAP item 1 moves that count onto the
+# solve's own diagnostics).  Bound to None, it keeps painleve.ode_solves at 0.
+solve_ivp = None
+
+# solved profiles by (rho_min, n); see solve_connection
 _SOLVED: dict = {}
 
 
@@ -114,42 +124,68 @@ def _series_eval(coeffs: np.ndarray, rho):
 
 @dataclass(frozen=True, eq=False)
 class PsiProfile:
-    """Solved profile on a log-spaced grid with endpoint expansion data.
+    """Solved profile: its connection constants and its Numerov nodes.
 
-    ``rho`` is strictly increasing (uniform in x = log rho), ``psi`` positive
-    and strictly decreasing, ``psi_x`` = rho psi'(rho) negative, and
-    ``psi_xx`` its fourth-order x-difference; at the nodes above ``RHO_TAIL``
-    all three are the lambda*K0 tail's.  ``series`` holds the small-rho
-    coefficients of ``series_coefficients(a0, N_SERIES)``.  ``a0`` and
-    ``lam`` are the fitted small-rho coefficient and tail amplitude;
-    ``residual_max`` is the max of |psi_xx - (1/2) rho^2 sinh(2 psi)| over
-    the grid.  ``newton_history`` is the max-norm matching mismatch of each
-    accepted Newton iterate, starting with the initial shot; ``reseeded``
-    says whether the coarse sweep had to supply the seed.
+    ``nodes`` has the rows rho, psi, psi_x, psi_xx, psi_xxx (x = log rho) at
+    the n + 1 Numerov nodes, uniform in xi = log rho + rho on
+    [rho_min, RHO_TAIL]: psi is the solve's, psi_x its backward quadrature
+    from the tail's value at RHO_TAIL, and psi_xx and psi_xxx follow from
+    the equation.  ``series`` holds the small-rho coefficients of
+    ``series_coefficients(a0, N_SERIES)``.  ``a0`` and ``lam`` are the
+    small-rho coefficient and the tail amplitude.  ``newton_history`` is the
+    max-norm of each Newton update (of u, log a0 and log lambda), and
+    ``match_mismatch`` its last entry.
+
+    ``rho``, ``psi``, ``psi_x`` and ``psi_xx`` sample the profile through
+    ``psi_log_derivatives`` on N_GRID points uniform in x on
+    [rho_min, DEFAULT_RHO_MAX], the grid of psi.csv, and ``residual_max`` is
+    the max of |psi_xx - (1/2) rho^2 sinh(2 psi)| there.  Between the nodes
+    that psi_xx is the derivative of the psi_x interpolant, not the equation
+    evaluated, so the residual is a measure of the solve.
 
     A profile is shared by every caller of ``solve_connection`` with the
     same arguments, so it is frozen and its arrays are read-only.
     """
 
-    rho: np.ndarray
-    psi: np.ndarray
     a0: float
     lam: float
-    residual_max: float
     match_mismatch: float
-    psi_x: np.ndarray = field(repr=False)
-    psi_xx: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(repr=False)
     series: np.ndarray = field(repr=False)
-    newton_history: tuple = ()
-    reseeded: bool = False
+    newton_history: tuple
 
     def __post_init__(self):
-        for samples in (self.rho, self.psi, self.psi_x, self.psi_xx, self.series):
+        for samples in (self.nodes, self.series):
             samples.flags.writeable = False
 
+    @cached_property
+    def rho(self) -> np.ndarray:
+        rho = np.exp(np.linspace(np.log(self.nodes[0, 0]), np.log(DEFAULT_RHO_MAX), N_GRID))
+        rho.flags.writeable = False
+        return rho
+
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        samples = np.array(psi_log_derivatives(self, self.rho))
+        samples.flags.writeable = False
+        return samples
+
     @property
-    def x(self) -> np.ndarray:
-        return np.log(self.rho)
+    def psi(self) -> np.ndarray:
+        return self._samples[0]
+
+    @property
+    def psi_x(self) -> np.ndarray:
+        return self._samples[1]
+
+    @property
+    def psi_xx(self) -> np.ndarray:
+        return self._samples[2]
+
+    @cached_property
+    def residual_max(self) -> float:
+        rho, (psi, _, psi_xx) = self.rho, self._samples
+        return float(np.abs(psi_xx - 0.5 * rho * (rho * np.sinh(2.0 * psi))).max())
 
     @property
     def dpsi(self) -> np.ndarray:
@@ -163,66 +199,37 @@ class PsiProfile:
         return 0.125 + 0.375 * self.psi_x
 
     @cached_property
-    def _interp_psi(self):
-        return CubicHermiteSpline(self.x, self.psi, self.psi_x)
-
-    @cached_property
-    def _interp_psi_x(self):
-        return CubicHermiteSpline(self.x, self.psi_x, self.psi_xx)
-
-    @cached_property
-    def _interp_psi_xx(self):
-        return CubicSpline(self.x, self.psi_xx)
-
-
-def _fd4_derivative(y: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative on a uniform grid, one-sided at the ends."""
-    d = np.empty_like(y)
-    d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
-    for i in (0, 1):
-        d[i] = (-25 * y[i] + 48 * y[i + 1] - 36 * y[i + 2] + 16 * y[i + 3] - 3 * y[i + 4]) / (12 * h)
-    for i in (-2, -1):
-        d[i] = (25 * y[i] - 48 * y[i - 1] + 36 * y[i - 2] - 16 * y[i - 3] + 3 * y[i - 4]) / (12 * h)
-    return d
+    def _quintic(self):
+        """(xi_0, h, table): table[0] and table[1], each of shape (6, n), hold
+        per Numerov cell the coefficients in s = (xi - xi_j) / h of the
+        quintic Hermite interpolants of psi and of psi_x."""
+        rho, psi, psi_x, psi_xx, psi_xxx = self.nodes
+        xi0, xi1 = _xi(rho[[0, -1]])
+        h = (xi1 - xi0) / (len(rho) - 1)
+        return xi0, h, np.array([_quintic_cells(rho, psi, psi_x, psi_xx, h),
+                                 _quintic_cells(rho, psi_x, psi_xx, psi_xxx, h)])
 
 
-def _rhs(x, y):
-    """psi and its variational equation d'' = e^(2x) cosh(2 psi) d, as one system."""
-    e2x = np.exp(2.0 * x)
-    return (y[1], 0.5 * e2x * np.sinh(2.0 * y[0]), y[3], e2x * np.cosh(2.0 * y[0]) * y[2])
+_POWERS = np.arange(1.0, 6.0)[:, None]  # d/ds of sum c_k s^k has coefficients k c_k
 
 
-def _psi_rhs(x, y):
-    """psi alone, psi'' = (1/2) e^(2x) sinh(2 psi), for shots whose tangent
-    nothing reads."""
-    return (y[1], 0.5 * np.exp(2.0 * x) * np.sinh(2.0 * y[0]))
+def _xi(rho):
+    """The Numerov coordinate xi = log rho + rho."""
+    return np.log(rho) + rho
 
 
-def _blowup(x, y):
-    return abs(y[0]) - 30.0
-
-
-_blowup.terminal = True
-
-
-def _shoot_left(a0, x_min, x_mid, ode_tol, dense_output=False, tangent=True):
-    """Shot from the small-rho series at x_min to x_mid; None when it blows up.
-
-    It starts from the ``N_SERIES``-term series that ``psi_log_derivatives``
-    reads.  The tangent starts at its exact log-a0 derivative, taken by a
-    complex step: with a0 -> a0 e^(i h), the imaginary parts of psi and psi_x
-    are h times their log-a0 derivatives, free of cancellation.  With
-    ``tangent`` False the shot integrates psi and psi_x only.
-    """
-    h = 1e-30
-    psi, psi_x, _ = _series_eval(series_coefficients(a0 * np.exp(1j * h), N_SERIES), np.exp(x_min))
-    y0 = (float(psi.real), float(psi_x.real), float(psi.imag) / h, float(psi_x.imag) / h)
-    rhs, y0 = (_rhs, y0) if tangent else (_psi_rhs, y0[:2])
-    left = solve_ivp(
-        rhs, (x_min, x_mid), y0, method="DOP853",
-        rtol=ode_tol, atol=ode_tol, dense_output=dense_output, events=_blowup,
-    )
-    return left if left.success and left.t[-1] == x_mid else None
+def _quintic_cells(rho, z, z_x, z_xx, h) -> np.ndarray:
+    """Coefficients in s = (xi - xi_j) / h, shape (6, n), of the quintic
+    Hermite interpolant on each cell [xi_j, xi_(j+1)] of a function z given
+    with its x-derivatives at the nodes; d/dx = (1 + rho) d/dxi."""
+    p = 1.0 + rho
+    d = h * z_x / p                                  # h z_xi
+    s = h * h * (z_xx - rho * z_x / p) / (p * p)     # h^2 z_xixi
+    dz, d0, d1, s0, s1 = z[1:] - z[:-1], d[:-1], d[1:], s[:-1], s[1:]
+    return np.array([z[:-1], d0, 0.5 * s0,
+                     10.0 * dz - 6.0 * d0 - 4.0 * d1 - 1.5 * s0 + 0.5 * s1,
+                     -15.0 * dz + 8.0 * d0 + 7.0 * d1 + 1.5 * s0 - s1,
+                     6.0 * dz - 3.0 * (d0 + d1) - 0.5 * (s0 - s1)])
 
 
 def _tail_eval(lam, rho):
@@ -230,186 +237,120 @@ def _tail_eval(lam, rho):
 
     psi_xx is (1/2) rho^2 sinh(2 psi), the profile equation itself; it
     equals rho^2 psi, the tail's own second log-derivative, wherever
-    (1/2) sinh(2 psi) rounds to psi, as it does above ``RHO_TAIL``.
+    (1/2) sinh(2 psi) rounds to psi, as it does above ``RHO_TAIL``.  rho
+    multiplies one factor at a time, so where psi has underflowed to 0 the
+    product is 0 for every finite rho, not inf * 0.
     """
     psi = lam * bessel_k0(rho)
-    return psi, -lam * rho * bessel_k1(rho), 0.5 * rho * rho * np.sinh(2.0 * psi)
+    return psi, -lam * rho * bessel_k1(rho), 0.5 * rho * (rho * np.sinh(2.0 * psi))
 
 
-def _shoot_right(lam, x_mid, ode_tol, dense_output=False):
-    """Shot from the lambda*K0 tail at RHO_TAIL back to x_mid; None on failure.
+def solve_connection(rho_min: float = DEFAULT_RHO_MIN, n: int = N_SOLVE) -> PsiProfile:
+    """Global Newton solve of the connection problem on [rho_min, RHO_TAIL]
+    with n Numerov cells, once per process and argument set.
 
-    The tail state is linear in lambda, so it is its own log-lambda tangent.
+    ``rho_min`` must lie within the series' range, (0, SERIES_CUT], and n
+    be an integer of at least 16.  Raises NumericalError when Newton does
+    not reach its roundoff floor within ``NEWTON_CAP`` steps, or when the
+    solution is not positive and decreasing.
+
+    The result is kept in ``_SOLVED`` under (rho_min, n), which is why it
+    is read-only.  A solve that raises stores nothing.
     """
-    tail = _tail_eval(lam, RHO_TAIL)[:2]
-    # pure relative control: the state starts at ~2e-10
-    right = solve_ivp(
-        _rhs, (np.log(RHO_TAIL), x_mid), tail + tail,
-        method="DOP853", rtol=max(ode_tol, 3e-14), atol=1e-300, dense_output=dense_output,
-    )
-    return right if right.success else None
-
-
-def _tail_fit(left, x_mid):
-    """(lambda, slope mismatch) of the lambda*K0 tail fitted to a left shot's
-    psi at rho_mid; None when the shot failed or that psi is not positive."""
-    if left is None or left.y[0, -1] <= 0:
-        return None
-    rho_mid = np.exp(x_mid)
-    lam = left.y[0, -1] / bessel_k0(rho_mid)
-    return lam, abs(left.y[1, -1] + lam * rho_mid * bessel_k1(rho_mid))
-
-
-def _initial_sweep(x_min, x_mid):
-    """Coarse bracketing sweep used when Newton from the fitted seed stalls.
-
-    Only left shots are needed: each candidate a0 is scored by how well the
-    lambda*K0 tail fitted to its value at rho_mid also matches its slope.
-    The score reads no tangent, so the shots integrate psi alone.
-    """
-    best = None
-    for a0 in np.geomspace(0.2, 5.0, 25):
-        fit = _tail_fit(_shoot_left(a0, x_min, x_mid, 1e-10, tangent=False), x_mid)
-        if fit is not None and (best is None or fit[1] < best[0]):
-            best = (fit[1], a0, fit[0])
-    if best is None:
-        raise NumericalError("no admissible shooting bracket found")
-    return best[1], best[2]
-
-
-def solve_connection(
-    rho_min: float = DEFAULT_RHO_MIN,
-    rho_mid: float = DEFAULT_RHO_MID,
-    tol: float = 1e-12,
-    ode_tol: float = 1e-13,
-) -> PsiProfile:
-    """Two-sided shooting solve of the connection problem on
-    [rho_min, DEFAULT_RHO_MAX], once per process and argument set.
-
-    Newton iterates on p = (log a0, log lambda) until the value/derivative
-    mismatch at rho_mid drops below ``tol``.  Each shot carries the
-    variational equation, so its end state comes with the exact derivative
-    in its own parameter, and the Jacobian costs no extra shot: one shot per
-    side per iteration.  The seed is a0 = 1 with the lambda*K0 tail fitted
-    to that left shot's psi at rho_mid, and that shot is the first pair's
-    left half.  Falls back to a coarse bracketing sweep for the seed when
-    the first shot fails, its psi at rho_mid is not positive, or the
-    iteration diverges, and raises NumericalError after ``MAX_NEWTON``
-    iterations above ``tol``.  ``rho_min`` must lie within the series'
-    range, (0, SERIES_CUT], and ``rho_mid`` between it and ``RHO_TAIL``.
-
-    The seed pair is shot at rtol ``SHOT_TOL_MAX``, and a pair taken after a
-    step from accepted mismatch m at max(min(m^4, SHOT_TOL_MAX), ode_tol):
-    the error of the shot at p_k sets the error of the step from p_k, and
-    that must stay below the next mismatch, about C m_k^2 ~ C^3 m_(k-1)^4.
-    Only a pair shot at ``ode_tol`` is accepted below ``tol``.  Such pairs
-    keep dense output, and the accepted one samples the grid up to
-    ``RHO_TAIL``; the grid nodes above it take the tail itself.
-
-    The result is kept in ``_SOLVED`` under the arguments as floats, so the
-    default call and ``tol=1e-12`` share one profile, which is why it is
-    read-only.  A solve that raises stores nothing.
-    """
-    key = (float(rho_min), float(rho_mid), float(tol), float(ode_tol))
+    if not 0 < rho_min <= SERIES_CUT:
+        raise ValueError(f"need 0 < rho_min <= SERIES_CUT = {SERIES_CUT}, the series' range")
+    if not (float(n).is_integer() and n >= 16):
+        raise ValueError("n must be an integer of at least 16")
+    key = (float(rho_min), int(n))
     if key not in _SOLVED:
         _SOLVED[key] = _solve_connection(*key)
     return _SOLVED[key]
 
 
-def _solve_connection(rho_min: float, rho_mid: float, tol: float, ode_tol: float) -> PsiProfile:
-    """``solve_connection`` without the memo."""
-    if not 0 < rho_min <= SERIES_CUT:
-        raise ValueError(f"need 0 < rho_min <= SERIES_CUT = {SERIES_CUT}, the series' range")
-    if not rho_min < rho_mid < RHO_TAIL:
-        raise ValueError("need rho_min < rho_mid < RHO_TAIL")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if not ode_tol > 0:
-        raise ValueError("ode_tol must be positive")
-    x_min, x_mid = np.log(rho_min), np.log(rho_mid)
-    seed_tol = max(SHOT_TOL_MAX, ode_tol)
+def _solve_connection(rho_min: float, n: int) -> PsiProfile:
+    """``solve_connection`` without the memo or the argument checks."""
+    ends = np.array([rho_min, RHO_TAIL])
+    xi = np.linspace(*_xi(ends), n + 1)
+    h = (xi[-1] - xi[0]) / n
+    rho = lambertw(np.exp(xi)).real
+    rho[[0, -1]] = ends
+    p = 1.0 + rho
+    sq = np.sqrt(p)
+    amp = 0.5 * rho * rho / (p * sq)
+    pot = 0.5 * rho * (1.0 - 0.5 * rho) / p ** 4
+    c = h * h / 12.0
+    k0_tail = sq[-2:] * bessel_k0(rho[-2:])  # u at the last two nodes per unit lambda
+    u = sq * bessel_k0(rho) / 3.0
+    log_p = np.array([0.0, np.log(1.0 / 3.0)])  # (log a0, log lambda)
 
-    def shoot(p, eps, left=None):
-        """(mismatch, Jacobian, eps, left, right) of the pair at p shot at
-        rtol eps, or None when either shot fails; ``left`` is a left shot
-        already taken at a0 = exp(p[0]) and rtol eps."""
-        dense = eps == ode_tol
-        if left is None:
-            left = _shoot_left(np.exp(p[0]), x_min, x_mid, eps, dense_output=dense)
-        right = None if left is None else _shoot_right(np.exp(p[1]), x_mid, eps, dense)
-        if right is None:
-            return None
-        lft, rgt = left.y[:, -1], right.y[:, -1]
-        return lft[:2] - rgt[:2], np.column_stack((lft[2:], -rgt[2:])), eps, left, right
+    def set_ends():
+        """Put the series at a0 and the tail at lambda on the end nodes;
+        return the log-a0 derivative of the two series nodes, taken by a
+        complex step a0 e^(i 1e-30), which carries no cancellation."""
+        a0, lam = np.exp(log_p)
+        psi = _series_eval(series_coefficients(a0 * np.exp(1e-30j), N_SERIES), rho[:2])[0]
+        u[:2] = sq[:2] * psi.real
+        u[-2:] = lam * k0_tail
+        return sq[:2] * psi.imag / 1e-30
 
-    def reseed():
-        p = np.log(_initial_sweep(x_min, x_mid))
-        shot = shoot(p, seed_tol)
-        if shot is None:
-            raise NumericalError("shooting fails from swept initial guess")
-        return p, shot
+    history = []
+    for _ in range(NEWTON_CAP):
+        u_a = set_ends()
+        z = 2.0 * u / sq
+        f = amp * np.sinh(z) + pot * u
+        cf_u = c * (2.0 * amp / sq * np.cosh(z) + pot)
+        side, diag = 1.0 - cf_u, -2.0 - 10.0 * cf_u  # d res_i / d u_(i +- 1), d u_i
+        res = u[:-2] - 2.0 * u[1:-1] + u[2:] - c * (f[:-2] + 10.0 * f[1:-1] + f[2:])
+        # rows 2..n-2 in u_2..u_(n-2); log a0 enters them through u_1 and
+        # log lambda through u_(n-1)
+        band = np.array([np.r_[0.0, side[3:-2]], diag[2:-2], np.r_[side[2:-3], 0.0]])
+        cols = np.zeros((n - 3, 3))
+        cols[:, 0] = -res[1:-1]
+        cols[0, 1] = side[1] * u_a[1]
+        cols[-1, 2] = side[-2] * u[-2]
+        sol = solve_banded((1, 1), band, cols, check_finite=False)
+        # rows 1 and n-1 close the system: the Schur complement in (log a0, log lambda)
+        schur = [[side[0] * u_a[0] + diag[1] * u_a[1] - side[2] * sol[0, 1], -side[2] * sol[0, 2]],
+                 [-side[-3] * sol[-1, 1], diag[-2] * u[-2] + side[-1] * u[-1] - side[-3] * sol[-1, 2]]]
+        step_p = np.linalg.solve(schur, [-res[0] - side[2] * sol[0, 0], -res[-1] - side[-3] * sol[-1, 0]])
+        step_u = sol[:, 0] - sol[:, 1:] @ step_p
+        u[2:-2] += step_u
+        log_p += step_p
+        history.append(float(max(np.abs(step_u).max(), np.abs(step_p).max())))
+        # the roundoff floor of the update: each residual row rounds at
+        # about eps |u|, and the discrete Green's function gains a factor
+        # growing like n on it (0.4 n eps max|u| at most, measured for
+        # n = 16 to 32000 and rho_min = 1e-4 to 0.1)
+        if history[-1] <= NEWTON_FLOOR * n * np.finfo(float).eps * np.abs(u).max():
+            break
+    else:
+        raise NumericalError(f"Newton did not reach its roundoff floor in {NEWTON_CAP} steps; "
+                             f"last update {history[-1]:.3e}")
+    set_ends()
 
-    reseeded = False
-    left = _shoot_left(1.0, x_min, x_mid, seed_tol, dense_output=seed_tol == ode_tol)
-    fit = _tail_fit(left, x_mid)
-    if fit is not None:
-        p = np.array([0.0, np.log(fit[0])])  # (log a0, log lambda)
-        shot = shoot(p, seed_tol, left)
-    if fit is None or shot is None:
-        (p, shot), reseeded = reseed(), True
-    history = [float(np.max(np.abs(shot[0])))]
-    while (history[-1] >= tol or shot[2] > ode_tol) and len(history) <= MAX_NEWTON:
-        last = history[-1]
-        m, jac = shot[:2]
-        try:
-            delta = np.linalg.solve(jac, -m)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular shooting Jacobian: {exc}") from exc
-        p_new = p + np.clip(delta, -1.0, 1.0)
-        shot_new = shoot(p_new, max(min(last ** 4, SHOT_TOL_MAX), ode_tol))
-        if shot_new is None or np.max(np.abs(shot_new[0])) > 10.0 * max(last, tol):
-            if reseeded:
-                raise NumericalError(f"Newton diverged; last mismatch {last:.3e}")
-            (p, shot), reseeded = reseed(), True
-        else:
-            p, shot = p_new, shot_new
-        history.append(float(np.max(np.abs(shot[0]))))
-    last = history[-1]
-    if last >= tol or shot[2] > ode_tol:
-        raise NumericalError(f"Newton did not reach tol={tol}; last mismatch {last:.3e}")
-
-    a0, lam = float(np.exp(p[0])), float(np.exp(p[1]))
-    left, right = shot[3:]
-    x = np.linspace(x_min, np.log(DEFAULT_RHO_MAX), N_GRID)
-    rho = np.exp(x)
-    on_left = x <= x_mid
-    tail = rho > RHO_TAIL
-    on_right = ~(on_left | tail)
-    psi = np.empty(N_GRID)
-    psi_x = np.empty(N_GRID)
-    psi[on_left], psi_x[on_left] = left.sol(x[on_left])[:2]
-    psi[on_right], psi_x[on_right] = right.sol(x[on_right])[:2]
-    psi[tail], psi_x[tail], tail_xx = _tail_eval(lam, rho[tail])
-
+    a0, lam = (float(v) for v in np.exp(log_p))
+    psi = u / sq
+    psi_xx = 0.5 * rho * (rho * np.sinh(2.0 * psi))
+    # psi_x from the tail's exact value at RHO_TAIL, less the fourth-order
+    # cell integrals of d psi_x / d xi = psi_xx / (1 + rho), summed from the
+    # tail: a smooth quadrature, where differencing psi would round at
+    # eps / h per node, and relatively accurate in the tail
+    y = psi_xx / p
+    cells = np.empty(n)
+    cells[1:-1] = 13.0 * (y[1:-2] + y[2:-1]) - (y[:-3] + y[3:])
+    cells[0] = 9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3]
+    cells[-1] = 9.0 * y[-1] + 19.0 * y[-2] - 5.0 * y[-3] + y[-4]
+    psi_x = _tail_eval(lam, RHO_TAIL)[1] - np.r_[np.cumsum(cells[::-1] * (h / 24.0))[::-1], 0.0]
     if not ((psi > 0).all() and (psi_x < 0).all()):
-        raise NumericalError("invalid bracketing: profile not positive decreasing")
-
-    psi_xx = _fd4_derivative(psi_x, x[1] - x[0])
-    psi_xx[tail] = tail_xx
-    residual = np.abs(psi_xx - 0.5 * rho * rho * np.sinh(2.0 * psi))
-
+        raise NumericalError("profile not positive and decreasing")
+    psi_xxx = 2.0 * psi_xx + rho * (rho * np.cosh(2.0 * psi)) * psi_x
     return PsiProfile(
-        rho=rho,
-        psi=psi,
         a0=a0,
         lam=lam,
-        residual_max=float(residual.max()),
-        match_mismatch=float(last),
-        psi_x=psi_x,
-        psi_xx=psi_xx,
+        match_mismatch=history[-1],
+        nodes=np.array([rho, psi, psi_x, psi_xx, psi_xxx]),
         series=series_coefficients(a0, N_SERIES),
         newton_history=tuple(history),
-        reseeded=reseeded,
     )
 
 
@@ -417,15 +358,14 @@ def psi_log_derivatives(profile: PsiProfile, rho):
     """(psi, psi_x, psi_xx) at rho, x = log rho: the one evaluator of psi.
 
     Up to ``SERIES_CUT``, which covers every rho below the grid, the small-rho
-    series; up to ``RHO_TAIL``, cubic Hermite interpolation of the ODE
-    samples with their stored x-derivatives (psi_x for psi, psi_xx for
-    psi_x), which reproduces the nodes above the cut exactly; above it, the
-    lambda*K0 tail, which is what the nodes there store.  The
-    series branch keeps residual-grade quantities division-safe: there every
-    returned value carries only series truncation error, so combinations
-    like psi_xx - (1/2) rho^2 sinh(2 psi) vanish to ~1e-15 even after
-    amplification by 1/r^2 in radial coordinates.  Raises ValueError for
-    rho that is not finite and positive.
+    series; up to ``RHO_TAIL``, the quintic Hermite interpolants, on the
+    Numerov nodes, of psi (from psi, psi_x, psi_xx) and of psi_x (from
+    psi_x, psi_xx, psi_xxx), with psi_xx the latter's derivative; above it,
+    the lambda*K0 tail.  The series branch keeps residual-grade quantities
+    division-safe: there every returned value carries only series
+    truncation error, so combinations like psi_xx - (1/2) rho^2 sinh(2 psi)
+    vanish to ~1e-15 even after amplification by 1/r^2 in radial
+    coordinates.  Raises ValueError for rho that is not finite and positive.
     """
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
     if not np.all((rho_arr > 0) & np.isfinite(rho_arr)):
@@ -439,10 +379,16 @@ def psi_log_derivatives(profile: PsiProfile, rho):
     if lo.any():
         psi[lo], psi_x[lo], psi_xx[lo] = _series_eval(profile.series, rho_arr[lo])
     if mid.any():
-        xm = np.log(rho_arr[mid])
-        psi[mid] = profile._interp_psi(xm)
-        psi_x[mid] = profile._interp_psi_x(xm)
-        psi_xx[mid] = profile._interp_psi_xx(xm)
+        r = rho_arr[mid]
+        xi0, h, table = profile._quintic
+        t = (_xi(r) - xi0) / h
+        j = np.minimum(t.astype(np.intp), table.shape[-1] - 1)
+        s = t - j
+        of_psi, of_psi_x = table[:, :, j]
+        psi[mid] = np.polynomial.polynomial.polyval(s, of_psi, tensor=False)
+        psi_x[mid] = np.polynomial.polynomial.polyval(s, of_psi_x, tensor=False)
+        slope = np.polynomial.polynomial.polyval(s, of_psi_x[1:] * _POWERS, tensor=False)
+        psi_xx[mid] = (1.0 + r) * slope / h
     if hi.any():
         psi[hi], psi_x[hi], psi_xx[hi] = _tail_eval(profile.lam, rho_arr[hi])
     return psi, psi_x, psi_xx

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,30 @@ def test_solve_psi_default(tmp_path):
     assert summary["config"]["command"] == "solve-psi"
     lines = (out / "psi.csv").read_text().splitlines()
     assert lines[0] == "rho,psi,dpsi,eta"
+
+
+# scipy subpackages the package must not load: they were the largest part
+# of the cold import, and only the shooting profile solve needed two of them
+UNLOADED = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.spatial",
+            "scipy.fft")
+
+
+def test_solve_psi_loads_no_unneeded_scipy(tmp_path):
+    # a fresh process, so that no other test's import counts; the check
+    # follows a profile solve, so that a lazy import inside it shows too
+    script = (
+        "import sys\n"
+        "import hitchinlab, hitchinlab.cli\n"
+        f"assert hitchinlab.cli.main(['solve-psi', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"print([m for m in sys.modules if m.startswith({UNLOADED!r})])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "psi.csv").exists()
 
 
 def test_zero_tolerance_is_usage_error(tmp_path, capsys):
@@ -98,9 +126,9 @@ def test_glue_failure_names_t(tmp_path, capsys):
 
 
 def test_glue_tol_is_the_gluing_tolerance_only(tmp_path, capsys, monkeypatch):
-    # --tol drives the gluing Newton alone: a tolerance below what any profile
-    # solve reaches fails in gluing, naming t, and every --tol shares the
-    # profile solved at solve_connection's own tolerance
+    # --tol drives the gluing Newton alone: a tolerance below what the
+    # residual resolves fails in gluing, naming t, and every --tol shares
+    # the one default profile
     from hitchinlab import painleve
 
     monkeypatch.setattr(painleve, "_SOLVED", {})
@@ -108,8 +136,7 @@ def test_glue_tol_is_the_gluing_tolerance_only(tmp_path, capsys, monkeypatch):
     assert "t=1" in capsys.readouterr().err
     for tol in (["--tol", "1e-13"], ["--tol", "1e-14"], []):
         assert run(["glue", "--t", "1", *tol, "--out", str(tmp_path)]) == 0
-    assert list(painleve._SOLVED) == [(painleve.DEFAULT_RHO_MIN, painleve.DEFAULT_RHO_MID,
-                                       1e-12, 1e-13)]
+    assert list(painleve._SOLVED) == [(painleve.DEFAULT_RHO_MIN, painleve.N_SOLVE)]
 
 
 def test_glue_default_t_exits_zero(tmp_path):

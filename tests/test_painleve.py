@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from hitchinlab import painleve
+from hitchinlab.errors import NumericalError
 from hitchinlab.painleve import (
     DEFAULT_RHO_MAX,
     DEFAULT_RHO_MIN,
-    DEFAULT_RHO_MID,
+    N_GRID,
+    N_SOLVE,
     RHO_TAIL,
     SERIES_CUT,
     _series_eval,
@@ -93,49 +96,73 @@ def test_connection_constants_closed_form(profile):
     assert math.isclose(profile.lam, 1.0 / math.pi, rel_tol=1e-11)
 
 
+def test_lambda_converges_at_fourth_order():
+    # Numerov is fourth order: each doubling of n divides the lambda error
+    # by about 16 (2.1e-8, 1.3e-9, 8.2e-11 at n = 1000, 2000, 4000)
+    errors = [abs(solve_connection(n=n).lam * math.pi - 1.0) for n in (1000, 2000, 4000)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 12.0 <= coarse / fine <= 20.0
+
+
 def test_connection_constants_stable_under_refinement(profile):
-    alt = solve_connection(ode_tol=1e-10)
-    assert abs(alt.a0 - profile.a0) < 1e-8
-    assert abs(alt.lam - profile.lam) < 1e-8
-    moved = solve_connection(rho_mid=2.0)
-    assert abs(moved.a0 - profile.a0) < 1e-8
-    assert abs(moved.lam - profile.lam) < 1e-8
+    # half and twice the default n move a0 and lambda by less than 1e-10
+    # (2.5e-11 measured for lambda at n = 4000)
+    for n in (N_SOLVE // 2, 2 * N_SOLVE):
+        alt = solve_connection(n=n)
+        assert abs(alt.a0 - profile.a0) < 1e-10
+        assert abs(alt.lam - profile.lam) < 1e-10
+
+
+def test_numerov_nodes_uniform_in_xi(profile):
+    # rho = W(e^xi) inverts xi = log rho + rho on a uniform xi grid from
+    # rho_min to RHO_TAIL, both ends exact
+    rho = profile.nodes[0]
+    assert rho[0] == DEFAULT_RHO_MIN and rho[-1] == RHO_TAIL and len(rho) == N_SOLVE + 1
+    step = np.diff(np.log(rho) + rho)
+    assert np.allclose(step, step.mean(), rtol=1e-9, atol=0.0)
+
+
+def test_report_samples_come_from_the_evaluator(profile):
+    # rho, psi, psi_x and psi_xx sample psi_log_derivatives on the uniform-x
+    # report grid of psi.csv, which ends at DEFAULT_RHO_MAX
+    x = np.linspace(math.log(DEFAULT_RHO_MIN), math.log(DEFAULT_RHO_MAX), N_GRID)
+    assert np.array_equal(profile.rho, np.exp(x))
+    got = psi_log_derivatives(profile, profile.rho)
+    for value, samples in zip(got, (profile.psi, profile.psi_x, profile.psi_xx)):
+        assert np.array_equal(value, samples)
 
 
 def test_psi_eval_reproduces_grid_nodes(profile):
-    # above the series cut the evaluator returns every node's stored psi,
-    # psi_x and psi_xx bit for bit: interpolated ODE samples up to RHO_TAIL,
-    # and above it the tail that the nodes store
-    above = profile.rho > SERIES_CUT
-    got = psi_log_derivatives(profile, profile.rho[above])
-    stored = (profile.psi, profile.psi_x, profile.psi_xx)
-    for value, samples in zip(got, stored):
-        assert np.array_equal(value, samples[above])
+    # above the series cut the interpolants take every node's psi, psi_x
+    # and psi_xx, up to the rounding of the cell coordinate
+    rho, *stored = profile.nodes[:4]
+    above = rho > SERIES_CUT
+    for value, samples in zip(psi_log_derivatives(profile, rho[above]), stored):
+        assert np.allclose(value, samples[above], rtol=1e-13, atol=0.0)
 
 
 def test_series_branch_matches_grid_nodes(profile):
-    # at and below the cut the series, not the samples, is returned; it agrees
-    # with every stored ODE sample there
-    below = profile.rho <= SERIES_CUT
-    got = psi_log_derivatives(profile, profile.rho[below])
-    stored = (profile.psi, profile.psi_x, profile.psi_xx)
-    for value, samples in zip(got, stored):
-        assert np.abs(value - samples[below]).max() < 1e-9
+    # at and below the cut the series, not the nodes, is returned; it agrees
+    # with every node there (1.2e-13 measured)
+    rho, *stored = profile.nodes[:4]
+    below = rho <= SERIES_CUT
+    for value, samples in zip(psi_log_derivatives(profile, rho[below]), stored):
+        assert np.abs(value - samples[below]).max() < 1e-12
 
 
 @pytest.mark.parametrize("rho_min", [0.3, 0.5, 0.8])
 def test_rho_min_above_series_range_rejected(rho_min):
-    # a left shot started above SERIES_CUT would carry the series' truncation
-    # error into a0 and lambda (3.3e-8 and -1.2e-7 relative at 0.5) unseen
+    # the first two nodes take the series, so starting above SERIES_CUT
+    # would carry its truncation error into a0 and lambda unseen
     with pytest.raises(ValueError, match="SERIES_CUT"):
         solve_connection(rho_min=rho_min)
 
 
 @pytest.mark.parametrize("rho_min", [1e-3, 1e-2, 0.1])
 def test_connection_constants_independent_of_rho_min(rho_min):
-    # the left shot starts from the full series that psi_log_derivatives
-    # reads, so a shorter shot does not trade the start's truncation error
-    # for an error in the constants
+    # the solve starts from the full series that psi_log_derivatives reads,
+    # so a shorter interval does not trade the start's truncation error for
+    # an error in the constants
     profile = solve_connection(rho_min=rho_min)
     a0 = math.gamma(1.0 / 3.0) / (2.0 * math.gamma(2.0 / 3.0))
     assert math.isclose(profile.a0, a0, rel_tol=1e-11)
@@ -166,37 +193,47 @@ def test_psi_eval_domain(profile):
     assert psi[0] > 0
 
 
+def test_far_tail_is_finite_and_quiet(profile):
+    # every finite rho > 0 is in the evaluator's domain; psi_xx multiplies
+    # rho in one factor at a time, since rho^2 overflows above 1.3e154 and
+    # inf * 0 would be nan, with an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = psi_log_derivatives(profile, np.array([1e154, 1e200, 1e300, np.finfo(float).max]))
+    assert all(np.array_equal(v, np.zeros(4)) for v in far)
+
+
 def test_psi_eval_seam_continuity(profile):
-    # series representation against the stored node at the inner end
-    psi_s, psi_x_s, _ = _series_eval(profile.series, profile.rho[0])
-    assert abs(psi_s - profile.psi[0]) < 1e-9
-    assert abs(psi_x_s - profile.psi_x[0]) < 1e-9
-    # tail representation against the last ODE sample below RHO_TAIL, where
-    # the right shot starts from it
-    i = np.flatnonzero(profile.rho <= RHO_TAIL)[-1]
-    tail_psi, tail_psi_x, _ = _tail_eval(profile.lam, profile.rho[i])
-    assert math.isclose(profile.psi[i], tail_psi, rel_tol=1e-12)
-    assert math.isclose(profile.psi_x[i], tail_psi_x, rel_tol=1e-12)
+    # series representation against the first Numerov node, whose psi is
+    # the series' and whose psi_x is the quadrature summed from the tail
+    rho, psi, psi_x = profile.nodes[:3]
+    psi_s, psi_x_s, _ = _series_eval(profile.series, rho[0])
+    assert psi_s == psi[0]
+    assert abs(psi_x_s - psi_x[0]) < 1e-12
+    # the last two nodes are the tail's
+    tail_psi, tail_psi_x, _ = _tail_eval(profile.lam, rho[-2:])
+    assert np.allclose(psi[-2:], tail_psi, rtol=1e-15, atol=0.0)
+    assert np.allclose(psi_x[-2:], tail_psi_x, rtol=1e-13, atol=0.0)
     # the interpolation branch at RHO_TAIL meets the tail branch just above
-    # it to the interpolant's accuracy there (5.3e-10 relative)
-    psi, psi_x, _ = psi_log_derivatives(profile, np.nextafter(RHO_TAIL, np.inf))
+    # it (6.9e-15 relative measured)
+    above = psi_log_derivatives(profile, np.nextafter(RHO_TAIL, np.inf))
     at_seam = psi_log_derivatives(profile, RHO_TAIL)
-    assert math.isclose(at_seam[0][0], psi[0], rel_tol=1e-9)
-    assert math.isclose(at_seam[1][0], psi_x[0], rel_tol=1e-9)
-    # the series branch at the cut meets the interpolation branch just above it
+    for a, b in zip(at_seam, above):
+        assert math.isclose(a[0], b[0], rel_tol=1e-13)
+    # the series branch at the cut meets the interpolation branch just above
+    # it (1.2e-13 measured)
     at_cut = psi_log_derivatives(profile, SERIES_CUT)
     above = psi_log_derivatives(profile, np.nextafter(SERIES_CUT, 1.0))
     for a, b in zip(at_cut, above):
-        assert abs(a[0] - b[0]) < 1e-9
+        assert abs(a[0] - b[0]) < 1e-12
 
 
 def test_psi_eval_residual_between_nodes(profile):
-    # the interpolants carry the stored derivatives, so between the nodes
-    # the profile equation holds to its node floor (2.6e-12), not to a
-    # slope limiter's guess (1.7e-10)
+    # psi_xx is the derivative of the psi_x interpolant, never the equation,
+    # so this measures the solve: 3.8e-13 between the nodes
     rho = np.geomspace(SERIES_CUT, RHO_TAIL, 200001)[1:-1]
     psi, _, psi_xx = psi_log_derivatives(profile, rho)
-    assert np.abs(psi_xx - 0.5 * rho * rho * np.sinh(2.0 * psi)).max() <= 1e-11
+    assert np.abs(psi_xx - 0.5 * rho * rho * np.sinh(2.0 * psi)).max() <= 1e-12
 
 
 def test_psi_eval_matches_local_reintegration(profile):
@@ -230,17 +267,19 @@ def test_equation_odd_symmetry(profile):
 
 
 def test_solver_input_validation():
-    with pytest.raises(ValueError):
-        solve_connection(rho_min=1.0, rho_mid=0.5)
-    with pytest.raises(ValueError):
-        solve_connection(tol=0.0)
-    with pytest.raises(ValueError, match="ode_tol"):
-        solve_connection(ode_tol=0.0)
+    for rho_min in (0.0, -1e-4):
+        with pytest.raises(ValueError, match="SERIES_CUT"):
+            solve_connection(rho_min=rho_min)
+    for n in (0, 15, 1000.5, float("inf")):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            solve_connection(n=n)
 
 
 def test_nan_inputs_rejected(profile):
-    with pytest.raises(ValueError, match="tol"):
-        solve_connection(tol=float("nan"))
+    with pytest.raises(ValueError, match="SERIES_CUT"):
+        solve_connection(rho_min=float("nan"))
+    with pytest.raises(ValueError, match="n must be an integer"):
+        solve_connection(n=float("nan"))
     with pytest.raises(ValueError, match="finite and positive"):
         psi_log_derivatives(profile, np.array([1.0, np.nan]))
 
@@ -273,25 +312,6 @@ def test_export_csv_bytes_match_per_value_format(profile, tmp_path):
         assert path.read_bytes() == _per_value_csv("rho,psi,dpsi,eta", columns).encode()
 
 
-def test_shot_tangents_match_finite_differences():
-    # each shot's tangent end state is the derivative of its plain end state
-    # in log a0 (left) or log lambda (right), at the closed-form connection
-    # constants; central differences, step 1e-4
-    from hitchinlab import painleve
-
-    x_min, x_mid = np.log([painleve.DEFAULT_RHO_MIN, DEFAULT_RHO_MID])
-    a0 = math.gamma(1.0 / 3.0) / (2.0 * math.gamma(2.0 / 3.0))
-    shots = (
-        (lambda q: painleve._shoot_left(q, x_min, x_mid, 1e-13), a0),
-        (lambda q: painleve._shoot_right(q, x_mid, 1e-13), 1.0 / math.pi),
-    )
-    h = 1e-4
-    for shoot, q in shots:
-        end = shoot(q).y[:, -1]
-        fd = (shoot(q * np.exp(h)).y[:2, -1] - shoot(q * np.exp(-h)).y[:2, -1]) / (2.0 * h)
-        assert np.allclose(end[2:], fd, rtol=1e-6, atol=0.0)
-
-
 @pytest.mark.parametrize("lam", [0.1, 1.0 / math.pi, 1.0, 10.0])
 def test_tail_is_the_float64_solution_above_rho_tail(lam):
     # at RHO_TAIL the tail value is small enough that (1/2) sinh(2 psi)
@@ -301,147 +321,62 @@ def test_tail_is_the_float64_solution_above_rho_tail(lam):
     assert 0.5 * np.sinh(2.0 * psi) == psi
 
 
-def test_right_shot_from_rho_tail_matches_shot_from_rho_max():
-    # starting at RHO_TAIL instead of the grid's end drops no digit: a shot
-    # from the tail state at DEFAULT_RHO_MAX reaches the same state at rho_mid
-    from hitchinlab import painleve
-
-    lam, x_mid = 1.0 / math.pi, math.log(DEFAULT_RHO_MID)
-    y0 = (lam * bessel_k0(DEFAULT_RHO_MAX), -lam * DEFAULT_RHO_MAX * bessel_k1(DEFAULT_RHO_MAX))
-    long_shot = solve_ivp(
-        lambda x, y: (y[1], 0.5 * np.exp(2 * x) * np.sinh(2 * y[0])),
-        (math.log(DEFAULT_RHO_MAX), x_mid), y0,
-        method="DOP853", rtol=3e-14, atol=1e-300,
-    )
-    short = painleve._shoot_right(lam, x_mid, 1e-13).y[:2, -1]
-    assert np.allclose(short, long_shot.y[:, -1], rtol=1e-12, atol=0.0)
 
 
 def test_newton_history_converges_quadratically(profile):
-    # a0 = 1 with lambda fitted to that left shot's psi(rho_mid) needs no
-    # sweep, and Newton converges in at most 4 steps
+    # from psi = K0/3, a0 = 1, lambda = 1/3 the updates square each step
+    # (4.5e-2, 1.2e-3, 7.7e-7, 6.4e-13), and the last is at the roundoff
+    # floor of the discrete problem, which grows like n
     history = profile.newton_history
-    assert not profile.reseeded
-    assert history[-1] == profile.match_mismatch < 1e-12
-    assert 3 <= len(history) <= 5
+    floor = painleve.NEWTON_FLOOR * N_SOLVE * np.finfo(float).eps * profile.nodes[1, 0]
+    assert history[-1] == profile.match_mismatch
+    assert len(history) == 4
     for m, m_next in zip(history, history[1:]):
-        if m >= 1e-8:
-            assert m_next <= 10.0 * m * m
+        assert m_next <= max(m * m, floor)
+    assert history[-1] <= floor < history[-2]
 
 
-def _counting_solve_ivp(monkeypatch, fails=lambda call: False):
-    """Wrap painleve.solve_ivp; record (dense_output, rtol, solution) per call.
-
-    Calls are numbered from 1; those for which ``fails`` is true are marked
-    unsuccessful after they ran.  The memo is emptied for the test, so the
-    solve it watches runs whatever ran before.
-    """
-    from hitchinlab import painleve
-
-    real = painleve.solve_ivp
+def test_failed_solve_is_not_memoized(monkeypatch):
+    # an inexact band solve makes Newton converge only linearly, so it does
+    # not reach its floor within NEWTON_CAP steps: the solve raises, and
+    # stores nothing
+    real = painleve.solve_banded
     calls = []
 
-    def counted(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        calls.append((kwargs.get("dense_output", False), kwargs["rtol"], sol))
-        if fails(len(calls)):
-            sol.success = False
-        return sol
+    def halved(*args, **kwargs):
+        calls.append(1)
+        return 0.5 * real(*args, **kwargs)
 
-    monkeypatch.setattr(painleve, "solve_ivp", counted)
+    monkeypatch.setattr(painleve, "solve_banded", halved)
     monkeypatch.setattr(painleve, "_SOLVED", {})
-    return calls
-
-
-def test_solve_connection_shot_budget(monkeypatch):
-    # the exact Jacobian comes with each shot, so Newton takes one shot per
-    # side per iteration: the seed pair at SHOT_TOL_MAX, two pairs tightened
-    # by the schedule and two at the full ode_tol, the only ones with dense
-    # output.  The grid is sampled from the last pair, with no extra shot
-    from hitchinlab import painleve
-
-    calls = _counting_solve_ivp(monkeypatch)
-    profile = solve_connection()
-    rtols = [rtol for _, rtol, _ in calls]
-    assert len(calls) == 10
-    assert rtols[:2] == [painleve.SHOT_TOL_MAX] * 2
-    assert rtols == sorted(rtols, reverse=True)
-    assert [dense for dense, _, _ in calls] == [rtol == 1e-13 for rtol in rtols]
-    assert rtols[-4:] == [1e-13] * 4
-    left, right = calls[-2][2], calls[-1][2]
-    x = np.linspace(math.log(DEFAULT_RHO_MIN), math.log(DEFAULT_RHO_MAX), len(profile.rho))
-    assert np.array_equal(np.exp(x), profile.rho)
-    on_left = x <= math.log(DEFAULT_RHO_MID)
-    on_right = ~on_left & (profile.rho <= RHO_TAIL)
-    assert np.array_equal(profile.psi[on_left], left.sol(x[on_left])[0])
-    assert np.array_equal(profile.psi[on_right], right.sol(x[on_right])[0])
-
-
-def test_swept_seed_shot_failure_raises(monkeypatch):
-    from hitchinlab import painleve
-    from hitchinlab.errors import NumericalError
-
-    # calls 1-2 are the initial pair and 3-4 the first Newton step's trial
-    # pair; the second trial's left shot (call 5) and every later shot fail,
-    # so Newton re-seeds and the seed's shot fails too
-    _counting_solve_ivp(monkeypatch, fails=lambda call: call >= 5)
-    monkeypatch.setattr(painleve, "_initial_sweep", lambda *args: (1.0, 1.0))
-    with pytest.raises(NumericalError, match="swept initial guess"):
+    with pytest.raises(NumericalError, match="did not reach its roundoff floor"):
         solve_connection()
-
-
-def test_failed_trial_shot_reseeds_from_sweep(monkeypatch):
-    # the first trial shot (call 3) fails once; the real sweep supplies a new
-    # seed and Newton from there still meets the closed forms.  The sweep's
-    # 25 shots (calls 4-28) integrate psi alone: nothing reads their tangent.
-    # Newton from the swept seed then takes five pairs (calls 29-38), and its
-    # accepted pair samples the grid: no separate dense pair follows
-    calls = _counting_solve_ivp(monkeypatch, fails=lambda call: call == 3)
+    assert len(calls) == painleve.NEWTON_CAP
+    assert painleve._SOLVED == {}
+    monkeypatch.setattr(painleve, "solve_banded", real)
     profile = solve_connection()
-    assert profile.reseeded
-    assert not calls[2][2].success
-    assert len(calls) == 38
-    assert [len(sol.y) for _, _, sol in calls] == [4] * 3 + [2] * 25 + [4] * 10
-    assert calls[-1][0] and calls[-1][1] == 1e-13
-    a0 = math.gamma(1.0 / 3.0) / (2.0 * math.gamma(2.0 / 3.0))
-    assert math.isclose(profile.a0, a0, rel_tol=1e-11)
-    assert math.isclose(profile.lam, 1.0 / math.pi, rel_tol=1e-11)
-    assert profile.match_mismatch < 1e-12
+    assert list(painleve._SOLVED.values()) == [profile]
 
 
 def test_solve_connection_is_memoized():
-    # one solve per argument set: the CLI's tol=1e-12 is the default's entry
+    # one solve per argument set
     profile = solve_connection()
-    assert solve_connection(tol=1e-12) is profile
-    assert solve_connection(DEFAULT_RHO_MIN, DEFAULT_RHO_MID, 1e-12, 1e-13) is profile
-    assert solve_connection(rho_mid=2.0) is not profile
-    assert solve_connection(ode_tol=1e-10) is not profile
+    assert solve_connection(DEFAULT_RHO_MIN, N_SOLVE) is profile
+    assert solve_connection(n=float(N_SOLVE)) is profile
+    assert solve_connection(n=4000) is not profile
+    assert solve_connection(rho_min=1e-3) is not profile
     # bad input raises on every call; nothing is stored for it
     for _ in range(2):
-        with pytest.raises(ValueError, match="rho_mid"):
-            solve_connection(rho_mid=float("nan"))
+        with pytest.raises(ValueError, match="rho_min"):
+            solve_connection(rho_min=float("nan"))
+    assert not any(math.isnan(rho_min) for rho_min, _ in painleve._SOLVED)
 
 
 def test_profile_is_read_only(profile):
     # every caller shares the memoized profile, so nobody may change it
     with pytest.raises(ValueError, match="read-only"):
         profile.psi[0] = 0.0
-    for samples in (profile.rho, profile.psi_x, profile.psi_xx, profile.series):
+    for samples in (profile.rho, profile.psi_x, profile.psi_xx, profile.series, profile.nodes):
         assert not samples.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         profile.a0 = 1.0
-
-
-def test_failed_solve_is_not_memoized(monkeypatch):
-    from hitchinlab import painleve
-    from hitchinlab.errors import NumericalError
-
-    max_newton = painleve.MAX_NEWTON
-    monkeypatch.setattr(painleve, "_SOLVED", {})
-    monkeypatch.setattr(painleve, "MAX_NEWTON", 0)
-    with pytest.raises(NumericalError, match="did not reach"):
-        solve_connection()
-    assert painleve._SOLVED == {}
-    monkeypatch.setattr(painleve, "MAX_NEWTON", max_newton)
-    profile = solve_connection()
-    assert list(painleve._SOLVED.values()) == [profile]
