@@ -1,6 +1,7 @@
 """Command-line driver: deterministic solves, sweeps, and reports.
 
-Subcommands: solve-psi, fiducial, spectrum, indicial, glue, torus.  Flags win
+Subcommands: solve-psi, fiducial, spectrum, indicial, glue, torus.  Each
+takes the flags it reads, listed in ``FLAGS``, and nothing else.  Flags win
 over an optional JSON config file; every report embeds the configuration it
 was produced from and floats are written with 17 significant digits, so
 rerunning a command yields byte-identical artifacts.  Exit codes: 0 success,
@@ -13,8 +14,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
-from fractions import Fraction
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,23 +48,36 @@ class RunConfig:
             raise UsageError("tolerance must be positive")
         for t in self.t:
             fiducial.check_t(t)
-        if self.grid < 16:
-            raise UsageError("grid size must be at least 16")
+        if self.grid < linearized.MIN_GRID:
+            raise UsageError(f"grid size must be at least {linearized.MIN_GRID}")
         if self.jobs < 1:
             raise UsageError("jobs must be at least 1")
-        if self.lmax < 1:
-            raise UsageError("lmax must be at least 1")
+        lmax_min = linearized.MIN_ELL_MAX if self.command == "spectrum" else 1
+        if self.lmax < lmax_min:
+            raise UsageError(f"{self.command}: lmax must be at least {lmax_min}")
         if self.format not in ("json", "csv"):
             raise UsageError("format must be json or csv")
         if self.gamma < 2:
             raise UsageError("gamma must be at least 2")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The command and the flags it takes, each with its value."""
+        return {name: getattr(self, name) for name in ("command", *FLAGS[self.command])}
 
 
-# one flag per field but the command, with the conversion it applies to its
-# text: float for each t, else the type of the field's default
+# the flags each command takes besides --config: those it reads, then --out and
+# --jobs, which all six take because bench/workload.py passes --jobs 1 to each
+FLAGS = {command: (*reads, "out", "jobs") for command, reads in {
+    "solve-psi": (),
+    "fiducial": ("t",),
+    "spectrum": ("t", "grid", "lmax"),
+    "indicial": ("lmax", "format"),
+    "glue": ("t", "grid", "tol"),
+    "torus": ("gamma", "format"),
+}.items()}
+
+# the conversion each flag applies to its text: float for each t, else the
+# type of its field's default
 FLAG_TYPES = {f.name: float if f.name == "t" else type(f.default)
               for f in fields(RunConfig) if f.name != "command"}
 FLAG_EXTRAS = {
@@ -76,8 +89,6 @@ FLAG_EXTRAS = {
 def _format_value(v):
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return _format_value(float(v))
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".17g")
     if isinstance(v, (int, np.integer)):
@@ -110,12 +121,18 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def _outdir(config: RunConfig) -> Path:
+    """The output directory, made if missing; a path that is no directory exits 2."""
     out = Path(config.out)
-    if not out.exists():
-        if not out.parent.exists():
-            raise UsageError(f"parent of output directory {out} does not exist")
-        out.mkdir()
+    try:
+        out.mkdir(exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use {out} as output directory: {exc.strerror}") from exc
     return out
+
+
+def _t_name(t: float) -> str:
+    """t in the shortest digits that read back as t, for artifact names."""
+    return np.format_float_positional(t, trim="-")
 
 
 def _parallel_map(fn, items, jobs: int):
@@ -146,7 +163,7 @@ def cmd_fiducial(config: RunConfig) -> int:
 
     def one(t):
         fam = fiducial.build_family(t, profile)
-        fiducial.export_family_csv(fam, out / f"fiducial_t{t:g}.csv")
+        fiducial.export_family_csv(fam, out / f"fiducial_t{_t_name(t)}.csv")
         return fiducial.family_summary(fam)
 
     summaries = _parallel_map(one, config.t, config.jobs)
@@ -193,26 +210,22 @@ def cmd_glue(config: RunConfig) -> int:
     cutoff = gluing.CutoffProfile()
 
     def one(t):
-        return gluing.correction_sweep([t], profile, cutoff, n=config.grid,
-                                       tol=min(config.tol, 1e-9))[0]
+        # one glued state per t serves both the Newton repair and the decay fit
+        state = gluing.glued_on_grid(t, profile, cutoff, config.grid, gluing.GLUE_R_MIN)
+        result = gluing.newton_correct(state, tol=min(config.tol, 1e-9))
+        return (gluing.corrected_solution_check(state, result), result.residual_history,
+                state.l2_residual())
 
-    rows = _parallel_map(one, config.t, config.jobs)
-    for row in rows:
-        history = row["residual_history"]
-        painleve.write_columns_csv(out / f"newton_t{row['t']:g}.csv", "iteration,residual",
+    done = _parallel_map(one, config.t, config.jobs)
+    for t, (_, history, _) in zip(config.t, done):
+        painleve.write_columns_csv(out / f"newton_t{_t_name(t)}.csv", "iteration,residual",
                                    [np.arange(len(history)), history])
     fit = None
     if len(config.t) >= 4:
-        delta, c, r2 = gluing.approx_error_sweep(config.t, profile, cutoff, config.grid)
-        fit = {"delta_hat": delta, "c_hat": c, "r_squared": r2}
-    payload = {
-        "config": config.to_dict(),
-        "corrections": [
-            {k: v for k, v in row.items() if k != "residual_history"} for row in rows
-        ],
-        "delta_fit": fit,
-    }
-    write_json(out / "glue.json", payload)
+        delta, intercept, r2 = fiducial.decay_fit(config.t, [norm for _, _, norm in done])
+        fit = {"delta_hat": delta, "c_hat": float(np.exp(intercept)), "r_squared": r2}
+    write_json(out / "glue.json", {"config": config.to_dict(), "delta_fit": fit,
+                                   "corrections": [row for row, _, _ in done]})
     return EXIT_OK
 
 
@@ -247,10 +260,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Model-disk solves and sweeps with machine-readable reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        for name, kind in FLAG_TYPES.items():
-            p.add_argument(f"--{name}", type=kind, default=None, **FLAG_EXTRAS.get(name, {}))
+    for command, flags in FLAGS.items():
+        p = sub.add_parser(command)
+        for name in flags:
+            p.add_argument(f"--{name}", type=FLAG_TYPES[name], default=None,
+                           **FLAG_EXTRAS.get(name, {}))
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with defaults; explicit flags win")
     return parser
@@ -271,6 +285,7 @@ def _config_value(name: str, value):
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
+    flags = FLAGS[args.command]
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
@@ -279,10 +294,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(data, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
         for key, value in data.items():
-            if key not in FLAG_TYPES:
-                raise UsageError(f"unknown config key {key!r}")
+            if key not in flags:
+                raise UsageError(f"config key {key!r} is not a flag of {args.command}")
             setattr(config, key, _config_value(key, value))
-    for name in FLAG_TYPES:
+    for name in flags:
         value = getattr(args, name)
         if value is not None:
             setattr(config, name, value)

@@ -122,9 +122,9 @@ def _glued(t: float, profile: PsiProfile, cutoff: CutoffProfile, r: np.ndarray,
         profile=profile, grid=grid, cutoff=cutoff)
 
 
-def _glued_on_grid(t: float, profile: PsiProfile, cutoff: CutoffProfile | None,
-                   n: int, r_min: float) -> GluedState:
-    """The glued state on a log-uniform grid over [r_min, 1]."""
+def glued_on_grid(t: float, profile: PsiProfile, cutoff: CutoffProfile | None,
+                  n: int, r_min: float) -> GluedState:
+    """The glued state at t on a log-uniform grid of n nodes over [r_min, 1]."""
     grid = RadialGrid(n, r_min)
     cutoff = CutoffProfile() if cutoff is None else cutoff
     return _glued(t, profile, cutoff, grid.r, grid)
@@ -137,7 +137,7 @@ def build_glued(t: float, family: FiducialFamily, cutoff: CutoffProfile | None =
     own parameter; a mismatch raises ValueError."""
     if t != family.t:
         raise ValueError(f"t={t:g} does not match the family's t={family.t:g}")
-    return _glued_on_grid(t, family.profile, cutoff, n, r_min)
+    return glued_on_grid(t, family.profile, cutoff, n, r_min)
 
 
 def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None = None,
@@ -150,9 +150,7 @@ def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None
     t_list = [float(t) for t in t_list]
     if len(t_list) < 4:
         raise ValueError("need at least 4 values of t")
-    norms = []
-    for t in t_list:
-        norms.append(_glued_on_grid(t, profile, cutoff, n, GLUE_R_MIN).l2_residual())
+    norms = [glued_on_grid(t, profile, cutoff, n, GLUE_R_MIN).l2_residual() for t in t_list]
     delta, intercept, r2 = decay_fit(t_list, norms)
     return delta, float(np.exp(intercept)), r2
 
@@ -275,20 +273,6 @@ def corrected_solution_check(state: GluedState, result: NewtonResult) -> dict:
 def _first_difference(u: np.ndarray, dx: float) -> np.ndarray:
     padded = np.concatenate([[u[0]], u, [0.0]])
     return (padded[2:] - padded[:-2]) / (2.0 * dx)
-
-
-def correction_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None = None,
-                     n: int = 2000, tol: float = 1e-10) -> list:
-    """Newton-corrected states across t on n nodes over [GLUE_R_MIN, 1];
-    one report row per t."""
-    rows = []
-    for t in t_list:
-        state = _glued_on_grid(float(t), profile, cutoff, n, GLUE_R_MIN)
-        result = newton_correct(state, tol=tol)
-        row = corrected_solution_check(state, result)
-        row["residual_history"] = result.residual_history
-        rows.append(row)
-    return rows
 
 
 def growth_norm_check(state: GluedState) -> dict:

@@ -35,6 +35,7 @@ from .painleve import PsiProfile
 DEFAULT_N = 2000
 DEFAULT_R_MIN = 1e-6
 MIN_GRID = 16
+MIN_ELL_MAX = 8
 SURROGATE_MAX_ITER = 400
 SURROGATE_TOL = 1e-10
 SURROGATE_PRUNE_MARGIN = 1e-6
@@ -453,8 +454,8 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     minimized over ell >= 2.  A t outside 0 < t <= ``fiducial.T_MAX`` raises
     ValueError from ``build_family``.
     """
-    if ell_max < 8:
-        raise ValueError("ell_max must be at least 8")
+    if ell_max < MIN_ELL_MAX:
+        raise ValueError(f"ell_max must be at least {MIN_ELL_MAX}")
     grid = RadialGrid(n, DEFAULT_R_MIN)
     fam = build_family(t, profile, grid.r)
     r, f, h = fam.r, fam.f, fam.h

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hitchinlab import gluing
-from hitchinlab.cli import main
+from hitchinlab.cli import FLAGS, FLAG_TYPES, main
 from hitchinlab.fiducial import T_MAX
 
 
@@ -51,7 +51,7 @@ def test_solve_psi_loads_no_unneeded_scipy(tmp_path):
 
 
 def test_zero_tolerance_is_usage_error(tmp_path, capsys):
-    assert run(["solve-psi", "--tol", "0", "--out", str(tmp_path)]) == 2
+    assert run(["glue", "--tol", "0", "--out", str(tmp_path)]) == 2
     assert "tolerance" in capsys.readouterr().err
 
 
@@ -61,6 +61,16 @@ def test_output_dir_created_or_rejected(tmp_path):
     assert (target / "torus.json").exists()
     orphan = tmp_path / "missing" / "child"
     assert run(["torus", "--out", str(orphan)]) == 2
+
+
+@pytest.mark.parametrize("command", ["torus", "glue"])
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, command):
+    # rejected before any work: the file is left as it was
+    target = tmp_path / "somefile"
+    target.write_text("keep")
+    assert run([command, "--out", str(target)]) == 2
+    assert "output directory" in capsys.readouterr().err
+    assert target.read_text() == "keep"
 
 
 def test_torus_gamma_2(tmp_path):
@@ -84,8 +94,13 @@ def test_indicial_half_integer_grid(tmp_path):
     assert all(v * 2.0 == int(v * 2.0) and int(v * 2.0) % 2 for v in payload["restricted"])
 
 
-def test_spectrum_lmax_zero_is_usage_error(tmp_path):
-    assert run(["spectrum", "--lmax", "0", "--out", str(tmp_path)]) == 2
+def test_spectrum_lmax_zero_is_usage_error(tmp_path, capsys):
+    # green_norms needs ell_max >= 8; the config check says so before any output
+    out = tmp_path / "run"
+    for lmax in ("0", "7"):
+        assert run(["spectrum", "--t", "1", "--lmax", lmax, "--out", str(out)]) == 2
+        assert "lmax must be at least 8" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_spectrum_reports_grid_used(tmp_path):
@@ -103,9 +118,13 @@ def test_spectrum_and_fiducial_share_t_range(tmp_path, capsys):
     assert run(["fiducial", "--t", "2000", "--out", str(tmp_path)]) == 2
 
 
+# the fewest modes spectrum takes, so that it runs fast; the others take no --lmax
+LMAX_FLAGS = {"fiducial": [], "glue": [], "spectrum": ["--lmax", "8"]}
+
+
 @pytest.mark.parametrize("command", ["fiducial", "glue", "spectrum"])
 def test_t_max_exits_zero(tmp_path, command):
-    assert run([command, "--t", repr(T_MAX), "--lmax", "8", "--out", str(tmp_path)]) == 0
+    assert run([command, "--t", repr(T_MAX), *LMAX_FLAGS[command], "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("t", [np.nextafter(T_MAX, np.inf), np.nan, np.inf, 0.0, -1.0])
@@ -113,7 +132,7 @@ def test_t_max_exits_zero(tmp_path, command):
 def test_t_outside_range_exits_2_before_output(tmp_path, capsys, command, t):
     # rejected by the config check, before the output directory or the profile
     out = tmp_path / "run"
-    assert run([command, f"--t={float(t)!r}", "--lmax", "8", "--out", str(out)]) == 2
+    assert run([command, f"--t={float(t)!r}", *LMAX_FLAGS[command], "--out", str(out)]) == 2
     assert f"t={float(t)!r} outside the validity range" in capsys.readouterr().err
     assert not out.exists()
 
@@ -178,6 +197,24 @@ def test_glue_grid_sets_the_decay_fit_grid(tmp_path, profile):
     assert (fit["delta_hat"], fit["c_hat"], fit["r_squared"]) == (delta, c, r2)
 
 
+def test_glue_builds_each_glued_state_once(tmp_path, monkeypatch):
+    # the Newton repair and the decay fit share one glued state per t
+    built = []
+    glued = gluing._glued
+
+    def counted(t, *args, **kwargs):
+        built.append(t)
+        return glued(t, *args, **kwargs)
+
+    monkeypatch.setattr(gluing, "_glued", counted)
+    ts = ["2", "4", "6", "8"]
+    assert run(["glue", *[f"--t={t}" for t in ts], "--grid", "400", "--out", str(tmp_path)]) == 0
+    assert built == [2.0, 4.0, 6.0, 8.0]
+    assert sorted(p.name for p in tmp_path.glob("newton_t*.csv")) == [
+        f"newton_t{t}.csv" for t in ts]
+    assert json.loads((tmp_path / "glue.json").read_text())["delta_fit"] is not None
+
+
 def test_fiducial_parallel_jobs_match_serial(tmp_path):
     serial, parallel = tmp_path / "s", tmp_path / "p"
     for out, jobs in ((serial, "1"), (parallel, "3")):
@@ -207,7 +244,7 @@ def test_unknown_config_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["solve-psi", "--tol", "nan"],
+    ["glue", "--tol", "nan"],
     ["fiducial", "--t", "nan"],
     ["spectrum", "--t", "nan", "--lmax", "8"],
 ])
@@ -220,20 +257,88 @@ def test_nan_flags_are_usage_errors(tmp_path, capsys, argv):
 @pytest.mark.parametrize("payload", [{"grid": "abc"}, {"t": 2}, [1, 2], {"lmax": True},
                                      {"gamma": 2.5}])
 def test_malformed_config_is_usage_error(tmp_path, capsys, payload):
+    # each key goes to a command that takes it, so that its value is what fails
+    command = next(c for c in FLAGS if isinstance(payload, list) or set(payload) <= set(FLAGS[c]))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload))
-    assert run(["torus", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert isinstance(payload, list) or "invalid value" in err
     assert not (tmp_path / "out").exists()
 
 
 def test_config_values_take_flag_conversions(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"t": [2, 4], "gamma": "3", "tol": 1e-9}))
+    cfg.write_text(json.dumps({"t": [2, 4], "grid": "400", "tol": 1e-9}))
     out = tmp_path / "out"
+    assert run(["glue", "--config", str(cfg), "--out", str(out)]) == 0
+    config = json.loads((out / "glue.json").read_text())["config"]
+    assert config["t"] == [2.0, 4.0] and config["grid"] == 400 and config["tol"] == 1e-9
+    cfg.write_text(json.dumps({"gamma": "3"}))
     assert run(["torus", "--config", str(cfg), "--out", str(out)]) == 0
-    config = json.loads((out / "torus.json").read_text())["config"]
-    assert config["t"] == [2.0, 4.0] and config["gamma"] == 3 and config["tol"] == 1e-9
+    assert json.loads((out / "torus.json").read_text())["config"]["gamma"] == 3
+
+
+# a value for every flag, small enough that every command runs fast, and a
+# second value for each flag that a command reads: glue at t = 2 on 400 nodes
+# takes one more Newton step at tol 1e-13 than at 1e-9
+FLAG_VALUES = {"t": "2", "grid": "400", "lmax": "8", "tol": "1e-9", "jobs": "1",
+               "format": "json", "gamma": "2"}
+OTHER_VALUES = {"t": "1", "grid": "500", "lmax": "9", "tol": "1e-13", "format": "csv",
+                "gamma": "3"}
+REPORTS = {"solve-psi": "summary.json", "fiducial": "fiducial_summary.json",
+           "spectrum": "spectrum.json", "indicial": "indicial.json", "glue": "glue.json",
+           "torus": "torus.json"}
+
+
+def _outputs(out):
+    """Every file under out, with each JSON report's config block dropped."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_text()
+        if path.suffix == ".json":
+            data = {k: v for k, v in json.loads(data).items() if k != "config"}
+        files[path.name] = data
+    return files
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_each_command_takes_the_flags_it_reads(tmp_path, capsys, command):
+    # the flags a command accepts are the keys its report's config records;
+    # each it reads changes more than that block, and any other flag, or
+    # config key, is a usage error
+    def argv(values, out):
+        return [command, *[f"--{name}={values[name]}" for name in FLAGS[command] if name != "out"],
+                "--out", str(out)]
+
+    base = tmp_path / "base"
+    assert run(argv(FLAG_VALUES, base)) == 0
+    config = json.loads((base / REPORTS[command]).read_text())["config"]
+    assert set(config) == {"command", *FLAGS[command]}
+    assert config["command"] == command and config["out"] == str(base)
+    for name in set(FLAGS[command]) - {"out", "jobs"}:
+        out = tmp_path / name
+        assert run(argv({**FLAG_VALUES, name: OTHER_VALUES[name]}, out)) == 0
+        assert _outputs(out) != _outputs(base), name
+    for name in set(FLAG_TYPES) - set(FLAGS[command]):
+        with pytest.raises(SystemExit) as exc:
+            run([command, f"--{name}={FLAG_VALUES[name]}", "--out", str(base)])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: FLAG_VALUES[name]}))
+        assert run([command, "--config", str(cfg), "--out", str(base)]) == 2
+        assert f"not a flag of {command}" in capsys.readouterr().err
+
+
+def test_artifact_names_keep_every_digit_of_t(tmp_path):
+    # integer t keeps its name; close values get two files, each naming its t
+    ts = ["1", "1.000001", "2.0734512345678"]
+    assert run(["fiducial", *[f"--t={t}" for t in ts], "--out", str(tmp_path)]) == 0
+    names = sorted(p.name for p in tmp_path.glob("fiducial_t*.csv"))
+    assert names == sorted(f"fiducial_t{t}.csv" for t in ts)
+    assert (tmp_path / "fiducial_t1.csv").read_bytes() != (
+        tmp_path / "fiducial_t1.000001.csv").read_bytes()
 
 
 def test_solve_psi_determinism(tmp_path):
