@@ -37,7 +37,7 @@ class RunConfig:
     t: list = field(default_factory=lambda: [1.0, 2.0, 4.0, 8.0])
     grid: int = 2000
     lmax: int = 32
-    tol: float = 1e-8
+    tol: float = 1e-9
     out: str = "."
     jobs: int = 1
     format: str = "json"
@@ -46,6 +46,13 @@ class RunConfig:
     def validate(self) -> None:
         if not self.tol > 0:
             raise UsageError("tolerance must be positive")
+        if "t" in FLAGS[self.command]:
+            if not self.t:
+                raise UsageError(f"{self.command}: no t given")
+            repeated = sorted({t for t in self.t if self.t.count(t) > 1})
+            if repeated:
+                raise UsageError(f"{self.command}: t repeated: "
+                                 + ", ".join(_t_name(t) for t in repeated))
         for t in self.t:
             fiducial.check_t(t)
         if self.grid < linearized.MIN_GRID:
@@ -212,7 +219,7 @@ def cmd_glue(config: RunConfig) -> int:
     def one(t):
         # one glued state per t serves both the Newton repair and the decay fit
         state = gluing.glued_on_grid(t, profile, cutoff, config.grid, gluing.GLUE_R_MIN)
-        result = gluing.newton_correct(state, tol=min(config.tol, 1e-9))
+        result = gluing.newton_correct(state, tol=config.tol)
         return (gluing.corrected_solution_check(state, result), result.residual_history,
                 state.l2_residual())
 

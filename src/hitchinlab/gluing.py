@@ -230,8 +230,7 @@ def newton_correct(state: GluedState, tol: float = 1e-10, max_iter: int = 30) ->
             raise NumericalError(
                 f"t={t:g}: Newton stalled at residual {sup:.3e}; history {history}"
             )
-        # DIA offsets (1, 0, -1) are solve_banded's (1, 1) layout
-        ab = newton_operator_matrix(state, c + w_hi + w_lo).matrix.data
+        ab = newton_operator_matrix(state, c + w_hi + w_lo).full_band
         try:
             du = solve_banded((1, 1), ab, 4.0 * state.r ** 2 * res)
         except np.linalg.LinAlgError as exc:

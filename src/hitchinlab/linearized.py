@@ -19,14 +19,13 @@ S = sqrt(B), which is immune to the r^-2 entry spread of A.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dstebz, dstein
 
 from .errors import NumericalError
 from .fiducial import build_family
@@ -36,10 +35,12 @@ DEFAULT_N = 2000
 DEFAULT_R_MIN = 1e-6
 MIN_GRID = 16
 MIN_ELL_MAX = 8
-SURROGATE_MAX_ITER = 400
 SURROGATE_TOL = 1e-10
 SURROGATE_PRUNE_MARGIN = 1e-6
-LANCZOS_NCV = 6
+# the step cap of every Lanczos run: green_norms' solves take at most 18 steps
+# (t up to 1000, ell up to 64, n up to 800); a lone h2_surrogate_norm at
+# ell = 64, t = 1000, n = 2000 takes 240
+LANCZOS_MAX_STEPS = 500
 # green_norms shifts each mode's eigen solve this far from the previous mode's
 # lambda_min toward the quadratic extrapolation through the chain's last three
 # values.  Over green_norms(t, 32, n) at n in {100, 300, 600, 800} x t in
@@ -98,14 +99,24 @@ class RadialOperator:
     potentials: list = field(repr=False)
     coupling: np.ndarray | None = field(repr=False, default=None)
 
-    @cached_property
-    def matrix(self) -> sp.dia_array:
-        """A as a sparse matrix, read straight off the band: the lower
-        diagonals are the upper ones shifted by their offset."""
-        k, size = self.block_size, self.band.shape[1]
+    @property
+    def full_band(self) -> np.ndarray:
+        """A in ``solve_banded``'s (k, k) layout, row k + i - j holding
+        A[i, j]: the upper band, then the lower diagonals, which are the
+        upper ones shifted by their offset."""
+        k = self.block_size
         lower = [np.roll(self.band[k - d], -d) for d in range(1, k + 1)]
-        return sp.dia_array((np.vstack([self.band, *lower]), np.arange(k, -k - 1, -1)),
-                            shape=(size, size))
+        return np.vstack([self.band, *lower])
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """A u, summed over the diagonals of the band."""
+        k = self.block_size
+        out = self.band[k] * u
+        for d in range(1, k + 1):
+            upper = self.band[k - d, d:]  # A[j - d, j] for j >= d
+            out[:-d] += upper * u[d:]
+            out[d:] += upper * u[:-d]
+        return out
 
     @cached_property
     def solve(self):
@@ -255,18 +266,71 @@ def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
     return _assemble(ell, t, grid, r, [pot], (abs(ell),))
 
 
-def smallest_eigenvalue(op: RadialOperator, below: float = 0.0) -> float:
+def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int):
+    """Largest eigenvalue theta of the symmetric operator ``apply`` by
+    Lanczos, with its unit Ritz vector: (theta, vector).
+
+    Plain Lanczos from ``v0`` with full reorthogonalization: each new vector
+    is orthogonalized against the whole basis by two passes of classical
+    Gram-Schmidt ("twice is enough"; Parlett, The Symmetric Eigenvalue
+    Problem, ch. 13), so no spurious copy of a converged value appears.
+    The tridiagonal T_j is kept as its diagonal and off-diagonal in
+    preallocated arrays.  From the third step on, its largest eigenvalue
+    theta is found by bisection (LAPACK ``dstebz``) and the eigenvector s
+    of theta by inverse iteration (``dstein``), O(j) each, where a full
+    diagonalization costs O(j^3) per step on a long run.  The run stops
+    under ARPACK's rule: theta is accepted once beta_j |s_j| <= tol |theta|,
+    beta_j |s_j| being the residual norm of the Ritz pair.  One product per
+    step; NumericalError if the rule is not met within ``max_steps`` steps
+    (or the dimension, if smaller).  The basis starts with 32 rows and
+    doubles when full: numpy backs an array of 4 MiB or more with huge
+    pages, so a basis sized for the cap would cost every solve a 2 MiB
+    page fault and its resident memory.
+    """
+    steps = min(max_steps, len(v0))
+    basis = np.empty((min(steps, 32), len(v0)))
+    alpha = np.empty(steps)
+    beta = np.empty(steps)
+    q = v0 / np.linalg.norm(v0)
+    for j in range(steps):
+        if j == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[j] = q
+        w = apply(q)
+        span = basis[:j + 1]
+        coef = span @ w
+        w -= coef @ span
+        w -= (span @ w) @ span
+        alpha[j] = coef[j]
+        beta[j] = np.sqrt(w @ w)
+        if j >= 2 or beta[j] == 0.0:
+            # f2py takes an off-diagonal of length at least 1; dstebz's range
+            # 2 selects by index, here the (j + 1)-th and largest eigenvalue
+            diag, off = alpha[:j + 1], beta[:max(j, 1)]
+            _, theta, block, split, _ = dstebz(diag, off, 2, 0.0, 0.0, j + 1, j + 1,
+                                               0.0, b"E")
+            vec = dstein(diag, off, theta[:1], block, split)[0][:, 0]
+            if beta[j] * abs(vec[-1]) <= tol * abs(theta[0]):
+                return float(theta[0]), vec @ span
+        q = w / beta[j]
+    raise NumericalError(f"Lanczos did not converge to tol={tol:g} in {steps} steps")
+
+
+def smallest_eigenvalue(op: RadialOperator, below: float = 0.0,
+                        start: np.ndarray | None = None) -> float:
     """Smallest eigenvalue of A u = lambda B u by standard-mode Lanczos.
 
     For a shift sigma below the spectrum, S (A - sigma B)^-1 S with S = sqrt(B)
     is symmetric positive definite, and its largest eigenvalue mu gives
-    lambda_min = sigma + 1/mu.  ARPACK finds mu as a standard symmetric
-    problem (``which="LA"``, ``tol=0``) on a basis of ``LANCZOS_NCV``
-    vectors from a fixed start vector; at sigma = 0 the solves reuse the
-    block's own factorization ``op.solve``.  A shift is accepted only when
-    the banded Cholesky factorization of A - sigma B succeeds, that is when
-    A - sigma B is positive definite, so sigma is certified to lie below the
-    spectrum.  The ladder tries sigma = ``below``, 0, -1e-6, -1 (duplicates
+    lambda_min = sigma + 1/mu.  ``_lanczos_largest`` finds mu at
+    tol = machine epsilon, the tightest tolerance, as ARPACK's ``tol=0``
+    did, within ``LANCZOS_MAX_STEPS`` products, from ``start`` or, if None,
+    from the vector of ones; a given ``start`` is overwritten with mu's Ritz
+    vector, so that a chain of solves can pass it on.  At sigma = 0 the
+    solves reuse the block's own factorization ``op.solve``.  A shift is
+    accepted only when the banded Cholesky factorization of A - sigma B
+    succeeds, that is when A - sigma B is positive definite, so sigma is
+    certified to lie below the spectrum.  The ladder tries sigma = ``below``, 0, -1e-6, -1 (duplicates
     dropped).  ``below`` is a guess at a lower bound, such as the previous
     mode's lambda_min: the closer it lies under lambda_min, the fewer
     Lanczos steps; one that is not below the spectrum, or NaN, fails to
@@ -274,12 +338,11 @@ def smallest_eigenvalue(op: RadialOperator, below: float = 0.0) -> float:
     with a constant kernel) that rounding leaves indefinite moves on to the
     small negative shift, and an operator whose smallest eigenvalue lies
     below -1 raises NumericalError.  Only a ``RuntimeError`` (factorization
-    not positive definite, ARPACK failure) moves on to the next shift; any
+    not positive definite, Lanczos step cap) moves on to the next shift; any
     other error, such as a malformed operator, propagates unchanged.
     """
     s = np.sqrt(op.weights)
-    size = op.band.shape[1]
-    v0 = np.ones(size)
+    v0 = np.ones(op.band.shape[1]) if start is None else start
     last_exc = None
     for sigma in dict.fromkeys((below, 0.0, -1e-6, -1.0)):
         try:
@@ -289,19 +352,19 @@ def smallest_eigenvalue(op: RadialOperator, below: float = 0.0) -> float:
                 shifted = op.band.copy()
                 shifted[-1] -= sigma * op.weights
                 solve = _band_solver(shifted)
-            inverse = LinearOperator((size, size), dtype=float,
-                                     matvec=lambda x, solve=solve: s * solve(s * x))
-            mu = eigsh(inverse, k=1, which="LA", v0=v0, ncv=min(LANCZOS_NCV, size),
-                       tol=0, return_eigenvectors=False)
-            return sigma + 1.0 / float(mu[0])
-        except RuntimeError as exc:  # not positive definite, ARPACK failure
+            mu, ritz = _lanczos_largest(lambda x, solve=solve: s * solve(s * x), v0,
+                                        np.finfo(float).eps, LANCZOS_MAX_STEPS)
+            if start is not None:
+                start[:] = ritz
+            return sigma + 1.0 / mu
+        except RuntimeError as exc:  # not positive definite, Lanczos step cap
             last_exc = exc
     raise NumericalError(f"eigenvalue solve failed: {last_exc}") from last_exc
 
 
 def apply_operator(op: RadialOperator, u: np.ndarray) -> np.ndarray:
     """Nodal application B^-1 A u (the operator itself, not the bilinear form)."""
-    return (op.matrix @ u) / op.weights
+    return op.matvec(u) / op.weights
 
 
 def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator) -> float:
@@ -310,36 +373,30 @@ def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator) -> float:
     sigma_max of M = S^-1 P A^-1 S, where A, P are the assembled matrices of
     the full and flat blocks and S = sqrt(B), taken as the square root of the
     largest eigenvalue of M^T M = S A^-1 P B^-1 P A^-1 S (P is exactly
-    symmetric) by implicitly restarted Lanczos (ARPACK) from a deterministic
-    fixed start vector.  The A^-1 solves reuse the block's Cholesky
+    symmetric) by ``_lanczos_largest`` from a deterministic fixed start
+    vector.  The A^-1 solves reuse the block's Cholesky
     factorization ``op_l.solve``, so a block whose smallest eigenvalue was
     already computed at sigma = 0 is not factored again; the flat block is
     never factored.
     ``SURROGATE_TOL`` is the relative accuracy asked of that eigenvalue and
-    ``SURROGATE_MAX_ITER`` the cap on Lanczos restarts; a solve that does
+    ``LANCZOS_MAX_STEPS`` the cap on Lanczos steps; a solve that does
     not converge within it raises NumericalError.  This is the per-mode
     value; ``green_norms`` calls it only on the modes that
     ``_surrogate_certified_below`` cannot rule out.
     """
-    p = op_flat.matrix
     sw = np.sqrt(op_l.weights)
     solve = op_l.solve
-    size = p.shape[0]
-    v0 = np.sin(np.linspace(0.3, 7.0, size)) + 1.0
+    v0 = np.sin(np.linspace(0.3, 7.0, len(sw))) + 1.0
 
     def mtm_apply(vec):
-        m_vec = (p @ solve(sw * vec)) / sw
-        return sw * solve(p @ (m_vec / sw))
+        m_vec = op_flat.matvec(solve(sw * vec)) / sw
+        return sw * solve(op_flat.matvec(m_vec / sw))
 
-    mtm = LinearOperator((size, size), matvec=mtm_apply, dtype=float)
     try:
-        w = eigsh(mtm, k=1, which="LA", v0=v0, tol=SURROGATE_TOL,
-                  maxiter=SURROGATE_MAX_ITER, return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise NumericalError(
-            f"H2 surrogate (ell={op_l.ell}, t={op_l.t:g}) did not converge to "
-            f"tol={SURROGATE_TOL} in {SURROGATE_MAX_ITER} Lanczos restarts") from exc
-    return float(np.sqrt(w[0]))
+        w, _ = _lanczos_largest(mtm_apply, v0, SURROGATE_TOL, LANCZOS_MAX_STEPS)
+    except NumericalError as exc:
+        raise NumericalError(f"H2 surrogate (ell={op_l.ell}, t={op_l.t:g}): {exc}") from exc
+    return float(np.sqrt(w))
 
 
 def _surrogate_certified_below(op_l: RadialOperator, op_flat: RadialOperator,
@@ -438,7 +495,10 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     The extrapolated shift is certified by the Cholesky factorization
     alone: one above the spectrum (or any shift that rounding puts there)
     fails to factor and the ladder falls back to sigma = 0, so the value
-    never depends on the guess.  ell = 0 keeps sigma = 0, so its cached
+    never depends on the guess.  Each chain's Lanczos run also starts from
+    the Ritz vector of the chain's previous solve, the first from ones
+    (``smallest_eigenvalue``'s ``start``): at t = 1, n = 600 this takes the
+    sweep from 457 products to 396.  ell = 0 keeps sigma = 0, so its cached
     factorization ``op.solve`` serves the surrogate too; a block with
     ell >= 2 whose certificate fails factors A once more for the surrogate.
     The H2 surrogate composes the discrete flat Laplacian with each block
@@ -465,9 +525,11 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     solved = []
     kappa = np.inf
     ells = list(range(ell_max + 1))
+    # each chain's start vectors: every solve leaves its Ritz vector for the next
+    start_vert, start = np.ones(len(r)), np.ones(2 * len(r))
     for ell in ells:
         lam_vert.append(smallest_eigenvalue(assemble_vertical_block(ell, t, h, grid),
-                                            _next_shift(lam_vert)))
+                                            _next_shift(lam_vert), start_vert))
         if ell == 1:
             # the ell = 0 pair with its components swapped: same lambda_min
             # and surrogate
@@ -477,7 +539,7 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
         flat = _coupled_block(ell, t, grid, r)
         # at ell = 3 the window would hold ell = 1's copy of ell = 0, and
         # there the extrapolation overshoots
-        lam.append(smallest_eigenvalue(op, lam[-1] if ell == 3 else _next_shift(lam)))
+        lam.append(smallest_eigenvalue(op, lam[-1] if ell == 3 else _next_shift(lam), start))
         if ell == 0 or not _surrogate_certified_below(
                 op, flat, (1.0 - SURROGATE_PRUNE_MARGIN) * surrogate):
             surrogate = max(surrogate, h2_surrogate_norm(op, flat))
@@ -503,28 +565,15 @@ def indicial_roots(ell_range) -> dict:
     sorted list of distinct roots}.
     """
     per_ell = {}
-    aggregate = set()
     for ell in ell_range:
         ell = int(ell)
-        counts = {}
-
-        def add(root):
-            counts[root] = counts.get(root, 0) + 1
-
-        if ell == 0:
-            add(Fraction(0))
-            add(Fraction(0))
-        else:
-            add(Fraction(ell))
-            add(Fraction(-ell))
-        for s in (1, -1):
-            root = Fraction(abs(2 * ell + s), 2)
-            add(root)
-            add(-root)
-        roots = sorted(counts.items())
-        per_ell[ell] = roots
-        aggregate.update(counts)
-    return {"per_ell": per_ell, "aggregate": sorted(aggregate)}
+        # each root nu counted as the integer 2 nu
+        up, down = abs(2 * ell + 1), abs(2 * ell - 1)
+        per_ell[ell] = sorted(Counter((2 * ell, -2 * ell, up, -up, down, -down)).items())
+    half = {m: Fraction(m, 2) for roots in per_ell.values() for m, _ in roots}
+    return {"per_ell": {ell: [(half[m], mult) for m, mult in roots]
+                        for ell, roots in per_ell.items()},
+            "aggregate": [half[m] for m in sorted(half)]}
 
 
 def restricted_indicial_roots(ell_range) -> list:

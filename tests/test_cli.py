@@ -26,20 +26,24 @@ def test_solve_psi_default(tmp_path):
     assert lines[0] == "rho,psi,dpsi,eta"
 
 
-# scipy subpackages the package must not load: they were the largest part
-# of the cold import, and only the shooting profile solve needed two of them
+# scipy subpackages the package must not load: no command needs them, and
+# they were the largest part of the cold import
 UNLOADED = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.spatial",
-            "scipy.fft")
+            "scipy.fft", "scipy.sparse")
 
 
 def test_solve_psi_loads_no_unneeded_scipy(tmp_path):
     # a fresh process, so that no other test's import counts; the check
-    # follows a profile solve, so that a lazy import inside it shows too
+    # follows a profile solve, a spectrum (eigen solves) and a glue (Newton),
+    # so that a lazy import on any of their paths shows too
+    runs = [["solve-psi"], ["spectrum", "--t", "1", "--lmax", "8", "--grid", "64"],
+            ["glue", "--t", "2", "--grid", "400"]]
     script = (
         "import sys\n"
         "import hitchinlab, hitchinlab.cli\n"
-        f"assert hitchinlab.cli.main(['solve-psi', '--out', {str(tmp_path)!r}]) == 0\n"
-        f"print([m for m in sys.modules if m.startswith({UNLOADED!r})])\n"
+        + "".join(f"assert hitchinlab.cli.main({[*argv, '--out', str(tmp_path)]!r}) == 0\n"
+                  for argv in runs)
+        + f"print([m for m in sys.modules if m.startswith({UNLOADED!r})])\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -47,7 +51,7 @@ def test_solve_psi_loads_no_unneeded_scipy(tmp_path):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
-    assert (tmp_path / "psi.csv").exists()
+    assert {"psi.csv", "spectrum.json", "glue.json"} <= {p.name for p in tmp_path.iterdir()}
 
 
 def test_zero_tolerance_is_usage_error(tmp_path, capsys):
@@ -156,6 +160,41 @@ def test_glue_tol_is_the_gluing_tolerance_only(tmp_path, capsys, monkeypatch):
     for tol in (["--tol", "1e-13"], ["--tol", "1e-14"], []):
         assert run(["glue", "--t", "1", *tol, "--out", str(tmp_path)]) == 0
     assert list(painleve._SOLVED) == [(painleve.DEFAULT_RHO_MIN, painleve.N_SOLVE)]
+
+
+def test_glue_tol_sets_the_newton_tolerance(tmp_path):
+    # Newton stops at the first residual below --tol; at t = 4 on 400 nodes
+    # the residuals run 1.2e-1, 2.5e-8, 3e-15, so 1e-6 stops a step sooner
+    logs = []
+    for tol in ("1e-6", "1e-9"):
+        out = tmp_path / tol
+        assert run(["glue", "--t", "4", "--grid", "400", "--tol", tol, "--out", str(out)]) == 0
+        logs.append((out / "newton_t4.csv").read_text())
+    assert logs[0] != logs[1]
+    assert len(logs[0].splitlines()) < len(logs[1].splitlines())
+
+
+@pytest.mark.parametrize("command", ["fiducial", "glue", "spectrum"])
+def test_empty_t_is_usage_error(tmp_path, capsys, command):
+    # rejected by the config check, before the output directory or the profile
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t": []}))
+    out = tmp_path / "run"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{command}: no t given" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["glue", "--t", "2", "--t", "2", "--t", "2", "--t", "2"], "2"),
+    (["fiducial", "--t", "1", "--t", "3", "--t", "1.0"], "1"),
+    (["spectrum", "--t", "0.5", "--t", "4", "--t", "4", "--t", "0.5"], "0.5, 4"),
+])
+def test_repeated_t_is_usage_error(tmp_path, capsys, argv, named):
+    out = tmp_path / "run"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert f"{argv[0]}: t repeated: {named}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_glue_default_t_exits_zero(tmp_path):

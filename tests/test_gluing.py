@@ -213,7 +213,7 @@ def test_second_difference_is_the_flat_stencil(rng):
     # ell = 0 stencil, outer ghost included
     grid = lin.RadialGrid(300, 1e-3)
     v = rng.standard_normal(grid.n)
-    d2 = -(lin.assemble_scalar(0, n=grid.n, r_min=grid.r_min).matrix @ v)
+    d2 = -lin.assemble_scalar(0, n=grid.n, r_min=grid.r_min).matvec(v)
     d2[-1] += 0.7 / grid.dx ** 2
     got = gl._second_difference(v, 0.7, grid.dx)
     assert np.abs(got - d2).max() <= 1e-14 * np.abs(d2).max()

@@ -11,6 +11,17 @@ from hitchinlab import linearized as lin
 _real_smallest_eigenvalue = lin.smallest_eigenvalue
 
 
+def _dense(op):
+    """A as a dense matrix, read off ``op.full_band``, whose row k + i - j
+    holds A[i, j]."""
+    k, ab = op.block_size, op.full_band
+    i, j = np.indices((ab.shape[1],) * 2)
+    inside = np.abs(i - j) <= k
+    dense = np.zeros(i.shape)
+    dense[inside] = ab[(k + i - j)[inside], j[inside]]
+    return dense
+
+
 @pytest.fixture(scope="module")
 def bessel_target():
     return jn_zeros(0, 1)[0] ** 2
@@ -45,7 +56,8 @@ def test_assembled_matrices_exactly_symmetric(profile):
         lin.assemble_block(0, 1.0, profile, n=150, neumann_outer=True),
         lin.assemble_vertical_block(2, 2.0, h, grid),
     ):
-        assert (op.matrix != op.matrix.T).nnz == 0
+        dense = _dense(op)
+        assert np.array_equal(dense, dense.T)
         assert (op.weights > 0).all()
 
 
@@ -122,15 +134,16 @@ def _expected_shifts(chain, skip=()):
 
 
 def _spy_eigen_solves(monkeypatch):
-    """Record (op, below, value, dpbtrf calls made by it) of every
-    smallest_eigenvalue call."""
+    """Record (op, below, start as passed in, value, dpbtrf calls made by it)
+    of every smallest_eigenvalue call."""
     calls, real = [], lin.smallest_eigenvalue
     factored = _spy_dpbtrf(monkeypatch)
 
-    def spy(op, below=0.0):
+    def spy(op, below=0.0, start=None):
         first = len(factored)
-        value = real(op, below)
-        calls.append((op, below, value, factored[first:]))
+        given = None if start is None else start.copy()
+        value = real(op, below, start)
+        calls.append((op, below, given, value, factored[first:]))
         return value
 
     monkeypatch.setattr(lin, "smallest_eigenvalue", spy)
@@ -145,13 +158,13 @@ def test_green_norms_shifts_by_extrapolation(profile, monkeypatch, t):
     coupled = [c for c in calls if c[0].block_size == 2]
     assert [c[0].ell for c in vertical] == list(range(17))
     assert [c[0].ell for c in coupled] == [0, *range(2, 17)]
-    assert [c[2] for c in vertical] == rep.lambda_min_vertical
-    assert [c[2] for c in coupled] == [rep.lambda_min[0], *rep.lambda_min[2:]]
+    assert [c[3] for c in vertical] == rep.lambda_min_vertical
+    assert [c[3] for c in coupled] == [rep.lambda_min[0], *rep.lambda_min[2:]]
     # ell = 3 keeps ell = 2's value: its window would hold ell = 1's copy of ell = 0
     assert [c[1] for c in vertical] == _expected_shifts(rep.lambda_min_vertical)
     shifts = _expected_shifts(rep.lambda_min, skip=(3,))
     assert [c[1] for c in coupled] == [shifts[0], *shifts[2:]]
-    for op, below, value, factored in calls:
+    for op, below, _, value, factored in calls:
         assert below < value
         # each shift is accepted at once: one factorization, no refusal
         assert [info for _, _, info in factored] == [0]
@@ -166,34 +179,52 @@ def test_refused_extrapolated_shift_falls_back_to_zero(profile, monkeypatch):
     lin.green_norms(2.0, 8, profile, n=100)
     extrapolated = [c for c in calls if c[0].ell >= 3 + (c[0].block_size == 2)]
     assert len(extrapolated) == 6 + 5
-    for op, below, value, factored in extrapolated:
+    for op, below, start, value, factored in extrapolated:
         (refused, factor, info), (band, _, accepted) = factored
         assert info > 0 or not np.isfinite(factor[-1]).all()
         assert np.array_equal(refused[-1], op.band[-1] - below * op.weights)
         assert accepted == 0 and np.array_equal(band, op.band)
-        assert value == _real_smallest_eigenvalue(op, 0.0)
+        assert value == _real_smallest_eigenvalue(op, 0.0, start)
+
+
+def test_green_norms_chains_start_from_ritz_vectors(profile, monkeypatch):
+    # each chain starts from ones; every later solve starts from the Ritz
+    # vector y = S u of the chain's previous solve, whose Rayleigh quotient
+    # u'Au / u'Bu on that block is the previous lambda_min
+    calls = _spy_eigen_solves(monkeypatch)
+    lin.green_norms(2.0, 8, profile, n=100)
+    for size in (1, 2):
+        chain = [c for c in calls if c[0].block_size == size]
+        assert np.array_equal(chain[0][2], np.ones(len(chain[0][0].weights)))
+        for (op, _, _, value, _), (_, _, start, _, _) in zip(chain, chain[1:]):
+            u = start / np.sqrt(op.weights)
+            quotient = (u @ op.matvec(u)) / (u @ (op.weights * u))
+            assert quotient == pytest.approx(value, rel=1e-12)
+            assert np.linalg.norm(start) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_green_norms_lanczos_products(profile, monkeypatch):
     # a host-independent guard on the shift rule: 941 products with each
     # chain shifted by its previous value, 500 with the extrapolated shift
-    products, real_eigsh, real = [0], lin.eigsh, lin.smallest_eigenvalue
+    # (ARPACK); 396 with the numpy Lanczos started from each chain's Ritz
+    # vector
+    products, real_lanczos, real = [0], lin._lanczos_largest, lin.smallest_eigenvalue
     active = [False]
 
-    def spy_eigsh(a, **kwargs):
-        def matvec(x):
+    def spy_lanczos(apply, *args):
+        def counted(x):
             products[0] += active[0]
-            return a.matvec(x)
-        return real_eigsh(lin.LinearOperator(a.shape, matvec=matvec, dtype=float), **kwargs)
+            return apply(x)
+        return real_lanczos(counted, *args)
 
-    def spy(op, below=0.0):
+    def spy(op, below=0.0, start=None):
         active[0] = True
         try:
-            return real(op, below)
+            return real(op, below, start)
         finally:
             active[0] = False
 
-    monkeypatch.setattr(lin, "eigsh", spy_eigsh)
+    monkeypatch.setattr(lin, "_lanczos_largest", spy_lanczos)
     monkeypatch.setattr(lin, "smallest_eigenvalue", spy)
     lin.green_norms(1.0, 32, profile, n=600)
     assert 0 < products[0] <= 560
@@ -274,7 +305,7 @@ def _surrogate_pair(profile, ell, t, n):
 def _dense_surrogate(op, flat):
     """sigma_max of S^-1 P A^-1 S by a dense SVD."""
     s = np.sqrt(op.weights)
-    m = flat.matrix.toarray() @ np.linalg.solve(op.matrix.toarray(), np.diag(s)) / s[:, None]
+    m = _dense(flat) @ np.linalg.solve(_dense(op), np.diag(s)) / s[:, None]
     return np.linalg.svd(m, compute_uv=False)[0]
 
 
@@ -287,7 +318,7 @@ def test_h2_surrogate_matches_dense_svd(profile, ell):
 
 def test_band_square_matches_dense(profile):
     op, _ = _surrogate_pair(profile, 3, 2.0, 40)
-    a = op.matrix.toarray()
+    a = _dense(op)
     w = 1.0 / op.weights
     expected = a @ (w[:, None] * a)
     band = lin._band_square(op.band, w)
@@ -312,17 +343,48 @@ def test_surrogate_certificate_verdicts(profile, t, n, ells):
 
 
 def test_h2_surrogate_nonconvergence_raises(profile, monkeypatch):
-    from scipy.sparse.linalg import ArpackNoConvergence
-
     from hitchinlab.errors import NumericalError
 
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-
-    monkeypatch.setattr(lin, "eigsh", no_convergence)
+    # the ell = 0 surrogate takes 11-15 Lanczos steps; a cap of 3 stops it
+    monkeypatch.setattr(lin, "LANCZOS_MAX_STEPS", 3)
     op, flat = _surrogate_pair(profile, 0, 1.0, 64)
-    with pytest.raises(NumericalError, match="did not converge"):
+    with pytest.raises(NumericalError, match=r"H2 surrogate \(ell=0, t=1\).*did not converge"):
         lin.h2_surrogate_norm(op, flat)
+
+
+def _spd_with_close_top_pair(size, gap, seed=0):
+    """A random orthogonal similarity of a diagonal whose top two entries are
+    1 and 1 - gap, the rest spread over [0.01, 0.9]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    eigs = np.concatenate([np.linspace(0.01, 0.9, size - 2), [1.0 - gap, 1.0]])
+    return (q * eigs) @ q.T
+
+
+def test_lanczos_largest_close_top_pair():
+    a = _spd_with_close_top_pair(120, 1e-3)
+    expected = np.linalg.eigvalsh(a)[-1]
+    got, vector = lin._lanczos_largest(lambda x: a @ x, np.ones(120), np.finfo(float).eps, 120)
+    assert got == pytest.approx(expected, rel=1e-13)
+    assert np.linalg.norm(a @ vector - got * vector) <= 1e-6
+
+
+def test_lanczos_largest_step_cap_raises():
+    from hitchinlab.errors import NumericalError
+
+    a = _spd_with_close_top_pair(120, 1e-3)
+    with pytest.raises(NumericalError, match="in 5 steps"):
+        lin._lanczos_largest(lambda x: a @ x, np.ones(120), np.finfo(float).eps, 5)
+
+
+def test_lanczos_largest_invariant_start():
+    # an eigenvector as start vector leaves no residual after one product,
+    # and its eigenvalue is returned, not a division by zero
+    a = np.diag(np.arange(1.0, 21.0))
+    start = np.zeros(20)
+    start[-1] = 3.0
+    value, vector = lin._lanczos_largest(lambda x: a @ x, start, np.finfo(float).eps, 20)
+    assert value == 20.0 and np.array_equal(vector, start / 3.0)
 
 
 def test_smallest_eigenvalue_shift_ladder():
@@ -350,7 +412,7 @@ def test_smallest_eigenvalue_indefinite_operator():
     # lambda_min = -0.2197: A and A + 1e-6 B are not positive definite, so
     # their factorizations fail and the ladder answers from sigma = -1
     op = lin.assemble_scalar(0, n=200, potential=lambda r: -6.0 * np.ones_like(r))
-    a, b = op.matrix.toarray(), np.diag(op.weights)
+    a, b = _dense(op), np.diag(op.weights)
     dense = eigh(a + b, b, eigvals_only=True)[0] - 1.0
     assert dense == pytest.approx(-0.2197, abs=1e-4)
     with pytest.raises(RuntimeError):
@@ -393,8 +455,9 @@ def test_band_layout_and_cholesky_solve(profile):
     for name, op in ops.items():
         dense = _dense_from_band(op)
         assert op.band.shape == (op.block_size + 1, len(op.weights)), name
-        assert np.array_equal(op.matrix.toarray(), dense), name
+        assert np.array_equal(_dense(op), dense), name
         rhs = rng.standard_normal(len(op.weights))
+        assert np.abs(op.matvec(rhs) - dense @ rhs).max() <= 1e-15 * np.abs(dense).max(), name
         expected = np.linalg.solve(dense, rhs)
         got = op.solve(rhs)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), name
@@ -403,7 +466,7 @@ def test_band_layout_and_cholesky_solve(profile):
 def _dense_smallest(op, sigma=0.0):
     """sigma + 1 / max eig of S (A - sigma B)^-1 S, with a dense Cholesky solve."""
     s = np.sqrt(op.weights)
-    shifted = op.matrix.toarray() - sigma * np.diag(op.weights)
+    shifted = _dense(op) - sigma * np.diag(op.weights)
     inverse = cho_solve(cho_factor(shifted), np.diag(s))
     return sigma + 1.0 / np.linalg.eigvalsh(s[:, None] * inverse)[-1]
 
@@ -482,28 +545,27 @@ def test_smallest_eigenvalue_shifted_kernel_matches_dense_reference():
     # nonzero eigenvalue of the pencil
     kernel = lin.assemble_scalar(0, n=150, neumann_outer=True)
     s = 1.0 / np.sqrt(kernel.weights)
-    gap = np.linalg.eigvalsh(s[:, None] * kernel.matrix.toarray() * s[None, :])[1]
+    gap = np.linalg.eigvalsh(s[:, None] * _dense(kernel) * s[None, :])[1]
     lam = lin.smallest_eigenvalue(kernel)
     assert abs(lam - _dense_smallest(kernel, -1e-6)) <= 1e-12 * gap
 
 
 def test_one_factorization_per_block(profile, monkeypatch):
-    eigsh_kwargs, real_eigsh = [], lin.eigsh
+    lanczos_args, real_lanczos = [], lin._lanczos_largest
 
-    def spy_eigsh(*args, **kwargs):
-        eigsh_kwargs.append(kwargs)
-        return real_eigsh(*args, **kwargs)
+    def spy_lanczos(apply, v0, tol, max_steps):
+        lanczos_args.append((tol, max_steps))
+        return real_lanczos(apply, v0, tol, max_steps)
 
     factored = _spy_dpbtrf(monkeypatch)
-    monkeypatch.setattr(lin, "eigsh", spy_eigsh)
+    monkeypatch.setattr(lin, "_lanczos_largest", spy_lanczos)
     op, flat = _surrogate_pair(profile, 3, 2.0, 100)
     lin.smallest_eigenvalue(op)
     lin.h2_surrogate_norm(op, flat)
     assert len(factored) == 1
     assert np.array_equal(factored[0][0], op.band)
-    assert len(eigsh_kwargs) == 2
-    assert all("M" not in kw and "sigma" not in kw for kw in eigsh_kwargs)
-    assert eigsh_kwargs[0]["ncv"] == lin.LANCZOS_NCV
+    assert lanczos_args == [(np.finfo(float).eps, lin.LANCZOS_MAX_STEPS),
+                            (lin.SURROGATE_TOL, lin.LANCZOS_MAX_STEPS)]
 
 
 def test_flat_block_reads_no_profile(profile, monkeypatch):
@@ -593,9 +655,9 @@ def test_conic_manufactured_roundtrip():
 @pytest.mark.parametrize("nu", [0.5, -0.7, 2.0])
 def test_conic_solve_uses_scalar_operator(nu):
     sol = lin.conic_poisson_solve(nu, lambda r: np.sin(5.0 * r), 1.0, n=800)
-    a = lin.assemble_scalar(nu, n=800).matrix
+    op = lin.assemble_scalar(nu, n=800)
     rhs = sol.r ** 2 * np.sin(5.0 * sol.r)
-    assert np.abs(a @ sol.u - rhs).max() <= 1e-12 * np.abs(rhs).max()
+    assert np.abs(op.matvec(sol.u) - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 def test_conic_window_rejection():
