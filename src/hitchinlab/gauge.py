@@ -6,6 +6,8 @@ operator is recovered from the fixed Hermitian metric, so the action on pairs
 is alpha -> g^-1 alpha g + g^-1 dbar(g), phi -> g^-1 phi g.  Every gauge is a
 ``MatrixGauge`` that always carries its exact radial derivative;
 ``diagonal_gauge`` and ``stabilizer_gauge`` build them from radial data.
+A gauge constant in theta is sampled once per radius (a theta axis of
+length 1) and broadcast against the pair; pairs are always full.
 Angular derivatives are spectral (entries of every gauge used here are
 trigonometric polynomials in theta).  Finite differences in r remain only for
 fields without an exact derivative: the connection in ``curvature_rtheta``
@@ -77,15 +79,15 @@ def radial_derivative(values: np.ndarray, r: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class MatrixGauge:
     """Gauge sampled on a polar grid with radii ``r``, with its exact radial
-    derivative."""
+    derivative.  A gauge constant in theta has a theta axis of length 1."""
 
-    values: np.ndarray          # (n_r, n_theta, 2, 2)
+    values: np.ndarray          # (n_r, n_theta or 1, 2, 2)
     dr: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
 
     def compose(self, other: "MatrixGauge") -> "MatrixGauge":
-        """The product self * other; ``ValueError`` unless both gauges are
-        sampled on the same radii."""
+        """The product self * other, full in theta when either factor is;
+        ``ValueError`` unless both gauges are sampled on the same radii."""
         if not np.array_equal(self.r, other.r):
             raise ValueError("gauges are sampled on different radii")
         return MatrixGauge(_mul2(self.values, other.values),
@@ -93,15 +95,15 @@ class MatrixGauge:
                            self.r)
 
 
-def diagonal_gauge(u: np.ndarray, du: np.ndarray, r: np.ndarray,
-                   theta: np.ndarray) -> MatrixGauge:
+def diagonal_gauge(u: np.ndarray, du: np.ndarray, r: np.ndarray) -> MatrixGauge:
     """g = diag(e^u, e^-u) for a real radial exponent u and its derivative
-    du = d_r u, both sampled on the radii ``r``."""
-    vals = _stack2x2((len(u), len(theta)), zeroed=True)
+    du = d_r u, both sampled on the radii ``r``; constant in theta, so its
+    stacks are (n_r, 1, 2, 2)."""
+    vals = _stack2x2((len(u), 1), zeroed=True)
     eu = np.exp(u)
     vals[..., 0, 0] = eu[:, None]
     vals[..., 1, 1] = (1.0 / eu)[:, None]
-    dr = _stack2x2((len(u), len(theta)), zeroed=True)
+    dr = _stack2x2((len(u), 1), zeroed=True)
     dr[..., 0, 0] = (du * eu)[:, None]
     dr[..., 1, 1] = (-du / eu)[:, None]
     return MatrixGauge(vals, dr, r)
@@ -143,26 +145,38 @@ def _condition_numbers(g: np.ndarray) -> np.ndarray:
 
 def dbar_of(values: np.ndarray, r: np.ndarray, theta: np.ndarray,
             dr: np.ndarray | None = None) -> np.ndarray:
-    """dzbar-derivative (1/2) e^{i theta} (d_r + (i/r) d_theta) of samples."""
+    """dzbar-derivative (1/2) e^{i theta} (d_r + (i/r) d_theta) of samples,
+    full on the (r, theta) grid and entry-major even when ``values`` has a
+    theta axis of length 1 (whose d_theta is exactly 0)."""
     if dr is None:
         dr = radial_derivative(values, r)
     dth = spectral_dtheta(values, axis=1)
     phase = 0.5 * np.exp(1j * theta)[None, :, None, None]
-    return phase * (dr + 1j / r[:, None, None, None] * dth)
+    out = _stack2x2((len(r), len(theta)))
+    return np.multiply(phase, dr + 1j / r[:, None, None, None] * dth, out=out)
+
+
+def _check_grid(pair: DiskPair, g: MatrixGauge) -> None:
+    n_r, n_theta = pair.phi.shape[:2]
+    if (g.values.shape not in ((n_r, 1, 2, 2), (n_r, n_theta, 2, 2))
+            or not np.array_equal(g.r, pair.r)):
+        raise ValueError("gauge samples do not match the pair's grid")
 
 
 def apply_complex_gauge(pair: DiskPair, g: MatrixGauge) -> DiskPair:
     """Transformed pair (A^g, Phi^g) on the same sample grid.
 
-    Raises ValueError when the gauge is sampled on another grid (other radii
-    or another shape), or is numerically near singular (pointwise condition
-    number above 1e8).
+    The gauge's theta axis is 1 or the pair's n_theta.  Raises ValueError
+    when the gauge is sampled on another grid (other radii or another
+    shape), has a non-finite sample, or is numerically near singular
+    (pointwise condition number above 1e8).
     """
-    if g.values.shape != pair.phi.shape or not np.array_equal(g.r, pair.r):
-        raise ValueError("gauge samples do not match the pair's grid")
-    cond = _condition_numbers(g.values)
-    if np.max(cond) > COND_LIMIT:
-        raise ValueError(f"gauge near singular: condition number {np.max(cond):.3e}")
+    _check_grid(pair, g)
+    if not (np.isfinite(g.values).all() and np.isfinite(g.dr).all()):
+        raise ValueError("gauge has a non-finite sample")
+    cond = np.max(_condition_numbers(g.values))
+    if cond > COND_LIMIT:
+        raise ValueError(f"gauge near singular: condition number {cond:.3e}")
     ginv = _inv2(g.values)
     phi_new = _mul2(_mul2(ginv, pair.phi), g.values)
     dbar_g = dbar_of(g.values, pair.r, pair.theta, g.dr)
@@ -202,15 +216,15 @@ def pair_discrepancy(p1: DiskPair, p2: DiskPair, r_window=(0.0, np.inf)) -> floa
     sel = _window_mask(p1.r, r_window)
     d_phi = np.abs(p1.phi - p2.phi).max(axis=(-2, -1))[sel].max()
     d_alpha = np.abs(p1.alpha - p2.alpha).max(axis=(-2, -1))[sel].max()
-    return float(max(d_phi, d_alpha))
+    return float(np.maximum(d_phi, d_alpha))
 
 
-def orbit_gauge(family: FiducialFamily, theta: np.ndarray) -> MatrixGauge:
+def orbit_gauge(family: FiducialFamily) -> MatrixGauge:
     """diag(e^u, e^-u) with u = -(1/4) log r - (1/2) h_t and exact derivative;
     for the limiting family (h = 0) the singular gauge diag(|z|^-1/4, |z|^1/4)."""
     u = -0.25 * np.log(family.r) - 0.5 * family.h
     du = -0.25 / family.r - 0.5 * family.dh()
-    return diagonal_gauge(u, du, family.r, theta)
+    return diagonal_gauge(u, du, family.r)
 
 
 def verify_orbit_finite_t(t: float, family: FiducialFamily, n_theta: int = 128,
@@ -236,7 +250,7 @@ def verify_orbit_finite_t(t: float, family: FiducialFamily, n_theta: int = 128,
     family = FiducialFamily(t=family.t, r=family.r[sel], h=family.h[sel],
                             r_dh=family.r_dh[sel], r_d2h=family.r_d2h[sel])
     base = zero_pair(family.r, n_theta)
-    moved = apply_complex_gauge(base, orbit_gauge(family, base.theta))
+    moved = apply_complex_gauge(base, orbit_gauge(family))
     target = make_disk_pair(family, n_theta)
     return pair_discrepancy(moved, target, r_window)
 
@@ -263,8 +277,11 @@ def curvature_formula_rtheta(pair: DiskPair, g: MatrixGauge) -> np.ndarray:
     """g^-1 (F_A + dbar_A(G d_A G^-1)) g in dr^dtheta components, G = g g*.
 
     Conjugation-rule counterpart of computing the curvature of the
-    transformed pair directly; agreement is at discretization order.
+    transformed pair directly; agreement is at discretization order.  The
+    gauge's theta axis is 1 or the pair's n_theta, as in
+    ``apply_complex_gauge``.
     """
+    _check_grid(pair, g)
     r, theta = pair.r, pair.theta
     big_g = _mul2(g.values, np.conj(np.swapaxes(g.values, -1, -2)))
     big_g_inv = _inv2(big_g)
@@ -293,8 +310,9 @@ def stabilizer_normalize(v_modes: np.ndarray, w_modes: np.ndarray, r: np.ndarray
     (n_r, n_modes) with mode indices ``ells``.  The two scalar equations
     d_r mu = -w and P mu = i v are compatible exactly when the flatness
     relation d_r v = i (l + 1/2) w holds; inputs violating it beyond ``tol``
-    are rejected.  Returns (MatrixGauge, report): the ``stabilizer_gauge`` of
-    mu on a theta grid that resolves every mode.  The report flags it unitary
+    are rejected, and so are non-finite inputs.  Returns (MatrixGauge,
+    report): the ``stabilizer_gauge`` of mu on a theta grid that resolves
+    every mode.  The report flags it unitary
     only when e^{i theta} mu + conj(mu) = 0 holds, which the construction
     guarantees for inputs satisfying the skew-Hermitian condition on (v, w).
     """
@@ -303,13 +321,16 @@ def stabilizer_normalize(v_modes: np.ndarray, w_modes: np.ndarray, r: np.ndarray
     ells = np.asarray(list(ells), dtype=int)
     if v_modes.shape != w_modes.shape or v_modes.shape[1] != len(ells):
         raise ValueError("mode data shapes do not match")
+    if not (np.isfinite(v_modes).all() and np.isfinite(w_modes).all()
+            and np.isfinite(r).all()):
+        raise ValueError("mode data or radii are not finite")
     p_mult, _ = stabilizer_multipliers(ells)
 
     dv = radial_derivative(v_modes, r)
     compat = np.abs(dv - 1j * p_mult[None, :] * w_modes)
     scale = max(1.0, float(np.abs(v_modes).max()), float(np.abs(w_modes).max()))
     compat_res = float(compat.max()) / scale
-    if compat_res > tol:
+    if not compat_res <= tol:  # NaN too: radii that repeat make d_r v non-finite
         raise ValueError(
             f"inputs are not flat: compatibility residual {compat_res:.3e} above {tol:.1e}"
         )

@@ -46,7 +46,7 @@ def test_orbit_finite_t_wrong_sign_control(families):
     base = gg.zero_pair(fam.r, 64)
     u = -0.25 * np.log(fam.r) - 0.5 * fam.h
     du = -0.25 / fam.r - 0.5 * fam.dh()
-    wrong = gg.diagonal_gauge(-u, -du, fam.r, base.theta)
+    wrong = gg.diagonal_gauge(-u, -du, fam.r)
     moved = gg.apply_complex_gauge(base, wrong)
     target = fd.make_disk_pair(fam, 64)
     assert gg.pair_discrepancy(moved, target, (0.05, 1.0)) > 1e-2
@@ -72,15 +72,62 @@ def test_orbit_limiting_is_the_singular_gauge_check(profile, grid, t, n_theta):
         fam, window = fd.build_family(t, profile, r), (0.05, 1.0)
         target = fd.make_disk_pair(fam, n_theta)
     base = gg.zero_pair(r, n_theta)
-    g = gg.orbit_gauge(fam, base.theta)
+    g = gg.orbit_gauge(fam)
     if math.isinf(t):
-        sing = gg.diagonal_gauge(-0.25 * np.log(r), -0.25 / r, r, base.theta)
+        sing = gg.diagonal_gauge(-0.25 * np.log(r), -0.25 / r, r)
         assert np.array_equal(g.values, sing.values) and np.array_equal(g.dr, sing.dr)
     moved = gg.apply_complex_gauge(base, g)
     explicit = gg.pair_discrepancy(moved, target, window)
     assert gg.verify_orbit_finite_t(t, fam, n_theta, window) == explicit
     if math.isinf(t):
         assert gg.verify_orbit_limiting(r, n_theta) == explicit
+
+
+def test_orbit_gauge_is_stored_once_per_radius(families):
+    g = gg.orbit_gauge(families[2.0])
+    assert g.values.shape[1] == 1 and g.dr.shape[1] == 1
+
+
+def _materialized(g, n_theta):
+    # the same gauge with its samples repeated over a full theta axis
+    values = fd._stack2x2((len(g.r), n_theta))
+    dr = fd._stack2x2((len(g.r), n_theta))
+    values[...] = g.values
+    dr[...] = g.dr
+    return gg.MatrixGauge(values, dr, g.r)
+
+
+@pytest.mark.parametrize("t", [1.0, 8.0, 24.0, math.inf])
+def test_broadcast_gauge_moves_pairs_as_materialized(profile, t):
+    # a gauge stored once per radius moves the pair bit for bit as its
+    # full-theta copy does; at t = inf it is the singular gauge
+    fam = fd.limiting_family() if math.isinf(t) else fd.build_family(t, profile)
+    base = gg.zero_pair(fam.r, 128)
+    g = gg.orbit_gauge(fam)
+    moved = gg.apply_complex_gauge(base, g)
+    full = gg.apply_complex_gauge(base, _materialized(g, 128))
+    assert np.array_equal(moved.phi, full.phi) and np.array_equal(moved.alpha, full.alpha)
+
+
+def test_broadcast_gauge_composes_and_curves_as_materialized(families):
+    fam = families[2.0]
+    pair = fd.make_disk_pair(fam, 32)
+    diag = _diagonal_on(fam.r, pair.theta)
+    full = _materialized(diag, 32)
+    stab = _stabilizer_on(fam.r, pair.theta)
+    for got, want in ((diag.compose(stab), full.compose(stab)),
+                      (stab.compose(diag), stab.compose(full))):
+        assert np.array_equal(got.values, want.values) and np.array_equal(got.dr, want.dr)
+    assert np.array_equal(gg.curvature_formula_rtheta(pair, diag),
+                          gg.curvature_formula_rtheta(pair, full))
+
+
+def test_gauge_theta_axis_must_be_one_or_the_pairs(families):
+    pair = fd.make_disk_pair(families[1.0], 16)
+    eight = _materialized(gg.orbit_gauge(families[1.0]), 8)
+    for call in (gg.apply_complex_gauge, gg.curvature_formula_rtheta):
+        with pytest.raises(ValueError, match="do not match"):
+            call(pair, eight)
 
 
 @pytest.mark.parametrize("check", [
@@ -105,7 +152,7 @@ def test_gauge_right_action(families, rng):
     r = pair.r
     u = 0.2 * np.sin(2 * np.pi * r)
     du = 0.4 * np.pi * np.cos(2 * np.pi * r)
-    g1 = gg.diagonal_gauge(u, du, r, pair.theta)
+    g1 = gg.diagonal_gauge(u, du, r)
     g2 = _constant_unitary(rng, pair)
     two_steps = gg.apply_complex_gauge(gg.apply_complex_gauge(pair, g1), g2)
     one_step = gg.apply_complex_gauge(pair, g1.compose(g2))
@@ -138,10 +185,11 @@ def test_stacks_are_entry_major(families):
     fam = families[2.0]
     base = gg.zero_pair(fam.r, 16)
     pair = fd.make_disk_pair(fam, 16)
-    diag = gg.orbit_gauge(fam, base.theta)
+    diag = gg.orbit_gauge(fam)
     stab = _stabilizer_on(fam.r, base.theta)
     c_ordered = np.ones((len(fam.r), 16, 2, 2), dtype=complex) + np.eye(2)
     moved = gg.apply_complex_gauge(base, diag)
+    moved_full = gg.apply_complex_gauge(base, stab)
     composed = diag.compose(stab)
     stacks = {
         "zero_pair": (base.phi, base.alpha),
@@ -152,7 +200,8 @@ def test_stacks_are_entry_major(families):
         "_inv2": (gg._inv2(c_ordered),),
         "compose": (composed.values, composed.dr),
         "spectral_dtheta": (gg.spectral_dtheta(c_ordered), gg.spectral_dtheta(pair.phi)),
-        "apply_complex_gauge": (moved.phi, moved.alpha),
+        "apply_complex_gauge": (moved.phi, moved.alpha, moved_full.phi, moved_full.alpha),
+        "dbar_of": (gg.dbar_of(diag.values, fam.r, base.theta, diag.dr),),
     }
     for name, arrays in stacks.items():
         assert all(np.moveaxis(x, (-2, -1), (0, 1)).flags.c_contiguous for x in arrays), name
@@ -161,15 +210,32 @@ def test_stacks_are_entry_major(families):
 def test_near_singular_gauge_rejected(families):
     fam = families[1.0]
     pair = fd.make_disk_pair(fam, 16)
-    huge = gg.diagonal_gauge(12.0 * np.ones_like(fam.r), np.zeros_like(fam.r), fam.r,
-                             pair.theta)
+    huge = gg.diagonal_gauge(12.0 * np.ones_like(fam.r), np.zeros_like(fam.r), fam.r)
     with pytest.raises(ValueError, match="near singular"):
         gg.apply_complex_gauge(pair, huge)
 
 
+@pytest.mark.parametrize("field", ["values", "dr"])
+def test_non_finite_gauge_rejected(families, field):
+    pair = fd.make_disk_pair(families[1.0], 16)
+    g = gg.orbit_gauge(families[1.0])
+    getattr(g, field)[7, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        gg.apply_complex_gauge(pair, g)
+
+
+@pytest.mark.parametrize("field", ["phi", "alpha"])
+def test_pair_discrepancy_propagates_nan(field):
+    clean = gg.zero_pair(fd.default_grid(), 16)
+    dirty = gg.zero_pair(fd.default_grid(), 16)
+    getattr(dirty, field)[200, 3, 1, 0] = np.nan
+    assert math.isnan(gg.pair_discrepancy(dirty, clean))
+    assert math.isnan(gg.pair_discrepancy(clean, dirty))
+
+
 def test_gauge_on_another_grid_rejected(families):
     pair = fd.make_disk_pair(families[1.0], 16)
-    other = gg.diagonal_gauge(pair.r[1:], np.zeros(len(pair.r) - 1), pair.r[1:], pair.theta)
+    other = gg.diagonal_gauge(pair.r[1:], np.zeros(len(pair.r) - 1), pair.r[1:])
     with pytest.raises(ValueError, match="do not match"):
         gg.apply_complex_gauge(pair, other)
 
@@ -177,19 +243,17 @@ def test_gauge_on_another_grid_rejected(families):
 def test_gauge_on_other_radii_rejected(families):
     # same shape, other radii: the samples would be combined by index
     pair = fd.make_disk_pair(families[1.0], 16)
-    other = gg.diagonal_gauge(np.zeros_like(pair.r), np.zeros_like(pair.r), 2.0 * pair.r,
-                              pair.theta)
+    other = gg.diagonal_gauge(np.zeros_like(pair.r), np.zeros_like(pair.r), 2.0 * pair.r)
     with pytest.raises(ValueError, match="do not match"):
         gg.apply_complex_gauge(pair, other)
 
 
 def test_compose_on_other_radii_rejected():
     # same shape, other radii: the product would pair samples by index
-    theta = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     r = np.geomspace(1e-3, 1.0, 16)
     zero = np.zeros_like(r)
-    g = gg.diagonal_gauge(zero, zero, r, theta)
-    other = gg.diagonal_gauge(zero, zero, np.linspace(1e-3, 1.0, 16), theta)
+    g = gg.diagonal_gauge(zero, zero, r)
+    other = gg.diagonal_gauge(zero, zero, np.linspace(1e-3, 1.0, 16))
     with pytest.raises(ValueError, match="different radii"):
         g.compose(other)
     assert np.array_equal(g.compose(g).values, g.values)
@@ -236,8 +300,8 @@ def test_dbar_is_the_one_complex_derivative():
         assert np.abs(gg.dbar_of(value, r, theta) - expected_dbar).max() < 1e-13
 
 
-def _diagonal_on(r, theta):
-    return gg.diagonal_gauge(0.3 * np.sin(2.0 * r), 0.6 * np.cos(2.0 * r), r, theta)
+def _diagonal_on(r, _theta):
+    return gg.diagonal_gauge(0.3 * np.sin(2.0 * r), 0.6 * np.cos(2.0 * r), r)
 
 
 def _stabilizer_on(r, theta):
@@ -313,6 +377,25 @@ def test_stabilizer_unitary_pairing():
     # the matrices are special unitary pointwise
     prod = gauge.values @ np.conj(np.swapaxes(gauge.values, -1, -2))
     assert np.abs(prod - np.eye(2)).max() < 1e-8
+
+
+@pytest.mark.parametrize("field", ["v", "w", "r"])
+def test_stabilizer_rejects_non_finite_input(field):
+    data = {"v": np.zeros((40, 3), dtype=complex), "w": np.zeros((40, 3), dtype=complex),
+            "r": np.linspace(0.2, 1.0, 40)}
+    data[field][5] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        gg.stabilizer_normalize(data["v"], data["w"], data["r"], range(-1, 2))
+
+
+def test_stabilizer_rejects_repeated_radius():
+    # d_r v is 0/0 at a repeated radius, so the compatibility residual is NaN
+    r = np.linspace(0.2, 1.0, 40)
+    r[6] = r[5]
+    v = np.zeros((40, 3), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="not flat"):
+        gg.stabilizer_normalize(v, v.copy(), r, range(-1, 2))
 
 
 def test_stabilizer_rejects_non_flat_input():
