@@ -94,12 +94,10 @@ FLAG_EXTRAS = {
 
 
 def _format_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, float):
+        return format(v, ".17g")
+    if isinstance(v, int):
+        return str(v)
     if v is None:
         return "null"
     return json.dumps(str(v))
@@ -114,11 +112,10 @@ def _emit_json(obj, indent=0):
             f'{pad}  "{k}": {_emit_json(obj[k], indent + 1)}' for k in sorted(obj)
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
+    if isinstance(obj, (list, tuple)):
+        if not obj:
             return "[]"
-        items = [f"{pad}  {_emit_json(v, indent + 1)}" for v in seq]
+        items = [f"{pad}  {_emit_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     return _format_value(obj)
 
@@ -138,8 +135,11 @@ def _outdir(config: RunConfig) -> Path:
 
 
 def _t_name(t: float) -> str:
-    """t in the shortest digits that read back as t, for artifact names."""
-    return np.format_float_positional(t, trim="-")
+    """t in the shortest digits that read back as t, for artifact names:
+    positional, or scientific where that would run past 32 characters (a
+    tiny t), so that a name stays short and no two values share one."""
+    name = np.format_float_positional(t, trim="-")
+    return name if len(name) <= 32 else np.format_float_scientific(t, trim="-")
 
 
 def _parallel_map(fn, items, jobs: int):
@@ -214,11 +214,10 @@ def cmd_indicial(config: RunConfig) -> int:
 def cmd_glue(config: RunConfig) -> int:
     out = _outdir(config)
     profile = painleve.solve_connection()
-    cutoff = gluing.CutoffProfile()
 
     def one(t):
         # one glued state per t serves both the Newton repair and the decay fit
-        state = gluing.glued_on_grid(t, profile, cutoff, config.grid, gluing.GLUE_R_MIN)
+        state = gluing.glued_on_grid(t, profile, config.grid)
         result = gluing.newton_correct(state, tol=config.tol)
         return (gluing.corrected_solution_check(state, result), result.residual_history,
                 state.l2_residual())

@@ -39,11 +39,14 @@ def _rho_of(t: float, r: np.ndarray) -> np.ndarray:
 
 
 def check_t(t: float) -> None:
-    """Raise ValueError, naming t, unless 0 < t <= T_MAX: the one validity
-    range in t of every solve that reads the profile on the disk."""
-    if not 0 < t <= T_MAX:
+    """Raise ValueError, naming t, unless tiny <= t <= T_MAX: the one validity
+    range in t of every solve that reads the profile on the disk.  Below the
+    smallest normal float tiny, rho = (8/3) t r^(3/2) can underflow to 0."""
+    tiny = float(np.finfo(float).tiny)
+    if not tiny <= t <= T_MAX:
         # repr, not :g, so that a t just above T_MAX does not print as T_MAX
-        raise ValueError(f"t={float(t)!r} outside the validity range 0 < t <= T_MAX = {T_MAX:g}")
+        raise ValueError(f"t={float(t)!r} outside the validity range "
+                         f"tiny = {tiny!r} <= t <= T_MAX = {T_MAX:g}")
 
 
 def curvature_residual(t: float, r: np.ndarray, h: np.ndarray, r_d2h: np.ndarray) -> np.ndarray:
@@ -185,11 +188,16 @@ def fitted_log_offset(family: FiducialFamily) -> float:
     return float(np.mean(probe))
 
 
+def _f_sups(family: FiducialFamily) -> tuple[float, float]:
+    """Suprema of f/r and f/r^2 over the family's grid."""
+    return float((family.f / family.r).max()), float((family.f / family.r ** 2).max())
+
+
 def verify_f_bounds(family: FiducialFamily) -> dict:
-    """Suprema of f/r and f/r^2 with their t-normalized values."""
+    """Suprema of f/r and f/r^2 with their t-normalized values; t^(-4/3)
+    overflows float64, raising OverflowError, for t below about 6.4e-232."""
     t = family.t
-    sup1 = float((family.f / family.r).max())
-    sup2 = float((family.f / family.r ** 2).max())
+    sup1, sup2 = _f_sups(family)
     return {
         "t": t,
         "sup_f_over_r": sup1,
@@ -239,11 +247,13 @@ def decay_fit(t_list, norms):
 
 
 def family_summary(family: FiducialFamily) -> dict:
-    bounds = verify_f_bounds(family)
+    """The family's row of the fiducial report; it skips ``verify_f_bounds``'
+    t-normalized values, which overflow at a tiny t."""
+    sup1, sup2 = _f_sups(family)
     return {
         "t": family.t,
-        "sup_f_over_r": bounds["sup_f_over_r"],
-        "sup_f_over_r2": bounds["sup_f_over_r2"],
+        "sup_f_over_r": sup1,
+        "sup_f_over_r2": sup2,
         "phi_sup": phi_sup_bound(family),
         "residual_max": float(family.residual().max()),
     }

@@ -28,17 +28,14 @@ from .fiducial import (DiskPair, FiducialFamily, _stack2x2, limiting_family, mak
 COND_LIMIT = 1e8
 
 
-def spectral_dtheta(values: np.ndarray, axis: int = 1) -> np.ndarray:
-    """d/dtheta by FFT along the periodic axis; a 4-D stack of 2x2 matrices
+def spectral_dtheta(values: np.ndarray) -> np.ndarray:
+    """d/dtheta by FFT along axis 1 of an (n_r, n_theta, 2, 2) stack, which
     comes back entry-major."""
-    n = values.shape[axis]
+    n = values.shape[1]
     k = np.fft.fftfreq(n, d=1.0 / n) * 1j
-    shape = [1] * values.ndim
-    shape[axis] = n
-    out = _stack2x2(values.shape[:-2]) if values.ndim == 4 else None
-    coeffs = np.fft.fft(values, axis=axis, out=out)
-    coeffs *= k.reshape(shape)
-    return np.fft.ifft(coeffs, axis=axis, out=coeffs)
+    coeffs = np.fft.fft(values, axis=1, out=_stack2x2(values.shape[:-2]))
+    coeffs *= k[:, None, None]
+    return np.fft.ifft(coeffs, axis=1, out=coeffs)
 
 
 def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,7 +147,7 @@ def dbar_of(values: np.ndarray, r: np.ndarray, theta: np.ndarray,
     theta axis of length 1 (whose d_theta is exactly 0)."""
     if dr is None:
         dr = radial_derivative(values, r)
-    dth = spectral_dtheta(values, axis=1)
+    dth = spectral_dtheta(values)
     phase = 0.5 * np.exp(1j * theta)[None, :, None, None]
     out = _stack2x2((len(r), len(theta)))
     return np.multiply(phase, dr + 1j / r[:, None, None, None] * dth, out=out)
@@ -269,7 +266,7 @@ def curvature_rtheta(pair: DiskPair) -> np.ndarray:
     a_r = alpha / e - astar * e
     a_th = -1j * pair.r[:, None, None, None] * (alpha / e + astar * e)
     d_r_ath = radial_derivative(a_th, pair.r)
-    d_th_ar = spectral_dtheta(a_r, axis=1)
+    d_th_ar = spectral_dtheta(a_r)
     return d_r_ath - d_th_ar + _mul2(a_r, a_th) - _mul2(a_th, a_r)
 
 

@@ -122,9 +122,10 @@ def _glued(t: float, profile: PsiProfile, cutoff: CutoffProfile, r: np.ndarray,
         profile=profile, grid=grid, cutoff=cutoff)
 
 
-def glued_on_grid(t: float, profile: PsiProfile, cutoff: CutoffProfile | None,
-                  n: int, r_min: float) -> GluedState:
-    """The glued state at t on a log-uniform grid of n nodes over [r_min, 1]."""
+def glued_on_grid(t: float, profile: PsiProfile, n: int, r_min: float = GLUE_R_MIN,
+                  cutoff: CutoffProfile | None = None) -> GluedState:
+    """The glued state at t on a log-uniform grid of n nodes over [r_min, 1];
+    gluing's inner radius ``GLUE_R_MIN`` and ``CutoffProfile()`` by default."""
     grid = RadialGrid(n, r_min)
     cutoff = CutoffProfile() if cutoff is None else cutoff
     return _glued(t, profile, cutoff, grid.r, grid)
@@ -137,7 +138,7 @@ def build_glued(t: float, family: FiducialFamily, cutoff: CutoffProfile | None =
     own parameter; a mismatch raises ValueError."""
     if t != family.t:
         raise ValueError(f"t={t:g} does not match the family's t={family.t:g}")
-    return glued_on_grid(t, family.profile, cutoff, n, r_min)
+    return glued_on_grid(t, family.profile, n, r_min, cutoff)
 
 
 def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None = None,
@@ -150,7 +151,7 @@ def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None
     t_list = [float(t) for t in t_list]
     if len(t_list) < 4:
         raise ValueError("need at least 4 values of t")
-    norms = [glued_on_grid(t, profile, cutoff, n, GLUE_R_MIN).l2_residual() for t in t_list]
+    norms = [glued_on_grid(t, profile, n, cutoff=cutoff).l2_residual() for t in t_list]
     delta, intercept, r2 = decay_fit(t_list, norms)
     return delta, float(np.exp(intercept)), r2
 
@@ -160,11 +161,13 @@ class NewtonResult:
     """The correction u = c + w_hi + w_lo: c is its value at the innermost
     node and w = w_hi + w_lo the remainder, a double-word sum (w_lo holds the
     rounding of w_hi), so that the second difference of w carries no
-    rounding of size eps |w| / dx^2."""
+    rounding of size eps |w| / dx^2.  ``residual`` is the curvature residual
+    of h + u that the iteration accepted; its sup is ``residual_history[-1]``."""
 
     c: float
     w_hi: np.ndarray
     w_lo: np.ndarray
+    residual: np.ndarray
     residual_history: list
     iterations: int
     sup_u: float
@@ -224,7 +227,7 @@ def newton_correct(state: GluedState, tol: float = 1e-10, max_iter: int = 30) ->
         sup = float(np.abs(res).max())
         history.append(sup)
         if sup < tol:
-            return NewtonResult(c=c, w_hi=w_hi, w_lo=w_lo, residual_history=history,
+            return NewtonResult(c=c, w_hi=w_hi, w_lo=w_lo, residual=res, residual_history=history,
                                 iterations=iteration, sup_u=float(np.abs(c + w_hi + w_lo).max()))
         if iteration >= 2 and sup > 0.5 * history[-2]:
             raise NumericalError(
@@ -245,15 +248,15 @@ def newton_correct(state: GluedState, tol: float = 1e-10, max_iter: int = 30) ->
 
 
 def corrected_solution_check(state: GluedState, result: NewtonResult) -> dict:
-    """Reconstruct the corrected radial pair data and re-measure its residual.
+    """Reconstruct the corrected radial pair data and report its residual.
 
-    ``residual_post`` is the curvature residual of h + c + w_hi + w_lo
-    rebuilt from the result's parts with the flat stencil, the Newton
-    convergence measure itself.  f = 1/8 + (1/4) r d_r (h + u) takes the central
-    difference of the summed u, which is not divided by 4 r^2.
+    ``residual_post`` and ``residual_post_l2`` are the sup and L2(r dr) norms
+    of ``result.residual``, the curvature residual that Newton accepted.
+    f = 1/8 + (1/4) r d_r (h + u) takes the central difference of the summed
+    u, which is not divided by 4 r^2.
     """
     grid = state.grid
-    res = _corrected_residual(state, result.c, result.w_hi, result.w_lo)
+    res = result.residual
     h = state.h + result.u
     f = state.f + 0.25 * _first_difference(result.u, grid.dx)
     r = state.r

@@ -362,11 +362,6 @@ def smallest_eigenvalue(op: RadialOperator, below: float = 0.0,
     raise NumericalError(f"eigenvalue solve failed: {last_exc}") from last_exc
 
 
-def apply_operator(op: RadialOperator, u: np.ndarray) -> np.ndarray:
-    """Nodal application B^-1 A u (the operator itself, not the bilinear form)."""
-    return op.matvec(u) / op.weights
-
-
 def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator) -> float:
     """Largest singular value of Delta G in the weighted norm.
 
@@ -481,18 +476,16 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     By the same symmetry ell = 1 is the ell = 0 block, so it reuses ell = 0's
     lambda_min and surrogate.
     Each chain's solve at ell >= 1 is shifted (``smallest_eigenvalue``'s
-    ``below``) by ``_next_shift``: from the fourth value of a chain on, just
-    under the quadratic extrapolation through its last three values, before
-    that the chain's lambda_min at ell - 1.  The coupled ell = 3 keeps
-    ell = 2's value too, since its window would hold ell = 1's copy of
-    ell = 0, and there the extrapolation overshoots.  Only the value at
-    ell - 1 lies below the spectrum by min-max: in a vertical block the
-    potential ell^2 / r^2 and the ghost exponent |ell| both grow with ell;
-    in a coupled block with ell >= 2 and f in [0, 1/8] the diagonal terms
-    (ell - 4f)^2 and (ell - 1 + 4f)^2 and the exponents (|ell|, |ell - 1|)
-    all grow while the coupling stays fixed, and ell = 2 compares with
-    ell = 1, the ell = 0 block with its components swapped, the same way.
-    The extrapolated shift is certified by the Cholesky factorization
+    ``below``) by ``_next_shift`` over the values the chain has solved
+    (ell = 1's copy joins only after the loop): from the fourth on, just
+    under the quadratic extrapolation through the last three, before that
+    the last.  Only that last value lies below the spectrum by min-max: in
+    a vertical block the potential ell^2 / r^2 and the ghost exponent |ell|
+    both grow with ell; in a coupled block with ell >= 2 and f in [0, 1/8]
+    the diagonal terms (ell - 4f)^2 and (ell - 1 + 4f)^2 and the exponents
+    (|ell|, |ell - 1|) all grow while the coupling stays fixed, and ell = 2
+    compares with ell = 1, the ell = 0 block with its components swapped,
+    the same way.  The extrapolated shift is certified by the Cholesky factorization
     alone: one above the spectrum (or any shift that rounding puts there)
     fails to factor and the ladder falls back to sigma = 0, so the value
     never depends on the guess.  Each chain's Lanczos run also starts from
@@ -511,8 +504,8 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     and 1 are never tested, since the test is unreliable at indicial
     exponent 0.  ``surrogate_solved`` lists the modes that ran Lanczos.
     ``kappa_hat`` is the empirical potential floor divided by ell^2,
-    minimized over ell >= 2.  A t outside 0 < t <= ``fiducial.T_MAX`` raises
-    ValueError from ``build_family``.
+    minimized over ell >= 2.  A t outside ``fiducial.check_t``'s range
+    raises ValueError from ``build_family``.
     """
     if ell_max < MIN_ELL_MAX:
         raise ValueError(f"ell_max must be at least {MIN_ELL_MAX}")
@@ -532,20 +525,18 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
                                             _next_shift(lam_vert), start_vert))
         if ell == 1:
             # the ell = 0 pair with its components swapped: same lambda_min
-            # and surrogate
-            lam.append(lam[0])
+            # and surrogate, inserted after the loop
             continue
         op = _coupled_block(ell, t, grid, r, f, h)
         flat = _coupled_block(ell, t, grid, r)
-        # at ell = 3 the window would hold ell = 1's copy of ell = 0, and
-        # there the extrapolation overshoots
-        lam.append(smallest_eigenvalue(op, lam[-1] if ell == 3 else _next_shift(lam), start))
+        lam.append(smallest_eigenvalue(op, _next_shift(lam), start))
         if ell == 0 or not _surrogate_certified_below(
                 op, flat, (1.0 - SURROGATE_PRUNE_MARGIN) * surrogate):
             surrogate = max(surrogate, h2_surrogate_norm(op, flat))
             solved.append(ell)
         if ell >= 2:
             kappa = min(kappa, potential_floor(op) / ell ** 2)
+    lam.insert(1, lam[0])
     g_l2 = max(1.0 / np.array(lam + lam_vert))
     roots = indicial_roots(range(-ell_max, ell_max + 1))["aggregate"]
     return SpectralReport(

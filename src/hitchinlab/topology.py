@@ -43,9 +43,6 @@ class TwistedSurfaceComplex:
     def euler_characteristic(self) -> int:
         return self.vertices - self.edges
 
-    def loop_count(self) -> int:
-        return len(self.generators)
-
     def word_monodromy(self, word) -> int:
         sign = 1
         for gen, power in word:

@@ -131,7 +131,12 @@ def test_t_max_exits_zero(tmp_path, command):
     assert run([command, "--t", repr(T_MAX), *LMAX_FLAGS[command], "--out", str(tmp_path)]) == 0
 
 
-@pytest.mark.parametrize("t", [np.nextafter(T_MAX, np.inf), np.nan, np.inf, 0.0, -1.0])
+# the largest subnormal t: rho = (8/3) t r^(3/2) would underflow to 0
+SUBNORMAL_T = np.nextafter(np.finfo(float).tiny, 0.0)
+
+
+@pytest.mark.parametrize("t", [np.nextafter(T_MAX, np.inf), np.nan, np.inf, 0.0, -1.0,
+                               SUBNORMAL_T])
 @pytest.mark.parametrize("command", ["fiducial", "glue", "spectrum"])
 def test_t_outside_range_exits_2_before_output(tmp_path, capsys, command, t):
     # rejected by the config check, before the output directory or the profile
@@ -378,6 +383,14 @@ def test_artifact_names_keep_every_digit_of_t(tmp_path):
     assert names == sorted(f"fiducial_t{t}.csv" for t in ts)
     assert (tmp_path / "fiducial_t1.csv").read_bytes() != (
         tmp_path / "fiducial_t1.000001.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, prefix", [("fiducial", "fiducial"), ("glue", "newton")])
+def test_tiny_t_names_a_short_file(tmp_path, command, prefix):
+    # the positional form of 1e-300 runs to 302 characters, past a file
+    # name's 255 bytes; such a t is named in scientific form
+    assert run([command, "--t", "1e-300", "--out", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.glob(f"{prefix}_t*.csv")] == [f"{prefix}_t1e-300.csv"]
 
 
 def test_solve_psi_determinism(tmp_path):

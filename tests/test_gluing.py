@@ -102,6 +102,17 @@ def test_newton_starts_from_glued_residual(families):
     assert result.residual_history[0] == state.sup_residual()
 
 
+@pytest.mark.parametrize("t", [1.0, 4.0, 24.0])
+def test_check_reports_the_residual_newton_accepted(profile, t):
+    # residual_post is the residual the iteration stopped on, not a rebuild
+    state = gl.glued_on_grid(t, profile, 2000)
+    result = gl.newton_correct(state, tol=1e-10)
+    assert gl.corrected_solution_check(state, result)["residual_post"] == (
+        result.residual_history[-1])
+    assert np.array_equal(result.residual, gl._corrected_residual(
+        state, result.c, result.w_hi, result.w_lo))
+
+
 def test_newton_zero_residual_input(families):
     state = gl.build_glued(4.0, families[4.0], _IdentityCutoff(), n=800)
     result = gl.newton_correct(state, tol=1e-6)
@@ -166,7 +177,7 @@ def test_newton_linearization_matches_vertical_block(families, rng):
     state = gl.build_glued(4.0, families[4.0], n=500)
     op = gl.newton_operator_matrix(state)
     v = rng.standard_normal(state.grid.n)
-    lhs = lin.apply_operator(op, v)
+    lhs = op.matvec(v) / op.weights  # nodal B^-1 A v
     padded = np.concatenate([[v[0]], v, [0.0]])  # Neumann ghost inside, Dirichlet at 1
     d2v = (padded[:-2] - 2.0 * padded[1:-1] + padded[2:]) / state.grid.dx ** 2
     rhs = -d2v / state.r ** 2 + 16.0 * state.t ** 2 * state.r * np.cosh(2.0 * state.h) * v

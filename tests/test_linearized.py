@@ -117,15 +117,15 @@ def test_green_norms_modes_increase(sweep):
         assert np.all(np.diff(rep.lambda_min_vertical) > 0)
 
 
-def _expected_shifts(chain, skip=()):
+def _expected_shifts(chain):
     """The shift rule along a chain of lambda_min: 0, then the previous value
-    for the first two modes and at the modes in ``skip``, then SHIFT_REACH of
-    the way to the quadratic extrapolation through the last three values."""
+    for the first two modes, then SHIFT_REACH of the way to the quadratic
+    extrapolation through the last three values."""
     shifts = []
     for i in range(len(chain)):
         if i == 0:
             shifts.append(0.0)
-        elif i < 3 or i in skip:
+        elif i < 3:
             shifts.append(chain[i - 1])
         else:
             a, b, c = chain[i - 3:i]
@@ -159,11 +159,11 @@ def test_green_norms_shifts_by_extrapolation(profile, monkeypatch, t):
     assert [c[0].ell for c in vertical] == list(range(17))
     assert [c[0].ell for c in coupled] == [0, *range(2, 17)]
     assert [c[3] for c in vertical] == rep.lambda_min_vertical
-    assert [c[3] for c in coupled] == [rep.lambda_min[0], *rep.lambda_min[2:]]
-    # ell = 3 keeps ell = 2's value: its window would hold ell = 1's copy of ell = 0
+    solved = [rep.lambda_min[0], *rep.lambda_min[2:]]
+    assert [c[3] for c in coupled] == solved
     assert [c[1] for c in vertical] == _expected_shifts(rep.lambda_min_vertical)
-    shifts = _expected_shifts(rep.lambda_min, skip=(3,))
-    assert [c[1] for c in coupled] == [shifts[0], *shifts[2:]]
+    # the coupled chain runs over the modes it solved: ell = 1 copies ell = 0
+    assert [c[1] for c in coupled] == _expected_shifts(solved)
     for op, below, _, value, factored in calls:
         assert below < value
         # each shift is accepted at once: one factorization, no refusal

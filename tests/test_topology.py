@@ -6,7 +6,7 @@ from hitchinlab import topology as tp
 
 def test_spine_betti_and_euler():
     cx = tp.build_complex(2, 4)
-    assert cx.loop_count() == 2 * 2 + 4 - 1 == 7
+    assert len(cx.generators) == 2 * 2 + 4 - 1 == 7
     assert cx.euler_characteristic == 2 - 2 * 2 - 4 == -6
 
 
