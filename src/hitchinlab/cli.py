@@ -182,13 +182,10 @@ def cmd_fiducial(config: RunConfig) -> int:
 def cmd_spectrum(config: RunConfig) -> int:
     out = _outdir(config)
     profile = painleve.solve_connection()
-
-    def one(t):
-        n = min(config.grid, 800)  # eigen sweeps do not need the fine grid; reports record n
-        return linearized.green_norms(t, config.lmax, profile, n=n).to_dict()
-
-    reports = _parallel_map(one, config.t, config.jobs)
-    write_json(out / "spectrum.json", {"config": config.to_dict(), "reports": reports})
+    n = min(config.grid, 800)  # eigen sweeps do not need the fine grid; reports record n
+    reports = linearized.green_norms(config.t, config.lmax, profile, n=n)
+    write_json(out / "spectrum.json", {"config": config.to_dict(),
+                                       "reports": [rep.to_dict() for rep in reports]})
     return EXIT_OK
 
 

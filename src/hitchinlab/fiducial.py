@@ -194,16 +194,24 @@ def _f_sups(family: FiducialFamily) -> tuple[float, float]:
 
 
 def verify_f_bounds(family: FiducialFamily) -> dict:
-    """Suprema of f/r and f/r^2 with their t-normalized values; t^(-4/3)
-    overflows float64, raising OverflowError, for t below about 6.4e-232."""
+    """Suprema of f/r and f/r^2 with their t-normalized values, times
+    t^(-2/3) and t^(-4/3).  NumericalError, naming t, where t^(-2/3) or
+    t^(-4/3) has no float64 value: t^(-4/3) overflows for t below about
+    6.4e-232."""
     t = family.t
     sup1, sup2 = _f_sups(family)
+    try:
+        # a Python float raises OverflowError where a numpy one would give inf
+        scale1, scale2 = float(t) ** (-2.0 / 3.0), float(t) ** (-4.0 / 3.0)
+    except OverflowError as exc:
+        raise NumericalError(f"t={float(t)!r}: t^(-2/3) or t^(-4/3) has no "
+                             "float64 value") from exc
     return {
         "t": t,
         "sup_f_over_r": sup1,
         "sup_f_over_r2": sup2,
-        "normalized_sup_f_over_r": sup1 * t ** (-2.0 / 3.0),
-        "normalized_sup_f_over_r2": sup2 * t ** (-4.0 / 3.0),
+        "normalized_sup_f_over_r": sup1 * scale1,
+        "normalized_sup_f_over_r2": sup2 * scale2,
     }
 
 

@@ -37,17 +37,18 @@ MIN_GRID = 16
 MIN_ELL_MAX = 8
 SURROGATE_TOL = 1e-10
 SURROGATE_PRUNE_MARGIN = 1e-6
-# the step cap of every Lanczos run: green_norms' solves take at most 18 steps
-# (t up to 1000, ell up to 64, n up to 800); a lone h2_surrogate_norm at
-# ell = 64, t = 1000, n = 2000 takes 240
+# the step cap of every Lanczos run: the solves of a green_norms sweep take at
+# most 18 steps (each t up to 1000, ell up to 64, n up to 800); a lone
+# h2_surrogate_norm at ell = 64, t = 1000, n = 2000 takes 240
 LANCZOS_MAX_STEPS = 500
 # green_norms shifts each mode's eigen solve this far from the previous mode's
 # lambda_min toward the quadratic extrapolation through the chain's last three
-# values.  Over green_norms(t, 32, n) at n in {100, 300, 600, 800} x t in
-# {0.5, 1, 2, 4, 8, 16, 30} (1652 extrapolated shifts), reach 0 (the previous
-# value) took 27194 Lanczos products, 0.9 took 19139 and 0.99 14882 with no
-# shift refused; 0.999 had 167 shifts refused (16796 products) and 1.0 had
-# 932 (36374), each refusal costing a solve from sigma = 0.
+# values of its t.  Over green_norms(ts, 32, n) with ts = (0.5, 1, 2, 4, 8,
+# 16, 30) at each n in {100, 300, 600, 800} (1652 extrapolated shifts; no t's
+# chain reads another's), reach 0 (the previous value) took 27194 Lanczos
+# products, 0.9 took 19139 and 0.99 14882 with no shift refused; 0.999 had
+# 167 shifts refused (16796 products) and 1.0 had 932 (36374), each refusal
+# costing a solve from sigma = 0.
 SHIFT_REACH = 0.99
 
 
@@ -202,17 +203,31 @@ def _assemble(ell, t, grid: RadialGrid, r: np.ndarray, potentials, nus,
                           coupling=coupling)
 
 
-def _coupled_block(ell, t, grid: RadialGrid, r: np.ndarray, f=None,
-                   h=None) -> RadialOperator:
-    """The 2x2 block from family samples on ``r``: f_t gives the connection
-    terms and h_t the Higgs coupling; None drops a term."""
-    f = np.zeros_like(r) if f is None else f
-    v_minus = (ell - 4.0 * f) ** 2 / r ** 2
-    v_plus = (ell - 1 + 4.0 * f) ** 2 / r ** 2
-    w_off = 8.0 * t * t * r if h is not None else np.zeros_like(r)
-    w_diag = w_off * np.cosh(2.0 * h) if h is not None else w_off
+def _higgs_terms(t, r: np.ndarray, h: np.ndarray) -> tuple:
+    """The Higgs terms on ``r`` of the family at t: the coupled block's
+    coupling 8 t^2 r and diagonal 8 t^2 r cosh 2h_t, and the vertical
+    block's potential 16 t^2 r cosh 2h_t."""
+    cosh = np.cosh(2.0 * h)
+    w_off = 8.0 * t * t * r
+    return w_off, w_off * cosh, 16.0 * t * t * r * cosh
+
+
+def _coupled_block(ell, t, grid: RadialGrid, r: np.ndarray, four_f: np.ndarray,
+                   w_off: np.ndarray, w_diag: np.ndarray) -> RadialOperator:
+    """The 2x2 block from samples on ``r``: 4 f_t in the connection terms,
+    the Higgs coupling ``w_off`` and its diagonal ``w_diag``; zeros drop a
+    term."""
+    v_minus = (ell - four_f) ** 2 / r ** 2
+    v_plus = (ell - 1 + four_f) ** 2 / r ** 2
     return _assemble(ell, t, grid, r, [v_minus + w_diag, v_plus + w_diag],
                      (abs(ell), abs(ell - 1)), w_off)
+
+
+def _vertical_block(ell, t, grid: RadialGrid, r: np.ndarray,
+                    w_vert: np.ndarray) -> RadialOperator:
+    """The scalar block with potential ell^2 / r^2 + ``w_vert`` on the grid
+    nodes ``r``."""
+    return _assemble(ell, t, grid, r, [ell ** 2 / r ** 2 + w_vert], (abs(ell),))
 
 
 def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N,
@@ -228,11 +243,11 @@ def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N,
     """
     grid = RadialGrid(n, DEFAULT_R_MIN)
     r = _nodes(grid, neumann_outer)
-    if not (connection or higgs):
-        return _coupled_block(ell, t, grid, r)
-    fam = build_family(t, profile, r)
-    return _coupled_block(ell, t, grid, r, fam.f if connection else None,
-                          fam.h if higgs else None)
+    zero = np.zeros_like(r)
+    fam = build_family(t, profile, r) if connection or higgs else None
+    w_off, w_diag, _ = _higgs_terms(t, r, fam.h) if higgs else (zero, zero, None)
+    return _coupled_block(ell, t, grid, r, 4.0 * fam.f if connection else zero,
+                          w_off, w_diag)
 
 
 def assemble_scalar(ell: int, n: int = DEFAULT_N, r_min: float = DEFAULT_R_MIN,
@@ -262,8 +277,7 @@ def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
     r = grid.r
     if len(h_values) != len(r):
         raise ValueError("h samples do not match the grid")
-    pot = ell ** 2 / r ** 2 + 16.0 * t * t * r * np.cosh(2.0 * h_values)
-    return _assemble(ell, t, grid, r, [pot], (abs(ell),))
+    return _vertical_block(ell, t, grid, r, _higgs_terms(t, r, h_values)[2])
 
 
 def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int):
@@ -394,21 +408,22 @@ def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator) -> float:
     return float(np.sqrt(w))
 
 
-def _surrogate_certified_below(op_l: RadialOperator, op_flat: RadialOperator,
+def _surrogate_certified_below(op_l: RadialOperator, flat_square: np.ndarray,
                                s: float) -> bool:
     """True when sigma_max(S^-1 P A^-1 S) < s is certified by inertia.
 
     Writing v = S^-1 A w, |S^-1 P A^-1 S v| < s |v| for all v != 0 reads
     |S^-1 P w| < s |S^-1 A w| for all w != 0, that is
-    Z = s^2 A B^-1 A - P B^-1 P is positive definite.  Z is a symmetric
+    Z = s^2 A B^-1 A - P B^-1 P is positive definite.  ``flat_square`` is
+    P B^-1 P, ``_band_square`` of the flat band over the weights 1 / B,
+    which depends on the mode and the grid only.  Z is a symmetric
     band (kd = 4 for the interleaved 2x2 blocks), and by Sylvester's law of
     inertia its banded Cholesky factorization succeeds exactly when it is.
     Forming Z squares A's condition number: at
     ell = 0 and 1, whose indicial exponent is 0, the verdict near sigma_max
     can be wrong, so ``green_norms`` never asks it there.
     """
-    w = 1.0 / op_l.weights
-    z = s * s * _band_square(op_l.band, w) - _band_square(op_flat.band, w)
+    z = s * s * _band_square(op_l.band, 1.0 / op_l.weights) - flat_square
     return _cholesky(z) is not None
 
 
@@ -467,9 +482,17 @@ def _next_shift(chain: list) -> float:
     return c + SHIFT_REACH * ((3.0 * c - 3.0 * b + a) - c)
 
 
-def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> SpectralReport:
-    """Per-mode smallest eigenvalues and Green-operator norm estimates.
+def green_norms(ts, ell_max: int, profile: PsiProfile, n: int = 600) -> list:
+    """Per-mode smallest eigenvalues and Green-operator norm estimates: one
+    report per t of ``ts``, in order.
 
+    The sweep goes mode by mode across every t.  A mode's flat block, and
+    for ell >= 2 its square P B^-1 P, depend on (ell, n) only, so each is
+    built once and serves every t.  Each t keeps its own chains (lambda_min
+    lists, Ritz start vectors, running surrogate maximum, the modes that ran
+    Lanczos, kappa_hat), so its report is the one a sweep over that t alone
+    gives.  Its family samples and Higgs terms are computed once, before the
+    mode loop, and so are the indicial roots, which no t changes.
     The L2 -> L2 norm is the max of 1/lambda_min over the coupled blocks for
     0 <= ell <= ell_max (negative modes coincide with ell -> 1 - ell by the
     swap symmetry of the block) together with the diagonal-subbundle blocks.
@@ -505,45 +528,51 @@ def green_norms(t: float, ell_max: int, profile: PsiProfile, n: int = 600) -> Sp
     exponent 0.  ``surrogate_solved`` lists the modes that ran Lanczos.
     ``kappa_hat`` is the empirical potential floor divided by ell^2,
     minimized over ell >= 2.  A t outside ``fiducial.check_t``'s range
-    raises ValueError from ``build_family``.
+    raises ValueError from ``build_family`` before any mode is solved.
     """
     if ell_max < MIN_ELL_MAX:
         raise ValueError(f"ell_max must be at least {MIN_ELL_MAX}")
     grid = RadialGrid(n, DEFAULT_R_MIN)
-    fam = build_family(t, profile, grid.r)
-    r, f, h = fam.r, fam.f, fam.h
-    lam = []
-    lam_vert = []
-    surrogate = 0.0
-    solved = []
-    kappa = np.inf
+    r = grid.r
+    zero = np.zeros_like(r)
     ells = list(range(ell_max + 1))
-    # each chain's start vectors: every solve leaves its Ritz vector for the next
-    start_vert, start = np.ones(len(r)), np.ones(2 * len(r))
-    for ell in ells:
-        lam_vert.append(smallest_eigenvalue(assemble_vertical_block(ell, t, h, grid),
-                                            _next_shift(lam_vert), start_vert))
-        if ell == 1:
-            # the ell = 0 pair with its components swapped: same lambda_min
-            # and surrogate, inserted after the loop
-            continue
-        op = _coupled_block(ell, t, grid, r, f, h)
-        flat = _coupled_block(ell, t, grid, r)
-        lam.append(smallest_eigenvalue(op, _next_shift(lam), start))
-        if ell == 0 or not _surrogate_certified_below(
-                op, flat, (1.0 - SURROGATE_PRUNE_MARGIN) * surrogate):
-            surrogate = max(surrogate, h2_surrogate_norm(op, flat))
-            solved.append(ell)
-        if ell >= 2:
-            kappa = min(kappa, potential_floor(op) / ell ** 2)
-    lam.insert(1, lam[0])
-    g_l2 = max(1.0 / np.array(lam + lam_vert))
     roots = indicial_roots(range(-ell_max, ell_max + 1))["aggregate"]
-    return SpectralReport(
-        t=t, n=n, ells=ells, lambda_min=lam, lambda_min_vertical=lam_vert,
-        g_norm_l2=float(g_l2), g_norm_h2_surrogate=float(surrogate),
-        kappa_hat=float(kappa), indicial=roots, surrogate_solved=solved,
-    )
+    # each t's report fills in as its chains run; g_norm_l2 is set after the loop
+    reports, chains = [], []
+    for t in ts:
+        fam = build_family(t, profile, r)
+        reports.append(SpectralReport(
+            t=t, n=n, ells=list(ells), lambda_min=[], lambda_min_vertical=[],
+            g_norm_l2=np.nan, g_norm_h2_surrogate=0.0, kappa_hat=np.inf,
+            indicial=list(roots), surrogate_solved=[]))
+        # 4 f, the Higgs terms, and each chain's start vector: every solve
+        # leaves its Ritz vector for the next
+        chains.append((4.0 * fam.f, *_higgs_terms(t, r, fam.h), np.ones(2 * n),
+                       np.ones(n)))
+    for ell in ells:
+        flat = _coupled_block(ell, 0.0, grid, r, zero, zero, zero)
+        flat_square = _band_square(flat.band, 1.0 / flat.weights) if ell >= 2 else None
+        for rep, (four_f, w_off, w_diag, w_vert, start, start_vert) in zip(reports, chains):
+            t, lam, lam_vert = rep.t, rep.lambda_min, rep.lambda_min_vertical
+            lam_vert.append(smallest_eigenvalue(_vertical_block(ell, t, grid, r, w_vert),
+                                                _next_shift(lam_vert), start_vert))
+            if ell == 1:
+                # the ell = 0 pair with its components swapped: same lambda_min
+                # and surrogate, inserted after the loop
+                continue
+            op = _coupled_block(ell, t, grid, r, four_f, w_off, w_diag)
+            lam.append(smallest_eigenvalue(op, _next_shift(lam), start))
+            if ell == 0 or not _surrogate_certified_below(
+                    op, flat_square, (1.0 - SURROGATE_PRUNE_MARGIN) * rep.g_norm_h2_surrogate):
+                rep.g_norm_h2_surrogate = max(rep.g_norm_h2_surrogate,
+                                              h2_surrogate_norm(op, flat))
+                rep.surrogate_solved.append(ell)
+            if ell >= 2:
+                rep.kappa_hat = min(rep.kappa_hat, potential_floor(op) / ell ** 2)
+    for rep in reports:
+        rep.lambda_min.insert(1, rep.lambda_min[0])
+        rep.g_norm_l2 = float(max(1.0 / np.array(rep.lambda_min + rep.lambda_min_vertical)))
+    return reports
 
 
 def indicial_roots(ell_range) -> dict:

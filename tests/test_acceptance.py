@@ -120,7 +120,8 @@ def test_criterion_06_spectral_oracle():
 
 @pytest.fixture(scope="module")
 def spectral_reports(profile):
-    return {t: lin.green_norms(t, 32, profile, n=600) for t in (1.0, 2.0, 4.0, 8.0)}
+    ts = (1.0, 2.0, 4.0, 8.0)
+    return dict(zip(ts, lin.green_norms(ts, 32, profile, n=600)))
 
 
 def test_criterion_07_green_norm_uniformity(spectral_reports):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,25 @@ def test_uniform_bound_sweep(families):
     n2 = [fd.verify_f_bounds(fam)["normalized_sup_f_over_r2"] for fam in families.values()]
     assert max(n1) / min(n1) < 3.0
     assert max(n2) / min(n2) < 3.0
+
+
+@pytest.mark.parametrize("t", [1e-300, float(np.finfo(float).tiny), np.float64(1e-300)],
+                         ids=["1e-300", "tiny", "numpy-1e-300"])
+def test_f_bounds_at_tiny_t_raise_numerical_error(profile, t):
+    # check_t accepts t down to the smallest normal float, but t^(-4/3) has
+    # no float64 value below about 6.4e-232
+    from hitchinlab.errors import NumericalError
+
+    fam = fd.build_family(t, profile)
+    with pytest.raises(NumericalError, match=f"^t={re.escape(repr(float(t)))}: "):
+        fd.verify_f_bounds(fam)
+
+
+@pytest.mark.parametrize("t", [1e-3, 1.0, 1000.0])
+def test_f_bounds_normalize_by_powers_of_t(profile, t):
+    bounds = fd.verify_f_bounds(fd.build_family(t, profile))
+    assert bounds["normalized_sup_f_over_r"] == bounds["sup_f_over_r"] * t ** (-2.0 / 3.0)
+    assert bounds["normalized_sup_f_over_r2"] == bounds["sup_f_over_r2"] * t ** (-4.0 / 3.0)
 
 
 def test_f_monotone_in_t(families):

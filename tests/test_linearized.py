@@ -93,7 +93,8 @@ def test_high_mode_lower_bound(profile):
 
 @pytest.fixture(scope="module")
 def sweep(profile):
-    return {t: lin.green_norms(t, 8, profile, n=300) for t in (1.0, 2.0, 4.0, 8.0)}
+    ts = (1.0, 2.0, 4.0, 8.0)
+    return dict(zip(ts, lin.green_norms(ts, 8, profile, n=300)))
 
 
 def test_green_norms_uniformity(sweep):
@@ -153,7 +154,7 @@ def _spy_eigen_solves(monkeypatch):
 @pytest.mark.parametrize("t", [2.0, 16.0])
 def test_green_norms_shifts_by_extrapolation(profile, monkeypatch, t):
     calls = _spy_eigen_solves(monkeypatch)
-    rep = lin.green_norms(t, 16, profile, n=100)
+    (rep,) = lin.green_norms([t], 16, profile, n=100)
     vertical = [c for c in calls if c[0].block_size == 1]
     coupled = [c for c in calls if c[0].block_size == 2]
     assert [c[0].ell for c in vertical] == list(range(17))
@@ -176,7 +177,7 @@ def test_refused_extrapolated_shift_falls_back_to_zero(profile, monkeypatch):
     # factor, and the ladder returns exactly the sigma = 0 value
     monkeypatch.setattr(lin, "SHIFT_REACH", 3.0)
     calls = _spy_eigen_solves(monkeypatch)
-    lin.green_norms(2.0, 8, profile, n=100)
+    lin.green_norms([2.0], 8, profile, n=100)
     extrapolated = [c for c in calls if c[0].ell >= 3 + (c[0].block_size == 2)]
     assert len(extrapolated) == 6 + 5
     for op, below, start, value, factored in extrapolated:
@@ -192,7 +193,7 @@ def test_green_norms_chains_start_from_ritz_vectors(profile, monkeypatch):
     # vector y = S u of the chain's previous solve, whose Rayleigh quotient
     # u'Au / u'Bu on that block is the previous lambda_min
     calls = _spy_eigen_solves(monkeypatch)
-    lin.green_norms(2.0, 8, profile, n=100)
+    lin.green_norms([2.0], 8, profile, n=100)
     for size in (1, 2):
         chain = [c for c in calls if c[0].block_size == size]
         assert np.array_equal(chain[0][2], np.ones(len(chain[0][0].weights)))
@@ -226,15 +227,54 @@ def test_green_norms_lanczos_products(profile, monkeypatch):
 
     monkeypatch.setattr(lin, "_lanczos_largest", spy_lanczos)
     monkeypatch.setattr(lin, "smallest_eigenvalue", spy)
-    lin.green_norms(1.0, 32, profile, n=600)
+    lin.green_norms([1.0], 32, profile, n=600)
     assert 0 < products[0] <= 560
+
+
+@pytest.mark.parametrize("n", [100, 300])
+def test_green_norms_sweep_matches_one_t_sweeps(profile, n):
+    # each t keeps its own chains, so no state leaks from one t to the next:
+    # every field, surrogate_solved included, is the one-t sweep's
+    ts = [0.5, 2.0, 30.0, 1000.0]
+    reports = lin.green_norms(ts, 8, profile, n=n)
+    assert [rep.t for rep in reports] == ts
+    for t, rep in zip(ts, reports):
+        (alone,) = lin.green_norms([t], 8, profile, n=n)
+        assert vars(rep) == vars(alone)
+
+
+def test_green_norms_builds_flat_squares_once_per_mode(profile, monkeypatch):
+    # a host-independent work guard on the mode-major sweep: modes 0..L over
+    # T values of t form L - 1 flat squares (ell >= 2, shared by every t),
+    # T (L - 1) block squares and T (2L + 1) eigen solves (ell = 1's coupled
+    # block copies ell = 0's), and evaluate the profile once per t
+    ts, ell_max = [1.0, 4.0, 16.0], 10
+    squares, real_square = [], lin._band_square
+    families, real_build_family = [], lin.build_family
+
+    def spy_square(band, w):
+        squares.append(not band[1, 1::2].any())  # the flat band has no coupling
+        return real_square(band, w)
+
+    def spy_family(t, *args, **kwargs):
+        families.append(t)
+        return real_build_family(t, *args, **kwargs)
+
+    monkeypatch.setattr(lin, "_band_square", spy_square)
+    monkeypatch.setattr(lin, "build_family", spy_family)
+    calls = _spy_eigen_solves(monkeypatch)
+    lin.green_norms(ts, ell_max, profile, n=100)
+    assert squares.count(True) == ell_max - 1
+    assert squares.count(False) == len(ts) * (ell_max - 1)
+    assert len(calls) == len(ts) * (2 * ell_max + 1)
+    assert families == ts
 
 
 def test_green_norms_reuses_swapped_mode(profile):
     # the ell = 1 block is the ell = 0 block with its components swapped, so
     # green_norms reports ell = 0's lambda_min for it; solving it directly
     # agrees to Lanczos round-off, and so does its surrogate
-    rep = lin.green_norms(2.0, 8, profile, n=300)
+    (rep,) = lin.green_norms([2.0], 8, profile, n=300)
     assert rep.lambda_min[0] == rep.lambda_min[1]
     pairs = [_surrogate_pair(profile, ell, 2.0, 300) for ell in (0, 1)]
     lam = [lin.smallest_eigenvalue(op) for op, _ in pairs]
@@ -271,7 +311,7 @@ def test_green_norms_solves_a_mode_that_can_win(profile, monkeypatch):
     # with ell = 0 forced small, ell = 2 can raise the maximum and must run
     # Lanczos; ell >= 3 lie below ell = 2 and are certified
     calls = _spy_surrogate(monkeypatch, {0: 0.5})
-    rep = lin.green_norms(8.0, 8, profile, n=100)
+    (rep,) = lin.green_norms([8.0], 8, profile, n=100)
     assert rep.surrogate_solved == [0, 2] == [ell for ell, _ in calls]
     assert rep.g_norm_h2_surrogate == calls[1][1] > 1.0
 
@@ -279,7 +319,7 @@ def test_green_norms_solves_a_mode_that_can_win(profile, monkeypatch):
 def test_green_norms_nan_certificate_falls_back_to_lanczos(profile, monkeypatch):
     # a certificate factor with a NaN pivot and info = 0, as an optimized
     # LAPACK may return, certifies nothing: every mode runs Lanczos
-    expected = lin.green_norms(8.0, 8, profile, n=100).g_norm_h2_surrogate
+    expected = lin.green_norms([8.0], 8, profile, n=100)[0].g_norm_h2_surrogate
     real_dpbtrf = lin.dpbtrf
 
     def nan_dpbtrf(band, *args, **kwargs):
@@ -291,7 +331,7 @@ def test_green_norms_nan_certificate_falls_back_to_lanczos(profile, monkeypatch)
 
     monkeypatch.setattr(lin, "dpbtrf", nan_dpbtrf)
     calls = _spy_surrogate(monkeypatch)
-    rep = lin.green_norms(8.0, 8, profile, n=100)
+    (rep,) = lin.green_norms([8.0], 8, profile, n=100)
     assert rep.surrogate_solved == [0, *range(2, 9)] == [ell for ell, _ in calls]
     assert rep.g_norm_h2_surrogate == expected
 
@@ -338,8 +378,9 @@ def test_surrogate_certificate_verdicts(profile, t, n, ells):
     for ell in ells:
         op, flat = _surrogate_pair(profile, ell, t, n)
         sigma = _dense_surrogate(op, flat)
-        assert lin._surrogate_certified_below(op, flat, (1.0 + 1e-6) * sigma), ell
-        assert not lin._surrogate_certified_below(op, flat, (1.0 - 1e-6) * sigma), ell
+        flat_square = lin._band_square(flat.band, 1.0 / flat.weights)
+        assert lin._surrogate_certified_below(op, flat_square, (1.0 + 1e-6) * sigma), ell
+        assert not lin._surrogate_certified_below(op, flat_square, (1.0 - 1e-6) * sigma), ell
 
 
 def test_h2_surrogate_nonconvergence_raises(profile, monkeypatch):
@@ -589,7 +630,7 @@ def test_green_norms_evaluates_profile_once(profile, monkeypatch):
         return real_build_family(*args, **kwargs)
 
     monkeypatch.setattr(lin, "build_family", spy)
-    lin.green_norms(2.0, 8, profile, n=100)
+    lin.green_norms([2.0], 8, profile, n=100)
     assert calls == [2.0]
 
 
@@ -600,12 +641,12 @@ def test_out_of_range_t_is_named(profile):
 
 def test_green_norms_rejects_nan_t(profile):
     with pytest.raises(ValueError):
-        lin.green_norms(float("nan"), 8, profile, n=100)
+        lin.green_norms([float("nan")], 8, profile, n=100)
 
 
 def test_green_norms_requires_lmax(profile):
     with pytest.raises(ValueError):
-        lin.green_norms(1.0, 4, profile, n=300)
+        lin.green_norms([1.0], 4, profile, n=300)
 
 
 def test_indicial_roots_per_mode():

@@ -1,0 +1,165 @@
+"""Alternating A/B runs of the benchmark: a base revision against the working tree.
+
+Usage (from the root of a checkout):
+
+    python3 tools/bench_ab.py --base HEAD --workload spectral --seed 41 \
+        --pairs 10 --out BENCH_<n>.json
+
+``--workload`` may be repeated.  Each run lasts ``BENCHMARK.json``'s
+``run_seconds``.  The base revision is exported with
+``git archive`` into a temporary directory; the change side is the working
+tree, uncommitted edits included.  Pair i runs ``bench/run.py --trace 0``
+at seed S + i once in each tree, each tree with its own ``bench/``; the
+first pair runs the base first and the order alternates from there.
+
+The output has the layout of ``BENCH_24.json``: per workload, a summary of
+each end-to-end metric that ``BENCHMARK.json`` declares (each side's
+q1/median/q3 over the pairs, the pairs the change won, ties counting for
+neither side, and the median's relative change) and every pair with both
+records.  Each record is the ``result.json`` its run wrote, with each
+repetition's per-operation list folded into ``ops_by_status`` and the report
+hashes, when equal in every repetition, moved up to the record.  Nothing
+here edits ``bench/``; it only invokes it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def _quartiles(values: list) -> list:
+    """q1, median and q3 by linear interpolation between order statistics."""
+    if len(values) == 1:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize(pairs: list, better: dict) -> dict:
+    """Per metric of ``better`` ("lower" or "higher"): each side's
+    q1/median/q3 over ``pairs`` ({"parent": record, "change": record}, each
+    record holding {"metrics": {name: {"value": v}}}), the pairs in which
+    the change was strictly better, and the relative change of the median."""
+    summary = {}
+    for name, direction in better.items():
+        values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs]
+                  for side in SIDES}
+        sign = 1.0 if direction == "lower" else -1.0
+        wins = sum(sign * (p - c) > 0 for p, c in zip(values["parent"], values["change"]))
+        parent, change = (statistics.median(values[side]) for side in SIDES)
+        summary[name] = {
+            "parent_q1_median_q3": _quartiles(values["parent"]),
+            "change_q1_median_q3": _quartiles(values["change"]),
+            "change_wins": wins,
+            "pairs": len(pairs),
+            "median_change": (change - parent) / abs(parent) if parent else None,
+        }
+    return summary
+
+
+def _fold(record: dict) -> dict:
+    """The record with each repetition's operations counted by status and
+    the report hashes moved up when every repetition has the same."""
+    reps = record["repetitions"]
+    reports = [rep.pop("reports") for rep in reps]
+    for rep in reps:
+        rep["ops_by_status"] = dict(Counter(op["status"] for op in rep.pop("ops")))
+    if all(r == reports[0] for r in reports):
+        record["reports"] = reports[0]
+    else:
+        for rep, r in zip(reps, reports):
+            rep["reports"] = r
+    return record
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``bench/run.py --trace 0`` in ``tree``; its folded result."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", repr(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+                           f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    result = tree / ".bench_build" / "hitchinlab" / f"{workload}-seed{seed}-trace0" / "result.json"
+    return _fold(json.loads(result.read_text(encoding="utf-8")))
+
+
+def _description(seconds: float, first: int, last: int) -> str:
+    """How the pairs of a record ran, for its ``description``."""
+    return (
+        f"Alternating parent/change runs of bench/run.py (trace 0, --seconds {seconds:g} "
+        f"on both sides, seeds {first}-{last} on every workload; the pair with the first "
+        "seed ran the parent first, and the order alternated from there), written by "
+        "tools/bench_ab.py. The parent ran from a git archive export of parent_commit, "
+        "which is no repository, so its provenance git_commit is null; the change ran "
+        "from the working tree, so its git_commit is the commit under the uncommitted "
+        "change. Each record is the result.json the run wrote, provenance included. Each "
+        "repetition's per-operation list is folded into ops_by_status (operation counts "
+        "by status), and the report hashes, when equal in every repetition of a record, "
+        "move up to the record's reports. change_wins counts the pairs in which the "
+        "change was strictly better; median_change is the relative change of the median.")
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="alternating base/change benchmark pairs")
+    parser.add_argument("--base", required=True, help="git revision of the parent side")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="benchmark workload; repeatable")
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = declared["run_seconds"]  # the benchmark's run length, the same on both sides
+    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
+
+    with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
+        base = Path(tmp) / "base"
+        base.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(base)], input=_git("archive", commit), check=True)
+        trees = {"parent": base, "change": ROOT}
+        workloads = {}
+        for workload in args.workload:
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = _run(trees[side], workload, seed, seconds)
+                    wall = pair[side]["metrics"]["wall_s"]["value"]
+                    print(f"{workload} seed {seed} {side}: wall_s {wall:.4f}", flush=True)
+                pairs.append(pair)
+            workloads[workload] = {"summary": summarize(pairs, better), "pairs": pairs}
+
+    record = {
+        "description": _description(seconds, args.seed, args.seed + args.pairs - 1),
+        "parent_commit": commit,
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for workload, data in workloads.items():
+        for name, s in data["summary"].items():
+            print(f"{workload} {name}: parent {s['parent_q1_median_q3'][1]:.6g} "
+                  f"change {s['change_q1_median_q3'][1]:.6g} wins {s['change_wins']}/{s['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
