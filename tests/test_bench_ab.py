@@ -65,3 +65,38 @@ def test_fold_counts_ops_and_moves_equal_reports_up():
     folded = bench_ab._fold(differ)
     assert "reports" not in folded
     assert [rep["reports"] for rep in folded["repetitions"]] == [{"f": "h"}, {"f": "g"}]
+
+
+def _verdict(parent, change, better="lower", bound=0.25):
+    name = "wall_s" if better == "lower" else "ops_ok_frac"
+    entry = bench_ab.summarize(_pairs(parent, change, name), {name: better})[name]
+    return bench_ab.verdict(entry, better, bound)
+
+
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+def test_verdict_gain_needs_nine_wins_and_a_gap_past_the_parents_spread():
+    assert _verdict(PARENT, [x - 0.2 for x in PARENT]) == "gain"
+    # 9 of 10 pairs still gain; 8 of 10 do not, however wide the gap
+    assert _verdict(PARENT, [x - 0.2 for x in PARENT[:9]] + [1.2]) == "gain"
+    assert _verdict(PARENT, [x - 0.2 for x in PARENT[:8]] + [1.2, 1.2]) == "no worse"
+    # every pair won, but by less than the parent's q1-q3 spread of 0.045
+    assert _verdict(PARENT, [x - 0.01 for x in PARENT]) == "no worse"
+    assert _verdict([0.97, 0.98, 0.99], [1.0, 1.0, 1.0], "higher", 0.02) == "gain"
+
+
+def test_verdict_worse_past_the_bound_as_a_fraction_of_the_parent_median():
+    median = 1.045
+    assert _verdict(PARENT, [median * 1.26] * 10) == "worse"
+    assert _verdict(PARENT, [median * 1.24] * 10) == "no worse"
+    assert _verdict([1.0] * 10, [0.97] * 10, "higher", 0.02) == "worse"
+    assert _verdict([1.0] * 10, [0.99] * 10, "higher", 0.02) == "no worse"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_past_the_bound():
+    wide = [1.0, 2.0] * 5  # q1-q3 spread 1.0 against a bound of 0.25 * 1.5
+    assert _verdict(wide, [x - 0.01 for x in wide[:9]] + [2.5]) == "unresolved"
+    # beating the parent in every pair resolves it
+    assert _verdict(wide, [x - 0.01 for x in wide]) == "no worse"
+    assert _verdict(wide, [x - 0.01 for x in wide], bound=1.0) == "no worse"

@@ -105,11 +105,13 @@ def test_uniform_bound_sweep(families):
     assert max(n2) / min(n2) < 3.0
 
 
-@pytest.mark.parametrize("t", [1e-300, float(np.finfo(float).tiny), np.float64(1e-300)],
-                         ids=["1e-300", "tiny", "numpy-1e-300"])
+@pytest.mark.parametrize("t", [1e-6, 1e-10, 1e-15, 1e-300, float(np.finfo(float).tiny),
+                               np.float64(1e-300)],
+                         ids=["1e-6", "1e-10", "1e-15", "1e-300", "tiny", "numpy-1e-300"])
 def test_f_bounds_at_tiny_t_raise_numerical_error(profile, t):
-    # check_t accepts t down to the smallest normal float, but t^(-4/3) has
-    # no float64 value below about 6.4e-232
+    # check_t accepts t down to the smallest normal float, but f = 1/8 +
+    # (1/4) r d_r h cancels as t -> 0: at t = 1e-6 its rounding bound at the
+    # sup of f/r^2 is 1.9e-2, and for t <= 1e-15 f is exactly 0 on the grid
     from hitchinlab.errors import NumericalError
 
     fam = fd.build_family(t, profile)

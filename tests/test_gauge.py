@@ -56,15 +56,36 @@ def test_orbit_limiting():
     assert gg.verify_orbit_limiting(fd.default_grid(), n_theta=64) < 1e-8
 
 
-@pytest.mark.parametrize("grid", ["default", "geom1000"])
-@pytest.mark.parametrize("t", [1.0, 8.0, math.inf])
-@pytest.mark.parametrize("n_theta", [64, 128])
+def _block_rows(n_theta):
+    # radii per block: one complex (r, theta, 2, 2) stack within the budget
+    return gg.ORBIT_BLOCK_BYTES // (4 * 16 * n_theta)
+
+
+def _grid(name, n_theta):
+    if name == "default":
+        return fd.default_grid()
+    if name == "geom1000":
+        return np.geomspace(1e-4, 1.0, 1000)
+    # both windows, (0.05, 1) and (0.1, 1), hold two full blocks and one radius
+    return np.concatenate([np.geomspace(1e-3, 0.04, 50),
+                           np.linspace(0.1, 1.0, 2 * _block_rows(n_theta) + 1)])
+
+
+_TS = (1.0, 8.0, math.inf)
+
+
+@pytest.mark.parametrize("n_theta, t, grid",
+                         [(n, t, grid) for grid in ("default", "geom1000") for t in _TS
+                          for n in (64, 128)]
+                         + [(256, t, "default") for t in _TS]
+                         + [(128, t, "blocks+1") for t in _TS])
 def test_orbit_limiting_is_the_singular_gauge_check(profile, grid, t, n_theta):
-    # the check runs on the window's radii only; it must equal, bit for bit,
-    # the explicit check computed on the whole grid and compared on the window.
-    # The orbit gauge of the h = 0 family is exactly diag(|z|^-1/4, |z|^1/4),
-    # so the limiting check is the explicit singular-gauge check.
-    r = fd.default_grid() if grid == "default" else np.geomspace(1e-4, 1.0, 1000)
+    # the check runs on the window's radii only, in blocks; it must equal, bit
+    # for bit, the explicit check computed on the whole grid and compared on
+    # the window.  The orbit gauge of the h = 0 family is exactly
+    # diag(|z|^-1/4, |z|^1/4), so the limiting check is the explicit
+    # singular-gauge check.
+    r = _grid(grid, n_theta)
     if math.isinf(t):
         fam, window = fd.limiting_family(r), (0.1, 1.0)
         target = fd.limiting_pair(r, n_theta)
@@ -81,6 +102,34 @@ def test_orbit_limiting_is_the_singular_gauge_check(profile, grid, t, n_theta):
     assert gg.verify_orbit_finite_t(t, fam, n_theta, window) == explicit
     if math.isinf(t):
         assert gg.verify_orbit_limiting(r, n_theta) == explicit
+
+
+@pytest.mark.parametrize("n_theta", [16, 128, 256])
+def test_orbit_check_runs_in_radius_blocks(families, monkeypatch, n_theta):
+    fam, blocks = families[2.0], []
+    apply = gg.apply_complex_gauge
+
+    def spy(pair, g):
+        blocks.append((pair.r, pair.phi.nbytes))
+        return apply(pair, g)
+
+    monkeypatch.setattr(gg, "apply_complex_gauge", spy)
+    gg.verify_orbit_finite_t(2.0, fam, n_theta)
+    window = fam.r[(fam.r >= 0.05) & (fam.r <= 1.0)]
+    # in order and each radius once: the blocks concatenate to the window
+    assert np.array_equal(np.concatenate([r for r, _ in blocks]), window)
+    assert all(nbytes <= gg.ORBIT_BLOCK_BYTES for _, nbytes in blocks)
+    assert len(blocks) == -(-len(window) // _block_rows(n_theta))
+
+
+def test_near_singular_gauge_in_the_last_block_raises(families):
+    fam = families[1.0]
+    h = fam.h.copy()
+    h[-1] = -40.0  # the orbit gauge at r = 1 is diag(e^20, e^-20)
+    bad = fd.FiducialFamily(t=fam.t, r=fam.r, h=h, r_dh=fam.r_dh, r_d2h=fam.r_d2h)
+    assert np.count_nonzero(fam.r >= 0.05) > _block_rows(128)
+    with pytest.raises(ValueError, match="near singular"):
+        gg.verify_orbit_finite_t(1.0, bad, 128)
 
 
 def test_orbit_gauge_is_stored_once_per_radius(families):

@@ -18,8 +18,9 @@ q1/median/q3 over the pairs, the pairs the change won, ties counting for
 neither side, and the median's relative change) and every pair with both
 records.  Each record is the ``result.json`` its run wrote, with each
 repetition's per-operation list folded into ``ops_by_status`` and the report
-hashes, when equal in every repetition, moved up to the record.  Nothing
-here edits ``bench/``; it only invokes it.
+hashes, when equal in every repetition, moved up to the record.  The printed
+summary ends each metric's line with its ``verdict``.  Nothing here edits
+``bench/``; it only invokes it.
 """
 
 from __future__ import annotations
@@ -64,6 +65,33 @@ def summarize(pairs: list, better: dict) -> dict:
             "median_change": (change - parent) / abs(parent) if parent else None,
         }
     return summary
+
+
+def verdict(entry: dict, better: str, bound: float) -> str:
+    """The verdict on one metric from its ``summarize`` entry.
+
+    ``better`` is "lower" or "higher", and ``bound`` is the metric's
+    ``BENCHMARK.json`` bound, a fraction of the parent's median.
+
+    - "gain": the change won at least 9 of every 10 pairs, and its median
+      beats the parent's by more than the parent's q1-q3 spread;
+    - "worse": the change's median is worse than the parent's by more than
+      the bound;
+    - "unresolved": the parent's q1-q3 spread exceeds the bound and the
+      change did not beat the parent in every pair;
+    - "no worse": otherwise.
+    """
+    p_q1, parent, p_q3 = entry["parent_q1_median_q3"]
+    change = entry["change_q1_median_q3"][1]
+    gap = (parent - change) if better == "lower" else (change - parent)
+    allowed = bound * abs(parent)
+    if 10 * entry["change_wins"] >= 9 * entry["pairs"] and gap > p_q3 - p_q1:
+        return "gain"
+    if -gap > allowed:
+        return "worse"
+    if p_q3 - p_q1 > allowed and entry["change_wins"] < entry["pairs"]:
+        return "unresolved"
+    return "no worse"
 
 
 def _fold(record: dict) -> dict:
@@ -127,6 +155,7 @@ def main(argv=None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = declared["run_seconds"]  # the benchmark's run length, the same on both sides
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
 
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
@@ -157,7 +186,8 @@ def main(argv=None) -> int:
     for workload, data in workloads.items():
         for name, s in data["summary"].items():
             print(f"{workload} {name}: parent {s['parent_q1_median_q3'][1]:.6g} "
-                  f"change {s['change_q1_median_q3'][1]:.6g} wins {s['change_wins']}/{s['pairs']}")
+                  f"change {s['change_q1_median_q3'][1]:.6g} wins {s['change_wins']}/{s['pairs']} "
+                  f"{verdict(s, better[name], bounds[name])}")
     return 0
 
 
