@@ -257,17 +257,26 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command when it is None.
+
+    argparse spends most of a cold call adding flags, so a call that names
+    its command builds only that command's.  Its usage line still lists
+    every command: argparse would list only the one registered.
+    """
     parser = argparse.ArgumentParser(
         prog="hitchinlab",
         description="Model-disk solves and sweeps with machine-readable reports.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, flags in FLAGS.items():
-        p = sub.add_parser(command)
-        for name in flags:
-            p.add_argument(f"--{name}", type=FLAG_TYPES[name], default=None,
-                           **FLAG_EXTRAS.get(name, {}))
+    # not on the full parser: a metavar also renames "command" in its
+    # missing and invalid command errors
+    metavar = None if command is None else "{" + ",".join(FLAGS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in FLAGS if command is None else [command]:
+        p = sub.add_parser(name)
+        for flag in FLAGS[name]:
+            p.add_argument(f"--{flag}", type=FLAG_TYPES[flag], default=None,
+                           **FLAG_EXTRAS.get(flag, {}))
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with defaults; explicit flags win")
     return parser
@@ -309,8 +318,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in FLAGS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         config = _merge_config(args)
         return COMMANDS[args.command](config)

@@ -190,12 +190,21 @@ def fitted_log_offset(family: FiducialFamily) -> float:
     return float(np.mean(probe))
 
 
-def _f_sups(family: FiducialFamily) -> tuple[float, float, np.ndarray]:
-    """Suprema of f/r and f/r^2 over the family's grid, and the indices of
-    the two samples where they are attained."""
+def _f_sups(family: FiducialFamily) -> tuple[float, float]:
+    """Suprema of f/r and f/r^2 over the family's grid.  NumericalError,
+    naming t, where f = 1/8 + (1/4) r d_r h has cancelled at a sample where
+    either is attained: its rounding bound eps (1/8 + |r d_r h| / 4) / |f|
+    there exceeds F_ROUNDING_LIMIT."""
     over_r, over_r2 = family.f / family.r, family.f / family.r ** 2
     at = np.array([over_r.argmax(), over_r2.argmax()])
-    return float(over_r[at[0]]), float(over_r2[at[1]]), at
+    f, r_dh = np.abs(family.f[at]), np.abs(family.r_dh[at])
+    with np.errstate(divide="ignore"):  # f = 0 has no digit: an infinite bound
+        rounding = float(np.max(np.finfo(float).eps * (0.125 + 0.25 * r_dh) / f))
+    if rounding > F_ROUNDING_LIMIT:
+        raise NumericalError(f"t={float(family.t)!r}: f = 1/8 + (1/4) r d_r h cancels where "
+                             f"its sups are attained: rounding bound {rounding:.1e} above "
+                             f"{F_ROUNDING_LIMIT:g}")
+    return float(over_r[at[0]]), float(over_r2[at[1]])
 
 
 def verify_f_bounds(family: FiducialFamily) -> dict:
@@ -203,22 +212,15 @@ def verify_f_bounds(family: FiducialFamily) -> dict:
     t^(-2/3) and t^(-4/3).  NumericalError, naming t, in two cases.
 
     f = 1/8 + (1/4) r d_r h cancels as t -> 0, where r d_r h -> -1/2, so
-    its rounding bound eps (1/8 + |r d_r h| / 4) / |f| grows: 2.1e-10 at
-    t = 1, 2.1e-6 at t = 1e-3, 1.9e-2 at t = 1e-6, and f is exactly 0 on
-    the default grid for t <= 1e-15.  A sup whose sample carries a bound
-    above F_ROUNDING_LIMIT raises, which on the default grid holds below
-    t = 2.9e-4.  So does t^(-2/3) or t^(-4/3) without a
-    float64 value (t^(-4/3) overflows for t below about 6.4e-232).
+    its rounding bound grows: 2.1e-10 at t = 1, 2.1e-6 at t = 1e-3,
+    1.9e-2 at t = 1e-6, and f is exactly 0 on the default grid for
+    t <= 1e-15.  A sup whose sample carries a bound above F_ROUNDING_LIMIT
+    raises (``_f_sups``), which on the default grid holds below t = 2.9e-4.
+    So does t^(-2/3) or t^(-4/3) without a float64 value (t^(-4/3)
+    overflows for t below about 6.4e-232).
     """
     t = family.t
-    sup1, sup2, at = _f_sups(family)
-    f, r_dh = np.abs(family.f[at]), np.abs(family.r_dh[at])
-    with np.errstate(divide="ignore"):  # f = 0 has no digit: an infinite bound
-        rounding = float(np.max(np.finfo(float).eps * (0.125 + 0.25 * r_dh) / f))
-    if rounding > F_ROUNDING_LIMIT:
-        raise NumericalError(f"t={float(t)!r}: f = 1/8 + (1/4) r d_r h cancels where its "
-                             f"sups are attained: rounding bound {rounding:.1e} above "
-                             f"{F_ROUNDING_LIMIT:g}")
+    sup1, sup2 = _f_sups(family)
     try:
         # a Python float raises OverflowError where a numpy one would give inf
         scale1, scale2 = float(t) ** (-2.0 / 3.0), float(t) ** (-4.0 / 3.0)
@@ -275,8 +277,13 @@ def decay_fit(t_list, norms):
 
 def family_summary(family: FiducialFamily) -> dict:
     """The family's row of the fiducial report; it skips ``verify_f_bounds``'
-    t-normalized values, which overflow at a tiny t."""
-    sup1, sup2, _ = _f_sups(family)
+    t-normalized values, which overflow at a tiny t.  Where f has cancelled
+    at a sup's sample (``_f_sups``) both sups are None: no digit of them is
+    known, and the row is still written."""
+    try:
+        sup1, sup2 = _f_sups(family)
+    except NumericalError:
+        sup1 = sup2 = None
     return {
         "t": family.t,
         "sup_f_over_r": sup1,

@@ -88,17 +88,18 @@ def build_complex(gamma: int, k: int, handle_monodromy: int = 1) -> TwistedSurfa
         )
     if handle_monodromy not in (1, -1):
         raise ValueError("handle monodromy must be +1 or -1")
-    generators = []
-    for i in range(1, gamma + 1):
-        generators += [f"a{i}", f"b{i}"]
-    generators += [f"c{j}" for j in range(1, k)]
-    monodromy = {g: (handle_monodromy if g[0] in "ab" else -1) for g in generators}
-    words = [[(f"c{j}", 1)] for j in range(1, k)]
-    last = []
-    for i in range(1, gamma + 1):
-        last += [(f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1)]
-    last += [(f"c{j}", 1) for j in range(1, k)]
-    words.append([(g, -p) for g, p in reversed(last)])
+    # each name is formatted once; the generators and words reuse these strings
+    handles = [(f"a{i}", f"b{i}") for i in range(1, gamma + 1)]
+    punctures = [f"c{j}" for j in range(1, k)]
+    generators = [g for pair in handles for g in pair] + punctures
+    monodromy = dict.fromkeys(generators, handle_monodromy)
+    monodromy.update(dict.fromkeys(punctures, -1))
+    words = [[(c, 1)] for c in punctures]
+    # the k-th loop is the inverse of [a_1, b_1] ... [a_gamma, b_gamma] c_1 ... c_{k-1}
+    last = [(c, -1) for c in reversed(punctures)]
+    for a, b in reversed(handles):
+        last += [(b, 1), (a, 1), (b, -1), (a, -1)]
+    words.append(last)
     cx = TwistedSurfaceComplex(gamma=gamma, k=k, generators=generators,
                                monodromy=monodromy, puncture_words=words)
     assert cx.euler_characteristic == 2 - 2 * gamma - k

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from hitchinlab import gluing
-from hitchinlab.cli import FLAGS, FLAG_TYPES, main
+from hitchinlab.cli import FLAGS, FLAG_TYPES, _build_parser, main
 from hitchinlab.fiducial import T_MAX
 
 
@@ -401,3 +402,54 @@ def test_solve_psi_determinism(tmp_path):
         snapshots.append(((out / "psi.csv").read_bytes(),
                           (out / "summary.json").read_bytes()))
     assert snapshots[0] == snapshots[1]
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_a_call_builds_only_its_commands_parser(monkeypatch, command):
+    registered = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        registered.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert registered == [command]
+    registered.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert registered == list(FLAGS)
+
+
+# the two errors that only the full parser gives; both name the command argument
+COMMAND_ERRORS = {
+    (): "error: the following arguments are required: command\n",
+    ("bogus",): "error: argument command: invalid choice: 'bogus'",
+}
+
+
+def _exit(parse, argv, capsys):
+    """Exit code, stdout and stderr of a parse that exits, as argparse does
+    on --help and on a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--help"],
+    *[[command, "--help"] for command in FLAGS],
+    *[[command, "--bogus"] for command in FLAGS],
+    ["glue", "--tol", "x"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_usage_texts_are_the_full_parsers(capsys, argv):
+    full = _exit(_build_parser(None).parse_args, argv, capsys)
+    assert _exit(main, argv, capsys) == full
+    if argv[1:] == ["--bogus"]:
+        # the top-level usage line lists every command, not only the one parsed
+        assert full[2].startswith(
+            "usage: hitchinlab [-h] {solve-psi,fiducial,spectrum,indicial,glue,torus} ...\n")
+    if tuple(argv) in COMMAND_ERRORS:
+        assert COMMAND_ERRORS[tuple(argv)] in full[2]

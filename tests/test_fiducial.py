@@ -119,6 +119,26 @@ def test_f_bounds_at_tiny_t_raise_numerical_error(profile, t):
         fd.verify_f_bounds(fam)
 
 
+@pytest.mark.parametrize("t", [1e-10, 1e-300])
+def test_family_summary_reports_null_sups_where_f_cancels(profile, t):
+    # the rule of verify_f_bounds: at 1e-10 the sups would read 1.2e-14 and
+    # 3.2e-14 (the latter against about 1.2e-14), at 1e-300 exactly 0
+    row = fd.family_summary(fd.build_family(t, profile))
+    assert row["sup_f_over_r"] is None and row["sup_f_over_r2"] is None
+    assert row["t"] == t and math.isfinite(row["phi_sup"])
+
+
+def test_family_summary_keeps_the_sups_where_f_resolves(profile):
+    fam = fd.build_family(1.0, profile)
+    assert fd.family_summary(fam) == {
+        "t": 1.0,
+        "sup_f_over_r": float((fam.f / fam.r).max()),
+        "sup_f_over_r2": float((fam.f / fam.r ** 2).max()),
+        "phi_sup": fd.phi_sup_bound(fam),
+        "residual_max": float(fam.residual().max()),
+    }
+
+
 @pytest.mark.parametrize("t", [1e-3, 1.0, 1000.0])
 def test_f_bounds_normalize_by_powers_of_t(profile, t):
     bounds = fd.verify_f_bounds(fd.build_family(t, profile))

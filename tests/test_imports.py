@@ -1,4 +1,5 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and the package's import loads
+only the scipy it needs.
 
 Walks the AST of the package modules (except ``__init__.py``, which
 re-exports), the demos and the tests.  A name counts as used when it is
@@ -6,6 +7,9 @@ referenced anywhere in the module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,26 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# the public scipy subpackages that ``import hitchinlab, hitchinlab.cli``
+# loads; scipy's import is most of a cold command's time, and
+# integrate, interpolate, optimize and sparse were each dropped from it
+SCIPY_AT_IMPORT = {"linalg", "special", "version"}
+
+
+def test_import_loads_only_the_scipy_it_needs():
+    # a fresh process, so that no other test's import counts
+    script = (
+        "import sys\n"
+        "import hitchinlab, hitchinlab.cli\n"
+        "print(*{m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})\n"
+    )
+    src = str(ROOT / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = {name for name in done.stdout.split() if not name.startswith("_")}
+    assert loaded <= SCIPY_AT_IMPORT, f"also loads scipy {sorted(loaded - SCIPY_AT_IMPORT)}"

@@ -10,6 +10,36 @@ def test_spine_betti_and_euler():
     assert cx.euler_characteristic == 2 - 2 * 2 - 4 == -6
 
 
+# the layout of two small complexes, name by name: generator order, each
+# loop's sign, and the puncture words with the k-th the inverse of
+# [a1, b1] [a2, b2] c1 ... c_{k-1}
+LAYOUTS = {
+    (2, 2, 1): (
+        ["a1", "b1", "a2", "b2", "c1"],
+        [("a1", 1), ("b1", 1), ("a2", 1), ("b2", 1), ("c1", -1)],
+        [[("c1", 1)],
+         [("c1", -1), ("b2", 1), ("a2", 1), ("b2", -1), ("a2", -1),
+          ("b1", 1), ("a1", 1), ("b1", -1), ("a1", -1)]],
+    ),
+    (2, 4, -1): (
+        ["a1", "b1", "a2", "b2", "c1", "c2", "c3"],
+        [("a1", -1), ("b1", -1), ("a2", -1), ("b2", -1), ("c1", -1), ("c2", -1), ("c3", -1)],
+        [[("c1", 1)], [("c2", 1)], [("c3", 1)],
+         [("c3", -1), ("c2", -1), ("c1", -1), ("b2", 1), ("a2", 1), ("b2", -1), ("a2", -1),
+          ("b1", 1), ("a1", 1), ("b1", -1), ("a1", -1)]],
+    ),
+}
+
+
+@pytest.mark.parametrize("gamma, k, sign", sorted(LAYOUTS))
+def test_build_complex_layout(gamma, k, sign):
+    cx = tp.build_complex(gamma, k, handle_monodromy=sign)
+    generators, monodromy, words = LAYOUTS[gamma, k, sign]
+    assert cx.generators == generators
+    assert list(cx.monodromy.items()) == monodromy
+    assert cx.puncture_words == words
+
+
 def test_every_puncture_word_is_twisted():
     for gamma, k in ((2, 4), (3, 4), (4, 12)):
         cx = tp.build_complex(gamma, k)
