@@ -241,7 +241,7 @@ def cmd_torus(config: RunConfig) -> int:
     write_json(out / "torus.json", {
         "config": config.to_dict(),
         "gamma": gamma,
-        "dim": topology.torus_dimension(gamma),
+        "dim": topology.row_dimension(rows[-1]),  # the row of gamma itself
         "table": [list(r) for r in rows],
     })
     return EXIT_OK

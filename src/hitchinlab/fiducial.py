@@ -145,7 +145,8 @@ def _stack2x2(lead: tuple, zeroed: bool = False, dtype=complex) -> np.ndarray:
     allocated here.
     """
     alloc = np.zeros if zeroed else np.empty
-    return np.moveaxis(alloc((2, 2, *lead), dtype=dtype), (0, 1), (-2, -1))
+    # transpose makes the view moveaxis would, without its argument checks
+    return alloc((2, 2, *lead), dtype=dtype).transpose(*range(2, 2 + len(lead)), 0, 1)
 
 
 def _alpha_from_scalar(a: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndarray:

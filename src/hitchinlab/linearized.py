@@ -280,7 +280,8 @@ def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
     return _vertical_block(ell, t, grid, r, _higgs_terms(t, r, h_values)[2])
 
 
-def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int):
+def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int,
+                     shift: float = 0.0):
     """Largest eigenvalue theta of the symmetric operator ``apply`` by
     Lanczos, with its unit Ritz vector: (theta, vector).
 
@@ -292,9 +293,16 @@ def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int):
     preallocated arrays.  From the third step on, its largest eigenvalue
     theta is found by bisection (LAPACK ``dstebz``) and the eigenvector s
     of theta by inverse iteration (``dstein``), O(j) each, where a full
-    diagonalization costs O(j^3) per step on a long run.  The run stops
-    under ARPACK's rule: theta is accepted once beta_j |s_j| <= tol |theta|,
-    beta_j |s_j| being the residual norm of the Ritz pair.  One product per
+    diagonalization costs O(j^3) per step on a long run.  beta_j |s_j| is
+    the residual norm of the Ritz pair and bounds theta's error (Parlett,
+    ch. 13).  The run stops once that bound is ``tol`` relative on
+    lambda = ``shift`` + 1/theta, the value a shift-invert solve reads off:
+    lambda moves by dtheta / theta^2 and 1 + shift theta = theta lambda, so
+    the rule is beta_j |s_j| <= tol |theta| max(1, |1 + shift theta|).  The
+    max keeps ARPACK's rule beta_j |s_j| <= tol |theta|, tol relative on
+    theta, wherever theta |lambda| <= 1: at the default shift 0, and at any
+    negative shift under a spectrum >= 0.  No rule is tighter than ARPACK's,
+    so no run takes more steps than it did under that rule.  One product per
     step; NumericalError if the rule is not met within ``max_steps`` steps
     (or the dimension, if smaller).  The basis starts with 32 rows and
     doubles when full: numpy backs an array of 4 MiB or more with huge
@@ -324,7 +332,8 @@ def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int):
             _, theta, block, split, _ = dstebz(diag, off, 2, 0.0, 0.0, j + 1, j + 1,
                                                0.0, b"E")
             vec = dstein(diag, off, theta[:1], block, split)[0][:, 0]
-            if beta[j] * abs(vec[-1]) <= tol * abs(theta[0]):
+            if beta[j] * abs(vec[-1]) <= tol * abs(theta[0]) * max(
+                    1.0, abs(1.0 + shift * theta[0])):
                 return float(theta[0]), vec @ span
         q = w / beta[j]
     raise NumericalError(f"Lanczos did not converge to tol={tol:g} in {steps} steps")
@@ -336,10 +345,12 @@ def smallest_eigenvalue(op: RadialOperator, below: float = 0.0,
 
     For a shift sigma below the spectrum, S (A - sigma B)^-1 S with S = sqrt(B)
     is symmetric positive definite, and its largest eigenvalue mu gives
-    lambda_min = sigma + 1/mu.  ``_lanczos_largest`` finds mu at
-    tol = machine epsilon, the tightest tolerance, as ARPACK's ``tol=0``
-    did, within ``LANCZOS_MAX_STEPS`` products, from ``start`` or, if None,
-    from the vector of ones; a given ``start`` is overwritten with mu's Ritz
+    lambda_min = sigma + 1/mu.  ``_lanczos_largest`` finds mu within
+    ``LANCZOS_MAX_STEPS`` products from ``start`` or, if None, from the
+    vector of ones, and stops once mu's residual bound is machine epsilon
+    relative on lambda_min (at sigma = 0 this is ARPACK's ``tol=0`` rule on
+    mu, which a negative sigma under a spectrum >= 0 keeps too); a given
+    ``start`` is overwritten with mu's Ritz
     vector, so that a chain of solves can pass it on.  At sigma = 0 the
     solves reuse the block's own factorization ``op.solve``.  A shift is
     accepted only when the banded Cholesky factorization of A - sigma B
@@ -367,7 +378,7 @@ def smallest_eigenvalue(op: RadialOperator, below: float = 0.0,
                 shifted[-1] -= sigma * op.weights
                 solve = _band_solver(shifted)
             mu, ritz = _lanczos_largest(lambda x, solve=solve: s * solve(s * x), v0,
-                                        np.finfo(float).eps, LANCZOS_MAX_STEPS)
+                                        np.finfo(float).eps, LANCZOS_MAX_STEPS, sigma)
             if start is not None:
                 start[:] = ritz
             return sigma + 1.0 / mu
@@ -408,23 +419,22 @@ def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator) -> float:
     return float(np.sqrt(w))
 
 
-def _surrogate_certified_below(op_l: RadialOperator, flat_square: np.ndarray,
+def _surrogate_certified_below(square: np.ndarray, flat_square: np.ndarray,
                                s: float) -> bool:
     """True when sigma_max(S^-1 P A^-1 S) < s is certified by inertia.
 
     Writing v = S^-1 A w, |S^-1 P A^-1 S v| < s |v| for all v != 0 reads
     |S^-1 P w| < s |S^-1 A w| for all w != 0, that is
-    Z = s^2 A B^-1 A - P B^-1 P is positive definite.  ``flat_square`` is
-    P B^-1 P, ``_band_square`` of the flat band over the weights 1 / B,
-    which depends on the mode and the grid only.  Z is a symmetric
+    Z = s^2 A B^-1 A - P B^-1 P is positive definite.  ``square`` is
+    A B^-1 A and ``flat_square`` P B^-1 P, each ``_band_square`` of its band
+    over the weights 1 / B.  Z is a symmetric
     band (kd = 4 for the interleaved 2x2 blocks), and by Sylvester's law of
     inertia its banded Cholesky factorization succeeds exactly when it is.
     Forming Z squares A's condition number: at
     ell = 0 and 1, whose indicial exponent is 0, the verdict near sigma_max
     can be wrong, so ``green_norms`` never asks it there.
     """
-    z = s * s * _band_square(op_l.band, 1.0 / op_l.weights) - flat_square
-    return _cholesky(z) is not None
+    return _cholesky(s * s * square - flat_square) is not None
 
 
 def potential_floor(op: RadialOperator) -> float:
@@ -486,12 +496,15 @@ def green_norms(ts, ell_max: int, profile: PsiProfile, n: int = 600) -> list:
     """Per-mode smallest eigenvalues and Green-operator norm estimates: one
     report per t of ``ts``, in order.
 
-    The sweep goes mode by mode across every t.  A mode's flat block, and
-    for ell >= 2 its square P B^-1 P, depend on (ell, n) only, so each is
-    built once and serves every t.  Each t keeps its own chains (lambda_min
-    lists, Ritz start vectors, running surrogate maximum, the modes that ran
-    Lanczos, kappa_hat), so its report is the one a sweep over that t alone
-    gives.  Its family samples and Higgs terms are computed once, before the
+    The sweep goes mode by mode across every t.  A mode's flat block
+    depends on (ell, n) only, so it is built once and serves every t.  For
+    ell >= 2 the mode's coupled blocks of every t are built first, and one
+    ``_band_square`` call over the band of the block-diagonal matrix
+    diag(P, A_1, ..., A_T) gives the flat square P B^-1 P and each
+    certificate's A B^-1 A, bit for bit as one call per block would.  Each
+    t keeps its own chains (lambda_min lists, Ritz start vectors, running
+    surrogate maximum, the modes that ran Lanczos, kappa_hat), so its report
+    is the one a sweep over that t alone gives.  Its family samples and Higgs terms are computed once, before the
     mode loop, and so are the indicial roots, which no t changes.
     The L2 -> L2 norm is the max of 1/lambda_min over the coupled blocks for
     0 <= ell <= ell_max (negative modes coincide with ell -> 1 - ell by the
@@ -514,8 +527,10 @@ def green_norms(ts, ell_max: int, profile: PsiProfile, n: int = 600) -> list:
     never depends on the guess.  Each chain's Lanczos run also starts from
     the Ritz vector of the chain's previous solve, the first from ones
     (``smallest_eigenvalue``'s ``start``): at t = 1, n = 600 this takes the
-    sweep from 457 products to 396.  ell = 0 keeps sigma = 0, so its cached
-    factorization ``op.solve`` serves the surrogate too; a block with
+    sweep from 457 products to 396, and stopping each run on lambda rather
+    than on mu (``_lanczos_largest``'s ``shift``) to 342.  ell = 0 keeps
+    sigma = 0, so its cached factorization ``op.solve`` serves the
+    surrogate too; a block with
     ell >= 2 whose certificate fails factors A once more for the surrogate.
     The H2 surrogate composes the discrete flat Laplacian with each block
     inverse; the report keeps its maximum over modes.  Lanczos
@@ -551,19 +566,29 @@ def green_norms(ts, ell_max: int, profile: PsiProfile, n: int = 600) -> list:
                        np.ones(n)))
     for ell in ells:
         flat = _coupled_block(ell, 0.0, grid, r, zero, zero, zero)
-        flat_square = _band_square(flat.band, 1.0 / flat.weights) if ell >= 2 else None
-        for rep, (four_f, w_off, w_diag, w_vert, start, start_vert) in zip(reports, chains):
+        # ell = 1 is the ell = 0 pair with its components swapped: same
+        # lambda_min and surrogate, inserted after the loop
+        ops = [None if ell == 1 else _coupled_block(ell, rep.t, grid, r, four_f, w_off, w_diag)
+               for rep, (four_f, w_off, w_diag, *_) in zip(reports, chains)]
+        squares = [None] * (1 + len(ops))  # P B^-1 P, then each t's A B^-1 A
+        if ell >= 2:
+            # the bands side by side are the band of diag(P, A_1, ..., A_T),
+            # since _assemble leaves their out-of-matrix entries zero, and all
+            # blocks share the weights B: one square gives each block's own
+            squares = np.split(_band_square(np.hstack([flat.band, *(op.band for op in ops)]),
+                                            np.tile(1.0 / flat.weights, 1 + len(ops))),
+                               1 + len(ops), axis=1)
+        flat_square = squares[0]
+        for rep, op, square, (*_, w_vert, start, start_vert) in zip(reports, ops, squares[1:],
+                                                                    chains):
             t, lam, lam_vert = rep.t, rep.lambda_min, rep.lambda_min_vertical
             lam_vert.append(smallest_eigenvalue(_vertical_block(ell, t, grid, r, w_vert),
                                                 _next_shift(lam_vert), start_vert))
-            if ell == 1:
-                # the ell = 0 pair with its components swapped: same lambda_min
-                # and surrogate, inserted after the loop
+            if op is None:
                 continue
-            op = _coupled_block(ell, t, grid, r, four_f, w_off, w_diag)
             lam.append(smallest_eigenvalue(op, _next_shift(lam), start))
             if ell == 0 or not _surrogate_certified_below(
-                    op, flat_square, (1.0 - SURROGATE_PRUNE_MARGIN) * rep.g_norm_h2_surrogate):
+                    square, flat_square, (1.0 - SURROGATE_PRUNE_MARGIN) * rep.g_norm_h2_surrogate):
                 rep.g_norm_h2_surrogate = max(rep.g_norm_h2_surrogate,
                                               h2_surrogate_norm(op, flat))
                 rep.surrogate_solved.append(ell)

@@ -127,8 +127,12 @@ def torus_dimension(gamma: int) -> int:
     """Twisted h1 for the simple-determinant puncture count k = 4 gamma - 4."""
     if gamma < 2:
         raise ValueError("genus must be at least 2")
-    cx = build_complex(gamma, 4 * gamma - 4)
-    h0, h1 = twisted_cohomology_dims(cx)
+    return row_dimension(dimension_table([gamma])[0])
+
+
+def row_dimension(row) -> int:
+    """The twisted h1 of a ``dimension_table`` row, whose h0 must be 0."""
+    _, _, h0, h1, _ = row
     if h0 != 0:
         raise AssertionError("twisted system unexpectedly has parallel sections")
     return h1

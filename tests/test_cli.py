@@ -85,6 +85,19 @@ def test_torus_gamma_2(tmp_path):
     assert payload["dim"] == 6
 
 
+@pytest.mark.parametrize("gamma", [2, 5])
+def test_torus_builds_each_complex_once(tmp_path, monkeypatch, gamma):
+    # the table's last row is gamma's own: dim is read off it, not rebuilt
+    from hitchinlab import topology
+
+    built, real = [], topology.build_complex
+    monkeypatch.setattr(topology, "build_complex",
+                        lambda *args, **kwargs: built.append(args) or real(*args, **kwargs))
+    assert run(["torus", "--gamma", str(gamma), "--out", str(tmp_path)]) == 0
+    assert built == [(g, 4 * g - 4) for g in range(2, gamma + 1)]
+    assert json.loads((tmp_path / "torus.json").read_text())["dim"] == 6 * gamma - 6
+
+
 def test_torus_csv_format(tmp_path):
     assert run(["torus", "--gamma", "4", "--format", "csv", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "torus.csv").read_text().splitlines()

@@ -208,7 +208,7 @@ def test_green_norms_lanczos_products(profile, monkeypatch):
     # a host-independent guard on the shift rule: 941 products with each
     # chain shifted by its previous value, 500 with the extrapolated shift
     # (ARPACK); 396 with the numpy Lanczos started from each chain's Ritz
-    # vector
+    # vector; 342 with each run stopped on lambda rather than on mu
     products, real_lanczos, real = [0], lin._lanczos_largest, lin.smallest_eigenvalue
     active = [False]
 
@@ -228,7 +228,7 @@ def test_green_norms_lanczos_products(profile, monkeypatch):
     monkeypatch.setattr(lin, "_lanczos_largest", spy_lanczos)
     monkeypatch.setattr(lin, "smallest_eigenvalue", spy)
     lin.green_norms([1.0], 32, profile, n=600)
-    assert 0 < products[0] <= 560
+    assert 0 < products[0] <= 380
 
 
 @pytest.mark.parametrize("n", [100, 300])
@@ -245,15 +245,19 @@ def test_green_norms_sweep_matches_one_t_sweeps(profile, n):
 
 def test_green_norms_builds_flat_squares_once_per_mode(profile, monkeypatch):
     # a host-independent work guard on the mode-major sweep: modes 0..L over
-    # T values of t form L - 1 flat squares (ell >= 2, shared by every t),
-    # T (L - 1) block squares and T (2L + 1) eigen solves (ell = 1's coupled
-    # block copies ell = 0's), and evaluate the profile once per t
-    ts, ell_max = [1.0, 4.0, 16.0], 10
+    # T values of t make L - 1 square calls (ell >= 2), each on the 1 + T
+    # blocks of its mode, the flat block first (shared by every t), and
+    # T (2L + 1) eigen solves (ell = 1's coupled block copies ell = 0's), and
+    # evaluate the profile once per t
+    ts, ell_max, n = [1.0, 4.0, 16.0], 10, 100
     squares, real_square = [], lin._band_square
     families, real_build_family = [], lin.build_family
 
     def spy_square(band, w):
-        squares.append(not band[1, 1::2].any())  # the flat band has no coupling
+        blocks = np.split(band[1, 1::2], 1 + len(ts))
+        # the flat band has no coupling, every t's block has
+        squares.append([block.any() for block in blocks])
+        assert np.array_equal(w, np.tile(w[:2 * n], 1 + len(ts)))
         return real_square(band, w)
 
     def spy_family(t, *args, **kwargs):
@@ -263,9 +267,8 @@ def test_green_norms_builds_flat_squares_once_per_mode(profile, monkeypatch):
     monkeypatch.setattr(lin, "_band_square", spy_square)
     monkeypatch.setattr(lin, "build_family", spy_family)
     calls = _spy_eigen_solves(monkeypatch)
-    lin.green_norms(ts, ell_max, profile, n=100)
-    assert squares.count(True) == ell_max - 1
-    assert squares.count(False) == len(ts) * (ell_max - 1)
+    lin.green_norms(ts, ell_max, profile, n=n)
+    assert squares == [[False] + [True] * len(ts)] * (ell_max - 1)
     assert len(calls) == len(ts) * (2 * ell_max + 1)
     assert families == ts
 
@@ -378,9 +381,57 @@ def test_surrogate_certificate_verdicts(profile, t, n, ells):
     for ell in ells:
         op, flat = _surrogate_pair(profile, ell, t, n)
         sigma = _dense_surrogate(op, flat)
+        square = lin._band_square(op.band, 1.0 / op.weights)
         flat_square = lin._band_square(flat.band, 1.0 / flat.weights)
-        assert lin._surrogate_certified_below(op, flat_square, (1.0 + 1e-6) * sigma), ell
-        assert not lin._surrogate_certified_below(op, flat_square, (1.0 - 1e-6) * sigma), ell
+        assert lin._surrogate_certified_below(square, flat_square, (1.0 + 1e-6) * sigma), ell
+        assert not lin._surrogate_certified_below(square, flat_square,
+                                                  (1.0 - 1e-6) * sigma), ell
+
+
+def _in_matrix(square):
+    """The entries of a kd = 4 upper band square that lie in the matrix."""
+    return np.concatenate([square[4 - d, d:] for d in range(5)])
+
+
+def test_green_norms_certificates_get_their_blocks_square(profile, monkeypatch):
+    # each t's certificate is handed its own block's A B^-1 A and the flat
+    # block's P B^-1 P out of the mode's one joint square, bit for bit
+    ts = [1.0, 4.0, 16.0]
+    log, real_eig, real_cert = [], lin.smallest_eigenvalue, lin._surrogate_certified_below
+
+    def spy_eig(op, below=0.0, start=None):
+        log.append(op)
+        return real_eig(op, below, start)
+
+    def spy_cert(square, flat_square, s):
+        log.append((square, flat_square))
+        return real_cert(square, flat_square, s)
+
+    monkeypatch.setattr(lin, "smallest_eigenvalue", spy_eig)
+    monkeypatch.setattr(lin, "_surrogate_certified_below", spy_cert)
+    lin.green_norms(ts, 8, profile, n=64)
+    certified = [(log[i - 1], entry) for i, entry in enumerate(log) if isinstance(entry, tuple)]
+    assert [(op.ell, op.t) for op, _ in certified] == [(ell, t) for ell in range(2, 9) for t in ts]
+    for op, (square, flat_square) in certified:
+        flat = lin.assemble_block(op.ell, 1.0, profile, n=64, connection=False, higgs=False)
+        own = lin._band_square(op.band, 1.0 / op.weights)
+        own_flat = lin._band_square(flat.band, 1.0 / flat.weights)
+        assert np.array_equal(_in_matrix(square), _in_matrix(own))
+        assert np.array_equal(_in_matrix(flat_square), _in_matrix(own_flat))
+
+
+@pytest.mark.parametrize("ell", [2, 5, 32])
+def test_joint_band_square_matches_each_block(profile, ell):
+    # one square over the flat band and every t's coupled band side by side
+    # is each block's own _band_square, bit for bit, on its in-matrix entries
+    n, ts = 64, (0.5, 2.0, 30.0, 1000.0)
+    ops = [lin.assemble_block(ell, 1.0, profile, n=n, connection=False, higgs=False)]
+    ops += [lin.assemble_block(ell, t, profile, n=n) for t in ts]
+    joint = lin._band_square(np.hstack([op.band for op in ops]),
+                             np.tile(1.0 / ops[0].weights, len(ops)))
+    for op, part in zip(ops, np.split(joint, len(ops), axis=1)):
+        own = lin._band_square(op.band, 1.0 / op.weights)
+        assert np.array_equal(_in_matrix(part), _in_matrix(own)), op.t
 
 
 def test_h2_surrogate_nonconvergence_raises(profile, monkeypatch):
@@ -408,6 +459,40 @@ def test_lanczos_largest_close_top_pair():
     got, vector = lin._lanczos_largest(lambda x: a @ x, np.ones(120), np.finfo(float).eps, 120)
     assert got == pytest.approx(expected, rel=1e-13)
     assert np.linalg.norm(a @ vector - got * vector) <= 1e-6
+
+
+def _lanczos_steps(diag, shift):
+    """(theta, products) of ``_lanczos_largest`` on diag(``diag``) from ones."""
+    products = [0]
+
+    def apply(x):
+        products[0] += 1
+        return diag * x
+
+    theta, _ = lin._lanczos_largest(apply, np.ones(len(diag)), np.finfo(float).eps, 200,
+                                    shift)
+    return theta, products[0]
+
+
+@pytest.mark.parametrize("sigma", [1.0, 100.0])
+def test_lanczos_largest_stops_on_lambda(sigma):
+    # theta is the top of diag(1 / (lambda - sigma)), lambda known: a shift
+    # sigma > 0 loosens the stop by |1 + sigma theta| = theta lambda, so the
+    # run stops sooner, with lambda = sigma + 1/theta still good to epsilon
+    lam = sigma + np.geomspace(0.5, 500.0, 300)
+    diag = 1.0 / (lam - sigma)
+    theta, steps = _lanczos_steps(diag, sigma)
+    _, steps_theta = _lanczos_steps(diag, 0.0)
+    assert steps < steps_theta
+    assert sigma + 1.0 / theta == pytest.approx(lam[0], rel=4 * np.finfo(float).eps, abs=0)
+
+
+@pytest.mark.parametrize("shift", [-1e-6, -1.0])
+def test_lanczos_largest_keeps_theta_rule_at_negative_shift(shift):
+    # with lambda >= 0 a shift <= 0 leaves |1 + shift theta| <= 1: the rule
+    # is the one on theta, so the run takes exactly the steps of shift 0
+    diag = 1.0 / (np.geomspace(0.5, 500.0, 300) - shift)
+    assert _lanczos_steps(diag, shift) == _lanczos_steps(diag, 0.0)
 
 
 def test_lanczos_largest_step_cap_raises():
@@ -594,9 +679,9 @@ def test_smallest_eigenvalue_shifted_kernel_matches_dense_reference():
 def test_one_factorization_per_block(profile, monkeypatch):
     lanczos_args, real_lanczos = [], lin._lanczos_largest
 
-    def spy_lanczos(apply, v0, tol, max_steps):
-        lanczos_args.append((tol, max_steps))
-        return real_lanczos(apply, v0, tol, max_steps)
+    def spy_lanczos(apply, v0, tol, max_steps, shift=0.0):
+        lanczos_args.append((tol, max_steps, shift))
+        return real_lanczos(apply, v0, tol, max_steps, shift)
 
     factored = _spy_dpbtrf(monkeypatch)
     monkeypatch.setattr(lin, "_lanczos_largest", spy_lanczos)
@@ -605,8 +690,8 @@ def test_one_factorization_per_block(profile, monkeypatch):
     lin.h2_surrogate_norm(op, flat)
     assert len(factored) == 1
     assert np.array_equal(factored[0][0], op.band)
-    assert lanczos_args == [(np.finfo(float).eps, lin.LANCZOS_MAX_STEPS),
-                            (lin.SURROGATE_TOL, lin.LANCZOS_MAX_STEPS)]
+    assert lanczos_args == [(np.finfo(float).eps, lin.LANCZOS_MAX_STEPS, 0.0),
+                            (lin.SURROGATE_TOL, lin.LANCZOS_MAX_STEPS, 0.0)]
 
 
 def test_flat_block_reads_no_profile(profile, monkeypatch):

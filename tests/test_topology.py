@@ -85,6 +85,12 @@ def test_torus_dimension_formula():
         assert tp.torus_dimension(gamma) == 6 * gamma - 6
 
 
+def test_row_dimension_guards_h0():
+    assert tp.row_dimension(tp.dimension_table([3])[0]) == 12
+    with pytest.raises(AssertionError, match="parallel sections"):
+        tp.row_dimension((3, 8, 1, 13, 12))
+
+
 def test_handle_monodromy_independence():
     for gamma, k in ((2, 4), (3, 8)):
         default = tp.twisted_cohomology_dims(tp.build_complex(gamma, k))
