@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -57,8 +56,8 @@ class RunConfig:
             fiducial.check_t(t)
         if self.grid < linearized.MIN_GRID:
             raise UsageError(f"grid size must be at least {linearized.MIN_GRID}")
-        if self.jobs < 1:
-            raise UsageError("jobs must be at least 1")
+        if self.jobs != 1:
+            raise UsageError(f"jobs must be 1, not {self.jobs}: commands run serially")
         lmax_min = linearized.MIN_ELL_MAX if self.command == "spectrum" else 1
         if self.lmax < lmax_min:
             raise UsageError(f"{self.command}: lmax must be at least {lmax_min}")
@@ -73,7 +72,8 @@ class RunConfig:
 
 
 # the flags each command takes besides --config: those it reads, then --out and
-# --jobs, which all six take because bench/workload.py passes --jobs 1 to each
+# --jobs, which all six take, and accept only as 1, because bench/workload.py
+# passes --jobs 1 to each
 FLAGS = {command: (*reads, "out", "jobs") for command, reads in {
     "solve-psi": (),
     "fiducial": ("t",),
@@ -142,13 +142,6 @@ def _t_name(t: float) -> str:
     return name if len(name) <= 32 else np.format_float_scientific(t, trim="-")
 
 
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_solve_psi(config: RunConfig) -> int:
     out = _outdir(config)
     profile = painleve.solve_connection()
@@ -173,7 +166,7 @@ def cmd_fiducial(config: RunConfig) -> int:
         fiducial.export_family_csv(fam, out / f"fiducial_t{_t_name(t)}.csv")
         return fiducial.family_summary(fam)
 
-    summaries = _parallel_map(one, config.t, config.jobs)
+    summaries = [one(t) for t in config.t]
     write_json(out / "fiducial_summary.json",
                {"config": config.to_dict(), "families": summaries})
     return EXIT_OK
@@ -219,7 +212,7 @@ def cmd_glue(config: RunConfig) -> int:
         return (gluing.corrected_solution_check(state, result), result.residual_history,
                 state.l2_residual())
 
-    done = _parallel_map(one, config.t, config.jobs)
+    done = [one(t) for t in config.t]
     for t, (_, history, _) in zip(config.t, done):
         painleve.write_columns_csv(out / f"newton_t{_t_name(t)}.csv", "iteration,residual",
                                    [np.arange(len(history)), history])

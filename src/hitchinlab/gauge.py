@@ -233,7 +233,8 @@ def verify_orbit_finite_t(t: float, family: FiducialFamily, n_theta: int = 128,
     the radii of the family's grid in ``r_window``.
 
     ``t`` must be the family's own parameter; a mismatch raises ValueError,
-    and so does a window that holds no radius of the grid.
+    and so does an ``n_theta`` below 1 or a window that holds no radius of
+    the grid.
 
     The check runs on the window's radii only.  That is exact: every quantity
     on its path is pointwise in r.  The orbit gauge carries its exact radial
@@ -255,6 +256,8 @@ def verify_orbit_finite_t(t: float, family: FiducialFamily, n_theta: int = 128,
     """
     if t != family.t:
         raise ValueError(f"t={t:g} does not match the family's t={family.t:g}")
+    if n_theta < 1:
+        raise ValueError(f"n_theta must be at least 1, not {n_theta}")
     sel = _window_mask(family.r, r_window)
     r, h, r_dh, r_d2h = (x[sel] for x in (family.r, family.h, family.r_dh, family.r_d2h))
     rows = max(1, ORBIT_BLOCK_BYTES // (4 * np.dtype(complex).itemsize * n_theta))

@@ -80,7 +80,7 @@ def build_complex(gamma: int, k: int, handle_monodromy: int = 1) -> TwistedSurfa
     """
     if gamma < 2:
         raise ValueError("genus must be at least 2")
-    if k == 0:
+    if k < 1:
         raise ValueError("the punctured case requires k >= 1")
     if k % 2:
         raise ValueError(

@@ -67,6 +67,34 @@ def test_fold_counts_ops_and_moves_equal_reports_up():
     assert [rep["reports"] for rep in folded["repetitions"]] == [{"f": "h"}, {"f": "g"}]
 
 
+def test_reports_identical_counts_pairs_with_equal_record_hashes():
+    def record(*reports):
+        return bench_ab._fold({"repetitions": [{"ops": [], "reports": r} for r in reports]})
+
+    same = {"cli.fiducial": "h", "cli.glue": "g"}
+    pairs = [
+        {"parent": record(same, same), "change": record(dict(same), dict(same))},
+        {"parent": record(same), "change": record({**same, "cli.glue": "x"})},
+        # repetitions that differ stay unfolded, on either side or on both
+        {"parent": record(same, {"cli.fiducial": "y"}), "change": record(same)},
+        {"parent": record(same), "change": record(same, {"cli.fiducial": "y"})},
+        {"parent": record(same, {"cli.fiducial": "y"}),
+         "change": record(same, {"cli.fiducial": "y"})},
+    ]
+    assert bench_ab.reports_identical(pairs) == 1
+    assert bench_ab.reports_identical(pairs[:1] * 10) == 10
+    assert bench_ab.reports_identical([]) == 0
+
+
+def test_copy_worktree_takes_the_files_git_would_track(tmp_path):
+    bench_ab._copy_worktree(tmp_path)
+    for name in ("tools/bench_ab.py", "src/hitchinlab/cli.py", "bench/run.py"):
+        assert (tmp_path / name).read_bytes() == (bench_ab.ROOT / name).read_bytes()
+    # ignored build output stays behind
+    assert not list(tmp_path.rglob("__pycache__"))
+    assert not (tmp_path / ".git").exists()
+
+
 def _verdict(parent, change, better="lower", bound=0.25):
     name = "wall_s" if better == "lower" else "ops_ok_frac"
     entry = bench_ab.summarize(_pairs(parent, change, name), {name: better})[name]

@@ -273,16 +273,22 @@ def test_glue_builds_each_glued_state_once(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "glue.json").read_text())["delta_fit"] is not None
 
 
-def test_fiducial_parallel_jobs_match_serial(tmp_path):
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    for out, jobs in ((serial, "1"), (parallel, "3")):
-        code = run(["fiducial", "--t", "1", "--t", "2", "--t", "4",
-                    "--jobs", jobs, "--out", str(out)])
-        assert code == 0
-    a = json.loads((serial / "fiducial_summary.json").read_text())
-    b = json.loads((parallel / "fiducial_summary.json").read_text())
-    assert a["families"] == b["families"]
-    assert (serial / "fiducial_t2.csv").exists()
+def test_jobs_other_than_one_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    for argv in (["--jobs", "2"], ["--config", str(cfg)]):
+        assert run(["fiducial", "--t", "2", *argv, "--out", str(tmp_path / "out")]) == 2
+        assert "jobs must be 1, not 2: commands run serially" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flags", [("fiducial", []), ("glue", ["--grid", "400"])])
+def test_jobs_one_is_the_default(tmp_path, command, flags):
+    # _outputs drops each report's config block, which records --out
+    argv = [command, "--t", "1", "--t", "2", "--t", "4", *flags]
+    for out, jobs in ((tmp_path / "default", []), (tmp_path / "one", ["--jobs", "1"])):
+        assert run([*argv, *jobs, "--out", str(out)]) == 0
+    assert _outputs(tmp_path / "default") == _outputs(tmp_path / "one")
 
 
 def test_config_file_merge_flags_win(tmp_path):

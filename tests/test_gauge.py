@@ -191,6 +191,16 @@ def test_empty_window_rejected(families, check):
         check(families)
 
 
+@pytest.mark.parametrize("check", [
+    lambda fams, n: gg.verify_orbit_finite_t(2.0, fams[2.0], n),
+    lambda fams, n: gg.verify_orbit_limiting(fd.default_grid(), n),
+], ids=["finite-t", "limiting"])
+@pytest.mark.parametrize("n_theta", [0, -4])
+def test_no_theta_samples_rejected(families, check, n_theta):
+    with pytest.raises(ValueError, match=f"n_theta must be at least 1, not {n_theta}"):
+        check(families, n_theta)
+
+
 def test_orbit_finite_t_rejects_mismatched_t(families):
     with pytest.raises(ValueError, match="t=2 does not match"):
         gg.verify_orbit_finite_t(2.0, families[1.0], n_theta=16)

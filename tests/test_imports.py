@@ -1,5 +1,5 @@
 """No module imports a name it never uses, and the package's import loads
-only the scipy it needs.
+only the scipy it needs and no thread pool.
 
 Walks the AST of the package modules (except ``__init__.py``, which
 re-exports), the demos and the tests.  A name counts as used when it is
@@ -57,6 +57,7 @@ def test_import_loads_only_the_scipy_it_needs():
         "import sys\n"
         "import hitchinlab, hitchinlab.cli\n"
         "print(*{m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})\n"
+        "print('concurrent.futures.thread' in sys.modules)\n"
     )
     src = str(ROOT / "src")
     env = {**os.environ,
@@ -64,5 +65,8 @@ def test_import_loads_only_the_scipy_it_needs():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded = {name for name in done.stdout.split() if not name.startswith("_")}
+    scipy_line, pool_line = done.stdout.splitlines()
+    loaded = {name for name in scipy_line.split() if not name.startswith("_")}
     assert loaded <= SCIPY_AT_IMPORT, f"also loads scipy {sorted(loaded - SCIPY_AT_IMPORT)}"
+    # every command runs its t values in order on the calling thread
+    assert pool_line == "False", "loads concurrent.futures.thread"

@@ -104,6 +104,8 @@ def test_rejections():
     with pytest.raises(ValueError):
         tp.build_complex(2, 0)
     with pytest.raises(ValueError):
+        tp.build_complex(2, -2)  # even but negative
+    with pytest.raises(ValueError):
         tp.build_complex(2, 3)  # odd k admits no fully twisted system
     with pytest.raises(ValueError):
         tp.torus_dimension(1)

@@ -6,11 +6,16 @@ Usage (from the root of a checkout):
         --pairs 10 --out BENCH_<n>.json
 
 ``--workload`` may be repeated.  Each run lasts ``BENCHMARK.json``'s
-``run_seconds``.  The base revision is exported with
-``git archive`` into a temporary directory; the change side is the working
-tree, uncommitted edits included.  Pair i runs ``bench/run.py --trace 0``
-at seed S + i once in each tree, each tree with its own ``bench/``; the
-first pair runs the base first and the order alternates from there.
+``run_seconds``.  The base revision is exported with ``git archive`` into a
+temporary directory, and the change side is a copy of the working tree's
+files beside it (tracked or untracked, uncommitted edits included, ignored
+files left out).  Both sides run from fresh directories whose paths have
+the same length, because a short workload's time depends on where it runs:
+in 30 alternating repetitions, the same files read about 8% slower in
+``deformation`` from a checkout than from a fresh copy.  Pair i runs
+``bench/run.py --trace 0`` at seed S + i once in each tree, each tree with
+its own ``bench/``; the first pair runs the base first and the order
+alternates from there.
 
 The output has the layout of ``BENCH_24.json``: per workload, a summary of
 each end-to-end metric that ``BENCHMARK.json`` declares (each side's
@@ -18,8 +23,10 @@ q1/median/q3 over the pairs, the pairs the change won, ties counting for
 neither side, and the median's relative change) and every pair with both
 records.  Each record is the ``result.json`` its run wrote, with each
 repetition's per-operation list folded into ``ops_by_status`` and the report
-hashes, when equal in every repetition, moved up to the record.  The printed
-summary ends each metric's line with its ``verdict``.  Nothing here edits
+hashes, when equal in every repetition, moved up to the record.  Beside each
+workload's summary, ``reports_identical`` counts the pairs whose two records
+carry equal report hashes.  The printed summary ends each metric's line with
+its ``verdict`` and each workload with that count.  Nothing here edits
 ``bench/``; it only invokes it.
 """
 
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -94,6 +102,14 @@ def verdict(entry: dict, better: str, bound: float) -> str:
     return "no worse"
 
 
+def reports_identical(pairs: list) -> int:
+    """The pairs in which parent and change carry equal record-level report
+    hashes; a record whose repetitions differ has none, so its pair counts
+    as not identical."""
+    hashes = [[pair[side].get("reports") for side in SIDES] for pair in pairs]
+    return sum(parent is not None and parent == change for parent, change in hashes)
+
+
 def _fold(record: dict) -> dict:
     """The record with each repetition's operations counted by status and
     the report hashes moved up when every repetition has the same."""
@@ -127,18 +143,31 @@ def _description(seconds: float, first: int, last: int) -> str:
         f"Alternating parent/change runs of bench/run.py (trace 0, --seconds {seconds:g} "
         f"on both sides, seeds {first}-{last} on every workload; the pair with the first "
         "seed ran the parent first, and the order alternated from there), written by "
-        "tools/bench_ab.py. The parent ran from a git archive export of parent_commit, "
-        "which is no repository, so its provenance git_commit is null; the change ran "
-        "from the working tree, so its git_commit is the commit under the uncommitted "
-        "change. Each record is the result.json the run wrote, provenance included. Each "
+        "tools/bench_ab.py. The parent ran from a git archive export of parent_commit "
+        "and the change from a copy of the working tree's tracked and untracked files, "
+        "uncommitted edits included, in two fresh directories with paths of one length; "
+        "neither is a repository, so both provenance git_commit are null. Each record is "
+        "the result.json the run wrote, provenance included. Each "
         "repetition's per-operation list is folded into ops_by_status (operation counts "
         "by status), and the report hashes, when equal in every repetition of a record, "
         "move up to the record's reports. change_wins counts the pairs in which the "
-        "change was strictly better; median_change is the relative change of the median.")
+        "change was strictly better; median_change is the relative change of the median; "
+        "reports_identical counts the pairs whose parent and change records carry equal "
+        "record-level reports, a record without them counting as not identical.")
 
 
 def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def _copy_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked files, not the ignored
+    ones, into ``dest``; a tracked file deleted from the tree is left out."""
+    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode()
+    for name in filter(None, names.split("\0")):
+        if (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def main(argv=None) -> int:
@@ -159,10 +188,13 @@ def main(argv=None) -> int:
     commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
 
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
-        base = Path(tmp) / "base"
-        base.mkdir()
-        subprocess.run(["tar", "-x", "-C", str(base)], input=_git("archive", commit), check=True)
-        trees = {"parent": base, "change": ROOT}
+        # "parent" and "change" have one length, and so have the two paths
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for tree in trees.values():
+            tree.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=_git("archive", commit),
+                       check=True)
+        _copy_worktree(trees["change"])
         workloads = {}
         for workload in args.workload:
             pairs = []
@@ -175,7 +207,9 @@ def main(argv=None) -> int:
                     wall = pair[side]["metrics"]["wall_s"]["value"]
                     print(f"{workload} seed {seed} {side}: wall_s {wall:.4f}", flush=True)
                 pairs.append(pair)
-            workloads[workload] = {"summary": summarize(pairs, better), "pairs": pairs}
+            workloads[workload] = {"summary": summarize(pairs, better),
+                                   "reports_identical": reports_identical(pairs),
+                                   "pairs": pairs}
 
     record = {
         "description": _description(seconds, args.seed, args.seed + args.pairs - 1),
@@ -188,6 +222,7 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: parent {s['parent_q1_median_q3'][1]:.6g} "
                   f"change {s['change_q1_median_q3'][1]:.6g} wins {s['change_wins']}/{s['pairs']} "
                   f"{verdict(s, better[name], bounds[name])}")
+        print(f"{workload} reports_identical: {data['reports_identical']}/{len(data['pairs'])}")
     return 0
 
 
