@@ -23,7 +23,7 @@ for n in (500, 1000, 2000):
     print(f"  n={n:5d}: {lam:.8f}   (j_{{0,1}}^2 = {target:.8f}, err {lam - target:+.2e})")
 
 print("\nGreen-operator norms across t (lmax=16), one sweep over every t")
-for rep in green_norms([1.0, 2.0, 4.0, 8.0], 16, profile, n=400):
+for rep in green_norms([1.0, 2.0, 4.0, 8.0], 16, profile):
     print(f"  t={rep.t:g}: ||G||_L2={rep.g_norm_l2:.6f}  H2 surrogate={rep.g_norm_h2_surrogate:.4f}"
           f"  kappa_hat={rep.kappa_hat:.3f}")
 

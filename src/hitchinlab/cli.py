@@ -73,7 +73,7 @@ class RunConfig:
 
 # the flags each command takes besides --config: those it reads, then --out and
 # --jobs, which all six take, and accept only as 1, because bench/workload.py
-# passes --jobs 1 to each
+# passes --jobs 1 to each; spectrum also takes the --grid it passes, unread
 FLAGS = {command: (*reads, "out", "jobs") for command, reads in {
     "solve-psi": (),
     "fiducial": ("t",),
@@ -175,8 +175,7 @@ def cmd_fiducial(config: RunConfig) -> int:
 def cmd_spectrum(config: RunConfig) -> int:
     out = _outdir(config)
     profile = painleve.solve_connection()
-    n = min(config.grid, 800)  # eigen sweeps do not need the fine grid; reports record n
-    reports = linearized.green_norms(config.t, config.lmax, profile, n=n)
+    reports = linearized.green_norms(config.t, config.lmax, profile)
     write_json(out / "spectrum.json", {"config": config.to_dict(),
                                        "reports": [rep.to_dict() for rep in reports]})
     return EXIT_OK

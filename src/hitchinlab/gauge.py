@@ -180,7 +180,9 @@ def apply_complex_gauge(pair: DiskPair, g: MatrixGauge) -> DiskPair:
     ginv = _inv2(g.values)
     phi_new = _mul2(_mul2(ginv, pair.phi), g.values)
     dbar_g = dbar_of(g.values, pair.r, pair.theta, g.dr)
-    alpha_new = _mul2(ginv, _mul2(pair.alpha, g.values) + dbar_g)
+    # a zero connection, such as zero_pair's, adds nothing to dbar g
+    a_g = _mul2(pair.alpha, g.values) + dbar_g if pair.alpha.any() else dbar_g
+    alpha_new = _mul2(ginv, a_g)
     return DiskPair(r=pair.r, theta=pair.theta, phi=phi_new, alpha=alpha_new)
 
 

@@ -215,9 +215,11 @@ def newton_correct(state: GluedState, tol: float = 1e-10, max_iter: int = 30) ->
     refinement (Higham, Accuracy and Stability of Numerical Algorithms,
     ch. 12).  Convergence is
     measured on the curvature residual; the history is returned for
-    quadratic-convergence diagnostics.  A residual above tol that stops
-    halving, from the third iterate on, or that is still above tol after
-    ``max_iter`` steps, raises NumericalError naming t.
+    quadratic-convergence diagnostics.  A residual above tol that has not
+    decreased at two steps in a row, or that is still above tol after
+    ``max_iter`` steps, raises NumericalError naming t: before its
+    quadratic phase the sup residual may rise once (t = 2, r_min = 1e-7,
+    n = 8000: 1.6, 1.7e-4, 2.4e-4, 4.0e-11).
     """
     t = state.t
     c, w_hi, w_lo = 0.0, np.zeros(state.grid.n), np.zeros(state.grid.n)
@@ -229,7 +231,7 @@ def newton_correct(state: GluedState, tol: float = 1e-10, max_iter: int = 30) ->
         if sup < tol:
             return NewtonResult(c=c, w_hi=w_hi, w_lo=w_lo, residual=res, residual_history=history,
                                 iterations=iteration, sup_u=float(np.abs(c + w_hi + w_lo).max()))
-        if iteration >= 2 and sup > 0.5 * history[-2]:
+        if iteration >= 2 and history[-3] <= history[-2] <= sup:
             raise NumericalError(
                 f"t={t:g}: Newton stalled at residual {sup:.3e}; history {history}"
             )

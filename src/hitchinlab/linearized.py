@@ -1,31 +1,48 @@
 """Fourier-block reduction of the linearized operator at the radial pair.
 
-Every radial operator here (coupled and vertical blocks, the Bessel oracle,
-the conic Poisson solve) is one stencil for -(r d_r)^2 + r^2 V, with V
-holding the nu^2 / r^2 term and the measure r dr on (0, 1), made by one
-assembler, ``_assemble``.  On the log-uniform grid x = log r, (r d_r)^2 is
-exactly d_x^2, the grading toward r = 0 comes for free and the three-point
-stencil stays second order.
-Regularity at r = 0 comes from ghost-node elimination with each component's
-indicial exponent; r = 1 is Dirichlet or a half-cell Neumann end.  Each
-operator is held as its symmetric band in LAPACK upper storage
-(``RadialOperator.band``) and factored once by banded Cholesky
-(``RadialOperator.solve``), which also certifies that it is positive
-definite.  Every eigen solve is a standard symmetric Lanczos run on that
-factorization, or on one of A - sigma B for a certified shift sigma: the
-smallest eigenvalue is read off the largest one of S (A - sigma B)^-1 S with
-S = sqrt(B), which is immune to the r^-2 entry spread of A.
+Each block is one radial operator -(1/r^2)(r d_r)^2 + V on (0, 1) with the
+measure r dr, V holding nu^2 / r^2 per component, and is given once by a
+``_Terms`` description: each component's inner exponent nu, the rest of its
+potential, and the coupling of two components.  Two discretizations read it.
+
+The finite-difference one (``_assemble``) is a three-point stencil for
+-(r d_r)^2 + r^2 V on the log-uniform grid x = log r, where (r d_r)^2 is
+exactly d_x^2, second order, with each component's ghost node following
+r^nu and r = 1 Dirichlet or a half-cell Neumann end.  Each operator is its
+symmetric band in LAPACK upper storage (``RadialOperator.band``), factored
+once by banded Cholesky (``RadialOperator.solve``), which also certifies it
+positive definite; ``smallest_eigenvalue`` reads lambda_min off the largest
+eigenvalue of S A^-1 S, S = sqrt(B), by Lanczos.  The Bessel oracle, the
+conic Poisson solve and the gluing Newton use it.
+
+The spectral one (``green_norms``) is a Galerkin discretization.  Each
+component's basis is u_k = x^nu (1 - x^2) P_k^(2, nu)(2 x^2 - 1),
+k < n, with P^(2, nu) a Jacobi polynomial, in the variable x of the map
+r = sinh(beta x) / sinh(beta), beta = ``MAP_RATE`` log t for t > 1 and
+r = x otherwise: the map is odd, so u stays r^nu times an even function
+of r, the regular branch at the pole (Trefethen, Spectral Methods in
+MATLAB, ch. 11; Boyd, Chebyshev and Fourier Spectral Methods, on pole
+conditions), and it clusters the basis toward the core of radius
+t^(-2/3).  The integrals are Gauss-Legendre sums over 2n nodes in
+sigma = x^2, where every integrand is smooth, and each exponent's basis is
+made orthonormal in the mass int u^2 r dr, so a block is one symmetric
+stiffness matrix K.  Written as (ell - 4f)^2 / r^2 = ell^2 / r^2 + (16 f^2 - 8 ell f) / r^2,
+nothing cancels near r = 0.  The quadrature weights are positive and the
+same for mass and potential, so by the discrete min-max lambda_min is at
+least the smallest eigenvalue of the potential matrix over the nodes.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dstebz, dstein
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dstebz, dstein, dsyevr, dtrtri
+from scipy.special import roots_legendre
 
 from .errors import NumericalError
 from .fiducial import build_family
@@ -37,19 +54,22 @@ MIN_GRID = 16
 MIN_ELL_MAX = 8
 SURROGATE_TOL = 1e-10
 SURROGATE_PRUNE_MARGIN = 1e-6
-# the step cap of every Lanczos run: the solves of a green_norms sweep take at
-# most 18 steps (each t up to 1000, ell up to 64, n up to 800); a lone
-# h2_surrogate_norm at ell = 64, t = 1000, n = 2000 takes 240
+# the step cap of every Lanczos run; a lone h2_surrogate_norm at ell = 64,
+# t = 1000, n = 2000 takes 240 steps
 LANCZOS_MAX_STEPS = 500
-# green_norms shifts each mode's eigen solve this far from the previous mode's
-# lambda_min toward the quadratic extrapolation through the chain's last three
-# values of its t.  Over green_norms(ts, 32, n) with ts = (0.5, 1, 2, 4, 8,
-# 16, 30) at each n in {100, 300, 600, 800} (1652 extrapolated shifts; no t's
-# chain reads another's), reach 0 (the previous value) took 27194 Lanczos
-# products, 0.9 took 19139 and 0.99 14882 with no shift refused; 0.999 had
-# 167 shifts refused (16796 products) and 1.0 had 932 (36374), each refusal
-# costing a solve from sigma = 0.
-SHIFT_REACH = 0.99
+# green_norms' Galerkin basis: n functions per component, doubled from
+# GALERKIN_N until the probe's lambda_min at n and 2n agree to GALERKIN_RTOL
+# relative, or to ROUNDING_MARGIN times the rounding floor if larger
+# (_basis_size); no agreement by GALERKIN_N_MAX raises.  At lmax 32, t <= 30
+# takes n = 24, t = 100 takes 48 and t = 300 and 1000 take 96
+GALERKIN_N = 24
+GALERKIN_N_MAX = 96
+GALERKIN_RTOL = 1e-10
+ROUNDING_MARGIN = 4.0
+MAP_RATE = 0.87
+# the most rows a dense Cholesky factorization or triangular inverse hands to
+# LAPACK in one call; see _cholesky_dense
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -147,60 +167,25 @@ def _band_solver(band: np.ndarray):
     return lambda b: dpbtrs(factor, b)[0]
 
 
-def _band_square(band: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """A diag(w) A for the symmetric band A (upper storage, kd = k), in upper
-    storage with kd = 2k, summed term by term over A's diagonals."""
-    k, size = band.shape[0] - 1, band.shape[1]
-    # diags[k + p, k + i] = A[i, i + p], zero off the matrix and in the k-column pads
-    diags = np.zeros((2 * k + 1, size + 2 * k))
-    for d in range(k + 1):
-        diags[k + d, k:k + size - d] = band[k - d, d:]
-        diags[k - d, k + d:k + size] = band[k - d, d:]
-    w = np.pad(w, k)
-    out = np.zeros((2 * k + 1, size))
-    for d in range(2 * k + 1):
-        m = size - d
-        for p in range(d - k, k + 1):
-            # A[i, i + p] w[i + p] A[i + p, i + d]
-            out[2 * k - d, d:] += (diags[k + p, k:k + m] * w[k + p:k + p + m]
-                                   * diags[k + d - p, k + p:k + p + m])
-    return out
-
-
 def _nodes(grid: RadialGrid, neumann_outer: bool) -> np.ndarray:
     """The grid's nodes, with the half-cell node r = 1 appended for Neumann."""
     return np.append(grid.r, 1.0) if neumann_outer else grid.r
 
 
-def _assemble(ell, t, grid: RadialGrid, r: np.ndarray, potentials, nus,
-              coupling=None) -> RadialOperator:
-    """Band and masses of -(r d_r)^2 + r^2 V on the nodes ``r``.
+@dataclass(frozen=True)
+class _Terms:
+    """One block on the samples ``r`` (any leading axes, radius last): per
+    component its inner exponent nu and ``rest``, its potential less
+    nu^2 / r^2, and the ``coupling`` of two components (None for one)."""
 
-    ``potentials`` holds the samples of V per component, ``nus`` their inner
-    ghost exponents: the ghost u_{-1} = e^{-nu dx} u_0 follows the regular
-    branch r^nu.  Two components are interleaved node by node and
-    ``coupling`` is their off-diagonal potential.  One node more than the grid has is the
-    Neumann end r = 1, a half cell: it halves mass and potential but not the
-    flux difference, so the matrix stays symmetric and positive.
-    """
-    size, k = len(r), len(potentials)
-    dx2 = grid.dx ** 2
-    stiff = np.full(size, 2.0)
-    cells = np.ones(size)
-    if size > grid.n:
-        stiff[-1] = 1.0
-        cells[-1] = 0.5
-    mass = cells * r ** 2
-    band = np.zeros((k + 1, k * size))
-    for j, (pot, nu) in enumerate(zip(potentials, nus)):
-        stiff[0] = 2.0 - np.exp(-nu * grid.dx)
-        band[k, j::k] = stiff / dx2 + mass * pot
-    band[0, k:] = -1.0 / dx2
-    if coupling is not None:
-        band[1, 1::2] = mass * coupling
-    return RadialOperator(ell=ell, t=t, block_size=k, grid=grid, band=band,
-                          weights=np.repeat(mass, k), potentials=list(potentials),
-                          coupling=coupling)
+    r: np.ndarray
+    nus: tuple
+    rest: tuple
+    coupling: np.ndarray | None = None
+
+    @property
+    def potentials(self) -> list:
+        return [nu ** 2 / self.r ** 2 + rest for nu, rest in zip(self.nus, self.rest)]
 
 
 def _higgs_terms(t, r: np.ndarray, h: np.ndarray) -> tuple:
@@ -212,22 +197,52 @@ def _higgs_terms(t, r: np.ndarray, h: np.ndarray) -> tuple:
     return w_off, w_off * cosh, 16.0 * t * t * r * cosh
 
 
-def _coupled_block(ell, t, grid: RadialGrid, r: np.ndarray, four_f: np.ndarray,
-                   w_off: np.ndarray, w_diag: np.ndarray) -> RadialOperator:
-    """The 2x2 block from samples on ``r``: 4 f_t in the connection terms,
-    the Higgs coupling ``w_off`` and its diagonal ``w_diag``; zeros drop a
-    term."""
-    v_minus = (ell - four_f) ** 2 / r ** 2
-    v_plus = (ell - 1 + four_f) ** 2 / r ** 2
-    return _assemble(ell, t, grid, r, [v_minus + w_diag, v_plus + w_diag],
-                     (abs(ell), abs(ell - 1)), w_off)
+def _coupled_terms(ell, r: np.ndarray, four_f: np.ndarray, w_off: np.ndarray,
+                   w_diag: np.ndarray) -> _Terms:
+    """The 2x2 block from 4 f_t, the Higgs coupling ``w_off`` and its
+    diagonal ``w_diag`` on ``r`` (zeros drop a term): potentials
+    (ell - 4f)^2 / r^2 and (ell - 1 + 4f)^2 / r^2 plus ``w_diag``, inner
+    exponents |ell| and |ell - 1|."""
+    f2 = four_f * four_f
+    return _Terms(r, (abs(ell), abs(ell - 1)),
+                  ((f2 - 2 * ell * four_f) / r ** 2 + w_diag,
+                   (f2 + 2 * (ell - 1) * four_f) / r ** 2 + w_diag), w_off)
 
 
-def _vertical_block(ell, t, grid: RadialGrid, r: np.ndarray,
-                    w_vert: np.ndarray) -> RadialOperator:
-    """The scalar block with potential ell^2 / r^2 + ``w_vert`` on the grid
-    nodes ``r``."""
-    return _assemble(ell, t, grid, r, [ell ** 2 / r ** 2 + w_vert], (abs(ell),))
+def _vertical_terms(ell, r: np.ndarray, w_vert: np.ndarray) -> _Terms:
+    """The scalar block with potential ell^2 / r^2 + ``w_vert``."""
+    return _Terms(r, (abs(ell),), (w_vert,))
+
+
+def _assemble(ell, t, grid: RadialGrid, terms: _Terms) -> RadialOperator:
+    """Band and masses of -(r d_r)^2 + r^2 V for the block ``terms`` on its
+    nodes.
+
+    The ghost u_{-1} = e^{-nu dx} u_0 of each component follows the regular
+    branch r^nu.  Two components are interleaved node by node.  One node
+    more than the grid has is the Neumann end r = 1, a half cell: it halves
+    mass and potential but not the flux difference, so the matrix stays
+    symmetric and positive.
+    """
+    r, potentials = terms.r, terms.potentials
+    size, k = len(r), len(potentials)
+    dx2 = grid.dx ** 2
+    stiff = np.full(size, 2.0)
+    cells = np.ones(size)
+    if size > grid.n:
+        stiff[-1] = 1.0
+        cells[-1] = 0.5
+    mass = cells * r ** 2
+    band = np.zeros((k + 1, k * size))
+    for j, (pot, nu) in enumerate(zip(potentials, terms.nus)):
+        stiff[0] = 2.0 - np.exp(-nu * grid.dx)
+        band[k, j::k] = stiff / dx2 + mass * pot
+    band[0, k:] = -1.0 / dx2
+    if terms.coupling is not None:
+        band[1, 1::2] = mass * terms.coupling
+    return RadialOperator(ell=ell, t=t, block_size=k, grid=grid, band=band,
+                          weights=np.repeat(mass, k), potentials=potentials,
+                          coupling=terms.coupling)
 
 
 def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N,
@@ -246,8 +261,8 @@ def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N,
     zero = np.zeros_like(r)
     fam = build_family(t, profile, r) if connection or higgs else None
     w_off, w_diag, _ = _higgs_terms(t, r, fam.h) if higgs else (zero, zero, None)
-    return _coupled_block(ell, t, grid, r, 4.0 * fam.f if connection else zero,
-                          w_off, w_diag)
+    return _assemble(ell, t, grid, _coupled_terms(ell, r, 4.0 * fam.f if connection else zero,
+                                                  w_off, w_diag))
 
 
 def assemble_scalar(ell: int, n: int = DEFAULT_N, r_min: float = DEFAULT_R_MIN,
@@ -260,10 +275,8 @@ def assemble_scalar(ell: int, n: int = DEFAULT_N, r_min: float = DEFAULT_R_MIN,
     """
     grid = RadialGrid(n, r_min)
     r = _nodes(grid, neumann_outer)
-    pot = ell ** 2 / r ** 2
-    if potential is not None:
-        pot = pot + potential(r)
-    return _assemble(ell, 0.0, grid, r, [pot], (abs(ell),))
+    rest = np.zeros_like(r) if potential is None else potential(r)
+    return _assemble(ell, 0.0, grid, _Terms(r, (abs(ell),), (rest,)))
 
 
 def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
@@ -277,7 +290,7 @@ def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
     r = grid.r
     if len(h_values) != len(r):
         raise ValueError("h samples do not match the grid")
-    return _vertical_block(ell, t, grid, r, _higgs_terms(t, r, h_values)[2])
+    return _assemble(ell, t, grid, _vertical_terms(ell, r, _higgs_terms(t, r, h_values)[2]))
 
 
 def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int,
@@ -339,27 +352,20 @@ def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int,
     raise NumericalError(f"Lanczos did not converge to tol={tol:g} in {steps} steps")
 
 
-def smallest_eigenvalue(op: RadialOperator, below: float = 0.0,
-                        start: np.ndarray | None = None) -> float:
+def smallest_eigenvalue(op: RadialOperator) -> float:
     """Smallest eigenvalue of A u = lambda B u by standard-mode Lanczos.
 
     For a shift sigma below the spectrum, S (A - sigma B)^-1 S with S = sqrt(B)
     is symmetric positive definite, and its largest eigenvalue mu gives
     lambda_min = sigma + 1/mu.  ``_lanczos_largest`` finds mu within
-    ``LANCZOS_MAX_STEPS`` products from ``start`` or, if None, from the
-    vector of ones, and stops once mu's residual bound is machine epsilon
-    relative on lambda_min (at sigma = 0 this is ARPACK's ``tol=0`` rule on
-    mu, which a negative sigma under a spectrum >= 0 keeps too); a given
-    ``start`` is overwritten with mu's Ritz
-    vector, so that a chain of solves can pass it on.  At sigma = 0 the
-    solves reuse the block's own factorization ``op.solve``.  A shift is
-    accepted only when the banded Cholesky factorization of A - sigma B
-    succeeds, that is when A - sigma B is positive definite, so sigma is
-    certified to lie below the spectrum.  The ladder tries sigma = ``below``, 0, -1e-6, -1 (duplicates
-    dropped).  ``below`` is a guess at a lower bound, such as the previous
-    mode's lambda_min: the closer it lies under lambda_min, the fewer
-    Lanczos steps; one that is not below the spectrum, or NaN, fails to
-    factor and the ladder goes on at 0.  A semi-definite operator (Neumann
+    ``LANCZOS_MAX_STEPS`` products from the vector of ones, and stops once
+    mu's residual bound is machine epsilon relative on lambda_min (ARPACK's
+    ``tol=0`` rule on mu, which a negative sigma under a spectrum >= 0
+    keeps).  At sigma = 0 the solves reuse the block's own factorization
+    ``op.solve``.  A shift is accepted only when the banded Cholesky
+    factorization of A - sigma B succeeds, that is when A - sigma B is
+    positive definite, so sigma is certified to lie below the spectrum.  The
+    ladder tries sigma = 0, -1e-6, -1: a semi-definite operator (Neumann
     with a constant kernel) that rounding leaves indefinite moves on to the
     small negative shift, and an operator whose smallest eigenvalue lies
     below -1 raises NumericalError.  Only a ``RuntimeError`` (factorization
@@ -367,9 +373,9 @@ def smallest_eigenvalue(op: RadialOperator, below: float = 0.0,
     other error, such as a malformed operator, propagates unchanged.
     """
     s = np.sqrt(op.weights)
-    v0 = np.ones(op.band.shape[1]) if start is None else start
+    v0 = np.ones(op.band.shape[1])
     last_exc = None
-    for sigma in dict.fromkeys((below, 0.0, -1e-6, -1.0)):
+    for sigma in (0.0, -1e-6, -1.0):
         try:
             if sigma == 0.0:
                 solve = op.solve
@@ -377,10 +383,8 @@ def smallest_eigenvalue(op: RadialOperator, below: float = 0.0,
                 shifted = op.band.copy()
                 shifted[-1] -= sigma * op.weights
                 solve = _band_solver(shifted)
-            mu, ritz = _lanczos_largest(lambda x, solve=solve: s * solve(s * x), v0,
-                                        np.finfo(float).eps, LANCZOS_MAX_STEPS, sigma)
-            if start is not None:
-                start[:] = ritz
+            mu, _ = _lanczos_largest(lambda x, solve=solve: s * solve(s * x), v0,
+                                     np.finfo(float).eps, LANCZOS_MAX_STEPS, sigma)
             return sigma + 1.0 / mu
         except RuntimeError as exc:  # not positive definite, Lanczos step cap
             last_exc = exc
@@ -400,9 +404,8 @@ def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator) -> float:
     never factored.
     ``SURROGATE_TOL`` is the relative accuracy asked of that eigenvalue and
     ``LANCZOS_MAX_STEPS`` the cap on Lanczos steps; a solve that does
-    not converge within it raises NumericalError.  This is the per-mode
-    value; ``green_norms`` calls it only on the modes that
-    ``_surrogate_certified_below`` cannot rule out.
+    not converge within it raises NumericalError.  This is the
+    finite-difference counterpart of ``green_norms``' Galerkin surrogate.
     """
     sw = np.sqrt(op_l.weights)
     solve = op_l.solve
@@ -419,43 +422,26 @@ def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator) -> float:
     return float(np.sqrt(w))
 
 
-def _surrogate_certified_below(square: np.ndarray, flat_square: np.ndarray,
-                               s: float) -> bool:
-    """True when sigma_max(S^-1 P A^-1 S) < s is certified by inertia.
-
-    Writing v = S^-1 A w, |S^-1 P A^-1 S v| < s |v| for all v != 0 reads
-    |S^-1 P w| < s |S^-1 A w| for all w != 0, that is
-    Z = s^2 A B^-1 A - P B^-1 P is positive definite.  ``square`` is
-    A B^-1 A and ``flat_square`` P B^-1 P, each ``_band_square`` of its band
-    over the weights 1 / B.  Z is a symmetric
-    band (kd = 4 for the interleaved 2x2 blocks), and by Sylvester's law of
-    inertia its banded Cholesky factorization succeeds exactly when it is.
-    Forming Z squares A's condition number: at
-    ell = 0 and 1, whose indicial exponent is 0, the verdict near sigma_max
-    can be wrong, so ``green_norms`` never asks it there.
-    """
-    return _cholesky(s * s * square - flat_square) is not None
-
-
-def potential_floor(op: RadialOperator) -> float:
+def potential_floor(op):
     """min over radius of the smallest eigenvalue of the potential matrix.
 
-    For coupled blocks the off-diagonal coupling is included, so the floor is
-    a true lower bound for the operator (the derivative part is nonnegative).
+    ``op`` is a ``RadialOperator`` or a ``_Terms``, whose samples may carry
+    leading axes (one floor per row).  For coupled blocks the off-diagonal
+    coupling is included, so the floor is a true lower bound for the
+    operator (the derivative part is nonnegative).
     """
-    if op.block_size == 1 or op.coupling is None:
-        return float(min(p.min() for p in op.potentials))
+    if op.coupling is None:
+        return np.min(op.potentials, axis=(0, -1))
     v1, v2 = op.potentials
-    c = op.coupling
-    mean = 0.5 * (v1 + v2)
-    gap = np.sqrt(0.25 * (v1 - v2) ** 2 + c * c)
-    return float((mean - gap).min())
+    gap = np.sqrt(0.25 * (v1 - v2) ** 2 + op.coupling ** 2)
+    return (0.5 * (v1 + v2) - gap).min(axis=-1)
 
 
 @dataclass(eq=False)
 class SpectralReport:
     t: float
     n: int
+    lambda_2n_reldiff: float
     ells: list
     lambda_min: list
     lambda_min_vertical: list
@@ -463,12 +449,13 @@ class SpectralReport:
     g_norm_h2_surrogate: float
     kappa_hat: float
     indicial: list
-    surrogate_solved: list  # the ells on which h2_surrogate_norm ran; not reported
+    surrogate_solved: list  # the ells whose surrogate was computed; not reported
 
     def to_dict(self) -> dict:
         return {
             "t": self.t,
             "n": self.n,
+            "lambda_2n_reldiff": self.lambda_2n_reldiff,
             "l": list(self.ells),
             "lambda_min": list(self.lambda_min),
             "lambda_min_vertical": list(self.lambda_min_vertical),
@@ -479,121 +466,305 @@ class SpectralReport:
         }
 
 
-def _next_shift(chain: list) -> float:
-    """Shift for the next mode's eigen solve from its chain's lambda_min so far.
+@cache
+def _legendre(n: int) -> tuple:
+    """The 2n Gauss-Legendre nodes in sigma = x^2 on (0, 1), as x, and the
+    weights of int_0^1 F(x) dx = int_0^1 F(sqrt sigma) dsigma / (2 sqrt sigma),
+    read-only."""
+    s, w = roots_legendre(2 * n)
+    x = np.sqrt(0.5 * (s + 1.0))
+    wx = 0.25 * w / x
+    x.flags.writeable = wx.flags.writeable = False
+    return x, wx
 
-    With three values or more this is ``SHIFT_REACH`` of the way from the last
-    value to the quadratic extrapolation p = 3 l[-1] - 3 l[-2] + l[-3];
-    with fewer it is the last value, and 0 for an empty chain.
+
+@lru_cache(maxsize=4)
+def _bases(nus: tuple, n: int) -> tuple:
+    """(u, du), read-only (len(nus), nodes, n) arrays: for each nu of ``nus`` the
+    functions u_k = x^nu (1 - x^2) P_k^(2, nu)(2 x^2 - 1), k < n, and
+    d u_k / dx at the nodes of ``_legendre(n)``, each u_k scaled to
+    int_0^1 u_k^2 x dx = 1 (the P_k are orthogonal there).
+
+    P_k and dP_k/ds follow the three-term recurrence in k (Abramowitz and
+    Stegun 22.7.1) and its derivative, for every nu at once.
     """
-    if len(chain) < 3:
-        return chain[-1] if chain else 0.0
-    a, b, c = chain[-3:]
-    return c + SHIFT_REACH * ((3.0 * c - 3.0 * b + a) - c)
+    x, wx = _legendre(n)
+    s = 2.0 * x * x - 1.0
+    a, b = 2.0, np.array(nus, dtype=float)[:, None]
+    p = np.zeros((len(b), len(x), n))
+    dp = np.zeros_like(p)
+    p[..., 0] = 1.0
+    if n > 1:
+        p[..., 1] = (a + 1.0) + 0.5 * (a + b + 2.0) * (s - 1.0)
+        dp[..., 1] = 0.5 * (a + b + 2.0)
+    for k in range(1, n - 1):
+        c = 2.0 * k + a + b
+        lin = (c + 1.0) * (a * a - b * b) + c * (c + 1.0) * (c + 2.0) * s
+        back, den = 2.0 * (k + a) * (k + b) * (c + 2.0), 2.0 * (k + 1) * (k + a + b + 1.0) * c
+        p[..., k + 1] = (lin * p[..., k] - back * p[..., k - 1]) / den
+        dp[..., k + 1] = (lin * dp[..., k] + c * (c + 1.0) * (c + 2.0) * p[..., k]
+                          - back * dp[..., k - 1]) / den
+    # in place, p becomes u and dp becomes du / dx
+    lead = x ** b * (1.0 - x * x)
+    dp *= (4.0 * x * lead)[..., None]
+    dp += (b * x ** (b - 1.0) * (1.0 - x * x) - 2.0 * x ** (b + 1.0))[..., None] * p
+    p *= lead[..., None]
+    scale = 1.0 / np.sqrt(np.einsum("m,vmk,vmk->vk", wx * x, p, p))[:, None, :]
+    p *= scale
+    dp *= scale
+    p.flags.writeable = dp.flags.writeable = False
+    return p, dp
 
 
-def green_norms(ts, ell_max: int, profile: PsiProfile, n: int = 600) -> list:
+def _gram(u: np.ndarray, w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """u^T diag(w) v (v = u by default) for each row of the weights ``w``;
+    u and v are (nodes, n) or one such array per row."""
+    return (u.swapaxes(-1, -2) * w[:, None, :]) @ (u if v is None else v)
+
+
+def _cholesky_dense(a: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of the symmetric ``a`` (lower triangle read),
+    or None unless every pivot is positive; a NaN pivot is not.
+
+    Past ``BLOCK_ROWS`` rows it recurses on the 2x2 block form,
+    L21 = A21 L11^-T and L22 = chol(A22 - L21 L21^T): LAPACK's dpotrf rounds
+    differently with the BLAS thread count from 128 rows on, and the blocks'
+    products do not.
+    """
+    n = len(a)
+    if n > BLOCK_ROWS:
+        h = n // 2
+        l11 = _cholesky_dense(a[:h, :h])
+        l21 = None if l11 is None else a[h:, :h] @ _triangular_inverse(l11).T
+        l22 = None if l21 is None else _cholesky_dense(a[h:, h:] - l21 @ l21.T)
+        return None if l22 is None else np.block([[l11, np.zeros((h, n - h))], [l21, l22]])
+    factor, info = dpotrf(a, lower=1)
+    if info != 0 or not np.isfinite(factor.diagonal()).all():
+        return None
+    return factor
+
+
+def _triangular_inverse(lower: np.ndarray) -> np.ndarray:
+    """The inverse of a lower triangular matrix; past ``BLOCK_ROWS`` rows by
+    the 2x2 block form, (L^-1)21 = -L22^-1 L21 L11^-1, since dtrtri rounds
+    differently with the BLAS thread count from 160 rows on."""
+    n = len(lower)
+    if n <= BLOCK_ROWS:
+        return dtrtri(lower, lower=1)[0]
+    h = n // 2
+    i11, i22 = _triangular_inverse(lower[:h, :h]), _triangular_inverse(lower[h:, h:])
+    return np.block([[i11, np.zeros((h, n - h))], [-i22 @ lower[h:, :h] @ i11, i22]])
+
+
+def _top_eigenvalue(a: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric ``a``, to rounding relative to it."""
+    return float(dsyevr(a, compute_v=0, range="I", il=len(a), iu=len(a))[0][0])
+
+
+def _inverse_factor(a: np.ndarray, what: str) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of ``a``; NumericalError, naming
+    ``what``, unless ``a`` is positive definite."""
+    factor = _cholesky_dense(a)
+    if factor is None:
+        raise NumericalError(f"Galerkin {what} matrix is not positive definite")
+    return _triangular_inverse(factor)
+
+
+def _smallest(k: np.ndarray) -> tuple:
+    """(lambda_min, K^-1) of the stiffness K in a mass-orthonormal basis.
+
+    lambda_min is 1 / mu for the largest eigenvalue mu of K^-1 = L^-T L^-1,
+    so it is good to rounding relative to itself, where the smallest
+    eigenvalue of K would be good only relative to the largest.
+    """
+    inv = _inverse_factor(k, "stiffness")
+    k_inv = inv.T @ inv
+    return 1.0 / _top_eigenvalue(k_inv), k_inv
+
+
+def _surrogate_gram(k_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Z^T Z for Z = P K^-1 = I - V K^-1 in a mass-orthonormal basis, P = K - V
+    the flat part: the flat operator after the block's inverse, whose largest
+    singular value is the H2 surrogate.  V is bounded, so Z is formed
+    without P's large entries."""
+    z = -(v @ k_inv)
+    z.flat[::len(z) + 1] += 1.0
+    return z.T @ z
+
+
+def _node_row(t: float, profile: PsiProfile, n: int) -> tuple:
+    """(r, wm, wd, 4f, w_off, w_diag, w_vert) of the family at t on the
+    mapped nodes of ``_legendre(n)``: the profile's one evaluation there."""
+    x, wx = _legendre(n)
+    beta = MAP_RATE * math.log(t) if t > 1.0 else 0.0
+    if beta > 0.0:
+        r, dr = np.sinh(beta * x) / math.sinh(beta), beta * np.cosh(beta * x) / math.sinh(beta)
+    else:
+        r, dr = x, np.ones_like(x)
+    fam = build_family(t, profile, r)
+    # int F r dr = sum wm F; int (dF/dr)^2 r dr = sum wd (dF/dx)^2
+    return (r, wx * r * dr, wx * r / dr, 4.0 * fam.f, *_higgs_terms(t, r, fam.h))
+
+
+class _Galerkin:
+    """The Galerkin stiffness matrices of the family at each of ``ts``, n
+    basis functions per component, each t on its own mapped nodes, for the
+    exponents ``nus``.  ``known`` maps (t, n) to a ``_node_row`` already
+    evaluated; the rows evaluated here are added to it."""
+
+    def __init__(self, ts, profile: PsiProfile, n: int, nus, known: dict):
+        for t in ts:
+            if (t, n) not in known:
+                known[t, n] = _node_row(t, profile, n)
+        rows = [known[t, n] for t in ts]
+        self.n = n
+        self._bases = dict(zip(nus, zip(*_bases(tuple(nus), n))))
+        self.r, self.wm, self.wd, self.four_f, self.w_off, self.w_diag, self.w_vert = (
+            np.array(col) for col in zip(*rows))
+        self._flat = {}
+
+    def flat(self, nu: int) -> tuple:
+        """(u, P) of exponent nu, per t: the basis made orthonormal in the
+        mass int u^2 r dr, and the flat stiffness
+        P = int (u'^2 + nu^2 u^2 / r^2) r dr in it."""
+        if nu not in self._flat:
+            u, du = self._bases[nu]
+            to_orthonormal = np.array([_inverse_factor(m, f"nu={nu} mass").T
+                                       for m in _gram(u, self.wm)])
+            u, du = u @ to_orthonormal, du @ to_orthonormal
+            self._flat[nu] = (u, _gram(du, self.wd) + _gram(u, self.wm * (nu ** 2 / self.r ** 2)))
+            # modes run in order and read exponents ell and ell - 1 only
+            self._flat.pop(nu - 2, None)
+        return self._flat[nu]
+
+    def coupled(self, ell: int) -> tuple:
+        """(terms, K, V) of the coupled blocks at ell, per t: K = P + V, V
+        the potential past the flat nu^2 / r^2 and the coupling."""
+        terms = _coupled_terms(ell, self.r, self.four_f, self.w_off, self.w_diag)
+        (u1, p1), (u2, p2) = (self.flat(nu) for nu in terms.nus)
+        n = self.n
+        v = np.empty((len(self.r), 2 * n, 2 * n))
+        v[:, :n, :n] = _gram(u1, self.wm * terms.rest[0])
+        v[:, n:, n:] = _gram(u2, self.wm * terms.rest[1])
+        v[:, n:, :n] = _gram(u2, self.wm * terms.coupling, u1)
+        v[:, :n, n:] = v[:, n:, :n].swapaxes(1, 2)
+        k = v.copy()
+        k[:, :n, :n] += p1
+        k[:, n:, n:] += p2
+        return terms, k, v
+
+    def vertical(self, ell: int) -> np.ndarray:
+        """K of the vertical blocks at ell, per t."""
+        terms = _vertical_terms(ell, self.r, self.w_vert)
+        u, p = self.flat(terms.nus[0])
+        return p + _gram(u, self.wm * terms.rest[0])
+
+
+def _probe(t: float, profile: PsiProfile, n: int, ell_max: int, known: dict) -> tuple | None:
+    """(lambda_min, tol) at t on n functions per component of the blocks
+    slowest to converge: the coupled one at ell = 0 and the vertical ones at
+    ell = 0 and ``ell_max`` (at t = 300 and n = 48 the ell = 32 vertical
+    block is 9e-8 off, ell = 0 2e-13).  None when a block is not positive
+    definite, as a high exponent's basis is on too few nodes (nu = 200 at
+    n = 24).
+
+    tol is ``GALERKIN_RTOL``, or ``ROUNDING_MARGIN`` times the blocks'
+    rounding floor eps v / lambda where that is larger: v, the largest
+    Higgs potential 8 t^2 r (cosh 2h + 1) over the nodes, enters K and
+    cancels along lambda_min's vector.  The floor is 3e-11 at t = 300 and
+    3.6e-10 at t = 1000, where n = 96, 192 and 384 differ by up to 2.9e-10
+    without converging further.
+    """
+    blocks = _Galerkin([t], profile, n, sorted({0, 1, ell_max}), known)
+    try:
+        lam = np.array([_smallest(k[0])[0] for k in (
+            blocks.coupled(0)[1], blocks.vertical(0), blocks.vertical(ell_max))])
+    except NumericalError:
+        return None
+    floor = np.finfo(float).eps * (blocks.w_diag + blocks.w_off).max() / lam.min()
+    return lam, max(GALERKIN_RTOL, ROUNDING_MARGIN * float(floor))
+
+
+def _basis_size(t: float, profile: PsiProfile, ell_max: int, known: dict) -> tuple:
+    """(n, d): the n from ``GALERKIN_N`` up, doubling, at which ``_probe``'s
+    lambda_min agree with 2n's to the finer probe's tol, and d, their
+    largest relative difference; NumericalError past ``GALERKIN_N_MAX``.
+    ``known`` is handed to each probe's ``_Galerkin``."""
+    n, coarse = GALERKIN_N, _probe(t, profile, GALERKIN_N, ell_max, known)
+    detail = "no positive definite blocks"
+    while n <= GALERKIN_N_MAX:
+        fine = _probe(t, profile, 2 * n, ell_max, known)
+        if coarse is not None and fine is not None:
+            diff = float(np.max(np.abs(fine[0] / coarse[0] - 1.0)))
+            if diff <= fine[1]:
+                return n, diff
+            detail = f"a relative difference of {diff:.2e}, above {fine[1]:.2e}"
+        n, coarse = 2 * n, fine
+    raise NumericalError(f"t={t:g}: lambda_min at n={n // 2} and n={n} show {detail}")
+
+
+def green_norms(ts, ell_max: int, profile: PsiProfile) -> list:
     """Per-mode smallest eigenvalues and Green-operator norm estimates: one
     report per t of ``ts``, in order.
 
-    The sweep goes mode by mode across every t.  A mode's flat block
-    depends on (ell, n) only, so it is built once and serves every t.  For
-    ell >= 2 the mode's coupled blocks of every t are built first, and one
-    ``_band_square`` call over the band of the block-diagonal matrix
-    diag(P, A_1, ..., A_T) gives the flat square P B^-1 P and each
-    certificate's A B^-1 A, bit for bit as one call per block would.  Each
-    t keeps its own chains (lambda_min lists, Ritz start vectors, running
-    surrogate maximum, the modes that ran Lanczos, kappa_hat), so its report
-    is the one a sweep over that t alone gives.  Its family samples and Higgs terms are computed once, before the
-    mode loop, and so are the indicial roots, which no t changes.
+    Each block is the Galerkin stiffness K of the module docstring, in a
+    basis orthonormal in the mass.  Each t takes its own basis size n
+    (``_basis_size``), reported as ``n``, with the relative n-vs-2n
+    difference of its probed lambdas as ``lambda_2n_reldiff``; the t of one
+    n are swept together, mode by mode, sharing each exponent's basis, on
+    the profile values the probes evaluated at their nodes.
+    lambda_min is 1 / mu_max of K^-1 (``_smallest``).
     The L2 -> L2 norm is the max of 1/lambda_min over the coupled blocks for
     0 <= ell <= ell_max (negative modes coincide with ell -> 1 - ell by the
     swap symmetry of the block) together with the diagonal-subbundle blocks.
     By the same symmetry ell = 1 is the ell = 0 block, so it reuses ell = 0's
     lambda_min and surrogate.
-    Each chain's solve at ell >= 1 is shifted (``smallest_eigenvalue``'s
-    ``below``) by ``_next_shift`` over the values the chain has solved
-    (ell = 1's copy joins only after the loop): from the fourth on, just
-    under the quadratic extrapolation through the last three, before that
-    the last.  Only that last value lies below the spectrum by min-max: in
-    a vertical block the potential ell^2 / r^2 and the ghost exponent |ell|
-    both grow with ell; in a coupled block with ell >= 2 and f in [0, 1/8]
-    the diagonal terms (ell - 4f)^2 and (ell - 1 + 4f)^2 and the exponents
-    (|ell|, |ell - 1|) all grow while the coupling stays fixed, and ell = 2
-    compares with ell = 1, the ell = 0 block with its components swapped,
-    the same way.  The extrapolated shift is certified by the Cholesky factorization
-    alone: one above the spectrum (or any shift that rounding puts there)
-    fails to factor and the ladder falls back to sigma = 0, so the value
-    never depends on the guess.  Each chain's Lanczos run also starts from
-    the Ritz vector of the chain's previous solve, the first from ones
-    (``smallest_eigenvalue``'s ``start``): at t = 1, n = 600 this takes the
-    sweep from 457 products to 396, and stopping each run on lambda rather
-    than on mu (``_lanczos_largest``'s ``shift``) to 342.  ell = 0 keeps
-    sigma = 0, so its cached factorization ``op.solve`` serves the
-    surrogate too; a block with
-    ell >= 2 whose certificate fails factors A once more for the surrogate.
-    The H2 surrogate composes the discrete flat Laplacian with each block
-    inverse; the report keeps its maximum over modes.  Lanczos
-    (``h2_surrogate_norm``) always runs at ell = 0.  Each ell >= 2 is first
-    tested by ``_surrogate_certified_below`` at (1 - SURROGATE_PRUNE_MARGIN)
-    times the running maximum, and runs Lanczos only when that test fails.
-    A certified mode cannot raise the maximum, and the test never supplies
-    a value, so the maximum is the one solving every mode gives.  ell = 0
-    and 1 are never tested, since the test is unreliable at indicial
-    exponent 0.  ``surrogate_solved`` lists the modes that ran Lanczos.
-    ``kappa_hat`` is the empirical potential floor divided by ell^2,
-    minimized over ell >= 2.  A t outside ``fiducial.check_t``'s range
-    raises ValueError from ``build_family`` before any mode is solved.
+    The H2 surrogate composes the flat operator with each block inverse,
+    sigma_max of Z = P K^-1 (``_surrogate_gram``); the report keeps
+    its maximum over modes.  It is solved at ell = 0.  Each ell >= 2 is
+    first tested at s = (1 - SURROGATE_PRUNE_MARGIN) times the running
+    maximum: sigma_max(Z) < s exactly when s^2 I - Z^T Z is positive
+    definite, which its Cholesky factorization decides by inertia, and only
+    a mode that fails is solved.  A certified mode cannot raise the maximum,
+    and the test never supplies a value, so the maximum is the one solving
+    every mode gives.  ``surrogate_solved`` lists the solved modes.
+    ``kappa_hat`` is the potential floor over the quadrature nodes divided
+    by ell^2, minimized over ell >= 2; lambda_min is at least that floor.
+    A t outside ``fiducial.check_t``'s range raises ValueError from
+    ``build_family`` before any mode is solved.
     """
     if ell_max < MIN_ELL_MAX:
         raise ValueError(f"ell_max must be at least {MIN_ELL_MAX}")
-    grid = RadialGrid(n, DEFAULT_R_MIN)
-    r = grid.r
-    zero = np.zeros_like(r)
     ells = list(range(ell_max + 1))
     roots = indicial_roots(range(-ell_max, ell_max + 1))["aggregate"]
-    # each t's report fills in as its chains run; g_norm_l2 is set after the loop
-    reports, chains = [], []
+    reports, known = [], {}
     for t in ts:
-        fam = build_family(t, profile, r)
+        n, diff = _basis_size(t, profile, ell_max, known)
         reports.append(SpectralReport(
-            t=t, n=n, ells=list(ells), lambda_min=[], lambda_min_vertical=[],
-            g_norm_l2=np.nan, g_norm_h2_surrogate=0.0, kappa_hat=np.inf,
-            indicial=list(roots), surrogate_solved=[]))
-        # 4 f, the Higgs terms, and each chain's start vector: every solve
-        # leaves its Ritz vector for the next
-        chains.append((4.0 * fam.f, *_higgs_terms(t, r, fam.h), np.ones(2 * n),
-                       np.ones(n)))
-    for ell in ells:
-        flat = _coupled_block(ell, 0.0, grid, r, zero, zero, zero)
-        # ell = 1 is the ell = 0 pair with its components swapped: same
-        # lambda_min and surrogate, inserted after the loop
-        ops = [None if ell == 1 else _coupled_block(ell, rep.t, grid, r, four_f, w_off, w_diag)
-               for rep, (four_f, w_off, w_diag, *_) in zip(reports, chains)]
-        squares = [None] * (1 + len(ops))  # P B^-1 P, then each t's A B^-1 A
-        if ell >= 2:
-            # the bands side by side are the band of diag(P, A_1, ..., A_T),
-            # since _assemble leaves their out-of-matrix entries zero, and all
-            # blocks share the weights B: one square gives each block's own
-            squares = np.split(_band_square(np.hstack([flat.band, *(op.band for op in ops)]),
-                                            np.tile(1.0 / flat.weights, 1 + len(ops))),
-                               1 + len(ops), axis=1)
-        flat_square = squares[0]
-        for rep, op, square, (*_, w_vert, start, start_vert) in zip(reports, ops, squares[1:],
-                                                                    chains):
-            t, lam, lam_vert = rep.t, rep.lambda_min, rep.lambda_min_vertical
-            lam_vert.append(smallest_eigenvalue(_vertical_block(ell, t, grid, r, w_vert),
-                                                _next_shift(lam_vert), start_vert))
-            if op is None:
+            t=t, n=n, lambda_2n_reldiff=diff, ells=list(ells), lambda_min=[],
+            lambda_min_vertical=[], g_norm_l2=np.nan, g_norm_h2_surrogate=0.0,
+            kappa_hat=np.inf, indicial=list(roots), surrogate_solved=[]))
+    for n in dict.fromkeys(rep.n for rep in reports):
+        group = [rep for rep in reports if rep.n == n]
+        blocks = _Galerkin([rep.t for rep in group], profile, n, ells, known)
+        for ell in ells:
+            for rep, k in zip(group, blocks.vertical(ell)):
+                rep.lambda_min_vertical.append(_smallest(k)[0])
+            if ell == 1:
                 continue
-            lam.append(smallest_eigenvalue(op, _next_shift(lam), start))
-            if ell == 0 or not _surrogate_certified_below(
-                    square, flat_square, (1.0 - SURROGATE_PRUNE_MARGIN) * rep.g_norm_h2_surrogate):
-                rep.g_norm_h2_surrogate = max(rep.g_norm_h2_surrogate,
-                                              h2_surrogate_norm(op, flat))
-                rep.surrogate_solved.append(ell)
-            if ell >= 2:
-                rep.kappa_hat = min(rep.kappa_hat, potential_floor(op) / ell ** 2)
+            terms, ks, vs = blocks.coupled(ell)
+            floors = potential_floor(terms)
+            for rep, k, v, floor in zip(group, ks, vs, floors):
+                lam, k_inv = _smallest(k)
+                rep.lambda_min.append(lam)
+                gram = _surrogate_gram(k_inv, v)
+                s = (1.0 - SURROGATE_PRUNE_MARGIN) * rep.g_norm_h2_surrogate
+                if ell == 0 or _cholesky_dense(s * s * np.eye(len(gram)) - gram) is None:
+                    rep.g_norm_h2_surrogate = max(rep.g_norm_h2_surrogate,
+                                                  math.sqrt(_top_eigenvalue(gram)))
+                    rep.surrogate_solved.append(ell)
+                if ell >= 2:
+                    rep.kappa_hat = min(rep.kappa_hat, float(floor) / ell ** 2)
     for rep in reports:
         rep.lambda_min.insert(1, rep.lambda_min[0])
         rep.g_norm_l2 = float(max(1.0 / np.array(rep.lambda_min + rep.lambda_min_vertical)))

@@ -4,6 +4,7 @@ Nothing here runs the benchmark.
 """
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -86,13 +87,31 @@ def test_reports_identical_counts_pairs_with_equal_record_hashes():
     assert bench_ab.reports_identical([]) == 0
 
 
-def test_copy_worktree_takes_the_files_git_would_track(tmp_path):
-    bench_ab._copy_worktree(tmp_path)
-    for name in ("tools/bench_ab.py", "src/hitchinlab/cli.py", "bench/run.py"):
-        assert (tmp_path / name).read_bytes() == (bench_ab.ROOT / name).read_bytes()
-    # ignored build output stays behind
-    assert not list(tmp_path.rglob("__pycache__"))
-    assert not (tmp_path / ".git").exists()
+def test_copy_worktree_takes_the_files_git_would_track(tmp_path, monkeypatch):
+    # a throwaway repository, so that the test runs outside a checkout too
+    repo, copy = tmp_path / "repo", tmp_path / "copy"
+    files = {".gitignore": "__pycache__/\n", "tools/bench_ab.py": "tool\n",
+             "src/hitchinlab/cli.py": "cli\n", "bench/run.py": "run\n"}
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    git = ["git", "-c", "user.name=test", "-c", "user.email=test@example.com",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "files"]):
+        subprocess.run([*git, *args], cwd=repo, check=True, capture_output=True)
+    # an uncommitted edit and an untracked file go along; ignored output does not
+    (repo / "bench/run.py").write_text("edited\n")
+    (repo / "notes.txt").write_text("untracked\n")
+    (repo / "src/hitchinlab/__pycache__").mkdir()
+    (repo / "src/hitchinlab/__pycache__/cli.pyc").write_bytes(b"\0")
+    monkeypatch.setattr(bench_ab, "ROOT", repo)
+    copy.mkdir()
+    bench_ab._copy_worktree(copy)
+    for name in (*files, "notes.txt"):
+        assert (copy / name).read_bytes() == (repo / name).read_bytes()
+    assert (copy / "bench/run.py").read_text() == "edited\n"
+    assert not list(copy.rglob("__pycache__"))
+    assert not (copy / ".git").exists()
 
 
 def _verdict(parent, change, better="lower", bound=0.25):

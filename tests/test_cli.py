@@ -122,11 +122,19 @@ def test_spectrum_lmax_zero_is_usage_error(tmp_path, capsys):
 
 
 def test_spectrum_reports_grid_used(tmp_path):
-    out = tmp_path / "run"
-    assert run(["spectrum", "--t", "1", "--grid", "2000", "--lmax", "8", "--out", str(out)]) == 0
-    payload = json.loads((out / "spectrum.json").read_text())
-    assert payload["config"]["grid"] == 2000
-    assert [rep["n"] for rep in payload["reports"]] == [800]
+    # each report's n is the Galerkin basis size its t chose, whatever --grid
+    # says: the config records the flag, and the reports do not move
+    reports = {}
+    for grid in ("64", "2000"):
+        out = tmp_path / grid
+        argv = ["spectrum", "--t", "1", "--t", "100", "--grid", grid, "--lmax", "8"]
+        assert run([*argv, "--out", str(out)]) == 0
+        payload = json.loads((out / "spectrum.json").read_text())
+        assert payload["config"]["grid"] == int(grid)
+        reports[grid] = payload["reports"]
+    assert reports["64"] == reports["2000"]
+    assert [rep["n"] for rep in reports["64"]] == [24, 48]
+    assert all(rep["lambda_2n_reldiff"] <= 1e-10 for rep in reports["64"])
 
 
 def test_spectrum_and_fiducial_share_t_range(tmp_path, capsys):
@@ -381,7 +389,9 @@ def test_each_command_takes_the_flags_it_reads(tmp_path, capsys, command):
     config = json.loads((base / REPORTS[command]).read_text())["config"]
     assert set(config) == {"command", *FLAGS[command]}
     assert config["command"] == command and config["out"] == str(base)
-    for name in set(FLAGS[command]) - {"out", "jobs"}:
+    # --jobs, and spectrum's --grid, stay only for the benchmark's argv
+    unread = {"out", "jobs", *(["grid"] if command == "spectrum" else [])}
+    for name in set(FLAGS[command]) - unread:
         out = tmp_path / name
         assert run(argv({**FLAG_VALUES, name: OTHER_VALUES[name]}, out)) == 0
         assert _outputs(out) != _outputs(base), name

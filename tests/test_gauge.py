@@ -8,6 +8,28 @@ from hitchinlab import fiducial as fd
 from hitchinlab import gauge as gg
 
 
+def test_zero_connection_moves_as_the_full_formula(families, monkeypatch):
+    # a zero connection skips the product alpha g; the moved pair is the
+    # full formula's, up to the sign of zeros, and no 2x2 product is spent
+    # on alpha
+    fam = families[2.0]
+    g = gg.orbit_gauge(fam)
+    pair = gg.zero_pair(fam.r, 16)
+    ginv = gg._inv2(g.values)
+    full = gg._mul2(ginv, gg._mul2(pair.alpha, g.values)
+                    + gg.dbar_of(g.values, pair.r, pair.theta, g.dr))
+    products, real = [], gg._mul2
+
+    def spy(a, b):
+        products.append(a is pair.alpha)
+        return real(a, b)
+
+    monkeypatch.setattr(gg, "_mul2", spy)
+    moved = gg.apply_complex_gauge(pair, g)
+    assert not any(products) and len(products) == 3
+    assert np.array_equal(moved.alpha, full)
+
+
 def test_identity_gauge_fixes_pair(families):
     pair = fd.make_disk_pair(families[1.0], n_theta=32)
     ident = gg.MatrixGauge(

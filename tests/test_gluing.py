@@ -294,3 +294,27 @@ def test_newton_refinement_keeps_pass(profile, t, n, r_min):
     # refining the mesh must not turn a pass on the coarse mesh into a failure
     assert _residual_post(profile, t, *COARSE_MESH) < 1e-9
     assert _residual_post(profile, t, n, r_min) < 1e-9
+
+
+@pytest.mark.parametrize("t, n", [(2.0, 8000), (1.0, 2000)])
+def test_newton_passes_a_residual_that_stops_halving(profile, t, n):
+    # at r_min = 1e-7 the sup residual does not halve at the third iterate,
+    # and at t = 2, n = 8000 it rises (1.6, 1.7e-4, 2.4e-4, 4.0e-11) before
+    # the quadratic phase; a rule that raised once a residual stopped halving
+    # failed both, while n = 2000 at t = 2 passed, so refining the grid
+    # turned a pass into a failure
+    state = gl.build_glued(t, fd.build_family(t, profile), n=n, r_min=1e-7)
+    history = gl.newton_correct(state, tol=1e-10).residual_history
+    assert history[2] > 0.5 * history[1]
+    assert history[-1] < 1e-10
+    assert _residual_post(profile, t, n, 1e-7) < 1e-9
+
+
+def test_newton_plateau_at_tiny_r_min_raises(profile):
+    # at r_min = 1e-12 the residual stalls above tol: two rises in a row
+    # raise, and a cap below that raises first
+    state = gl.build_glued(2.0, fd.build_family(2.0, profile), n=2000, r_min=1e-12)
+    with pytest.raises(NumericalError, match=r"^t=2: Newton stalled"):
+        gl.newton_correct(state, tol=1e-10)
+    with pytest.raises(NumericalError, match=r"^t=2: Newton did not converge below 1e-10 in 5"):
+        gl.newton_correct(state, tol=1e-10, max_iter=5)

@@ -8,9 +8,6 @@ from scipy.special import jn_zeros
 
 from hitchinlab import linearized as lin
 
-_real_smallest_eigenvalue = lin.smallest_eigenvalue
-
-
 def _dense(op):
     """A as a dense matrix, read off ``op.full_band``, whose row k + i - j
     holds A[i, j]."""
@@ -94,7 +91,7 @@ def test_high_mode_lower_bound(profile):
 @pytest.fixture(scope="module")
 def sweep(profile):
     ts = (1.0, 2.0, 4.0, 8.0)
-    return dict(zip(ts, lin.green_norms(ts, 8, profile, n=300)))
+    return dict(zip(ts, lin.green_norms(ts, 8, profile)))
 
 
 def test_green_norms_uniformity(sweep):
@@ -111,180 +108,108 @@ def test_green_norms_uniformity(sweep):
 
 
 def test_green_norms_modes_increase(sweep):
-    # what makes each chain's previous value a valid shift
+    # the potentials and exponents grow with ell, so lambda_min does by min-max
     for rep in sweep.values():
         # lambda_min[1] is the ell = 0 value again
         assert np.all(np.diff(rep.lambda_min[1:]) > 0)
         assert np.all(np.diff(rep.lambda_min_vertical) > 0)
 
 
-def _expected_shifts(chain):
-    """The shift rule along a chain of lambda_min: 0, then the previous value
-    for the first two modes, then SHIFT_REACH of the way to the quadratic
-    extrapolation through the last three values."""
-    shifts = []
-    for i in range(len(chain)):
-        if i == 0:
-            shifts.append(0.0)
-        elif i < 3:
-            shifts.append(chain[i - 1])
-        else:
-            a, b, c = chain[i - 3:i]
-            shifts.append(c + lin.SHIFT_REACH * ((3.0 * c - 3.0 * b + a) - c))
-    return shifts
+def _galerkin_lambdas(profile, t, n, ells):
+    """Coupled and vertical lambda_min of the modes ``ells`` at t on n basis
+    functions per component."""
+    blocks = lin._Galerkin([t], profile, n, range(max(ells) + 1), {})
+    return (np.array([lin._smallest(blocks.coupled(ell)[1][0])[0] for ell in ells]),
+            np.array([lin._smallest(blocks.vertical(ell)[0])[0] for ell in ells]))
 
 
-def _spy_eigen_solves(monkeypatch):
-    """Record (op, below, start as passed in, value, dpbtrf calls made by it)
-    of every smallest_eigenvalue call."""
-    calls, real = [], lin.smallest_eigenvalue
-    factored = _spy_dpbtrf(monkeypatch)
-
-    def spy(op, below=0.0, start=None):
-        first = len(factored)
-        given = None if start is None else start.copy()
-        value = real(op, below, start)
-        calls.append((op, below, given, value, factored[first:]))
-        return value
-
-    monkeypatch.setattr(lin, "smallest_eigenvalue", spy)
-    return calls
+@pytest.mark.parametrize("t", [1.0, 8.0, 100.0, 1000.0])
+def test_green_norms_basis_size_holds_for_every_mode(profile, t):
+    # the basis size is chosen on the probe's blocks (ell = 0, and the
+    # vertical one at ell_max); every mode's lambda at that n agrees with
+    # 2n's to 1e-9 (at t >= 100, where 2n >= 96, a spread of modes)
+    (rep,) = lin.green_norms([t], 32, profile)
+    assert rep.n == {1.0: 24, 8.0: 24, 100.0: 48, 1000.0: 96}[t]
+    assert 0.0 <= rep.lambda_2n_reldiff <= lin.GALERKIN_RTOL
+    ells = range(33) if t < 100.0 else (0, 2, 16, 32)
+    coupled, vertical = _galerkin_lambdas(profile, t, 2 * rep.n, ells)
+    assert np.abs(np.array(rep.lambda_min)[list(ells)] / coupled - 1.0).max() <= 1e-9
+    assert np.abs(np.array(rep.lambda_min_vertical)[list(ells)] / vertical - 1.0).max() <= 1e-9
 
 
-@pytest.mark.parametrize("t", [2.0, 16.0])
-def test_green_norms_shifts_by_extrapolation(profile, monkeypatch, t):
-    calls = _spy_eigen_solves(monkeypatch)
-    (rep,) = lin.green_norms([t], 16, profile, n=100)
-    vertical = [c for c in calls if c[0].block_size == 1]
-    coupled = [c for c in calls if c[0].block_size == 2]
-    assert [c[0].ell for c in vertical] == list(range(17))
-    assert [c[0].ell for c in coupled] == [0, *range(2, 17)]
-    assert [c[3] for c in vertical] == rep.lambda_min_vertical
-    solved = [rep.lambda_min[0], *rep.lambda_min[2:]]
-    assert [c[3] for c in coupled] == solved
-    assert [c[1] for c in vertical] == _expected_shifts(rep.lambda_min_vertical)
-    # the coupled chain runs over the modes it solved: ell = 1 copies ell = 0
-    assert [c[1] for c in coupled] == _expected_shifts(solved)
-    for op, below, _, value, factored in calls:
-        assert below < value
-        # each shift is accepted at once: one factorization, no refusal
-        assert [info for _, _, info in factored] == [0]
-        assert value == pytest.approx(_real_smallest_eigenvalue(op, 0.0), rel=1e-12, abs=0)
+@pytest.mark.parametrize("t", [1.0, 8.0, 1000.0])
+def test_galerkin_flat_blocks_are_bessel_zeros(profile, t):
+    # the flat coupled block is diag(P_|ell|, P_|ell-1|), each P the flat
+    # stiffness of its exponent on t's mapped nodes: lambda_min is
+    # min(j_{|ell|,1}^2, j_{|ell-1|,1}^2) for every ell, on every map
+    n = 24 if t < 100 else 96
+    blocks = lin._Galerkin([t], profile, n, range(33), {})
+    for ell in (0, 1, 2, 5, 16, 32):
+        nus = (abs(ell), abs(ell - 1))
+        lam = min(lin._smallest(blocks.flat(nu)[1][0])[0] for nu in nus)
+        exact = min(jn_zeros(nu, 1)[0] ** 2 for nu in nus)
+        assert abs(lam / exact - 1.0) <= 1e-10, ell
 
 
-def test_refused_extrapolated_shift_falls_back_to_zero(profile, monkeypatch):
-    # a reach of 3 puts each extrapolated shift above the spectrum: it fails to
-    # factor, and the ladder returns exactly the sigma = 0 value
-    monkeypatch.setattr(lin, "SHIFT_REACH", 3.0)
-    calls = _spy_eigen_solves(monkeypatch)
-    lin.green_norms([2.0], 8, profile, n=100)
-    extrapolated = [c for c in calls if c[0].ell >= 3 + (c[0].block_size == 2)]
-    assert len(extrapolated) == 6 + 5
-    for op, below, start, value, factored in extrapolated:
-        (refused, factor, info), (band, _, accepted) = factored
-        assert info > 0 or not np.isfinite(factor[-1]).all()
-        assert np.array_equal(refused[-1], op.band[-1] - below * op.weights)
-        assert accepted == 0 and np.array_equal(band, op.band)
-        assert value == _real_smallest_eigenvalue(op, 0.0, start)
+def test_probe_doubles_past_a_basis_too_small_for_its_exponent(profile):
+    # nu = 200 on 24 functions (48 nodes) leaves a singular mass matrix: the
+    # probe reports no value, so the doubling goes on; 96 functions hold it
+    assert lin._probe(2.0, profile, 24, 200, {}) is None
+    blocks = lin._Galerkin([2.0], profile, 96, [200], {})
+    lam = lin._smallest(blocks.flat(200)[1][0])[0]
+    assert abs(lam / jn_zeros(200, 1)[0] ** 2 - 1.0) <= 1e-10
 
 
-def test_green_norms_chains_start_from_ritz_vectors(profile, monkeypatch):
-    # each chain starts from ones; every later solve starts from the Ritz
-    # vector y = S u of the chain's previous solve, whose Rayleigh quotient
-    # u'Au / u'Bu on that block is the previous lambda_min
-    calls = _spy_eigen_solves(monkeypatch)
-    lin.green_norms([2.0], 8, profile, n=100)
-    for size in (1, 2):
-        chain = [c for c in calls if c[0].block_size == size]
-        assert np.array_equal(chain[0][2], np.ones(len(chain[0][0].weights)))
-        for (op, _, _, value, _), (_, _, start, _, _) in zip(chain, chain[1:]):
-            u = start / np.sqrt(op.weights)
-            quotient = (u @ op.matvec(u)) / (u @ (op.weights * u))
-            assert quotient == pytest.approx(value, rel=1e-12)
-            assert np.linalg.norm(start) == pytest.approx(1.0, rel=1e-14)
+@pytest.mark.parametrize("t", [1.0, 8.0, 100.0])
+def test_galerkin_matches_richardson_extrapolated_differences(profile, t):
+    # the stencil is second order: (4 lambda_2n - lambda_n) / 3 at n = 1200
+    # removes its leading error and lands within 1e-8 of the Galerkin value
+    (rep,) = lin.green_norms([t], 8, profile)
+    for ell in (0, 2, 5):
+        coarse, fine = (lin.smallest_eigenvalue(lin.assemble_block(ell, t, profile, n=n))
+                        for n in (1200, 2400))
+        assert abs((4.0 * fine - coarse) / 3.0 / rep.lambda_min[ell] - 1.0) <= 1e-8, ell
 
 
-def test_green_norms_lanczos_products(profile, monkeypatch):
-    # a host-independent guard on the shift rule: 941 products with each
-    # chain shifted by its previous value, 500 with the extrapolated shift
-    # (ARPACK); 396 with the numpy Lanczos started from each chain's Ritz
-    # vector; 342 with each run stopped on lambda rather than on mu
-    products, real_lanczos, real = [0], lin._lanczos_largest, lin.smallest_eigenvalue
-    active = [False]
+def test_green_norms_basis_size_cap_raises(profile, monkeypatch):
+    from hitchinlab.errors import NumericalError
 
-    def spy_lanczos(apply, *args):
-        def counted(x):
-            products[0] += active[0]
-            return apply(x)
-        return real_lanczos(counted, *args)
-
-    def spy(op, below=0.0, start=None):
-        active[0] = True
-        try:
-            return real(op, below, start)
-        finally:
-            active[0] = False
-
-    monkeypatch.setattr(lin, "_lanczos_largest", spy_lanczos)
-    monkeypatch.setattr(lin, "smallest_eigenvalue", spy)
-    lin.green_norms([1.0], 32, profile, n=600)
-    assert 0 < products[0] <= 380
+    # t = 100 needs n = 48; with the cap at 24 the doubling stops and raises
+    monkeypatch.setattr(lin, "GALERKIN_N_MAX", 24)
+    assert lin.green_norms([8.0], 8, profile)[0].n == 24
+    with pytest.raises(NumericalError, match=r"^t=100: lambda_min at n=24 and n=48 show a rel"):
+        lin.green_norms([100.0], 8, profile)
 
 
-@pytest.mark.parametrize("n", [100, 300])
-def test_green_norms_sweep_matches_one_t_sweeps(profile, n):
-    # each t keeps its own chains, so no state leaks from one t to the next:
-    # every field, surrogate_solved included, is the one-t sweep's
-    ts = [0.5, 2.0, 30.0, 1000.0]
-    reports = lin.green_norms(ts, 8, profile, n=n)
+@pytest.mark.parametrize("t_mid", [100, 300])
+def test_green_norms_sweep_matches_one_t_sweeps(profile, t_mid):
+    # the t of one basis size run together, mode by mode, and each report
+    # keeps its place in ts; no state leaks from one t to another: every
+    # field, surrogate_solved included, is the one-t sweep's
+    ts = [0.5, 2.0, float(t_mid), 30.0]
+    reports = lin.green_norms(ts, 8, profile)
     assert [rep.t for rep in reports] == ts
+    assert [rep.n for rep in reports] == [24, 24, 48, 24]
     for t, rep in zip(ts, reports):
-        (alone,) = lin.green_norms([t], 8, profile, n=n)
+        (alone,) = lin.green_norms([t], 8, profile)
         assert vars(rep) == vars(alone)
-
-
-def test_green_norms_builds_flat_squares_once_per_mode(profile, monkeypatch):
-    # a host-independent work guard on the mode-major sweep: modes 0..L over
-    # T values of t make L - 1 square calls (ell >= 2), each on the 1 + T
-    # blocks of its mode, the flat block first (shared by every t), and
-    # T (2L + 1) eigen solves (ell = 1's coupled block copies ell = 0's), and
-    # evaluate the profile once per t
-    ts, ell_max, n = [1.0, 4.0, 16.0], 10, 100
-    squares, real_square = [], lin._band_square
-    families, real_build_family = [], lin.build_family
-
-    def spy_square(band, w):
-        blocks = np.split(band[1, 1::2], 1 + len(ts))
-        # the flat band has no coupling, every t's block has
-        squares.append([block.any() for block in blocks])
-        assert np.array_equal(w, np.tile(w[:2 * n], 1 + len(ts)))
-        return real_square(band, w)
-
-    def spy_family(t, *args, **kwargs):
-        families.append(t)
-        return real_build_family(t, *args, **kwargs)
-
-    monkeypatch.setattr(lin, "_band_square", spy_square)
-    monkeypatch.setattr(lin, "build_family", spy_family)
-    calls = _spy_eigen_solves(monkeypatch)
-    lin.green_norms(ts, ell_max, profile, n=n)
-    assert squares == [[False] + [True] * len(ts)] * (ell_max - 1)
-    assert len(calls) == len(ts) * (2 * ell_max + 1)
-    assert families == ts
 
 
 def test_green_norms_reuses_swapped_mode(profile):
     # the ell = 1 block is the ell = 0 block with its components swapped, so
     # green_norms reports ell = 0's lambda_min for it; solving it directly
-    # agrees to Lanczos round-off, and so does its surrogate
-    (rep,) = lin.green_norms([2.0], 8, profile, n=300)
+    # agrees to rounding, and so does its surrogate
+    (rep,) = lin.green_norms([2.0], 8, profile)
     assert rep.lambda_min[0] == rep.lambda_min[1]
-    pairs = [_surrogate_pair(profile, ell, 2.0, 300) for ell in (0, 1)]
-    lam = [lin.smallest_eigenvalue(op) for op, _ in pairs]
-    surrogate = [lin.h2_surrogate_norm(op, flat) for op, flat in pairs]
-    assert lam[0] == rep.lambda_min[0]
-    assert math.isclose(lam[1], lam[0], rel_tol=1e-12)
-    assert math.isclose(surrogate[1], surrogate[0], rel_tol=1e-9)
+    blocks = lin._Galerkin([2.0], profile, rep.n, range(3), {})
+    solved = []
+    for ell in (0, 1):
+        _, (k,), (v,) = blocks.coupled(ell)
+        lam, k_inv = lin._smallest(k)
+        solved.append((lam, math.sqrt(lin._top_eigenvalue(lin._surrogate_gram(k_inv, v)))))
+    assert solved[0] == (rep.lambda_min[0], rep.g_norm_h2_surrogate)
+    assert math.isclose(solved[1][0], solved[0][0], rel_tol=1e-12)
+    assert math.isclose(solved[1][1], solved[0][1], rel_tol=1e-12)
 
 
 def test_green_norms_solves_surrogate_at_ell_zero_only(sweep):
@@ -295,47 +220,145 @@ def test_green_norms_solves_surrogate_at_ell_zero_only(sweep):
         assert "surrogate_solved" not in rep.to_dict()
 
 
-def _spy_surrogate(monkeypatch, override=None):
-    """Record (ell, value) of every h2_surrogate_norm call; ``override`` maps
-    an ell to the value returned in place of the solved one."""
-    calls, override = [], override or {}
-    real = lin.h2_surrogate_norm
+def _spy_surrogate_grams(monkeypatch, first_sigma=None):
+    """Record every Z^T Z the sweep forms; with ``first_sigma``, the first
+    one (ell = 0 of a lone t) is scaled to that largest singular value."""
+    calls, real = [], lin._surrogate_gram
 
-    def spy(op, flat):
-        value = override[op.ell] if op.ell in override else real(op, flat)
-        calls.append((op.ell, value))
-        return value
+    def spy(k_inv, v):
+        gram = real(k_inv, v)
+        if first_sigma is not None and not calls:
+            gram *= first_sigma ** 2 / lin._top_eigenvalue(gram)
+        calls.append(gram)
+        return gram
 
-    monkeypatch.setattr(lin, "h2_surrogate_norm", spy)
+    monkeypatch.setattr(lin, "_surrogate_gram", spy)
     return calls
 
 
 def test_green_norms_solves_a_mode_that_can_win(profile, monkeypatch):
-    # with ell = 0 forced small, ell = 2 can raise the maximum and must run
-    # Lanczos; ell >= 3 lie below ell = 2 and are certified
-    calls = _spy_surrogate(monkeypatch, {0: 0.5})
-    (rep,) = lin.green_norms([8.0], 8, profile, n=100)
-    assert rep.surrogate_solved == [0, 2] == [ell for ell, _ in calls]
-    assert rep.g_norm_h2_surrogate == calls[1][1] > 1.0
+    # with ell = 0's surrogate forced to 0.5, ell = 2 can raise the maximum
+    # and is solved; ell >= 3 lie below ell = 2 and are certified
+    grams = _spy_surrogate_grams(monkeypatch, first_sigma=0.5)
+    (rep,) = lin.green_norms([8.0], 8, profile)
+    assert rep.surrogate_solved == [0, 2]
+    assert len(grams) == 8  # ell = 0 and 2..8
+    assert rep.g_norm_h2_surrogate == math.sqrt(lin._top_eigenvalue(grams[1])) > 1.0
 
 
-def test_green_norms_nan_certificate_falls_back_to_lanczos(profile, monkeypatch):
+@pytest.mark.parametrize("t", [1.0, 8.0])
+@pytest.mark.parametrize("n, ells", [(24, range(2, 33)), (64, range(2, 33)), (300, (2, 16, 32))],
+                         ids=["n24", "n64", "n300"])
+def test_surrogate_certificate_verdicts(profile, t, n, ells):
+    # s^2 I - Z^T Z factors exactly when sigma_max(Z) < s: at a relative
+    # margin of 1e-6 on either side of the value, for every mode green_norms
+    # asks it at, on the basis size it picks at t (24) and on larger ones, and
+    # its value agrees with a dense SVD of Z
+    nus = sorted({nu for ell in ells for nu in (ell - 1, ell)})
+    blocks = lin._Galerkin([t], profile, n, nus, {})
+    for ell in ells:
+        _, (k,), (v,) = blocks.coupled(ell)
+        k_inv = lin._smallest(k)[1]
+        gram = lin._surrogate_gram(k_inv, v)
+        sigma = math.sqrt(lin._top_eigenvalue(gram))
+        z = np.eye(len(k)) - v @ k_inv
+        assert sigma == pytest.approx(np.linalg.svd(z, compute_uv=False)[0], rel=1e-12)
+        eye = np.eye(len(gram))
+        assert lin._cholesky_dense(((1.0 + 1e-6) * sigma) ** 2 * eye - gram) is not None, ell
+        assert lin._cholesky_dense(((1.0 - 1e-6) * sigma) ** 2 * eye - gram) is None, ell
+
+
+def _is_certificate(a, gram):
+    """Whether ``a`` is s^2 I - ``gram`` for some s."""
+    shift = a + gram
+    return np.array_equal(shift, np.diag(np.diag(shift)))
+
+
+def test_green_norms_certificates_get_their_blocks_square(profile, monkeypatch):
+    # each t's certificate is handed s^2 I - Z^T Z of its own block, bit for
+    # bit the one-t Galerkin's, at s below that t's own running maximum
+    ts, ell_max = [1.0, 4.0, 16.0], 8
+    grams = _spy_surrogate_grams(monkeypatch)
+    certificates, real_cholesky = [], lin._cholesky_dense
+
+    def spy_cholesky(a):
+        if grams and a.shape == grams[-1].shape and _is_certificate(a, grams[-1]):
+            certificates.append(a)
+        return real_cholesky(a)
+
+    monkeypatch.setattr(lin, "_cholesky_dense", spy_cholesky)
+    reports = lin.green_norms(ts, ell_max, profile)
+    assert [rep.n for rep in reports] == [24] * len(ts)
+    assert len(certificates) == (ell_max - 1) * len(ts)
+    own = {(ell, t): None for ell in range(2, ell_max + 1) for t in ts}
+    for t in ts:
+        blocks = lin._Galerkin([t], profile, 24, range(ell_max + 1), {})
+        for ell in range(ell_max + 1):
+            _, (k,), (v,) = blocks.coupled(ell)
+            if ell >= 2:
+                own[ell, t] = lin._surrogate_gram(lin._smallest(k)[1], v)
+    for (ell, t), a in zip(own, certificates):
+        rep = reports[ts.index(t)]
+        s = (1.0 - lin.SURROGATE_PRUNE_MARGIN) * rep.g_norm_h2_surrogate
+        assert np.array_equal(a, s * s * np.eye(len(a)) - own[ell, t]), (ell, t)
+
+
+def test_green_norms_builds_flat_squares_once_per_mode(profile, monkeypatch):
+    # a host-independent work guard on the mode-major sweep: modes 0..L over
+    # T values of t build each exponent's flat stiffness once, for every t
+    # at once, form one surrogate square Z^T Z per coupled block (ell = 1's
+    # copies ell = 0's), make T (2L + 1) eigen solves past the probes' three
+    # per probe, and evaluate the profile only for the probes, once per t
+    # and basis size
+    ts, ell_max = [1.0, 4.0, 16.0], 10
+    flats, real_flat = [], lin._Galerkin.flat
+    solves, real_smallest = [], lin._smallest
+    families, real_build_family = [], lin.build_family
+
+    def spy_flat(self, nu):
+        if nu not in self._flat:
+            flats.append((len(self.r), nu))
+        return real_flat(self, nu)
+
+    def spy_smallest(k):
+        solves.append(len(k))
+        return real_smallest(k)
+
+    def spy_family(t, profile, r):
+        families.append((t, len(r)))
+        return real_build_family(t, profile, r)
+
+    monkeypatch.setattr(lin._Galerkin, "flat", spy_flat)
+    monkeypatch.setattr(lin, "_smallest", spy_smallest)
+    monkeypatch.setattr(lin, "build_family", spy_family)
+    grams = _spy_surrogate_grams(monkeypatch)
+    reports = lin.green_norms(ts, ell_max, profile)
+    assert [rep.n for rep in reports] == [24] * len(ts)
+    assert [nu for rows, nu in flats if rows == len(ts)] == list(range(ell_max + 1))
+    assert len(grams) == len(ts) * ell_max
+    assert len(solves) == len(ts) * (2 * ell_max + 1 + 2 * 3)
+    assert families == [(t, nodes) for t in ts for nodes in (48, 96)]
+
+
+def test_green_norms_nan_certificate_solves_every_mode(profile, monkeypatch):
     # a certificate factor with a NaN pivot and info = 0, as an optimized
-    # LAPACK may return, certifies nothing: every mode runs Lanczos
-    expected = lin.green_norms([8.0], 8, profile, n=100)[0].g_norm_h2_surrogate
-    real_dpbtrf = lin.dpbtrf
+    # LAPACK may return, certifies nothing: every mode is solved, and the
+    # maximum does not move
+    expected = lin.green_norms([8.0], 8, profile)[0].g_norm_h2_surrogate
+    grams, real_dpotrf = _spy_surrogate_grams(monkeypatch), lin.dpotrf
 
-    def nan_dpbtrf(band, *args, **kwargs):
-        factor, info = real_dpbtrf(band, *args, **kwargs)
-        if band.shape[0] == 5:  # kd = 4: the certificate's band
-            factor[-1, len(band[0]) // 2] = np.nan
+    def nan_dpotrf(a, *args, **kwargs):
+        factor, info = real_dpotrf(a, *args, **kwargs)
+        shift = a + grams[-1] if grams and a.shape == grams[-1].shape else None
+        if shift is not None and np.array_equal(shift, np.diag(np.diag(shift))):
+            # a is s^2 I - Z^T Z, the certificate's matrix
+            factor[len(a) // 2, len(a) // 2] = np.nan
             info = 0
         return factor, info
 
-    monkeypatch.setattr(lin, "dpbtrf", nan_dpbtrf)
-    calls = _spy_surrogate(monkeypatch)
-    (rep,) = lin.green_norms([8.0], 8, profile, n=100)
-    assert rep.surrogate_solved == [0, *range(2, 9)] == [ell for ell, _ in calls]
+    monkeypatch.setattr(lin, "dpotrf", nan_dpotrf)
+    (rep,) = lin.green_norms([8.0], 8, profile)
+    assert rep.surrogate_solved == [0, *range(2, 9)]
     assert rep.g_norm_h2_surrogate == expected
 
 
@@ -357,81 +380,6 @@ def test_h2_surrogate_matches_dense_svd(profile, ell):
     op, flat = _surrogate_pair(profile, ell, 1.0, 64)
     sigma_max = _dense_surrogate(op, flat)
     assert lin.h2_surrogate_norm(op, flat) == pytest.approx(sigma_max, rel=1e-9)
-
-
-def test_band_square_matches_dense(profile):
-    op, _ = _surrogate_pair(profile, 3, 2.0, 40)
-    a = _dense(op)
-    w = 1.0 / op.weights
-    expected = a @ (w[:, None] * a)
-    band = lin._band_square(op.band, w)
-    got = np.zeros_like(expected)
-    for d in range(5):
-        idx = np.arange(d, len(w))
-        got[idx - d, idx] = got[idx, idx - d] = band[4 - d, d:]
-    assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
-
-
-@pytest.mark.parametrize("t", [1.0, 8.0])
-@pytest.mark.parametrize("n, ells", [(64, range(2, 33)), (300, (2, 16, 32))],
-                         ids=["n64", "n300"])
-def test_surrogate_certificate_verdicts(profile, t, n, ells):
-    # the inertia test decides sigma_ell < s at a relative margin of 1e-6 on
-    # both sides of the dense SVD value, for every mode green_norms asks it
-    for ell in ells:
-        op, flat = _surrogate_pair(profile, ell, t, n)
-        sigma = _dense_surrogate(op, flat)
-        square = lin._band_square(op.band, 1.0 / op.weights)
-        flat_square = lin._band_square(flat.band, 1.0 / flat.weights)
-        assert lin._surrogate_certified_below(square, flat_square, (1.0 + 1e-6) * sigma), ell
-        assert not lin._surrogate_certified_below(square, flat_square,
-                                                  (1.0 - 1e-6) * sigma), ell
-
-
-def _in_matrix(square):
-    """The entries of a kd = 4 upper band square that lie in the matrix."""
-    return np.concatenate([square[4 - d, d:] for d in range(5)])
-
-
-def test_green_norms_certificates_get_their_blocks_square(profile, monkeypatch):
-    # each t's certificate is handed its own block's A B^-1 A and the flat
-    # block's P B^-1 P out of the mode's one joint square, bit for bit
-    ts = [1.0, 4.0, 16.0]
-    log, real_eig, real_cert = [], lin.smallest_eigenvalue, lin._surrogate_certified_below
-
-    def spy_eig(op, below=0.0, start=None):
-        log.append(op)
-        return real_eig(op, below, start)
-
-    def spy_cert(square, flat_square, s):
-        log.append((square, flat_square))
-        return real_cert(square, flat_square, s)
-
-    monkeypatch.setattr(lin, "smallest_eigenvalue", spy_eig)
-    monkeypatch.setattr(lin, "_surrogate_certified_below", spy_cert)
-    lin.green_norms(ts, 8, profile, n=64)
-    certified = [(log[i - 1], entry) for i, entry in enumerate(log) if isinstance(entry, tuple)]
-    assert [(op.ell, op.t) for op, _ in certified] == [(ell, t) for ell in range(2, 9) for t in ts]
-    for op, (square, flat_square) in certified:
-        flat = lin.assemble_block(op.ell, 1.0, profile, n=64, connection=False, higgs=False)
-        own = lin._band_square(op.band, 1.0 / op.weights)
-        own_flat = lin._band_square(flat.band, 1.0 / flat.weights)
-        assert np.array_equal(_in_matrix(square), _in_matrix(own))
-        assert np.array_equal(_in_matrix(flat_square), _in_matrix(own_flat))
-
-
-@pytest.mark.parametrize("ell", [2, 5, 32])
-def test_joint_band_square_matches_each_block(profile, ell):
-    # one square over the flat band and every t's coupled band side by side
-    # is each block's own _band_square, bit for bit, on its in-matrix entries
-    n, ts = 64, (0.5, 2.0, 30.0, 1000.0)
-    ops = [lin.assemble_block(ell, 1.0, profile, n=n, connection=False, higgs=False)]
-    ops += [lin.assemble_block(ell, t, profile, n=n) for t in ts]
-    joint = lin._band_square(np.hstack([op.band for op in ops]),
-                             np.tile(1.0 / ops[0].weights, len(ops)))
-    for op, part in zip(ops, np.split(joint, len(ops), axis=1)):
-        own = lin._band_square(op.band, 1.0 / op.weights)
-        assert np.array_equal(_in_matrix(part), _in_matrix(own)), op.t
 
 
 def test_h2_surrogate_nonconvergence_raises(profile, monkeypatch):
@@ -624,46 +572,31 @@ def _spy_dpbtrf(monkeypatch):
     return calls
 
 
-def _shift_pair(profile, kind, ell, t, n):
-    """The ``kind`` block at ell and its lambda_min at ell - 1."""
-    if kind == "coupled":
-        prev, op = (lin.assemble_block(m, t, profile, n=n) for m in (ell - 1, ell))
-    else:
-        grid = lin.RadialGrid(n, lin.DEFAULT_R_MIN)
-        h = lin.build_family(t, profile, grid.r).h
-        prev, op = (lin.assemble_vertical_block(m, t, h, grid) for m in (ell - 1, ell))
-    return op, lin.smallest_eigenvalue(prev)
-
-
 @pytest.mark.parametrize("t", [1.0, 8.0])
 @pytest.mark.parametrize("kind, ell", [("coupled", 2), ("coupled", 5), ("coupled", 32),
                                        ("vertical", 3)])
 def test_shifted_smallest_eigenvalue_matches_dense_reference(profile, monkeypatch,
                                                              kind, ell, t):
-    # the ell - 1 value lies below the spectrum: its shift factors at once
-    op, below = _shift_pair(profile, kind, ell, t, 150)
+    # with the sigma = 0 factorization refused, the ladder's -1e-6 rung
+    # factors A + 1e-6 B at once, and sigma + 1/mu matches the dense value
+    if kind == "coupled":
+        op = lin.assemble_block(ell, t, profile, n=150)
+    else:
+        grid = lin.RadialGrid(150, lin.DEFAULT_R_MIN)
+        op = lin.assemble_vertical_block(ell, t, lin.build_family(t, profile, grid.r).h, grid)
+    real_solver = lin._band_solver
+
+    def refuse_unshifted(band):
+        if band is op.band:
+            raise RuntimeError("band is not positive definite")
+        return real_solver(band)
+
+    monkeypatch.setattr(lin, "_band_solver", refuse_unshifted)
     factored = _spy_dpbtrf(monkeypatch)
-    lam = lin.smallest_eigenvalue(op, below)
-    assert lam == pytest.approx(_dense_smallest(op), rel=1e-12)
-    assert below < lam
+    assert lin.smallest_eigenvalue(op) == pytest.approx(_dense_smallest(op), rel=1e-12)
     [(band, _, info)] = factored
     assert info == 0
-    assert np.array_equal(band[-1], op.band[-1] - below * op.weights)
-
-
-@pytest.mark.parametrize("kind", ["above", "nan"])
-def test_refused_shift_falls_back_to_zero(profile, monkeypatch, kind):
-    # a shift above the spectrum, or NaN, does not factor; the ladder goes on
-    # at sigma = 0 and returns exactly the unshifted value
-    lam = lin.smallest_eigenvalue(lin.assemble_block(5, 2.0, profile, n=150))
-    op = lin.assemble_block(5, 2.0, profile, n=150)  # not yet factored
-    factored = _spy_dpbtrf(monkeypatch)
-    below = 1.5 * lam if kind == "above" else float("nan")
-    assert lin.smallest_eigenvalue(op, below) == lam
-    (refused, factor, info), (band, _, accepted) = factored
-    assert info > 0 or not np.isfinite(factor[-1]).all()
-    assert not np.array_equal(refused, op.band)
-    assert accepted == 0 and np.array_equal(band, op.band)
+    assert np.array_equal(band[-1], op.band[-1] + 1e-6 * op.weights)
 
 
 def test_smallest_eigenvalue_shifted_kernel_matches_dense_reference():
@@ -707,16 +640,18 @@ def test_flat_block_reads_no_profile(profile, monkeypatch):
 
 
 def test_green_norms_evaluates_profile_once(profile, monkeypatch):
+    # once on each node set: those of n = 24 and of 2n for the probe; the
+    # sweep at n = 24 reuses the probe's, and no mode evaluates its own
     calls = []
     real_build_family = lin.build_family
 
-    def spy(*args, **kwargs):
-        calls.append(args[0])
-        return real_build_family(*args, **kwargs)
+    def spy(t, profile, r):
+        calls.append((t, len(r)))
+        return real_build_family(t, profile, r)
 
     monkeypatch.setattr(lin, "build_family", spy)
-    lin.green_norms([2.0], 8, profile, n=100)
-    assert calls == [2.0]
+    lin.green_norms([2.0], 8, profile)
+    assert calls == [(2.0, 48), (2.0, 96)]
 
 
 def test_out_of_range_t_is_named(profile):
@@ -726,12 +661,12 @@ def test_out_of_range_t_is_named(profile):
 
 def test_green_norms_rejects_nan_t(profile):
     with pytest.raises(ValueError):
-        lin.green_norms([float("nan")], 8, profile, n=100)
+        lin.green_norms([float("nan")], 8, profile)
 
 
 def test_green_norms_requires_lmax(profile):
     with pytest.raises(ValueError):
-        lin.green_norms([1.0], 4, profile, n=300)
+        lin.green_norms([1.0], 4, profile)
 
 
 def test_indicial_roots_per_mode():

@@ -1,0 +1,142 @@
+"""Field-by-field drift between two trees of reports.
+
+Usage (from the root of a checkout):
+
+    python3 tools/drift.py OLD_DIR NEW_DIR
+
+Every ``*.json`` and ``*.csv`` file under either directory is compared with
+the file at the same relative path under the other.  A JSON field is a key
+path with its list indices written ``[]`` (``reports[].lambda_min[]``), a
+CSV field is a column; each value of a field sits at one place (the path
+with its indices, or the CSV row).  The output is a Markdown table with one
+row per field: "identical" when every value is the same float or string
+on both sides, else how many of its values differ or exist on one side
+only, and for numbers the largest absolute and relative drift, each with
+the place where it occurs.  A list compares index by index, so reordering
+one is drift.  Nothing here runs a command; make the two trees first, for
+instance with the same argv in a checkout of each revision.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+ONLY_OLD, ONLY_NEW = "only in old", "only in new"
+
+
+def _json_values(obj, field: str = "", place: str = ""):
+    """(field, place, value) for every leaf of a parsed JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _json_values(value, f"{field}.{key}" if field else key,
+                                    f"{place}.{key}" if place else key)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _json_values(value, f"{field}[]", f"{place}[{i}]")
+    else:
+        yield field, place, obj
+
+
+def _csv_values(text: str):
+    """(column, "<column> row <i>", value) for every cell under the header
+    row; a cell that parses as a float is one."""
+    rows = list(csv.reader(io.StringIO(text)))
+    for i, row in enumerate(rows[1:], start=1):
+        for column, cell in zip(rows[0], row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = cell
+            yield column, f"{column} row {i}", value
+
+
+def _values(path: Path) -> dict:
+    """{place: (field, value)} of one report file."""
+    text = path.read_text(encoding="utf-8")
+    leaves = _json_values(json.loads(text)) if path.suffix == ".json" else _csv_values(text)
+    return {place: (field, value) for field, place, value in leaves}
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _same(a, b) -> bool:
+    if _number(a) and _number(b) and math.isnan(a) and math.isnan(b):
+        return True
+    return type(a) is type(b) and a == b
+
+
+def compare(old: dict, new: dict) -> dict:
+    """Per field of two ``_values`` maps: counts of values, of differing
+    ones and of one-sided ones, and the largest absolute and relative drift
+    of the numeric ones, each as (drift, place)."""
+    fields = {}
+    for place in dict.fromkeys([*old, *new]):
+        field = (old.get(place) or new.get(place))[0]
+        entry = fields.setdefault(field, {"values": 0, "differ": 0, ONLY_OLD: 0, ONLY_NEW: 0,
+                                          "abs": (0.0, None), "rel": (0.0, None)})
+        entry["values"] += 1
+        if place not in new or place not in old:
+            entry[ONLY_OLD if place not in new else ONLY_NEW] += 1
+            continue
+        a, b = old[place][1], new[place][1]
+        if _same(a, b):
+            continue
+        entry["differ"] += 1
+        if _number(a) and _number(b):
+            gap = abs(b - a)
+            rel = gap / abs(a) if a else math.inf
+            entry["abs"] = max(entry["abs"], (gap, place), key=lambda d: d[0])
+            entry["rel"] = max(entry["rel"], (rel, place), key=lambda d: d[0])
+    return fields
+
+
+def drift(old_dir: Path, new_dir: Path) -> list:
+    """(file, field, status, max abs drift, max rel drift) rows for every
+    report under either directory, files and fields in sorted order."""
+    names = sorted({p.relative_to(root).as_posix() for root in (old_dir, new_dir)
+                    for p in root.rglob("*") if p.suffix in (".json", ".csv") and p.is_file()})
+    rows = []
+    for name in names:
+        sides = [root / name for root in (old_dir, new_dir)]
+        if not all(p.exists() for p in sides):
+            rows.append((name, "(file)", ONLY_OLD if sides[0].exists() else ONLY_NEW, "", ""))
+            continue
+        for field, e in sorted(compare(*(_values(p) for p in sides)).items()):
+            parts = [f"{e['differ']} of {e['values']} differ"] if e["differ"] else []
+            parts += [f"{e[side]} {side}" for side in (ONLY_OLD, ONLY_NEW) if e[side]]
+            status = ", ".join(parts) or "identical"
+            rows.append((name, field, status, *(f"{e[k][0]:.2e} at {e[k][1]}" if e[k][1] else ""
+                                                for k in ("abs", "rel"))))
+    return rows
+
+
+def format_table(rows: list) -> str:
+    lines = ["| file | field | status | max abs drift | max rel drift |",
+             "| --- | --- | --- | --- | --- |"]
+    lines += ["| " + " | ".join(f"`{c}`" if i < 2 else c for i, c in enumerate(row)) + " |"
+              for row in rows]
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="field-by-field drift of two report trees")
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    args = parser.parse_args(argv)
+    for root in (args.old, args.new):
+        if not root.is_dir():
+            parser.error(f"{root} is not a directory")
+    print(format_table(drift(args.old, args.new)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
