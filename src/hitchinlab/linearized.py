@@ -52,10 +52,9 @@ DEFAULT_N = 2000
 DEFAULT_R_MIN = 1e-6
 MIN_GRID = 16
 MIN_ELL_MAX = 8
-SURROGATE_TOL = 1e-10
 SURROGATE_PRUNE_MARGIN = 1e-6
-# the step cap of every Lanczos run; a lone h2_surrogate_norm at ell = 64,
-# t = 1000, n = 2000 takes 240 steps
+# the step cap of every Lanczos run; the Bessel oracle takes 10 steps at
+# n = 500 to 8000, a coupled block at ell = 64, n = 2000 up to 37
 LANCZOS_MAX_STEPS = 500
 # green_norms' Galerkin basis: n functions per component, doubled from
 # GALERKIN_N until the probe's lambda_min at n and 2n agree to GALERKIN_RTOL
@@ -81,8 +80,8 @@ class RadialGrid:
     r_min: float
 
     def __post_init__(self):
-        if self.n < MIN_GRID:
-            raise ValueError(f"grid size must be at least {MIN_GRID}")
+        if not (float(self.n).is_integer() and self.n >= MIN_GRID):
+            raise ValueError(f"grid size must be an integer of at least {MIN_GRID}")
         if not 0 < self.r_min < 1:
             raise ValueError("r_min must lie in (0, 1)")
 
@@ -106,19 +105,13 @@ class RadialOperator:
     ``band`` is the symmetric stiffness-plus-potential matrix A in LAPACK
     upper band storage: row ``block_size`` is the diagonal and row
     ``block_size - d`` holds A[j - d, j] in column j.  ``weights`` is the
-    diagonal of B (cell mass r^2 per unit x).  ``potentials`` records the
-    diagonal potential samples per component and ``coupling`` the
-    off-diagonal potential, both before multiplication by r^2.
+    diagonal of B (cell mass r^2 per unit x).
     """
 
-    ell: int
-    t: float
     block_size: int
     grid: RadialGrid
     band: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    potentials: list = field(repr=False)
-    coupling: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def full_band(self) -> np.ndarray:
@@ -167,11 +160,6 @@ def _band_solver(band: np.ndarray):
     return lambda b: dpbtrs(factor, b)[0]
 
 
-def _nodes(grid: RadialGrid, neumann_outer: bool) -> np.ndarray:
-    """The grid's nodes, with the half-cell node r = 1 appended for Neumann."""
-    return np.append(grid.r, 1.0) if neumann_outer else grid.r
-
-
 @dataclass(frozen=True)
 class _Terms:
     """One block on the samples ``r`` (any leading axes, radius last): per
@@ -214,7 +202,7 @@ def _vertical_terms(ell, r: np.ndarray, w_vert: np.ndarray) -> _Terms:
     return _Terms(r, (abs(ell),), (w_vert,))
 
 
-def _assemble(ell, t, grid: RadialGrid, terms: _Terms) -> RadialOperator:
+def _assemble(grid: RadialGrid, terms: _Terms) -> RadialOperator:
     """Band and masses of -(r d_r)^2 + r^2 V for the block ``terms`` on its
     nodes.
 
@@ -240,29 +228,22 @@ def _assemble(ell, t, grid: RadialGrid, terms: _Terms) -> RadialOperator:
     band[0, k:] = -1.0 / dx2
     if terms.coupling is not None:
         band[1, 1::2] = mass * terms.coupling
-    return RadialOperator(ell=ell, t=t, block_size=k, grid=grid, band=band,
-                          weights=np.repeat(mass, k), potentials=potentials,
-                          coupling=terms.coupling)
+    return RadialOperator(block_size=k, grid=grid, band=band, weights=np.repeat(mass, k))
 
 
-def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N,
-                   connection: bool = True, higgs: bool = True,
-                   neumann_outer: bool = False) -> RadialOperator:
+def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N) -> RadialOperator:
     """Coupled 2x2 block of the linearized operator at mode ell.
 
-    The two components carry potentials (ell -+ 4 f_t)^2 / r^2 (with f_t
-    dropped when ``connection`` is False) and the coupling
-    8 t^2 r [[cosh 2h_t, 1], [1, cosh 2h_t]] (dropped when ``higgs`` is
-    False).  Inner regularity exponents are |ell| and |ell - 1|.  The flat
-    block (both dropped) reads nothing from the profile.
+    The two components carry potentials (ell - 4 f_t)^2 / r^2 and
+    (ell - 1 + 4 f_t)^2 / r^2 and the coupling
+    8 t^2 r [[cosh 2h_t, 1], [1, cosh 2h_t]].  Inner regularity exponents
+    are |ell| and |ell - 1|.
     """
     grid = RadialGrid(n, DEFAULT_R_MIN)
-    r = _nodes(grid, neumann_outer)
-    zero = np.zeros_like(r)
-    fam = build_family(t, profile, r) if connection or higgs else None
-    w_off, w_diag, _ = _higgs_terms(t, r, fam.h) if higgs else (zero, zero, None)
-    return _assemble(ell, t, grid, _coupled_terms(ell, r, 4.0 * fam.f if connection else zero,
-                                                  w_off, w_diag))
+    r = grid.r
+    fam = build_family(t, profile, r)
+    w_off, w_diag, _ = _higgs_terms(t, r, fam.h)
+    return _assemble(grid, _coupled_terms(ell, r, 4.0 * fam.f, w_off, w_diag))
 
 
 def assemble_scalar(ell: int, n: int = DEFAULT_N, r_min: float = DEFAULT_R_MIN,
@@ -271,12 +252,13 @@ def assemble_scalar(ell: int, n: int = DEFAULT_N, r_min: float = DEFAULT_R_MIN,
 
     With ``potential`` None this is the mode-ell flat Laplacian whose zero
     mode is the Bessel operator used as spectral oracle.  The inner ghost
-    exponent is |ell|.
+    exponent is |ell|.  ``neumann_outer`` appends the half-cell node r = 1,
+    a Neumann end in place of the Dirichlet one.
     """
     grid = RadialGrid(n, r_min)
-    r = _nodes(grid, neumann_outer)
+    r = np.append(grid.r, 1.0) if neumann_outer else grid.r
     rest = np.zeros_like(r) if potential is None else potential(r)
-    return _assemble(ell, 0.0, grid, _Terms(r, (abs(ell),), (rest,)))
+    return _assemble(grid, _Terms(r, (abs(ell),), (rest,)))
 
 
 def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
@@ -290,7 +272,7 @@ def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
     r = grid.r
     if len(h_values) != len(r):
         raise ValueError("h samples do not match the grid")
-    return _assemble(ell, t, grid, _vertical_terms(ell, r, _higgs_terms(t, r, h_values)[2]))
+    return _assemble(grid, _vertical_terms(ell, r, _higgs_terms(t, r, h_values)[2]))
 
 
 def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int,
@@ -306,7 +288,9 @@ def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int,
     preallocated arrays.  From the third step on, its largest eigenvalue
     theta is found by bisection (LAPACK ``dstebz``) and the eigenvector s
     of theta by inverse iteration (``dstein``), O(j) each, where a full
-    diagonalization costs O(j^3) per step on a long run.  beta_j |s_j| is
+    diagonalization would cost O(j^3).  The reorthogonalization costs
+    O(j n) per step, which the few dozen steps of the eigen solves here
+    keep small.  beta_j |s_j| is
     the residual norm of the Ritz pair and bounds theta's error (Parlett,
     ch. 13).  The run stops once that bound is ``tol`` relative on
     lambda = ``shift`` + 1/theta, the value a shift-invert solve reads off:
@@ -391,49 +375,18 @@ def smallest_eigenvalue(op: RadialOperator) -> float:
     raise NumericalError(f"eigenvalue solve failed: {last_exc}") from last_exc
 
 
-def h2_surrogate_norm(op_l: RadialOperator, op_flat: RadialOperator) -> float:
-    """Largest singular value of Delta G in the weighted norm.
-
-    sigma_max of M = S^-1 P A^-1 S, where A, P are the assembled matrices of
-    the full and flat blocks and S = sqrt(B), taken as the square root of the
-    largest eigenvalue of M^T M = S A^-1 P B^-1 P A^-1 S (P is exactly
-    symmetric) by ``_lanczos_largest`` from a deterministic fixed start
-    vector.  The A^-1 solves reuse the block's Cholesky
-    factorization ``op_l.solve``, so a block whose smallest eigenvalue was
-    already computed at sigma = 0 is not factored again; the flat block is
-    never factored.
-    ``SURROGATE_TOL`` is the relative accuracy asked of that eigenvalue and
-    ``LANCZOS_MAX_STEPS`` the cap on Lanczos steps; a solve that does
-    not converge within it raises NumericalError.  This is the
-    finite-difference counterpart of ``green_norms``' Galerkin surrogate.
-    """
-    sw = np.sqrt(op_l.weights)
-    solve = op_l.solve
-    v0 = np.sin(np.linspace(0.3, 7.0, len(sw))) + 1.0
-
-    def mtm_apply(vec):
-        m_vec = op_flat.matvec(solve(sw * vec)) / sw
-        return sw * solve(op_flat.matvec(m_vec / sw))
-
-    try:
-        w, _ = _lanczos_largest(mtm_apply, v0, SURROGATE_TOL, LANCZOS_MAX_STEPS)
-    except NumericalError as exc:
-        raise NumericalError(f"H2 surrogate (ell={op_l.ell}, t={op_l.t:g}): {exc}") from exc
-    return float(np.sqrt(w))
-
-
-def potential_floor(op):
+def potential_floor(terms: _Terms):
     """min over radius of the smallest eigenvalue of the potential matrix.
 
-    ``op`` is a ``RadialOperator`` or a ``_Terms``, whose samples may carry
-    leading axes (one floor per row).  For coupled blocks the off-diagonal
-    coupling is included, so the floor is a true lower bound for the
-    operator (the derivative part is nonnegative).
+    The samples of ``terms`` may carry leading axes (one floor per row).
+    For coupled blocks the off-diagonal coupling is included, so the floor
+    is a true lower bound for the operator (the derivative part is
+    nonnegative).
     """
-    if op.coupling is None:
-        return np.min(op.potentials, axis=(0, -1))
-    v1, v2 = op.potentials
-    gap = np.sqrt(0.25 * (v1 - v2) ** 2 + op.coupling ** 2)
+    if terms.coupling is None:
+        return np.min(terms.potentials, axis=(0, -1))
+    v1, v2 = terms.potentials
+    gap = np.sqrt(0.25 * (v1 - v2) ** 2 + terms.coupling ** 2)
     return (0.5 * (v1 + v2) - gap).min(axis=-1)
 
 

@@ -1,3 +1,11 @@
+import os
+
+# one BLAS thread, as bench/run.py gives its children; set before numpy
+# loads, since OpenBLAS reads it once.  The large-t Galerkin tests run several
+# times slower on two threads of a 2-core host
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 

@@ -90,6 +90,12 @@ def test_sweep_validation(profile):
         gl.approx_error_sweep([2.0, 4.0, 8.0], profile)
 
 
+def test_glued_on_grid_rejects_non_integral_n(profile):
+    # a grid of 100.5 built a state whose Newton step then hit a TypeError
+    with pytest.raises(ValueError, match="integer"):
+        gl.glued_on_grid(1.0, profile, 100.5)
+
+
 def test_build_glued_rejects_mismatched_t(families):
     with pytest.raises(ValueError, match="t=2 does not match the family's t=1"):
         gl.build_glued(2.0, families[1.0], n=100)

@@ -19,6 +19,22 @@ def _dense(op):
     return dense
 
 
+def _block_terms(profile, ell, t, n):
+    """The terms of ``assemble_block(ell, t, profile, n=n)``, read on the
+    block's own nodes."""
+    r = lin.RadialGrid(n, lin.DEFAULT_R_MIN).r
+    fam = lin.build_family(t, profile, r)
+    w_off, w_diag, _ = lin._higgs_terms(t, r, fam.h)
+    return lin._coupled_terms(ell, r, 4.0 * fam.f, w_off, w_diag)
+
+
+def _flat_block(ell, n):
+    """The coupled block at mode ell with every term zero: the flat block."""
+    grid = lin.RadialGrid(n, lin.DEFAULT_R_MIN)
+    zero = np.zeros(n)
+    return lin._assemble(grid, lin._coupled_terms(ell, grid.r, zero, zero, zero))
+
+
 @pytest.fixture(scope="module")
 def bessel_target():
     return jn_zeros(0, 1)[0] ** 2
@@ -38,8 +54,8 @@ def test_second_order_convergence(bessel_target):
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_block_zero_potential_reduces_to_bessel(profile, bessel_target):
-    op = lin.assemble_block(0, 1.0, profile, n=2000, connection=False, higgs=False)
+def test_block_zero_potential_reduces_to_bessel(bessel_target):
+    op = _flat_block(0, 2000)
     lam = lin.smallest_eigenvalue(op)
     assert abs(lam - bessel_target) / bessel_target < 1e-3
 
@@ -50,7 +66,6 @@ def test_assembled_matrices_exactly_symmetric(profile):
     for op in (
         lin.assemble_block(3, 2.0, profile, n=150),
         lin.assemble_scalar(1, n=150),
-        lin.assemble_block(0, 1.0, profile, n=150, neumann_outer=True),
         lin.assemble_vertical_block(2, 2.0, h, grid),
     ):
         dense = _dense(op)
@@ -59,10 +74,10 @@ def test_assembled_matrices_exactly_symmetric(profile):
 
 
 def test_potentials_nonnegative_with_floor(profile):
-    op = lin.assemble_block(1, 1.0, profile, n=400)
-    floor = lin.potential_floor(op)
+    terms = _block_terms(profile, 1, 1.0, 400)
+    floor = lin.potential_floor(terms)
     assert floor > 0.0
-    for pot in op.potentials:
+    for pot in terms.potentials:
         assert (pot >= 0.0).all()
 
 
@@ -71,20 +86,36 @@ def test_grid_size_validation(profile):
         lin.assemble_block(0, 1.0, profile, n=8)
 
 
+@pytest.mark.parametrize("n", [100.5, 16.25, float("inf"), float("nan")])
+def test_non_integral_grid_size_raises(n):
+    # 100.5 made 101 nodes, which _assemble read as a Neumann end: the
+    # Dirichlet operator's lambda_min (about 5.78) came out as 1e-15
+    with pytest.raises(ValueError, match="integer"):
+        lin.RadialGrid(n, lin.DEFAULT_R_MIN)
+    with pytest.raises(ValueError, match="integer"):
+        lin.assemble_scalar(0, n=n)
+
+
+def test_integral_float_grid_size_is_the_integer():
+    assert np.array_equal(lin.assemble_scalar(0, n=100.0).band, lin.assemble_scalar(0, n=100).band)
+
+
 def test_potential_monotonicity_minmax(profile):
     with_w = lin.smallest_eigenvalue(lin.assemble_block(1, 2.0, profile, n=400))
-    without_w = lin.smallest_eigenvalue(lin.assemble_block(1, 2.0, profile, n=400, higgs=False))
+    grid = lin.RadialGrid(400, lin.DEFAULT_R_MIN)
+    zero = np.zeros(400)
+    four_f = 4.0 * lin.build_family(2.0, profile, grid.r).f
+    without_w = lin.smallest_eigenvalue(
+        lin._assemble(grid, lin._coupled_terms(1, grid.r, four_f, zero, zero)))
     assert with_w >= without_w - 1e-10
-    without_all = lin.smallest_eigenvalue(
-        lin.assemble_block(1, 2.0, profile, n=400, higgs=False, connection=False)
-    )
+    without_all = lin.smallest_eigenvalue(_flat_block(1, 400))
     assert without_w >= without_all - 1e-8
 
 
 def test_high_mode_lower_bound(profile):
     op = lin.assemble_block(5, 1.0, profile, n=400)
     lam = lin.smallest_eigenvalue(op)
-    kappa = lin.potential_floor(op) / 25.0
+    kappa = lin.potential_floor(_block_terms(profile, 5, 1.0, 400)) / 25.0
     assert lam >= kappa * 25.0
 
 
@@ -362,36 +393,6 @@ def test_green_norms_nan_certificate_solves_every_mode(profile, monkeypatch):
     assert rep.g_norm_h2_surrogate == expected
 
 
-def _surrogate_pair(profile, ell, t, n):
-    op = lin.assemble_block(ell, t, profile, n=n)
-    flat = lin.assemble_block(ell, t, profile, n=n, connection=False, higgs=False)
-    return op, flat
-
-
-def _dense_surrogate(op, flat):
-    """sigma_max of S^-1 P A^-1 S by a dense SVD."""
-    s = np.sqrt(op.weights)
-    m = _dense(flat) @ np.linalg.solve(_dense(op), np.diag(s)) / s[:, None]
-    return np.linalg.svd(m, compute_uv=False)[0]
-
-
-@pytest.mark.parametrize("ell", [0, 32])
-def test_h2_surrogate_matches_dense_svd(profile, ell):
-    op, flat = _surrogate_pair(profile, ell, 1.0, 64)
-    sigma_max = _dense_surrogate(op, flat)
-    assert lin.h2_surrogate_norm(op, flat) == pytest.approx(sigma_max, rel=1e-9)
-
-
-def test_h2_surrogate_nonconvergence_raises(profile, monkeypatch):
-    from hitchinlab.errors import NumericalError
-
-    # the ell = 0 surrogate takes 11-15 Lanczos steps; a cap of 3 stops it
-    monkeypatch.setattr(lin, "LANCZOS_MAX_STEPS", 3)
-    op, flat = _surrogate_pair(profile, 0, 1.0, 64)
-    with pytest.raises(NumericalError, match=r"H2 surrogate \(ell=0, t=1\).*did not converge"):
-        lin.h2_surrogate_norm(op, flat)
-
-
 def _spd_with_close_top_pair(size, gap, seed=0):
     """A random orthogonal similarity of a diagonal whose top two entries are
     1 and 1 - gap, the rest spread over [0.01, 0.9]."""
@@ -519,10 +520,9 @@ def test_band_layout_and_cholesky_solve(profile):
     h = lin.build_family(4.0, profile, grid.r).h
     ops = {
         "coupled": lin.assemble_block(2, 4.0, profile, n=120),
-        "flat": lin.assemble_block(2, 4.0, profile, n=120, connection=False, higgs=False),
+        "flat": _flat_block(2, 120),
         "scalar": lin.assemble_scalar(3, n=120),
         "neumann scalar": lin.assemble_scalar(1, n=120, neumann_outer=True),
-        "neumann coupled": lin.assemble_block(1, 4.0, profile, n=120, neumann_outer=True),
         "vertical": lin.assemble_vertical_block(2, 4.0, h, grid),
     }
     rng = np.random.default_rng(0)
@@ -618,25 +618,12 @@ def test_one_factorization_per_block(profile, monkeypatch):
 
     factored = _spy_dpbtrf(monkeypatch)
     monkeypatch.setattr(lin, "_lanczos_largest", spy_lanczos)
-    op, flat = _surrogate_pair(profile, 3, 2.0, 100)
+    op = lin.assemble_block(3, 2.0, profile, n=100)
     lin.smallest_eigenvalue(op)
-    lin.h2_surrogate_norm(op, flat)
+    op.solve(np.ones(len(op.weights)))
     assert len(factored) == 1
     assert np.array_equal(factored[0][0], op.band)
-    assert lanczos_args == [(np.finfo(float).eps, lin.LANCZOS_MAX_STEPS, 0.0),
-                            (lin.SURROGATE_TOL, lin.LANCZOS_MAX_STEPS, 0.0)]
-
-
-def test_flat_block_reads_no_profile(profile, monkeypatch):
-    def no_profile(*args, **kwargs):
-        raise AssertionError("flat block evaluated the profile")
-
-    monkeypatch.setattr(lin, "build_family", no_profile)
-    flat = lin.assemble_block(4, 2.0, profile, n=100, connection=False, higgs=False)
-    r = flat.grid.r
-    assert np.array_equal(flat.potentials[0], 16.0 / r ** 2)
-    assert np.array_equal(flat.potentials[1], 9.0 / r ** 2)
-    assert not flat.coupling.any()
+    assert lanczos_args == [(np.finfo(float).eps, lin.LANCZOS_MAX_STEPS, 0.0)]
 
 
 def test_green_norms_evaluates_profile_once(profile, monkeypatch):

@@ -1,0 +1,68 @@
+"""Property sweeps over the documented domain of the entry points: a call
+either raises ValueError on an input outside that domain, or returns a
+finite result of the documented shape.
+
+Each sweep runs a fixed, seeded set of examples, so the suite stays
+reproducible and fast.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from hitchinlab import linearized as lin
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+SWEEP = settings(max_examples=60, deadline=None, database=None)
+
+# grid sizes: integers, the smallest below MIN_GRID, and non-integral floats
+GRID_SIZES = st.one_of(
+    st.integers(min_value=1, max_value=400),
+    st.floats(min_value=0.5, max_value=400.0).filter(lambda n: not n.is_integer()),
+)
+
+
+@seed(20261020)
+@SWEEP
+@given(n=GRID_SIZES, r_min=st.floats(min_value=1e-10, max_value=0.5),
+       ell=st.integers(min_value=0, max_value=40))
+def test_scalar_operator_raises_or_has_a_positive_spectrum(n, r_min, ell):
+    valid = float(n).is_integer() and n >= lin.MIN_GRID
+    try:
+        grid = lin.RadialGrid(n, r_min)
+        op = lin.assemble_scalar(ell, n=n, r_min=r_min)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+    assert len(grid.r) == n and 0.0 < grid.r[0] < grid.r[-1] < 1.0
+    assert op.band.shape[1] == n
+    lam = lin.smallest_eigenvalue(op)
+    assert math.isfinite(lam) and lam > 0.0
+
+
+def _spectrum_report(cwd: Path, threads: int) -> bytes:
+    """spectrum.json of ``spectrum --t 1000 --lmax 8`` run in a fresh process
+    in ``cwd`` with ``threads`` BLAS threads, under the same relative --out."""
+    cwd.mkdir()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+           **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                           str(threads))}
+    done = subprocess.run([sys.executable, "-m", "hitchinlab.cli", "spectrum", "--t", "1000",
+                           "--lmax", "8", "--out", "run"], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return (cwd / "run" / "spectrum.json").read_bytes()
+
+
+def test_spectrum_report_is_independent_of_blas_threads(tmp_path):
+    # t = 1000 takes n = 96 functions per component, so its coupled blocks
+    # have 192 rows: past BLOCK_ROWS, where dpotrf and dtrtri would round
+    # differently with the thread count
+    assert _spectrum_report(tmp_path / "one", 1) == _spectrum_report(tmp_path / "two", 2)
