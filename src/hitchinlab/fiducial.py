@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -31,9 +32,13 @@ T_MAX = 1000.0
 F_ROUNDING_LIMIT = 1e-5
 
 
+@cache
 def default_grid() -> np.ndarray:
-    """Geometric radial grid of DEFAULT_GRID_N nodes on [DEFAULT_R_MIN, 1]."""
-    return np.geomspace(DEFAULT_R_MIN, 1.0, DEFAULT_GRID_N)
+    """Geometric radial grid of DEFAULT_GRID_N nodes on [DEFAULT_R_MIN, 1],
+    one read-only array per process."""
+    r = np.geomspace(DEFAULT_R_MIN, 1.0, DEFAULT_GRID_N)
+    r.flags.writeable = False
+    return r
 
 
 def _rho_of(t: float, r: np.ndarray) -> np.ndarray:
@@ -130,9 +135,13 @@ class DiskPair:
     alpha: np.ndarray
 
 
+@cache
 def theta_grid(n: int = 256) -> np.ndarray:
-    """n equispaced angles on [0, 2 pi), the one angular grid of every pair."""
-    return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    """n equispaced angles on [0, 2 pi), the one angular grid of every pair;
+    one read-only array per n."""
+    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    theta.flags.writeable = False
+    return theta
 
 
 def _stack2x2(lead: tuple, zeroed: bool = False, dtype=complex) -> np.ndarray:

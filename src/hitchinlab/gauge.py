@@ -147,12 +147,14 @@ def dbar_of(values: np.ndarray, r: np.ndarray, theta: np.ndarray,
             dr: np.ndarray | None = None) -> np.ndarray:
     """dzbar-derivative (1/2) e^{i theta} (d_r + (i/r) d_theta) of samples,
     full on the (r, theta) grid and entry-major even when ``values`` has a
-    theta axis of length 1 (whose d_theta is exactly 0)."""
+    theta axis of length 1, whose d_theta is exactly 0 and takes no FFT."""
     if dr is None:
         dr = radial_derivative(values, r)
-    dth = spectral_dtheta(values)
     phase = 0.5 * np.exp(1j * theta)[None, :, None, None]
     out = _stack2x2((len(r), len(theta)))
+    if values.shape[1] == 1:
+        return np.multiply(phase, dr, out=out)
+    dth = spectral_dtheta(values)
     return np.multiply(phase, dr + 1j / r[:, None, None, None] * dth, out=out)
 
 

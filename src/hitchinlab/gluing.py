@@ -67,23 +67,24 @@ class CutoffProfile:
             raise ValueError("need 0.5 <= inner < outer < 1")
 
     def sample(self, r):
-        """(chi, chi', chi'') at the given radii."""
+        """(chi, chi', chi'') at the given radii.  Off the open transition
+        window they are exactly (1, 0, 0) or (0, 0, 0), NaN radii included,
+        so the bump is evaluated on the window's radii only."""
         r = np.asarray(r, dtype=float)
+        chi = np.where(r <= self.inner, 1.0, 0.0)
+        dchi, d2chi = np.zeros_like(chi), np.zeros_like(chi)
+        mid = (r > self.inner) & (r < self.outer)
         width = self.outer - self.inner
-        y = (self.outer - r) / width
+        y = (self.outer - r[mid]) / width
         u, up, upp = _bump(y)
         w, wp_raw, wpp = _bump(1.0 - y)
         wp = -wp_raw
+        # one of y and 1 - y is at least 1/2, so den >= exp(-2)
         den = u + w
-        den = np.where(den == 0.0, 1.0, den)
-        s = u / den
+        dydr = -1.0 / width
         sp = (up * w - u * wp) / den ** 2
         spp = ((upp * w - u * wpp) * den - 2.0 * (up * w - u * wp) * (up + wp)) / den ** 3
-        dydr = -1.0 / width
-        mid = (r > self.inner) & (r < self.outer)
-        chi = np.where(r <= self.inner, 1.0, np.where(r >= self.outer, 0.0, s))
-        dchi = np.where(mid, sp * dydr, 0.0)
-        d2chi = np.where(mid, spp * dydr ** 2, 0.0)
+        chi[mid], dchi[mid], d2chi[mid] = u / den, sp * dydr, spp * dydr ** 2
         return chi, dchi, d2chi
 
 

@@ -93,9 +93,12 @@ class RadialGrid:
     def x(self) -> np.ndarray:
         return np.log(self.r_min) + self.dx * np.arange(self.n)
 
-    @property
+    @cached_property
     def r(self) -> np.ndarray:
-        return np.exp(self.x)
+        """The nodes, computed on first use and read-only."""
+        r = np.exp(self.x)
+        r.flags.writeable = False
+        return r
 
 
 @dataclass(eq=False)
@@ -121,16 +124,6 @@ class RadialOperator:
         k = self.block_size
         lower = [np.roll(self.band[k - d], -d) for d in range(1, k + 1)]
         return np.vstack([self.band, *lower])
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        """A u, summed over the diagonals of the band."""
-        k = self.block_size
-        out = self.band[k] * u
-        for d in range(1, k + 1):
-            upper = self.band[k - d, d:]  # A[j - d, j] for j >= d
-            out[:-d] += upper * u[d:]
-            out[d:] += upper * u[:-d]
-        return out
 
     @cached_property
     def solve(self):
@@ -444,19 +437,22 @@ def _bases(nus: tuple, n: int) -> tuple:
     x, wx = _legendre(n)
     s = 2.0 * x * x - 1.0
     a, b = 2.0, np.array(nus, dtype=float)[:, None]
-    p = np.zeros((len(b), len(x), n))
+    # the recurrence writes one contiguous (nu, node) plane per k
+    p = np.zeros((n, len(b), len(x)))
     dp = np.zeros_like(p)
-    p[..., 0] = 1.0
+    p[0] = 1.0
     if n > 1:
-        p[..., 1] = (a + 1.0) + 0.5 * (a + b + 2.0) * (s - 1.0)
-        dp[..., 1] = 0.5 * (a + b + 2.0)
+        p[1] = (a + 1.0) + 0.5 * (a + b + 2.0) * (s - 1.0)
+        dp[1] = 0.5 * (a + b + 2.0)
     for k in range(1, n - 1):
         c = 2.0 * k + a + b
         lin = (c + 1.0) * (a * a - b * b) + c * (c + 1.0) * (c + 2.0) * s
         back, den = 2.0 * (k + a) * (k + b) * (c + 2.0), 2.0 * (k + 1) * (k + a + b + 1.0) * c
-        p[..., k + 1] = (lin * p[..., k] - back * p[..., k - 1]) / den
-        dp[..., k + 1] = (lin * dp[..., k] + c * (c + 1.0) * (c + 2.0) * p[..., k]
-                          - back * dp[..., k - 1]) / den
+        p[k + 1] = (lin * p[k] - back * p[k - 1]) / den
+        dp[k + 1] = (lin * dp[k] + c * (c + 1.0) * (c + 2.0) * p[k] - back * dp[k - 1]) / den
+    # k last again, one array at a time, so at most one extra copy is live
+    p = np.moveaxis(p, 0, -1).copy()
+    dp = np.moveaxis(dp, 0, -1).copy()
     # in place, p becomes u and dp becomes du / dx
     lead = x ** b * (1.0 - x * x)
     dp *= (4.0 * x * lead)[..., None]

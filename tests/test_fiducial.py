@@ -232,3 +232,14 @@ def test_exports(families, tmp_path):
     columns = (fam.r, fam.h, fam.f, fam.df, fam.residual())
     rows = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in zip(*columns))
     assert (tmp_path / "fam.csv").read_bytes() == ("r,h,f,df,residual\n" + rows).encode()
+
+
+def test_shared_grids_are_read_only_and_computed_once():
+    radii = np.geomspace(fd.DEFAULT_R_MIN, 1.0, fd.DEFAULT_GRID_N)
+    angles = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+    for make, expected in ((fd.default_grid, radii), (lambda: fd.theta_grid(128), angles)):
+        grid = make()
+        assert make() is grid and not grid.flags.writeable
+        assert np.array_equal(grid, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.5

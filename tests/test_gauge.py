@@ -381,6 +381,22 @@ def test_dbar_is_the_one_complex_derivative():
         assert np.abs(gg.dbar_of(value, r, theta) - expected_dbar).max() < 1e-13
 
 
+def test_theta_constant_dbar_is_the_radial_term(families, monkeypatch):
+    # a theta axis of length 1 has d_theta exactly 0: dbar is (1/2) e^{i theta}
+    # d_r, with no FFT, and the full formula agrees up to the sign of zeros
+    fam = families[2.0]
+    g = gg.orbit_gauge(fam)
+    theta = gg.theta_grid(16)
+    phase = 0.5 * np.exp(1j * theta)[None, :, None, None]
+    full = phase * (g.dr + 1j / fam.r[:, None, None, None] * gg.spectral_dtheta(g.values))
+    monkeypatch.setattr(gg, "spectral_dtheta", None)
+    for dr, expected in ((g.dr, phase * g.dr),
+                         (None, phase * gg.radial_derivative(g.values, fam.r))):
+        got = gg.dbar_of(g.values, fam.r, theta, dr)
+        assert got.tobytes() == expected.tobytes()
+    assert np.array_equal(gg.dbar_of(g.values, fam.r, theta, g.dr), full)
+
+
 def _diagonal_on(r, _theta):
     return gg.diagonal_gauge(0.3 * np.sin(2.0 * r), 0.6 * np.cos(2.0 * r), r)
 

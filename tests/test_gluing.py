@@ -7,6 +7,13 @@ from hitchinlab import linearized as lin
 from hitchinlab.errors import NumericalError
 
 
+def _dense(op):
+    """A as a dense matrix, from its upper band ``op.band``."""
+    k = op.block_size
+    upper = sum(np.diag(op.band[k - d, d:], d) for d in range(k + 1))
+    return upper + np.triu(upper, 1).T
+
+
 class _IdentityCutoff:
     """chi = 1 everywhere: the uncut state (boundary condition ignored)."""
 
@@ -37,6 +44,39 @@ def test_cutoff_derivatives_match_differences():
     fd2 = np.gradient(dchi, h, edge_order=2)
     assert np.abs(fd1 - dchi)[2:-2].max() < 1e-4
     assert np.abs(fd2 - d2chi)[2:-2].max() < 1e-2
+
+
+def _whole_grid_cutoff(cut, r):
+    """(chi, chi', chi'') by the bump formulas on every radius, then the
+    constant regions pasted over them."""
+    width = cut.outer - cut.inner
+    y = (cut.outer - r) / width
+    with np.errstate(invalid="ignore"):  # the bump's q'' is inf / inf at y = -inf
+        u, up, upp = gl._bump(y)
+        w, wp_raw, wpp = gl._bump(1.0 - y)
+    wp = -wp_raw
+    den = u + w
+    den = np.where(den == 0.0, 1.0, den)
+    s = u / den
+    sp = (up * w - u * wp) / den ** 2
+    spp = ((upp * w - u * wpp) * den - 2.0 * (up * w - u * wp) * (up + wp)) / den ** 3
+    dydr = -1.0 / width
+    mid = (r > cut.inner) & (r < cut.outer)
+    chi = np.where(r <= cut.inner, 1.0, np.where(r >= cut.outer, 0.0, s))
+    return chi, np.where(mid, sp * dydr, 0.0), np.where(mid, spp * dydr ** 2, 0.0)
+
+
+@pytest.mark.parametrize("inner, outer", [(0.5, 0.7), (0.6, 0.61), (0.5, 0.999)])
+def test_cutoff_window_sampling_matches_whole_grid_formula(inner, outer):
+    # the bump runs on the transition window only; off it (1, 0, 0) and
+    # (0, 0, 0) are the whole-grid formula's values, bit for bit
+    cut = gl.CutoffProfile(inner, outer)
+    edges = [inner, outer, *np.nextafter([inner, inner, outer, outer], [0.0, 1.0, 0.0, 1.0])]
+    r = np.concatenate([np.geomspace(1e-3, 1.0, 2000), edges, [np.nan, np.inf, -np.inf, 0.0, 2.0]])
+    for got, expected in zip(cut.sample(r), _whole_grid_cutoff(cut, r)):
+        assert got.tobytes() == expected.tobytes()
+    chi, dchi, d2chi = cut.sample(np.nan)
+    assert np.shape(chi) == () and (chi, dchi, d2chi) == (0.0, 0.0, 0.0)
 
 
 def test_cutoff_validation():
@@ -183,7 +223,7 @@ def test_newton_linearization_matches_vertical_block(families, rng):
     state = gl.build_glued(4.0, families[4.0], n=500)
     op = gl.newton_operator_matrix(state)
     v = rng.standard_normal(state.grid.n)
-    lhs = op.matvec(v) / op.weights  # nodal B^-1 A v
+    lhs = _dense(op) @ v / op.weights  # nodal B^-1 A v
     padded = np.concatenate([[v[0]], v, [0.0]])  # Neumann ghost inside, Dirichlet at 1
     d2v = (padded[:-2] - 2.0 * padded[1:-1] + padded[2:]) / state.grid.dx ** 2
     rhs = -d2v / state.r ** 2 + 16.0 * state.t ** 2 * state.r * np.cosh(2.0 * state.h) * v
@@ -230,7 +270,7 @@ def test_second_difference_is_the_flat_stencil(rng):
     # ell = 0 stencil, outer ghost included
     grid = lin.RadialGrid(300, 1e-3)
     v = rng.standard_normal(grid.n)
-    d2 = -lin.assemble_scalar(0, n=grid.n, r_min=grid.r_min).matvec(v)
+    d2 = -(_dense(lin.assemble_scalar(0, n=grid.n, r_min=grid.r_min)) @ v)
     d2[-1] += 0.7 / grid.dx ** 2
     got = gl._second_difference(v, 0.7, grid.dx)
     assert np.abs(got - d2).max() <= 1e-14 * np.abs(d2).max()
