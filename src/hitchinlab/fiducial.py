@@ -273,7 +273,10 @@ def decay_fit(t_list, norms):
     """Least-squares fit log norms = intercept - delta t.
 
     Returns (delta, intercept, r_squared); norms that do not vary leave R^2
-    undefined and raise NumericalError.
+    undefined and raise NumericalError.  So does a norm that, with the
+    points taken in increasing t, does not fall below its predecessor's: the
+    norms have met a floor (the glued residual flattens at about 3e-12 from
+    t ~ 26), where a fitted rate means nothing, and the message names the t.
     """
     y = np.log(norms)
     slope, intercept = np.polyfit(t_list, y, 1)
@@ -282,6 +285,11 @@ def decay_fit(t_list, norms):
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     if ss_tot == 0:
         raise NumericalError("degenerate decay fit: norms do not vary")
+    points = sorted(zip(t_list, norms))
+    for (t0, norm0), (t1, norm1) in zip(points, points[1:]):
+        if t1 > t0 and not norm1 < norm0:
+            raise NumericalError(f"decay fit at a floor: the norm at t={t1:g} ({norm1:.3e}) "
+                                 f"does not fall below the one at t={t0:g} ({norm0:.3e})")
     return -float(slope), float(intercept), 1.0 - ss_res / ss_tot
 
 

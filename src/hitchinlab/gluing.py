@@ -224,6 +224,7 @@ def newton_correct(state: GluedState, tol: float = 1e-10, max_iter: int = 30) ->
     """
     t = state.t
     c, w_hi, w_lo = 0.0, np.zeros(state.grid.n), np.zeros(state.grid.n)
+    scale = 4.0 * state.r ** 2  # the residual's 1/(4 r^2), undone for each step
     history = []
     for iteration in range(max_iter):
         res = _corrected_residual(state, c, w_hi, w_lo)
@@ -238,7 +239,7 @@ def newton_correct(state: GluedState, tol: float = 1e-10, max_iter: int = 30) ->
             )
         ab = newton_operator_matrix(state, c + w_hi + w_lo).full_band
         try:
-            du = solve_banded((1, 1), ab, 4.0 * state.r ** 2 * res)
+            du = solve_banded((1, 1), ab, scale * res)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"t={t:g}: singular Newton linearization: {exc}") from exc
         c += du[0]

@@ -735,7 +735,7 @@ def indicial_roots(ell_range) -> dict:
         # each root nu counted as the integer 2 nu
         up, down = abs(2 * ell + 1), abs(2 * ell - 1)
         per_ell[ell] = sorted(Counter((2 * ell, -2 * ell, up, -up, down, -down)).items())
-    half = {m: Fraction(m, 2) for roots in per_ell.values() for m, _ in roots}
+    half = {m: Fraction(m, 2) for m in {m for roots in per_ell.values() for m, _ in roots}}
     return {"per_ell": {ell: [(half[m], mult) for m, mult in roots]
                         for ell, roots in per_ell.items()},
             "aggregate": [half[m] for m in sorted(half)]}

@@ -106,16 +106,26 @@ def series_coefficients(a0: float, n_terms: int) -> np.ndarray:
     return np.array(a)
 
 
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k c[k] x^k, with c[k] a scalar or an array shaped like x, by the
+    steps of numpy's ``polyval(x, c, tensor=False)``, acc = c[-1] + x * 0
+    and then acc = c[k] + acc * x, so the result is bit for bit polyval's,
+    but updating one accumulator in place."""
+    acc = c[-1] + x * 0
+    for k in range(len(c) - 2, -1, -1):
+        acc *= x
+        acc += c[k]
+    return acc
+
+
 def _series_eval(coeffs: np.ndarray, rho):
     """psi, psi_x, psi_xx from the series, x = log rho."""
     rho = np.asarray(rho, dtype=float)
     s = rho ** (4.0 / 3.0)
     n = len(coeffs)
-    v = np.polynomial.polynomial.polyval(s, coeffs)
-    vp = np.polynomial.polynomial.polyval(s, coeffs[1:] * np.arange(1, n))
-    vpp = np.polynomial.polynomial.polyval(
-        s, coeffs[2:] * np.arange(2, n) * np.arange(1, n - 1)
-    )
+    v = _horner(coeffs, s)
+    vp = _horner(coeffs[1:] * np.arange(1, n), s)
+    vpp = _horner(coeffs[2:] * np.arange(2, n) * np.arange(1, n - 1), s)
     psi = -np.log(rho ** (1.0 / 3.0) * v)
     psi_x = -1.0 / 3.0 - (4.0 / 3.0) * s * vp / v
     psi_xx = -(16.0 / 9.0) * (s * vp / v + s * s * (vpp * v - vp * vp) / (v * v))
@@ -385,9 +395,9 @@ def psi_log_derivatives(profile: PsiProfile, rho):
         j = np.minimum(t.astype(np.intp), table.shape[-1] - 1)
         s = t - j
         of_psi, of_psi_x = table[:, :, j]
-        psi[mid] = np.polynomial.polynomial.polyval(s, of_psi, tensor=False)
-        psi_x[mid] = np.polynomial.polynomial.polyval(s, of_psi_x, tensor=False)
-        slope = np.polynomial.polynomial.polyval(s, of_psi_x[1:] * _POWERS, tensor=False)
+        psi[mid] = _horner(of_psi, s)
+        psi_x[mid] = _horner(of_psi_x, s)
+        slope = _horner(of_psi_x[1:] * _POWERS, s)
         psi_xx[mid] = (1.0 + r) * slope / h
     if hi.any():
         psi[hi], psi_x[hi], psi_xx[hi] = _tail_eval(profile.lam, rho_arr[hi])

@@ -263,6 +263,13 @@ def test_glue_grid_sets_the_decay_fit_grid(tmp_path, profile):
     assert (fit["delta_hat"], fit["c_hat"], fit["r_squared"]) == (delta, c, r2)
 
 
+def test_glue_past_the_residual_floor_exits_1(tmp_path, capsys):
+    argv = [arg for t in range(24, 29) for arg in ("--t", str(t))]
+    assert run(["glue", *argv, "--out", str(tmp_path)]) == 1
+    assert "the norm at t=28 " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # no report, no Newton log
+
+
 def test_glue_builds_each_glued_state_once(tmp_path, monkeypatch):
     # the Newton repair and the decay fit share one glued state per t
     built = []
@@ -482,3 +489,17 @@ def test_usage_texts_are_the_full_parsers(capsys, argv):
             "usage: hitchinlab [-h] {solve-psi,fiducial,spectrum,indicial,glue,torus} ...\n")
     if tuple(argv) in COMMAND_ERRORS:
         assert COMMAND_ERRORS[tuple(argv)] in full[2]
+
+
+@pytest.mark.parametrize("items", [
+    [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e308, -1e-308, 0.1, 1 / 3],
+    (2.5,),
+    [1, 2.0, np.float64(0.1), -3, np.float64(-0.0), 1e308],
+])
+def test_json_lists_write_each_float_with_17_digits(items):
+    from hitchinlab.cli import _emit_json
+
+    for indent in (0, 2):
+        pad = "  " * indent
+        lines = [f"{pad}  {format(v, '.17g') if isinstance(v, float) else v}" for v in items]
+        assert _emit_json(items, indent) == "[\n" + ",\n".join(lines) + f"\n{pad}]"

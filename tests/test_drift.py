@@ -2,11 +2,15 @@
 
 import importlib.util
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PATH = Path(__file__).resolve().parents[1] / "tools" / "drift.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+PATH = TOOLS / "drift.py"
 spec = importlib.util.spec_from_file_location("drift", PATH)
 drift = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(drift)
@@ -83,3 +87,79 @@ def test_main_rejects_a_missing_directory(tmp_path, capsys):
     with pytest.raises(SystemExit):
         drift.main([str(tmp_path), str(tmp_path / "absent")])
     assert "is not a directory" in capsys.readouterr().err
+
+
+def test_main_takes_either_base_or_two_directories(tmp_path, capsys):
+    for argv in (["--base", "HEAD", str(tmp_path)], [str(tmp_path)]):
+        with pytest.raises(SystemExit):
+            drift.main(argv)
+    assert "either --base or two directories" in capsys.readouterr().err
+
+
+# a stand-in for the package's command line: one cheap report per call
+FAKE_CLI = """import json, sys
+from pathlib import Path
+VALUE = 1.0
+args = sys.argv[1:]
+out = Path(args[args.index("--out") + 1])
+out.mkdir()
+(out / "report.json").write_text(json.dumps({"argv": args, "value": VALUE}))
+"""
+
+
+def test_base_runs_every_argv_in_both_trees(tmp_path):
+    # a throwaway repository: the base revision writes value 1.0, the
+    # working tree's uncommitted edit 1.5
+    repo = tmp_path / "repo"
+    (repo / "tools").mkdir(parents=True)
+    for tool in ("drift.py", "bench_ab.py"):
+        shutil.copy(TOOLS / tool, repo / "tools" / tool)
+    package = repo / "src" / "hitchinlab"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(FAKE_CLI)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    git = ["git", "-c", "user.name=test", "-c", "user.email=test@example.com",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "files"]):
+        subprocess.run([*git, *args], cwd=repo, check=True, capture_output=True)
+    (package / "cli.py").write_text(FAKE_CLI.replace("VALUE = 1.0", "VALUE = 1.5"))
+    done = subprocess.run([sys.executable, "tools/drift.py", "--base", "HEAD"], cwd=repo,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split(" | ") for line in done.stdout.splitlines()[2:]]
+    assert [row[0].strip("| `") for row in rows[::2]] == [
+        f"{name}/report.json" for name in sorted(drift.RUNS)]
+    for row in rows:
+        field, status = row[1].strip("`"), row[2]
+        if field == "value":
+            assert status == "1 of 1 differ" and row[3] == "5.00e-01 at value"
+        else:
+            assert field == "argv[]" and status == "identical"
+    assert not list(repo.glob("drift_out*"))  # both trees were temporary
+
+
+def test_bench_runs_are_the_argv_the_benchmark_passes_at_seed_0(monkeypatch):
+    # record the argv bench/workload.py hands to cli.main at seed 0, and run
+    # no command and no library call
+    from hitchinlab import cli
+
+    bench = TOOLS.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("workload", bench / "workload.py")
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    passed = []
+    monkeypatch.setattr(cli, "main", lambda argv: passed.append(argv[:-2]) or 1)
+
+    class Recording(workload.Run):
+        def call(self, name, fn, *args, **kwargs):
+            return None
+
+    for name, run_workload in workload.WORKLOADS.items():
+        run_workload(Recording(workload.ROOT / "unused", RuntimeError), None)
+    # the benchmark's solve-psi is the README's, which runs on one job anyway
+    runs = [argv[:-2] if argv[-2:] == ["--jobs", "1"] else argv for argv in drift.RUNS.values()]
+    assert len(passed) == 6
+    for argv in passed:
+        assert argv[-2:] == ["--jobs", "1"] and argv[:-2] in runs

@@ -197,6 +197,21 @@ def test_decay_fit_exact_and_degenerate():
         fd.decay_fit(ts, [0.5] * 4)
 
 
+def test_decay_fit_refuses_a_norm_that_does_not_fall():
+    from hitchinlab.errors import NumericalError
+
+    ts = [5.0, 1.0, 3.0, 2.0]
+    norms = [math.exp(-t) for t in ts]
+    delta, _, r2 = fd.decay_fit(ts, norms)  # in any order, a falling norm fits
+    assert delta == pytest.approx(1.0, rel=1e-12) and r2 == pytest.approx(1.0, abs=1e-12)
+    for level in (norms[3], 1.0, float("nan")):
+        floored = [level if t == 3.0 else v for t, v in zip(ts, norms)]
+        with pytest.raises(NumericalError, match="the norm at t=3 "):
+            fd.decay_fit(ts, floored)
+    # a repeated t is no step in t
+    assert fd.decay_fit([1.0, 1.0, 2.0, 3.0], [1.0, 1.0, 0.5, 0.25])[0] > 0
+
+
 def test_nan_t_is_out_of_range(profile):
     with pytest.raises(ValueError):
         fd.build_family(float("nan"), profile)

@@ -116,6 +116,28 @@ def test_approx_error_sweep_fit(profile):
     assert abs(delta - predicted) / predicted < 0.3
 
 
+@pytest.mark.parametrize("ts, floor_t", [(np.arange(20.0, 30.5, 1.0), 28),
+                                          (np.arange(40.0, 50.5, 2.0), 42)])
+def test_sweep_past_the_residual_floor_raises(profile, ts, floor_t):
+    # the norms flatten at about 3e-12 from t ~ 26; the fits there read
+    # delta 0.470 (R^2 0.775) over t = 20..30 and -0.013 over t = 40..50
+    with pytest.raises(NumericalError, match=f"floor: the norm at t={floor_t} "):
+        gl.approx_error_sweep(ts, profile)
+    with pytest.raises(NumericalError, match=f"at t={floor_t} "):
+        gl.approx_error_sweep(np.random.default_rng(3).permutation(ts), profile)
+
+
+def test_criterion_09_fit_is_the_least_squares_fit(profile):
+    # the floor rule adds a check, not a step: the fit over t = 2..10 is
+    # bit for bit the least-squares line through the log norms
+    ts = np.arange(2.0, 10.5, 1.0)
+    y = np.log([gl.glued_on_grid(t, profile, 2000).l2_residual() for t in ts])
+    slope, intercept = np.polyfit(ts, y, 1)
+    r2 = 1.0 - float(np.sum((y - np.polyval([slope, intercept], ts)) ** 2)) / float(
+        np.sum((y - np.mean(y)) ** 2))
+    assert gl.approx_error_sweep(ts, profile) == (-float(slope), float(np.exp(intercept)), r2)
+
+
 def test_shrinking_outer_onset_increases_rate(profile):
     # measuring the transition onset from the boundary: halving that distance
     # moves the annulus outward where r^(3/2) is larger

@@ -380,3 +380,55 @@ def test_profile_is_read_only(profile):
         assert not samples.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         profile.a0 = 1.0
+
+
+def _polyval_reference(profile, rho):
+    """psi_log_derivatives with numpy's polyval for each of its six
+    polynomials, the evaluator's reference."""
+    polyval = np.polynomial.polynomial.polyval
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    out = np.empty((3, len(rho)))
+    lo, hi = rho <= SERIES_CUT, rho > RHO_TAIL
+    mid = ~(lo | hi)
+    c, r = profile.series, rho[lo]
+    s, n = r ** (4.0 / 3.0), len(c)
+    v = polyval(s, c)
+    vp = polyval(s, c[1:] * np.arange(1, n))
+    vpp = polyval(s, c[2:] * np.arange(2, n) * np.arange(1, n - 1))
+    out[0, lo] = -np.log(r ** (1.0 / 3.0) * v)
+    out[1, lo] = -1.0 / 3.0 - (4.0 / 3.0) * s * vp / v
+    out[2, lo] = -(16.0 / 9.0) * (s * vp / v + s * s * (vpp * v - vp * vp) / (v * v))
+    r = rho[mid]
+    xi0, h, table = profile._quintic
+    t = (np.log(r) + r - xi0) / h
+    j = np.minimum(t.astype(np.intp), table.shape[-1] - 1)
+    s = t - j
+    of_psi, of_psi_x = table[:, :, j]
+    out[0, mid] = polyval(s, of_psi, tensor=False)
+    out[1, mid] = polyval(s, of_psi_x, tensor=False)
+    out[2, mid] = (1.0 + r) * polyval(s, of_psi_x[1:] * np.arange(1.0, 6.0)[:, None],
+                                      tensor=False) / h
+    out[:, hi] = _tail_eval(profile.lam, rho[hi])
+    return out
+
+
+def test_evaluator_is_bit_for_bit_numpy_polyval(profile):
+    # every branch, its seams and their float neighbours, unsorted and repeated
+    rng = np.random.default_rng(7)
+    edges = [SERIES_CUT, RHO_TAIL, profile.nodes[0, 0], profile.nodes[0, -1]]
+    # dense enough that a re-associated product shows: (4/3) * (s * vp / v)
+    # in psi_x moves 88 of 100001 series samples by one unit in the last place
+    rho = np.concatenate([np.geomspace(1e-6, 60.0, 60001), edges, np.nextafter(edges, 0.0),
+                          np.nextafter(edges, np.inf), profile.nodes[0, ::37]])
+    rho = np.concatenate([rng.permutation(rho), rho[:50]])
+    assert np.array_equal(np.array(psi_log_derivatives(profile, rho)),
+                          _polyval_reference(profile, rho))
+    for scalar in (1e-5, 0.05, SERIES_CUT, 1.0, RHO_TAIL, 33.0):
+        got = np.array(psi_log_derivatives(profile, scalar))
+        assert got.shape == (3, 1)
+        assert np.array_equal(got, _polyval_reference(profile, scalar))
+    # the complex series of the solve's a0 derivative takes the same steps
+    coeffs = series_coefficients(0.9 * np.exp(1e-30j), 8)
+    s = np.geomspace(1e-6, SERIES_CUT, 5) ** (4.0 / 3.0)
+    assert np.array_equal(painleve._horner(coeffs, s),
+                          np.polynomial.polynomial.polyval(s, coeffs))

@@ -12,10 +12,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hitchinlab import linearized as lin
+from hitchinlab import painleve
+from hitchinlab.painleve import RHO_TAIL, SERIES_CUT
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -45,6 +49,38 @@ def test_scalar_operator_raises_or_has_a_positive_spectrum(n, r_min, ell):
     assert op.band.shape[1] == n
     lam = lin.smallest_eigenvalue(op)
     assert math.isfinite(lam) and lam > 0.0
+
+
+# positive finite rho, weighted toward both seams of the evaluator
+SEAMS = [SERIES_CUT, RHO_TAIL]
+POSITIVE_RHO = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(min_value=0.5 * SERIES_CUT, max_value=2.0 * SERIES_CUT),
+    st.floats(min_value=0.5 * RHO_TAIL, max_value=2.0 * RHO_TAIL),
+    st.sampled_from(SEAMS + [float(np.nextafter(x, d)) for x in SEAMS for d in (0.0, np.inf)]),
+)
+
+
+@seed(20261020)
+@SWEEP
+@given(rho=st.lists(POSITIVE_RHO, min_size=1, max_size=30), data=st.data())
+def test_evaluator_is_finite_and_pointwise(profile, rho, data):
+    rho = rho + rho[: data.draw(st.integers(0, len(rho)))]  # duplicates
+    out = np.array(painleve.psi_log_derivatives(profile, rho))
+    assert out.shape == (3, len(rho)) and np.isfinite(out).all()
+    perm = np.array(data.draw(st.permutations(range(len(rho)))), dtype=int)
+    moved = np.array(painleve.psi_log_derivatives(profile, np.array(rho)[perm]))
+    assert np.array_equal(moved, out[:, perm])
+
+
+@seed(20261020)
+@SWEEP
+@given(rho=st.lists(POSITIVE_RHO, max_size=10), bad=st.one_of(
+    st.floats(max_value=0.0), st.sampled_from([np.nan, np.inf, -np.inf])), data=st.data())
+def test_evaluator_rejects_rho_outside_its_domain(profile, rho, bad, data):
+    rho.insert(data.draw(st.integers(0, len(rho))), bad)
+    with pytest.raises(ValueError, match="finite and positive"):
+        painleve.psi_log_derivatives(profile, rho)
 
 
 def _spectrum_report(cwd: Path, threads: int) -> bytes:

@@ -170,6 +170,20 @@ def _copy_worktree(dest: Path) -> None:
             shutil.copy2(ROOT / name, dest / name)
 
 
+def make_trees(base: str, root: Path, names: tuple = SIDES) -> tuple[str, dict]:
+    """Resolve ``base`` to a commit, export it with ``git archive`` into
+    ``root/names[0]`` and copy the working tree into ``root/names[1]``; the
+    commit and the two trees by name."""
+    commit = _git("rev-parse", "--verify", f"{base}^{{commit}}").decode().strip()
+    trees = {name: root / name for name in names}
+    for tree in trees.values():
+        tree.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(trees[names[0]])], input=_git("archive", commit),
+                   check=True)
+    _copy_worktree(trees[names[1]])
+    return commit, trees
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="alternating base/change benchmark pairs")
     parser.add_argument("--base", required=True, help="git revision of the parent side")
@@ -185,16 +199,10 @@ def main(argv=None) -> int:
     seconds = declared["run_seconds"]  # the benchmark's run length, the same on both sides
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
-    commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
 
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
         # "parent" and "change" have one length, and so have the two paths
-        trees = {side: Path(tmp) / side for side in SIDES}
-        for tree in trees.values():
-            tree.mkdir()
-        subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=_git("archive", commit),
-                       check=True)
-        _copy_worktree(trees["change"])
+        commit, trees = make_trees(args.base, Path(tmp))
         workloads = {}
         for workload in args.workload:
             pairs = []

@@ -3,6 +3,7 @@
 Usage (from the root of a checkout):
 
     python3 tools/drift.py OLD_DIR NEW_DIR
+    python3 tools/drift.py --base REV
 
 Every ``*.json`` and ``*.csv`` file under either directory is compared with
 the file at the same relative path under the other.  A JSON field is a key
@@ -13,8 +14,13 @@ row per field: "identical" when every value is the same float or string
 on both sides, else how many of its values differ or exist on one side
 only, and for numbers the largest absolute and relative drift, each with
 the place where it occurs.  A list compares index by index, so reordering
-one is drift.  Nothing here runs a command; make the two trees first, for
-instance with the same argv in a checkout of each revision.
+one is drift.
+
+With ``--base REV`` the tool makes the two trees itself with
+``tools/bench_ab.py``'s ``make_trees`` (a ``git archive`` of REV and a copy
+of the working tree's tracked and untracked files), runs every argv of
+``RUNS`` in each copy with ``--out drift_out/<name>``, and compares the two
+``drift_out`` directories.  A command that fails on either side stops the tool.
 """
 
 from __future__ import annotations
@@ -24,10 +30,33 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ONLY_OLD, ONLY_NEW = "only in old", "only in new"
+OUT = "drift_out"
+# the fixed list --base runs, by output name; extend it, never shrink it.
+# The README's six commands, then the benchmark's argv of the commands
+# (bench/workload.py at seed 0, which keeps the README's t values; a Tier-1
+# test checks them against what the benchmark passes)
+RUNS = {
+    "readme-solve-psi": ["solve-psi"],
+    "readme-fiducial": ["fiducial", "--t", "1", "--t", "4"],
+    "readme-spectrum": ["spectrum", "--t", "1", "--t", "2", "--lmax", "16"],
+    "readme-indicial": ["indicial", "--lmax", "10"],
+    "readme-glue": ["glue", "--t", "2", "--t", "4", "--t", "6", "--t", "8"],
+    "readme-torus": ["torus", "--gamma", "4", "--format", "csv"],
+    "bench-spectrum": ["spectrum", "--t", "1.0", "--t", "2.0", "--t", "4.0", "--t", "8.0",
+                       "--lmax", "32", "--grid", "600", "--jobs", "1"],
+    "bench-fiducial": ["fiducial", *(a for t in (1, 2, 4, 8, 16, 24) for a in ("--t", f"{t}.0")),
+                       "--jobs", "1"],
+    "bench-glue": ["glue", *(a for t in range(2, 11) for a in ("--t", f"{t}.0")), "--jobs", "1"],
+    "bench-indicial": ["indicial", "--lmax", "32", "--jobs", "1"],
+    "bench-torus": ["torus", "--gamma", "14", "--format", "csv", "--jobs", "1"],
+}
 
 
 def _json_values(obj, field: str = "", place: str = ""):
@@ -126,11 +155,44 @@ def format_table(rows: list) -> str:
     return "\n".join(lines)
 
 
+def run_all(tree: Path) -> Path:
+    """Run every argv of ``RUNS`` in ``tree`` on its own ``src``, each with
+    ``--out drift_out/<name>``; the ``drift_out`` directory."""
+    (tree / OUT).mkdir()
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    for name, argv in RUNS.items():
+        cmd = [sys.executable, "-m", "hitchinlab.cli", *argv, "--out", f"{OUT}/{name}"]
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{' '.join(cmd[2:])} in {tree} exited {proc.returncode}:\n"
+                               f"{proc.stderr[-2000:]}")
+    return tree / OUT
+
+
+def drift_against(base: str) -> list:
+    """``drift`` rows of the reports of ``RUNS`` made by the revision ``base``
+    against those made by the working tree."""
+    from bench_ab import make_trees  # as a script, tools/ is on sys.path
+
+    with tempfile.TemporaryDirectory(prefix="drift_") as tmp:
+        _, trees = make_trees(base, Path(tmp), ("old", "new"))
+        return drift(run_all(trees["old"]), run_all(trees["new"]))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="field-by-field drift of two report trees")
-    parser.add_argument("old", type=Path)
-    parser.add_argument("new", type=Path)
+    parser.add_argument("old", type=Path, nargs="?")
+    parser.add_argument("new", type=Path, nargs="?")
+    parser.add_argument("--base", help="git revision whose reports to compare with the "
+                                       "working tree's, on the argv list RUNS")
     args = parser.parse_args(argv)
+    if args.base is not None:
+        if args.old is not None:
+            parser.error("give either --base or two directories")
+        print(format_table(drift_against(args.base)))
+        return 0
+    if args.new is None:
+        parser.error("give two directories, or --base")
     for root in (args.old, args.new):
         if not root.is_dir():
             parser.error(f"{root} is not a directory")
