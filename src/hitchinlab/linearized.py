@@ -10,9 +10,10 @@ The finite-difference one (``_assemble``) is a three-point stencil for
 exactly d_x^2, second order, with each component's ghost node following
 r^nu and r = 1 Dirichlet or a half-cell Neumann end.  Each operator is its
 symmetric band in LAPACK upper storage (``RadialOperator.band``), factored
-once by banded Cholesky (``RadialOperator.solve``), which also certifies it
-positive definite; ``smallest_eigenvalue`` reads lambda_min off the largest
-eigenvalue of S A^-1 S, S = sqrt(B), by Lanczos.  The Bessel oracle, the
+once (``RadialOperator.solve``), by LDL^T when tridiagonal and by banded
+Cholesky when coupled, which also certifies it positive definite;
+``smallest_eigenvalue`` reads lambda_min off the largest eigenvalue of
+S A^-1 S, S = sqrt(B), by Lanczos.  The Bessel oracle, the
 conic Poisson solve and the gluing Newton use it.
 
 The spectral one (``green_norms``) is a Galerkin discretization.  Each
@@ -41,7 +42,8 @@ from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dstebz, dstein, dsyevr, dtrtri
+from scipy.linalg.lapack import (dpbtrf, dpbtrs, dpotrf, dpttrf, dpttrs, dstebz, dstein,
+                                  dsyevr, dtrtri)
 from scipy.special import roots_legendre
 
 from .errors import NumericalError
@@ -116,41 +118,31 @@ class RadialOperator:
     band: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
-    @property
-    def full_band(self) -> np.ndarray:
-        """A in ``solve_banded``'s (k, k) layout, row k + i - j holding
-        A[i, j]: the upper band, then the lower diagonals, which are the
-        upper ones shifted by their offset."""
-        k = self.block_size
-        lower = [np.roll(self.band[k - d], -d) for d in range(1, k + 1)]
-        return np.vstack([self.band, *lower])
-
     @cached_property
     def solve(self):
-        """b -> A^-1 b by banded Cholesky, factored on first use and shared
-        by every solve on this block; ``RuntimeError`` unless A is positive
-        definite."""
+        """b -> A^-1 b on the band's own factorization (``_band_solver``),
+        factored on first use and shared by every solve on this block;
+        ``RuntimeError`` unless A is positive definite."""
         return _band_solver(self.band)
 
 
-def _cholesky(band: np.ndarray) -> np.ndarray | None:
-    """Cholesky factor of the symmetric band ``band`` (LAPACK upper storage),
-    or None when a pivot is not positive.  A NaN pivot counts as not
-    positive, as in reference LAPACK; optimized builds may pass it through,
-    so the factor's diagonal is checked as well."""
-    factor, info = dpbtrf(band)
-    if info > 0 or not np.isfinite(factor[-1]).all():
-        return None
-    return factor
-
-
 def _band_solver(band: np.ndarray):
-    """Solver for the symmetric band ``band`` by its Cholesky factor;
-    ``RuntimeError`` unless ``band`` is positive definite."""
-    factor = _cholesky(band)
-    if factor is None:
-        raise RuntimeError("band is not positive definite")
-    return lambda b: dpbtrs(factor, b)[0]
+    """Solver for the symmetric band ``band`` (LAPACK upper storage): LDL^T
+    (``dpttrf``) for a tridiagonal band, which needs no pivoting when positive
+    definite (Higham, Accuracy and Stability of Numerical Algorithms, on
+    tridiagonal systems), else Cholesky (``dpbtrf``).  ``RuntimeError``
+    unless ``band`` is positive definite; a NaN pivot counts as not positive,
+    which ``dpttrf`` and optimized builds may pass through, so the factor's
+    diagonal is checked as well."""
+    if len(band) == 2:
+        d, e, info = dpttrf(band[1], band[0, 1:])
+        if info == 0 and np.isfinite(d).all():
+            return lambda b: dpttrs(d, e, b)[0]
+    else:
+        factor, info = dpbtrf(band)
+        if info == 0 and np.isfinite(factor[-1]).all():
+            return lambda b: dpbtrs(factor, b)[0]
+    raise RuntimeError("band is not positive definite")
 
 
 @dataclass(frozen=True)
@@ -339,9 +331,9 @@ def smallest_eigenvalue(op: RadialOperator) -> float:
     mu's residual bound is machine epsilon relative on lambda_min (ARPACK's
     ``tol=0`` rule on mu, which a negative sigma under a spectrum >= 0
     keeps).  At sigma = 0 the solves reuse the block's own factorization
-    ``op.solve``.  A shift is accepted only when the banded Cholesky
-    factorization of A - sigma B succeeds, that is when A - sigma B is
-    positive definite, so sigma is certified to lie below the spectrum.  The
+    ``op.solve``.  A shift is accepted only when ``_band_solver`` factors
+    A - sigma B, that is when A - sigma B is positive definite, so sigma is
+    certified to lie below the spectrum.  The
     ladder tries sigma = 0, -1e-6, -1: a semi-definite operator (Neumann
     with a constant kernel) that rounding leaves indefinite moves on to the
     small negative shift, and an operator whose smallest eigenvalue lies
@@ -762,7 +754,7 @@ def conic_poisson_solve(nu: float, rhs, delta: float, n: int = 6000) -> ConicSol
     callable of r or an array of samples on the solver grid.  The matrix is
     ``assemble_scalar(nu)``: Dirichlet at r = 1, ghost exponent |nu| at the
     inner end, so the homogeneous inner behavior is r^|nu|; it is solved
-    against r^2 rhs with the operator's banded Cholesky factorization.
+    against r^2 rhs on the operator's own factorization, ``op.solve``.
     """
     if not 0.5 < delta < 1.5:
         raise ValueError(f"delta={delta} outside the isomorphism window (1/2, 3/2)")

@@ -36,11 +36,14 @@ def _by_field(rows):
 
 def test_identical_trees_are_identical_field_by_field(tmp_path):
     rows = drift.drift(*_trees(tmp_path))
-    assert {status for _, _, status, *_ in rows} == {"identical"}
+    assert {status for _, field, status, *_ in rows if field != "(bytes identical)"} == {
+        "identical"}
     assert [(name, field) for name, field, *_ in rows] == [
-        ("psi.csv", "psi"), ("psi.csv", "rho"), ("spectrum.json", "config.out"),
+        ("psi.csv", "(bytes identical)"), ("psi.csv", "psi"), ("psi.csv", "rho"),
+        ("spectrum.json", "(bytes identical)"), ("spectrum.json", "config.out"),
         ("spectrum.json", "config.t[]"), ("spectrum.json", "reports[].lambda_min[]"),
         ("spectrum.json", "reports[].n"), ("spectrum.json", "reports[].t")]
+    assert _by_field(rows)[("psi.csv", "(bytes identical)")] == ["yes", "", ""]
     assert drift.format_table(rows).count("\n") == len(rows) + 1
 
 
@@ -56,6 +59,18 @@ def test_drifting_float_reports_its_largest_drift_and_place(tmp_path):
     assert rows[("psi.csv", "psi")] == ["1 of 2 differ", "2.50e-01 at psi row 2",
                                        "3.33e-01 at psi row 2"]
     assert rows[("spectrum.json", "reports[].n")][0] == "identical"
+
+
+def test_values_that_parse_equal_with_other_bytes_are_not_byte_identical(tmp_path):
+    # "1.0" and "1.00", 0.5 and 5e-1, and another JSON spacing parse to the
+    # same values: every field reads identical, the bytes row says no
+    rows = _by_field(drift.drift(*_trees(tmp_path, REPORT, "rho,psi\n5e-1,1.25\n1.00,0.75\n")))
+    (tmp_path / "new" / "spectrum.json").write_text(json.dumps(REPORT, indent=1))
+    spaced = _by_field(drift.drift(tmp_path / "old", tmp_path / "new"))
+    for table, name in ((rows, "psi.csv"), (spaced, "spectrum.json")):
+        assert table[(name, "(bytes identical)")] == ["no", "", ""]
+        assert {status for (file, field), (status, *_) in table.items()
+                if file == name and field != "(bytes identical)"} == {"identical"}
 
 
 def test_missing_key_and_file_are_one_sided(tmp_path):
@@ -105,6 +120,24 @@ out = Path(args[args.index("--out") + 1])
 out.mkdir()
 (out / "report.json").write_text(json.dumps({"argv": args, "value": VALUE}))
 """
+# stand-ins for the modules the Newton-grid library run calls
+FAKE_LIBRARY = {
+    "painleve.py": "def solve_connection():\n    return None\n",
+    "fiducial.py": "def build_family(t, profile):\n    return t\n",
+    "gluing.py": """from types import SimpleNamespace
+def build_glued(t, family, n, r_min):
+    return None
+def newton_correct(state, tol):
+    return SimpleNamespace(iterations=2, residual_history=[1.0, 1e-3, 1e-11])
+def corrected_solution_check(state, result):
+    return {"residual_post": 1e-11, "sup_u": 0.25}
+""",
+}
+
+
+def _case_files(name):
+    return {f"{name}/newton_t{t:g}_n{n}_rmin{r_min:g}.json"
+            for t in drift.NEWTON_GRID_T for n, r_min in drift.NEWTON_GRID_MESH}
 
 
 def test_base_runs_every_argv_in_both_trees(tmp_path):
@@ -118,6 +151,8 @@ def test_base_runs_every_argv_in_both_trees(tmp_path):
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "cli.py").write_text(FAKE_CLI)
+    for module, source in FAKE_LIBRARY.items():
+        (package / module).write_text(source)
     (repo / ".gitignore").write_text("__pycache__/\n")
     git = ["git", "-c", "user.name=test", "-c", "user.email=test@example.com",
            "-c", "commit.gpgsign=false"]
@@ -127,16 +162,48 @@ def test_base_runs_every_argv_in_both_trees(tmp_path):
     done = subprocess.run([sys.executable, "tools/drift.py", "--base", "HEAD"], cwd=repo,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    rows = [line.split(" | ") for line in done.stdout.splitlines()[2:]]
-    assert [row[0].strip("| `") for row in rows[::2]] == [
-        f"{name}/report.json" for name in sorted(drift.RUNS)]
-    for row in rows:
-        field, status = row[1].strip("`"), row[2]
-        if field == "value":
-            assert status == "1 of 1 differ" and row[3] == "5.00e-01 at value"
+    rows = [[cell.strip("| `") for cell in line.split(" | ")]
+            for line in done.stdout.splitlines()[2:]]
+    commands = [name for name, run in drift.RUNS.items() if not callable(run)]
+    assert {row[0] for row in rows} == (
+        {f"{name}/report.json" for name in commands} | _case_files("bench-newton-grid"))
+    for name, field, status, *drifts in rows:
+        if name.startswith("bench-newton-grid/"):  # the library is not edited
+            assert status == ("yes" if field == "(bytes identical)" else "identical")
+        elif field == "value":
+            assert status == "1 of 1 differ" and drifts[0] == "5.00e-01 at value"
+        elif field == "(bytes identical)":
+            assert status == "no"
         else:
             assert field == "argv[]" and status == "identical"
     assert not list(repo.glob("drift_out*"))  # both trees were temporary
+
+
+def test_newton_grid_writes_one_report_per_case(tmp_path, monkeypatch, profile):
+    from hitchinlab import fiducial, gluing
+
+    monkeypatch.setattr(drift, "NEWTON_GRID_T", (2.0, 4.0))
+    monkeypatch.setattr(drift, "NEWTON_GRID_MESH", ((400, 1e-3),))
+    drift.newton_grid(str(tmp_path / "grid"))
+    assert {p.relative_to(tmp_path).as_posix() for p in (tmp_path / "grid").iterdir()} == (
+        _case_files("grid"))
+    state = gluing.build_glued(4.0, fiducial.build_family(4.0, profile), n=400, r_min=1e-3)
+    result = gluing.newton_correct(state, tol=1e-10)
+    check = gluing.corrected_solution_check(state, result)
+    report = json.loads((tmp_path / "grid" / "newton_t4_n400_rmin0.001.json").read_text())
+    assert report == {"t": 4.0, "n": 400, "r_min": 1e-3, "iterations": result.iterations,
+                      "residual_history": result.residual_history,
+                      "residual_post": check["residual_post"], "sup_u": check["sup_u"]}
+
+
+def _workload(monkeypatch):
+    """bench/workload.py, loaded with bench/ on the path."""
+    bench = TOOLS.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("workload", bench / "workload.py")
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    return workload
 
 
 def test_bench_runs_are_the_argv_the_benchmark_passes_at_seed_0(monkeypatch):
@@ -144,11 +211,7 @@ def test_bench_runs_are_the_argv_the_benchmark_passes_at_seed_0(monkeypatch):
     # no command and no library call
     from hitchinlab import cli
 
-    bench = TOOLS.parent / "bench"
-    monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("workload", bench / "workload.py")
-    workload = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workload)
+    workload = _workload(monkeypatch)
     passed = []
     monkeypatch.setattr(cli, "main", lambda argv: passed.append(argv[:-2]) or 1)
 
@@ -159,7 +222,15 @@ def test_bench_runs_are_the_argv_the_benchmark_passes_at_seed_0(monkeypatch):
     for name, run_workload in workload.WORKLOADS.items():
         run_workload(Recording(workload.ROOT / "unused", RuntimeError), None)
     # the benchmark's solve-psi is the README's, which runs on one job anyway
-    runs = [argv[:-2] if argv[-2:] == ["--jobs", "1"] else argv for argv in drift.RUNS.values()]
+    runs = [argv[:-2] if argv[-2:] == ["--jobs", "1"] else argv
+            for argv in drift.RUNS.values() if not callable(argv)]
     assert len(passed) == 6
     for argv in passed:
         assert argv[-2:] == ["--jobs", "1"] and argv[:-2] in runs
+
+
+def test_newton_grid_is_the_benchmarks(monkeypatch):
+    workload = _workload(monkeypatch)
+    assert drift.RUNS["bench-newton-grid"] is drift.newton_grid
+    assert drift.NEWTON_GRID_T == workload.NEWTON_GRID_T
+    assert drift.NEWTON_GRID_MESH == workload.NEWTON_GRID_MESH

@@ -364,18 +364,29 @@ def test_newton_refinement_keeps_pass(profile, t, n, r_min):
     assert _residual_post(profile, t, n, r_min) < 1e-9
 
 
-@pytest.mark.parametrize("t, n", [(2.0, 8000), (1.0, 2000)])
+@pytest.mark.parametrize("t, n", [(2.0, 8000), (1.0, 4000)])
 def test_newton_passes_a_residual_that_stops_halving(profile, t, n):
-    # at r_min = 1e-7 the sup residual does not halve at the third iterate,
-    # and at t = 2, n = 8000 it rises (1.6, 1.7e-4, 2.4e-4, 4.0e-11) before
-    # the quadratic phase; a rule that raised once a residual stopped halving
-    # failed both, while n = 2000 at t = 2 passed, so refining the grid
-    # turned a pass into a failure
+    # at r_min = 1e-7 the sup residual does not halve at the third iterate
+    # (t = 1, n = 4000: 6.8, 7.4e-3, 6.3e-3, 5.1e-8, 6.7e-15), and at t = 2,
+    # n = 8000 it rises (1.6, 1.0e-4, 1.1e-4, 1.8e-11) before the quadratic
+    # phase; a rule that raised once a residual stopped halving failed both,
+    # while n = 2000 at t = 2 passed, so refining the grid turned a pass into
+    # a failure
     state = gl.build_glued(t, fd.build_family(t, profile), n=n, r_min=1e-7)
     history = gl.newton_correct(state, tol=1e-10).residual_history
     assert history[2] > 0.5 * history[1]
     assert history[-1] < 1e-10
     assert _residual_post(profile, t, n, 1e-7) < 1e-9
+
+
+def test_newton_refused_factorization_raises_naming_t(families):
+    # a NaN in h makes a NaN pivot, which the factorization refuses; the
+    # error names t instead of escaping as a usage error
+    state = gl.build_glued(2.0, families[2.0], n=400)
+    state.h = state.h.copy()
+    state.h[200] = np.nan
+    with pytest.raises(NumericalError, match=r"^t=2: Newton linearization: band is not positive"):
+        gl.newton_correct(state, tol=1e-10)
 
 
 def test_newton_plateau_at_tiny_r_min_raises(profile):

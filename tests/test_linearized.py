@@ -9,14 +9,10 @@ from scipy.special import jn_zeros
 from hitchinlab import linearized as lin
 
 def _dense(op):
-    """A as a dense matrix, read off ``op.full_band``, whose row k + i - j
-    holds A[i, j]."""
-    k, ab = op.block_size, op.full_band
-    i, j = np.indices((ab.shape[1],) * 2)
-    inside = np.abs(i - j) <= k
-    dense = np.zeros(i.shape)
-    dense[inside] = ab[(k + i - j)[inside], j[inside]]
-    return dense
+    """A as a dense matrix, from its upper band ``op.band``."""
+    k = op.block_size
+    upper = sum(np.diag(op.band[k - d, d:], d) for d in range(k + 1))
+    return upper + np.triu(upper, 1).T
 
 
 def _block_terms(profile, ell, t, n):
@@ -516,15 +512,14 @@ def _dense_from_band(op):
 
 
 def test_band_layout_and_cholesky_solve(profile):
-    grid = lin.RadialGrid(120, lin.DEFAULT_R_MIN)
-    h = lin.build_family(4.0, profile, grid.r).h
-    ops = {
-        "coupled": lin.assemble_block(2, 4.0, profile, n=120),
-        "flat": _flat_block(2, 120),
-        "scalar": lin.assemble_scalar(3, n=120),
-        "neumann scalar": lin.assemble_scalar(1, n=120, neumann_outer=True),
-        "vertical": lin.assemble_vertical_block(2, 4.0, h, grid),
-    }
+    # the coupled bands are factored by Cholesky, the tridiagonal ones by LDL^T
+    ops = {"coupled": lin.assemble_block(2, 4.0, profile, n=120), "flat": _flat_block(2, 120)}
+    for n in (16, 120, 2000):
+        grid = lin.RadialGrid(n, lin.DEFAULT_R_MIN)
+        h = lin.build_family(4.0, profile, grid.r).h
+        ops[f"scalar n={n}"] = lin.assemble_scalar(3, n=n)
+        ops[f"neumann scalar n={n}"] = lin.assemble_scalar(1, n=n, neumann_outer=True)
+        ops[f"vertical n={n}"] = lin.assemble_vertical_block(2, 4.0, h, grid)
     rng = np.random.default_rng(0)
     for name, op in ops.items():
         dense = _dense_from_band(op)
@@ -558,16 +553,24 @@ def test_smallest_eigenvalue_vertical_matches_dense_reference(profile):
     assert lin.smallest_eigenvalue(op) == pytest.approx(_dense_smallest(op), rel=1e-12)
 
 
-def _spy_dpbtrf(monkeypatch):
-    """Record (band, factor, info) of every dpbtrf call."""
-    calls, real = [], lin.dpbtrf
+def _spy_factorizations(monkeypatch):
+    """Record (name, band, info) of every band factorization, the band in
+    upper storage whether dpbtrf (the band) or dpttrf (its diagonal and
+    off-diagonal) factored it."""
+    calls = []
 
-    def spy(band, *args, **kwargs):
-        factor, info = real(band, *args, **kwargs)
-        calls.append((band.copy(), factor, info))
-        return factor, info
+    def spy(name, as_band):
+        real = getattr(lin, name)
 
-    monkeypatch.setattr(lin, "dpbtrf", spy)
+        def factor(*args):
+            *out, info = real(*args)
+            calls.append((name, as_band(*args).copy(), info))
+            return (*out, info)
+
+        monkeypatch.setattr(lin, name, factor)
+
+    spy("dpbtrf", lambda band: band)
+    spy("dpttrf", lambda d, e: np.vstack([np.append(0.0, e), d]))
     return calls
 
 
@@ -591,9 +594,10 @@ def test_shifted_smallest_eigenvalue_matches_dense_reference(profile, monkeypatc
         return real_solver(band)
 
     monkeypatch.setattr(lin, "_band_solver", refuse_unshifted)
-    factored = _spy_dpbtrf(monkeypatch)
+    factored = _spy_factorizations(monkeypatch)
     assert lin.smallest_eigenvalue(op) == pytest.approx(_dense_smallest(op), rel=1e-12)
-    [(band, _, info)] = factored
+    [(name, band, info)] = factored
+    assert name == ("dpbtrf" if kind == "coupled" else "dpttrf")
     assert info == 0
     assert np.array_equal(band[-1], op.band[-1] + 1e-6 * op.weights)
 
@@ -615,13 +619,14 @@ def test_one_factorization_per_block(profile, monkeypatch):
         lanczos_args.append((tol, max_steps, shift))
         return real_lanczos(apply, v0, tol, max_steps, shift)
 
-    factored = _spy_dpbtrf(monkeypatch)
+    factored = _spy_factorizations(monkeypatch)
     monkeypatch.setattr(lin, "_lanczos_largest", spy_lanczos)
     op = lin.assemble_block(3, 2.0, profile, n=100)
     lin.smallest_eigenvalue(op)
     op.solve(np.ones(len(op.weights)))
     assert len(factored) == 1
-    assert np.array_equal(factored[0][0], op.band)
+    assert factored[0][0] == "dpbtrf"
+    assert np.array_equal(factored[0][1], op.band)
     assert lanczos_args == [(np.finfo(float).eps, lin.LANCZOS_MAX_STEPS, 0.0)]
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from hitchinlab import linearized as lin
@@ -49,6 +49,55 @@ def test_scalar_operator_raises_or_has_a_positive_spectrum(n, r_min, ell):
     assert op.band.shape[1] == n
     lam = lin.smallest_eigenvalue(op)
     assert math.isfinite(lam) and lam > 0.0
+
+
+def _tridiagonal(op):
+    """(A x, ||A||_inf) for the tridiagonal band of ``op``, as functions of x
+    and as a number."""
+    d, e = op.band[1], op.band[0, 1:]
+
+    def times(x):
+        y = d * x
+        y[:-1] += e * x[1:]
+        y[1:] += e * x[:-1]
+        return y
+
+    return times, float((np.abs(d) + np.append(np.abs(e), 0.0) + np.append(0.0, np.abs(e))).max())
+
+
+@seed(20261020)
+@SWEEP
+@given(n=st.integers(min_value=lin.MIN_GRID, max_value=4096),
+       r_min=st.floats(min_value=1e-8, max_value=0.5), ell=st.integers(min_value=0, max_value=64),
+       neumann=st.booleans(), scale=st.one_of(st.just(0.0), st.floats(min_value=1e-2, max_value=1e6)),
+       power=st.floats(min_value=-2.0, max_value=2.0), data=st.data())
+def test_tridiagonal_solve_is_backward_stable(n, r_min, ell, neumann, scale, power, data):
+    # the LDL^T solve of a scalar operator with a nonnegative potential has a
+    # normwise relative residual of a few n eps; a NaN in the potential and a
+    # shift above lambda_min are refused.  At ell = 0 a Neumann end needs a
+    # potential, or the constant is a kernel
+    assume(scale > 0.0 or ell > 0 or not neumann)
+
+    def potential(r):
+        return scale * r ** power
+
+    op = lin.assemble_scalar(ell, n=n, r_min=r_min, potential=potential, neumann_outer=neumann)
+    times, norm = _tridiagonal(op)
+    b = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).standard_normal(
+        len(op.weights))
+    x = op.solve(b)
+    eps = np.finfo(float).eps
+    assert np.abs(times(x) - b).max() <= 100 * n * eps * norm * np.abs(x).max()
+    lam = lin.smallest_eigenvalue(op)
+    shifted = op.band.copy()
+    shifted[-1] -= (lam + 1e-3 * (1.0 + abs(lam))) * op.weights
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        lin._band_solver(shifted)
+    where = data.draw(st.integers(0, len(op.weights) - 1))
+    nan = lin.assemble_scalar(ell, n=n, r_min=r_min, neumann_outer=neumann,
+                              potential=lambda r: np.where(r == r[where], np.nan, potential(r)))
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        nan.solve
 
 
 # positive finite rho, weighted toward both seams of the evaluator

@@ -14,13 +14,18 @@ row per field: "identical" when every value is the same float or string
 on both sides, else how many of its values differ or exist on one side
 only, and for numbers the largest absolute and relative drift, each with
 the place where it occurs.  A list compares index by index, so reordering
-one is drift.
+one is drift.  Each file on both sides also gets a "(bytes identical)" row,
+"yes" or "no": values that parse equal ("1.0" and "1.00") are identical
+field by field while the bytes differ.
 
 With ``--base REV`` the tool makes the two trees itself with
 ``tools/bench_ab.py``'s ``make_trees`` (a ``git archive`` of REV and a copy
 of the working tree's tracked and untracked files), runs every argv of
 ``RUNS`` in each copy with ``--out drift_out/<name>``, and compares the two
-``drift_out`` directories.  A command that fails on either side stops the tool.
+``drift_out`` directories.  A ``RUNS`` entry that is a function of this
+module is a library run: it is called in a child process that imports the
+tree's package, with ``drift_out/<name>`` as its output directory.  A command
+that fails on either side stops the tool.
 """
 
 from __future__ import annotations
@@ -38,10 +43,38 @@ from pathlib import Path
 
 ONLY_OLD, ONLY_NEW = "only in old", "only in new"
 OUT = "drift_out"
+TOOLS = Path(__file__).resolve().parent
+# bench/workload.py's Newton refinement grid, run at tol 1e-10 (a Tier-1 test
+# checks it against the benchmark's)
+NEWTON_GRID_T = (1.0, 2.0, 4.0, 24.0)
+NEWTON_GRID_MESH = ((2000, 1e-3), (8000, 1e-3), (2000, 1e-4))
+
+
+def newton_grid(out: str) -> None:
+    """The benchmark's Newton refinement grid through the library: one JSON
+    per case under ``out``, with its iterations, residual history,
+    ``residual_post`` and ``sup_u``."""
+    from hitchinlab import fiducial, gluing, painleve
+
+    out = Path(out)
+    out.mkdir(parents=True)
+    profile = painleve.solve_connection()
+    for t in NEWTON_GRID_T:
+        family = fiducial.build_family(t, profile)
+        for n, r_min in NEWTON_GRID_MESH:
+            state = gluing.build_glued(t, family, n=n, r_min=r_min)
+            result = gluing.newton_correct(state, tol=1e-10)
+            check = gluing.corrected_solution_check(state, result)
+            report = {"t": t, "n": n, "r_min": r_min, "iterations": result.iterations,
+                      "residual_history": result.residual_history,
+                      "residual_post": check["residual_post"], "sup_u": check["sup_u"]}
+            path = out / f"newton_t{t:g}_n{n}_rmin{r_min:g}.json"
+            path.write_text(json.dumps(report, indent=1), encoding="utf-8")
+
 # the fixed list --base runs, by output name; extend it, never shrink it.
 # The README's six commands, then the benchmark's argv of the commands
 # (bench/workload.py at seed 0, which keeps the README's t values; a Tier-1
-# test checks them against what the benchmark passes)
+# test checks them against what the benchmark passes), then library runs
 RUNS = {
     "readme-solve-psi": ["solve-psi"],
     "readme-fiducial": ["fiducial", "--t", "1", "--t", "4"],
@@ -56,6 +89,7 @@ RUNS = {
     "bench-glue": ["glue", *(a for t in range(2, 11) for a in ("--t", f"{t}.0")), "--jobs", "1"],
     "bench-indicial": ["indicial", "--lmax", "32", "--jobs", "1"],
     "bench-torus": ["torus", "--gamma", "14", "--format", "csv", "--jobs", "1"],
+    "bench-newton-grid": newton_grid,
 }
 
 
@@ -138,6 +172,8 @@ def drift(old_dir: Path, new_dir: Path) -> list:
         if not all(p.exists() for p in sides):
             rows.append((name, "(file)", ONLY_OLD if sides[0].exists() else ONLY_NEW, "", ""))
             continue
+        same_bytes = sides[0].read_bytes() == sides[1].read_bytes()
+        rows.append((name, "(bytes identical)", "yes" if same_bytes else "no", "", ""))
         for field, e in sorted(compare(*(_values(p) for p in sides)).items()):
             parts = [f"{e['differ']} of {e['values']} differ"] if e["differ"] else []
             parts += [f"{e[side]} {side}" for side in (ONLY_OLD, ONLY_NEW) if e[side]]
@@ -156,12 +192,16 @@ def format_table(rows: list) -> str:
 
 
 def run_all(tree: Path) -> Path:
-    """Run every argv of ``RUNS`` in ``tree`` on its own ``src``, each with
-    ``--out drift_out/<name>``; the ``drift_out`` directory."""
+    """Run every entry of ``RUNS`` in ``tree`` on its own ``src``, each with
+    ``drift_out/<name>`` as its output; the ``drift_out`` directory."""
     (tree / OUT).mkdir()
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    for name, argv in RUNS.items():
-        cmd = [sys.executable, "-m", "hitchinlab.cli", *argv, "--out", f"{OUT}/{name}"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(TOOLS)])}
+    for name, run in RUNS.items():
+        out = f"{OUT}/{name}"
+        if callable(run):
+            cmd = [sys.executable, "-c", f"import drift; drift.{run.__name__}({out!r})"]
+        else:
+            cmd = [sys.executable, "-m", "hitchinlab.cli", *run, "--out", out]
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{' '.join(cmd[2:])} in {tree} exited {proc.returncode}:\n"
