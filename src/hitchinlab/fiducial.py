@@ -136,7 +136,7 @@ class DiskPair:
 
 
 @cache
-def theta_grid(n: int = 256) -> np.ndarray:
+def theta_grid(n: int) -> np.ndarray:
     """n equispaced angles on [0, 2 pi), the one angular grid of every pair;
     one read-only array per n."""
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -167,7 +167,7 @@ def _alpha_from_scalar(a: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.nd
     return alpha
 
 
-def make_disk_pair(family: FiducialFamily, n_theta: int = 256) -> DiskPair:
+def make_disk_pair(family: FiducialFamily, n_theta: int) -> DiskPair:
     """The pair sampled from the family on its radial grid: connection
     f diag(1,-1) (dz/z - dzbar/zbar), field [[0, r^(1/2) e^h], [r^(1/2)
     e^-h e^(i theta), 0]].  A family at t = inf gives the limiting pair."""
@@ -192,9 +192,10 @@ def limiting_pair(r: np.ndarray | None = None, n_theta: int = 256) -> DiskPair:
 
 
 def fitted_log_offset(family: FiducialFamily) -> float:
-    """Numerical constant b0 in h ~ -(1/2) log r + b0 near the origin.
-
-    Fitted from the 8 innermost grid points; no closed form is asserted.
+    """Constant b0 in h ~ -(1/2) log r + b0 near the origin, fitted from the
+    8 innermost grid points.  The series psi ~ -log(a0 rho^(1/3)) gives
+    b0 = -(1/3) log(8t/3) - log a0, which the fit misses by the series' next
+    order there (2.4e-7 at t = 0.5, 2.4e-5 at t = 16 on the default grid).
     """
     probe = family.h[:8] + 0.5 * np.log(family.r[:8])
     return float(np.mean(probe))
@@ -272,12 +273,18 @@ def convergence_rate(profile: PsiProfile, t_list, r0: float):
 def decay_fit(t_list, norms):
     """Least-squares fit log norms = intercept - delta t.
 
-    Returns (delta, intercept, r_squared); norms that do not vary leave R^2
-    undefined and raise NumericalError.  So does a norm that, with the
-    points taken in increasing t, does not fall below its predecessor's: the
-    norms have met a floor (the glued residual flattens at about 3e-12 from
-    t ~ 26), where a fitted rate means nothing, and the message names the t.
+    Returns (delta, intercept, r_squared).  A norm that is not finite and
+    positive has no logarithm and raises NumericalError naming the first
+    such t.  So do norms that do not vary, which leave R^2 undefined, and a
+    norm that, with the points taken in increasing t, does not fall below
+    its predecessor's: the norms have met a floor (the glued residual
+    flattens at about 3e-12 from t ~ 26), where a fitted rate means
+    nothing, and the message names the t.
     """
+    for t, norm in zip(t_list, norms):
+        if not (math.isfinite(norm) and norm > 0):
+            raise NumericalError(f"decay fit: the norm at t={t:g} is {norm!r}, "
+                                 "not finite and positive")
     y = np.log(norms)
     slope, intercept = np.polyfit(t_list, y, 1)
     fitted = np.polyval([slope, intercept], t_list)

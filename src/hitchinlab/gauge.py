@@ -188,7 +188,7 @@ def apply_complex_gauge(pair: DiskPair, g: MatrixGauge) -> DiskPair:
     return DiskPair(r=pair.r, theta=pair.theta, phi=phi_new, alpha=alpha_new)
 
 
-def zero_pair(r: np.ndarray, n_theta: int = 256) -> DiskPair:
+def zero_pair(r: np.ndarray, n_theta: int) -> DiskPair:
     """The reference pair: zero connection, field [[0, 1], [z, 0]]."""
     theta = theta_grid(n_theta)
     phi = _stack2x2((len(r), n_theta), zeroed=True)

@@ -9,7 +9,7 @@ exponentially in t.  The correction solves the scalar radial equation
 
 by Newton iteration on the package's shared radial operators: each step
 solves the ell = 0 vertical block of ``linearized`` and the residual takes
-(r d_r)^2 u from the flat ell = 0 stencil, that of ``assemble_scalar(0)``.
+(r d_r)^2 u from the flat ell = 0 stencil, that of ``assemble_scalar(0, n)``.
 Only the correction is differenced on the grid, the glued background enters
 through chain-rule derivatives, and the correction is held as a constant c
 plus a remainder w, so the stencil acts on w, which is small where 1/(4 r^2)
@@ -209,7 +209,7 @@ def solve_banded(op, b: np.ndarray) -> np.ndarray:
     return op.solve(b)
 
 
-def newton_correct(state: GluedState, tol: float = 1e-10, max_iter: int = 30) -> NewtonResult:
+def newton_correct(state: GluedState, tol: float, max_iter: int = 30) -> NewtonResult:
     """Newton iteration for the bounded correction u = c + w_hi + w_lo with
     u(1) = 0.
 

@@ -50,7 +50,6 @@ from .errors import NumericalError
 from .fiducial import build_family
 from .painleve import PsiProfile
 
-DEFAULT_N = 2000
 DEFAULT_R_MIN = 1e-6
 MIN_GRID = 16
 MIN_ELL_MAX = 8
@@ -216,7 +215,7 @@ def _assemble(grid: RadialGrid, terms: _Terms) -> RadialOperator:
     return RadialOperator(block_size=k, grid=grid, band=band, weights=np.repeat(mass, k))
 
 
-def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N) -> RadialOperator:
+def assemble_block(ell: int, t: float, profile: PsiProfile, n: int) -> RadialOperator:
     """Coupled 2x2 block of the linearized operator at mode ell.
 
     The two components carry potentials (ell - 4 f_t)^2 / r^2 and
@@ -231,7 +230,7 @@ def assemble_block(ell: int, t: float, profile: PsiProfile, n: int = DEFAULT_N) 
     return _assemble(grid, _coupled_terms(ell, r, 4.0 * fam.f, w_off, w_diag))
 
 
-def assemble_scalar(ell: int, n: int = DEFAULT_N, r_min: float = DEFAULT_R_MIN,
+def assemble_scalar(ell: int, n: int, r_min: float = DEFAULT_R_MIN,
                     potential=None, neumann_outer: bool = False) -> RadialOperator:
     """Scalar radial operator -(1/r^2)(r d_r)^2 + ell^2/r^2 + potential(r).
 
@@ -260,8 +259,7 @@ def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
     return _assemble(grid, _vertical_terms(ell, r, _higgs_terms(t, r, h_values)[2]))
 
 
-def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int,
-                     shift: float = 0.0):
+def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int):
     """Largest eigenvalue theta of the symmetric operator ``apply`` by
     Lanczos, with its unit Ritz vector: (theta, vector).
 
@@ -275,21 +273,14 @@ def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int,
     of theta by inverse iteration (``dstein``), O(j) each, where a full
     diagonalization would cost O(j^3).  The reorthogonalization costs
     O(j n) per step, which the few dozen steps of the eigen solves here
-    keep small.  beta_j |s_j| is
-    the residual norm of the Ritz pair and bounds theta's error (Parlett,
-    ch. 13).  The run stops once that bound is ``tol`` relative on
-    lambda = ``shift`` + 1/theta, the value a shift-invert solve reads off:
-    lambda moves by dtheta / theta^2 and 1 + shift theta = theta lambda, so
-    the rule is beta_j |s_j| <= tol |theta| max(1, |1 + shift theta|).  The
-    max keeps ARPACK's rule beta_j |s_j| <= tol |theta|, tol relative on
-    theta, wherever theta |lambda| <= 1: at the default shift 0, and at any
-    negative shift under a spectrum >= 0.  No rule is tighter than ARPACK's,
-    so no run takes more steps than it did under that rule.  One product per
-    step; NumericalError if the rule is not met within ``max_steps`` steps
-    (or the dimension, if smaller).  The basis starts with 32 rows and
-    doubles when full: numpy backs an array of 4 MiB or more with huge
-    pages, so a basis sized for the cap would cost every solve a 2 MiB
-    page fault and its resident memory.
+    keep small.  beta_j |s_j| is the residual norm of the Ritz pair and
+    bounds theta's error (Parlett, ch. 13).  The run stops by ARPACK's rule
+    beta_j |s_j| <= tol |theta|.  One product per step; NumericalError if
+    the rule is not met within ``max_steps`` steps (or the dimension, if
+    smaller).  The basis starts with 32 rows and doubles when full: numpy
+    backs an array of 4 MiB or more with huge pages, so a basis sized for
+    the cap would cost every solve a 2 MiB page fault and its resident
+    memory.
     """
     steps = min(max_steps, len(v0))
     basis = np.empty((min(steps, 32), len(v0)))
@@ -314,8 +305,7 @@ def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int,
             _, theta, block, split, _ = dstebz(diag, off, 2, 0.0, 0.0, j + 1, j + 1,
                                                0.0, b"E")
             vec = dstein(diag, off, theta[:1], block, split)[0][:, 0]
-            if beta[j] * abs(vec[-1]) <= tol * abs(theta[0]) * max(
-                    1.0, abs(1.0 + shift * theta[0])):
+            if beta[j] * abs(vec[-1]) <= tol * abs(theta[0]):
                 return float(theta[0]), vec @ span
         q = w / beta[j]
     raise NumericalError(f"Lanczos did not converge to tol={tol:g} in {steps} steps")
@@ -328,10 +318,9 @@ def smallest_eigenvalue(op: RadialOperator) -> float:
     is symmetric positive definite, and its largest eigenvalue mu gives
     lambda_min = sigma + 1/mu.  ``_lanczos_largest`` finds mu within
     ``LANCZOS_MAX_STEPS`` products from the vector of ones, and stops once
-    mu's residual bound is machine epsilon relative on lambda_min (ARPACK's
-    ``tol=0`` rule on mu, which a negative sigma under a spectrum >= 0
-    keeps).  At sigma = 0 the solves reuse the block's own factorization
-    ``op.solve``.  A shift is accepted only when ``_band_solver`` factors
+    mu's residual bound is machine epsilon relative on mu (ARPACK's
+    ``tol=0`` rule).  At sigma = 0 the solves reuse the block's own
+    factorization ``op.solve``.  A shift is accepted only when ``_band_solver`` factors
     A - sigma B, that is when A - sigma B is positive definite, so sigma is
     certified to lie below the spectrum.  The
     ladder tries sigma = 0, -1e-6, -1: a semi-definite operator (Neumann
@@ -353,7 +342,7 @@ def smallest_eigenvalue(op: RadialOperator) -> float:
                 shifted[-1] -= sigma * op.weights
                 solve = _band_solver(shifted)
             mu, _ = _lanczos_largest(lambda x, solve=solve: s * solve(s * x), v0,
-                                     np.finfo(float).eps, LANCZOS_MAX_STEPS, sigma)
+                                     np.finfo(float).eps, LANCZOS_MAX_STEPS)
             return sigma + 1.0 / mu
         except RuntimeError as exc:  # not positive definite, Lanczos step cap
             last_exc = exc
@@ -363,13 +352,11 @@ def smallest_eigenvalue(op: RadialOperator) -> float:
 def potential_floor(terms: _Terms):
     """min over radius of the smallest eigenvalue of the potential matrix.
 
-    The samples of ``terms`` may carry leading axes (one floor per row).
-    For coupled blocks the off-diagonal coupling is included, so the floor
-    is a true lower bound for the operator (the derivative part is
+    The samples of ``terms``, a coupled block's, may carry leading axes
+    (one floor per row).  The off-diagonal coupling is included, so the
+    floor is a true lower bound for the operator (the derivative part is
     nonnegative).
     """
-    if terms.coupling is None:
-        return np.min(terms.potentials, axis=(0, -1))
     v1, v2 = terms.potentials
     gap = np.sqrt(0.25 * (v1 - v2) ** 2 + terms.coupling ** 2)
     return (0.5 * (v1 + v2) - gap).min(axis=-1)
@@ -746,13 +733,13 @@ class ConicSolution:
     u: np.ndarray
 
 
-def conic_poisson_solve(nu: float, rhs, delta: float, n: int = 6000) -> ConicSolution:
+def conic_poisson_solve(nu: float, rhs, delta: float, n: int) -> ConicSolution:
     """Solve -(u'' + u'/r - nu^2 u / r^2) = rhs with the decaying inner branch.
 
     ``delta`` selects the weighted space and must lie in the isomorphism
     window (1/2, 3/2); outside it the solve is rejected.  ``rhs`` is a
     callable of r or an array of samples on the solver grid.  The matrix is
-    ``assemble_scalar(nu)``: Dirichlet at r = 1, ghost exponent |nu| at the
+    ``assemble_scalar(nu, n)``: Dirichlet at r = 1, ghost exponent |nu| at the
     inner end, so the homogeneous inner behavior is r^|nu|; it is solved
     against r^2 rhs on the operator's own factorization, ``op.solve``.
     """

@@ -25,8 +25,8 @@ its update reaches the roundoff floor of the discrete problem (4 steps at
 the default n).  The lambda error falls like n^-4.
 
 The profile is one parameter-free function, so ``solve_connection`` solves
-it once per process and argument set and hands every caller the same
-read-only ``PsiProfile``.
+it once per process, at DEFAULT_RHO_MIN and N_SOLVE, and hands every caller
+the same read-only ``PsiProfile``.
 
 Everything downstream (the fiducial family, the linearized blocks, the glued
 approximate solutions) reads psi and its first two log-derivatives through
@@ -68,8 +68,8 @@ CSV_BLOCK_ROWS = 256
 # solve's own diagnostics).  Bound to None, it keeps painleve.ode_solves at 0.
 solve_ivp = None
 
-# solved profiles by (rho_min, n); see solve_connection
-_SOLVED: dict = {}
+# the profile, once solve_connection has solved it
+_SOLVED: PsiProfile | None = None
 
 
 def series_coefficients(a0: float, n_terms: int) -> np.ndarray:
@@ -153,8 +153,8 @@ class PsiProfile:
     that psi_xx is the derivative of the psi_x interpolant, not the equation
     evaluated, so the residual is a measure of the solve.
 
-    A profile is shared by every caller of ``solve_connection`` with the
-    same arguments, so it is frozen and its arrays are read-only.
+    The profile is shared by every caller of ``solve_connection``, so it is
+    frozen and its arrays are read-only.
     """
 
     a0: float
@@ -255,30 +255,22 @@ def _tail_eval(lam, rho):
     return psi, -lam * rho * bessel_k1(rho), 0.5 * rho * (rho * np.sinh(2.0 * psi))
 
 
-def solve_connection(rho_min: float = DEFAULT_RHO_MIN, n: int = N_SOLVE) -> PsiProfile:
-    """Global Newton solve of the connection problem on [rho_min, RHO_TAIL]
-    with n Numerov cells, once per process and argument set.
-
-    ``rho_min`` must lie within the series' range, (0, SERIES_CUT], and n
-    be an integer of at least 16.  Raises NumericalError when Newton does
-    not reach its roundoff floor within ``NEWTON_CAP`` steps, or when the
-    solution is not positive and decreasing.
-
-    The result is kept in ``_SOLVED`` under (rho_min, n), which is why it
-    is read-only.  A solve that raises stores nothing.
-    """
-    if not 0 < rho_min <= SERIES_CUT:
-        raise ValueError(f"need 0 < rho_min <= SERIES_CUT = {SERIES_CUT}, the series' range")
-    if not (float(n).is_integer() and n >= 16):
-        raise ValueError("n must be an integer of at least 16")
-    key = (float(rho_min), int(n))
-    if key not in _SOLVED:
-        _SOLVED[key] = _solve_connection(*key)
-    return _SOLVED[key]
+def solve_connection() -> PsiProfile:
+    """The profile at DEFAULT_RHO_MIN with N_SOLVE Numerov cells, solved once
+    per process by ``_solve_connection`` and kept in ``_SOLVED``, which is
+    why it is read-only.  A solve that raises stores nothing."""
+    global _SOLVED
+    if _SOLVED is None:
+        _SOLVED = _solve_connection(DEFAULT_RHO_MIN, N_SOLVE)
+    return _SOLVED
 
 
 def _solve_connection(rho_min: float, n: int) -> PsiProfile:
-    """``solve_connection`` without the memo or the argument checks."""
+    """Global Newton solve of the connection problem on [rho_min, RHO_TAIL]
+    with n >= 16 Numerov cells, rho_min in the series' range (0, SERIES_CUT].
+    NumericalError when Newton does not reach its roundoff floor within
+    ``NEWTON_CAP`` steps, or when the solution is not positive and
+    decreasing."""
     ends = np.array([rho_min, RHO_TAIL])
     xi = np.linspace(*_xi(ends), n + 1)
     h = (xi[-1] - xi[0]) / n

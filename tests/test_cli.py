@@ -181,12 +181,15 @@ def test_glue_tol_is_the_gluing_tolerance_only(tmp_path, capsys, monkeypatch):
     # the one default profile
     from hitchinlab import painleve
 
-    monkeypatch.setattr(painleve, "_SOLVED", {})
+    solves, real = [], painleve._solve_connection
+    monkeypatch.setattr(painleve, "_SOLVED", None)
+    monkeypatch.setattr(painleve, "_solve_connection",
+                        lambda *args: solves.append(args) or real(*args))
     assert run(["glue", "--t", "1", "--tol", "1e-17", "--out", str(tmp_path)]) == 1
     assert "t=1" in capsys.readouterr().err
     for tol in (["--tol", "1e-13"], ["--tol", "1e-14"], []):
         assert run(["glue", "--t", "1", *tol, "--out", str(tmp_path)]) == 0
-    assert list(painleve._SOLVED) == [(painleve.DEFAULT_RHO_MIN, painleve.N_SOLVE)]
+    assert solves == [(painleve.DEFAULT_RHO_MIN, painleve.N_SOLVE)]
 
 
 def test_glue_tol_sets_the_newton_tolerance(tmp_path):

@@ -120,10 +120,14 @@ out = Path(args[args.index("--out") + 1])
 out.mkdir()
 (out / "report.json").write_text(json.dumps({"argv": args, "value": VALUE}))
 """
-# stand-ins for the modules the Newton-grid library run calls
+# stand-ins for the modules the library runs call
 FAKE_LIBRARY = {
     "painleve.py": "def solve_connection():\n    return None\n",
-    "fiducial.py": "def build_family(t, profile):\n    return t\n",
+    "fiducial.py": """def build_family(t, profile):
+    return t
+def default_grid():
+    return None
+""",
     "gluing.py": """from types import SimpleNamespace
 def build_glued(t, family, n, r_min):
     return None
@@ -131,6 +135,18 @@ def newton_correct(state, tol):
     return SimpleNamespace(iterations=2, residual_history=[1.0, 1e-3, 1e-11])
 def corrected_solution_check(state, result):
     return {"residual_post": 1e-11, "sup_u": 0.25}
+def approx_error_sweep(t_list, profile):
+    return 1.25, 2.5, 0.75
+""",
+    "linearized.py": """from types import SimpleNamespace
+def green_norms(ts, ell_max, profile):
+    return [SimpleNamespace(to_dict=lambda t=t: {"t": t, "l": list(range(ell_max + 1))})
+            for t in ts]
+""",
+    "gauge.py": """def verify_orbit_finite_t(t, family):
+    return 1e-16 * t
+def verify_orbit_limiting(r):
+    return 5e-16
 """,
 }
 
@@ -138,6 +154,11 @@ def corrected_solution_check(state, result):
 def _case_files(name):
     return {f"{name}/newton_t{t:g}_n{n}_rmin{r_min:g}.json"
             for t in drift.NEWTON_GRID_T for n, r_min in drift.NEWTON_GRID_MESH}
+
+
+# the report of each one-file library run
+LIBRARY_FILES = {"lib-green-norms": "green_norms.json", "bench-orbits": "orbits.json",
+                 "lib-approx-error": "approx_error.json"}
 
 
 def test_base_runs_every_argv_in_both_trees(tmp_path):
@@ -165,10 +186,11 @@ def test_base_runs_every_argv_in_both_trees(tmp_path):
     rows = [[cell.strip("| `") for cell in line.split(" | ")]
             for line in done.stdout.splitlines()[2:]]
     commands = [name for name, run in drift.RUNS.items() if not callable(run)]
-    assert {row[0] for row in rows} == (
-        {f"{name}/report.json" for name in commands} | _case_files("bench-newton-grid"))
+    library = {f"{name}/{file}" for name, file in LIBRARY_FILES.items()}
+    assert {row[0] for row in rows} == ({f"{name}/report.json" for name in commands}
+                                        | _case_files("bench-newton-grid") | library)
     for name, field, status, *drifts in rows:
-        if name.startswith("bench-newton-grid/"):  # the library is not edited
+        if name.startswith("bench-newton-grid/") or name in library:  # not edited
             assert status == ("yes" if field == "(bytes identical)" else "identical")
         elif field == "value":
             assert status == "1 of 1 differ" and drifts[0] == "5.00e-01 at value"
@@ -194,6 +216,41 @@ def test_newton_grid_writes_one_report_per_case(tmp_path, monkeypatch, profile):
     assert report == {"t": 4.0, "n": 400, "r_min": 1e-3, "iterations": result.iterations,
                       "residual_history": result.residual_history,
                       "residual_post": check["residual_post"], "sup_u": check["sup_u"]}
+
+
+def _library_report(name, out):
+    """The one report that the library run ``RUNS[name]`` writes under ``out``."""
+    drift.RUNS[name](str(out))
+    assert [p.name for p in out.iterdir()] == [LIBRARY_FILES[name]]
+    return json.loads((out / LIBRARY_FILES[name]).read_text())
+
+
+def test_green_norms_run_writes_the_sweeps_reports(tmp_path, monkeypatch, profile):
+    from hitchinlab import linearized
+
+    monkeypatch.setattr(drift, "GREEN_NORMS_T", (1.0, 8.0))
+    reports = linearized.green_norms((1.0, 8.0), drift.GREEN_NORMS_LMAX, profile)
+    assert _library_report("lib-green-norms", tmp_path / "g") == {
+        "reports": json.loads(json.dumps([rep.to_dict() for rep in reports]))}
+
+
+def test_orbits_run_writes_each_check(tmp_path, monkeypatch, profile):
+    from hitchinlab import fiducial, gauge
+
+    monkeypatch.setattr(drift, "ORBIT_T", (2.0,))
+    family = fiducial.build_family(2.0, profile)
+    assert _library_report("bench-orbits", tmp_path / "o") == {
+        "t": [2.0], "finite_t": [gauge.verify_orbit_finite_t(2.0, family)],
+        "limiting": gauge.verify_orbit_limiting(fiducial.default_grid())}
+
+
+def test_approx_error_run_writes_the_fit(tmp_path, monkeypatch, profile):
+    from hitchinlab import gluing
+
+    monkeypatch.setattr(drift, "APPROX_T", (2.0, 3.0, 4.0, 5.0))
+    delta, c, r2 = gluing.approx_error_sweep((2.0, 3.0, 4.0, 5.0), profile)
+    assert _library_report("lib-approx-error", tmp_path / "a") == {
+        "t": [2.0, 3.0, 4.0, 5.0], "delta_hat": delta, "c_hat": c, "r_squared": r2}
 
 
 def _workload(monkeypatch):
@@ -227,6 +284,28 @@ def test_bench_runs_are_the_argv_the_benchmark_passes_at_seed_0(monkeypatch):
     assert len(passed) == 6
     for argv in passed:
         assert argv[-2:] == ["--jobs", "1"] and argv[:-2] in runs
+
+
+def test_orbit_run_is_the_benchmarks(monkeypatch, profile):
+    # record the library calls of the benchmark's profile_reports at seed 0,
+    # with the real profile and no command, orbit check or Newton step
+    from hitchinlab import cli, fiducial, gauge
+
+    workload = _workload(monkeypatch)
+    monkeypatch.setattr(cli, "main", lambda argv: 1)
+    calls = []
+
+    class Recording(workload.Run):
+        def call(self, name, fn, *args, **kwargs):
+            calls.append((fn, args))
+            return profile if name == "library.solve_connection" else None
+
+    workload.profile_reports(Recording(workload.ROOT / "unused", RuntimeError), None)
+    finite = [args[0] for fn, args in calls if fn is gauge.verify_orbit_finite_t]
+    (limiting,) = [args for fn, args in calls if fn is gauge.verify_orbit_limiting]
+    assert finite == list(drift.ORBIT_T)
+    assert len(limiting) == 1 and limiting[0] is fiducial.default_grid()
+    assert drift.RUNS["bench-orbits"] is drift.orbits
 
 
 def test_newton_grid_is_the_benchmarks(monkeypatch):

@@ -185,6 +185,39 @@ def test_convergence_rate(profile):
         fd.convergence_rate(profile, [1, 2], 0.5)
 
 
+def test_decay_fit_refuses_a_norm_without_a_logarithm(profile):
+    # sup(|f - 1/8| + |h|) over r >= 0.5 is 2.1e-248 at t = 600 and
+    # underflows to exactly 0 from t = 800, inside T_MAX: the fit names that
+    # t, before any logarithm warns
+    from hitchinlab.errors import NumericalError
+
+    with pytest.raises(NumericalError, match=r"the norm at t=800 is 0\.0, not finite"):
+        fd.convergence_rate(profile, [200, 400, 800], 0.5)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(NumericalError, match="the norm at t=2 is"):
+            fd.decay_fit([1.0, 2.0, 3.0, 4.0], [1.0, bad, bad, 0.1])
+
+
+def test_flux_identity(profile):
+    # f_t(0) = 0 and d_r f = 2 t^2 r^2 sinh 2h_t, so
+    # 4 f_t(1) = 8 t^2 int_0^1 r^2 sinh 2h_t dr, with the integral split at
+    # the radii of rho = 1e-6, 1e-3, 0.1, 1, 5 and 20 (4.0e-13 measured)
+    from scipy.integrate import quad
+
+    for t in (0.5, 1.0, 8.0, 100.0):
+        cuts = [r for r in ((3.0 * rho / (8.0 * t)) ** (2.0 / 3.0)
+                            for rho in (1e-6, 1e-3, 0.1, 1.0, 5.0, 20.0)) if r < 1.0]
+        cuts = [0.0, *cuts, 1.0]
+
+        def flux(r):
+            return r * r * math.sinh(2.0 * fd.build_family(t, profile, np.array([r])).h[0])
+
+        total = sum(quad(flux, a, b, epsrel=1e-13, epsabs=0.0)[0]
+                    for a, b in zip(cuts, cuts[1:]))
+        f1 = fd.build_family(t, profile, np.array([1.0])).f[0]
+        assert 8.0 * t * t * total == pytest.approx(4.0 * f1, rel=1e-12, abs=0)
+
+
 def test_decay_fit_exact_and_degenerate():
     from hitchinlab.errors import NumericalError
 

@@ -333,8 +333,7 @@ def test_solver_calls_go_through_module_attributes(families, monkeypatch):
 
     count(painleve, "painleve")
     count(gl, "gluing")
-    monkeypatch.setattr(painleve, "_SOLVED", {})  # a memoized profile makes no call
-    profile = painleve.solve_connection(n=1000)
+    profile = painleve._solve_connection(painleve.DEFAULT_RHO_MIN, 1000)
     assert painleve.solve_ivp is None
     assert calls == {"painleve": len(profile.newton_history), "gluing": 0}
     result = gl.newton_correct(gl.build_glued(4.0, families[4.0], n=400), tol=1e-8)

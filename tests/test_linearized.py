@@ -150,18 +150,30 @@ def _galerkin_lambdas(profile, t, n, ells):
             np.array([lin._smallest(blocks.vertical(ell)[0])[0] for ell in ells]))
 
 
-@pytest.mark.parametrize("t", [1.0, 8.0, 100.0, 1000.0])
+@pytest.mark.parametrize("t", [0.05, 1.0, 8.0, 100.0, 1000.0])
 def test_green_norms_basis_size_holds_for_every_mode(profile, t):
     # the basis size is chosen on the probe's blocks (ell = 0, and the
     # vertical one at ell_max); every mode's lambda at that n agrees with
     # 2n's to 1e-9 (at t >= 100, where 2n >= 96, a spread of modes)
     (rep,) = lin.green_norms([t], 32, profile)
-    assert rep.n == {1.0: 24, 8.0: 24, 100.0: 48, 1000.0: 96}[t]
+    assert rep.n == {0.05: 24, 1.0: 24, 8.0: 24, 100.0: 48, 1000.0: 96}[t]
     assert 0.0 <= rep.lambda_2n_reldiff <= lin.GALERKIN_RTOL
     ells = range(33) if t < 100.0 else (0, 2, 16, 32)
     coupled, vertical = _galerkin_lambdas(profile, t, 2 * rep.n, ells)
     assert np.abs(np.array(rep.lambda_min)[list(ells)] / coupled - 1.0).max() <= 1e-9
     assert np.abs(np.array(rep.lambda_min_vertical)[list(ells)] / vertical - 1.0).max() <= 1e-9
+    # every mode lies above its flat comparison block: the Higgs terms are
+    # >= 0, so coupled lambda_min >= min(j_{ell,1}, j_{|ell-1|,1})^2 and
+    # vertical >= j_{ell,1}^2 (smallest ratios 1.00089 and 1.000057, both
+    # at t = 0.05), and the Green norm is at most 1 / j_{0,1}^2
+    j2 = np.array([jn_zeros(ell, 1)[0] ** 2 for ell in range(33)])
+    assert (np.array(rep.lambda_min) >= np.r_[j2[0], j2[:-1]]).all()
+    assert (np.array(rep.lambda_min_vertical) >= j2).all()
+    assert rep.g_norm_l2 <= 1.0 / j2[0]
+    if t == 1000.0:
+        # the limit is 1 / pi^2, approached like 2.03 / (pi^2 t^2) from above
+        excess = math.pi ** 2 * rep.g_norm_l2 - 1.0
+        assert 0.0 < excess <= 2.0 * 2.03 / (math.pi ** 2 * t * t)
 
 
 @pytest.mark.parametrize("t", [1.0, 8.0, 1000.0])
@@ -398,46 +410,31 @@ def _spd_with_close_top_pair(size, gap, seed=0):
     return (q * eigs) @ q.T
 
 
+def test_m_phi_eigenvalues_are_the_higgs_terms(profile):
+    # at t Phi, Phi = [[0, sqrt(r) e^h], [sqrt(r) e^-h, 0]] e^(i theta / 2),
+    # the algebraic operator of criterion 12 has the eigenvalues of the
+    # Higgs terms of every block: w_diag -+ w_off and w_vert
+    from hitchinlab.algebra import TracelessMatrix, m_phi_matrix
+
+    for t in (0.5, 1.0, 8.0, 100.0):
+        family = lin.build_family(t, profile)
+        r, h = family.r[::4], family.h[::4]
+        w_off, w_diag, w_vert = lin._higgs_terms(t, r, h)
+        expected = np.sort(np.array([w_diag - w_off, w_diag + w_off, w_vert]).T, axis=1)
+        for theta in (0.0, 1.3, 4.0):
+            phase = t * np.sqrt(r) * np.exp(0.5j * theta)
+            for row, up, down in zip(expected, phase * np.exp(h), phase * np.exp(-h)):
+                m = m_phi_matrix(TracelessMatrix(0.0, up, down))
+                got = np.linalg.eigvalsh(0.5 * (m + m.T))
+                assert np.abs(got - row).max() <= 1e-13 * row.max()
+
+
 def test_lanczos_largest_close_top_pair():
     a = _spd_with_close_top_pair(120, 1e-3)
     expected = np.linalg.eigvalsh(a)[-1]
     got, vector = lin._lanczos_largest(lambda x: a @ x, np.ones(120), np.finfo(float).eps, 120)
     assert got == pytest.approx(expected, rel=1e-13)
     assert np.linalg.norm(a @ vector - got * vector) <= 1e-6
-
-
-def _lanczos_steps(diag, shift):
-    """(theta, products) of ``_lanczos_largest`` on diag(``diag``) from ones."""
-    products = [0]
-
-    def apply(x):
-        products[0] += 1
-        return diag * x
-
-    theta, _ = lin._lanczos_largest(apply, np.ones(len(diag)), np.finfo(float).eps, 200,
-                                    shift)
-    return theta, products[0]
-
-
-@pytest.mark.parametrize("sigma", [1.0, 100.0])
-def test_lanczos_largest_stops_on_lambda(sigma):
-    # theta is the top of diag(1 / (lambda - sigma)), lambda known: a shift
-    # sigma > 0 loosens the stop by |1 + sigma theta| = theta lambda, so the
-    # run stops sooner, with lambda = sigma + 1/theta still good to epsilon
-    lam = sigma + np.geomspace(0.5, 500.0, 300)
-    diag = 1.0 / (lam - sigma)
-    theta, steps = _lanczos_steps(diag, sigma)
-    _, steps_theta = _lanczos_steps(diag, 0.0)
-    assert steps < steps_theta
-    assert sigma + 1.0 / theta == pytest.approx(lam[0], rel=4 * np.finfo(float).eps, abs=0)
-
-
-@pytest.mark.parametrize("shift", [-1e-6, -1.0])
-def test_lanczos_largest_keeps_theta_rule_at_negative_shift(shift):
-    # with lambda >= 0 a shift <= 0 leaves |1 + shift theta| <= 1: the rule
-    # is the one on theta, so the run takes exactly the steps of shift 0
-    diag = 1.0 / (np.geomspace(0.5, 500.0, 300) - shift)
-    assert _lanczos_steps(diag, shift) == _lanczos_steps(diag, 0.0)
 
 
 def test_lanczos_largest_step_cap_raises():
@@ -615,9 +612,9 @@ def test_smallest_eigenvalue_shifted_kernel_matches_dense_reference():
 def test_one_factorization_per_block(profile, monkeypatch):
     lanczos_args, real_lanczos = [], lin._lanczos_largest
 
-    def spy_lanczos(apply, v0, tol, max_steps, shift=0.0):
-        lanczos_args.append((tol, max_steps, shift))
-        return real_lanczos(apply, v0, tol, max_steps, shift)
+    def spy_lanczos(apply, v0, tol, max_steps):
+        lanczos_args.append((tol, max_steps))
+        return real_lanczos(apply, v0, tol, max_steps)
 
     factored = _spy_factorizations(monkeypatch)
     monkeypatch.setattr(lin, "_lanczos_largest", spy_lanczos)
@@ -627,7 +624,7 @@ def test_one_factorization_per_block(profile, monkeypatch):
     assert len(factored) == 1
     assert factored[0][0] == "dpbtrf"
     assert np.array_equal(factored[0][1], op.band)
-    assert lanczos_args == [(np.finfo(float).eps, lin.LANCZOS_MAX_STEPS, 0.0)]
+    assert lanczos_args == [(np.finfo(float).eps, lin.LANCZOS_MAX_STEPS)]
 
 
 def test_green_norms_evaluates_profile_once(profile, monkeypatch):

@@ -48,6 +48,22 @@ TOOLS = Path(__file__).resolve().parent
 # checks it against the benchmark's)
 NEWTON_GRID_T = (1.0, 2.0, 4.0, 24.0)
 NEWTON_GRID_MESH = ((2000, 1e-3), (8000, 1e-3), (2000, 1e-4))
+# the Green-norm sweep of ROADMAP item 5's table, which no command runs
+GREEN_NORMS_T = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 100.0, 1000.0)
+GREEN_NORMS_LMAX = 32
+# bench/workload.py's orbit checks at seed 0 (a Tier-1 test checks them
+# against the benchmark's)
+ORBIT_T = (1.0, 2.0, 4.0, 8.0, 16.0, 24.0)
+# the glued residuals' decay fit over the t of the README's and the
+# benchmark's glue
+APPROX_T = tuple(float(t) for t in range(2, 11))
+
+
+def _write_json(out: str, name: str, report) -> None:
+    """``report`` as ``out/name``, in a new directory ``out``."""
+    out = Path(out)
+    out.mkdir(parents=True)
+    (out / name).write_text(json.dumps(report, indent=1), encoding="utf-8")
 
 
 def newton_grid(out: str) -> None:
@@ -71,6 +87,39 @@ def newton_grid(out: str) -> None:
             path = out / f"newton_t{t:g}_n{n}_rmin{r_min:g}.json"
             path.write_text(json.dumps(report, indent=1), encoding="utf-8")
 
+
+def green_norms(out: str) -> None:
+    """``linearized.green_norms`` over ``GREEN_NORMS_T`` at lmax
+    ``GREEN_NORMS_LMAX``: ``green_norms.json`` under ``out``, each t's
+    report as ``spectrum.json`` writes it."""
+    from hitchinlab import linearized, painleve
+
+    reports = linearized.green_norms(GREEN_NORMS_T, GREEN_NORMS_LMAX,
+                                     painleve.solve_connection())
+    _write_json(out, "green_norms.json", {"reports": [rep.to_dict() for rep in reports]})
+
+
+def orbits(out: str) -> None:
+    """The benchmark's orbit checks: ``orbits.json`` under ``out``, with the
+    discrepancy of ``gauge.verify_orbit_finite_t`` at each of ``ORBIT_T``
+    and of ``gauge.verify_orbit_limiting``, on the default grids."""
+    from hitchinlab import fiducial, gauge, painleve
+
+    profile = painleve.solve_connection()
+    finite = [gauge.verify_orbit_finite_t(t, fiducial.build_family(t, profile)) for t in ORBIT_T]
+    limiting = gauge.verify_orbit_limiting(fiducial.default_grid())
+    _write_json(out, "orbits.json", {"t": list(ORBIT_T), "finite_t": finite, "limiting": limiting})
+
+
+def approx_error_sweep(out: str) -> None:
+    """``gluing.approx_error_sweep`` over ``APPROX_T``: ``approx_error.json``
+    under ``out``, with its delta_hat, c_hat and r_squared."""
+    from hitchinlab import gluing, painleve
+
+    delta, c, r2 = gluing.approx_error_sweep(APPROX_T, painleve.solve_connection())
+    _write_json(out, "approx_error.json", {"t": list(APPROX_T), "delta_hat": delta,
+                                           "c_hat": c, "r_squared": r2})
+
 # the fixed list --base runs, by output name; extend it, never shrink it.
 # The README's six commands, then the benchmark's argv of the commands
 # (bench/workload.py at seed 0, which keeps the README's t values; a Tier-1
@@ -90,6 +139,9 @@ RUNS = {
     "bench-indicial": ["indicial", "--lmax", "32", "--jobs", "1"],
     "bench-torus": ["torus", "--gamma", "14", "--format", "csv", "--jobs", "1"],
     "bench-newton-grid": newton_grid,
+    "lib-green-norms": green_norms,
+    "bench-orbits": orbits,
+    "lib-approx-error": approx_error_sweep,
 }
 
 
