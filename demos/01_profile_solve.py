@@ -2,9 +2,10 @@
 """Solve the radial profile connection problem and inspect its shape.
 
 The profile interpolates between a logarithmic ramp at small rho and an
-exponentially decaying Bessel tail; one global Newton solve determines the
-small-rho amplitude a0 and the tail amplitude lambda together with the
-profile between them.
+exponentially decaying Bessel tail.  One Newton solve of a Chebyshev
+collocation of log psi determines the small-rho amplitude a0 together with
+the profile between the two ends, and the tail amplitude lambda is read off
+where the profile meets its Bessel tail.
 """
 
 import numpy as np

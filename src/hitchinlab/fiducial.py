@@ -22,11 +22,11 @@ DEFAULT_GRID_N = 400
 DEFAULT_R_MIN = 1e-3
 # largest t any solve accepts.  The profile holds for every rho (above
 # RHO_TAIL the lambda*K0 tail is its float64 value), so the bound is set by
-# accuracy: at t = 1000 the family residual max is 4.0e-8 on default_grid()
-# and 3.8e-8 and 3.9e-8 on 4x and 16x refined grids, 25x under criterion
+# accuracy: at t = 1000 the family residual max is 4.9e-8 on default_grid()
+# and 4.9e-8 and 5.1e-8 on 4x and 16x refined grids, 20x under criterion
 # 02's 1e-6.  It grows like t^(4/3), since at fixed rho it is the profile's
 # own residual times 2.25 / (4 r^2) with r^2 ~ (rho / t)^(4/3); the max
-# sits at rho ~ 0.17, just above SERIES_CUT.
+# sits at rho ~ 0.101, just above SERIES_CUT.
 T_MAX = 1000.0
 # largest rounding bound, relative, of f at the samples of its sups
 F_ROUNDING_LIMIT = 1e-5
@@ -278,7 +278,7 @@ def decay_fit(t_list, norms):
     such t.  So do norms that do not vary, which leave R^2 undefined, and a
     norm that, with the points taken in increasing t, does not fall below
     its predecessor's: the norms have met a floor (the glued residual
-    flattens at about 3e-12 from t ~ 26), where a fitted rate means
+    flattens at about 1.05e-12 from t ~ 27), where a fitted rate means
     nothing, and the message names the t.
     """
     for t, norm in zip(t_list, norms):

@@ -485,7 +485,12 @@ def _triangular_inverse(lower: np.ndarray) -> np.ndarray:
 
 
 def _top_eigenvalue(a: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric ``a``, to rounding relative to it."""
+    """Largest eigenvalue of the symmetric ``a``, to rounding relative to it;
+    past 3 ``BLOCK_ROWS`` rows by Lanczos, since dsyevr (and dsyevd) round
+    differently with the BLAS thread count from 256 rows on."""
+    if len(a) > 3 * BLOCK_ROWS:
+        return _lanczos_largest(lambda x: a @ x, np.ones(len(a)), np.finfo(float).eps,
+                                LANCZOS_MAX_STEPS)[0]
     return float(dsyevr(a, compute_v=0, range="I", il=len(a), iu=len(a))[0][0])
 
 

@@ -2,40 +2,41 @@
 
 The profile solves (rho d_rho)^2 psi = (1/2) rho^2 sinh(2 psi), decays like a
 multiple lambda K0(rho) as rho -> infinity, and behaves like
--log(rho^(1/3) sum_j a_j rho^(4j/3)) as rho -> 0.  It is found by one global
-Newton iteration on a fourth-order Numerov discretization of the whole
-interval [rho_min, RHO_TAIL], with a_0 and lambda as two bordering unknowns.
+-log(rho^(1/3) sum_j a_j rho^(4j/3)) as rho -> 0.  It is found by one
+Newton iteration on a Chebyshev collocation of phi = log psi over
+[SERIES_CUT, RHO_TAIL] (Trefethen, Spectral Methods in MATLAB, 2000), with
+log a_0 as one more unknown.
 
-The grid is uniform in xi = log rho + rho, so rho = W(e^xi) (Lambert W): it
-is uniform in log rho near 0 and uniform in rho near the tail, whose relative
-accuracy sets lambda.  (Uniform in log rho, the same scheme gets lambda only
-to 7e-7 at 2000 nodes.)  In Liouville form, psi = u / sqrt(1 + rho), the
-equation has no first-derivative term,
+The coordinate is xi = log rho + rho, so rho = W(e^xi) (Lambert W): it is
+log rho near 0 and rho near the tail, whose relative accuracy sets lambda.
+psi > 0 decreases, so phi is smooth there, and with rho d_rho =
+(1 + rho) d_xi the equation reads
 
-    u_xixi = (1/2) rho^2 (1 + rho)^(-3/2) sinh(2 u / sqrt(1 + rho))
-             + (1/2) rho (1 - rho/2) (1 + rho)^(-4) u,
+    (1 + rho)^2 (phi_xixi + phi_xi^2) + rho phi_xi = rho^2 sinh(2 e^phi) / (2 e^phi).
 
-so Numerov applies.  The first two nodes take the N_SERIES-term small-rho
-series at a_0 and the last two the tail lambda K0; above RHO_TAIL,
-lambda K0 <= 6e-9 for lambda <= 10, where (1/2) sinh(2 psi) rounds to psi, so
-the linear tail is the float64 solution there.  Newton starts from
-psi = K0(rho)/3, a_0 = 1, lambda = 1/3, solves its tridiagonal block by
-banded LU and the two border unknowns by Schur complement, and stops when
-its update reaches the roundoff floor of the discrete problem (4 steps at
-the default n).  The lambda error falls like n^-4.
+Its rows hold at the n - 1 interior Lobatto points; at SERIES_CUT, phi and
+phi_xi meet the N_SERIES-term small-rho series at a_0, and at RHO_TAIL
+phi_xi meets the tail's, -rho K1 / ((1 + rho) K0).  Above RHO_TAIL,
+lambda K0 <= 6e-9 for lambda <= 10, where (1/2) sinh(2 psi) rounds to psi,
+so the linear tail is the float64 solution there, and lambda is read off as
+e^phi / K0 at RHO_TAIL.  Newton starts from phi = log(K0(rho)/3), a_0 = 1,
+solves one dense system per step, and stops when its update reaches the
+roundoff floor (4 steps at the default degree N_SOLVE).  The errors of
+lambda and a_0 fall geometrically with the degree, to rounding at N_SOLVE.
 
 The profile is one parameter-free function, so ``solve_connection`` solves
-it once per process, at DEFAULT_RHO_MIN and N_SOLVE, and hands every caller
-the same read-only ``PsiProfile``.
+it once per process, at N_SOLVE, and hands every caller the same read-only
+``PsiProfile``.
 
 Everything downstream (the fiducial family, the linearized blocks, the glued
 approximate solutions) reads psi and its first two log-derivatives through
 one evaluator, ``psi_log_derivatives``, on the PsiProfile returned here.  It
 uses the small-rho series at and below ``SERIES_CUT``, which keeps the
 residual of derived quantities at truncation level even after division by
-r^2; quintic Hermite interpolation, on the Numerov nodes, of psi and of
-psi_x up to ``RHO_TAIL``; and the lambda*K0 tail above it, for every finite
-rho (it underflows to 0 past rho ~ 700).
+r^2; quintic Hermite interpolation of psi and of psi_x on N_NODES cells
+uniform in xi, filled once from the collocation, up to ``RHO_TAIL``; and
+the lambda*K0 tail above it, for every finite rho (it underflows to 0 past
+rho ~ 700).
 """
 
 from __future__ import annotations
@@ -44,21 +45,21 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.special import lambertw
 
 from .errors import NumericalError
 from .special import bessel_k0, bessel_k1
 
-DEFAULT_RHO_MIN = 1e-4
+DEFAULT_RHO_MIN = 1e-4  # where psi.csv's grid starts
 DEFAULT_RHO_MAX = 40.0
 RHO_TAIL = 20.0      # above this the lambda*K0 tail is the profile in float64
 N_GRID = 8192        # report samples, uniform in x = log rho
-N_SOLVE = 8000       # Numerov cells, uniform in xi = log rho + rho
+N_SOLVE = 80         # Chebyshev degree of the solve in xi = log rho + rho
+N_NODES = 1000       # interpolation cells, uniform in xi, filled from the solve
 N_SERIES = 8         # small-rho series terms kept with the profile
 SERIES_CUT = 0.1     # psi_log_derivatives uses the series for rho <= this
 NEWTON_CAP = 12      # Newton steps before the solve raises; a default solve takes 4
-NEWTON_FLOOR = 2.0   # Newton stops at an update of NEWTON_FLOOR * n * eps * max|u|
+NEWTON_FLOOR = 2.0   # Newton stops at an update of NEWTON_FLOOR * n * eps
 # rows per formatted string in CSV exports: as fast as one string for the
 # whole file, without the 2.4 MB transient that one string costs for psi.csv
 CSV_BLOCK_ROWS = 256
@@ -134,24 +135,25 @@ def _series_eval(coeffs: np.ndarray, rho):
 
 @dataclass(frozen=True, eq=False)
 class PsiProfile:
-    """Solved profile: its connection constants and its Numerov nodes.
+    """Solved profile: its connection constants and its interpolation nodes.
 
     ``nodes`` has the rows rho, psi, psi_x, psi_xx, psi_xxx (x = log rho) at
-    the n + 1 Numerov nodes, uniform in xi = log rho + rho on
-    [rho_min, RHO_TAIL]: psi is the solve's, psi_x its backward quadrature
-    from the tail's value at RHO_TAIL, and psi_xx and psi_xxx follow from
+    the N_NODES + 1 nodes uniform in xi = log rho + rho on the solve's
+    interval [rho_min, RHO_TAIL]: psi = e^phi and psi_x = (1 + rho) psi
+    phi_xi from the Chebyshev series of phi, and psi_xx and psi_xxx from
     the equation.  ``series`` holds the small-rho coefficients of
     ``series_coefficients(a0, N_SERIES)``.  ``a0`` and ``lam`` are the
     small-rho coefficient and the tail amplitude.  ``newton_history`` is the
-    max-norm of each Newton update (of u, log a0 and log lambda), and
-    ``match_mismatch`` its last entry.
+    max-norm of each Newton update (of the Chebyshev coefficients of phi and
+    of log a0), and ``match_mismatch`` its last entry.
 
     ``rho``, ``psi``, ``psi_x`` and ``psi_xx`` sample the profile through
     ``psi_log_derivatives`` on N_GRID points uniform in x on
-    [rho_min, DEFAULT_RHO_MAX], the grid of psi.csv, and ``residual_max`` is
-    the max of |psi_xx - (1/2) rho^2 sinh(2 psi)| there.  Between the nodes
-    that psi_xx is the derivative of the psi_x interpolant, not the equation
-    evaluated, so the residual is a measure of the solve.
+    [DEFAULT_RHO_MIN, DEFAULT_RHO_MAX], the grid of psi.csv, and
+    ``residual_max`` is the max of |psi_xx - (1/2) rho^2 sinh(2 psi)| there.
+    Between the nodes that psi_xx is the derivative of the psi_x
+    interpolant, not the equation evaluated, so the residual is a measure
+    of the solve.
 
     The profile is shared by every caller of ``solve_connection``, so it is
     frozen and its arrays are read-only.
@@ -170,7 +172,7 @@ class PsiProfile:
 
     @cached_property
     def rho(self) -> np.ndarray:
-        rho = np.exp(np.linspace(np.log(self.nodes[0, 0]), np.log(DEFAULT_RHO_MAX), N_GRID))
+        rho = np.exp(np.linspace(np.log(DEFAULT_RHO_MIN), np.log(DEFAULT_RHO_MAX), N_GRID))
         rho.flags.writeable = False
         return rho
 
@@ -211,7 +213,7 @@ class PsiProfile:
     @cached_property
     def _quintic(self):
         """(xi_0, h, table): table[0] and table[1], each of shape (6, n), hold
-        per Numerov cell the coefficients in s = (xi - xi_j) / h of the
+        per node cell the coefficients in s = (xi - xi_j) / h of the
         quintic Hermite interpolants of psi and of psi_x."""
         rho, psi, psi_x, psi_xx, psi_xxx = self.nodes
         xi0, xi1 = _xi(rho[[0, -1]])
@@ -224,7 +226,7 @@ _POWERS = np.arange(1.0, 6.0)[:, None]  # d/ds of sum c_k s^k has coefficients k
 
 
 def _xi(rho):
-    """The Numerov coordinate xi = log rho + rho."""
+    """The solve's coordinate xi = log rho + rho."""
     return np.log(rho) + rho
 
 
@@ -256,95 +258,85 @@ def _tail_eval(lam, rho):
 
 
 def solve_connection() -> PsiProfile:
-    """The profile at DEFAULT_RHO_MIN with N_SOLVE Numerov cells, solved once
-    per process by ``_solve_connection`` and kept in ``_SOLVED``, which is
-    why it is read-only.  A solve that raises stores nothing."""
+    """The profile on [SERIES_CUT, RHO_TAIL] at Chebyshev degree N_SOLVE,
+    solved once per process by ``_solve_connection`` and kept in ``_SOLVED``,
+    which is why it is read-only.  A solve that raises stores nothing."""
     global _SOLVED
     if _SOLVED is None:
-        _SOLVED = _solve_connection(DEFAULT_RHO_MIN, N_SOLVE)
+        _SOLVED = _solve_connection(SERIES_CUT, N_SOLVE)
     return _SOLVED
 
 
 def _solve_connection(rho_min: float, n: int) -> PsiProfile:
-    """Global Newton solve of the connection problem on [rho_min, RHO_TAIL]
-    with n >= 16 Numerov cells, rho_min in the series' range (0, SERIES_CUT].
-    NumericalError when Newton does not reach its roundoff floor within
-    ``NEWTON_CAP`` steps, or when the solution is not positive and
-    decreasing."""
+    """Newton solve of the connection problem by Chebyshev collocation of
+    log psi at degree n >= 16 on [rho_min, RHO_TAIL], rho_min in the series'
+    range (0, SERIES_CUT].  NumericalError when Newton does not reach its
+    roundoff floor within ``NEWTON_CAP`` steps, or when the solution is not
+    positive and decreasing."""
+    cheb = np.polynomial.chebyshev
     ends = np.array([rho_min, RHO_TAIL])
-    xi = np.linspace(*_xi(ends), n + 1)
-    h = (xi[-1] - xi[0]) / n
-    rho = lambertw(np.exp(xi)).real
-    rho[[0, -1]] = ends
-    p = 1.0 + rho
-    sq = np.sqrt(p)
-    amp = 0.5 * rho * rho / (p * sq)
-    pot = 0.5 * rho * (1.0 - 0.5 * rho) / p ** 4
-    c = h * h / 12.0
-    k0_tail = sq[-2:] * bessel_k0(rho[-2:])  # u at the last two nodes per unit lambda
-    u = sq * bessel_k0(rho) / 3.0
-    log_p = np.array([0.0, np.log(1.0 / 3.0)])  # (log a0, log lambda)
+    xi0, xi1 = _xi(ends)
+    scale = 2.0 / (xi1 - xi0)                     # ds / dxi
 
-    def set_ends():
-        """Put the series at a0 and the tail at lambda on the end nodes;
-        return the log-a0 derivative of the two series nodes, taken by a
-        complex step a0 e^(i 1e-30), which carries no cancellation."""
-        a0, lam = np.exp(log_p)
-        psi = _series_eval(series_coefficients(a0 * np.exp(1e-30j), N_SERIES), rho[:2])[0]
-        u[:2] = sq[:2] * psi.real
-        u[-2:] = lam * k0_tail
-        return sq[:2] * psi.imag / 1e-30
+    def rho_at(s):
+        rho = lambertw(np.exp(xi0 + (s + 1.0) / scale)).real
+        rho[[0, -1]] = ends
+        return rho
 
+    s = -np.cos(np.pi * np.arange(n + 1) / n)     # Lobatto points, ascending
+    rho = rho_at(s)
+    p2 = (1.0 + rho) ** 2
+    # phi, phi_xi and phi_xixi at the points, as matrices on the coefficients
+    eye = np.eye(n + 1)
+    val = cheb.chebvander(s, n)
+    d1 = cheb.chebval(s, cheb.chebder(eye, scl=scale)).T
+    d2 = cheb.chebval(s, cheb.chebder(eye, 2, scl=scale)).T
+    k0_tail = bessel_k0(RHO_TAIL)
+    tail_slope = -RHO_TAIL * bessel_k1(RHO_TAIL) / ((1.0 + RHO_TAIL) * k0_tail)
+    # the unknowns: the coefficients c of phi = log psi, then log a0.  Rows
+    # 1..n-1 are the equation at the interior points; rows 0 and n + 1 match
+    # phi and phi_xi to the series at rho_min, row n phi_xi to the tail's
+    x = np.r_[np.linalg.solve(val, np.log(bessel_k0(rho) / 3.0)), 0.0]
+    jac = np.zeros((n + 2, n + 2))
+    jac[[0, -1, -2], :-1] = val[0], d1[0], d1[-1]
     history = []
     for _ in range(NEWTON_CAP):
-        u_a = set_ends()
-        z = 2.0 * u / sq
-        f = amp * np.sinh(z) + pot * u
-        cf_u = c * (2.0 * amp / sq * np.cosh(z) + pot)
-        side, diag = 1.0 - cf_u, -2.0 - 10.0 * cf_u  # d res_i / d u_(i +- 1), d u_i
-        res = u[:-2] - 2.0 * u[1:-1] + u[2:] - c * (f[:-2] + 10.0 * f[1:-1] + f[2:])
-        # rows 2..n-2 in u_2..u_(n-2); log a0 enters them through u_1 and
-        # log lambda through u_(n-1)
-        band = np.array([np.r_[0.0, side[3:-2]], diag[2:-2], np.r_[side[2:-3], 0.0]])
-        cols = np.zeros((n - 3, 3))
-        cols[:, 0] = -res[1:-1]
-        cols[0, 1] = side[1] * u_a[1]
-        cols[-1, 2] = side[-2] * u[-2]
-        sol = solve_banded((1, 1), band, cols, check_finite=False)
-        # rows 1 and n-1 close the system: the Schur complement in (log a0, log lambda)
-        schur = [[side[0] * u_a[0] + diag[1] * u_a[1] - side[2] * sol[0, 1], -side[2] * sol[0, 2]],
-                 [-side[-3] * sol[-1, 1], diag[-2] * u[-2] + side[-1] * u[-1] - side[-3] * sol[-1, 2]]]
-        step_p = np.linalg.solve(schur, [-res[0] - side[2] * sol[0, 0], -res[-1] - side[-3] * sol[-1, 0]])
-        step_u = sol[:, 0] - sol[:, 1:] @ step_p
-        u[2:-2] += step_u
-        log_p += step_p
-        history.append(float(max(np.abs(step_u).max(), np.abs(step_p).max())))
-        # the roundoff floor of the update: each residual row rounds at
-        # about eps |u|, and the discrete Green's function gains a factor
-        # growing like n on it (0.4 n eps max|u| at most, measured for
-        # n = 16 to 32000 and rho_min = 1e-4 to 0.1)
-        if history[-1] <= NEWTON_FLOOR * n * np.finfo(float).eps * np.abs(u).max():
+        c = x[:-1]
+        phi, phi_1, phi_2 = val @ c, d1 @ c, d2 @ c
+        y = 2.0 * np.exp(phi)
+        g = np.sinh(y) / y
+        # the series and its log-a0 derivative, by a complex step
+        # a0 e^(i 1e-30), which carries no cancellation
+        psi, psi_x, _ = _series_eval(series_coefficients(np.exp(x[-1] + 1e-30j), N_SERIES),
+                                     rho_min)
+        match = np.array([np.log(psi), psi_x / ((1.0 + rho_min) * psi)])
+        res = np.r_[phi[0] - match[0].real,
+                    (p2 * (phi_2 + phi_1 * phi_1) + rho * phi_1 - rho * rho * g)[1:-1],
+                    phi_1[-1] - tail_slope, phi_1[0] - match[1].real]
+        jac[1:-2, :-1] = (p2[:, None] * (d2 + 2.0 * phi_1[:, None] * d1) + rho[:, None] * d1
+                          - (rho * rho * (np.cosh(y) - g))[:, None] * val)[1:-1]
+        jac[[0, -1], -1] = -match.imag / 1e-30
+        step = np.linalg.solve(jac, -res)
+        x += step
+        history.append(float(np.abs(step).max()))
+        # the roundoff floor of the update: at most 0.9 n eps measured once
+        # converged, for n = 16 to 256 and rho_min = 1e-4 to 0.1
+        if history[-1] <= NEWTON_FLOOR * n * np.finfo(float).eps:
             break
     else:
         raise NumericalError(f"Newton did not reach its roundoff floor in {NEWTON_CAP} steps; "
                              f"last update {history[-1]:.3e}")
-    set_ends()
 
-    a0, lam = (float(v) for v in np.exp(log_p))
-    psi = u / sq
-    psi_xx = 0.5 * rho * (rho * np.sinh(2.0 * psi))
-    # psi_x from the tail's exact value at RHO_TAIL, less the fourth-order
-    # cell integrals of d psi_x / d xi = psi_xx / (1 + rho), summed from the
-    # tail: a smooth quadrature, where differencing psi would round at
-    # eps / h per node, and relatively accurate in the tail
-    y = psi_xx / p
-    cells = np.empty(n)
-    cells[1:-1] = 13.0 * (y[1:-2] + y[2:-1]) - (y[:-3] + y[3:])
-    cells[0] = 9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3]
-    cells[-1] = 9.0 * y[-1] + 19.0 * y[-2] - 5.0 * y[-3] + y[-4]
-    psi_x = _tail_eval(lam, RHO_TAIL)[1] - np.r_[np.cumsum(cells[::-1] * (h / 24.0))[::-1], 0.0]
+    c = x[:-1]
+    a0 = float(np.exp(x[-1]))
+    lam = float(np.exp(cheb.chebval(1.0, c)) / k0_tail)
+    s = np.linspace(-1.0, 1.0, N_NODES + 1)
+    rho = rho_at(s)
+    psi = np.exp(cheb.chebval(s, c))
+    psi_x = (1.0 + rho) * psi * cheb.chebval(s, cheb.chebder(c, scl=scale))
     if not ((psi > 0).all() and (psi_x < 0).all()):
         raise NumericalError("profile not positive and decreasing")
+    psi_xx = 0.5 * rho * (rho * np.sinh(2.0 * psi))
     psi_xxx = 2.0 * psi_xx + rho * (rho * np.cosh(2.0 * psi)) * psi_x
     return PsiProfile(
         a0=a0,
@@ -361,7 +353,7 @@ def psi_log_derivatives(profile: PsiProfile, rho):
 
     Up to ``SERIES_CUT``, which covers every rho below the grid, the small-rho
     series; up to ``RHO_TAIL``, the quintic Hermite interpolants, on the
-    Numerov nodes, of psi (from psi, psi_x, psi_xx) and of psi_x (from
+    profile's nodes, of psi (from psi, psi_x, psi_xx) and of psi_x (from
     psi_x, psi_xx, psi_xxx), with psi_xx the latter's derivative; above it,
     the lambda*K0 tail.  The series branch keeps residual-grade quantities
     division-safe: there every returned value carries only series

@@ -4,6 +4,7 @@ Each test prints a single `[criterion NN] PASS/FAIL` line (visible with
 pytest -s or on failure).  Tolerances are pinned here and nowhere else.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -44,6 +45,10 @@ def test_criterion_01_painleve_profile():
         "eta_range": bool((eta >= -1e-15).all() and (eta <= 0.125 + 1e-15).all()),
         "eta_monotone": bool((np.diff(eta) >= -1e-12).all()),
         "eta_limit": abs(eta[-1] - 0.125) < 1e-6,
+        # McCoy, Tracy & Wu (1977): a0 = Gamma(1/3) / (2 Gamma(2/3)), lambda = 1/pi
+        "a0_closed_form": math.isclose(profile.a0, math.gamma(1.0 / 3.0)
+                                       / (2.0 * math.gamma(2.0 / 3.0)), rel_tol=1e-13),
+        "lambda_closed_form": math.isclose(profile.lam, 1.0 / math.pi, rel_tol=1e-13),
         "runtime": elapsed < 10.0,
     }
     _line(1, all(checks.values()),

@@ -189,7 +189,7 @@ def test_glue_tol_is_the_gluing_tolerance_only(tmp_path, capsys, monkeypatch):
     assert "t=1" in capsys.readouterr().err
     for tol in (["--tol", "1e-13"], ["--tol", "1e-14"], []):
         assert run(["glue", "--t", "1", *tol, "--out", str(tmp_path)]) == 0
-    assert solves == [(painleve.DEFAULT_RHO_MIN, painleve.N_SOLVE)]
+    assert solves == [(painleve.SERIES_CUT, painleve.N_SOLVE)]
 
 
 def test_glue_tol_sets_the_newton_tolerance(tmp_path):
@@ -267,6 +267,8 @@ def test_glue_grid_sets_the_decay_fit_grid(tmp_path, profile):
 
 
 def test_glue_past_the_residual_floor_exits_1(tmp_path, capsys):
+    # the glued residual stalls at t = 28 by 0.01% (1.0475e-12 against
+    # 1.0474e-12 at t = 27), the rounding of the profile's nodes
     argv = [arg for t in range(24, 29) for arg in ("--t", str(t))]
     assert run(["glue", *argv, "--out", str(tmp_path)]) == 1
     assert "the norm at t=28 " in capsys.readouterr().err

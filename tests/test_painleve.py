@@ -13,6 +13,7 @@ from hitchinlab.painleve import (
     DEFAULT_RHO_MAX,
     DEFAULT_RHO_MIN,
     N_GRID,
+    N_NODES,
     N_SOLVE,
     RHO_TAIL,
     SERIES_CUT,
@@ -93,33 +94,35 @@ def test_eta_power_boundedness(profile):
 def test_connection_constants_closed_form(profile):
     # McCoy, Tracy & Wu (1977): a0 = Gamma(1/3) / (2 Gamma(2/3)), lambda = 1/pi
     a0 = math.gamma(1.0 / 3.0) / (2.0 * math.gamma(2.0 / 3.0))
-    assert math.isclose(profile.a0, a0, rel_tol=1e-11)
-    assert math.isclose(profile.lam, 1.0 / math.pi, rel_tol=1e-11)
+    assert math.isclose(profile.a0, a0, rel_tol=1e-13)
+    assert math.isclose(profile.lam, 1.0 / math.pi, rel_tol=1e-13)
 
 
-def test_lambda_converges_at_fourth_order():
-    # Numerov is fourth order: each doubling of n divides the lambda error
-    # by about 16 (2.1e-8, 1.3e-9, 8.2e-11 at n = 1000, 2000, 4000)
-    errors = [abs(_solve_connection(DEFAULT_RHO_MIN, n).lam * math.pi - 1.0)
-              for n in (1000, 2000, 4000)]
-    for coarse, fine in zip(errors, errors[1:]):
-        assert 12.0 <= coarse / fine <= 20.0
+def test_lambda_converges_spectrally():
+    # collocation converges geometrically: each 8 more degrees divide the
+    # lambda error by a factor, 26 to 38 measured (1.7e-7, 5.0e-9, 1.5e-10,
+    # 3.9e-12 and 1.5e-13 at n = 32 to 64), where a fourth-order scheme
+    # would gain 1.7 to 2.4; n = 72 reaches rounding (2.2e-15)
+    errors = [abs(_solve_connection(SERIES_CUT, n).lam * math.pi - 1.0)
+              for n in (32, 40, 48, 56, 64, 72)]
+    for coarse, fine in zip(errors[:-1], errors[1:-1]):
+        assert coarse / fine >= 16.0
+    assert errors[-1] < 1e-14
 
 
 def test_connection_constants_stable_under_refinement(profile):
-    # half and twice the default n move a0 and lambda by less than 1e-10
-    # (2.5e-11 measured for lambda at n = 4000)
-    for n in (N_SOLVE // 2, 2 * N_SOLVE):
-        alt = _solve_connection(DEFAULT_RHO_MIN, n)
-        assert abs(alt.a0 - profile.a0) < 1e-10
-        assert abs(alt.lam - profile.lam) < 1e-10
+    # n = 72 and 96 move a0 and lambda by at most 2.6e-15
+    for n in (72, 96):
+        alt = _solve_connection(SERIES_CUT, n)
+        assert abs(alt.a0 - profile.a0) < 1e-14
+        assert abs(alt.lam - profile.lam) < 1e-14
 
 
-def test_numerov_nodes_uniform_in_xi(profile):
-    # rho = W(e^xi) inverts xi = log rho + rho on a uniform xi grid from
-    # rho_min to RHO_TAIL, both ends exact
+def test_nodes_uniform_in_xi(profile):
+    # rho = W(e^xi) inverts xi = log rho + rho on a uniform xi grid over the
+    # solve's interval [SERIES_CUT, RHO_TAIL], both ends exact
     rho = profile.nodes[0]
-    assert rho[0] == DEFAULT_RHO_MIN and rho[-1] == RHO_TAIL and len(rho) == N_SOLVE + 1
+    assert rho[0] == SERIES_CUT and rho[-1] == RHO_TAIL and len(rho) == N_NODES + 1
     step = np.diff(np.log(rho) + rho)
     assert np.allclose(step, step.mean(), rtol=1e-9, atol=0.0)
 
@@ -144,8 +147,8 @@ def test_psi_eval_reproduces_grid_nodes(profile):
 
 
 def test_series_branch_matches_grid_nodes(profile):
-    # at and below the cut the series, not the nodes, is returned; it agrees
-    # with every node there (1.2e-13 measured)
+    # at and below the cut the series, not the nodes, is returned; the
+    # first node lies at the cut, and the series agrees with it
     rho, *stored = profile.nodes[:4]
     below = rho <= SERIES_CUT
     for value, samples in zip(psi_log_derivatives(profile, rho[below]), stored):
@@ -156,11 +159,13 @@ def test_series_branch_matches_grid_nodes(profile):
 def test_connection_constants_independent_of_rho_min(rho_min):
     # the solve starts from the full series that psi_log_derivatives reads,
     # so a shorter interval does not trade the start's truncation error for
-    # an error in the constants
-    profile = _solve_connection(rho_min, N_SOLVE)
+    # an error in the constants.  A longer interval needs a higher degree:
+    # at n = 128 every error is at most 6e-15, where N_SOLVE leaves 6e-10
+    # at rho_min = 1e-3
+    profile = _solve_connection(rho_min, 128)
     a0 = math.gamma(1.0 / 3.0) / (2.0 * math.gamma(2.0 / 3.0))
-    assert math.isclose(profile.a0, a0, rel_tol=1e-11)
-    assert math.isclose(profile.lam, 1.0 / math.pi, rel_tol=1e-11)
+    assert math.isclose(profile.a0, a0, rel_tol=1e-13)
+    assert math.isclose(profile.lam, 1.0 / math.pi, rel_tol=1e-13)
 
 
 def test_conservation_laws(profile):
@@ -217,24 +222,25 @@ def test_far_tail_is_finite_and_quiet(profile):
 
 
 def test_psi_eval_seam_continuity(profile):
-    # series representation against the first Numerov node, whose psi is
-    # the series' and whose psi_x is the quadrature summed from the tail
+    # series representation against the first node, the collocation's value
+    # at SERIES_CUT, which the solve matched to the series in psi and psi_x
+    # (2.1e-15 and 1.1e-15 measured)
     rho, psi, psi_x = profile.nodes[:3]
     psi_s, psi_x_s, _ = _series_eval(profile.series, rho[0])
-    assert psi_s == psi[0]
-    assert abs(psi_x_s - psi_x[0]) < 1e-12
-    # the last two nodes are the tail's
-    tail_psi, tail_psi_x, _ = _tail_eval(profile.lam, rho[-2:])
-    assert np.allclose(psi[-2:], tail_psi, rtol=1e-15, atol=0.0)
-    assert np.allclose(psi_x[-2:], tail_psi_x, rtol=1e-13, atol=0.0)
+    assert abs(psi_s - psi[0]) < 1e-14
+    assert abs(psi_x_s - psi_x[0]) < 1e-14
+    # the last node is the tail's (2.2e-16 relative measured)
+    tail_psi, tail_psi_x, _ = _tail_eval(profile.lam, rho[-1])
+    assert math.isclose(psi[-1], tail_psi, rel_tol=1e-15)
+    assert math.isclose(psi_x[-1], tail_psi_x, rel_tol=1e-15)
     # the interpolation branch at RHO_TAIL meets the tail branch just above
-    # it (6.9e-15 relative measured)
+    # it (5.8e-15 relative measured)
     above = psi_log_derivatives(profile, np.nextafter(RHO_TAIL, np.inf))
     at_seam = psi_log_derivatives(profile, RHO_TAIL)
     for a, b in zip(at_seam, above):
         assert math.isclose(a[0], b[0], rel_tol=1e-13)
     # the series branch at the cut meets the interpolation branch just above
-    # it (1.2e-13 measured)
+    # it (1.5e-14 measured)
     at_cut = psi_log_derivatives(profile, SERIES_CUT)
     above = psi_log_derivatives(profile, np.nextafter(SERIES_CUT, 1.0))
     for a, b in zip(at_cut, above):
@@ -243,7 +249,7 @@ def test_psi_eval_seam_continuity(profile):
 
 def test_psi_eval_residual_between_nodes(profile):
     # psi_xx is the derivative of the psi_x interpolant, never the equation,
-    # so this measures the solve: 3.8e-13 between the nodes
+    # so this measures the solve: 1.2e-13 between the nodes
     rho = np.geomspace(SERIES_CUT, RHO_TAIL, 200001)[1:-1]
     psi, _, psi_xx = psi_log_derivatives(profile, rho)
     assert np.abs(psi_xx - 0.5 * rho * rho * np.sinh(2.0 * psi)).max() <= 1e-12
@@ -324,42 +330,43 @@ def test_tail_is_the_float64_solution_above_rho_tail(lam):
 
 
 def test_newton_history_converges_quadratically(profile):
-    # from psi = K0/3, a0 = 1, lambda = 1/3 the updates square each step
-    # (4.5e-2, 1.2e-3, 7.7e-7, 6.4e-13), and the last is at the roundoff
-    # floor of the discrete problem, which grows like n
+    # from phi = log(K0/3), a0 = 1 the coefficient updates square each step
+    # (4.4e-2, 1.8e-4, 4.0e-8, 2.9e-15), and the last is at the roundoff
+    # floor NEWTON_FLOOR n eps, which no earlier one reaches
     history = profile.newton_history
-    floor = painleve.NEWTON_FLOOR * N_SOLVE * np.finfo(float).eps * profile.nodes[1, 0]
+    floor = painleve.NEWTON_FLOOR * N_SOLVE * np.finfo(float).eps
     assert history[-1] == profile.match_mismatch
     assert len(history) == 4
     for m, m_next in zip(history, history[1:]):
-        assert m_next <= max(m * m, floor)
+        assert m_next <= max(2.0 * m * m, floor)
     assert history[-1] <= floor < history[-2]
 
 
 def test_failed_solve_is_not_memoized(monkeypatch):
-    # an inexact band solve makes Newton converge only linearly, so it does
-    # not reach its floor within NEWTON_CAP steps: the solve raises, and
-    # stores nothing
-    real = painleve.solve_banded
+    # an inexact linear solve makes Newton converge only linearly, so it
+    # does not reach its floor within NEWTON_CAP steps: the solve raises,
+    # and stores nothing
+    real = np.linalg.solve
     calls = []
 
     def halved(*args, **kwargs):
         calls.append(1)
         return 0.5 * real(*args, **kwargs)
 
-    monkeypatch.setattr(painleve, "solve_banded", halved)
+    monkeypatch.setattr(np.linalg, "solve", halved)
     monkeypatch.setattr(painleve, "_SOLVED", None)
     with pytest.raises(NumericalError, match="did not reach its roundoff floor"):
         solve_connection()
-    assert len(calls) == painleve.NEWTON_CAP
+    # the start's interpolation, then one per Newton step
+    assert len(calls) == 1 + painleve.NEWTON_CAP
     assert painleve._SOLVED is None
-    monkeypatch.setattr(painleve, "solve_banded", real)
+    monkeypatch.setattr(np.linalg, "solve", real)
     profile = solve_connection()
     assert painleve._SOLVED is profile
 
 
 def test_solve_connection_is_memoized(monkeypatch):
-    # one solve per process, at the default rho_min and n
+    # one solve per process, on [SERIES_CUT, RHO_TAIL] at degree N_SOLVE
     profile = solve_connection()
     solves = []
     monkeypatch.setattr(painleve, "_solve_connection",
@@ -368,7 +375,7 @@ def test_solve_connection_is_memoized(monkeypatch):
     assert solves == []
     monkeypatch.setattr(painleve, "_SOLVED", None)
     assert solve_connection() is profile
-    assert solves == [(DEFAULT_RHO_MIN, N_SOLVE)]
+    assert solves == [(SERIES_CUT, N_SOLVE)]
 
 
 def test_profile_is_read_only(profile):

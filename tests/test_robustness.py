@@ -132,22 +132,31 @@ def test_evaluator_rejects_rho_outside_its_domain(profile, rho, bad, data):
         painleve.psi_log_derivatives(profile, rho)
 
 
-def _spectrum_report(cwd: Path, threads: int) -> bytes:
-    """spectrum.json of ``spectrum --t 1000 --lmax 8`` run in a fresh process
-    in ``cwd`` with ``threads`` BLAS threads, under the same relative --out."""
+def _reports(cwd: Path, threads: int, argv: list) -> dict:
+    """Every file that ``hitchinlab argv`` writes, by name, run in a fresh
+    process in ``cwd`` with ``threads`` BLAS threads, under the same
+    relative --out."""
     cwd.mkdir()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
            **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
                            str(threads))}
-    done = subprocess.run([sys.executable, "-m", "hitchinlab.cli", "spectrum", "--t", "1000",
-                           "--lmax", "8", "--out", "run"], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-m", "hitchinlab.cli", *argv, "--out", "run"],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return (cwd / "run" / "spectrum.json").read_bytes()
+    return {path.name: path.read_bytes() for path in sorted((cwd / "run").iterdir())}
 
 
-def test_spectrum_report_is_independent_of_blas_threads(tmp_path):
+@pytest.mark.parametrize("argv", [
     # t = 1000 takes n = 96 functions per component, so its coupled blocks
     # have 192 rows: past BLOCK_ROWS, where dpotrf and dtrtri would round
     # differently with the thread count
-    assert _spectrum_report(tmp_path / "one", 1) == _spectrum_report(tmp_path / "two", 2)
+    ["spectrum", "--t", "1000", "--lmax", "8"],
+    # t = 500's probe at 2n = 192 factors 384-row blocks, past the 192 rows
+    # up to which dsyevr rounds alike at every thread count
+    ["spectrum", "--t", "500", "--lmax", "8"],
+    # the profile solve runs dense gesv and BLAS products
+    ["solve-psi"],
+    ["glue", "--t", "2", "--t", "4", "--t", "6", "--t", "8"],
+], ids=["spectrum-t1000", "spectrum-t500", "solve-psi", "glue"])
+def test_reports_are_independent_of_blas_threads(tmp_path, argv):
+    assert _reports(tmp_path / "one", 1, argv) == _reports(tmp_path / "two", 2, argv)
