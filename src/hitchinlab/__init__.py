@@ -44,7 +44,6 @@ from .linearized import (
     RadialGrid,
     RadialOperator,
     SpectralReport,
-    assemble_block,
     assemble_scalar,
     smallest_eigenvalue,
     green_norms,

@@ -112,7 +112,8 @@ def build_family(t: float, profile: PsiProfile, grid: np.ndarray | None = None) 
     """
     check_t(t)
     r = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    if np.any(r <= 0) or np.any(np.diff(r) <= 0) or r[-1] > 1.0 + 1e-12:
+    if (r.ndim != 1 or not r.size or np.any(r <= 0) or np.any(np.diff(r) <= 0)
+            or r[-1] > 1.0 + 1e-12):
         raise ValueError("grid must be strictly increasing in (0, 1]")
     psi, psi_x, psi_xx = psi_log_derivatives(profile, _rho_of(t, r))
     return FiducialFamily(t=t, r=r, h=psi, r_dh=1.5 * psi_x, r_d2h=2.25 * psi_xx,

@@ -247,7 +247,7 @@ def newton_correct(state: GluedState, tol: float, max_iter: int = 30) -> NewtonR
             )
         try:
             du = solve_banded(newton_operator_matrix(state, c + w_hi + w_lo), scale * res)
-        except RuntimeError as exc:  # the factorization refused the band
+        except NumericalError as exc:  # the factorization refused the band
             raise NumericalError(f"t={t:g}: Newton linearization: {exc}") from exc
         c += du[0]
         w_hi, err = _two_sum(w_hi, du - du[0])
@@ -309,7 +309,8 @@ def neumann_zero_mode_eigenvalue(state: GluedState, n: int = 1000) -> float:
     """Smallest eigenvalue of -(1/r^2)(r d_r)^2 + 16 f^2 / r^2 on [1e-4, 1],
     f that of the glued pair, with a Neumann condition at r = 1; strict
     positivity is the glued counterpart of the zero-mode positivity
-    argument."""
+    argument.  An operator that is not positive definite raises
+    NumericalError (``smallest_eigenvalue``)."""
 
     def potential(r):
         return 16.0 * _glued(state.t, state.profile, state.cutoff, r).f ** 2 / r ** 2

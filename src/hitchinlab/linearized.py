@@ -5,16 +5,16 @@ measure r dr, V holding nu^2 / r^2 per component, and is given once by a
 ``_Terms`` description: each component's inner exponent nu, the rest of its
 potential, and the coupling of two components.  Two discretizations read it.
 
-The finite-difference one (``_assemble``) is a three-point stencil for
--(r d_r)^2 + r^2 V on the log-uniform grid x = log r, where (r d_r)^2 is
-exactly d_x^2, second order, with each component's ghost node following
-r^nu and r = 1 Dirichlet or a half-cell Neumann end.  Each operator is its
-symmetric band in LAPACK upper storage (``RadialOperator.band``), factored
-once (``RadialOperator.solve``), by LDL^T when tridiagonal and by banded
-Cholesky when coupled, which also certifies it positive definite;
-``smallest_eigenvalue`` reads lambda_min off the largest eigenvalue of
-S A^-1 S, S = sqrt(B), by Lanczos.  The Bessel oracle, the
-conic Poisson solve and the gluing Newton use it.
+The finite-difference one (``_assemble``) serves the scalar operators: a
+three-point stencil for -(r d_r)^2 + r^2 V on the log-uniform grid
+x = log r, where (r d_r)^2 is exactly d_x^2, second order, with the ghost
+node following r^nu and r = 1 Dirichlet or a half-cell Neumann end.  Each
+operator is its symmetric tridiagonal band (``RadialOperator.band``),
+factored once by LDL^T (``RadialOperator.solve``), which certifies it
+positive definite; ``smallest_eigenvalue`` reads lambda_min off the largest
+eigenvalue of S A^-1 S, S = sqrt(B), by Lanczos, and an operator that is
+not positive definite raises NumericalError.  The Bessel oracle, the conic
+Poisson solve and the gluing Newton use it.
 
 The spectral one (``green_norms``) is a Galerkin discretization.  Each
 component's basis is u_k = x^nu (1 - x^2) P_k^(2, nu)(2 x^2 - 1),
@@ -42,8 +42,7 @@ from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import (dpbtrf, dpbtrs, dpotrf, dpttrf, dpttrs, dstebz, dstein,
-                                  dsyevr, dtrtri)
+from scipy.linalg.lapack import dpotrf, dpttrf, dpttrs, dstebz, dstein, dsyevr, dtrtri
 from scipy.special import roots_legendre
 
 from .errors import NumericalError
@@ -55,7 +54,7 @@ MIN_GRID = 16
 MIN_ELL_MAX = 8
 SURROGATE_PRUNE_MARGIN = 1e-6
 # the step cap of every Lanczos run; the Bessel oracle takes 10 steps at
-# n = 500 to 8000, a coupled block at ell = 64, n = 2000 up to 37
+# n = 500 to 8000, a vertical block at ell = 64, n = 2000 up to 65 (t = 100)
 LANCZOS_MAX_STEPS = 500
 # green_norms' Galerkin basis: n functions per component, doubled from
 # GALERKIN_N until the probe's lambda_min at n and 2n agree to GALERKIN_RTOL
@@ -104,15 +103,15 @@ class RadialGrid:
 
 @dataclass(eq=False)
 class RadialOperator:
-    """Discretized block operator A u = lambda B u in nodal values.
+    """Discretized scalar operator A u = lambda B u in nodal values.
 
-    ``band`` is the symmetric stiffness-plus-potential matrix A in LAPACK
-    upper band storage: row ``block_size`` is the diagonal and row
-    ``block_size - d`` holds A[j - d, j] in column j.  ``weights`` is the
-    diagonal of B (cell mass r^2 per unit x).
+    ``band`` is the symmetric tridiagonal stiffness-plus-potential matrix A
+    in LAPACK upper band storage: row 1 is the diagonal and row 0 holds
+    A[j - 1, j] in column j.  ``weights`` is the diagonal of B (cell mass
+    r^2 per unit x).  Every use needs A positive definite, which its
+    factorization ``solve`` certifies.
     """
 
-    block_size: int
     grid: RadialGrid
     band: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
@@ -121,27 +120,21 @@ class RadialOperator:
     def solve(self):
         """b -> A^-1 b on the band's own factorization (``_band_solver``),
         factored on first use and shared by every solve on this block;
-        ``RuntimeError`` unless A is positive definite."""
+        NumericalError unless A is positive definite."""
         return _band_solver(self.band)
 
 
 def _band_solver(band: np.ndarray):
-    """Solver for the symmetric band ``band`` (LAPACK upper storage): LDL^T
-    (``dpttrf``) for a tridiagonal band, which needs no pivoting when positive
-    definite (Higham, Accuracy and Stability of Numerical Algorithms, on
-    tridiagonal systems), else Cholesky (``dpbtrf``).  ``RuntimeError``
-    unless ``band`` is positive definite; a NaN pivot counts as not positive,
-    which ``dpttrf`` and optimized builds may pass through, so the factor's
-    diagonal is checked as well."""
-    if len(band) == 2:
-        d, e, info = dpttrf(band[1], band[0, 1:])
-        if info == 0 and np.isfinite(d).all():
-            return lambda b: dpttrs(d, e, b)[0]
-    else:
-        factor, info = dpbtrf(band)
-        if info == 0 and np.isfinite(factor[-1]).all():
-            return lambda b: dpbtrs(factor, b)[0]
-    raise RuntimeError("band is not positive definite")
+    """Solver for the symmetric tridiagonal ``band`` (LAPACK upper storage)
+    by LDL^T (``dpttrf``), which needs no pivoting when positive definite
+    (Higham, Accuracy and Stability of Numerical Algorithms, on tridiagonal
+    systems).  NumericalError unless ``band`` is positive definite; a NaN
+    pivot counts as not positive, which ``dpttrf`` and optimized builds may
+    pass through, so the factor's diagonal is checked as well."""
+    d, e, info = dpttrf(band[1], band[0, 1:])
+    if info != 0 or not np.isfinite(d).all():
+        raise NumericalError("band is not positive definite")
+    return lambda b: dpttrs(d, e, b)[0]
 
 
 @dataclass(frozen=True)
@@ -187,47 +180,28 @@ def _vertical_terms(ell, r: np.ndarray, w_vert: np.ndarray) -> _Terms:
 
 
 def _assemble(grid: RadialGrid, terms: _Terms) -> RadialOperator:
-    """Band and masses of -(r d_r)^2 + r^2 V for the block ``terms`` on its
-    nodes.
+    """Band and masses of -(r d_r)^2 + r^2 V for the scalar block ``terms``
+    on its nodes.
 
-    The ghost u_{-1} = e^{-nu dx} u_0 of each component follows the regular
-    branch r^nu.  Two components are interleaved node by node.  One node
-    more than the grid has is the Neumann end r = 1, a half cell: it halves
-    mass and potential but not the flux difference, so the matrix stays
-    symmetric and positive.
+    The ghost u_{-1} = e^{-nu dx} u_0 follows the regular branch r^nu.  One
+    node more than the grid has is the Neumann end r = 1, a half cell: it
+    halves mass and potential but not the flux difference, so the matrix
+    stays symmetric.
     """
-    r, potentials = terms.r, terms.potentials
-    size, k = len(r), len(potentials)
+    r = terms.r
+    (nu,), (pot,) = terms.nus, terms.potentials
     dx2 = grid.dx ** 2
-    stiff = np.full(size, 2.0)
-    cells = np.ones(size)
-    if size > grid.n:
+    stiff = np.full(len(r), 2.0)
+    cells = np.ones(len(r))
+    if len(r) > grid.n:
         stiff[-1] = 1.0
         cells[-1] = 0.5
+    stiff[0] = 2.0 - np.exp(-nu * grid.dx)
     mass = cells * r ** 2
-    band = np.zeros((k + 1, k * size))
-    for j, (pot, nu) in enumerate(zip(potentials, terms.nus)):
-        stiff[0] = 2.0 - np.exp(-nu * grid.dx)
-        band[k, j::k] = stiff / dx2 + mass * pot
-    band[0, k:] = -1.0 / dx2
-    if terms.coupling is not None:
-        band[1, 1::2] = mass * terms.coupling
-    return RadialOperator(block_size=k, grid=grid, band=band, weights=np.repeat(mass, k))
-
-
-def assemble_block(ell: int, t: float, profile: PsiProfile, n: int) -> RadialOperator:
-    """Coupled 2x2 block of the linearized operator at mode ell.
-
-    The two components carry potentials (ell - 4 f_t)^2 / r^2 and
-    (ell - 1 + 4 f_t)^2 / r^2 and the coupling
-    8 t^2 r [[cosh 2h_t, 1], [1, cosh 2h_t]].  Inner regularity exponents
-    are |ell| and |ell - 1|.
-    """
-    grid = RadialGrid(n, DEFAULT_R_MIN)
-    r = grid.r
-    fam = build_family(t, profile, r)
-    w_off, w_diag, _ = _higgs_terms(t, r, fam.h)
-    return _assemble(grid, _coupled_terms(ell, r, 4.0 * fam.f, w_off, w_diag))
+    band = np.zeros((2, len(r)))
+    band[1] = stiff / dx2 + mass * pot
+    band[0, 1:] = -1.0 / dx2
+    return RadialOperator(grid=grid, band=band, weights=mass)
 
 
 def assemble_scalar(ell: int, n: int, r_min: float = DEFAULT_R_MIN,
@@ -314,39 +288,20 @@ def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int):
 def smallest_eigenvalue(op: RadialOperator) -> float:
     """Smallest eigenvalue of A u = lambda B u by standard-mode Lanczos.
 
-    For a shift sigma below the spectrum, S (A - sigma B)^-1 S with S = sqrt(B)
-    is symmetric positive definite, and its largest eigenvalue mu gives
-    lambda_min = sigma + 1/mu.  ``_lanczos_largest`` finds mu within
-    ``LANCZOS_MAX_STEPS`` products from the vector of ones, and stops once
-    mu's residual bound is machine epsilon relative on mu (ARPACK's
-    ``tol=0`` rule).  At sigma = 0 the solves reuse the block's own
-    factorization ``op.solve``.  A shift is accepted only when ``_band_solver`` factors
-    A - sigma B, that is when A - sigma B is positive definite, so sigma is
-    certified to lie below the spectrum.  The
-    ladder tries sigma = 0, -1e-6, -1: a semi-definite operator (Neumann
-    with a constant kernel) that rounding leaves indefinite moves on to the
-    small negative shift, and an operator whose smallest eigenvalue lies
-    below -1 raises NumericalError.  Only a ``RuntimeError`` (factorization
-    not positive definite, Lanczos step cap) moves on to the next shift; any
-    other error, such as a malformed operator, propagates unchanged.
+    For A positive definite, S A^-1 S with S = sqrt(B) is symmetric positive
+    definite, and its largest eigenvalue mu gives lambda_min = 1/mu.
+    ``_lanczos_largest`` finds mu within ``LANCZOS_MAX_STEPS`` products from
+    the vector of ones, on the block's own factorization ``op.solve``, and
+    stops once mu's residual bound is machine epsilon relative on mu
+    (ARPACK's ``tol=0`` rule).  NumericalError when the factorization finds
+    A not positive definite, or at the step cap; any other error, such as a
+    malformed operator, propagates unchanged.
     """
+    solve = op.solve
     s = np.sqrt(op.weights)
-    v0 = np.ones(op.band.shape[1])
-    last_exc = None
-    for sigma in (0.0, -1e-6, -1.0):
-        try:
-            if sigma == 0.0:
-                solve = op.solve
-            else:
-                shifted = op.band.copy()
-                shifted[-1] -= sigma * op.weights
-                solve = _band_solver(shifted)
-            mu, _ = _lanczos_largest(lambda x, solve=solve: s * solve(s * x), v0,
-                                     np.finfo(float).eps, LANCZOS_MAX_STEPS)
-            return sigma + 1.0 / mu
-        except RuntimeError as exc:  # not positive definite, Lanczos step cap
-            last_exc = exc
-    raise NumericalError(f"eigenvalue solve failed: {last_exc}") from last_exc
+    mu, _ = _lanczos_largest(lambda x: s * solve(s * x), np.ones(op.band.shape[1]),
+                             np.finfo(float).eps, LANCZOS_MAX_STEPS)
+    return 1.0 / mu
 
 
 def potential_floor(terms: _Terms):
@@ -742,7 +697,8 @@ def conic_poisson_solve(nu: float, rhs, delta: float, n: int) -> ConicSolution:
     """Solve -(u'' + u'/r - nu^2 u / r^2) = rhs with the decaying inner branch.
 
     ``delta`` selects the weighted space and must lie in the isomorphism
-    window (1/2, 3/2); outside it the solve is rejected.  ``rhs`` is a
+    window (1/2, 3/2); outside it, or for a non-finite nu, the solve is
+    rejected.  ``rhs`` is a
     callable of r or an array of samples on the solver grid.  The matrix is
     ``assemble_scalar(nu, n)``: Dirichlet at r = 1, ghost exponent |nu| at the
     inner end, so the homogeneous inner behavior is r^|nu|; it is solved
@@ -750,6 +706,8 @@ def conic_poisson_solve(nu: float, rhs, delta: float, n: int) -> ConicSolution:
     """
     if not 0.5 < delta < 1.5:
         raise ValueError(f"delta={delta} outside the isomorphism window (1/2, 3/2)")
+    if not math.isfinite(nu):
+        raise ValueError(f"nu={nu} is not finite")
     op = assemble_scalar(nu, n=n)
     r = op.grid.r
     b = rhs(r) if callable(rhs) else np.asarray(rhs, dtype=float)

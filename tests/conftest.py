@@ -13,6 +13,13 @@ from hitchinlab.painleve import solve_connection
 from hitchinlab.fiducial import build_family
 
 
+def tridiagonal_dense(op):
+    """A of the RadialOperator ``op`` as a dense symmetric matrix, from its
+    tridiagonal upper band ``op.band``."""
+    off = op.band[0, 1:]
+    return np.diag(op.band[1]) + np.diag(off, 1) + np.diag(off, -1)
+
+
 @pytest.fixture(scope="session")
 def profile():
     return solve_connection()

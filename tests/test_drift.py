@@ -137,11 +137,23 @@ def corrected_solution_check(state, result):
     return {"residual_post": 1e-11, "sup_u": 0.25}
 def approx_error_sweep(t_list, profile):
     return 1.25, 2.5, 0.75
+def glued_on_grid(t, profile, n):
+    return t
+def neumann_zero_mode_eigenvalue(state):
+    return 0.5 * state
 """,
     "linearized.py": """from types import SimpleNamespace
+import numpy as np
 def green_norms(ts, ell_max, profile):
     return [SimpleNamespace(to_dict=lambda t=t: {"t": t, "l": list(range(ell_max + 1))})
             for t in ts]
+def assemble_scalar(ell, n):
+    return n
+def smallest_eigenvalue(op):
+    return 1.0 / op
+def conic_poisson_solve(nu, rhs, delta, n):
+    r = np.linspace(0.5, 1.0, n)
+    return SimpleNamespace(r=r, u=rhs(r))
 """,
     "gauge.py": """def verify_orbit_finite_t(t, family):
     return 1e-16 * t
@@ -158,7 +170,7 @@ def _case_files(name):
 
 # the report of each one-file library run
 LIBRARY_FILES = {"lib-green-norms": "green_norms.json", "bench-orbits": "orbits.json",
-                 "lib-approx-error": "approx_error.json"}
+                 "lib-approx-error": "approx_error.json", "lib-fd-eigen": "fd_eigen.json"}
 
 
 def test_base_runs_every_argv_in_both_trees(tmp_path):
@@ -251,6 +263,24 @@ def test_approx_error_run_writes_the_fit(tmp_path, monkeypatch, profile):
     delta, c, r2 = gluing.approx_error_sweep((2.0, 3.0, 4.0, 5.0), profile)
     assert _library_report("lib-approx-error", tmp_path / "a") == {
         "t": [2.0, 3.0, 4.0, 5.0], "delta_hat": delta, "c_hat": c, "r_squared": r2}
+
+
+def test_fd_eigen_run_writes_the_fd_values(tmp_path, monkeypatch, profile):
+    import numpy as np
+
+    from hitchinlab import gluing, linearized
+
+    monkeypatch.setattr(drift, "FD_ORACLE_N", (100, 200))
+    monkeypatch.setattr(drift, "FD_NEUMANN_T", (2.0,))
+    monkeypatch.setattr(drift, "FD_CONIC_N", 400)
+    oracle = [linearized.smallest_eigenvalue(linearized.assemble_scalar(0, n)) for n in (100, 200)]
+    state = gluing.glued_on_grid(2.0, profile, 2000)
+    sol = linearized.conic_poisson_solve(0.5, lambda r: np.sin(5.0 * r), 1.0, 400)
+    assert _library_report("lib-fd-eigen", tmp_path / "f") == {
+        "oracle_n": [100, 200], "oracle_lambda": oracle,
+        "neumann_t": [2.0], "neumann_lambda": [gluing.neumann_zero_mode_eigenvalue(state)],
+        "conic_r": sol.r[::drift.FD_CONIC_STRIDE].tolist(),
+        "conic_u": sol.u[::drift.FD_CONIC_STRIDE].tolist()}
 
 
 def _workload(monkeypatch):

@@ -263,6 +263,14 @@ def test_build_family_domain_checks(profile):
         fd.build_family(above, profile, np.geomspace(1e-3, 0.5, 50))
 
 
+@pytest.mark.parametrize("grid", [np.array([]), np.geomspace(1e-3, 1.0, 8)[:, None],
+                                  np.array(0.5)], ids=["empty", "2-d", "0-d"])
+def test_build_family_needs_a_non_empty_1d_grid(profile, grid):
+    # the empty grid raised IndexError at r[-1], and a 2-D grid was accepted
+    with pytest.raises(ValueError, match=r"^grid must be strictly increasing in \(0, 1\]$"):
+        fd.build_family(2.0, profile, grid)
+
+
 @pytest.mark.parametrize("refine", [1, 4])
 def test_residual_at_t_max(profile, refine):
     # criterion 02's bound is 1e-6; T_MAX keeps the residual 10x under it

@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
+from conftest import tridiagonal_dense
 
 from hitchinlab import fiducial as fd
 from hitchinlab import gluing as gl
 from hitchinlab import linearized as lin
 from hitchinlab.errors import NumericalError
-
-
-def _dense(op):
-    """A as a dense matrix, from its upper band ``op.band``."""
-    k = op.block_size
-    upper = sum(np.diag(op.band[k - d, d:], d) for d in range(k + 1))
-    return upper + np.triu(upper, 1).T
 
 
 class _IdentityCutoff:
@@ -247,7 +241,7 @@ def test_newton_linearization_matches_vertical_block(families, rng):
     state = gl.build_glued(4.0, families[4.0], n=500)
     op = gl.newton_operator_matrix(state)
     v = rng.standard_normal(state.grid.n)
-    lhs = _dense(op) @ v / op.weights  # nodal B^-1 A v
+    lhs = tridiagonal_dense(op) @ v / op.weights  # nodal B^-1 A v
     padded = np.concatenate([[v[0]], v, [0.0]])  # Neumann ghost inside, Dirichlet at 1
     d2v = (padded[:-2] - 2.0 * padded[1:-1] + padded[2:]) / state.grid.dx ** 2
     rhs = -d2v / state.r ** 2 + 16.0 * state.t ** 2 * state.r * np.cosh(2.0 * state.h) * v
@@ -294,7 +288,7 @@ def test_second_difference_is_the_flat_stencil(rng):
     # ell = 0 stencil, outer ghost included
     grid = lin.RadialGrid(300, 1e-3)
     v = rng.standard_normal(grid.n)
-    d2 = -(_dense(lin.assemble_scalar(0, n=grid.n, r_min=grid.r_min)) @ v)
+    d2 = -(tridiagonal_dense(lin.assemble_scalar(0, n=grid.n, r_min=grid.r_min)) @ v)
     d2[-1] += 0.7 / grid.dx ** 2
     got = gl._second_difference(v, 0.7, grid.dx)
     assert np.abs(got - d2).max() <= 1e-14 * np.abs(d2).max()

@@ -3,32 +3,61 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from conftest import tridiagonal_dense
+from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
 from scipy.special import jn_zeros
 
 from hitchinlab import linearized as lin
-
-def _dense(op):
-    """A as a dense matrix, from its upper band ``op.band``."""
-    k = op.block_size
-    upper = sum(np.diag(op.band[k - d, d:], d) for d in range(k + 1))
-    return upper + np.triu(upper, 1).T
+from hitchinlab.errors import NumericalError
 
 
 def _block_terms(profile, ell, t, n):
-    """The terms of ``assemble_block(ell, t, profile, n=n)``, read on the
-    block's own nodes."""
+    """The terms of the coupled block at mode ell of the family at t on the
+    n nodes of the finite-difference grid."""
     r = lin.RadialGrid(n, lin.DEFAULT_R_MIN).r
     fam = lin.build_family(t, profile, r)
     w_off, w_diag, _ = lin._higgs_terms(t, r, fam.h)
     return lin._coupled_terms(ell, r, 4.0 * fam.f, w_off, w_diag)
 
 
-def _flat_block(ell, n):
+def _flat_terms(ell, n):
     """The coupled block at mode ell with every term zero: the flat block."""
-    grid = lin.RadialGrid(n, lin.DEFAULT_R_MIN)
+    r = lin.RadialGrid(n, lin.DEFAULT_R_MIN).r
     zero = np.zeros(n)
-    return lin._assemble(grid, lin._coupled_terms(ell, grid.r, zero, zero, zero))
+    return lin._coupled_terms(ell, r, zero, zero, zero)
+
+
+def _coupled_fd_smallest(terms, n):
+    """lambda_min of the coupled block ``terms`` by finite differences, an
+    independent reference for the Galerkin blocks.
+
+    The package's three-point stencil on the n-node grid, each component's
+    ghost following its own r^nu, the two components interleaved node by
+    node in a symmetric band of half-width 2 (LAPACK upper storage),
+    factored by banded Cholesky; lambda_min is 1 / mu for the largest
+    eigenvalue mu of S A^-1 S, S = sqrt(B), by ``_lanczos_largest``.
+    """
+    grid = lin.RadialGrid(n, lin.DEFAULT_R_MIN)
+    dx2 = grid.dx ** 2
+    mass = terms.r ** 2
+    stiff = np.full(n, 2.0)
+    band = np.zeros((3, 2 * n))
+    for j, (pot, nu) in enumerate(zip(terms.potentials, terms.nus)):
+        stiff[0] = 2.0 - np.exp(-nu * grid.dx)
+        band[2, j::2] = stiff / dx2 + mass * pot
+    band[0, 2:] = -1.0 / dx2
+    band[1, 1::2] = mass * terms.coupling
+    factor = (cholesky_banded(band), False)
+    s = np.sqrt(np.repeat(mass, 2))
+    mu, _ = lin._lanczos_largest(lambda x: s * cho_solve_banded(factor, s * x),
+                                 np.ones(2 * n), np.finfo(float).eps, lin.LANCZOS_MAX_STEPS)
+    return 1.0 / mu
+
+
+def _vertical_block(profile, ell, t, n):
+    """The finite-difference vertical block at mode ell of the family at t."""
+    grid = lin.RadialGrid(n, lin.DEFAULT_R_MIN)
+    return lin.assemble_vertical_block(ell, t, lin.build_family(t, profile, grid.r).h, grid)
 
 
 @pytest.fixture(scope="module")
@@ -51,20 +80,18 @@ def test_second_order_convergence(bessel_target):
 
 
 def test_block_zero_potential_reduces_to_bessel(bessel_target):
-    op = _flat_block(0, 2000)
-    lam = lin.smallest_eigenvalue(op)
+    # the coupled reference of the Richardson cross-check, on the flat block
+    lam = _coupled_fd_smallest(_flat_terms(0, 2000), 2000)
     assert abs(lam - bessel_target) / bessel_target < 1e-3
 
 
 def test_assembled_matrices_exactly_symmetric(profile):
-    grid = lin.RadialGrid(150, lin.DEFAULT_R_MIN)
-    h = lin.build_family(2.0, profile, grid.r).h
     for op in (
-        lin.assemble_block(3, 2.0, profile, n=150),
         lin.assemble_scalar(1, n=150),
-        lin.assemble_vertical_block(2, 2.0, h, grid),
+        lin.assemble_scalar(0, n=150, neumann_outer=True),
+        _vertical_block(profile, 2, 2.0, 150),
     ):
-        dense = _dense(op)
+        dense = tridiagonal_dense(op)
         assert np.array_equal(dense, dense.T)
         assert (op.weights > 0).all()
 
@@ -79,7 +106,7 @@ def test_potentials_nonnegative_with_floor(profile):
 
 def test_grid_size_validation(profile):
     with pytest.raises(ValueError):
-        lin.assemble_block(0, 1.0, profile, n=8)
+        _vertical_block(profile, 0, 1.0, 8)
 
 
 @pytest.mark.parametrize("n", [100.5, 16.25, float("inf"), float("nan")])
@@ -97,21 +124,23 @@ def test_integral_float_grid_size_is_the_integer():
 
 
 def test_potential_monotonicity_minmax(profile):
-    with_w = lin.smallest_eigenvalue(lin.assemble_block(1, 2.0, profile, n=400))
-    grid = lin.RadialGrid(400, lin.DEFAULT_R_MIN)
-    zero = np.zeros(400)
-    four_f = 4.0 * lin.build_family(2.0, profile, grid.r).f
-    without_w = lin.smallest_eigenvalue(
-        lin._assemble(grid, lin._coupled_terms(1, grid.r, four_f, zero, zero)))
+    # on one Galerkin basis: the Higgs terms are >= 0, so dropping them
+    # lowers lambda_min by min-max, and the flat block lies lower still
+    blocks = lin._Galerkin([2.0], profile, 24, range(2), {})
+    with_w = lin._smallest(blocks.coupled(1)[1][0])[0]
+    blocks.w_off = blocks.w_diag = np.zeros_like(blocks.r)
+    without_w = lin._smallest(blocks.coupled(1)[1][0])[0]
     assert with_w >= without_w - 1e-10
-    without_all = lin.smallest_eigenvalue(_flat_block(1, 400))
+    blocks.four_f = np.zeros_like(blocks.r)
+    without_all = lin._smallest(blocks.coupled(1)[1][0])[0]
     assert without_w >= without_all - 1e-8
 
 
 def test_high_mode_lower_bound(profile):
-    op = lin.assemble_block(5, 1.0, profile, n=400)
-    lam = lin.smallest_eigenvalue(op)
-    kappa = lin.potential_floor(_block_terms(profile, 5, 1.0, 400)) / 25.0
+    blocks = lin._Galerkin([1.0], profile, 24, range(4, 6), {})
+    terms, (k,), _ = blocks.coupled(5)
+    lam = lin._smallest(k)[0]
+    kappa = lin.potential_floor(terms)[0] / 25.0
     assert lam >= kappa * 25.0
 
 
@@ -205,14 +234,12 @@ def test_galerkin_matches_richardson_extrapolated_differences(profile, t):
     # removes its leading error and lands within 1e-8 of the Galerkin value
     (rep,) = lin.green_norms([t], 8, profile)
     for ell in (0, 2, 5):
-        coarse, fine = (lin.smallest_eigenvalue(lin.assemble_block(ell, t, profile, n=n))
+        coarse, fine = (_coupled_fd_smallest(_block_terms(profile, ell, t, n), n)
                         for n in (1200, 2400))
         assert abs((4.0 * fine - coarse) / 3.0 / rep.lambda_min[ell] - 1.0) <= 1e-8, ell
 
 
 def test_green_norms_basis_size_cap_raises(profile, monkeypatch):
-    from hitchinlab.errors import NumericalError
-
     # t = 100 needs n = 48; with the cap at 24 the doubling stops and raises
     monkeypatch.setattr(lin, "GALERKIN_N_MAX", 24)
     assert lin.green_norms([8.0], 8, profile)[0].n == 24
@@ -438,8 +465,6 @@ def test_lanczos_largest_close_top_pair():
 
 
 def test_lanczos_largest_step_cap_raises():
-    from hitchinlab.errors import NumericalError
-
     a = _spd_with_close_top_pair(120, 1e-3)
     with pytest.raises(NumericalError, match="in 5 steps"):
         lin._lanczos_largest(lambda x: a @ x, np.ones(120), np.finfo(float).eps, 5)
@@ -455,18 +480,12 @@ def test_lanczos_largest_invariant_start():
     assert value == 20.0 and np.array_equal(vector, start / 3.0)
 
 
-def test_smallest_eigenvalue_shift_ladder():
+def test_smallest_eigenvalue_malformed_operator_is_a_value_error():
+    # a malformed operator is a programming error, not a numerical failure
     import dataclasses
 
-    from hitchinlab.errors import NumericalError
-
-    # constant kernel: rounding leaves the zero shift's last Cholesky pivot
-    # at about 1e-7, so sigma = 0 factors and Lanczos returns about 1e-15;
-    # were that pivot not positive, the -1e-6 shift would find 0
-    kernel = lin.assemble_scalar(0, n=200, neumann_outer=True)
-    assert abs(lin.smallest_eigenvalue(kernel)) < 1e-10
-    # a malformed operator is a programming error, not a numerical failure
-    bad = dataclasses.replace(kernel, weights=kernel.weights[:-1])
+    op = lin.assemble_scalar(0, n=200)
+    bad = dataclasses.replace(op, weights=op.weights[:-1])
     with pytest.raises(ValueError) as info:
         lin.smallest_eigenvalue(bad)
     assert not isinstance(info.value, NumericalError)
@@ -475,155 +494,79 @@ def test_smallest_eigenvalue_shift_ladder():
 def test_smallest_eigenvalue_indefinite_operator():
     from scipy.linalg import eigh
 
-    from hitchinlab.errors import NumericalError
-
-    # lambda_min = -0.2197: A and A + 1e-6 B are not positive definite, so
-    # their factorizations fail and the ladder answers from sigma = -1
-    op = lin.assemble_scalar(0, n=200, potential=lambda r: -6.0 * np.ones_like(r))
-    a, b = _dense(op), np.diag(op.weights)
-    dense = eigh(a + b, b, eigvals_only=True)[0] - 1.0
-    assert dense == pytest.approx(-0.2197, abs=1e-4)
-    with pytest.raises(RuntimeError):
-        op.solve
-    assert lin.smallest_eigenvalue(op) == pytest.approx(dense, rel=1e-12)
-    # lambda_min = -24.2 lies below every shift of the ladder
-    deep = lin.assemble_scalar(0, n=200, potential=lambda r: -30.0 * np.ones_like(r))
-    with pytest.raises(NumericalError, match="not positive definite"):
-        lin.smallest_eigenvalue(deep)
+    # lambda_min = -0.2197 and -24.2197: A is not positive definite, so its
+    # factorization is refused and no eigenvalue is returned
+    for potential, expected in ((-6.0, -0.2197), (-30.0, -24.2197)):
+        op = lin.assemble_scalar(0, n=200, potential=lambda r: potential * np.ones_like(r))
+        a, b = tridiagonal_dense(op), np.diag(op.weights)
+        assert eigh(a, b, eigvals_only=True)[0] == pytest.approx(expected, abs=1e-4)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            op.solve
+        with pytest.raises(NumericalError, match="not positive definite"):
+            lin.smallest_eigenvalue(op)
     # a NaN pivot is not positive either, whatever the LAPACK build reports
     nan = lin.assemble_scalar(0, n=200, potential=lambda r: np.where(r < 0.5, 0.0, np.nan))
     with pytest.raises(NumericalError, match="not positive definite"):
         lin.smallest_eigenvalue(nan)
 
 
-def _dense_from_band(op):
-    """The symmetric matrix whose upper band storage is ``op.band``."""
-    k, size = op.block_size, op.band.shape[1]
-    dense = np.zeros((size, size))
-    for row in range(k + 1):
-        d = k - row
-        cols = np.arange(d, size)
-        dense[cols - d, cols] = op.band[row, d:]
-        dense[cols, cols - d] = op.band[row, d:]
-    return dense
-
-
 def test_band_layout_and_cholesky_solve(profile):
-    # the coupled bands are factored by Cholesky, the tridiagonal ones by LDL^T
-    ops = {"coupled": lin.assemble_block(2, 4.0, profile, n=120), "flat": _flat_block(2, 120)}
+    # every band is tridiagonal, in LAPACK upper storage, and factored by
+    # LDL^T
+    ops = {}
     for n in (16, 120, 2000):
-        grid = lin.RadialGrid(n, lin.DEFAULT_R_MIN)
-        h = lin.build_family(4.0, profile, grid.r).h
         ops[f"scalar n={n}"] = lin.assemble_scalar(3, n=n)
         ops[f"neumann scalar n={n}"] = lin.assemble_scalar(1, n=n, neumann_outer=True)
-        ops[f"vertical n={n}"] = lin.assemble_vertical_block(2, 4.0, h, grid)
+        ops[f"vertical n={n}"] = _vertical_block(profile, 2, 4.0, n)
     rng = np.random.default_rng(0)
     for name, op in ops.items():
-        dense = _dense_from_band(op)
-        assert op.band.shape == (op.block_size + 1, len(op.weights)), name
-        assert np.array_equal(_dense(op), dense), name
+        assert op.band.shape == (2, len(op.weights)), name
+        assert op.band[0, 0] == 0.0, name
+        dense = tridiagonal_dense(op)
         rhs = rng.standard_normal(len(op.weights))
         expected = np.linalg.solve(dense, rhs)
         got = op.solve(rhs)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), name
 
 
-def _dense_smallest(op, sigma=0.0):
-    """sigma + 1 / max eig of S (A - sigma B)^-1 S, with a dense Cholesky solve."""
+def _dense_smallest(op):
+    """1 / max eig of S A^-1 S, with a dense Cholesky solve."""
     s = np.sqrt(op.weights)
-    shifted = _dense(op) - sigma * np.diag(op.weights)
-    inverse = cho_solve(cho_factor(shifted), np.diag(s))
-    return sigma + 1.0 / np.linalg.eigvalsh(s[:, None] * inverse)[-1]
+    inverse = cho_solve(cho_factor(tridiagonal_dense(op)), np.diag(s))
+    return 1.0 / np.linalg.eigvalsh(s[:, None] * inverse)[-1]
 
 
 @pytest.mark.parametrize("t", [1.0, 8.0])
 @pytest.mark.parametrize("ell", [0, 5, 32])
 def test_smallest_eigenvalue_matches_dense_reference(profile, ell, t):
-    op = lin.assemble_block(ell, t, profile, n=150)
+    op = _vertical_block(profile, ell, t, 150)
     assert lin.smallest_eigenvalue(op) == pytest.approx(_dense_smallest(op), rel=1e-12)
 
 
 def test_smallest_eigenvalue_vertical_matches_dense_reference(profile):
-    grid = lin.RadialGrid(150, lin.DEFAULT_R_MIN)
-    h = lin.build_family(8.0, profile, grid.r).h
-    op = lin.assemble_vertical_block(3, 8.0, h, grid)
+    op = _vertical_block(profile, 3, 8.0, 150)
     assert lin.smallest_eigenvalue(op) == pytest.approx(_dense_smallest(op), rel=1e-12)
-
-
-def _spy_factorizations(monkeypatch):
-    """Record (name, band, info) of every band factorization, the band in
-    upper storage whether dpbtrf (the band) or dpttrf (its diagonal and
-    off-diagonal) factored it."""
-    calls = []
-
-    def spy(name, as_band):
-        real = getattr(lin, name)
-
-        def factor(*args):
-            *out, info = real(*args)
-            calls.append((name, as_band(*args).copy(), info))
-            return (*out, info)
-
-        monkeypatch.setattr(lin, name, factor)
-
-    spy("dpbtrf", lambda band: band)
-    spy("dpttrf", lambda d, e: np.vstack([np.append(0.0, e), d]))
-    return calls
-
-
-@pytest.mark.parametrize("t", [1.0, 8.0])
-@pytest.mark.parametrize("kind, ell", [("coupled", 2), ("coupled", 5), ("coupled", 32),
-                                       ("vertical", 3)])
-def test_shifted_smallest_eigenvalue_matches_dense_reference(profile, monkeypatch,
-                                                             kind, ell, t):
-    # with the sigma = 0 factorization refused, the ladder's -1e-6 rung
-    # factors A + 1e-6 B at once, and sigma + 1/mu matches the dense value
-    if kind == "coupled":
-        op = lin.assemble_block(ell, t, profile, n=150)
-    else:
-        grid = lin.RadialGrid(150, lin.DEFAULT_R_MIN)
-        op = lin.assemble_vertical_block(ell, t, lin.build_family(t, profile, grid.r).h, grid)
-    real_solver = lin._band_solver
-
-    def refuse_unshifted(band):
-        if band is op.band:
-            raise RuntimeError("band is not positive definite")
-        return real_solver(band)
-
-    monkeypatch.setattr(lin, "_band_solver", refuse_unshifted)
-    factored = _spy_factorizations(monkeypatch)
-    assert lin.smallest_eigenvalue(op) == pytest.approx(_dense_smallest(op), rel=1e-12)
-    [(name, band, info)] = factored
-    assert name == ("dpbtrf" if kind == "coupled" else "dpttrf")
-    assert info == 0
-    assert np.array_equal(band[-1], op.band[-1] + 1e-6 * op.weights)
-
-
-def test_smallest_eigenvalue_shifted_kernel_matches_dense_reference():
-    # the eigenvalue is zero, so its error is measured against the first
-    # nonzero eigenvalue of the pencil
-    kernel = lin.assemble_scalar(0, n=150, neumann_outer=True)
-    s = 1.0 / np.sqrt(kernel.weights)
-    gap = np.linalg.eigvalsh(s[:, None] * _dense(kernel) * s[None, :])[1]
-    lam = lin.smallest_eigenvalue(kernel)
-    assert abs(lam - _dense_smallest(kernel, -1e-6)) <= 1e-12 * gap
 
 
 def test_one_factorization_per_block(profile, monkeypatch):
     lanczos_args, real_lanczos = [], lin._lanczos_largest
+    factored, real_dpttrf = [], lin.dpttrf
 
     def spy_lanczos(apply, v0, tol, max_steps):
         lanczos_args.append((tol, max_steps))
         return real_lanczos(apply, v0, tol, max_steps)
 
-    factored = _spy_factorizations(monkeypatch)
+    def spy_dpttrf(d, e):
+        factored.append((d.copy(), e.copy()))
+        return real_dpttrf(d, e)
+
     monkeypatch.setattr(lin, "_lanczos_largest", spy_lanczos)
-    op = lin.assemble_block(3, 2.0, profile, n=100)
+    monkeypatch.setattr(lin, "dpttrf", spy_dpttrf)
+    op = _vertical_block(profile, 3, 2.0, 100)
     lin.smallest_eigenvalue(op)
     op.solve(np.ones(len(op.weights)))
-    assert len(factored) == 1
-    assert factored[0][0] == "dpbtrf"
-    assert np.array_equal(factored[0][1], op.band)
+    [(d, e)] = factored
+    assert np.array_equal(d, op.band[1]) and np.array_equal(e, op.band[0, 1:])
     assert lanczos_args == [(np.finfo(float).eps, lin.LANCZOS_MAX_STEPS)]
 
 
@@ -644,7 +587,7 @@ def test_green_norms_evaluates_profile_once(profile, monkeypatch):
 
 def test_out_of_range_t_is_named(profile):
     with pytest.raises(ValueError, match=r"^t=1000\.0000000000001 outside"):
-        lin.assemble_block(0, np.nextafter(1000.0, np.inf), profile, n=100)
+        lin.green_norms([np.nextafter(1000.0, np.inf)], 8, profile)
 
 
 def test_green_norms_rejects_nan_t(profile):
@@ -706,7 +649,7 @@ def test_conic_solve_uses_scalar_operator(nu):
     sol = lin.conic_poisson_solve(nu, lambda r: np.sin(5.0 * r), 1.0, n=800)
     op = lin.assemble_scalar(nu, n=800)
     rhs = sol.r ** 2 * np.sin(5.0 * sol.r)
-    assert np.abs(_dense(op) @ sol.u - rhs).max() <= 1e-12 * np.abs(rhs).max()
+    assert np.abs(tridiagonal_dense(op) @ sol.u - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 def test_conic_window_rejection():
@@ -714,6 +657,14 @@ def test_conic_window_rejection():
     for delta in (0.5, 1.5, 0.2, 2.0):
         with pytest.raises(ValueError):
             lin.conic_poisson_solve(0.5, rhs, delta, n=200)
+
+
+@pytest.mark.parametrize("nu", [float("nan"), float("inf"), -float("inf")])
+def test_conic_rejects_non_finite_nu(nu):
+    # a NaN nu escaped as the factorization's bare RuntimeError
+    with pytest.raises(ValueError, match="not finite") as info:
+        lin.conic_poisson_solve(nu, lambda r: np.ones_like(r), 1.0, n=200)
+    assert not isinstance(info.value, NumericalError)
 
 
 def test_radial_grid_nodes_are_read_only_and_computed_once():

@@ -6,6 +6,7 @@ Each sweep runs a fixed, seeded set of examples, so the suite stays
 reproducible and fast.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from hitchinlab import linearized as lin
 from hitchinlab import painleve
+from hitchinlab.errors import NumericalError
 from hitchinlab.painleve import RHO_TAIL, SERIES_CUT
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -74,7 +76,8 @@ def _tridiagonal(op):
 def test_tridiagonal_solve_is_backward_stable(n, r_min, ell, neumann, scale, power, data):
     # the LDL^T solve of a scalar operator with a nonnegative potential has a
     # normwise relative residual of a few n eps; a NaN in the potential and a
-    # shift above lambda_min are refused.  At ell = 0 a Neumann end needs a
+    # shift above lambda_min are refused, and the shifted operator has no
+    # smallest eigenvalue.  At ell = 0 a Neumann end needs a
     # potential, or the constant is a kernel
     assume(scale > 0.0 or ell > 0 or not neumann)
 
@@ -91,12 +94,14 @@ def test_tridiagonal_solve_is_backward_stable(n, r_min, ell, neumann, scale, pow
     lam = lin.smallest_eigenvalue(op)
     shifted = op.band.copy()
     shifted[-1] -= (lam + 1e-3 * (1.0 + abs(lam))) * op.weights
-    with pytest.raises(RuntimeError, match="not positive definite"):
+    with pytest.raises(NumericalError, match="not positive definite"):
         lin._band_solver(shifted)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        lin.smallest_eigenvalue(dataclasses.replace(op, band=shifted))
     where = data.draw(st.integers(0, len(op.weights) - 1))
     nan = lin.assemble_scalar(ell, n=n, r_min=r_min, neumann_outer=neumann,
                               potential=lambda r: np.where(r == r[where], np.nan, potential(r)))
-    with pytest.raises(RuntimeError, match="not positive definite"):
+    with pytest.raises(NumericalError, match="not positive definite"):
         nan.solve
 
 

@@ -57,6 +57,12 @@ ORBIT_T = (1.0, 2.0, 4.0, 8.0, 16.0, 24.0)
 # the glued residuals' decay fit over the t of the README's and the
 # benchmark's glue
 APPROX_T = tuple(float(t) for t in range(2, 11))
+# the finite-difference eigen solves and conic solve, which no report carries:
+# the Bessel oracle's grids (the benchmark's oracle.n*), the glued Neumann
+# zero mode's t, and the conic solve's grid and the stride of its samples
+FD_ORACLE_N = (500, 1000, 2000)
+FD_NEUMANN_T = (1.0, 4.0, 8.0)
+FD_CONIC_N, FD_CONIC_STRIDE = 800, 100
 
 
 def _write_json(out: str, name: str, report) -> None:
@@ -120,6 +126,29 @@ def approx_error_sweep(out: str) -> None:
     _write_json(out, "approx_error.json", {"t": list(APPROX_T), "delta_hat": delta,
                                            "c_hat": c, "r_squared": r2})
 
+
+def fd_eigen(out: str) -> None:
+    """The finite-difference layer: ``fd_eigen.json`` under ``out``, with the
+    Bessel oracle's ``smallest_eigenvalue(assemble_scalar(0, n))`` at each of
+    ``FD_ORACLE_N``, ``neumann_zero_mode_eigenvalue`` of the glued state on
+    2000 nodes at each of ``FD_NEUMANN_T``, and every ``FD_CONIC_STRIDE``-th
+    node r and value u of ``conic_poisson_solve(0.5, sin 5r, 1.0, FD_CONIC_N)``."""
+    import numpy as np
+
+    from hitchinlab import gluing, linearized, painleve
+
+    profile = painleve.solve_connection()
+    oracle = [linearized.smallest_eigenvalue(linearized.assemble_scalar(0, n))
+              for n in FD_ORACLE_N]
+    neumann = [gluing.neumann_zero_mode_eigenvalue(gluing.glued_on_grid(t, profile, 2000))
+               for t in FD_NEUMANN_T]
+    sol = linearized.conic_poisson_solve(0.5, lambda r: np.sin(5.0 * r), 1.0, FD_CONIC_N)
+    picked = slice(None, None, FD_CONIC_STRIDE)
+    _write_json(out, "fd_eigen.json", {
+        "oracle_n": list(FD_ORACLE_N), "oracle_lambda": oracle,
+        "neumann_t": list(FD_NEUMANN_T), "neumann_lambda": neumann,
+        "conic_r": sol.r[picked].tolist(), "conic_u": sol.u[picked].tolist()})
+
 # the fixed list --base runs, by output name; extend it, never shrink it.
 # The README's six commands, then the benchmark's argv of the commands
 # (bench/workload.py at seed 0, which keeps the README's t values; a Tier-1
@@ -142,6 +171,7 @@ RUNS = {
     "lib-green-norms": green_norms,
     "bench-orbits": orbits,
     "lib-approx-error": approx_error_sweep,
+    "lib-fd-eigen": fd_eigen,
 }
 
 
