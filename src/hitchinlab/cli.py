@@ -1,11 +1,12 @@
 """Command-line driver: deterministic solves, sweeps, and reports.
 
 Subcommands: solve-psi, fiducial, spectrum, indicial, glue, torus.  Each
-takes the flags it reads, listed in ``FLAGS``, and nothing else.  Flags win
-over an optional JSON config file; every report embeds the configuration it
-was produced from and floats are written with 17 significant digits, so
-rerunning a command yields byte-identical artifacts.  Exit codes: 0 success,
-1 numerical failure, 2 usage error.
+takes the flags it reads, listed in ``FLAGS``, and nothing else.  An argument
+``@FILE`` is replaced by the lines of FILE, one argument per line, so flags
+read from a file pass the same checks as flags typed.  Every report embeds
+the configuration it was produced from and floats are written with 17
+significant digits, so rerunning a command yields byte-identical artifacts.
+Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -45,13 +46,10 @@ class RunConfig:
     def validate(self) -> None:
         if not self.tol > 0:
             raise UsageError("tolerance must be positive")
-        if "t" in FLAGS[self.command]:
-            if not self.t:
-                raise UsageError(f"{self.command}: no t given")
-            repeated = sorted({t for t in self.t if self.t.count(t) > 1})
-            if repeated:
-                raise UsageError(f"{self.command}: t repeated: "
-                                 + ", ".join(_t_name(t) for t in repeated))
+        repeated = sorted({t for t in self.t if self.t.count(t) > 1})
+        if repeated:
+            raise UsageError(f"{self.command}: t repeated: "
+                             + ", ".join(_t_name(t) for t in repeated))
         for t in self.t:
             fiducial.check_t(t)
         if self.grid < linearized.MIN_GRID:
@@ -61,8 +59,6 @@ class RunConfig:
         lmax_min = linearized.MIN_ELL_MAX if self.command == "spectrum" else 1
         if self.lmax < lmax_min:
             raise UsageError(f"{self.command}: lmax must be at least {lmax_min}")
-        if self.format not in ("json", "csv"):
-            raise UsageError("format must be json or csv")
         if self.gamma < 2:
             raise UsageError("gamma must be at least 2")
 
@@ -71,9 +67,9 @@ class RunConfig:
         return {name: getattr(self, name) for name in ("command", *FLAGS[self.command])}
 
 
-# the flags each command takes besides --config: those it reads, then --out and
-# --jobs, which all six take, and accept only as 1, because bench/workload.py
-# passes --jobs 1 to each; spectrum also takes the --grid it passes, unread
+# the flags each command takes: those it reads, then --out and --jobs, which
+# all six take, and accept only as 1, because bench/workload.py passes
+# --jobs 1 to each; spectrum also takes the --grid it passes, unread
 FLAGS = {command: (*reads, "out", "jobs") for command, reads in {
     "solve-psi": (),
     "fiducial": ("t",),
@@ -259,6 +255,7 @@ def _build_parser(command) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hitchinlab",
         description="Model-disk solves and sweeps with machine-readable reports.",
+        fromfile_prefix_chars="@",
     )
     # not on the full parser: a metavar also renames "command" in its
     # missing and invalid command errors
@@ -269,39 +266,12 @@ def _build_parser(command) -> argparse.ArgumentParser:
         for flag in FLAGS[name]:
             p.add_argument(f"--{flag}", type=FLAG_TYPES[flag], default=None,
                            **FLAG_EXTRAS.get(flag, {}))
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON file with defaults; explicit flags win")
     return parser
-
-
-def _config_value(name: str, value):
-    """A config-file value through its flag's conversion, applied to its text;
-    t takes a list.  A value no flag could carry raises UsageError."""
-    items = value if name == "t" else [value]
-    if isinstance(items, list) and all(type(v) in (str, int, float) for v in items):
-        try:
-            converted = [FLAG_TYPES[name](str(v)) for v in items]
-            return converted if name == "t" else converted[0]
-        except ValueError:
-            pass
-    raise UsageError(f"config key {name!r}: invalid value {value!r}")
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
-    flags = FLAGS[args.command]
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file {path} not found")
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise UsageError(f"config file {path} must hold a JSON object")
-        for key, value in data.items():
-            if key not in flags:
-                raise UsageError(f"config key {key!r} is not a flag of {args.command}")
-            setattr(config, key, _config_value(key, value))
-    for name in flags:
+    for name in FLAGS[args.command]:
         value = getattr(args, name)
         if value is not None:
             setattr(config, name, value)

@@ -278,9 +278,12 @@ def decay_fit(t_list, norms):
     positive has no logarithm and raises NumericalError naming the first
     such t.  So do norms that do not vary, which leave R^2 undefined, and a
     norm that, with the points taken in increasing t, does not fall below
-    its predecessor's: the norms have met a floor (the glued residual
-    flattens at about 1.05e-12 from t ~ 27), where a fitted rate means
-    nothing, and the message names the t.
+    its predecessor's at half the fitted rate or more,
+    log(n0/n1)/(t1 - t0) >= max(delta/2, 0): the norms have met a floor
+    (the glued residual flattens at about 1.05e-12 from t ~ 27), where a
+    fitted rate means nothing, and the message names the t.  Half the rate
+    tells a floor from decay whatever the rounding at the floor: every
+    sweep below it falls at 0.94 of the fitted rate or more.
     """
     for t, norm in zip(t_list, norms):
         if not (math.isfinite(norm) and norm > 0):
@@ -293,12 +296,15 @@ def decay_fit(t_list, norms):
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     if ss_tot == 0:
         raise NumericalError("degenerate decay fit: norms do not vary")
+    delta = -float(slope)
     points = sorted(zip(t_list, norms))
     for (t0, norm0), (t1, norm1) in zip(points, points[1:]):
-        if t1 > t0 and not norm1 < norm0:
+        if t1 > t0 and not (norm1 < norm0 and
+                            math.log(norm0 / norm1) / (t1 - t0) >= max(delta / 2, 0.0)):
             raise NumericalError(f"decay fit at a floor: the norm at t={t1:g} ({norm1:.3e}) "
-                                 f"does not fall below the one at t={t0:g} ({norm0:.3e})")
-    return -float(slope), float(intercept), 1.0 - ss_res / ss_tot
+                                 f"does not fall below the one at t={t0:g} ({norm0:.3e}) "
+                                 f"at least half as fast as the fitted rate {delta:.3g}")
+    return delta, float(intercept), 1.0 - ss_res / ss_tot
 
 
 def family_summary(family: FiducialFamily) -> dict:

@@ -233,7 +233,7 @@ def assemble_vertical_block(ell: int, t: float, h_values: np.ndarray,
     return _assemble(grid, _vertical_terms(ell, r, _higgs_terms(t, r, h_values)[2]))
 
 
-def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int):
+def _lanczos_largest(apply, v0: np.ndarray, max_steps: int):
     """Largest eigenvalue theta of the symmetric operator ``apply`` by
     Lanczos, with its unit Ritz vector: (theta, vector).
 
@@ -248,8 +248,9 @@ def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int):
     diagonalization would cost O(j^3).  The reorthogonalization costs
     O(j n) per step, which the few dozen steps of the eigen solves here
     keep small.  beta_j |s_j| is the residual norm of the Ritz pair and
-    bounds theta's error (Parlett, ch. 13).  The run stops by ARPACK's rule
-    beta_j |s_j| <= tol |theta|.  One product per step; NumericalError if
+    bounds theta's error (Parlett, ch. 13).  The run stops by ARPACK's
+    ``tol=0`` rule beta_j |s_j| <= eps |theta|, machine epsilon relative on
+    theta, which every caller wants.  One product per step; NumericalError if
     the rule is not met within ``max_steps`` steps (or the dimension, if
     smaller).  The basis starts with 32 rows and doubles when full: numpy
     backs an array of 4 MiB or more with huge pages, so a basis sized for
@@ -261,6 +262,7 @@ def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int):
     alpha = np.empty(steps)
     beta = np.empty(steps)
     q = v0 / np.linalg.norm(v0)
+    eps = np.finfo(float).eps
     for j in range(steps):
         if j == len(basis):
             basis = np.concatenate([basis, np.empty_like(basis)])
@@ -279,10 +281,10 @@ def _lanczos_largest(apply, v0: np.ndarray, tol: float, max_steps: int):
             _, theta, block, split, _ = dstebz(diag, off, 2, 0.0, 0.0, j + 1, j + 1,
                                                0.0, b"E")
             vec = dstein(diag, off, theta[:1], block, split)[0][:, 0]
-            if beta[j] * abs(vec[-1]) <= tol * abs(theta[0]):
+            if beta[j] * abs(vec[-1]) <= eps * abs(theta[0]):
                 return float(theta[0]), vec @ span
         q = w / beta[j]
-    raise NumericalError(f"Lanczos did not converge to tol={tol:g} in {steps} steps")
+    raise NumericalError(f"Lanczos did not converge to machine precision in {steps} steps")
 
 
 def smallest_eigenvalue(op: RadialOperator) -> float:
@@ -300,7 +302,7 @@ def smallest_eigenvalue(op: RadialOperator) -> float:
     solve = op.solve
     s = np.sqrt(op.weights)
     mu, _ = _lanczos_largest(lambda x: s * solve(s * x), np.ones(op.band.shape[1]),
-                             np.finfo(float).eps, LANCZOS_MAX_STEPS)
+                             LANCZOS_MAX_STEPS)
     return 1.0 / mu
 
 
@@ -444,8 +446,7 @@ def _top_eigenvalue(a: np.ndarray) -> float:
     past 3 ``BLOCK_ROWS`` rows by Lanczos, since dsyevr (and dsyevd) round
     differently with the BLAS thread count from 256 rows on."""
     if len(a) > 3 * BLOCK_ROWS:
-        return _lanczos_largest(lambda x: a @ x, np.ones(len(a)), np.finfo(float).eps,
-                                LANCZOS_MAX_STEPS)[0]
+        return _lanczos_largest(lambda x: a @ x, np.ones(len(a)), LANCZOS_MAX_STEPS)[0]
     return float(dsyevr(a, compute_v=0, range="I", il=len(a), iu=len(a))[0][0])
 
 

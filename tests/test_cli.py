@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,21 @@ from hitchinlab.fiducial import T_MAX
 
 def run(args):
     return main(args)
+
+
+def _code(argv):
+    """The exit code of a call: main's return value, or the code argparse
+    exits with on a usage error it finds itself."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _argfile(path, *args):
+    """An @FILE argument naming path, written with one argument per line."""
+    path.write_text("".join(f"{arg}\n" for arg in args))
+    return f"@{path}"
 
 
 def test_solve_psi_default(tmp_path):
@@ -204,17 +221,6 @@ def test_glue_tol_sets_the_newton_tolerance(tmp_path):
     assert len(logs[0].splitlines()) < len(logs[1].splitlines())
 
 
-@pytest.mark.parametrize("command", ["fiducial", "glue", "spectrum"])
-def test_empty_t_is_usage_error(tmp_path, capsys, command):
-    # rejected by the config check, before the output directory or the profile
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"t": []}))
-    out = tmp_path / "run"
-    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert f"{command}: no t given" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("argv, named", [
     (["glue", "--t", "2", "--t", "2", "--t", "2", "--t", "2"], "2"),
     (["fiducial", "--t", "1", "--t", "3", "--t", "1.0"], "1"),
@@ -267,12 +273,13 @@ def test_glue_grid_sets_the_decay_fit_grid(tmp_path, profile):
 
 
 def test_glue_past_the_residual_floor_exits_1(tmp_path, capsys):
-    # the glued residual stalls at t = 28 by 0.01% (1.0475e-12 against
-    # 1.0474e-12 at t = 27), the rounding of the profile's nodes
-    argv = [arg for t in range(24, 29) for arg in ("--t", str(t))]
-    assert run(["glue", *argv, "--out", str(tmp_path)]) == 1
-    assert "the norm at t=28 " in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())  # no report, no Newton log
+    # the glued residual falls at 0.148 per unit t from t = 26 to 27, below
+    # half the rate 0.844 fitted over t = 24..28: the floor; in either order
+    for ts in (range(24, 29), range(28, 23, -1)):
+        argv = [arg for t in ts for arg in ("--t", str(t))]
+        assert run(["glue", *argv, "--out", str(tmp_path)]) == 1
+        assert "the norm at t=27 " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # no report, no Newton log
 
 
 def test_glue_builds_each_glued_state_once(tmp_path, monkeypatch):
@@ -294,9 +301,7 @@ def test_glue_builds_each_glued_state_once(tmp_path, monkeypatch):
 
 
 def test_jobs_other_than_one_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"jobs": 2}))
-    for argv in (["--jobs", "2"], ["--config", str(cfg)]):
+    for argv in (["--jobs", "2"], [_argfile(tmp_path / "run.args", "--jobs", "2")]):
         assert run(["fiducial", "--t", "2", *argv, "--out", str(tmp_path / "out")]) == 2
         assert "jobs must be 1, not 2: commands run serially" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -312,19 +317,47 @@ def test_jobs_one_is_the_default(tmp_path, command, flags):
 
 
 def test_config_file_merge_flags_win(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gamma": 5, "format": "csv"}))
+    # a single-valued flag given after @FILE wins over the file's, one
+    # given before it loses; the file's other flags still apply
+    args = _argfile(tmp_path / "run.args", "--gamma", "5", "--format=csv")
+    for argv, gamma in (([args, "--gamma", "3"], 3), (["--gamma", "3", args], 5)):
+        out = tmp_path / str(gamma)
+        assert run(["torus", *argv, "--out", str(out)]) == 0
+        assert json.loads((out / "torus.json").read_text())["gamma"] == gamma
+        assert (out / "torus.csv").exists()
+
+
+def test_t_from_file_and_flags_add_up(tmp_path, capsys):
+    # --t appends: the file's values and the typed ones join in argument
+    # order, and a t given in both places is repeated
+    args = _argfile(tmp_path / "run.args", "--t", "2")
+    for argv, ts in ((["--t", "1", args], [1.0, 2.0]), ([args, "--t", "1"], [2.0, 1.0])):
+        out = tmp_path / str(ts[0])
+        assert run(["fiducial", *argv, "--out", str(out)]) == 0
+        config = json.loads((out / "fiducial_summary.json").read_text())["config"]
+        assert config["t"] == ts
+    out = tmp_path / "repeated"
+    assert run(["fiducial", args, "--t", "2.0", "--out", str(out)]) == 2
+    assert "fiducial: t repeated: 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    # a flag the command does not take is refused inside @FILE as it is typed
     out = tmp_path / "out"
-    assert run(["torus", "--config", str(cfg), "--gamma", "3", "--out", str(out)]) == 0
-    payload = json.loads((out / "torus.json").read_text())
-    assert payload["gamma"] == 3          # flag wins
-    assert (out / "torus.csv").exists()   # config key still applies
+    assert _code(["torus", _argfile(tmp_path / "run.args", "--bogus", "1"),
+                  "--out", str(out)]) == 2
+    assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_unknown_config_key_rejected(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    assert run(["torus", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+def test_missing_argfile_is_usage_error(tmp_path, monkeypatch, capsys):
+    # every argument that starts with @ names a file, an --out value too
+    monkeypatch.chdir(tmp_path)
+    for argv in (["torus", "@missing.args"], ["torus", "--out", "@dir"]):
+        assert _code(argv) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -338,29 +371,36 @@ def test_nan_flags_are_usage_errors(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("payload", [{"grid": "abc"}, {"t": 2}, [1, 2], {"lmax": True},
-                                     {"gamma": 2.5}])
+# malformed @FILE contents and the error each gives
+MALFORMED = {
+    ("--grid", "abc"): "argument --grid: invalid int value: 'abc'",
+    ("--t",): "argument --t: expected one argument",
+    ("1", "2"): "unrecognized arguments: 1 2",
+    ("--lmax", "true"): "argument --lmax: invalid int value: 'true'",
+    ("--gamma", "2.5"): "argument --gamma: invalid int value: '2.5'",
+}
+
+
+@pytest.mark.parametrize("payload", list(MALFORMED))
 def test_malformed_config_is_usage_error(tmp_path, capsys, payload):
-    # each key goes to a command that takes it, so that its value is what fails
-    command = next(c for c in FLAGS if isinstance(payload, list) or set(payload) <= set(FLAGS[c]))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(payload))
-    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    # each flag goes to a command that takes it, so that its value is what
+    # fails; bare values go to solve-psi, which takes none
+    flag = payload[0].removeprefix("--")
+    command = next((c for c in FLAGS if flag in FLAGS[c]), "solve-psi")
+    out = tmp_path / "out"
+    assert _code([command, _argfile(tmp_path / "run.args", *payload), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert isinstance(payload, list) or "invalid value" in err
-    assert not (tmp_path / "out").exists()
+    assert err.startswith("usage: hitchinlab ") and f"error: {MALFORMED[payload]}\n" in err
+    assert not out.exists()
 
 
 def test_config_values_take_flag_conversions(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"t": [2, 4], "grid": "400", "tol": 1e-9}))
+    args = _argfile(tmp_path / "run.args", "--t", "2", "--t=4", "--grid", "400", "--tol", "1e-9")
     out = tmp_path / "out"
-    assert run(["glue", "--config", str(cfg), "--out", str(out)]) == 0
+    assert run(["glue", args, "--out", str(out)]) == 0
     config = json.loads((out / "glue.json").read_text())["config"]
     assert config["t"] == [2.0, 4.0] and config["grid"] == 400 and config["tol"] == 1e-9
-    cfg.write_text(json.dumps({"gamma": "3"}))
-    assert run(["torus", "--config", str(cfg), "--out", str(out)]) == 0
+    assert run(["torus", _argfile(tmp_path / "run.args", "--gamma=3"), "--out", str(out)]) == 0
     assert json.loads((out / "torus.json").read_text())["config"]["gamma"] == 3
 
 
@@ -390,8 +430,8 @@ def _outputs(out):
 @pytest.mark.parametrize("command", sorted(FLAGS))
 def test_each_command_takes_the_flags_it_reads(tmp_path, capsys, command):
     # the flags a command accepts are the keys its report's config records;
-    # each it reads changes more than that block, and any other flag, or
-    # config key, is a usage error
+    # each it reads changes more than that block, and any other flag, typed
+    # or in @FILE, is a usage error
     def argv(values, out):
         return [command, *[f"--{name}={values[name]}" for name in FLAGS[command] if name != "out"],
                 "--out", str(out)]
@@ -408,13 +448,40 @@ def test_each_command_takes_the_flags_it_reads(tmp_path, capsys, command):
         assert run(argv({**FLAG_VALUES, name: OTHER_VALUES[name]}, out)) == 0
         assert _outputs(out) != _outputs(base), name
     for name in set(FLAG_TYPES) - set(FLAGS[command]):
-        with pytest.raises(SystemExit) as exc:
-            run([command, f"--{name}={FLAG_VALUES[name]}", "--out", str(base)])
-        assert exc.value.code == 2
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({name: FLAG_VALUES[name]}))
-        assert run([command, "--config", str(cfg), "--out", str(base)]) == 2
-        assert f"not a flag of {command}" in capsys.readouterr().err
+        flag = f"--{name}={FLAG_VALUES[name]}"
+        for arg in (flag, _argfile(tmp_path / "run.args", flag)):
+            assert _code([command, arg, "--out", str(base)]) == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_argfile_writes_the_bytes_of_inline_flags(tmp_path, command):
+    # the same flags from @FILE and typed, --out among them, write the same
+    # files byte for byte, config blocks included
+    out = tmp_path / "out"
+    flags = [f"--{name}={FLAG_VALUES[name]}" for name in FLAGS[command] if name != "out"]
+    written = []
+    for argv in ([*flags, "--out", str(out)],
+                 [_argfile(tmp_path / "run.args", *flags, "--out", str(out))]):
+        assert run([command, *argv]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        shutil.rmtree(out)
+    assert written[0] == written[1]
+
+
+def test_readme_flag_table_matches_flags():
+    # the README's "flags it reads" table names, before any ";", exactly the
+    # flags each command reads: all it takes but --out, --jobs and
+    # spectrum's unread --grid; and the README names no --config
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| command | flags it reads |"):].split("\n\n")[0]
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", table, re.M))
+    assert list(rows) == list(FLAGS)
+    for command, cell in rows.items():
+        unread = {"out", "jobs", *(["grid"] if command == "spectrum" else [])}
+        reads = re.findall(r"`--([a-z]+)", cell.split(";")[0])
+        assert sorted(reads) == sorted(set(FLAGS[command]) - unread), command
+    assert "--config" not in readme
 
 
 def test_artifact_names_keep_every_digit_of_t(tmp_path):

@@ -245,6 +245,24 @@ def test_decay_fit_refuses_a_norm_that_does_not_fall():
     assert fd.decay_fit([1.0, 1.0, 2.0, 3.0], [1.0, 1.0, 0.5, 0.25])[0] > 0
 
 
+def test_decay_fit_refuses_a_norm_that_falls_too_slowly():
+    # a floor that rounding tips 0.3% below its predecessor still falls by
+    # far less than half the fitted rate, in any order of the points
+    from hitchinlab.errors import NumericalError
+
+    ts = np.arange(20.0, 29.0)
+    norms = np.exp(-0.6 * ts)
+    norms[-1] = 0.997 * norms[-2]
+    assert norms[-1] < norms[-2]  # the fall-below rule alone would fit it
+    for order in (np.arange(len(ts)), np.random.default_rng(3).permutation(len(ts))):
+        with pytest.raises(NumericalError, match="floor: the norm at t=28 "):
+            fd.decay_fit(ts[order], norms[order])
+    # a last step at 0.6 per unit t, slower than the fitted 0.88 but faster
+    # than its half, passes
+    slower = np.exp([0.0, -1.0, -2.0, -2.6])
+    assert fd.decay_fit([0.0, 1.0, 2.0, 3.0], slower)[0] == pytest.approx(0.88, rel=1e-12)
+
+
 def test_nan_t_is_out_of_range(profile):
     with pytest.raises(ValueError):
         fd.build_family(float("nan"), profile)

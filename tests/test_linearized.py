@@ -50,7 +50,7 @@ def _coupled_fd_smallest(terms, n):
     factor = (cholesky_banded(band), False)
     s = np.sqrt(np.repeat(mass, 2))
     mu, _ = lin._lanczos_largest(lambda x: s * cho_solve_banded(factor, s * x),
-                                 np.ones(2 * n), np.finfo(float).eps, lin.LANCZOS_MAX_STEPS)
+                                 np.ones(2 * n), lin.LANCZOS_MAX_STEPS)
     return 1.0 / mu
 
 
@@ -85,15 +85,62 @@ def test_block_zero_potential_reduces_to_bessel(bessel_target):
     assert abs(lam - bessel_target) / bessel_target < 1e-3
 
 
-def test_assembled_matrices_exactly_symmetric(profile):
-    for op in (
-        lin.assemble_scalar(1, n=150),
-        lin.assemble_scalar(0, n=150, neumann_outer=True),
-        _vertical_block(profile, 2, 2.0, 150),
-    ):
-        dense = tridiagonal_dense(op)
-        assert np.array_equal(dense, dense.T)
-        assert (op.weights > 0).all()
+def _stencil_mismatch(op, nu, r2_potential):
+    """Largest relative difference of ``op``'s band and weights from the
+    symmetric three-point stencil of -(r d_r)^2 + r^2 V on its nodes r,
+    given r^2 V at them and the inner exponent nu.
+
+    Interior rows: 2/dx^2 + r^2 V on the diagonal, mass r^2.  The first row
+    has stiffness 2 - e^{-nu dx}, its ghost following r^nu.  A Neumann end
+    r = 1 has stiffness 1 and half mass.  Every superdiagonal entry is
+    -1/dx^2, the same below the diagonal, so A is symmetric."""
+    dx = op.grid.dx
+    r = op.grid.r
+    diag = 2.0 / dx ** 2 + r2_potential[:len(r)]
+    diag[0] = (2.0 - math.exp(-nu * dx)) / dx ** 2 + r2_potential[0]
+    mass = r ** 2
+    if len(op.weights) > len(r):
+        diag = np.append(diag, 1.0 / dx ** 2 + 0.5 * r2_potential[-1])
+        mass = np.append(mass, 0.5)
+    want = np.concatenate([diag, np.full(len(diag) - 1, -1.0 / dx ** 2), mass])
+    got = np.concatenate([op.band[1], op.band[0, 1:], op.weights])
+    assert op.band.shape == (2, len(diag)) and op.band[0, 0] == 0.0
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+def test_assembled_matrices_exactly_symmetric(profile, monkeypatch):
+    # the flat mode-1 operator, the glued Neumann operator of
+    # neumann_zero_mode_eigenvalue (nu = 0, V = 16 f^2 / r^2) and a vertical
+    # block (nu = 2, V = 4 / r^2 + 16 t^2 r cosh 2h), each entry against the
+    # stencil's closed form
+    from hitchinlab import gluing as gl
+
+    flat = lin.assemble_scalar(1, n=150)
+    ops = [(flat, 1, np.ones(150))]
+    state = gl.glued_on_grid(4.0, profile, 200)
+    caught = []
+    monkeypatch.setattr(gl, "smallest_eigenvalue", lambda op: caught.append(op) or 1.0)
+    gl.neumann_zero_mode_eigenvalue(state, n=150)
+    [neumann] = caught
+    r = np.append(neumann.grid.r, 1.0)
+    ops.append((neumann, 0, 16.0 * gl._glued(4.0, profile, state.cutoff, r).f ** 2))
+    vertical = _vertical_block(profile, 2, 2.0, 150)
+    r = vertical.grid.r
+    h = lin.build_family(2.0, profile, r).h
+    ops.append((vertical, 2, 4.0 + 64.0 * r ** 3 * np.cosh(2.0 * h)))
+    for op, nu, r2_potential in ops:
+        assert _stencil_mismatch(op, nu, r2_potential) <= 1e-15
+        # one entry off by 1e-12 relative fails: a ghost row, an end row, a
+        # superdiagonal entry and a mass
+        for entry in ((1, 0), (1, -1), (0, 75)):
+            band = op.band.copy()
+            band[entry] *= 1.0 + 1e-12
+            moved = lin.RadialOperator(op.grid, band, op.weights)
+            assert _stencil_mismatch(moved, nu, r2_potential) > 1e-15, entry
+        weights = op.weights.copy()
+        weights[75] *= 1.0 + 1e-12
+        moved = lin.RadialOperator(op.grid, op.band, weights)
+        assert _stencil_mismatch(moved, nu, r2_potential) > 1e-15
 
 
 def test_potentials_nonnegative_with_floor(profile):
@@ -459,7 +506,7 @@ def test_m_phi_eigenvalues_are_the_higgs_terms(profile):
 def test_lanczos_largest_close_top_pair():
     a = _spd_with_close_top_pair(120, 1e-3)
     expected = np.linalg.eigvalsh(a)[-1]
-    got, vector = lin._lanczos_largest(lambda x: a @ x, np.ones(120), np.finfo(float).eps, 120)
+    got, vector = lin._lanczos_largest(lambda x: a @ x, np.ones(120), 120)
     assert got == pytest.approx(expected, rel=1e-13)
     assert np.linalg.norm(a @ vector - got * vector) <= 1e-6
 
@@ -467,7 +514,7 @@ def test_lanczos_largest_close_top_pair():
 def test_lanczos_largest_step_cap_raises():
     a = _spd_with_close_top_pair(120, 1e-3)
     with pytest.raises(NumericalError, match="in 5 steps"):
-        lin._lanczos_largest(lambda x: a @ x, np.ones(120), np.finfo(float).eps, 5)
+        lin._lanczos_largest(lambda x: a @ x, np.ones(120), 5)
 
 
 def test_lanczos_largest_invariant_start():
@@ -476,7 +523,7 @@ def test_lanczos_largest_invariant_start():
     a = np.diag(np.arange(1.0, 21.0))
     start = np.zeros(20)
     start[-1] = 3.0
-    value, vector = lin._lanczos_largest(lambda x: a @ x, start, np.finfo(float).eps, 20)
+    value, vector = lin._lanczos_largest(lambda x: a @ x, start, 20)
     assert value == 20.0 and np.array_equal(vector, start / 3.0)
 
 
@@ -552,9 +599,9 @@ def test_one_factorization_per_block(profile, monkeypatch):
     lanczos_args, real_lanczos = [], lin._lanczos_largest
     factored, real_dpttrf = [], lin.dpttrf
 
-    def spy_lanczos(apply, v0, tol, max_steps):
-        lanczos_args.append((tol, max_steps))
-        return real_lanczos(apply, v0, tol, max_steps)
+    def spy_lanczos(apply, v0, max_steps):
+        lanczos_args.append(max_steps)
+        return real_lanczos(apply, v0, max_steps)
 
     def spy_dpttrf(d, e):
         factored.append((d.copy(), e.copy()))
@@ -567,7 +614,7 @@ def test_one_factorization_per_block(profile, monkeypatch):
     op.solve(np.ones(len(op.weights)))
     [(d, e)] = factored
     assert np.array_equal(d, op.band[1]) and np.array_equal(e, op.band[0, 1:])
-    assert lanczos_args == [(np.finfo(float).eps, lin.LANCZOS_MAX_STEPS)]
+    assert lanczos_args == [lin.LANCZOS_MAX_STEPS]
 
 
 def test_green_norms_evaluates_profile_once(profile, monkeypatch):
