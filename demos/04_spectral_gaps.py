@@ -38,6 +38,6 @@ def bump(r):
     out[m] = np.exp(-1.0 / (s * (1.0 - s)))
     return out
 
-sol = conic_poisson_solve(0.5, bump, delta=1.0, n=4000)
+sol = conic_poisson_solve(0.5, bump, n=4000)
 print(f"\nconic solve, annulus source: inner decay exponent = "
       f"{inner_decay_exponent(sol):.6f} (leading indicial root 1/2)")

@@ -6,7 +6,6 @@ deformation count."""
 from .errors import NumericalError
 from .algebra import (
     TracelessMatrix,
-    HermitianDecomposition,
     commutator,
     m_phi_apply,
     m_phi_matrix,

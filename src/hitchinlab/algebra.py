@@ -41,19 +41,6 @@ class TracelessMatrix:
         return cls(m[0, 0], m[0, 1], m[1, 0])
 
 
-@dataclass(frozen=True)
-class HermitianDecomposition:
-    """Coefficients (c1, c2, c3) of gamma = i c1 tau_1 + i c2 tau_2 + i c3 tau_3."""
-
-    c1: float
-    c2: float
-    c3: float
-
-    def reconstruct(self) -> TracelessMatrix:
-        m = sum(c * b for c, b in zip((self.c1, self.c2, self.c3), HERMITIAN_BASIS))
-        return TracelessMatrix.from_matrix(m)
-
-
 def frobenius_norm(m) -> float:
     return float(np.sqrt(np.sum(np.abs(np.asarray(m)) ** 2)))
 
@@ -83,15 +70,6 @@ def m_phi_apply(phi: TracelessMatrix, gamma: TracelessMatrix) -> TracelessMatrix
     g = gamma.matrix
     out = 2.0 * (_comm(ps, _comm(p, g)) + _comm(p, _comm(ps, g)))
     return TracelessMatrix.from_matrix(out)
-
-
-def hermitian_decompose(gamma: TracelessMatrix) -> HermitianDecomposition:
-    """Expand a Hermitian trace-free matrix over (i tau_1, i tau_2, i tau_3)."""
-    g = gamma.matrix
-    if frobenius_norm(g - np.conj(g).T) > 1e-10 * max(1.0, frobenius_norm(g)):
-        raise ValueError("matrix is not Hermitian")
-    coeffs = [frobenius_inner(g, b).real / 2.0 for b in HERMITIAN_BASIS]
-    return HermitianDecomposition(*coeffs)
 
 
 def m_phi_matrix(phi: TracelessMatrix) -> np.ndarray:

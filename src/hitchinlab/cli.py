@@ -27,10 +27,6 @@ EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 
 
-class UsageError(ValueError):
-    pass
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -45,22 +41,22 @@ class RunConfig:
 
     def validate(self) -> None:
         if not self.tol > 0:
-            raise UsageError("tolerance must be positive")
+            raise ValueError("tolerance must be positive")
         repeated = sorted({t for t in self.t if self.t.count(t) > 1})
         if repeated:
-            raise UsageError(f"{self.command}: t repeated: "
+            raise ValueError(f"{self.command}: t repeated: "
                              + ", ".join(_t_name(t) for t in repeated))
         for t in self.t:
             fiducial.check_t(t)
         if self.grid < linearized.MIN_GRID:
-            raise UsageError(f"grid size must be at least {linearized.MIN_GRID}")
+            raise ValueError(f"grid size must be at least {linearized.MIN_GRID}")
         if self.jobs != 1:
-            raise UsageError(f"jobs must be 1, not {self.jobs}: commands run serially")
+            raise ValueError(f"jobs must be 1, not {self.jobs}: commands run serially")
         lmax_min = linearized.MIN_ELL_MAX if self.command == "spectrum" else 1
         if self.lmax < lmax_min:
-            raise UsageError(f"{self.command}: lmax must be at least {lmax_min}")
+            raise ValueError(f"{self.command}: lmax must be at least {lmax_min}")
         if self.gamma < 2:
-            raise UsageError("gamma must be at least 2")
+            raise ValueError("gamma must be at least 2")
 
     def to_dict(self) -> dict:
         """The command and the flags it takes, each with its value."""
@@ -126,7 +122,7 @@ def _outdir(config: RunConfig) -> Path:
     try:
         out.mkdir(exist_ok=True)
     except OSError as exc:
-        raise UsageError(f"cannot use {out} as output directory: {exc.strerror}") from exc
+        raise ValueError(f"cannot use {out} as output directory: {exc.strerror}") from exc
     return out
 
 
@@ -286,7 +282,7 @@ def main(argv=None) -> int:
     try:
         config = _merge_config(args)
         return COMMANDS[args.command](config)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

@@ -280,7 +280,7 @@ def decay_fit(t_list, norms):
     norm that, with the points taken in increasing t, does not fall below
     its predecessor's at half the fitted rate or more,
     log(n0/n1)/(t1 - t0) >= max(delta/2, 0): the norms have met a floor
-    (the glued residual flattens at about 1.05e-12 from t ~ 27), where a
+    (the glued residual flattens at about 1e-12 from t ~ 27), where a
     fitted rate means nothing, and the message names the t.  Half the rate
     tells a floor from decay whatever the rounding at the floor: every
     sweep below it falls at 0.94 of the fitted rate or more.

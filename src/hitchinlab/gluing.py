@@ -9,7 +9,8 @@ exponentially in t.  The correction solves the scalar radial equation
 
 by Newton iteration on the package's shared radial operators: each step
 solves the ell = 0 vertical block of ``linearized`` and the residual takes
-(r d_r)^2 u from the flat ell = 0 stencil, that of ``assemble_scalar(0, n)``.
+(r d_r)^2 u from the flat ell = 0 stencil, that of ``assemble_scalar(0, n)``,
+which ``RadialGrid.second_difference`` applies.
 Only the correction is differenced on the grid, the glued background enters
 through chain-rule derivatives, and the correction is held as a constant c
 plus a remainder w, so the stencil acts on w, which is small where 1/(4 r^2)
@@ -184,21 +185,13 @@ def _two_sum(a: np.ndarray, b: np.ndarray):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _second_difference(v: np.ndarray, outer: float, dx: float) -> np.ndarray:
-    """The flat ell = 0 stencil (v_(i-1) - 2 v_i + v_(i+1)) / dx^2, with inner
-    ghost v_0 and outer ghost ``outer``, as a difference of neighbour
-    differences: those are exact for neighbouring values (Sterbenz), so
-    only the result is rounded."""
-    return np.diff(np.diff(np.concatenate(([v[0]], v, [outer])))) / dx ** 2
-
-
 def _corrected_residual(state: GluedState, c: float, w_hi: np.ndarray,
                         w_lo: np.ndarray) -> np.ndarray:
     """Curvature residual of h + c + w_hi + w_lo.  The stencil acts on w_hi
     and w_lo apart; u(1) = 0 makes the outer ghost of w_hi -c and that of
-    w_lo 0."""
-    dx = state.grid.dx
-    d2u = _second_difference(w_hi, -c, dx) + _second_difference(w_lo, 0.0, dx)
+    w_lo 0, and each takes its first node as its inner ghost."""
+    grid = state.grid
+    d2u = grid.second_difference(w_hi, w_hi[0], -c) + grid.second_difference(w_lo, w_lo[0], 0.0)
     return curvature_residual(state.t, state.r, state.h + (c + w_hi + w_lo), state.r_d2h + d2u)
 
 

@@ -14,7 +14,9 @@ factored once by LDL^T (``RadialOperator.solve``), which certifies it
 positive definite; ``smallest_eigenvalue`` reads lambda_min off the largest
 eigenvalue of S A^-1 S, S = sqrt(B), by Lanczos, and an operator that is
 not positive definite raises NumericalError.  The Bessel oracle, the conic
-Poisson solve and the gluing Newton use it.
+Poisson solve and the gluing Newton use it.  The flat stencil on its own,
+applied to nodal values with given ghosts, is ``RadialGrid.second_difference``:
+the gluing residual and the conic round trip take it from there.
 
 The spectral one (``green_norms``) is a Galerkin discretization.  Each
 component's basis is u_k = x^nu (1 - x^2) P_k^(2, nu)(2 x^2 - 1),
@@ -99,6 +101,13 @@ class RadialGrid:
         r = np.exp(self.x)
         r.flags.writeable = False
         return r
+
+    def second_difference(self, v: np.ndarray, inner: float, outer: float) -> np.ndarray:
+        """The flat stencil (v_(i-1) - 2 v_i + v_(i+1)) / dx^2 at the nodes,
+        with ghost values ``inner`` at r_min e^(-dx) and ``outer`` at r = 1,
+        as a difference of neighbour differences: those are exact for
+        neighbouring values (Sterbenz), so only the result is rounded."""
+        return np.diff(np.diff(np.concatenate(([inner], v, [outer])))) / self.dx ** 2
 
 
 @dataclass(eq=False)
@@ -688,25 +697,19 @@ def restricted_indicial_roots(ell_range) -> list:
 
 @dataclass(eq=False)
 class ConicSolution:
-    nu: float
-    delta: float
     r: np.ndarray
     u: np.ndarray
 
 
-def conic_poisson_solve(nu: float, rhs, delta: float, n: int) -> ConicSolution:
+def conic_poisson_solve(nu: float, rhs, n: int) -> ConicSolution:
     """Solve -(u'' + u'/r - nu^2 u / r^2) = rhs with the decaying inner branch.
 
-    ``delta`` selects the weighted space and must lie in the isomorphism
-    window (1/2, 3/2); outside it, or for a non-finite nu, the solve is
-    rejected.  ``rhs`` is a
-    callable of r or an array of samples on the solver grid.  The matrix is
-    ``assemble_scalar(nu, n)``: Dirichlet at r = 1, ghost exponent |nu| at the
-    inner end, so the homogeneous inner behavior is r^|nu|; it is solved
-    against r^2 rhs on the operator's own factorization, ``op.solve``.
+    ``rhs`` is a callable of r or an array of samples on the solver grid; a
+    non-finite nu is rejected.  The matrix is ``assemble_scalar(nu, n)``:
+    Dirichlet at r = 1, ghost exponent |nu| at the inner end, so the
+    homogeneous inner behavior is r^|nu|; it is solved against r^2 rhs on
+    the operator's own factorization, ``op.solve``.
     """
-    if not 0.5 < delta < 1.5:
-        raise ValueError(f"delta={delta} outside the isomorphism window (1/2, 3/2)")
     if not math.isfinite(nu):
         raise ValueError(f"nu={nu} is not finite")
     op = assemble_scalar(nu, n=n)
@@ -714,24 +717,19 @@ def conic_poisson_solve(nu: float, rhs, delta: float, n: int) -> ConicSolution:
     b = rhs(r) if callable(rhs) else np.asarray(rhs, dtype=float)
     if b.shape != r.shape:
         raise ValueError("rhs samples do not match the solver grid")
-    u = op.solve(r * r * b)
-    return ConicSolution(nu=nu, delta=delta, r=r, u=u)
+    return ConicSolution(r=r, u=op.solve(r * r * b))
 
 
 def apply_conic_operator(nu: float, u_fn, grid: RadialGrid) -> np.ndarray:
     """Discrete application of the conic operator to samples of ``u_fn``.
 
-    Uses the same stencil as the solver with Dirichlet data u(1) = 0 and the
-    continuation of ``u_fn`` at the inner ghost node, enabling
-    manufactured-solution round trips.
+    Uses the solver's stencil, ``grid.second_difference``, with Dirichlet
+    data u(1) = 0 and the continuation of ``u_fn`` at the inner ghost node,
+    enabling manufactured-solution round trips.
     """
-    r = grid.r
-    dx = grid.dx
-    u = u_fn(r)
-    ghost_in = u_fn(np.exp(np.log(grid.r_min) - dx))
-    padded = np.concatenate([[ghost_in], u, [0.0]])
-    d2 = (padded[:-2] - 2.0 * padded[1:-1] + padded[2:]) / dx ** 2
-    return (-d2 + nu * nu * u) / r ** 2
+    u = u_fn(grid.r)
+    d2 = grid.second_difference(u, u_fn(np.exp(np.log(grid.r_min) - grid.dx)), 0.0)
+    return (-d2 + nu * nu * u) / grid.r ** 2
 
 
 def inner_decay_exponent(sol: ConicSolution) -> float:

@@ -289,8 +289,8 @@ def _solve_connection(rho_min: float, n: int) -> PsiProfile:
     # phi, phi_xi and phi_xixi at the points, as matrices on the coefficients
     eye = np.eye(n + 1)
     val = cheb.chebvander(s, n)
-    d1 = cheb.chebval(s, cheb.chebder(eye, scl=scale)).T
-    d2 = cheb.chebval(s, cheb.chebder(eye, 2, scl=scale)).T
+    d1 = val[:, :-1] @ cheb.chebder(eye, scl=scale)
+    d2 = val[:, :-2] @ cheb.chebder(eye, 2, scl=scale)
     k0_tail = bessel_k0(RHO_TAIL)
     tail_slope = -RHO_TAIL * bessel_k1(RHO_TAIL) / ((1.0 + RHO_TAIL) * k0_tail)
     # the unknowns: the coefficients c of phi = log psi, then log a0.  Rows

@@ -9,6 +9,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from hitchinlab.algebra import HERMITIAN_BASIS, TracelessMatrix
 from hitchinlab.painleve import solve_connection
 from hitchinlab.fiducial import build_family
 
@@ -18,6 +19,13 @@ def tridiagonal_dense(op):
     tridiagonal upper band ``op.band``."""
     off = op.band[0, 1:]
     return np.diag(op.band[1]) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def random_hermitian(rng):
+    """A Hermitian trace-free matrix c1 (i tau_1) + c2 (i tau_2) + c3 (i tau_3)
+    with standard normal coefficients."""
+    return TracelessMatrix.from_matrix(
+        sum(c * b for c, b in zip(rng.standard_normal(3), HERMITIAN_BASIS)))
 
 
 @pytest.fixture(scope="session")

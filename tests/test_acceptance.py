@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
+from conftest import random_hermitian
 from hitchinlab import fiducial as fd
 from hitchinlab import gauge as gg
 from hitchinlab import gluing as gl
 from hitchinlab import linearized as lin
 from hitchinlab import topology as tp
 from hitchinlab.algebra import (
-    HermitianDecomposition,
     TracelessMatrix,
     commutator,
     frobenius_inner,
@@ -189,11 +189,11 @@ def test_criterion_08_conic_poisson():
         out[m] = np.exp(-1.0 / (s * (1.0 - s)))
         return out
 
-    sol = lin.conic_poisson_solve(0.5, bump, 1.0, n=4000)
+    sol = lin.conic_poisson_solve(0.5, bump, n=4000)
     slope = lin.inner_decay_exponent(sol)
     grid = lin.RadialGrid(6000, 1e-6)
     rhs = lin.apply_conic_operator(0.5, lambda r: np.sqrt(r) * (1.0 - r), grid)
-    sol2 = lin.conic_poisson_solve(0.5, rhs, 1.0, n=6000)
+    sol2 = lin.conic_poisson_solve(0.5, rhs, n=6000)
     roundtrip = float(np.abs(sol2.u - np.sqrt(sol2.r) * (1.0 - sol2.r)).max())
     ok = abs(slope - 0.5) < 0.025 and roundtrip < 1e-6
     _line(8, ok, f"inner decay exponent={slope:.5f} roundtrip={roundtrip:.2e}")
@@ -251,7 +251,7 @@ def test_criterion_12_algebra_identities(rng):
         vals = rng.standard_normal(6)
         phi = TracelessMatrix(complex(vals[0], vals[1]), complex(vals[2], vals[3]),
                               complex(vals[4], vals[5]))
-        gamma = HermitianDecomposition(*rng.standard_normal(3)).reconstruct()
+        gamma = random_hermitian(rng)
         lhs = frobenius_inner(m_phi_apply(phi, gamma).matrix, gamma.matrix).real
         rhs = 4.0 * frobenius_norm(commutator(phi, gamma).matrix) ** 2
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))

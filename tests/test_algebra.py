@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_hermitian
 from hitchinlab.algebra import (
     HERMITIAN_BASIS,
     TAU1,
     TAU2,
     TAU3,
-    HermitianDecomposition,
     TracelessMatrix,
     commutator,
     frobenius_inner,
     frobenius_norm,
-    hermitian_decompose,
     m_phi_apply,
     m_phi_kernel_dim,
     m_phi_matrix,
@@ -72,15 +71,11 @@ def _random_traceless(rng):
     )
 
 
-def _random_hermitian(rng):
-    return HermitianDecomposition(*rng.standard_normal(3)).reconstruct()
-
-
 def test_pairing_identity_bulk(rng):
     # <M_phi gamma, gamma> = 4 |[phi, gamma]|^2 on 1000 random samples
     for _ in range(1000):
         phi = _random_traceless(rng)
-        gamma = _random_hermitian(rng)
+        gamma = random_hermitian(rng)
         lhs = frobenius_inner(m_phi_apply(phi, gamma).matrix, gamma.matrix).real
         rhs = 4.0 * frobenius_norm(commutator(phi, gamma).matrix) ** 2
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
@@ -91,7 +86,7 @@ def test_pairing_identity_bulk(rng):
 def test_pairing_identity_property(seed):
     rng = np.random.default_rng(seed)
     phi = _random_traceless(rng)
-    gamma = _random_hermitian(rng)
+    gamma = random_hermitian(rng)
     lhs = frobenius_inner(m_phi_apply(phi, gamma).matrix, gamma.matrix)
     rhs = 4.0 * frobenius_norm(commutator(phi, gamma).matrix) ** 2
     assert abs(lhs.imag) <= 1e-12 * max(1.0, rhs)
@@ -110,7 +105,7 @@ def _random_su2(rng):
 def test_equivariance_under_su2(rng):
     for _ in range(100):
         phi = _random_traceless(rng)
-        gamma = _random_hermitian(rng)
+        gamma = random_hermitian(rng)
         g = _random_su2(rng)
         gi = np.conj(g).T
         left = m_phi_apply(T(gi @ phi.matrix @ g), T(gi @ gamma.matrix @ g)).matrix
@@ -137,16 +132,6 @@ def test_kernel_trichotomy(rng):
         comm = phi.matrix @ np.conj(phi.matrix).T - np.conj(phi.matrix).T @ phi.matrix
         expected = 0 if frobenius_norm(comm) > 1e-6 else 1
         assert m_phi_kernel_dim(phi) == expected
-
-
-def test_hermitian_decomposition_roundtrip(rng):
-    for _ in range(20):
-        coeffs = rng.standard_normal(3)
-        gamma = HermitianDecomposition(*coeffs).reconstruct()
-        g = gamma.matrix
-        assert np.abs(g - np.conj(g).T).max() < 1e-14
-        back = hermitian_decompose(gamma)
-        assert np.allclose([back.c1, back.c2, back.c3], coeffs)
 
 
 def test_normal_form_identity_case():

@@ -1,10 +1,12 @@
-"""The demos stay importable: every name they import from hitchinlab exists.
-
-The demos are parsed, not run, so this costs milliseconds.
+"""The demos stay importable and run: every name they import from
+hitchinlab exists, and each runs to its end in-process.
 """
 
 import ast
+import contextlib
 import importlib
+import io
+import runpy
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,11 @@ def test_demo_imports_exist(demo):
         mod = importlib.import_module(module)
         if name is not None:
             assert hasattr(mod, name), f"{demo.name}: {module} has no {name}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a demo may write files into the working directory
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runpy.run_path(str(demo), run_name="__main__")
+    assert out.getvalue()

@@ -151,7 +151,7 @@ def assemble_scalar(ell, n):
     return n
 def smallest_eigenvalue(op):
     return 1.0 / op
-def conic_poisson_solve(nu, rhs, delta, n):
+def conic_poisson_solve(nu, rhs, n):
     r = np.linspace(0.5, 1.0, n)
     return SimpleNamespace(r=r, u=rhs(r))
 """,
@@ -275,12 +275,18 @@ def test_fd_eigen_run_writes_the_fd_values(tmp_path, monkeypatch, profile):
     monkeypatch.setattr(drift, "FD_CONIC_N", 400)
     oracle = [linearized.smallest_eigenvalue(linearized.assemble_scalar(0, n)) for n in (100, 200)]
     state = gluing.glued_on_grid(2.0, profile, 2000)
-    sol = linearized.conic_poisson_solve(0.5, lambda r: np.sin(5.0 * r), 1.0, 400)
-    assert _library_report("lib-fd-eigen", tmp_path / "f") == {
+    sol = linearized.conic_poisson_solve(0.5, lambda r: np.sin(5.0 * r), n=400)
+    expected = {
         "oracle_n": [100, 200], "oracle_lambda": oracle,
         "neumann_t": [2.0], "neumann_lambda": [gluing.neumann_zero_mode_eigenvalue(state)],
         "conic_r": sol.r[::drift.FD_CONIC_STRIDE].tolist(),
         "conic_u": sol.u[::drift.FD_CONIC_STRIDE].tolist()}
+    assert _library_report("lib-fd-eigen", tmp_path / "f") == expected
+    # a tree whose conic solve still requires the unread weight delta
+    solve = linearized.conic_poisson_solve
+    monkeypatch.setattr(linearized, "conic_poisson_solve",
+                        lambda nu, rhs, delta, n: solve(nu, rhs, n=n))
+    assert _library_report("lib-fd-eigen", tmp_path / "g") == expected
 
 
 def _workload(monkeypatch):
@@ -343,3 +349,25 @@ def test_newton_grid_is_the_benchmarks(monkeypatch):
     assert drift.RUNS["bench-newton-grid"] is drift.newton_grid
     assert drift.NEWTON_GRID_T == workload.NEWTON_GRID_T
     assert drift.NEWTON_GRID_MESH == workload.NEWTON_GRID_MESH
+
+
+@pytest.mark.parametrize("name", ["spectral", "profile_reports", "deformation"])
+def test_benchmark_workload_runs_ok_at_seed_0(name, tmp_path, monkeypatch):
+    # the benchmark's own workload, in-process on the package: every name,
+    # keyword and command it uses must exist and every operation pass
+    import hitchinlab
+
+    workload = _workload(monkeypatch)
+    monkeypatch.setattr(workload, "ROOT", tmp_path)
+    monkeypatch.chdir(tmp_path)  # Run.cli passes --out relative to ROOT
+    (tmp_path / "reports").mkdir()
+    run = workload.Run(tmp_path / "reports", hitchinlab.NumericalError)
+    workload.WORKLOADS[name](run, None)
+    assert run.ops and [op for op in run.ops if op["status"] != "ok"] == []
+
+
+def test_benchmark_counted_lookups_exist(monkeypatch):
+    _workload(monkeypatch)  # puts bench/ on the path
+    spans = importlib.import_module("spans")
+    for layer, attr in spans.COUNTED_LOOKUPS:
+        assert hasattr(importlib.import_module(f"hitchinlab.{layer}"), attr), (layer, attr)

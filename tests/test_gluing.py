@@ -113,10 +113,10 @@ def test_approx_error_sweep_fit(profile):
 @pytest.mark.parametrize("ts, floor_t", [(np.arange(20.0, 30.5, 1.0), 27),
                                           (np.arange(40.0, 50.5, 2.0), 42)])
 def test_sweep_past_the_residual_floor_raises(profile, ts, floor_t):
-    # the norms flatten at about 1.05e-12 from t ~ 27; the fits there read
-    # delta 0.617 (R^2 0.859) over t = 20..30 and -0.015 over t = 40..50.
-    # From t = 26 to 27 the norm falls at 0.148 per unit t, below half the
-    # fitted 0.617; at t = 42 it rises
+    # the norms flatten at about 1e-12 from t ~ 27; the fits there read
+    # delta 0.627 (R^2 0.864) over t = 20..30 and -0.015 over t = 40..50.
+    # From t = 26 to 27 the norm falls at 0.168 per unit t, below half the
+    # fitted 0.627; at t = 42 it rises
     with pytest.raises(NumericalError, match=f"floor: the norm at t={floor_t} "):
         gl.approx_error_sweep(ts, profile)
     with pytest.raises(NumericalError, match=f"at t={floor_t} "):
@@ -284,14 +284,18 @@ def test_neumann_variant_positive(families):
 
 
 def test_second_difference_is_the_flat_stencil(rng):
-    # the Newton residual differences w by hand; it must be the scheme's own
-    # ell = 0 stencil, outer ghost included
+    # the Newton residual and the conic round trip difference nodal values
+    # by hand; it must be the scheme's own ell = 0 stencil, whose inner ghost
+    # is v[0], with the given ghosts at both ends
     grid = lin.RadialGrid(300, 1e-3)
     v = rng.standard_normal(grid.n)
-    d2 = -(tridiagonal_dense(lin.assemble_scalar(0, n=grid.n, r_min=grid.r_min)) @ v)
-    d2[-1] += 0.7 / grid.dx ** 2
-    got = gl._second_difference(v, 0.7, grid.dx)
-    assert np.abs(got - d2).max() <= 1e-14 * np.abs(d2).max()
+    flat = -(tridiagonal_dense(lin.assemble_scalar(0, n=grid.n, r_min=grid.r_min)) @ v)
+    for inner in (v[0], -1.3):
+        d2 = flat.copy()
+        d2[0] += (inner - v[0]) / grid.dx ** 2
+        d2[-1] += 0.7 / grid.dx ** 2
+        got = grid.second_difference(v, inner, 0.7)
+        assert np.abs(got - d2).max() <= 1e-14 * np.abs(d2).max()
 
 
 def test_newton_parts_sum_to_u(families):

@@ -667,7 +667,7 @@ def test_restricted_roots_are_half_integers():
 
 
 def test_conic_zero_rhs_is_zero():
-    sol = lin.conic_poisson_solve(0.5, lambda r: np.zeros_like(r), 1.0, n=500)
+    sol = lin.conic_poisson_solve(0.5, lambda r: np.zeros_like(r), n=500)
     assert np.abs(sol.u).max() == 0.0
 
 
@@ -679,7 +679,7 @@ def test_conic_inner_decay_exponent():
         out[m] = np.exp(-1.0 / (s * (1.0 - s)))
         return out
 
-    sol = lin.conic_poisson_solve(0.5, bump, 1.0, n=4000)
+    sol = lin.conic_poisson_solve(0.5, bump, n=4000)
     slope = lin.inner_decay_exponent(sol)
     assert abs(slope - 0.5) < 0.025
 
@@ -687,30 +687,23 @@ def test_conic_inner_decay_exponent():
 def test_conic_manufactured_roundtrip():
     grid = lin.RadialGrid(6000, 1e-6)
     rhs = lin.apply_conic_operator(0.5, lambda r: np.sqrt(r) * (1.0 - r), grid)
-    sol = lin.conic_poisson_solve(0.5, rhs, 1.0, n=6000)
+    sol = lin.conic_poisson_solve(0.5, rhs, n=6000)
     assert np.abs(sol.u - np.sqrt(sol.r) * (1.0 - sol.r)).max() < 1e-6
 
 
 @pytest.mark.parametrize("nu", [0.5, -0.7, 2.0])
 def test_conic_solve_uses_scalar_operator(nu):
-    sol = lin.conic_poisson_solve(nu, lambda r: np.sin(5.0 * r), 1.0, n=800)
+    sol = lin.conic_poisson_solve(nu, lambda r: np.sin(5.0 * r), n=800)
     op = lin.assemble_scalar(nu, n=800)
     rhs = sol.r ** 2 * np.sin(5.0 * sol.r)
     assert np.abs(tridiagonal_dense(op) @ sol.u - rhs).max() <= 1e-12 * np.abs(rhs).max()
-
-
-def test_conic_window_rejection():
-    rhs = lambda r: np.zeros_like(r)
-    for delta in (0.5, 1.5, 0.2, 2.0):
-        with pytest.raises(ValueError):
-            lin.conic_poisson_solve(0.5, rhs, delta, n=200)
 
 
 @pytest.mark.parametrize("nu", [float("nan"), float("inf"), -float("inf")])
 def test_conic_rejects_non_finite_nu(nu):
     # a NaN nu escaped as the factorization's bare RuntimeError
     with pytest.raises(ValueError, match="not finite") as info:
-        lin.conic_poisson_solve(nu, lambda r: np.ones_like(r), 1.0, n=200)
+        lin.conic_poisson_solve(nu, lambda r: np.ones_like(r), n=200)
     assert not isinstance(info.value, NumericalError)
 
 

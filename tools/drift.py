@@ -132,7 +132,11 @@ def fd_eigen(out: str) -> None:
     Bessel oracle's ``smallest_eigenvalue(assemble_scalar(0, n))`` at each of
     ``FD_ORACLE_N``, ``neumann_zero_mode_eigenvalue`` of the glued state on
     2000 nodes at each of ``FD_NEUMANN_T``, and every ``FD_CONIC_STRIDE``-th
-    node r and value u of ``conic_poisson_solve(0.5, sin 5r, 1.0, FD_CONIC_N)``."""
+    node r and value u of ``conic_poisson_solve(0.5, sin 5r, n=FD_CONIC_N)``.
+    A tree whose conic solve still takes the weight ``delta``, which it never
+    read, is given delta = 1.0."""
+    import inspect
+
     import numpy as np
 
     from hitchinlab import gluing, linearized, painleve
@@ -142,7 +146,9 @@ def fd_eigen(out: str) -> None:
               for n in FD_ORACLE_N]
     neumann = [gluing.neumann_zero_mode_eigenvalue(gluing.glued_on_grid(t, profile, 2000))
                for t in FD_NEUMANN_T]
-    sol = linearized.conic_poisson_solve(0.5, lambda r: np.sin(5.0 * r), 1.0, FD_CONIC_N)
+    solve = linearized.conic_poisson_solve
+    weight = {"delta": 1.0} if "delta" in inspect.signature(solve).parameters else {}
+    sol = solve(0.5, lambda r: np.sin(5.0 * r), n=FD_CONIC_N, **weight)
     picked = slice(None, None, FD_CONIC_STRIDE)
     _write_json(out, "fd_eigen.json", {
         "oracle_n": list(FD_ORACLE_N), "oracle_lambda": oracle,
