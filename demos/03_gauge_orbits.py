@@ -3,14 +3,11 @@
 
 The diagonal gauge with exponent -(1/4) log r - (1/2) h_t carries the
 reference pair (zero connection, field [[0,1],[z,0]]) onto the t-pair, and
-the singular gauge diag(|z|^(-1/4), |z|^(1/4)) onto the limiting pair.  A
-stabilizer gauge is reconstructed mode-by-mode from flat off-diagonal data.
+the singular gauge diag(|z|^(-1/4), |z|^(1/4)) onto the limiting pair.
 """
 
-import numpy as np
-
 from hitchinlab import solve_connection, build_family
-from hitchinlab import verify_orbit_finite_t, verify_orbit_limiting, stabilizer_normalize
+from hitchinlab import verify_orbit_finite_t, verify_orbit_limiting
 from hitchinlab.fiducial import default_grid
 
 profile = solve_connection()
@@ -22,17 +19,3 @@ for t in (1.0, 2.0, 8.0):
 
 err = verify_orbit_limiting(default_grid(), n_theta=64)
 print(f"singular gauge onto the limiting pair: {err:.3e} on r in [0.1, 1]")
-
-# stabilizer normalization from single-mode flat data
-ells = list(range(-4, 5))
-r = np.linspace(0.2, 1.0, 201)
-bump = np.exp(-((r - 0.6) ** 2) / 0.02)
-v = np.zeros((len(r), len(ells)), dtype=complex)
-w = np.zeros_like(v)
-ell, eps = 2, 0.01
-v[:, ells.index(ell)] = eps * bump
-w[:, ells.index(ell)] = np.gradient(eps * bump, r, edge_order=2) / (1j * (ell + 0.5))
-gauge, report = stabilizer_normalize(v, w, r, ells, tol=1e-6)
-print("\nstabilizer normalization report:")
-for key, value in report.items():
-    print(f"  {key}: {value}")

@@ -7,7 +7,8 @@ leaves h1 = 2g + k - 2.  With the simple-determinant puncture count
 k = 4g - 4 this is the torus dimension 6g - 6.
 """
 
-from hitchinlab import build_complex, twisted_cohomology_dims, torus_dimension
+from hitchinlab import build_complex, twisted_cohomology_dims
+from hitchinlab.topology import dimension_table
 
 print(f"{'gamma':>6} {'k':>4} {'chi':>5} {'h0':>3} {'h1':>4} {'6g-6':>5}")
 for gamma in range(2, 11):
@@ -26,5 +27,6 @@ print("\nhandle-sign independence, gamma=3, k=8:")
 print("  default:", twisted_cohomology_dims(build_complex(3, 8)))
 print("  flipped:", twisted_cohomology_dims(build_complex(3, 8, handle_monodromy=-1)))
 
-print("\ntorus_dimension(gamma) for gamma = 2..6:",
-      [torus_dimension(g) for g in range(2, 7)])
+print("\ndimension_table rows (gamma, k, h0, h1, 6g-6) for gamma = 2..6:")
+for row in dimension_table(range(2, 7)):
+    print(" ", row)

@@ -23,21 +23,17 @@ from .fiducial import (
     FiducialFamily,
     DiskPair,
     build_family,
-    fitted_log_offset,
     make_disk_pair,
     limiting_pair,
     verify_f_bounds,
     phi_sup_bound,
-    convergence_rate,
 )
 from .gauge import (
     MatrixGauge,
     diagonal_gauge,
-    stabilizer_gauge,
     apply_complex_gauge,
     verify_orbit_finite_t,
     verify_orbit_limiting,
-    stabilizer_normalize,
 )
 from .linearized import (
     RadialGrid,
@@ -57,13 +53,11 @@ from .gluing import (
     approx_error_sweep,
     newton_correct,
     corrected_solution_check,
-    growth_norm_check,
 )
 from .topology import (
     TwistedSurfaceComplex,
     build_complex,
     twisted_cohomology_dims,
-    torus_dimension,
 )
 
 __version__ = "0.1.0"

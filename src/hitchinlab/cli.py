@@ -205,9 +205,10 @@ def cmd_glue(config: RunConfig) -> int:
 
     done = [one(t) for t in config.t]
     fit = None
-    if len(config.t) >= 4:  # before any file, so a fit at the residual floor writes none
-        delta, intercept, r2 = fiducial.decay_fit(config.t, [norm for _, _, norm in done])
-        fit = {"delta_hat": delta, "c_hat": float(np.exp(intercept)), "r_squared": r2}
+    # before any file, so a fit at the residual floor writes none
+    if len(config.t) >= gluing.DECAY_FIT_MIN_T:
+        delta, c_hat, r2 = gluing.decay_fit(config.t, [norm for _, _, norm in done])
+        fit = {"delta_hat": delta, "c_hat": c_hat, "r_squared": r2}
     for t, (_, history, _) in zip(config.t, done):
         painleve.write_columns_csv(out / f"newton_t{_t_name(t)}.csv", "iteration,residual",
                                    [np.arange(len(history)), history])

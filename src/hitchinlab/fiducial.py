@@ -192,16 +192,6 @@ def limiting_pair(r: np.ndarray | None = None, n_theta: int = 256) -> DiskPair:
     return make_disk_pair(limiting_family(r), n_theta)
 
 
-def fitted_log_offset(family: FiducialFamily) -> float:
-    """Constant b0 in h ~ -(1/2) log r + b0 near the origin, fitted from the
-    8 innermost grid points.  The series psi ~ -log(a0 rho^(1/3)) gives
-    b0 = -(1/3) log(8t/3) - log a0, which the fit misses by the series' next
-    order there (2.4e-7 at t = 0.5, 2.4e-5 at t = 16 on the default grid).
-    """
-    probe = family.h[:8] + 0.5 * np.log(family.r[:8])
-    return float(np.mean(probe))
-
-
 def _f_sups(family: FiducialFamily) -> tuple[float, float]:
     """Suprema of f/r and f/r^2 over the family's grid.  NumericalError,
     naming t, where f = 1/8 + (1/4) r d_r h has cancelled at a sample where
@@ -251,60 +241,6 @@ def verify_f_bounds(family: FiducialFamily) -> dict:
 def phi_sup_bound(family: FiducialFamily) -> float:
     """sup over the grid of the Frobenius norm of the field coefficient."""
     return float(np.sqrt(2.0 * family.r * np.cosh(2.0 * family.h)).max())
-
-
-def convergence_rate(profile: PsiProfile, t_list, r0: float):
-    """Fit log sup_{r >= r0} (|f - 1/8| + |h|) against t on the default grid.
-
-    Returns (delta_hat, r_squared, intercept) where the fitted slope is
-    -delta_hat.  Requires at least three t values.
-    """
-    t_list = [float(t) for t in t_list]
-    if len(t_list) < 3:
-        raise ValueError("need at least 3 values of t for the decay fit")
-    norms = []
-    for t in t_list:
-        fam = build_family(t, profile)
-        sel = fam.r >= r0
-        norms.append(float((np.abs(fam.f[sel] - 0.125) + np.abs(fam.h[sel])).max()))
-    delta, intercept, r2 = decay_fit(t_list, norms)
-    return delta, r2, intercept
-
-
-def decay_fit(t_list, norms):
-    """Least-squares fit log norms = intercept - delta t.
-
-    Returns (delta, intercept, r_squared).  A norm that is not finite and
-    positive has no logarithm and raises NumericalError naming the first
-    such t.  So do norms that do not vary, which leave R^2 undefined, and a
-    norm that, with the points taken in increasing t, does not fall below
-    its predecessor's at half the fitted rate or more,
-    log(n0/n1)/(t1 - t0) >= max(delta/2, 0): the norms have met a floor
-    (the glued residual flattens at about 1e-12 from t ~ 27), where a
-    fitted rate means nothing, and the message names the t.  Half the rate
-    tells a floor from decay whatever the rounding at the floor: every
-    sweep below it falls at 0.94 of the fitted rate or more.
-    """
-    for t, norm in zip(t_list, norms):
-        if not (math.isfinite(norm) and norm > 0):
-            raise NumericalError(f"decay fit: the norm at t={t:g} is {norm!r}, "
-                                 "not finite and positive")
-    y = np.log(norms)
-    slope, intercept = np.polyfit(t_list, y, 1)
-    fitted = np.polyval([slope, intercept], t_list)
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot == 0:
-        raise NumericalError("degenerate decay fit: norms do not vary")
-    delta = -float(slope)
-    points = sorted(zip(t_list, norms))
-    for (t0, norm0), (t1, norm1) in zip(points, points[1:]):
-        if t1 > t0 and not (norm1 < norm0 and
-                            math.log(norm0 / norm1) / (t1 - t0) >= max(delta / 2, 0.0)):
-            raise NumericalError(f"decay fit at a floor: the norm at t={t1:g} ({norm1:.3e}) "
-                                 f"does not fall below the one at t={t0:g} ({norm0:.3e}) "
-                                 f"at least half as fast as the fitted rate {delta:.3g}")
-    return delta, float(intercept), 1.0 - ss_res / ss_tot
 
 
 def family_summary(family: FiducialFamily) -> dict:

@@ -5,14 +5,13 @@ Connections are carried by the dzbar-coefficient matrix alpha of their
 operator is recovered from the fixed Hermitian metric, so the action on pairs
 is alpha -> g^-1 alpha g + g^-1 dbar(g), phi -> g^-1 phi g.  Every gauge is a
 ``MatrixGauge`` that always carries its exact radial derivative;
-``diagonal_gauge`` and ``stabilizer_gauge`` build them from radial data.
+``diagonal_gauge`` builds one from radial data.
 A gauge constant in theta is sampled once per radius (a theta axis of
 length 1) and broadcast against the pair; pairs are always full.
 Angular derivatives are spectral (entries of every gauge used here are
 trigonometric polynomials in theta).  Finite differences in r remain only for
-fields without an exact derivative: the connection in ``curvature_rtheta``
-and the metric g g* in ``curvature_formula_rtheta``.  The one complex
-derivative is ``dbar_of``; d_z X = conj(dbar conj X).
+a field without an exact derivative: the connection in ``curvature_rtheta``.
+The one complex derivative is ``dbar_of``; d_z X = conj(dbar conj X).
 """
 
 from __future__ import annotations
@@ -106,31 +105,6 @@ def diagonal_gauge(u: np.ndarray, du: np.ndarray, r: np.ndarray) -> MatrixGauge:
     dr = _stack2x2((len(u), 1), zeroed=True)
     dr[..., 0, 0] = (du * eu)[:, None]
     dr[..., 1, 1] = (-du / eu)[:, None]
-    return MatrixGauge(vals, dr, r)
-
-
-def stabilizer_gauge(mu: np.ndarray, dmu: np.ndarray, r: np.ndarray,
-                     theta: np.ndarray) -> MatrixGauge:
-    """Gauge exp(gamma_mu) in the stabilizer of the limiting field.
-
-    ``mu`` and ``dmu = d_r mu`` are sampled on the (r, theta) grid.  Writing
-    w = e^{i theta/2} mu, the matrix is [[cosh w, e^{-i theta/2} sinh w],
-    [e^{i theta/2} sinh w, cosh w]]; both entries are single-valued (only
-    integer theta-modes occur).  The gauge is unitary exactly when
-    e^{i theta} mu + conj(mu) = 0.
-    """
-    half = np.exp(0.5j * theta)[None, :]
-    w, dw = half * mu, half * dmu
-    vals = _stack2x2(mu.shape)
-    vals[..., 0, 0] = np.cosh(w)
-    vals[..., 1, 1] = np.cosh(w)
-    vals[..., 0, 1] = np.sinh(w) / half
-    vals[..., 1, 0] = np.sinh(w) * half
-    dr = _stack2x2(mu.shape)
-    dr[..., 0, 0] = np.sinh(w) * dw
-    dr[..., 1, 1] = dr[..., 0, 0]
-    dr[..., 0, 1] = np.cosh(w) * dw / half
-    dr[..., 1, 0] = np.cosh(w) * dw * half
     return MatrixGauge(vals, dr, r)
 
 
@@ -289,96 +263,3 @@ def curvature_rtheta(pair: DiskPair) -> np.ndarray:
     d_r_ath = radial_derivative(a_th, pair.r)
     d_th_ar = spectral_dtheta(a_r)
     return d_r_ath - d_th_ar + _mul2(a_r, a_th) - _mul2(a_th, a_r)
-
-
-def curvature_formula_rtheta(pair: DiskPair, g: MatrixGauge) -> np.ndarray:
-    """g^-1 (F_A + dbar_A(G d_A G^-1)) g in dr^dtheta components, G = g g*.
-
-    Conjugation-rule counterpart of computing the curvature of the
-    transformed pair directly; agreement is at discretization order.  The
-    gauge's theta axis is 1 or the pair's n_theta, as in
-    ``apply_complex_gauge``.
-    """
-    _check_grid(pair, g)
-    r, theta = pair.r, pair.theta
-    big_g = _mul2(g.values, np.conj(np.swapaxes(g.values, -1, -2)))
-    big_g_inv = _inv2(big_g)
-    astar = np.conj(np.swapaxes(pair.alpha, -1, -2))
-    # d_A X = dX - [alpha*, X] against dz, with d_z X = conj(dbar conj X)
-    dx = np.conj(dbar_of(np.conj(big_g_inv), r, theta))
-    y = _mul2(big_g, dx - _mul2(astar, big_g_inv) + _mul2(big_g_inv, astar))
-    # dbar_A Y = dbar Y + [alpha, Y] against dzbar^dz = 2 i r dr^dtheta
-    z2 = dbar_of(y, r, theta) + _mul2(pair.alpha, y) - _mul2(y, pair.alpha)
-    correction = 2j * r[:, None, None, None] * z2
-    f = curvature_rtheta(pair)
-    return _mul2(_mul2(_inv2(g.values), f + correction), g.values)
-
-
-def stabilizer_multipliers(ells) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier multipliers of P = -i d_theta + 1/2 and Q = P - 1 on e^{i l theta}."""
-    ells = np.asarray(list(ells))
-    return ells + 0.5, ells - 0.5
-
-
-def stabilizer_normalize(v_modes: np.ndarray, w_modes: np.ndarray, r: np.ndarray,
-                         ells, tol: float = 1e-8):
-    """Solve (d_r - P/r) mu = -(w + i v / r) mode-by-mode.
-
-    ``v_modes`` and ``w_modes`` hold theta-Fourier data per radius, shape
-    (n_r, n_modes) with mode indices ``ells``.  The two scalar equations
-    d_r mu = -w and P mu = i v are compatible exactly when the flatness
-    relation d_r v = i (l + 1/2) w holds; inputs violating it beyond ``tol``
-    are rejected, and so are non-finite inputs.  Returns (MatrixGauge,
-    report): the ``stabilizer_gauge`` of mu on a theta grid that resolves
-    every mode.  The report flags it unitary
-    only when e^{i theta} mu + conj(mu) = 0 holds, which the construction
-    guarantees for inputs satisfying the skew-Hermitian condition on (v, w).
-    """
-    v_modes = np.asarray(v_modes, dtype=complex)
-    w_modes = np.asarray(w_modes, dtype=complex)
-    ells = np.asarray(list(ells), dtype=int)
-    if v_modes.shape != w_modes.shape or v_modes.shape[1] != len(ells):
-        raise ValueError("mode data shapes do not match")
-    if not (np.isfinite(v_modes).all() and np.isfinite(w_modes).all()
-            and np.isfinite(r).all()):
-        raise ValueError("mode data or radii are not finite")
-    p_mult, _ = stabilizer_multipliers(ells)
-
-    dv = radial_derivative(v_modes, r)
-    compat = np.abs(dv - 1j * p_mult[None, :] * w_modes)
-    scale = max(1.0, float(np.abs(v_modes).max()), float(np.abs(w_modes).max()))
-    compat_res = float(compat.max()) / scale
-    if not compat_res <= tol:  # NaN too: radii that repeat make d_r v non-finite
-        raise ValueError(
-            f"inputs are not flat: compatibility residual {compat_res:.3e} above {tol:.1e}"
-        )
-
-    mu_modes = 1j * v_modes / p_mult[None, :]
-    p_res = float(np.abs(p_mult[None, :] * mu_modes - 1j * v_modes).max())
-    dmu = radial_derivative(mu_modes, r)
-    dr_res = float(np.abs(dmu + w_modes).max()) / scale
-
-    # unitarity in Fourier: mu_{l-1} + conj(mu_{-l}) = 0 for all l
-    index = {int(l): i for i, l in enumerate(ells)}
-    worst = 0.0
-    for l in ells:
-        j = index.get(int(-l))
-        i = index.get(int(l) - 1)
-        left = mu_modes[:, i] if i is not None else 0.0
-        right = np.conj(mu_modes[:, j]) if j is not None else 0.0
-        worst = max(worst, float(np.abs(left + right).max()))
-    unitary = worst <= 10.0 * tol * scale
-
-    n_theta = max(2 * (int(np.abs(ells).max()) + 1), 16)
-    theta = theta_grid(n_theta)
-    phases = np.exp(1j * np.outer(ells, theta))
-    gauge = stabilizer_gauge(mu_modes @ phases, dmu @ phases, r, theta)
-    report = {
-        "compatibility_residual": compat_res,
-        "p_equation_residual": p_res,
-        "dr_equation_residual": dr_res,
-        "unitarity_defect": worst,
-        "unitary": unitary,
-        "multiplier_min": float(np.abs(p_mult).min()),
-    }
-    return gauge, report

@@ -27,16 +27,20 @@ difference operators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .fiducial import FiducialFamily, build_family, curvature_residual, decay_fit
+from .fiducial import FiducialFamily, build_family, curvature_residual
 from .linearized import RadialGrid, assemble_vertical_block, assemble_scalar, smallest_eigenvalue
 from .painleve import PsiProfile
 
 GLUE_R_MIN = 1e-3  # inner end of every glued state's grid
+# fewest t values of a decay fit: ``approx_error_sweep`` raises below it and
+# ``glue`` writes no delta_fit
+DECAY_FIT_MIN_T = 4
 
 
 def _bump(x):
@@ -142,19 +146,55 @@ def build_glued(t: float, family: FiducialFamily, cutoff: CutoffProfile | None =
     return glued_on_grid(t, family.profile, n, r_min, cutoff)
 
 
+def decay_fit(t_list, norms):
+    """Least-squares fit log norms = log c_hat - delta t.
+
+    Returns (delta, c_hat, r_squared).  A norm that is not finite and
+    positive has no logarithm and raises NumericalError naming the first
+    such t.  So do norms that do not vary, which leave R^2 undefined, and a
+    norm that, with the points taken in increasing t, does not fall below
+    its predecessor's at half the fitted rate or more,
+    log(n0/n1)/(t1 - t0) >= max(delta/2, 0): the norms have met a floor
+    (the glued residual flattens at about 1e-12 from t ~ 27), where a
+    fitted rate means nothing, and the message names the t.  Half the rate
+    tells a floor from decay whatever the rounding at the floor: every
+    sweep below it falls at 0.94 of the fitted rate or more.
+    """
+    for t, norm in zip(t_list, norms):
+        if not (math.isfinite(norm) and norm > 0):
+            raise NumericalError(f"decay fit: the norm at t={t:g} is {norm!r}, "
+                                 "not finite and positive")
+    y = np.log(norms)
+    slope, intercept = np.polyfit(t_list, y, 1)
+    fitted = np.polyval([slope, intercept], t_list)
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    if ss_tot == 0:
+        raise NumericalError("degenerate decay fit: norms do not vary")
+    delta = -float(slope)
+    points = sorted(zip(t_list, norms))
+    for (t0, norm0), (t1, norm1) in zip(points, points[1:]):
+        if t1 > t0 and not (norm1 < norm0 and
+                            math.log(norm0 / norm1) / (t1 - t0) >= max(delta / 2, 0.0)):
+            raise NumericalError(f"decay fit at a floor: the norm at t={t1:g} ({norm1:.3e}) "
+                                 f"does not fall below the one at t={t0:g} ({norm0:.3e}) "
+                                 f"at least half as fast as the fitted rate {delta:.3g}")
+    return delta, float(np.exp(intercept)), 1.0 - ss_res / ss_tot
+
+
 def approx_error_sweep(t_list, profile: PsiProfile, cutoff: CutoffProfile | None = None,
                        n: int = 2000):
-    """Least-squares fit of log ||residual||_{L2(r dr)} against t, with the
-    glued states on n nodes over [GLUE_R_MIN, 1].
+    """``decay_fit`` of ||residual||_{L2(r dr)} against t, with the glued
+    states on n nodes over [GLUE_R_MIN, 1].
 
-    Returns (delta_hat, c_hat, r_squared); requires at least four t values.
+    Returns (delta_hat, c_hat, r_squared); requires at least
+    ``DECAY_FIT_MIN_T`` t values.
     """
     t_list = [float(t) for t in t_list]
-    if len(t_list) < 4:
-        raise ValueError("need at least 4 values of t")
+    if len(t_list) < DECAY_FIT_MIN_T:
+        raise ValueError(f"need at least {DECAY_FIT_MIN_T} values of t")
     norms = [glued_on_grid(t, profile, n, cutoff=cutoff).l2_residual() for t in t_list]
-    delta, intercept, r2 = decay_fit(t_list, norms)
-    return delta, float(np.exp(intercept)), r2
+    return decay_fit(t_list, norms)
 
 
 @dataclass(eq=False)
@@ -279,23 +319,6 @@ def corrected_solution_check(state: GluedState, result: NewtonResult) -> dict:
 def _first_difference(u: np.ndarray, dx: float) -> np.ndarray:
     padded = np.concatenate([[u[0]], u, [0.0]])
     return (padded[2:] - padded[:-2]) / (2.0 * dx)
-
-
-def growth_norm_check(state: GluedState) -> dict:
-    """Suprema of |f| and |d_r f| of the glued pair with the 1/t normalization."""
-    t = state.t
-    f = state.f
-    sup_f = float(np.abs(f).max())
-    sup_df = float(np.abs(state.df).max())
-    return {
-        "t": t,
-        "sup_f": sup_f,
-        "sup_df": sup_df,
-        "sup_f_over_t": sup_f / t,
-        "sup_df_over_t": sup_df / t,
-        "f_min": float(f.min()),
-        "f_max": float(f.max()),
-    }
 
 
 def neumann_zero_mode_eigenvalue(state: GluedState, n: int = 1000) -> float:

@@ -123,13 +123,6 @@ def twisted_cohomology_dims(cx: TwistedSurfaceComplex) -> tuple[int, int]:
     return h0, h1
 
 
-def torus_dimension(gamma: int) -> int:
-    """Twisted h1 for the simple-determinant puncture count k = 4 gamma - 4."""
-    if gamma < 2:
-        raise ValueError("genus must be at least 2")
-    return row_dimension(dimension_table([gamma])[0])
-
-
 def row_dimension(row) -> int:
     """The twisted h1 of a ``dimension_table`` row, whose h0 must be 0."""
     _, _, h0, h1, _ = row

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hitchinlab import fiducial as fd
+from hitchinlab import gluing as gl
 from hitchinlab.painleve import psi_log_derivatives
 
 
@@ -34,11 +35,13 @@ def test_defining_equation_consistency(families):
 
 
 def test_small_r_log_behavior(families, profile):
-    # h ~ -(1/2) log r + b0; the fitted constant matches the series prediction
+    # h ~ -(1/2) log r + b0 near the origin, where the series
+    # psi ~ -log(a0 rho^(1/3)) gives b0 = -(1/3) log(8t/3) - log a0
     for t in (1.0, 4.0):
         fam = families[t]
         predicted = -math.log(profile.a0) - math.log(8.0 * t / 3.0) / 3.0
-        assert abs(fd.fitted_log_offset(fam) - predicted) < 1e-3
+        offset = fam.h[:8] + 0.5 * np.log(fam.r[:8])
+        assert np.abs(offset - predicted).max() < 1e-3
 
 
 def test_f_double_zero_at_origin(families):
@@ -173,29 +176,23 @@ def test_phi_sup_bounds(families):
     assert abs(norms.max() - math.sqrt(2.0)) < 1e-12
 
 
-def test_convergence_rate(profile):
-    delta, r2, _ = fd.convergence_rate(profile, [1, 2, 4, 8, 16], 0.5)
-    assert r2 > 0.99
-    predicted = (8.0 / 3.0) * 0.5 ** 1.5
-    assert abs(delta - predicted) / predicted < 0.2
-    delta2, _, _ = fd.convergence_rate(profile, [1, 2, 4, 8, 16], 0.25)
-    # doubling r0 scales the rate by ~2^(3/2)
-    assert abs(delta / delta2 - 2.0 ** 1.5) / 2.0 ** 1.5 < 0.2
-    with pytest.raises(ValueError):
-        fd.convergence_rate(profile, [1, 2], 0.5)
-
-
 def test_decay_fit_refuses_a_norm_without_a_logarithm(profile):
     # sup(|f - 1/8| + |h|) over r >= 0.5 is 2.1e-248 at t = 600 and
     # underflows to exactly 0 from t = 800, inside T_MAX: the fit names that
     # t, before any logarithm warns
     from hitchinlab.errors import NumericalError
 
+    ts, norms = [200.0, 400.0, 800.0], []
+    for t in ts:
+        fam = fd.build_family(t, profile)
+        sel = fam.r >= 0.5
+        norms.append(float((np.abs(fam.f[sel] - 0.125) + np.abs(fam.h[sel])).max()))
+    assert norms[-1] == 0.0
     with pytest.raises(NumericalError, match=r"the norm at t=800 is 0\.0, not finite"):
-        fd.convergence_rate(profile, [200, 400, 800], 0.5)
+        gl.decay_fit(ts, norms)
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(NumericalError, match="the norm at t=2 is"):
-            fd.decay_fit([1.0, 2.0, 3.0, 4.0], [1.0, bad, bad, 0.1])
+            gl.decay_fit([1.0, 2.0, 3.0, 4.0], [1.0, bad, bad, 0.1])
 
 
 def test_flux_identity(profile):
@@ -222,12 +219,12 @@ def test_decay_fit_exact_and_degenerate():
     from hitchinlab.errors import NumericalError
 
     ts = [1.0, 2.0, 3.0, 5.0]
-    delta, intercept, r2 = fd.decay_fit(ts, [3.0 * math.exp(-0.7 * t) for t in ts])
+    delta, c_hat, r2 = gl.decay_fit(ts, [3.0 * math.exp(-0.7 * t) for t in ts])
     assert delta == pytest.approx(0.7, rel=1e-12)
-    assert intercept == pytest.approx(math.log(3.0), rel=1e-12)
+    assert c_hat == pytest.approx(3.0, rel=1e-12)
     assert r2 == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(NumericalError, match="degenerate"):
-        fd.decay_fit(ts, [0.5] * 4)
+        gl.decay_fit(ts, [0.5] * 4)
 
 
 def test_decay_fit_refuses_a_norm_that_does_not_fall():
@@ -235,14 +232,14 @@ def test_decay_fit_refuses_a_norm_that_does_not_fall():
 
     ts = [5.0, 1.0, 3.0, 2.0]
     norms = [math.exp(-t) for t in ts]
-    delta, _, r2 = fd.decay_fit(ts, norms)  # in any order, a falling norm fits
+    delta, _, r2 = gl.decay_fit(ts, norms)  # in any order, a falling norm fits
     assert delta == pytest.approx(1.0, rel=1e-12) and r2 == pytest.approx(1.0, abs=1e-12)
     for level in (norms[3], 1.0, float("nan")):
         floored = [level if t == 3.0 else v for t, v in zip(ts, norms)]
         with pytest.raises(NumericalError, match="the norm at t=3 "):
-            fd.decay_fit(ts, floored)
+            gl.decay_fit(ts, floored)
     # a repeated t is no step in t
-    assert fd.decay_fit([1.0, 1.0, 2.0, 3.0], [1.0, 1.0, 0.5, 0.25])[0] > 0
+    assert gl.decay_fit([1.0, 1.0, 2.0, 3.0], [1.0, 1.0, 0.5, 0.25])[0] > 0
 
 
 def test_decay_fit_refuses_a_norm_that_falls_too_slowly():
@@ -256,11 +253,11 @@ def test_decay_fit_refuses_a_norm_that_falls_too_slowly():
     assert norms[-1] < norms[-2]  # the fall-below rule alone would fit it
     for order in (np.arange(len(ts)), np.random.default_rng(3).permutation(len(ts))):
         with pytest.raises(NumericalError, match="floor: the norm at t=28 "):
-            fd.decay_fit(ts[order], norms[order])
+            gl.decay_fit(ts[order], norms[order])
     # a last step at 0.6 per unit t, slower than the fitted 0.88 but faster
     # than its half, passes
     slower = np.exp([0.0, -1.0, -2.0, -2.6])
-    assert fd.decay_fit([0.0, 1.0, 2.0, 3.0], slower)[0] == pytest.approx(0.88, rel=1e-12)
+    assert gl.decay_fit([0.0, 1.0, 2.0, 3.0], slower)[0] == pytest.approx(0.88, rel=1e-12)
 
 
 def test_nan_t_is_out_of_range(profile):

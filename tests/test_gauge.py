@@ -185,20 +185,19 @@ def test_broadcast_gauge_composes_and_curves_as_materialized(families):
     pair = fd.make_disk_pair(fam, 32)
     diag = _diagonal_on(fam.r, pair.theta)
     full = _materialized(diag, 32)
-    stab = _stabilizer_on(fam.r, pair.theta)
-    for got, want in ((diag.compose(stab), full.compose(stab)),
-                      (stab.compose(diag), stab.compose(full))):
+    unip = _unipotent_on(fam.r, pair.theta)
+    for got, want in ((diag.compose(unip), full.compose(unip)),
+                      (unip.compose(diag), unip.compose(full))):
         assert np.array_equal(got.values, want.values) and np.array_equal(got.dr, want.dr)
-    assert np.array_equal(gg.curvature_formula_rtheta(pair, diag),
-                          gg.curvature_formula_rtheta(pair, full))
+    assert np.array_equal(gg.curvature_rtheta(gg.apply_complex_gauge(pair, diag)),
+                          gg.curvature_rtheta(gg.apply_complex_gauge(pair, full)))
 
 
 def test_gauge_theta_axis_must_be_one_or_the_pairs(families):
     pair = fd.make_disk_pair(families[1.0], 16)
     eight = _materialized(gg.orbit_gauge(families[1.0]), 8)
-    for call in (gg.apply_complex_gauge, gg.curvature_formula_rtheta):
-        with pytest.raises(ValueError, match="do not match"):
-            call(pair, eight)
+    with pytest.raises(ValueError, match="do not match"):
+        gg.apply_complex_gauge(pair, eight)
 
 
 @pytest.mark.parametrize("check", [
@@ -267,16 +266,15 @@ def test_stacks_are_entry_major(families):
     base = gg.zero_pair(fam.r, 16)
     pair = fd.make_disk_pair(fam, 16)
     diag = gg.orbit_gauge(fam)
-    stab = _stabilizer_on(fam.r, base.theta)
+    unip = _unipotent_on(fam.r, base.theta)
     c_ordered = np.ones((len(fam.r), 16, 2, 2), dtype=complex) + np.eye(2)
     moved = gg.apply_complex_gauge(base, diag)
-    moved_full = gg.apply_complex_gauge(base, stab)
-    composed = diag.compose(stab)
+    moved_full = gg.apply_complex_gauge(base, unip)
+    composed = diag.compose(unip)
     stacks = {
         "zero_pair": (base.phi, base.alpha),
         "make_disk_pair": (pair.phi, pair.alpha),
         "diagonal_gauge": (diag.values, diag.dr),
-        "stabilizer_gauge": (stab.values, stab.dr),
         "_mul2": (gg._mul2(c_ordered, c_ordered), gg._mul2(c_ordered, np.eye(2))),
         "_inv2": (gg._inv2(c_ordered),),
         "compose": (composed.values, composed.dr),
@@ -349,22 +347,28 @@ def test_pair_discrepancy_rejects_another_grid(profile):
             gg.pair_discrepancy(geom, other, (0.05, 1.0))
 
 
-def test_curvature_transformation_consistency(profile):
-    # direct curvature of the moved pair against the conjugation rule;
-    # agreement improves at second order under radial refinement
+@pytest.mark.parametrize("t", [1.0, 8.0])
+def test_curvature_rtheta_of_the_disk_pair_is_closed_form(profile, t):
+    # the connection f diag(1, -1) (dz/z - dzbar/zbar) is f diag(1, -1) 2i dtheta,
+    # so F_{r theta} = 2i d_r f diag(1, -1) with the family's exact d_r f; the
+    # radial difference of the connection makes the error second order
     errs = []
-    for n_r in (200, 400):
-        r = np.geomspace(0.05, 1.0, n_r)
-        fam = fd.build_family(1.0, profile, r)
-        pair = fd.make_disk_pair(fam, 64)
-        mu = 0.02 * np.exp(1j * pair.theta)[None, :] * np.exp(-((r[:, None] - 0.5) ** 2) / 0.05)
-        dmu = mu * (-2.0 * (r[:, None] - 0.5) / 0.05)
-        gm = gg.stabilizer_gauge(mu, dmu, r, pair.theta)
-        direct = gg.curvature_rtheta(gg.apply_complex_gauge(pair, gm))
-        formula = gg.curvature_formula_rtheta(pair, gm)
-        errs.append(np.abs(direct - formula)[2:-2].max())
-    assert errs[0] < 5e-3
-    assert errs[1] < errs[0] / 3.0
+    for n_r in (200, 400, 800, 1600):
+        fam = fd.build_family(t, profile, np.geomspace(0.05, 1.0, n_r))
+        exact = fd._stack2x2((n_r, 1), zeroed=True)
+        exact[..., 0, 0] = 2j * fam.df[:, None]
+        exact[..., 1, 1] = -2j * fam.df[:, None]
+        curv = gg.curvature_rtheta(fd.make_disk_pair(fam, 16))
+        errs.append(np.abs(curv - exact)[1:-1].max())
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert errs[-1] < 1e-5
+    assert np.all((orders >= 1.8) & (orders <= 2.2)), orders
+
+
+def test_limiting_pair_is_flat():
+    # f = 1/8 is constant, so the limiting connection has no curvature
+    curv = gg.curvature_rtheta(fd.limiting_pair(np.geomspace(0.05, 1.0, 400), 16))
+    assert np.abs(curv).max() <= 1e-11
 
 
 def test_dbar_is_the_one_complex_derivative():
@@ -401,13 +405,17 @@ def _diagonal_on(r, _theta):
     return gg.diagonal_gauge(0.3 * np.sin(2.0 * r), 0.6 * np.cos(2.0 * r), r)
 
 
-def _stabilizer_on(r, theta):
-    mu = 0.2 * np.exp(1j * theta)[None, :] * np.sin(3.0 * r)[:, None]
-    dmu = 0.6 * np.exp(1j * theta)[None, :] * np.cos(3.0 * r)[:, None]
-    return gg.stabilizer_gauge(mu, dmu, r, theta)
+def _unipotent_on(r, theta):
+    # [[1, b(r) e^{i theta}], [0, 1]]: full in theta, with exact d_r
+    values = fd._stack2x2((len(r), len(theta)), zeroed=True)
+    dr = fd._stack2x2((len(r), len(theta)), zeroed=True)
+    values[..., 0, 0] = values[..., 1, 1] = 1.0
+    values[..., 0, 1] = 0.2 * np.sin(3.0 * r)[:, None] * np.exp(1j * theta)[None, :]
+    dr[..., 0, 1] = 0.6 * np.cos(3.0 * r)[:, None] * np.exp(1j * theta)[None, :]
+    return gg.MatrixGauge(values, dr, r)
 
 
-@pytest.mark.parametrize("build", [_diagonal_on, _stabilizer_on])
+@pytest.mark.parametrize("build", [_diagonal_on])
 def test_gauge_dr_is_the_exact_radial_derivative(build):
     # the carried derivative is what second-order differences of the values
     # converge to, at order 2
@@ -420,85 +428,3 @@ def test_gauge_dr_is_the_exact_radial_derivative(build):
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert errs[-1] < 1e-4
     assert np.all((orders >= 1.8) & (orders <= 2.2)), orders
-
-
-def test_stabilizer_multiplier_floor():
-    p, q = gg.stabilizer_multipliers(range(-40, 41))
-    assert np.abs(p).min() >= 0.5
-    assert np.abs(q).min() >= 0.5
-
-
-def test_stabilizer_zero_data():
-    r = np.linspace(0.2, 1.0, 40)
-    v = np.zeros((40, 5), dtype=complex)
-    gauge, report = gg.stabilizer_normalize(v, v.copy(), r, range(-2, 3))
-    assert np.array_equal(gauge.values, np.broadcast_to(np.eye(2), gauge.values.shape))
-    assert not gauge.dr.any()
-    assert report["unitary"]
-
-
-def test_stabilizer_single_mode():
-    ells = list(range(-4, 5))
-    r = np.linspace(0.2, 1.0, 201)
-    bump = np.exp(-((r - 0.6) ** 2) / 0.02)
-    eps, ell = 0.01, 2
-    v = np.zeros((len(r), len(ells)), dtype=complex)
-    w = np.zeros_like(v)
-    v[:, ells.index(ell)] = eps * bump
-    w[:, ells.index(ell)] = np.gradient(eps * bump, r, edge_order=2) / (1j * (ell + 0.5))
-    gauge, report = gg.stabilizer_normalize(v, w, r, ells, tol=1e-6)
-    theta = gg.theta_grid(gauge.values.shape[1])
-    expected = (1j * eps / (ell + 0.5)) * bump[:, None] * np.exp(1j * ell * theta)[None, :]
-    built = gg.stabilizer_gauge(expected, np.zeros_like(expected), r, theta)
-    assert np.abs(gauge.values - built.values).max() < 1e-12
-    assert report["p_equation_residual"] < 1e-12
-    assert report["dr_equation_residual"] < 1e-6
-    # a lone mode cannot satisfy the skew-Hermitian pairing; flagged non-unitary
-    assert not report["unitary"]
-
-
-def test_stabilizer_unitary_pairing():
-    # data satisfying the pairing v_{l-1} = -conj(v_{-l}) yields a unitary gauge
-    ells = list(range(-3, 4))
-    r = np.linspace(0.2, 1.0, 101)
-    bump = np.exp(-((r - 0.5) ** 2) / 0.03)
-    v = np.zeros((len(r), len(ells)), dtype=complex)
-    c = 0.005 + 0.002j
-    v[:, ells.index(1)] = c * bump
-    v[:, ells.index(-2)] = -np.conj(c) * bump  # pairing partner of mode 1
-    w = np.zeros_like(v)
-    for ell in (1, -2):
-        w[:, ells.index(ell)] = np.gradient(v[:, ells.index(ell)], r, edge_order=2) / (1j * (ell + 0.5))
-    gauge, report = gg.stabilizer_normalize(v, w, r, ells, tol=1e-6)
-    assert report["unitary"]
-    # the matrices are special unitary pointwise
-    prod = gauge.values @ np.conj(np.swapaxes(gauge.values, -1, -2))
-    assert np.abs(prod - np.eye(2)).max() < 1e-8
-
-
-@pytest.mark.parametrize("field", ["v", "w", "r"])
-def test_stabilizer_rejects_non_finite_input(field):
-    data = {"v": np.zeros((40, 3), dtype=complex), "w": np.zeros((40, 3), dtype=complex),
-            "r": np.linspace(0.2, 1.0, 40)}
-    data[field][5] = np.nan
-    with pytest.raises(ValueError, match="not finite"):
-        gg.stabilizer_normalize(data["v"], data["w"], data["r"], range(-1, 2))
-
-
-def test_stabilizer_rejects_repeated_radius():
-    # d_r v is 0/0 at a repeated radius, so the compatibility residual is NaN
-    r = np.linspace(0.2, 1.0, 40)
-    r[6] = r[5]
-    v = np.zeros((40, 3), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="not flat"):
-        gg.stabilizer_normalize(v, v.copy(), r, range(-1, 2))
-
-
-def test_stabilizer_rejects_non_flat_input():
-    ells = [0, 1]
-    r = np.linspace(0.2, 1.0, 50)
-    v = np.ones((50, 2), dtype=complex)
-    w = np.ones((50, 2), dtype=complex)  # incompatible with d_r v = 0
-    with pytest.raises(ValueError):
-        gg.stabilizer_normalize(v, w, r, ells, tol=1e-8)

@@ -258,23 +258,20 @@ def test_growth_norms_fiducial_form(families):
 
 
 def test_growth_norms_glued_sweep(profile):
-    rows = []
+    norm = []
     for t in (2.0, 4.0, 8.0, 16.0):
-        fam = fd.build_family(t, profile)
-        rows.append(gl.growth_norm_check(gl.build_glued(t, fam, n=1000)))
-    norm = [row["sup_df_over_t"] for row in rows]
+        state = gl.build_glued(t, fd.build_family(t, profile), n=1000)
+        norm.append(float(np.abs(state.df).max()) / t)
+        assert -0.05 < state.f.min()
+        assert state.f.max() <= 0.125 + 1e-9
     assert all(a >= b for a, b in zip(norm, norm[1:]))  # decreasing in t
-    for row in rows:
-        assert -0.05 < row["f_min"]
-        assert row["f_max"] <= 0.125 + 1e-9
 
 
 def test_growth_norms_identity_cutoff_consistency(families):
     state = gl.build_glued(4.0, families[4.0], _IdentityCutoff(), n=500)
     fam = families[4.0]
-    report = gl.growth_norm_check(state)
-    assert abs(report["sup_f"] - np.abs(fam.f).max()) < 1e-4
-    assert report["f_min"] >= -1e-12
+    assert abs(np.abs(state.f).max() - np.abs(fam.f).max()) < 1e-4
+    assert state.f.min() >= -1e-12
 
 
 def test_neumann_variant_positive(families):

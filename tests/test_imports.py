@@ -1,5 +1,6 @@
-"""No module imports a name it never uses, and the package's import loads
-only the scipy it needs and no thread pool.
+"""No module imports a name it never uses, every public function has a
+consumer, and the package's import loads only the scipy it needs and no
+thread pool.
 
 Walks the AST of the package modules (except ``__init__.py``, which
 re-exports), the demos and the tests.  A name counts as used when it is
@@ -43,6 +44,69 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+PACKAGE = ROOT / "src" / "hitchinlab"
+# what runs the package besides itself: the tools, the benchmark and the
+# acceptance criteria; demos and the other tests do not count
+CONSUMERS = sorted([*(ROOT / "tools").glob("*.py"), *(ROOT / "bench").glob("*.py"),
+                    ROOT / "tests" / "test_acceptance.py"])
+# public definitions with no consumer yet, each kept for the ROADMAP item
+# that will give it one
+KEPT = {
+    "normal_form_at_zero": "item 14, two simple zeros in the plane",
+    "limiting_pair": "item 6, Hitchin's equations without the radial ansatz",
+    "curvature_rtheta": "item 6, Hitchin's equations without the radial ansatz",
+}
+
+
+def _references(tree, layers):
+    """Names a tree refers to: names, attribute names, and the name of each
+    ``"layer.name"`` string whose layer is a package module, as the
+    benchmark's span tables spell the functions they wrap."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            layer, _, name = node.value.partition(".")
+            if layer in layers and name.isidentifier():
+                refs.add(name)
+    return refs
+
+
+def test_every_public_function_has_a_consumer():
+    # every top-level public def and class of the package is reached from a
+    # consumer: referenced by one, by a module-level statement of the
+    # package, or by a definition so reached, in its own module or another.
+    # A helper that only an unreached definition calls is unreached too.
+    # KEPT lists the exceptions, and one that is reached must leave it.
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+               for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    roots = set().union(*(_references(ast.parse(p.read_text(encoding="utf-8")), modules)
+                          for p in CONSUMERS))
+    defs = {}
+    for layer, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((layer, node))
+            else:
+                roots |= _references(node, modules)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for _, node in defs.get(name, ()):
+                todo.extend(_references(node, modules) - reached)
+    unreached = {name: layer for name, nodes in defs.items() for layer, _ in nodes
+                 if not name.startswith("_") and name not in reached}
+    unkept = sorted(f"{layer}.{name}" for name, layer in unreached.items() if name not in KEPT)
+    assert not unkept, f"public, but nothing runs them: {unkept}"
+    consumed = sorted(set(KEPT) - set(unreached))
+    assert not consumed, f"kept, but now consumed; drop them from KEPT: {consumed}"
 
 
 # the public scipy subpackages that ``import hitchinlab, hitchinlab.cli``

