@@ -37,6 +37,7 @@ least the smallest eigenvalue of the potential matrix over the nodes.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -340,7 +341,12 @@ class SpectralReport:
     g_norm_h2_surrogate: float
     kappa_hat: float
     indicial: list
-    surrogate_solved: list  # the ells whose surrogate was computed; not reported
+    # not reported: the ells whose surrogate was computed, the dense eigen
+    # solves spent on this t (probes included), and the lambda_min each probe
+    # solved, by its n
+    surrogate_solved: list
+    eig_solves: int
+    probe_lambdas: dict
 
     def to_dict(self) -> dict:
         return {
@@ -377,7 +383,10 @@ def _bases(nus: tuple, n: int) -> tuple:
     int_0^1 u_k^2 x dx = 1 (the P_k are orthogonal there).
 
     P_k and dP_k/ds follow the three-term recurrence in k (Abramowitz and
-    Stegun 22.7.1) and its derivative, for every nu at once.
+    Stegun 22.7.1) and its derivative, for every nu at once, with its
+    coefficients formed for every k before the loop.  Each nu's rows are
+    the same bits in any batch of ``nus``, so at ``GALERKIN_N`` one table
+    serves the probe, which reads the sweep's own blocks, and the sweep.
     """
     x, wx = _legendre(n)
     s = 2.0 * x * x - 1.0
@@ -389,12 +398,16 @@ def _bases(nus: tuple, n: int) -> tuple:
     if n > 1:
         p[1] = (a + 1.0) + 0.5 * (a + b + 2.0) * (s - 1.0)
         dp[1] = 0.5 * (a + b + 2.0)
+    # the recurrence's coefficients for every k at once, (k, nu, 1) arrays
+    # with the same operations and operand order as k by k
+    ks = np.arange(n)[:, None, None]
+    c = 2.0 * ks + a + b
+    lin0, lin1 = (c + 1.0) * (a * a - b * b), c * (c + 1.0) * (c + 2.0)
+    back, den = 2.0 * (ks + a) * (ks + b) * (c + 2.0), 2.0 * (ks + 1) * (ks + a + b + 1.0) * c
     for k in range(1, n - 1):
-        c = 2.0 * k + a + b
-        lin = (c + 1.0) * (a * a - b * b) + c * (c + 1.0) * (c + 2.0) * s
-        back, den = 2.0 * (k + a) * (k + b) * (c + 2.0), 2.0 * (k + 1) * (k + a + b + 1.0) * c
-        p[k + 1] = (lin * p[k] - back * p[k - 1]) / den
-        dp[k + 1] = (lin * dp[k] + c * (c + 1.0) * (c + 2.0) * p[k] - back * dp[k - 1]) / den
+        lin = lin0[k] + lin1[k] * s
+        p[k + 1] = (lin * p[k] - back[k] * p[k - 1]) / den[k]
+        dp[k + 1] = (lin * dp[k] + lin1[k] * p[k] - back[k] * dp[k - 1]) / den[k]
     # k last again, one array at a time, so at most one extra copy is live
     p = np.moveaxis(p, 0, -1).copy()
     dp = np.moveaxis(dp, 0, -1).copy()
@@ -459,23 +472,18 @@ def _top_eigenvalue(a: np.ndarray) -> float:
     return float(dsyevr(a, compute_v=0, range="I", il=len(a), iu=len(a))[0][0])
 
 
-def _inverse_factor(a: np.ndarray, what: str) -> np.ndarray:
-    """L^-1 for the Cholesky factor L of ``a``; NumericalError, naming
-    ``what``, unless ``a`` is positive definite."""
-    factor = _cholesky_dense(a)
-    if factor is None:
-        raise NumericalError(f"Galerkin {what} matrix is not positive definite")
-    return _triangular_inverse(factor)
-
-
 def _smallest(k: np.ndarray) -> tuple:
-    """(lambda_min, K^-1) of the stiffness K in a mass-orthonormal basis.
+    """(lambda_min, K^-1) of the stiffness K in a mass-orthonormal basis;
+    NumericalError unless K is positive definite.
 
     lambda_min is 1 / mu for the largest eigenvalue mu of K^-1 = L^-T L^-1,
     so it is good to rounding relative to itself, where the smallest
     eigenvalue of K would be good only relative to the largest.
     """
-    inv = _inverse_factor(k, "stiffness")
+    factor = _cholesky_dense(k)
+    if factor is None:
+        raise NumericalError("Galerkin stiffness matrix is not positive definite")
+    inv = _triangular_inverse(factor)
     k_inv = inv.T @ inv
     return 1.0 / _top_eigenvalue(k_inv), k_inv
 
@@ -505,10 +513,11 @@ def _node_row(t: float, profile: PsiProfile, n: int) -> tuple:
 
 
 class _Galerkin:
-    """The Galerkin stiffness matrices of the family at each of ``ts``, n
-    basis functions per component, each t on its own mapped nodes, for the
-    exponents ``nus``.  ``known`` maps (t, n) to a ``_node_row`` already
-    evaluated; the rows evaluated here are added to it."""
+    """The Galerkin stiffness matrices of the family at each of ``ts`` (one
+    row each), n basis functions per component, each t on its own mapped
+    nodes, for the exponents ``nus``.  ``known`` maps (t, n) to a
+    ``_node_row`` already evaluated; the rows evaluated here are added to
+    it."""
 
     def __init__(self, ts, profile: PsiProfile, n: int, nus, known: dict):
         for t in ts:
@@ -524,16 +533,31 @@ class _Galerkin:
     def flat(self, nu: int) -> tuple:
         """(u, P) of exponent nu, per t: the basis made orthonormal in the
         mass int u^2 r dr, and the flat stiffness
-        P = int (u'^2 + nu^2 u^2 / r^2) r dr in it."""
+        P = int (u'^2 + nu^2 u^2 / r^2) r dr in it.  A row whose mass is not
+        positive definite, as a high exponent's on too few nodes is, is NaN,
+        so each of its blocks' ``_smallest`` raises and the other rows are
+        unaffected."""
         if nu not in self._flat:
             u, du = self._bases[nu]
-            to_orthonormal = np.array([_inverse_factor(m, f"nu={nu} mass").T
-                                       for m in _gram(u, self.wm)])
+            factors = [_cholesky_dense(m) for m in _gram(u, self.wm)]
+            to_orthonormal = np.array([np.full((self.n, self.n), np.nan) if factor is None
+                                       else _triangular_inverse(factor).T for factor in factors])
             u, du = u @ to_orthonormal, du @ to_orthonormal
             self._flat[nu] = (u, _gram(du, self.wd) + _gram(u, self.wm * (nu ** 2 / self.r ** 2)))
             # modes run in order and read exponents ell and ell - 1 only
             self._flat.pop(nu - 2, None)
         return self._flat[nu]
+
+    def rows(self, index: list) -> _Galerkin:
+        """These blocks on the rows ``index`` (increasing) only, with the flat
+        stiffnesses built so far; itself when ``index`` takes every row."""
+        if len(index) == len(self.r):
+            return self
+        part = copy.copy(self)
+        for name in ("r", "wm", "wd", "four_f", "w_off", "w_diag", "w_vert"):
+            setattr(part, name, getattr(self, name)[index])
+        part._flat = {nu: (u[index], p[index]) for nu, (u, p) in self._flat.items()}
+        return part
 
     def coupled(self, ell: int) -> tuple:
         """(terms, K, V) of the coupled blocks at ell, per t: K = P + V, V
@@ -558,44 +582,59 @@ class _Galerkin:
         return p + _gram(u, self.wm * terms.rest[0])
 
 
-def _probe(t: float, profile: PsiProfile, n: int, ell_max: int, known: dict) -> tuple | None:
-    """(lambda_min, tol) at t on n functions per component of the blocks
-    slowest to converge: the coupled one at ell = 0 and the vertical ones at
-    ell = 0 and ``ell_max`` (at t = 300 and n = 48 the ell = 32 vertical
-    block is 9e-8 off, ell = 0 2e-13).  None when a block is not positive
-    definite, as a high exponent's basis is on too few nodes (nu = 200 at
-    n = 24).
+def _probe(blocks: _Galerkin, ell_max: int) -> tuple:
+    """(V, probes): V of the coupled blocks at ell = 0 on every row of
+    ``blocks`` (``_Galerkin.coupled``), and per row (solves, tol) for the
+    blocks slowest to converge: that one and the vertical ones at ell = 0
+    and ``ell_max`` (at t = 300 and n = 48 the ell = 32 vertical block is
+    9e-8 off, ell = 0 2e-13).  solves holds their ``_smallest`` in that
+    order, up to a block that is not positive definite, as a high
+    exponent's basis on too few nodes leaves it (nu = 200 at n = 24); tol
+    is None after such a block.
 
     tol is ``GALERKIN_RTOL``, or ``ROUNDING_MARGIN`` times the blocks'
     rounding floor eps v / lambda where that is larger: v, the largest
     Higgs potential 8 t^2 r (cosh 2h + 1) over the nodes, enters K and
     cancels along lambda_min's vector.  The floor is 3e-11 at t = 300 and
     3.6e-10 at t = 1000, where n = 96, 192 and 384 differ by up to 2.9e-10
-    without converging further.
+    without converging further.  At ``GALERKIN_N`` the blocks are the
+    sweep's own assembly, so the sweep reads these solves.
     """
-    blocks = _Galerkin([t], profile, n, sorted({0, 1, ell_max}), known)
-    try:
-        lam = np.array([_smallest(k[0])[0] for k in (
-            blocks.coupled(0)[1], blocks.vertical(0), blocks.vertical(ell_max))])
-    except NumericalError:
-        return None
-    floor = np.finfo(float).eps * (blocks.w_diag + blocks.w_off).max() / lam.min()
-    return lam, max(GALERKIN_RTOL, ROUNDING_MARGIN * float(floor))
+    _, coupled, vs = blocks.coupled(0)
+    probes = []
+    for row, ks in enumerate(zip(coupled, blocks.vertical(0), blocks.vertical(ell_max))):
+        solves, tol = [], None
+        try:
+            for k in ks:
+                solves.append(_smallest(k))
+        except NumericalError:
+            pass
+        else:
+            lams = np.array([lam for lam, _ in solves])
+            v = (blocks.w_diag[row] + blocks.w_off[row]).max()
+            floor = np.finfo(float).eps * v / lams.min()
+            tol = max(GALERKIN_RTOL, ROUNDING_MARGIN * float(floor))
+        probes.append((solves, tol))
+    return vs, probes
 
 
-def _basis_size(t: float, profile: PsiProfile, ell_max: int, known: dict) -> tuple:
-    """(n, d): the n from ``GALERKIN_N`` up, doubling, at which ``_probe``'s
-    lambda_min agree with 2n's to the finer probe's tol, and d, their
-    largest relative difference; NumericalError past ``GALERKIN_N_MAX``.
-    ``known`` is handed to each probe's ``_Galerkin``."""
-    n, coarse = GALERKIN_N, _probe(t, profile, GALERKIN_N, ell_max, known)
+def _basis_size(t: float, profile: PsiProfile, ell_max: int, known: dict, coarse: tuple) -> tuple:
+    """(n, d, lambdas): the n from ``GALERKIN_N`` up, doubling, at which the
+    probe's lambda_min agree with 2n's to the finer probe's tol, d their
+    largest relative difference, and lambdas the lambda_min each probe
+    solved, by n; NumericalError past ``GALERKIN_N_MAX``.  ``coarse`` is
+    t's probe at ``GALERKIN_N``, read from the sweep's own blocks; each
+    larger n's probe runs on a ``_Galerkin`` of t alone, handed ``known``."""
+    n, lambdas = GALERKIN_N, {GALERKIN_N: [lam for lam, _ in coarse[0]]}
     detail = "no positive definite blocks"
     while n <= GALERKIN_N_MAX:
-        fine = _probe(t, profile, 2 * n, ell_max, known)
-        if coarse is not None and fine is not None:
-            diff = float(np.max(np.abs(fine[0] / coarse[0] - 1.0)))
+        _, (fine,) = _probe(_Galerkin([t], profile, 2 * n, sorted({0, 1, ell_max}), known),
+                            ell_max)
+        lambdas[2 * n] = [lam for lam, _ in fine[0]]
+        if coarse[1] is not None and fine[1] is not None:
+            diff = float(np.max(np.abs(np.array(lambdas[2 * n]) / np.array(lambdas[n]) - 1.0)))
             if diff <= fine[1]:
-                return n, diff
+                return n, diff, lambdas
             detail = f"a relative difference of {diff:.2e}, above {fine[1]:.2e}"
         n, coarse = 2 * n, fine
     raise NumericalError(f"t={t:g}: lambda_min at n={n // 2} and n={n} show {detail}")
@@ -610,7 +649,10 @@ def green_norms(ts, ell_max: int, profile: PsiProfile) -> list:
     (``_basis_size``), reported as ``n``, with the relative n-vs-2n
     difference of its probed lambdas as ``lambda_2n_reldiff``; the t of one
     n are swept together, mode by mode, sharing each exponent's basis, on
-    the profile values the probes evaluated at their nodes.
+    the profile values the probes evaluated at their nodes.  The blocks at
+    ``GALERKIN_N`` are built once, for every t and exponent: the probe at
+    that n reads its three blocks from them, and the sweep of the t that
+    keep that n runs on their rows and reads the probe's solves.
     lambda_min is 1 / mu_max of K^-1 (``_smallest``).
     The L2 -> L2 norm is the max of 1/lambda_min over the coupled blocks for
     0 <= ell <= ell_max (negative modes coincide with ell -> 1 - ell by the
@@ -628,41 +670,71 @@ def green_norms(ts, ell_max: int, profile: PsiProfile) -> list:
     every mode gives.  ``surrogate_solved`` lists the solved modes.
     ``kappa_hat`` is the potential floor over the quadrature nodes divided
     by ell^2, minimized over ell >= 2; lambda_min is at least that floor.
+    ``eig_solves`` and ``probe_lambdas`` say what each t's solve did.
     A t outside ``fiducial.check_t``'s range raises ValueError from
     ``build_family`` before any mode is solved.
     """
     if ell_max < MIN_ELL_MAX:
         raise ValueError(f"ell_max must be at least {MIN_ELL_MAX}")
+    ts = list(ts)
+    if not ts:
+        return []
     ells = list(range(ell_max + 1))
     roots = indicial_roots(range(-ell_max, ell_max + 1))["aggregate"]
-    reports, known = [], {}
-    for t in ts:
-        n, diff = _basis_size(t, profile, ell_max, known)
+    known = {}
+    first = _Galerkin(ts, profile, GALERKIN_N, ells, known)
+    v_zero, probes = _probe(first, ell_max)
+    reports = []
+    for t, probe in zip(ts, probes):
+        n, diff, lambdas = _basis_size(t, profile, ell_max, known, probe)
         reports.append(SpectralReport(
             t=t, n=n, lambda_2n_reldiff=diff, ells=list(ells), lambda_min=[],
             lambda_min_vertical=[], g_norm_l2=np.nan, g_norm_h2_surrogate=0.0,
-            kappa_hat=np.inf, indicial=list(roots), surrogate_solved=[]))
+            kappa_hat=np.inf, indicial=list(roots), surrogate_solved=[],
+            eig_solves=sum(map(len, lambdas.values())), probe_lambdas=lambdas))
     for n in dict.fromkeys(rep.n for rep in reports):
-        group = [rep for rep in reports if rep.n == n]
-        blocks = _Galerkin([rep.t for rep in group], profile, n, ells, known)
+        index = [i for i, rep in enumerate(reports) if rep.n == n]
+        group = [reports[i] for i in index]
+        # at GALERKIN_N the probe solved the coupled block at ell = 0 and the
+        # vertical ones at 0 and ell_max: per row their (lambda_min, K^-1),
+        # with the coupled block's V
+        probed, swept = {}, 0
+        if n == GALERKIN_N:
+            blocks = first.rows(index)
+            solved = [probes[i][0] for i in index]
+            probed = {("coupled", 0): ([row[0] for row in solved], v_zero[index]),
+                      ("vertical", 0): [row[1] for row in solved],
+                      ("vertical", ell_max): [row[2] for row in solved]}
+        else:
+            blocks = _Galerkin([rep.t for rep in group], profile, n, ells, known)
         for ell in ells:
-            for rep, k in zip(group, blocks.vertical(ell)):
-                rep.lambda_min_vertical.append(_smallest(k)[0])
+            solves = probed.pop(("vertical", ell), None)
+            if solves is None:
+                solves, swept = [_smallest(k) for k in blocks.vertical(ell)], swept + 1
+            for rep, (lam, _) in zip(group, solves):
+                rep.lambda_min_vertical.append(lam)
             if ell == 1:
                 continue
-            terms, ks, vs = blocks.coupled(ell)
-            floors = potential_floor(terms)
-            for rep, k, v, floor in zip(group, ks, vs, floors):
-                lam, k_inv = _smallest(k)
+            solves, vs = probed.pop(("coupled", ell), (None, None))
+            if solves is None:
+                terms, ks, vs = blocks.coupled(ell)
+                solves, swept = [_smallest(k) for k in ks], swept + 1
+            for rep, (lam, k_inv), v in zip(group, solves, vs):
                 rep.lambda_min.append(lam)
                 gram = _surrogate_gram(k_inv, v)
                 s = (1.0 - SURROGATE_PRUNE_MARGIN) * rep.g_norm_h2_surrogate
-                if ell == 0 or _cholesky_dense(s * s * np.eye(len(gram)) - gram) is None:
+                # the certificate s^2 I - Z^T Z, with s^2 added on the diagonal
+                certificate = -gram
+                certificate.flat[::len(gram) + 1] += s * s
+                if ell == 0 or _cholesky_dense(certificate) is None:
                     rep.g_norm_h2_surrogate = max(rep.g_norm_h2_surrogate,
                                                   math.sqrt(_top_eigenvalue(gram)))
                     rep.surrogate_solved.append(ell)
-                if ell >= 2:
+            if ell >= 2:
+                for rep, floor in zip(group, potential_floor(terms)):
                     rep.kappa_hat = min(rep.kappa_hat, float(floor) / ell ** 2)
+        for rep in group:
+            rep.eig_solves += swept
     for rep in reports:
         rep.lambda_min.insert(1, rep.lambda_min[0])
         rep.g_norm_l2 = float(max(1.0 / np.array(rep.lambda_min + rep.lambda_min_vertical)))

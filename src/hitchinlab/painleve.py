@@ -287,10 +287,12 @@ def _solve_connection(rho_min: float, n: int) -> PsiProfile:
     rho = rho_at(s)
     p2 = (1.0 + rho) ** 2
     # phi, phi_xi and phi_xixi at the points, as matrices on the coefficients
-    eye = np.eye(n + 1)
     val = cheb.chebvander(s, n)
-    d1 = val[:, :-1] @ cheb.chebder(eye, scl=scale)
-    d2 = val[:, :-2] @ cheb.chebder(eye, 2, scl=scale)
+    # chebder(c, 2) is its one-step loop run twice, so d2's coefficient
+    # matrix is d1's differentiated once more, the same array
+    der = cheb.chebder(np.eye(n + 1), scl=scale)
+    d1 = val[:, :-1] @ der
+    d2 = val[:, :-2] @ cheb.chebder(der, scl=scale)
     k0_tail = bessel_k0(RHO_TAIL)
     tail_slope = -RHO_TAIL * bessel_k1(RHO_TAIL) / ((1.0 + RHO_TAIL) * k0_tail)
     # the unknowns: the coefficients c of phi = log psi, then log a0.  Rows

@@ -215,6 +215,59 @@ def test_flux_identity(profile):
         assert 8.0 * t * t * total == pytest.approx(4.0 * f1, rel=1e-12, abs=0)
 
 
+# the integrals below are split where test_flux_identity splits them, at
+# rho = 1e-6, 1e-3, 0.1, 1, 5 and 20 (radius (3 rho / (8 t))^(2/3))
+ENERGY_RHO_CUTS = (1e-6, 1e-3, 0.1, 1.0, 5.0, 20.0)
+
+
+def _model_energy(profile, t):
+    """E(t) = 4 pi t^2 int_0^1 r^2 (cosh 2h - 1) dr on ``build_family``'s h,
+    with cosh 2h - 1 written 2 sinh^2 h, which does not cancel."""
+    from scipy.integrate import quad
+
+    cuts = [r for r in ((3.0 * rho / (8.0 * t)) ** (2.0 / 3.0) for rho in ENERGY_RHO_CUTS)
+            if r < 1.0]
+    cuts = [0.0, *cuts, 1.0]
+
+    def density(r):
+        return r * r * 2.0 * math.sinh(fd.build_family(t, profile, np.array([r])).h[0]) ** 2
+
+    return 4.0 * math.pi * t * t * sum(quad(density, a, b, epsrel=1e-13, epsabs=0.0)[0]
+                                       for a, b in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 8.0])
+def test_model_energy_is_the_profile_integral(profile, t):
+    # rho = (8/3) t r^(3/2) gives r^2 dr = 3 rho drho / (32 t^2), so
+    # E(t) = (3 pi / 8) int_0^(8t/3) 2 rho sinh^2 psi drho: a chain-rule
+    # check of build_family (4.4e-16 relative measured)
+    from scipy.integrate import quad
+
+    top = 8.0 * t / 3.0
+    cuts = [0.0, *(rho for rho in ENERGY_RHO_CUTS if rho < top), top]
+
+    def density(rho):
+        return 2.0 * rho * math.sinh(psi_log_derivatives(profile, rho)[0][0]) ** 2
+
+    expected = 3.0 * math.pi / 8.0 * sum(quad(density, a, b, epsrel=1e-13, epsabs=0.0)[0]
+                                         for a, b in zip(cuts, cuts[1:]))
+    assert _model_energy(profile, t) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0, 3.0, 4.0])
+def test_model_energy_deficit_is_the_k0_tail(profile, t):
+    # E -> pi / 24, and the deficit is (3 pi / 8) int_a^inf 2 rho sinh^2 psi
+    # over rho >= a = 8t/3, where psi ~ lambda K0: with
+    # int_a^inf rho K0^2 = (a^2 / 2)(K1(a)^2 - K0(a)^2) it is
+    # (3 pi / 8) lambda^2 a^2 (K1(a)^2 - K0(a)^2) (5.8e-5 relative at t = 1,
+    # the tail's own correction; 6.2e-6 at t = 4, the quadrature's rounding)
+    from scipy.special import k0, k1
+
+    a = 8.0 * t / 3.0
+    tail = 3.0 * math.pi / 8.0 * profile.lam ** 2 * a * a * (k1(a) ** 2 - k0(a) ** 2)
+    assert math.pi / 24.0 - _model_energy(profile, t) == pytest.approx(tail, rel=1e-3, abs=0)
+
+
 def test_decay_fit_exact_and_degenerate():
     from hitchinlab.errors import NumericalError
 

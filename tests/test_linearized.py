@@ -268,11 +268,56 @@ def test_galerkin_flat_blocks_are_bessel_zeros(profile, t):
 
 def test_probe_doubles_past_a_basis_too_small_for_its_exponent(profile):
     # nu = 200 on 24 functions (48 nodes) leaves a singular mass matrix: the
-    # probe reports no value, so the doubling goes on; 96 functions hold it
-    assert lin._probe(2.0, profile, 24, 200, {}) is None
+    # probe reports no value, so the doubling goes on; 96 functions hold it.
+    # The blocks at ell = 0 are solved before the ell = 200 one refuses
+    _, [(solves, tol)] = lin._probe(lin._Galerkin([2.0], profile, 24, [0, 1, 200], {}), 200)
+    assert tol is None and len(solves) == 2
     blocks = lin._Galerkin([2.0], profile, 96, [200], {})
     lam = lin._smallest(blocks.flat(200)[1][0])[0]
     assert abs(lam / jn_zeros(200, 1)[0] ** 2 - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [24, 48, 96])
+def test_basis_table_does_not_depend_on_its_batch(n):
+    # one table per basis size serves the probe's exponents and the sweep's,
+    # so each exponent's rows must be the same bits in any batch
+    lin._bases.cache_clear()
+    every = lin._bases(tuple(range(33)), n)
+    lin._bases.cache_clear()
+    probed = lin._bases((0, 1, 32), n)
+    lin._bases.cache_clear()
+    for table, rows in zip(every, probed):
+        assert np.array_equal(table[[0, 1, 32]], rows)
+
+
+def test_probe_verdicts_are_per_row(profile):
+    # at lmax 156 and n = 24 the mass of exponent 156 is positive definite
+    # on the nodes of t = 2 and not on those of t = 8: on blocks shared by
+    # both t, each row gets the verdict and the values of its one-t probe
+    both = lin._probe(lin._Galerkin([2.0, 8.0], profile, 24, range(157), {}), 156)[1]
+    for t, (solves, tol) in zip((2.0, 8.0), both):
+        _, [(alone, alone_tol)] = lin._probe(lin._Galerkin([t], profile, 24, [0, 1, 156], {}), 156)
+        assert tol == alone_tol and [lam for lam, _ in solves] == [lam for lam, _ in alone]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(solves, alone))
+    assert both[0][1] is not None and both[1][1] is None and len(both[1][0]) == 2
+
+
+@pytest.mark.parametrize("t, sizes", [(2.0, [24, 48]), (100.0, [24, 48, 96])])
+def test_green_norms_reports_its_probes(profile, t, sizes):
+    # probe_lambdas holds each probe's three lambda_min by n; the last two
+    # give lambda_2n_reldiff, the one at the chosen n is the sweep's own, and
+    # eig_solves counts the probes' solves and the sweep's 2 lmax + 1, less
+    # the three the sweep reads from the probe at n = 24
+    ell_max = 8
+    (rep,) = lin.green_norms([t], ell_max, profile)
+    assert list(rep.probe_lambdas) == sizes and rep.n == sizes[-2]
+    coarse, fine = (np.array(rep.probe_lambdas[n]) for n in sizes[-2:])
+    assert rep.lambda_2n_reldiff == np.max(np.abs(fine / coarse - 1.0))
+    assert rep.probe_lambdas[rep.n] == [rep.lambda_min[0], rep.lambda_min_vertical[0],
+                                        rep.lambda_min_vertical[ell_max]]
+    reused = 3 if rep.n == lin.GALERKIN_N else 0
+    assert rep.eig_solves == 3 * len(sizes) + 2 * ell_max + 1 - reused
+    assert not {"eig_solves", "probe_lambdas"} & set(rep.to_dict())
 
 
 @pytest.mark.parametrize("t", [1.0, 8.0, 100.0])
@@ -418,11 +463,14 @@ def test_green_norms_certificates_get_their_blocks_square(profile, monkeypatch):
 
 def test_green_norms_builds_flat_squares_once_per_mode(profile, monkeypatch):
     # a host-independent work guard on the mode-major sweep: modes 0..L over
-    # T values of t build each exponent's flat stiffness once, for every t
-    # at once, form one surrogate square Z^T Z per coupled block (ell = 1's
-    # copies ell = 0's), make T (2L + 1) eigen solves past the probes' three
-    # per probe, and evaluate the profile only for the probes, once per t
-    # and basis size
+    # T values of t build each exponent's flat stiffness once per basis size:
+    # at n = 24 once for every t at once, the probe's exponents 0, 1 and L
+    # before the probes at 2n, each t's on its own, and the rest in the
+    # sweep.  They form one surrogate square Z^T Z per coupled block
+    # (ell = 1's copies ell = 0's), make T (2L + 1) + 3T eigen solves (the
+    # sweep at n = 24 reads the three of its probe, the probe at 2n makes
+    # three more), counted per t in eig_solves, and evaluate the profile
+    # only for the probes, once per t and basis size
     ts, ell_max = [1.0, 4.0, 16.0], 10
     flats, real_flat = [], lin._Galerkin.flat
     solves, real_smallest = [], lin._smallest
@@ -447,10 +495,13 @@ def test_green_norms_builds_flat_squares_once_per_mode(profile, monkeypatch):
     grams = _spy_surrogate_grams(monkeypatch)
     reports = lin.green_norms(ts, ell_max, profile)
     assert [rep.n for rep in reports] == [24] * len(ts)
-    assert [nu for rows, nu in flats if rows == len(ts)] == list(range(ell_max + 1))
+    probed = [0, 1, ell_max]
+    assert flats == ([(len(ts), nu) for nu in probed] + [(1, nu) for t in ts for nu in probed]
+                     + [(len(ts), nu) for nu in range(2, ell_max)])
     assert len(grams) == len(ts) * ell_max
-    assert len(solves) == len(ts) * (2 * ell_max + 1 + 2 * 3)
-    assert families == [(t, nodes) for t in ts for nodes in (48, 96)]
+    assert len(solves) == len(ts) * (2 * ell_max + 1 + 3)
+    assert [rep.eig_solves for rep in reports] == [2 * ell_max + 1 + 3] * len(ts)
+    assert families == [(t, nodes) for nodes in (48, 96) for t in ts]
 
 
 def test_green_norms_nan_certificate_solves_every_mode(profile, monkeypatch):

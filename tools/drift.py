@@ -173,6 +173,9 @@ RUNS = {
     "bench-glue": ["glue", *(a for t in range(2, 11) for a in ("--t", f"{t}.0")), "--jobs", "1"],
     "bench-indicial": ["indicial", "--lmax", "32", "--jobs", "1"],
     "bench-torus": ["torus", "--gamma", "14", "--format", "csv", "--jobs", "1"],
+    # t = 2 keeps n = 24 and t = 100 goes on to 48: the sweep at 24 runs on
+    # one row of the blocks that every t's probe read
+    "cli-spectrum-mixed-n": ["spectrum", "--t", "2", "--t", "100", "--lmax", "8", "--jobs", "1"],
     "bench-newton-grid": newton_grid,
     "lib-green-norms": green_norms,
     "bench-orbits": orbits,
